@@ -460,28 +460,100 @@ def is_effective_root(f, alpha, bound=None):
 # -- irreducibility ------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
+def _bits(mask, k):
+    return tuple(i for i in range(k) if mask >> i & 1)
+
+
+class _MaskSums(dict):
+    """(x, y) -> carrier indices in the mask sum x + y, filled on first use."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, key):
+        got = self[key] = _bits(self.base.add_masks(*key), len(self.base))
+        return got
+
+
 def _ideal_members_bounded(u, deg_cap, h_deg, max_terms):
-    """Bounded slice of the ideal generated by u in the polynomial superring.
+    """Bounded slice of the ideal generated by a nonzero u in the polynomial superring.
 
     Members of h1*u + ... + ht*u with t <= max_terms and deg hi <= h_deg,
     restricted afterwards to degree <= deg_cap.  The bound makes the decision
     procedure incomplete in principle; callers report it with their verdicts.
+
+    The kernel works on element indices.  A polynomial is a tuple of carrier
+    indices of one fixed length, padded with the index of zero, so equal
+    polynomials are equal tuples; the padding is exact because 0 + 0 = {0}.
+    A box is a tuple of per-position masks.  The slice is returned as index
+    tuples of length deg_cap + 1.
     """
     S = u.base
-    base_products = set()
-    for h in all_polys(S, h_deg):
-        base_products.update(pmul(h, u).members())
-    tiers = set(base_products)
-    layer = set(base_products)
-    for _ in range(max_terms - 1):
-        nxt = set()
-        for p in layer:
-            for q in base_products:
-                nxt.update(padd(p, q).members())
-        layer = nxt
-        tiers.update(layer)
-    return frozenset(p for p in tiers if p.is_zero or p.degree <= deg_cap)
+    k = len(S)
+    z = S.index(S.zero)
+    uc = [S.index(c) for c in u.coeffs]
+    n = len(uc)
+    width = max(h_deg + n, deg_cap + 1)
+
+    # the boxes h*u, each position folded exactly as pmul folds it
+    prod = S._prod
+    zbit = 1 << z
+    boxes = {(zbit,) * width}  # h = 0
+    nonzero = [i for i in range(k) if i != z]
+    for d in range(h_deg + 1):
+        pad = (zbit,) * (width - d - n)
+        for low in itertools.product(range(k), repeat=d):
+            for top in nonzero:
+                h = low + (top,)
+                box = []
+                for j in range(d + n):
+                    m = None
+                    for i in range(max(0, j - n + 1), min(j, d) + 1):
+                        t = prod[h[i]][uc[j - i]]
+                        m = t if m is None else S.add_masks(m, t)
+                    box.append(m)
+                boxes.add(tuple(box) + pad)
+
+    # Semi-naive closure over B, the union of the boxes: the layers obey
+    # L(t+1) = L(t) + B, so T(t+1) = T(t) | (delta(t) + B) with delta(1) = B.
+    # A box plus a box is the box of the per-position mask sums, so the first
+    # round adds the boxes pairwise and later rounds add each new member as a
+    # box of single bits.
+    plus = _MaskSums(S)
+    tiers = set()
+    for box in boxes:
+        tiers.update(itertools.product(*(_bits(m, k) for m in box)))
+    frontier = boxes
+    for _ in range(max_terms - 2):
+        new = set()
+        for d in frontier:
+            for b in boxes:
+                new.update(itertools.product(*map(plus.__getitem__, zip(d, b))))
+        delta = new - tiers
+        tiers |= delta
+        frontier = {tuple(1 << a for a in p) for p in delta}
+
+    cut = deg_cap + 1
+    tail = (z,) * (width - cut)
+    got = {p[:cut] for p in tiers if p[cut:] == tail}
+    if max_terms > 1:
+        # Last round: a member of d + b survives the cut only when every tail
+        # sum d[j] + b[j] (j >= cut) can give 0, and is then cut to its head.
+        # So each head box meets each usable box once.
+        usable, by_head = {}, {}
+        for d in frontier:
+            rest = d[cut:]
+            if rest not in usable:
+                usable[rest] = {b for b in boxes
+                                if all(z in s for s in map(plus.__getitem__, zip(rest, b[cut:])))}
+            by_head.setdefault(d[:cut], set()).update(usable[rest])
+        for head, picks in by_head.items():
+            for b in picks:
+                got.update(itertools.product(*map(plus.__getitem__, zip(head, b))))
+    return frozenset(got)
 
 
 class IrreducibilityVerdict:
@@ -517,11 +589,12 @@ def is_irreducible(f, max_terms=3):
         raise StructureError("irreducibility needs deg f >= 1")
     cap = f.degree
     note = f"bounded: <= {max_terms} terms, deg h <= {cap}"
+    target = tuple(S.index(c) for c in f.coeffs)
     own = _ideal_members_bounded(f, cap, cap, max_terms)
     for u in all_polys(S, f.degree):
         if u.is_zero or u.degree < 1 or u == f:
             continue
         through_u = _ideal_members_bounded(u, cap, cap, max_terms)
-        if f in through_u and through_u != own:
+        if target in through_u and through_u != own:
             return IrreducibilityVerdict(False, u, note)
     return IrreducibilityVerdict(True, None, note)

@@ -8,6 +8,7 @@ small brute-force scans for cross-checking search results.
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
@@ -71,15 +72,23 @@ def trop():
 
 
 @pytest.fixture(scope="session")
-def h3_quotient(H3):
+def h3_quotient_timed(H3):
+    """The H3 quotient below and the seconds its search took."""
+    t0 = time.monotonic()
+    got = find_quotient_superfield(H3, 2)
+    elapsed = time.monotonic() - t0
+    assert got is not None, "no verifying quadratic quotient over H3"
+    return got, elapsed
+
+
+@pytest.fixture(scope="session")
+def h3_quotient(h3_quotient_timed):
     """The first irreducible quadratic over H3 whose quotient verifies.
 
     Returns (quotient structure, extension pair, gamma, p, rejected polys).
     Built once per session; several modules and the acceptance suite share it.
     """
-    got = find_quotient_superfield(H3, 2)
-    assert got is not None, "no verifying quadratic quotient over H3"
-    return got
+    return h3_quotient_timed[0]
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvla import (NEG_INF, Poly, PolySet, StructureError, builtin,
+from mvla import (NEG_INF, Poly, PolySet, Structure, StructureError, builtin,
                   divmod_holds, evaluate, is_effective_root, is_irreducible,
                   is_root, padd, padd_sets, pdeg_laws_check, pdivmod, pmul,
                   pmul_fold)
-from mvla.polys import all_polys, deg_sum_min_counterexamples, psum_members
+from mvla.polys import (_ideal_members_bounded, all_polys, deg_sum_min_counterexamples,
+                        psum_members)
 from conftest import poly_divmod_mod, poly_eval_mod
 
 
@@ -283,3 +284,112 @@ def test_poly_ops_commute(name, data):
     g = Poly(S, data.draw(coeffs))
     assert padd(f, g) == padd(g, f)
     assert pmul(f, g) == pmul(g, f)
+
+
+# -- the ideal-slice kernel against the layer loop it replaced ---------------------
+
+
+def reference_slice(u, deg_cap, h_deg, max_terms=3):
+    """The bounded ideal slice by the plain layer loop over Poly boxes.
+
+    L1 = B (every member of h*u, deg h <= h_deg), L(t+1) = L(t) + B memberwise,
+    then the union of the layers cut to degree <= deg_cap, as index tuples of
+    length deg_cap + 1.  Each distinct box p + q is materialised once.
+    """
+    S = u.base
+    base = {t for h in all_polys(S, h_deg) for t in pmul(h, u).members()}
+    tiers, layer = set(base), base
+    for _ in range(max_terms - 1):
+        boxes = {padd(p, q) for p in layer for q in base}
+        layer = {t for box in boxes for t in box.members()}
+        tiers |= layer
+    return frozenset(tuple(S.index(c) for c in p.padded(deg_cap + 1))
+                     for p in tiers if p.is_zero or p.degree <= deg_cap)
+
+
+DIFF_BASES = {"K": ("K",), "F2": ("Fp", 2), "F3": ("Fp", 3), "H2": ("Hp", 2),
+              "H3": ("Hp", 3), "Q2": ("Q2",), "X1": ("Xn", 1)}
+
+
+@pytest.fixture(scope="module")
+def diff_bases():
+    return {name: builtin(*spec) for name, spec in DIFF_BASES.items()}
+
+
+@pytest.fixture(scope="module")
+def reference_slices():
+    """Reference slices with 3 terms, cut to degree <= cap, keyed (u, cap, h_deg);
+    the slice and the verdict checks share them."""
+    cache = {}
+
+    def get(u, cap, h_deg):
+        key = (u, cap, h_deg)
+        if key not in cache:
+            cache[key] = reference_slice(*key)
+        return cache[key]
+    return get
+
+
+def _nonconstant(S, degree):
+    return [u for u in all_polys(S, degree) if not u.is_zero and u.degree >= 1]
+
+
+# is_irreducible's own bound (deg h = cap = degree), except over Q2 and X1,
+# where the reference loop needs about 5 s per base at deg h <= 2
+@pytest.mark.parametrize("name,degree,h_deg", [(n, 2, 2) for n in ("K", "F2", "F3", "H2", "H3")]
+                         + [("F2", 3, 3), ("Q2", 2, 1), ("X1", 2, 1)])
+def test_slice_kernel_matches_layer_loop(diff_bases, reference_slices, name, degree, h_deg):
+    S = diff_bases[name]
+    for u in _nonconstant(S, degree):
+        assert (_ideal_members_bounded(u, degree, h_deg, 3)
+                == reference_slices(u, degree, h_deg)), u
+
+
+@pytest.mark.parametrize("name,degree", [("F2", 2), ("F2", 3), ("F2", 4), ("F3", 2),
+                                         ("K", 2), ("H2", 2), ("H3", 2)])
+def test_irreducible_matches_layer_loop(diff_bases, reference_slices, name, degree):
+    S = diff_bases[name]
+    scan = _nonconstant(S, degree)
+    for f in scan:
+        if f.degree != degree:
+            continue
+        own = reference_slices(f, degree, degree)
+        target = tuple(S.index(c) for c in f.coeffs)
+        want = next((u for u in scan if u != f and target in reference_slices(u, degree, degree)
+                     and reference_slices(u, degree, degree) != own), None)
+        got = is_irreducible(f)
+        assert (got.irreducible, got.witness) == (want is None, want), f
+
+
+@st.composite
+def small_structures(draw):
+    """2-3 elements with 0 and 1 neutral and every other entry a random
+    nonempty subset: commutativity and associativity are not assumed.
+    Entries lean to single elements, so that ideal slices grow over several
+    rounds of sums instead of filling the carrier at once."""
+    els = tuple(range(draw(st.sampled_from((3, 2)))))
+    subsets = st.one_of(st.sampled_from(els).map(lambda e: {e}),
+                        st.sets(st.sampled_from(els), min_size=1))
+    sums, prods = {}, {}
+    for a in els:
+        for b in els:
+            sums[(a, b)] = {b} if a == 0 else {a} if b == 0 else draw(subsets)
+            prods[(a, b)] = {b} if a == 1 else {a} if b == 1 else draw(subsets)
+    return Structure("R", els, 0, 1, {a: a for a in els}, sums, prods)
+
+
+# One run with a single term, which shows the h*u boxes (and so their fold
+# order) bare, and one of the closure rounds.  Each choice lists first the
+# value that exercises the most, since hypothesis favours the first choice.
+@pytest.mark.parametrize("terms", [(1,), (3, 4, 2)], ids=["boxes", "closure"])
+@settings(max_examples=60, deadline=None)
+@given(S=small_structures(), data=st.data())
+def test_slice_kernel_on_random_structures(terms, S, data):
+    degree = data.draw(st.sampled_from((2, 1, 0)))
+    low = [data.draw(st.sampled_from(S.elements)) for _ in range(degree)]
+    u = Poly(S, low + [data.draw(st.sampled_from(S.elements[1:]))])
+    deg_cap = data.draw(st.sampled_from((2, 3, 1, 0)))
+    h_deg = data.draw(st.sampled_from((2, 1, 0)))
+    max_terms = data.draw(st.sampled_from(terms))
+    assert (_ideal_members_bounded(u, deg_cap, h_deg, max_terms)
+            == reference_slice(u, deg_cap, h_deg, max_terms))
