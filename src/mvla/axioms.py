@@ -77,12 +77,16 @@ class _View:
     """Index-level tables consumed by the axiom loops.
 
     Each entry is (mask, exact) or None; None means the true result escapes
-    the window entirely.  Finite structures are always total and exact.
+    the window entirely.  Finite structures and derived carriers are always
+    total and exact.  A vector space's view also holds act[lam][v], the
+    action of scalar index lam on vector index v.
     """
 
-    __slots__ = ("elements", "k", "zero_i", "one_i", "neg", "sum", "prod", "partial")
+    __slots__ = ("elements", "k", "zero_i", "one_i", "neg", "sum", "prod", "act",
+                 "partial")
 
-    def __init__(self, elements, zero_i, one_i, neg, sum_tab, prod_tab, partial):
+    def __init__(self, elements, zero_i, one_i, neg, sum_tab, prod_tab, partial,
+                 act_tab=None):
         self.elements = elements
         self.k = len(elements)
         self.zero_i = zero_i
@@ -90,6 +94,7 @@ class _View:
         self.neg = neg
         self.sum = sum_tab
         self.prod = prod_tab
+        self.act = act_tab
         self.partial = partial
 
     @classmethod
@@ -124,22 +129,53 @@ class _View:
         neg_idx = tuple(idx[neg(e)] for e in els)
         return cls(els, idx[zero], idx[one], neg_idx, tab(sum_entry), tab(prod_entry), True)
 
+    @classmethod
+    def of_carrier(cls, elements, sum_fn, neg_fn, unit, scalars=None, act_fn=None):
+        """Tabulate a finite derived carrier (vectors, matrices, extension elements).
+
+        sum_fn(a, b), and act_fn(lam, v) for lam in scalars.elements, return
+        iterables of carrier members; any result outside the carrier raises
+        StructureError here, before a scan starts.
+        """
+        elements = tuple(elements)
+        idx = {e: i for i, e in enumerate(elements)}
+
+        def index(x, key):
+            try:
+                return idx[x]
+            except KeyError:
+                raise StructureError(
+                    f"operation escapes the carrier at {key!r}: {x!r}") from None
+
+        def cell(res, key):
+            m = 0
+            for x in res:
+                m |= 1 << index(x, key)
+            return (m, True)
+
+        sum_tab = [[cell(sum_fn(a, b), (a, b)) for b in elements] for a in elements]
+        neg = tuple(index(neg_fn(a), (a,)) for a in elements)
+        act_tab = None
+        if act_fn is not None:
+            act_tab = [[cell(act_fn(lam, v), (lam, v)) for v in elements]
+                       for lam in scalars.elements]
+        return cls(elements, index(unit, ()), None, neg, sum_tab, None, False, act_tab)
+
 
 def _union_over(tab, member_mask, other, left_side):
     """Union of tab[x][other] (or tab[other][x]) over members x of member_mask."""
     mask, exact = 0, True
-    i = 0
     m = member_mask
     while m:
-        if m & 1:
-            cell = tab[i][other] if left_side else tab[other][i]
-            if cell is None:
-                exact = False
-            else:
-                mask |= cell[0]
-                exact = exact and cell[1]
-        m >>= 1
-        i += 1
+        low = m & -m
+        m ^= low
+        i = low.bit_length() - 1
+        cell = tab[i][other] if left_side else tab[other][i]
+        if cell is None:
+            exact = False
+        else:
+            mask |= cell[0]
+            exact = exact and cell[1]
     return mask, exact
 
 
@@ -226,20 +262,18 @@ def _scan_multigroup(view, col, opname, unit_i, use_inversion):
                 if cell is None:
                     col.record("skip", "M1" + suffix, (els[i], els[j]))
                     continue
-                mask, _exact = cell
                 verdict, bad_c = "pass", None
-                c = 0
-                mm = mask
+                mm = cell[0]
                 while mm and verdict != "fail":
-                    if mm & 1:
-                        v1 = _membership(i, tab[c][neg[j]])
-                        v2 = _membership(j, tab[neg[i]][c])
-                        if "fail" in (v1, v2):
-                            verdict, bad_c = "fail", els[c]
-                        elif "skip" in (v1, v2):
-                            verdict = "skip"
-                    mm >>= 1
-                    c += 1
+                    low = mm & -mm
+                    mm ^= low
+                    c = low.bit_length() - 1
+                    v1 = _membership(i, tab[c][neg[j]])
+                    v2 = _membership(j, tab[neg[i]][c])
+                    if "fail" in (v1, v2):
+                        verdict, bad_c = "fail", els[c]
+                    elif "skip" in (v1, v2):
+                        verdict = "skip"
                 instance = (els[i], els[j]) if bad_c is None else (els[i], els[j], bad_c)
                 col.record(verdict, "M1" + suffix, instance)
                 if col.done:
@@ -368,27 +402,23 @@ def _scan_weak_dist(view, col):
 
 
 def _sum_of_masks(view, m1, m2):
+    """Union of sum[x][y] over members x of m1 and y of m2."""
     mask, exact = 0, True
     tab = view.sum
-    i = 0
-    mm1 = m1
-    while mm1:
-        if mm1 & 1:
-            row = tab[i]
-            j = 0
-            mm2 = m2
-            while mm2:
-                if mm2 & 1:
-                    cell = row[j]
-                    if cell is None:
-                        exact = False
-                    else:
-                        mask |= cell[0]
-                        exact = exact and cell[1]
-                mm2 >>= 1
-                j += 1
-        mm1 >>= 1
-        i += 1
+    while m1:
+        low = m1 & -m1
+        m1 ^= low
+        row = tab[low.bit_length() - 1]
+        mm2 = m2
+        while mm2:
+            low = mm2 & -mm2
+            mm2 ^= low
+            cell = row[low.bit_length() - 1]
+            if cell is None:
+                exact = False
+            else:
+                mask |= cell[0]
+                exact = exact and cell[1]
     return mask, exact
 
 
@@ -537,13 +567,17 @@ def verify_axioms(S, kind, window=None, witness_limit=3, stop_on_first=False):
         scan(view, col)
         if col.done:
             break
+    return _report(S.name, kind, view, col)
+
+
+def _report(subject, kind, view, col):
     if col.witnesses:
         verdict = FAIL
     elif view.partial:
         verdict = PASS_ON_WINDOW
     else:
         verdict = PASS
-    return AxiomReport(subject=S.name, kind=kind, verdict=verdict,
+    return AxiomReport(subject=subject, kind=kind, verdict=verdict,
                        witnesses=tuple(col.witnesses),
                        checked=col.checked, skipped=col.skipped)
 
@@ -591,22 +625,9 @@ def is_proto_full(S):
                 ac = prod[a][c][0]
                 sum1 = _sum_of_masks(view, ab, ac)[0]
                 for d in range(k):
-                    left = 0
-                    m, i = sum1, 0
-                    while m:
-                        if m & 1:
-                            left |= prod[i][d][0]
-                        m >>= 1
-                        i += 1
-                    bd, cd = prod[b][d][0], prod[c][d][0]
-                    sum2 = _sum_of_masks(view, bd, cd)[0]
-                    right = 0
-                    m, i = sum2, 0
-                    while m:
-                        if m & 1:
-                            right |= prod[a][i][0]
-                        m >>= 1
-                        i += 1
+                    left = _union_over(prod, sum1, d, True)[0]
+                    sum2 = _sum_of_masks(view, prod[b][d][0], prod[c][d][0])[0]
+                    right = _union_over(prod, sum2, a, False)[0]
                     if not left & right:
                         return False, (els[a], els[b], els[c], els[d])
     return True, None
@@ -666,13 +687,13 @@ def check_morphism(spec, full=False, witness_limit=3):
     for a in S.elements:
         for b in S.elements:
             img_sum = T.set_of(T.sum_mask(f[a], f[b]))
-            for c in S.sum_set(a, b):
+            for c in S.canon_of(S.sum_mask(a, b)):
                 ok = f[c] in img_sum
                 col.record("pass" if ok else "fail", "m-add", (a, b, c))
                 if col.done:
                     break
             img_prod = T.set_of(T.prod_mask(f[a], f[b]))
-            for c in S.prod_set(a, b):
+            for c in S.canon_of(S.prod_mask(a, b)):
                 ok = f[c] in img_prod
                 col.record("pass" if ok else "fail", "m-mul", (a, b, c))
                 if col.done:
@@ -693,73 +714,70 @@ def check_morphism(spec, full=False, witness_limit=3):
                        witnesses=tuple(col.witnesses), checked=col.checked)
 
 
-# -- generic multigroup check over arbitrary carriers ---------------------------
+# -- derived carriers: vector, matrix and extension multigroups ------------------
 
 
 def verify_multigroup(elements, sum_fn, neg_fn, unit, subject="multigroup",
                       witness_limit=3):
-    """M1-M4 for a set-valued operation on an arbitrary finite carrier.
+    """Nonemptiness and M1-M4 for a set-valued operation on a finite carrier.
 
-    sum_fn(a, b) must return an iterable of carrier members.  This is the
-    object-level twin of the mask-based scan, used for derived carriers such
-    as matrix and vector multigroups.
+    sum_fn(a, b) must return an iterable of carrier members.  The carrier is
+    tabulated into an index-level view and scanned by the same multigroup
+    scan as a finite structure, so witnesses come in carrier order.
     """
-    elements = list(elements)
-    eset = set(elements)
+    view = _View.of_carrier(elements, sum_fn, neg_fn, unit)
     col = _Collector(limit=witness_limit)
-    table = {}
+    _add_group(view, col)
+    return _report(subject, "multigroup", view, col)
 
-    def op(a, b):
-        key = (a, b)
-        if key not in table:
-            res = frozenset(sum_fn(a, b))
-            if not res:
-                col.record("fail", "nonempty", key)
-            if not res <= eset:
-                raise StructureError(f"operation escapes the carrier at {key!r}")
-            table[key] = res
-        return table[key]
 
-    for a in elements:
-        ok = op(a, unit) == frozenset([a])
-        col.record("pass" if ok else "fail", "M2", (a,))
+def _scan_action(view, F, col, full):
+    """MV0-MV3 for the action of the scalars F on a tabulated vector carrier.
+
+    MV2 and MV3 demand containment of the left side in the right side, or
+    equality when full is set; MV0 and MV1 always demand equality.
+    """
+    els, act, k = view.elements, view.act, view.k
+    scal = F.elements
+    s = len(scal)
+    one, zero = F.index(F.one), F.index(F.zero)
+    zero_vec = (1 << view.zero_i, True)
+    for v in range(k):
+        col.record(_equality(act[one][v], (1 << v, True)), "MV0-one", (els[v],))
         if col.done:
-            break
-    if not col.done:
-        for a in elements:
-            for b in elements:
-                for c in op(a, b):
-                    ok = a in op(c, neg_fn(b)) and b in op(neg_fn(a), c)
-                    col.record("pass" if ok else "fail", "M1", (a, b, c))
-                    if col.done:
-                        break
+            return
+        col.record(_equality(act[zero][v], zero_vec), "MV0-zero", (els[v],))
+        if col.done:
+            return
+    # MV1: (lam mu) v = lam (mu v)
+    for lam in range(s):
+        for mu in range(s):
+            for v in range(k):
+                left = _union_over(act, F._prod[lam][mu], v, True)
+                right = _union_over(act, act[mu][v][0], lam, False)
+                col.record(_equality(left, right), "MV1", (scal[lam], scal[mu], els[v]))
                 if col.done:
-                    break
-                ok = op(a, b) == op(b, a)
-                col.record("pass" if ok else "fail", "M4", (a, b))
+                    return
+    law = _equality if full else _containment
+    # MV2: lam (v + w) within lam v + lam w
+    for lam in range(s):
+        row = act[lam]
+        for v in range(k):
+            for w in range(k):
+                left = _union_over(act, view.sum[v][w][0], lam, False)
+                right = _sum_of_masks(view, row[v][0], row[w][0])
+                col.record(law(left, right), "MV2", (scal[lam], els[v], els[w]))
                 if col.done:
-                    break
-            if col.done:
-                break
-    if not col.done:
-        for a in elements:
-            for b in elements:
-                ab = op(a, b)
-                for c in elements:
-                    left = frozenset().union(*(op(x, c) for x in ab))
-                    right = frozenset().union(*(op(a, y) for y in op(b, c)))
-                    ok = left <= right
-                    col.record("pass" if ok else "fail", "M3", (a, b, c))
-                    if col.done:
-                        break
+                    return
+    # MV3: (lam + mu) v within lam v + mu v
+    for lam in range(s):
+        for mu in range(s):
+            for v in range(k):
+                left = _union_over(act, F._sum[lam][mu], v, True)
+                right = _sum_of_masks(view, act[lam][v][0], act[mu][v][0])
+                col.record(law(left, right), "MV3", (scal[lam], scal[mu], els[v]))
                 if col.done:
-                    break
-            if col.done:
-                break
-
-    verdict = FAIL if col.witnesses else PASS
-    return AxiomReport(subject=subject, kind="multigroup", verdict=verdict,
-                       witnesses=tuple(col.witnesses), checked=col.checked)
+                    return
 
 
 # -- single-instance witness re-evaluation ----------------------------------------

@@ -518,7 +518,7 @@ def constructive_kernel(A):
     callers verify the result and fall back to exhaustive search.
     """
     S = A.base
-    if not (structure_is(S, "multifield") and S.has_singleton_product):
+    if not structure_is(S, "multifield"):
         return None
     n, m = A.rows, A.cols
     rows = [list(A.row(i)) for i in range(n)]

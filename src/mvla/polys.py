@@ -10,9 +10,8 @@ coefficientwise independent choices, so they are stored as coefficient boxes
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
-from .axioms import structure_is
+from .axioms import MorphismSpec, check_morphism, structure_is
 from .errors import BlowupError, MvlaError, StructureError
 from .structures import mprod_sets, msum_sets
 
@@ -395,14 +394,16 @@ def divmod_holds(f, g, q, r):
 # -- evaluation and roots -----------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def _morphism_ok(spec):
-    from .axioms import check_morphism
-    return check_morphism(spec).passed
+    """check_morphism(spec).passed, memoised on the target, so it dies with it."""
+    cache = spec.target._kind_cache
+    key = ("morphism", spec)
+    if key not in cache:
+        cache[key] = check_morphism(spec).passed
+    return cache[key]
 
 
 def _coeff_map(f, ambient, via):
-    from .axioms import MorphismSpec
     if via is not None:
         if via.source is not f.base or via.target is not ambient:
             raise StructureError("morphism endpoints do not match the evaluation")

@@ -220,14 +220,6 @@ class Structure:
                         return False
         return True
 
-    @property
-    def has_singleton_product(self):
-        for row in self._prod:
-            for m in row:
-                if m & (m - 1):
-                    return False
-        return True
-
     # -- derived structures ----------------------------------------------------
 
     def with_entry(self, op, a, b, new_set, name=None):

@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .axioms import (AxiomReport, FAIL, PASS, _Collector, is_full,
-                     verify_multigroup)
+from .axioms import (AxiomReport, FAIL, PASS, _Collector, _View, _add_group,
+                     _report, _scan_action, is_full)
 from .errors import MvlaError, StructureError
 from .structures import msum
 
@@ -136,57 +136,23 @@ def extension_space(pair):
 
 
 def verify_vspace(V, full=False, witness_limit=3):
-    """Exhaustive MV0-MV3 plus the vector multigroup; full demands equalities."""
+    """Exhaustive MV0-MV3 plus the vector multigroup; full demands equalities.
+
+    The space is tabulated once into an index-level view.  The multigroup
+    scan's witnesses come first, prefixed "group-", then MV0-MV3 run on the
+    same view until the witness limit is reached.
+    """
     F = V.scalars
-    group = verify_multigroup(V.vectors, V.vsum_set, V.vneg, V.vzero,
-                              subject=V.name, witness_limit=witness_limit)
+    view = _View.of_carrier(V.vectors, V.vsum_set, V.vneg, V.vzero, F, V.act)
+    group = _Collector(limit=witness_limit)
+    _add_group(view, group)
     col = _Collector(limit=witness_limit)
     for ax, wit in group.witnesses:
         col.record("fail", "group-" + ax, wit)
-
-    zero_vec = frozenset([V.vzero])
-    for v in V.vectors:
-        if not col.done:
-            ok = V.act(F.one, v) == frozenset([v])
-            col.record("pass" if ok else "fail", "MV0-one", (v,))
-        if not col.done:
-            ok = V.act(F.zero, v) == zero_vec
-            col.record("pass" if ok else "fail", "MV0-zero", (v,))
-    for lam in F.elements:
-        for mu in F.elements:
-            for v in V.vectors:
-                if col.done:
-                    break
-                left = V.act_scalar_set(F.prod_set(lam, mu), v)
-                right = frozenset()
-                for w in V.act(mu, v):
-                    right |= V.act(lam, w)
-                col.record("pass" if left == right else "fail", "MV1", (lam, mu, v))
-    for lam in F.elements:
-        for v in V.vectors:
-            for w in V.vectors:
-                if col.done:
-                    break
-                left = frozenset()
-                for u in V.vsum_set(v, w):
-                    left |= V.act(lam, u)
-                right = V.vsum_fold([V.act(lam, v), V.act(lam, w)])
-                ok = left == right if full else left <= right
-                col.record("pass" if ok else "fail", "MV2", (lam, v, w))
-    for lam in F.elements:
-        for mu in F.elements:
-            for v in V.vectors:
-                if col.done:
-                    break
-                left = V.act_scalar_set(F.sum_set(lam, mu), v)
-                right = V.vsum_fold([V.act(lam, v), V.act(mu, v)])
-                ok = left == right if full else left <= right
-                col.record("pass" if ok else "fail", "MV3", (lam, mu, v))
-
-    verdict = FAIL if col.witnesses else PASS
+    if not col.done:
+        _scan_action(view, F, col, full)
     kind = "vector-space-full" if full else "vector-space"
-    return AxiomReport(subject=V.name, kind=kind, verdict=verdict,
-                       witnesses=tuple(col.witnesses), checked=col.checked)
+    return _report(V.name, kind, view, col)
 
 
 # -- spans ------------------------------------------------------------------------

@@ -442,7 +442,7 @@ def test_criterion_9_vector_spaces(H3, h3_quotient):
     "lam = mu = 1 and v = (1,1), (lam+mu)v is the 3-element shared-scalar set "
     "while lam v + mu v is the full 9-element coordinate box; the exhaustive "
     "scan therefore refutes the 'full' reading of this clause and the claim "
-    "it derives from (see notes/decisions.md)"))
+    "it derives from"))
 def test_criterion_9_full_clause_for_coordinate_space(H3):
     V = fn_space(H3, 2)
     rep = verify_vspace(V, full=True)

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from mvla import (MorphismSpec, WindowRequired, builtin, check_morphism,
-                  is_full, is_proto_full, mprod_sets, msum_sets,
-                  recheck_witness, structure_is, verify_axioms,
+from mvla import (MorphismSpec, StructureError, WindowRequired, builtin,
+                  check_morphism, is_full, is_proto_full, mprod_sets,
+                  msum_sets, recheck_witness, structure_is, verify_axioms,
                   verify_multigroup)
 from mvla.structures import mprod, msum
 
@@ -149,11 +149,26 @@ def test_structure_is_caches(H3):
     assert not structure_is(builtin("Xn", 2), "superfield")
 
 
-def test_generic_multigroup_agrees_with_mask_scan(K, Q2):
-    for S in (K, Q2):
+def test_generic_multigroup_agrees_with_mask_scan(K, Q2, H3, X2):
+    # same tables, same scanner: verdict, witnesses and checked all agree
+    for S in (K, Q2, H3, X2, K.with_entry("sum", 1, 0, {0, 1})):
         rep = verify_multigroup(S.elements, S.sum_set, S.neg, S.zero,
                                 subject=S.name)
-        assert rep.passed == verify_axioms(S, "multigroup").passed
+        ref = verify_axioms(S, "multigroup")
+        assert (rep.verdict, rep.witnesses, rep.checked) == \
+            (ref.verdict, ref.witnesses, ref.checked), S.name
+
+
+def test_generic_multigroup_rejects_escapes_before_scanning():
+    # 1 + 0 = {0} breaks M2 at once, so a lazy scan with witness_limit=1
+    # would stop before it ever evaluated the escaping pair (1, 1)
+    def add(a, b):
+        return {7} if (a, b) == (1, 1) else {0}
+
+    with pytest.raises(StructureError):
+        verify_multigroup([0, 1], add, lambda a: a, 0, witness_limit=1)
+    with pytest.raises(StructureError):
+        verify_multigroup([0, 1], lambda a, b: {a}, lambda a: a + 5, 0)
 
 
 def test_multimonoid_kind(H3, X2):

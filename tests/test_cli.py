@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from mvla import parse_structure, verify_axioms
 from mvla.cli import main
 from mvla.goldens import GOLDENS, load_golden
@@ -121,3 +128,115 @@ def test_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.struct"
     bad.write_text("structure X\nelements 0\nend\n")
     assert run_cli("verify", str(bad), "--kind", "multifield") == 2
+
+
+# A commutative-looking 3-element structure with string tokens whose sum is
+# not a multigroup (z + a = {z, b}); its fn space has M1 failures with several
+# failing c per pair, so witness order shows whether a scan follows carrier
+# order or the hash order of frozensets.
+_ZAB = """structure ZAB
+elements z a b
+zero z
+one a
+neg z -> z
+neg a -> a
+neg b -> b
+sum z z -> z
+sum z a -> z b
+sum a z -> a
+sum z b -> b
+sum b z -> b
+sum a a -> z a b
+sum b b -> z a b
+sum a b -> a b
+sum b a -> a b
+prod z z -> z
+prod z a -> z
+prod a z -> z
+prod z b -> z
+prod b z -> z
+prod a a -> a
+prod a b -> b
+prod b a -> b
+prod b b -> a
+end
+"""
+
+# p + p is the whole 4-element carrier, mapped onto a target where a + a = {z}:
+# three m-add witnesses (p, p, c) fail at the same pair.
+_S4 = """structure S4
+elements z p q r
+zero z
+one p
+neg z -> z
+neg p -> p
+neg q -> q
+neg r -> r
+symmetric
+sum z z -> z
+sum z p -> p
+sum z q -> q
+sum z r -> r
+sum p p -> z p q r
+sum p q -> z p q r
+sum p r -> z p q r
+sum q q -> z p q r
+sum q r -> z p q r
+sum r r -> z p q r
+prod z z -> z
+prod z p -> z
+prod z q -> z
+prod z r -> z
+prod p p -> p
+prod p q -> q
+prod p r -> r
+prod q q -> p
+prod q r -> p
+prod r r -> p
+end
+"""
+
+_T2 = """structure T2
+elements z a
+zero z
+one a
+neg z -> z
+neg a -> a
+sum z z -> z
+sum z a -> a
+sum a z -> a
+sum a a -> z
+prod z z -> z
+prod z a -> z
+prod a z -> z
+prod a a -> a
+end
+"""
+
+
+def _cli_under_seed(seed, *argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED=str(seed),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "mvla.cli", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("verb", ["vspace", "morphism"])
+def test_witness_order_ignores_the_hash_seed(tmp_path, verb):
+    for name, text in (("zab", _ZAB), ("s4", _S4), ("t2", _T2)):
+        (tmp_path / f"{name}.struct").write_text(text)
+    if verb == "vspace":
+        argv = ("vspace", "--structure", str(tmp_path / "zab.struct"),
+                "--space", "fn", "--n", "2")
+        expect = "witness.1=group-M1 @ (('z', 'z'), ('z', 'a'), ('z', 'z'))\n"
+    else:
+        argv = ("morphism", str(tmp_path / "s4.struct"), str(tmp_path / "t2.struct"),
+                "--map", "z:z,p:a,q:a,r:a")
+        expect = ("witness.1=m-add @ ('p', 'p', 'p')\nwitness.2=m-add @ ('p', 'p', 'q')\n"
+                  "witness.3=m-add @ ('p', 'p', 'r')\n")
+    first = _cli_under_seed(1, *argv)
+    assert first[0] == 1, first
+    assert expect in first[1]
+    assert _cli_under_seed(3, *argv) == first

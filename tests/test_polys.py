@@ -236,6 +236,26 @@ def test_evaluate_needs_morphic_inclusion(K, Q2, H2, H3):
         evaluate(f, 9, K)
 
 
+def test_inclusion_memo_dies_with_its_structures():
+    # the morphism check behind evaluate is memoised on the target structure,
+    # so it must not keep either structure alive once the caller drops them
+    import gc
+
+    def live_structures():
+        gc.collect()
+        return sum(isinstance(o, Structure) for o in gc.get_objects())
+
+    baseline = live_structures()
+    pairs = [(builtin("Hp", 2), builtin("Hp", 3)) for _ in range(5)]
+    for H2, H3 in pairs:
+        assert evaluate(Poly(H2, (1, 1)), 2, H3) == H3.sum_set(1, 2)
+        assert evaluate(Poly(H2, (0, 1)), 1, H3) == {1}  # memo hit
+        assert any(key[0] == "morphism" for key in H3._kind_cache
+                   if isinstance(key, tuple))
+    del pairs, H2, H3
+    assert live_structures() == baseline
+
+
 def test_krasner_is_algebraically_closed_at_desk_scale(K):
     for f in all_polys(K, 3, include_zero=False):
         if f.degree < 1:

@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from mvla import (ExtensionPair, Matrix, StructureError, dimension,
+from mvla import (ExtensionPair, Matrix, StructureError, builtin, dimension,
                   extension_space, find_basis, fn_space, is_linearly_closed,
                   is_linearly_independent, is_subspace, linear_combinations,
                   matrix_space, poly_space, solution_subspace, span,
                   verify_multigroup, verify_vspace)
+from mvla.axioms import _Collector
 from mvla.vspaces import VectorSpace
 
 
@@ -80,6 +81,126 @@ def test_mutated_action_fails_mv0(H3, V9):
     rep = verify_vspace(broken)
     assert rep.verdict == "fail"
     assert any(ax == "MV0-one" for ax, _ in rep.witnesses)
+    for axiom, inst in rep.witnesses:
+        assert _ref_violated(broken, axiom, inst), (axiom, inst)
+    _agrees_with_reference(broken, full=False)
+
+
+# -- differential check against the object-level scan the view replaced --------
+
+
+def _ref_violated(V, axiom, inst, full=False):
+    """Single-instance re-evaluation of one vector-space axiom over frozensets."""
+    F, op = V.scalars, V.vsum_set
+
+    def union(sets):
+        return frozenset().union(*sets)
+
+    law = (lambda x, y: x == y) if full else (lambda x, y: x <= y)
+    if axiom == "group-M2":
+        (a,) = inst
+        return op(a, V.vzero) != {a}
+    if axiom == "group-M1":
+        a, b, c = inst
+        return c in op(a, b) and (a not in op(c, V.vneg(b)) or b not in op(V.vneg(a), c))
+    if axiom == "group-M4":
+        a, b = inst
+        return op(a, b) != op(b, a)
+    if axiom == "group-M3":
+        a, b, c = inst
+        return not (union(op(x, c) for x in op(a, b))
+                    <= union(op(a, y) for y in op(b, c)))
+    if axiom == "MV0-one":
+        return V.act(F.one, inst[0]) != {inst[0]}
+    if axiom == "MV0-zero":
+        return V.act(F.zero, inst[0]) != {V.vzero}
+    if axiom == "MV1":
+        lam, mu, v = inst
+        return (V.act_scalar_set(F.prod_set(lam, mu), v)
+                != union(V.act(lam, w) for w in V.act(mu, v)))
+    if axiom == "MV2":
+        lam, v, w = inst
+        left = union(V.act(lam, u) for u in op(v, w))
+        return not law(left, V.vsum_fold([V.act(lam, v), V.act(lam, w)]))
+    if axiom == "MV3":
+        lam, mu, v = inst
+        left = V.act_scalar_set(F.sum_set(lam, mu), v)
+        return not law(left, V.vsum_fold([V.act(lam, v), V.act(mu, v)]))
+    raise AssertionError(axiom)
+
+
+def _ref_group_instances(V):
+    """Vector multigroup instances in the order of the object-level loops,
+    with the c of M1 taken in carrier order rather than frozenset order."""
+    vs = V.vectors
+    yield from (("group-M2", (a,)) for a in vs)
+    for a, b in itertools.product(vs, repeat=2):
+        yield from (("group-M1", (a, b, c)) for c in V.canon(V.vsum_set(a, b)))
+        yield "group-M4", (a, b)
+    yield from (("group-M3", t) for t in itertools.product(vs, repeat=3))
+
+
+def _ref_action_instances(V):
+    vs, F = V.vectors, V.scalars
+    for v in vs:
+        yield "MV0-one", (v,)
+        yield "MV0-zero", (v,)
+    yield from (("MV1", t) for t in itertools.product(F.elements, F.elements, vs))
+    yield from (("MV2", t) for t in itertools.product(F.elements, vs, vs))
+    yield from (("MV3", t) for t in itertools.product(F.elements, F.elements, vs))
+
+
+def _ref_verify_vspace(V, full=False, limit=3):
+    """(verdict, witnesses, checked) as the object-level loops reported them."""
+    def scan(col, instances):
+        for axiom, inst in instances:
+            if col.done:
+                return
+            col.record("fail" if _ref_violated(V, axiom, inst, full) else "pass",
+                       axiom, inst)
+
+    group = _Collector(limit=limit)
+    scan(group, _ref_group_instances(V))
+    col = _Collector(limit=limit)
+    for ax, wit in group.witnesses:  # the group's witnesses lead
+        col.record("fail", ax, wit)
+    scan(col, _ref_action_instances(V))
+    verdict = "fail" if col.witnesses else "pass"
+    return verdict, tuple(col.witnesses), col.checked
+
+
+def _agrees_with_reference(V, full):
+    rep = verify_vspace(V, full=full)
+    verdict, witnesses, checked = _ref_verify_vspace(V, full)
+    assert rep.verdict == verdict, (V.name, full)
+    group_failed = any(ax.startswith("group-") for ax, _ in witnesses)
+    assert group_failed == any(ax.startswith("group-") for ax, _ in rep.witnesses)
+    if not group_failed:
+        assert (rep.witnesses, rep.checked) == (witnesses, checked), (V.name, full)
+    for axiom, inst in rep.witnesses:
+        assert _ref_violated(V, axiom, inst, full), (V.name, axiom, inst)
+
+
+def test_view_scan_matches_object_level_reference(H2, H3, H5, K, Q2, F3, h3_quotient):
+    spaces = [fn_space(H3, 2), fn_space(H3, 3), fn_space(K, 5), fn_space(Q2, 3),
+              fn_space(builtin("Xn", 1), 3), fn_space(H5, 2), fn_space(F3, 3),
+              matrix_space(H2, 2, 2), poly_space(K, 3),
+              extension_space(ExtensionPair.inclusion(H2, H3)),
+              extension_space(h3_quotient[1])]
+    for V in spaces:
+        for full in (False, True):
+            _agrees_with_reference(V, full)
+
+
+def test_view_scan_matches_reference_on_mutated_scalars(K, Q2, H3):
+    for S in (K, Q2, H3, builtin("Xn", 1)):
+        subsets = [c for r in range(1, len(S.elements) + 1)
+                   for c in itertools.combinations(S.elements, r)]
+        for op, a, b in itertools.product(("sum", "prod"), S.elements, S.elements):
+            for new in subsets:
+                T = S.with_entry(op, a, b, new)
+                for n, full in itertools.product((1, 2), (False, True)):
+                    _agrees_with_reference(fn_space(T, n), full)
 
 
 def test_linear_combinations_base_cases(V9, F3):
