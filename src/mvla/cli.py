@@ -143,8 +143,8 @@ def cmd_matmul(args):
     box = mmul(A, B)
     r = Report("matmul")
     r.add("structure", S.name).add("shape", f"{box.rows}x{box.cols}")
-    r.add("box", _fmt_box(box)).add("members", box.member_count)
-    return r.finish(f"product box with {box.member_count} members")
+    r.add("box", _fmt_box(box)).add("members", box.size)
+    return r.finish(f"product box with {box.size} members")
 
 
 def cmd_divmod(args):

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from .axioms import MorphismSpec, check_morphism, structure_is, verify_axioms
 from .errors import CongruenceError, StructureError
-from .polys import Poly, all_polys, evaluate, is_irreducible, pmul
-from .structures import Structure, mprod_sets, msum_sets
+from .polys import (Poly, PolySet, _in_box_plus, _remainders, all_polys, evaluate,
+                    is_irreducible, pmul)
+from .structures import Structure, box_sums
 
 
 @dataclass(frozen=True)
@@ -54,24 +55,14 @@ def _reduce_poly(z, p):
     m = p.degree
     if z.degree < m:
         return {z.padded(m)}
+    target = PolySet.singleton(z).masks
     out = set()
-    dq = z.degree - m
     lead = [e for e in F.elements if e != F.zero]
     for top in lead:
-        for low in itertools.product(F.elements, repeat=dq):
-            q = Poly(F, low + (top,))
-            box = pmul(q, p)
-            span = max(len(box.coeff_sets), len(z.coeffs), m)
-            for rc in itertools.product(F.elements, repeat=m):
-                ok = True
-                for i in range(span):
-                    r_i = rc[i] if i < m else F.zero
-                    cell = F.add_masks(F.mask_of(box.coeff_set(i)), 1 << F.index(r_i))
-                    if not cell >> F.index(z.coeff(i)) & 1:
-                        ok = False
-                        break
-                if ok:
-                    out.add(rc)
+        for low in itertools.product(F.elements, repeat=z.degree - m):
+            box = pmul(Poly(F, low + (top,)), p)
+            out.update(rc for rc, rbits in _remainders(F, m)
+                       if _in_box_plus(box, rbits, target))
     return out
 
 
@@ -95,11 +86,7 @@ def make_quotient_superfield(F, p, verify=True):
     zero = (F.zero,) * m
     one = (F.one,) + (F.zero,) * (m - 1)
 
-    sum_table = {}
-    for x in elements:
-        for y in elements:
-            axes = [F.canon(F.sum_set(a, b)) for a, b in zip(x, y)]
-            sum_table[(x, y)] = set(itertools.product(*axes))
+    sum_table = box_sums(F, elements)
 
     prod_table = {}
     for x in elements:
@@ -233,26 +220,31 @@ def minimal_polynomial(gamma, pair, bound):
 # -- almost-fullness ----------------------------------------------------------------
 
 
-def _power_sets(K, gamma, top):
-    """gamma^0 .. gamma^top as subsets of K (iterated set products)."""
-    powers = [frozenset([K.one])]
+def _power_masks(K, gamma, top):
+    """gamma^0 .. gamma^top as masks of K (iterated set products)."""
+    g = 1 << K.index(gamma)
+    powers = [1 << K.index(K.one)]
     for _ in range(top):
-        powers.append(mprod_sets(K, [powers[-1], [gamma]]))
+        powers.append(K.mul_masks(powers[-1], g))
     return powers
+
+
+def _image_bits(pair):
+    K, f = pair.big, pair.embedding.mapping
+    return {a: 1 << K.index(f[a]) for a in pair.small.elements}
 
 
 def generation_degree(pair, gamma, limit=None):
     """Least n with K covered by sums a_0 + a_1 g + ... + a_n g^n, else None."""
-    F, K, emb = pair.small, pair.big, pair.embedding
-    f = emb.mapping
+    F, K = pair.small, pair.big
+    bit = _image_bits(pair)
     limit = len(K.elements) if limit is None else limit
-    powers = _power_sets(K, gamma, limit)
+    powers = _power_masks(K, gamma, limit)
     for n in range(limit + 1):
-        covered = frozenset()
+        covered = 0
         for coeffs in itertools.product(F.elements, repeat=n + 1):
-            terms = [mprod_sets(K, [[f[a]], powers[i]]) for i, a in enumerate(coeffs)]
-            covered = covered | msum_sets(K, terms)
-        if covered == frozenset(K.elements):
+            covered |= K.sum_of(K.mul_masks(bit[a], powers[i]) for i, a in enumerate(coeffs))
+        if covered == (1 << len(K)) - 1:
             return n
     return None
 
@@ -264,30 +256,25 @@ def is_almost_full(pair, gamma, gen_degree=None, witness_limit=3):
     is the generation degree.  Returns (verdict, witness); verdict is None
     (inconclusive) when the generation assumption cannot be established.
     """
-    F, K, emb = pair.small, pair.big, pair.embedding
-    f = emb.mapping
+    F, K = pair.small, pair.big
+    bit = _image_bits(pair)
     n = generation_degree(pair, gamma) if gen_degree is None else gen_degree
     if n is None:
         return None, "generation degree not established"
     top = n + 2  # identities mention exponents up to n+2
-    powers = _power_sets(K, gamma, top)
+    powers = _power_masks(K, gamma, top)
+    g = 1 << K.index(gamma)
+
+    def weighted(coeffs, exps):
+        return K.sum_of(K.mul_masks(bit[x], powers[e]) for x, e in zip(coeffs, exps))
+
     witnesses = []
     for p, q, r in itertools.combinations(range(n + 2), 3):
-        for a in F.elements:
-            for b in F.elements:
-                for c in F.elements:
-                    terms = [mprod_sets(K, [[f[a]], powers[p]]),
-                             mprod_sets(K, [[f[b]], powers[q]]),
-                             mprod_sets(K, [[f[c]], powers[r]])]
-                    left = mprod_sets(K, [msum_sets(K, terms), [gamma]])
-                    rterms = [mprod_sets(K, [[f[a]], powers[p + 1]]),
-                              mprod_sets(K, [[f[b]], powers[q + 1]]),
-                              mprod_sets(K, [[f[c]], powers[r + 1]])]
-                    right = msum_sets(K, rterms)
-                    if left != right:
-                        witnesses.append((a, b, c, p, q, r))
-                        if len(witnesses) >= witness_limit:
-                            return False, tuple(witnesses)
+        for abc in itertools.product(F.elements, repeat=3):
+            if K.mul_masks(weighted(abc, (p, q, r)), g) != weighted(abc, (p + 1, q + 1, r + 1)):
+                witnesses.append(abc + (p, q, r))
+                if len(witnesses) >= witness_limit:
+                    return False, tuple(witnesses)
     if witnesses:
         return False, tuple(witnesses)
     return True, None

@@ -41,7 +41,7 @@ def _x2_triple():
 def _box_report(name, box):
     lines = [f"name={name}", f"structure={box.base.name}",
              f"shape={box.rows}x{box.cols}", f"box={_fmt_box(box)}",
-             f"members={box.member_count}"]
+             f"members={box.size}"]
     for i, m in enumerate(_fmt_members(box), start=1):
         lines.append(f"member.{i}={m}")
     return "\n".join(lines) + "\n"

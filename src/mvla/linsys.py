@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .axioms import structure_is, AxiomReport, FAIL, PASS
 from .errors import BlowupError, MvlaError, StructureError
 from .matrices import Matrix, mmul
-from .structures import mprod_sets, msum_sets
 
 DEFAULT_BRANCH_CAP = 4096
 DEFAULT_NODE_CAP = 10 ** 5
@@ -77,27 +76,35 @@ def _check_vector(sys, d):
         raise StructureError("candidate vector shape or base mismatch")
 
 
+def _row_masks(sys, d):
+    """The rowwise value masks of A*d, beside the masks of the right-hand side."""
+    _check_vector(sys, d)
+    S = sys.base
+    return mmul(sys.A, d).masks, [S.mask_of(b) for b in sys.B]
+
+
 def row_value_sets(sys, d):
     """The rowwise value sets of A*d."""
     _check_vector(sys, d)
-    prod = mmul(sys.A, d)
-    return tuple(prod.entry_set(i, 0) for i in range(sys.A.rows))
+    return tuple(map(sys.base.set_of, mmul(sys.A, d).masks))
 
 
 def is_solution(sys, d):
-    return all(vals <= b for vals, b in zip(row_value_sets(sys, d), sys.B))
+    vals, bs = _row_masks(sys, d)
+    return all(not v & ~b for v, b in zip(vals, bs))
 
 
 def is_weak_solution(sys, d):
-    return all(vals & b for vals, b in zip(row_value_sets(sys, d), sys.B))
+    vals, bs = _row_masks(sys, d)
+    return all(v & b for v, b in zip(vals, bs))
 
 
 def classify_candidate(sys, d):
     """SolutionVerdict for d, or None when it is not even a weak solution."""
-    vals = row_value_sets(sys, d)
-    if not all(v & b for v, b in zip(vals, sys.B)):
+    vals, bs = _row_masks(sys, d)
+    if not all(v & b for v, b in zip(vals, bs)):
         return None
-    strength = "solution" if all(v <= b for v, b in zip(vals, sys.B)) else "weak"
+    strength = "solution" if all(not v & ~b for v, b in zip(vals, bs)) else "weak"
     return SolutionVerdict(d, strength)
 
 
@@ -259,14 +266,15 @@ def iter_back_substitution(sys, node_cap=DEFAULT_NODE_CAP):
         inv = S.inverse(A.entry(i, p))
         if inv is None:
             raise StructureError(f"pivot {A.entry(i, p)!r} has no inverse")
-        terms = [S.mask_of(mprod_sets(S, [[inv], sys.B[i]]))]
+        inv_bit = 1 << S.index(inv)
+        terms = [S.mul_masks(inv_bit, S.mask_of(sys.B[i]))]
         for j in range(p + 1, n):
             a = A.entry(i, j)
             if a == S.zero:
                 continue
-            t = mprod_sets(S, [[inv], [a], [assigned[j]]])
-            terms.append(S.mask_of(S.neg_set(t)))
-        return S.canon(msum_sets(S, terms))
+            t = S.prod_of((inv_bit, 1 << S.index(a), 1 << S.index(assigned[j])))
+            terms.append(S.neg_mask(t))
+        return S.canon_of(S.sum_of(terms))
 
     def rec(idx, assigned):
         nonlocal nodes
@@ -345,7 +353,7 @@ def _kernel_ok(A, d):
     S = A.base
     if all(e == S.zero for e in d.entries):
         return False
-    return all(S.zero in v for v in row_value_sets(homogeneous(A), d))
+    return is_weak_solution(homogeneous(A), d)
 
 
 def _exhaustive_kernel(A, scan_cap):
@@ -369,8 +377,7 @@ def _single(S, x):
 
 
 def _row_sum_mask(S, coeffs, d):
-    terms = [S.prod_mask(a, x) for a, x in zip(coeffs, d)]
-    return S.mask_of(msum_sets(S, terms))
+    return S.sum_of(S.prod_mask(a, x) for a, x in zip(coeffs, d))
 
 
 def _case1(S, row, m):
@@ -383,22 +390,14 @@ def _case1(S, row, m):
     return [x1, S.one] + [S.zero] * (m - 2)
 
 
-def _set_row_sum(S, coeff_sets, d):
-    """Sum over j of coeff_sets[j] * d[j], setwise."""
-    terms = []
-    for cs, x in zip(coeff_sets, d):
-        terms.append(S.mul_masks(S.mask_of(cs), 1 << S.index(x)))
-    return S.mask_of(msum_sets(S, terms))
-
-
-def _case1_sets(S, coeff_sets):
+def _case1_masks(S, masks):
     """Case I method over set-valued coefficients: d with 0 in sum coeff_j d_j."""
-    m = len(coeff_sets)
-    for j, cs in enumerate(coeff_sets):
-        if S.zero in cs:
+    m = len(masks)
+    zero = 1 << S.index(S.zero)
+    for j, cs in enumerate(masks):
+        if cs & zero:
             return [S.one if i == j else S.zero for i in range(m)]
-    s2 = min(coeff_sets[0], key=S.index)
-    s3 = min(coeff_sets[1], key=S.index)
+    s2, s3 = (S.canon_of(cs)[0] for cs in masks[:2])
     d2 = S.neg(_single(S, S.prod_set(S.inverse(s2), s3)))
     return [d2, S.one] + [S.zero] * (m - 2)
 
@@ -423,8 +422,7 @@ def _case2(S, rows, m):
         d = [S.zero] * m
         for j, v in zip(rest_cols, sub):
             d[j] = v
-        ssum = S.set_of(_row_sum_mask(S, [other[j] for j in rest_cols], sub))
-        pick = min(ssum, key=S.index)
+        pick = S.canon_of(_row_sum_mask(S, [other[j] for j in rest_cols], sub))[0]
         d[p] = S.neg(_single(S, S.prod_set(S.inverse(other[p]), pick)))
         return d
 
@@ -435,16 +433,11 @@ def _case2(S, rows, m):
 
     an = _normalize_row(S, a)
     bn = _normalize_row(S, b)
-    diffs = [S.set_of(S.add_masks(1 << S.index(bn[j]),
-                                  1 << S.index(S.neg(an[j])))) for j in range(1, m)]
-    tail = _case1_sets(S, diffs)
-    asum = S.set_of(_row_sum_mask(S, an[1:], tail))
-    bsum = S.set_of(_row_sum_mask(S, bn[1:], tail))
-    meet = asum & bsum
+    tail = _case1_masks(S, [S.sum_mask(bn[j], S.neg(an[j])) for j in range(1, m)])
+    meet = _row_sum_mask(S, an[1:], tail) & _row_sum_mask(S, bn[1:], tail)
     if not meet:
         return None
-    z = min(meet, key=S.index)
-    return [S.neg(z)] + tail
+    return [S.neg(S.canon_of(meet)[0])] + tail
 
 
 def _case3(S, rows, m):
@@ -459,51 +452,35 @@ def _case3(S, rows, m):
     sub = [[row[j] for j in cols] for row in rows]
     a, b, c = (_normalize_row(S, row) for row in sub)
 
-    def minus(x, y):
-        return S.set_of(S.add_masks(1 << S.index(x), 1 << S.index(S.neg(y))))
-
-    D = [minus(b[j], a[j]) for j in range(1, 4)]  # rows b - a, positions 2..4
-    E = [minus(c[j], a[j]) for j in range(1, 4)]
-    if any(S.zero in s for s in D) or any(S.zero in s for s in E):
+    D = [S.sum_mask(b[j], S.neg(a[j])) for j in range(1, 4)]  # rows b - a, positions 2..4
+    E = [S.sum_mask(c[j], S.neg(a[j])) for j in range(1, 4)]
+    zero = 1 << S.index(S.zero)
+    if any(s & zero for s in D + E):
         return None  # pairwise independence assumption failed; use the fallback
 
-    def setmul(u, v):
-        return S.mul_masks(S.mask_of(u), S.mask_of(v))
+    add, mul = S.add_masks, S.mul_masks
+    # columns 3 and 4 of the reduced system
+    G = [add(mul(D[0], E[j]), S.neg_mask(mul(E[0], D[j]))) for j in (1, 2)]
+    d3, d4 = _case1_masks(S, G)
+    b3, b4 = 1 << S.index(d3), 1 << S.index(d4)
 
-    G = []
-    for j in (1, 2):  # columns 3 and 4 of the reduced system
-        left = setmul(D[0], E[j])
-        right = S.neg_mask(setmul(E[0], D[j]))
-        G.append(S.set_of(S.add_masks(left, right)))
-    tail = _case1_sets(S, G)  # d3, d4
-    d3, d4 = tail[0], tail[1]
-
-    left_set = S.set_of(S.add_masks(setmul(D[0], S.set_of(setmul(E[1], {d3}))),
-                                    setmul(D[0], S.set_of(setmul(E[2], {d4})))))
-    right_set = S.set_of(S.add_masks(setmul(E[0], S.set_of(setmul(D[1], {d3}))),
-                                     setmul(E[0], S.set_of(setmul(D[2], {d4})))))
-    meet = left_set & right_set
+    meet = (add(mul(D[0], mul(E[1], b3)), mul(D[0], mul(E[2], b4)))
+            & add(mul(E[0], mul(D[1], b3)), mul(E[0], mul(D[2], b4))))
     if not meet:
         return None
-    z = min(meet, key=S.index)
+    neg_z = S.index(S.neg(S.canon_of(meet)[0]))
 
-    sum_d = S.set_of(S.add_masks(setmul(D[1], {d3}), setmul(D[2], {d4})))
-    cand = []
-    for x in S.neg_set(sum_d):
-        if S.neg(z) in S.set_of(setmul(E[0], {x})):
-            cand.append(x)
+    sum_d = add(mul(D[1], b3), mul(D[2], b4))
+    cand = [x for x in S.canon_of(S.neg_mask(sum_d))
+            if mul(E[0], 1 << S.index(x)) >> neg_z & 1]
     if not cand:
         return None
-    d2 = min(cand, key=S.index)
+    d2 = cand[0]
 
-    wa = S.set_of(_set_row_sum(S, [frozenset([a[1]]), frozenset([a[2]]), frozenset([a[3]])],
-                               [d2, d3, d4]))
-    wb = S.set_of(_set_row_sum(S, [frozenset([b[1]]), frozenset([b[2]]), frozenset([b[3]])],
-                               [d2, d3, d4]))
-    meet2 = wa & wb
+    meet2 = _row_sum_mask(S, a[1:], [d2, d3, d4]) & _row_sum_mask(S, b[1:], [d2, d3, d4])
     if not meet2:
         return None
-    w = min(meet2, key=S.index)
+    w = S.canon_of(meet2)[0]
 
     d = [S.zero] * m
     for pos, val in zip(cols, [S.neg(w), d2, d3, d4]):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .axioms import structure_is
 from .errors import BlowupError, StructureError
-from .structures import mprod_sets, msum_sets
+from .structures import Box
 
 DEFAULT_MEMBER_CAP = 10 ** 6
 DEFAULT_FACTORIAL_CAP = 6
@@ -99,125 +99,77 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-class MatrixSet:
-    """A box of matrices: per-entry sets with independent choices."""
+class MatrixSet(Box):
+    """A box of matrices: one mask per entry, row-major, with independent choices."""
 
-    __slots__ = ("base", "rows", "cols", "entry_sets")
+    __slots__ = ("rows", "cols")
+    kind = "matrix"
 
-    def __init__(self, base, rows, cols, entry_sets):
-        entry_sets = tuple(frozenset(s) for s in entry_sets)
-        if len(entry_sets) != rows * cols:
+    def __init__(self, base, rows, cols, masks):
+        super().__init__(base, masks)
+        if len(self.masks) != rows * cols:
             raise StructureError("entry set count does not match the shape")
-        for s in entry_sets:
-            if not s:
-                raise StructureError("empty matrix entry set")
-            for e in s:
-                if e not in base:
-                    raise StructureError(f"entry {e!r} not in {base.name}")
-        self.base = base
         self.rows = rows
         self.cols = cols
-        self.entry_sets = entry_sets
 
     @classmethod
     def of(cls, m):
         if isinstance(m, MatrixSet):
             return m
-        return cls(m.base, m.rows, m.cols, [frozenset([e]) for e in m.entries])
+        idx = m.base._idx
+        return cls(m.base, m.rows, m.cols, [1 << idx[e] for e in m.entries])
+
+    def _like(self, masks):
+        return MatrixSet(self.base, self.rows, self.cols, masks)
+
+    def _shape(self):
+        return (self.rows, self.cols)
 
     def entry_set(self, i, j):
-        return self.entry_sets[i * self.cols + j]
-
-    @property
-    def member_count(self):
-        n = 1
-        for s in self.entry_sets:
-            n *= len(s)
-        return n
+        return self.base.set_of(self.masks[i * self.cols + j])
 
     def members(self, cap=DEFAULT_MEMBER_CAP):
-        if self.member_count > cap:
-            raise BlowupError(f"matrix box of {self.member_count} members exceeds cap {cap}")
-        axes = [self.base.canon(s) for s in self.entry_sets]
         return tuple(Matrix(self.base, self.rows, self.cols, combo)
-                     for combo in itertools.product(*axes))
+                     for combo in self.choices(cap))
 
     def __contains__(self, m):
-        if not isinstance(m, Matrix) or (m.rows, m.cols) != (self.rows, self.cols):
-            return False
-        return all(e in s for e, s in zip(m.entries, self.entry_sets))
-
-    def intersect(self, other):
-        """Box intersection, or None when some entry pair is disjoint."""
-        self._compatible(other)
-        sets = [a & b for a, b in zip(self.entry_sets, other.entry_sets)]
-        if any(not s for s in sets):
-            return None
-        return MatrixSet(self.base, self.rows, self.cols, sets)
-
-    def _compatible(self, other):
-        if self.base is not other.base:
-            raise StructureError("matrix sets over different structures")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise StructureError("matrix shapes do not match")
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixSet):
-            return NotImplemented
-        return (self.base is other.base and self.rows == other.rows
-                and self.cols == other.cols and self.entry_sets == other.entry_sets)
-
-    def __hash__(self):
-        return hash((id(self.base), self.rows, self.cols, self.entry_sets))
+        return isinstance(m, Matrix) and (m.rows, m.cols) == (self.rows, self.cols) and \
+            super().__contains__(m.entries)
 
     def __repr__(self):
-        def cell(s):
-            return "{" + ",".join(str(e) for e in self.base.canon(s)) + "}"
-        body = "; ".join(" ".join(cell(self.entry_set(i, j)) for j in range(self.cols))
+        cells = self._cells()
+        body = "; ".join(" ".join(cells[i * self.cols:(i + 1) * self.cols])
                          for i in range(self.rows))
         return f"MatrixSet[{body}]"
 
 
 def madd(a, b):
     """Entrywise set-valued sum."""
-    A, B = MatrixSet.of(a), MatrixSet.of(b)
-    A._compatible(B)
-    S = A.base
-    sets = [S.set_of(S.add_masks(S.mask_of(x), S.mask_of(y)))
-            for x, y in zip(A.entry_sets, B.entry_sets)]
-    return MatrixSet(S, A.rows, A.cols, sets)
+    return MatrixSet.of(a).add(MatrixSet.of(b))
 
 
 def mneg(a):
-    A = MatrixSet.of(a)
-    return MatrixSet(A.base, A.rows, A.cols, [A.base.neg_set(s) for s in A.entry_sets])
+    return MatrixSet.of(a).neg()
 
 
 def mscale(lam, a):
     """Entrywise left scalar product."""
-    A = MatrixSet.of(a)
-    S = A.base
-    lam_mask = 1 << S.index(lam)
-    sets = [S.set_of(S.mul_masks(lam_mask, S.mask_of(s))) for s in A.entry_sets]
-    return MatrixSet(S, A.rows, A.cols, sets)
+    return MatrixSet.of(a).scale(lam)
 
 
 def mmul(a, b):
     """Matrix product; every result entry ranges over its sum of products."""
     A, B = MatrixSet.of(a), MatrixSet.of(b)
     if A.base is not B.base:
-        raise StructureError("matrix sets over different structures")
+        raise StructureError("matrix boxes over different structures")
     if A.cols != B.rows:
         raise StructureError("inner dimensions do not match")
     S = A.base
-    sets = []
-    for i in range(A.rows):
-        row_masks = [S.mask_of(A.entry_set(i, k)) for k in range(A.cols)]
-        for j in range(B.cols):
-            terms = [S.mul_masks(row_masks[k], S.mask_of(B.entry_set(k, j)))
-                     for k in range(A.cols)]
-            sets.append(msum_sets(S, terms))
-    return MatrixSet(S, A.rows, B.cols, sets)
+    n = A.cols
+    cols = [B.masks[j::B.cols] for j in range(B.cols)]
+    return MatrixSet(S, A.rows, B.cols,
+                     [S.sum_of(map(S.mul_masks, A.masks[i * n:(i + 1) * n], col))
+                      for i in range(A.rows) for col in cols])
 
 
 # -- determinant -------------------------------------------------------------------
@@ -246,15 +198,16 @@ def det(a, factorial_cap=DEFAULT_FACTORIAL_CAP, member_cap=DEFAULT_MEMBER_CAP):
     if n > factorial_cap:
         raise BlowupError(f"determinant size {n} exceeds factorial cap {factorial_cap}")
     S = A.base
+    idx = S._idx
+    perms = [(perm, _perm_sign(perm) < 0) for perm in itertools.permutations(range(n))]
     out = 0
     for M in A.members(member_cap):
+        bits = [1 << idx[e] for e in M.entries]
         terms = []
-        for perm in itertools.permutations(range(n)):
-            term = mprod_sets(S, [[M.entry(j, perm[j])] for j in range(n)])
-            if _perm_sign(perm) < 0:
-                term = S.neg_set(term)
-            terms.append(S.mask_of(term))
-        out |= S.mask_of(msum_sets(S, terms))
+        for perm, odd in perms:
+            term = S.prod_of(bits[j * n + perm[j]] for j in range(n))
+            terms.append(S.neg_mask(term) if odd else term)
+        out |= S.sum_of(terms)
     return S.set_of(out)
 
 
@@ -292,26 +245,22 @@ def elementary(op, a):
         raise StructureError(f"unknown elementary operation {op.kind!r}")
     if not 0 <= op.i < rows or (op.j is not None and not 0 <= op.j < rows):
         raise StructureError("row index out of range")
+    if op.kind != "scale" and op.j is None:
+        raise StructureError(f"{op.kind} needs a second row")
 
-    sets = list(A.entry_sets)
+    masks = list(A.masks)
+    row_i = slice(op.i * cols, (op.i + 1) * cols)
     if op.kind == "swap":
-        for j in range(cols):
-            x, y = op.i * cols + j, op.j * cols + j
-            sets[x], sets[y] = sets[y], sets[x]
+        row_j = slice(op.j * cols, (op.j + 1) * cols)
+        masks[row_i], masks[row_j] = masks[row_j], masks[row_i]
     elif op.kind == "scale":
         if op.lam is None or op.lam == S.zero:
             raise StructureError("scale needs a nonzero element")
-        lam_mask = 1 << S.index(op.lam)
-        for j in range(cols):
-            x = op.i * cols + j
-            sets[x] = S.set_of(S.mul_masks(lam_mask, S.mask_of(sets[x])))
+        lam_bit = 1 << S.index(op.lam)
+        masks[row_i] = [S.mul_masks(lam_bit, m) for m in masks[row_i]]
     else:
-        if op.j is None:
-            raise StructureError("add needs a source row")
-        for j in range(cols):
-            x, y = op.i * cols + j, op.j * cols + j
-            sets[x] = S.set_of(S.add_masks(S.mask_of(sets[x]), S.mask_of(sets[y])))
-    return MatrixSet(S, rows, cols, sets)
+        masks[row_i] = map(S.add_masks, masks[row_i], masks[op.j * cols:(op.j + 1) * cols])
+    return MatrixSet(S, rows, cols, masks)
 
 
 # -- invertibility -----------------------------------------------------------------
@@ -348,7 +297,7 @@ def _triangular_inverse(A, node_cap):
             return diag_inverses[i]
         # need 0 in sum_{k=i..j} a_ik * b_kj with all b_kj (k > i) already chosen
         rest = [S.prod_mask(A.entry(i, k), chosen[(k, j)]) for k in range(i + 1, j + 1)]
-        rest_mask = S.mask_of(msum_sets(S, rest)) if rest else 1 << S.index(zero)
+        rest_mask = S.sum_of(rest)
         zero_bit = S.index(zero)
         out = []
         for x in S.elements:

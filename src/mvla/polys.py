@@ -13,7 +13,7 @@ import itertools
 
 from .axioms import MorphismSpec, check_morphism, structure_is
 from .errors import BlowupError, MvlaError, StructureError
-from .structures import mprod_sets, msum_sets
+from .structures import Box
 
 NEG_INF = float("-inf")
 
@@ -93,63 +93,37 @@ class Poly:
         return (len(self.coeffs), tuple(idx(c) for c in self.coeffs))
 
 
-class PolySet:
-    """A coefficient box: per-position nonempty sets, trailing {0} stripped."""
+class PolySet(Box):
+    """A coefficient box: one mask per position, trailing {0} positions stripped."""
 
-    __slots__ = ("base", "coeff_sets")
+    __slots__ = ()
+    kind = "poly"
 
-    def __init__(self, base, coeff_sets):
-        sets = [frozenset(s) for s in coeff_sets]
-        zero = frozenset([base.zero])
-        while sets and sets[-1] == zero:
-            sets.pop()
-        for s in sets:
-            if not s:
-                raise StructureError("empty coefficient set")
-        self.base = base
-        self.coeff_sets = tuple(sets)
+    def __init__(self, base, masks):
+        masks = list(masks)
+        zero = 1 << base.index(base.zero)
+        while masks and masks[-1] == zero:
+            masks.pop()
+        super().__init__(base, masks)
 
     @classmethod
     def singleton(cls, f):
-        return cls(f.base, [frozenset([c]) for c in f.coeffs])
-
-    @property
-    def size_bound(self):
-        n = 1
-        for s in self.coeff_sets:
-            n *= len(s)
-        return n
+        idx = f.base._idx
+        return cls(f.base, [1 << idx[c] for c in f.coeffs])
 
     def coeff_set(self, i):
-        if i < len(self.coeff_sets):
-            return self.coeff_sets[i]
-        return frozenset([self.base.zero])
+        S = self.base
+        return S.set_of(self.masks[i]) if i < len(self.masks) else frozenset([S.zero])
 
     def members(self, cap=DEFAULT_SET_CAP):
-        if self.size_bound > cap:
-            raise BlowupError(f"poly box of {self.size_bound} members exceeds cap {cap}")
-        axes = [self.base.canon(s) for s in self.coeff_sets]
-        return tuple(Poly(self.base, combo) for combo in itertools.product(*axes))
+        return tuple(Poly(self.base, combo) for combo in self.choices(cap))
 
     def __contains__(self, f):
-        if not isinstance(f, Poly) or f.base is not self.base:
-            return False
-        if len(f.coeffs) > len(self.coeff_sets):
-            return False
-        return all(f.coeff(i) in self.coeff_set(i) for i in range(len(self.coeff_sets)))
-
-    def __eq__(self, other):
-        if not isinstance(other, PolySet):
-            return NotImplemented
-        return self.base is other.base and self.coeff_sets == other.coeff_sets
-
-    def __hash__(self):
-        return hash((id(self.base), self.coeff_sets))
+        return isinstance(f, Poly) and f.base is self.base and \
+            super().__contains__(f.padded(len(self.masks)))
 
     def __repr__(self):
-        parts = ["{" + ",".join(str(c) for c in self.base.canon(s)) + "}"
-                 for s in self.coeff_sets]
-        return "PolySet<" + ";".join(parts) + ">"
+        return "PolySet<" + ";".join(self._cells()) + ">"
 
 
 def _same_base(f, g):
@@ -160,38 +134,26 @@ def _same_base(f, g):
 def padd(f, g):
     """Coefficientwise set-valued sum of two polynomials."""
     _same_base(f, g)
-    S = f.base
-    n = max(len(f.coeffs), len(g.coeffs))
-    return PolySet(S, [S.sum_set(f.coeff(i), g.coeff(i)) for i in range(n)])
+    return PolySet.singleton(f).add(PolySet.singleton(g))
 
 
 def pmul(f, g):
     """Convolution product of two polynomials; each coefficient is independent."""
     _same_base(f, g)
     S = f.base
-    if f.is_zero or g.is_zero:
-        return PolySet.singleton(Poly.zero(S))
-    n = len(f.coeffs) + len(g.coeffs) - 1
-    sets = []
-    for k in range(n):
-        terms = [S.prod_mask(f.coeff(i), g.coeff(k - i))
-                 for i in range(max(0, k - len(g.coeffs) + 1),
-                                min(k, len(f.coeffs) - 1) + 1)]
-        sets.append(msum_sets(S, terms))
-    return PolySet(S, sets)
+    idx, prod = S._idx, S._prod
+    rows = [prod[idx[c]] for c in f.coeffs]
+    cols = [idx[c] for c in g.coeffs]
+    n = len(rows) + len(cols) - 1 if rows and cols else 0
+    return PolySet(S, [S.sum_of(rows[i][cols[k - i]]
+                                for i in range(max(0, k - len(cols) + 1),
+                                               min(k, len(rows) - 1) + 1))
+                       for k in range(n)])
 
 
 def padd_sets(ps1, ps2):
     """Box sum of two coefficient boxes (coefficientwise unions of sums)."""
-    if ps1.base is not ps2.base:
-        raise StructureError("polynomial boxes over different structures")
-    S = ps1.base
-    n = max(len(ps1.coeff_sets), len(ps2.coeff_sets))
-    out = []
-    for i in range(n):
-        m = S.add_masks(S.mask_of(ps1.coeff_set(i)), S.mask_of(ps2.coeff_set(i)))
-        out.append(S.set_of(m))
-    return PolySet(S, out)
+    return ps1.add(ps2)
 
 
 def pmul_fold(polys, cap=DEFAULT_SET_CAP):
@@ -349,26 +311,18 @@ def pdivmod(f, g, all_pairs=False, cap=DEFAULT_SET_CAP):
     dq = f.degree - g.degree
     dr = g.degree  # r has positions 0..deg g - 1
     lead = [e for e in S.elements if e != S.zero]
+    target = PolySet.singleton(f).masks
     found = []
     count = 0
     for top in lead:
         for high_to_low in itertools.product(S.elements, repeat=dq):
             q = Poly(S, tuple(reversed(high_to_low)) + (top,))
             box = pmul(q, g)
-            for rc in itertools.product(S.elements, repeat=dr):
+            for rc, rbits in _remainders(S, dr):
                 count += 1
                 if count > cap:
                     raise BlowupError("division search exceeded cap")
-                ok = True
-                n = max(len(box.coeff_sets), len(f.coeffs), dr)
-                for i in range(n):
-                    target = f.coeff(i)
-                    r_i = rc[i] if i < dr else S.zero
-                    cell = S.add_masks(S.mask_of(box.coeff_set(i)), 1 << S.index(r_i))
-                    if not cell >> S.index(target) & 1:
-                        ok = False
-                        break
-                if ok:
+                if _in_box_plus(box, rbits, target):
                     pair = (q, Poly(S, rc))
                     if not all_pairs:
                         return (pair,)
@@ -381,14 +335,26 @@ def pdivmod(f, g, all_pairs=False, cap=DEFAULT_SET_CAP):
 
 def divmod_holds(f, g, q, r):
     """Re-verify one division pair by direct membership."""
-    box = pmul(q, g)
-    S = f.base
-    n = max(len(box.coeff_sets), len(f.coeffs), len(r.coeffs))
-    for i in range(n):
-        m = S.add_masks(S.mask_of(box.coeff_set(i)), 1 << S.index(r.coeff(i)))
-        if not m >> S.index(f.coeff(i)) & 1:
-            return False
-    return True
+    return _in_box_plus(pmul(q, g), PolySet.singleton(r).masks, PolySet.singleton(f).masks)
+
+
+def _remainders(S, width):
+    """Every remainder of the given width, as (elements, single-bit masks), in carrier order."""
+    bits = [1 << i for i in range(len(S))]
+    return zip(itertools.product(S.elements, repeat=width),
+               itertools.product(bits, repeat=width))
+
+
+def _in_box_plus(box, rbits, target):
+    """Whether target lies in box + r position by position, stopping at the first miss.
+
+    r and target are tuples of single-bit masks; missing positions hold 0.
+    """
+    S = box.base
+    add = S.add_masks
+    zero = 1 << S._idx[S.zero]
+    return all(add(m, r) & t for m, r, t in
+               itertools.zip_longest(box.masks, rbits, target, fillvalue=zero))
 
 
 # -- evaluation and roots -----------------------------------------------------------
@@ -428,10 +394,10 @@ def evaluate(f, alpha, ambient=None, via=None):
     h = _coeff_map(f, ambient, via)
     if f.is_zero:
         return frozenset([ambient.zero])
-    terms = []
-    for i, a in enumerate(f.coeffs):
-        terms.append(mprod_sets(ambient, [[h(a)]] + [[alpha]] * i))
-    return msum_sets(ambient, terms)
+    idx = ambient._idx
+    x = 1 << idx[alpha]
+    terms = [ambient.prod_of([1 << idx[h(a)]] + [x] * i) for i, a in enumerate(f.coeffs)]
+    return ambient.set_of(ambient.sum_of(terms))
 
 
 def is_root(f, alpha, ambient=None, via=None):

@@ -9,7 +9,9 @@ iteration, witness selection and serialization.
 
 from __future__ import annotations
 
-from .errors import StructureError, WindowRequired
+import itertools
+
+from .errors import BlowupError, StructureError, WindowRequired
 
 INF = "inf"  # token for the tropical point at infinity
 
@@ -139,39 +141,25 @@ class Structure:
 
     def add_masks(self, m1, m2):
         """Setwise sum of two subsets, as masks."""
-        cache = self._add_cache
-        key = (m1, m2)
-        res = cache.get(key)
+        res = self._add_cache.get((m1, m2))
         if res is None:
-            table = self._sum
-            k = len(self.elements)
-            res = 0
-            for i in range(k):
-                if m1 >> i & 1:
-                    row = table[i]
-                    for j in range(k):
-                        if m2 >> j & 1:
-                            res |= row[j]
-            cache[key] = res
+            res = self._add_cache[(m1, m2)] = _setwise(self._sum, m1, m2)
         return res
 
     def mul_masks(self, m1, m2):
         """Setwise product of two subsets, as masks."""
-        cache = self._mul_cache
-        key = (m1, m2)
-        res = cache.get(key)
+        res = self._mul_cache.get((m1, m2))
         if res is None:
-            table = self._prod
-            k = len(self.elements)
-            res = 0
-            for i in range(k):
-                if m1 >> i & 1:
-                    row = table[i]
-                    for j in range(k):
-                        if m2 >> j & 1:
-                            res |= row[j]
-            cache[key] = res
+            res = self._mul_cache[(m1, m2)] = _setwise(self._prod, m1, m2)
         return res
+
+    def sum_of(self, masks):
+        """Left fold of the setwise sum over masks; the empty fold gives {0}."""
+        return _fold(self.add_masks, 1 << self._idx[self.zero], masks)
+
+    def prod_of(self, masks):
+        """Left fold of the setwise product over masks; the empty fold gives {1}."""
+        return _fold(self.mul_masks, 1 << self._idx[self.one], masks)
 
     def neg_mask(self, mask):
         res = 0
@@ -233,29 +221,39 @@ class Structure:
                          {e: self.neg(e) for e in self.elements}, sum_table, prod_table)
 
 
-# -- folds ---------------------------------------------------------------------
+# -- folds and boxes ---------------------------------------------------------------
+
+
+def _setwise(table, m1, m2):
+    """Union of table[i][j] over the bits i of m1 and j of m2."""
+    res = 0
+    for i, row in enumerate(table):
+        if m1 >> i & 1:
+            for j, m in enumerate(row):
+                if m2 >> j & 1:
+                    res |= m
+    return res
+
+
+def _fold(combine, unit, masks):
+    acc = None
+    for m in masks:
+        acc = m if acc is None else combine(acc, m)
+    return unit if acc is None else acc
+
+
+def _masks(S, sets):
+    return (part if isinstance(part, int) else S.mask_of(part) for part in sets)
 
 
 def msum_sets(S, sets):
     """Left fold of the set-valued sum over subsets; empty fold gives {0}."""
-    acc = S.mask_of([S.zero])
-    started = False
-    for part in sets:
-        m = part if isinstance(part, int) else S.mask_of(part)
-        acc = m if not started else S.add_masks(acc, m)
-        started = True
-    return S.set_of(acc)
+    return S.set_of(S.sum_of(_masks(S, sets)))
 
 
 def mprod_sets(S, sets):
     """Left fold of the set-valued product over subsets; empty fold gives {1}."""
-    acc = S.mask_of([S.one])
-    started = False
-    for part in sets:
-        m = part if isinstance(part, int) else S.mask_of(part)
-        acc = m if not started else S.mul_masks(acc, m)
-        started = True
-    return S.set_of(acc)
+    return S.set_of(S.prod_of(_masks(S, sets)))
 
 
 def msum(S, xs):
@@ -266,6 +264,109 @@ def msum(S, xs):
 def mprod(S, xs):
     """Fold of the product over a sequence of elements; empty sequence gives {1}."""
     return mprod_sets(S, ([x] for x in xs))
+
+
+class Box:
+    """Independent choices: one nonempty mask of the base carrier per position.
+
+    Sums, negations and scalar multiples act position by position; a position
+    past the end of a box holds {0}.  Subclasses fix the shape and build their
+    members from the choices.
+    """
+
+    __slots__ = ("base", "masks")
+    kind = "box"
+
+    def __init__(self, base, masks):
+        masks = tuple(masks)
+        limit = 1 << len(base)
+        if not all(0 < m < limit for m in masks):
+            raise StructureError(f"a {self.kind} box position is not a nonempty subset "
+                                 f"of {base.name}")
+        self.base = base
+        self.masks = masks
+
+    def _like(self, masks):
+        """A box of the same kind and shape holding the given masks."""
+        return type(self)(self.base, masks)
+
+    def _shape(self):
+        return ()
+
+    def _pairs(self, other):
+        if self.base is not other.base:
+            raise StructureError(f"{self.kind} boxes over different structures")
+        if self._shape() != other._shape():
+            raise StructureError(f"{self.kind} box shapes do not match")
+        zero = 1 << self.base._idx[self.base.zero]
+        return itertools.zip_longest(self.masks, other.masks, fillvalue=zero)
+
+    def add(self, other):
+        return self._like(itertools.starmap(self.base.add_masks, self._pairs(other)))
+
+    def neg(self):
+        return self._like(map(self.base.neg_mask, self.masks))
+
+    def scale(self, lam):
+        """The left product lam * x at every position."""
+        lam_bit = 1 << self.base.index(lam)
+        mul = self.base.mul_masks
+        return self._like(mul(lam_bit, m) for m in self.masks)
+
+    def intersect(self, other):
+        """Positionwise intersection, or None when some position is empty."""
+        masks = [a & b for a, b in self._pairs(other)]
+        return self._like(masks) if all(masks) else None
+
+    @property
+    def size(self):
+        n = 1
+        for m in self.masks:
+            n *= m.bit_count()
+        return n
+
+    def choices(self, cap):
+        """Every choice of one element per position, as element tuples in carrier order."""
+        if self.size > cap:
+            raise BlowupError(f"{self.kind} box of {self.size} members exceeds cap {cap}")
+        return itertools.product(*map(self.base.canon_of, self.masks))
+
+    def __contains__(self, elements):
+        idx = self.base._idx
+        return len(elements) == len(self.masks) and \
+            all(m >> idx[e] & 1 for m, e in zip(self.masks, elements))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.base is other.base and self._shape() == other._shape()
+                and self.masks == other.masks)
+
+    def __hash__(self):
+        return hash((id(self.base), self._shape(), self.masks))
+
+    def _cells(self):
+        return ["{" + ",".join(str(e) for e in self.base.canon_of(m)) + "}"
+                for m in self.masks]
+
+
+def box_sums(S, tuples):
+    """The positionwise sum table on equal-length tuples of elements of S.
+
+    Maps each pair (x, y) of the given tuples to the frozenset of tuples in the
+    box x + y; pairs whose boxes are equal share one frozenset.
+    """
+    idx = S._idx
+    boxes = [(x, Box(S, [1 << idx[e] for e in x])) for x in tuples]
+    table, seen = {}, {}
+    for x, bx in boxes:
+        for y, by in boxes:
+            box = bx.add(by)
+            got = seen.get(box.masks)
+            if got is None:  # the cap is never hit: S^n has k^n members
+                got = seen[box.masks] = frozenset(box.choices(len(S) ** len(x)))
+            table[(x, y)] = got
+    return table
 
 
 # -- built-in structures ---------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from .axioms import (AxiomReport, FAIL, PASS, _Collector, _View, _add_group,
                      _report, _scan_action, is_full)
 from .errors import MvlaError, StructureError
-from .structures import msum
+from .structures import Box, box_sums, msum
 
 DEFAULT_BUNDLE_BOUND = 2
 
@@ -86,17 +86,12 @@ class VectorSpace:
 
 def _componentwise_space(F, length, name):
     vectors = list(itertools.product(F.elements, repeat=length))
-    vsum = {}
-    for v in vectors:
-        for w in vectors:
-            axes = [F.canon(F.sum_set(a, b)) for a, b in zip(v, w)]
-            vsum[(v, w)] = frozenset(itertools.product(*axes))
+    vsum = box_sums(F, vectors)
     vneg = {v: tuple(F.neg(a) for a in v) for v in vectors}
-    action = {}
-    for lam in F.elements:
-        for v in vectors:
-            axes = [F.canon(F.prod_set(lam, a)) for a in v]
-            action[(lam, v)] = frozenset(itertools.product(*axes))
+    idx = F._idx
+    boxes = {v: Box(F, [1 << idx[a] for a in v]) for v in vectors}
+    action = {(lam, v): frozenset(boxes[v].scale(lam).choices(len(vectors)))
+              for lam in F.elements for v in vectors}
     return VectorSpace(name, F, vectors, (F.zero,) * length, vsum, vneg, action)
 
 
@@ -158,15 +153,13 @@ def verify_vspace(V, full=False, witness_limit=3):
 # -- spans ------------------------------------------------------------------------
 
 
-def linear_combinations(V, gens, bundle_bound=DEFAULT_BUNDLE_BOUND):
+def linear_combinations(V, gens):
     """Saturation of all bundle-weighted sums over subsets of gens.
 
     Iterating single weighted terms to a fixed point covers every nested
-    bundle (reusing a generator concatenates bundles), so the result does not
-    depend on the bound once it is >= 1; the parameter is kept for symmetry
-    with the independence scan.
+    bundle (reusing a generator concatenates bundles), so no bundle bound
+    applies.
     """
-    del bundle_bound  # saturation subsumes any finite bundle length
     F = V.scalars
     gens = list(gens)
     terms = []
@@ -201,14 +194,14 @@ def is_subspace(V, W):
     return True, None
 
 
-def span(V, gens, bundle_bound=DEFAULT_BUNDLE_BOUND, minimality_cap=14):
+def span(V, gens, minimality_cap=14):
     """The generated subspace with its certificate.
 
     Besides the subspace predicate, minimality is re-verified exhaustively
     (every subspace containing gens contains the span) when the ambient space
     is small enough to scan all subsets.
     """
-    W = linear_combinations(V, gens, bundle_bound)
+    W = linear_combinations(V, gens)
     ok, wit = is_subspace(V, W)
     witnesses = [] if ok else [("subspace", wit)]
     checked = 1
@@ -280,7 +273,7 @@ def find_basis(V, gens, bundle_bound=DEFAULT_BUNDLE_BOUND):
     generator lying in the span of the others."""
     seen = set()
     gens = [g for g in gens if not (g in seen or seen.add(g))]
-    if linear_combinations(V, gens, bundle_bound) != frozenset(V.vectors):
+    if linear_combinations(V, gens) != frozenset(V.vectors):
         raise StructureError("generators do not span the space")
     while True:
         indep, _ = is_linearly_independent(V, gens, bundle_bound)
@@ -288,7 +281,7 @@ def find_basis(V, gens, bundle_bound=DEFAULT_BUNDLE_BOUND):
             return tuple(gens)
         for i, g in enumerate(gens):
             others = gens[:i] + gens[i + 1:]
-            if g in linear_combinations(V, others, bundle_bound):
+            if g in linear_combinations(V, others):
                 gens = others
                 break
         else:

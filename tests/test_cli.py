@@ -240,3 +240,24 @@ def test_witness_order_ignores_the_hash_seed(tmp_path, verb):
     assert first[0] == 1, first
     assert expect in first[1]
     assert _cli_under_seed(3, *argv) == first
+
+
+def _pinned_reports():
+    """The expected stdout of each pinned command line, keyed by its arguments."""
+    text = (Path(__file__).parent / "data" / "box_verb_reports.txt").read_text()
+    sections = text.split("### mvla ")[1:]
+    return dict(section.split("\n", 1) for section in sections)
+
+
+_PINNED = _pinned_reports()
+
+
+# The box verbs print whole reports: each must match its stored bytes, not only
+# a substring.  a.txt and b.txt are the X2 matrices A and B of the worked example.
+@pytest.mark.parametrize("command", sorted(_PINNED))
+def test_box_verb_reports_are_pinned(tmp_path, monkeypatch, capsys, command):
+    (tmp_path / "a.txt").write_text("2 2\n1 1\n0 1\n")
+    (tmp_path / "b.txt").write_text("2 2\n-1 1\n0 -1\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*command.split()) == 0
+    assert capsys.readouterr().out == _PINNED[command]

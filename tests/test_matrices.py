@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from mvla import (BlowupError, ElementaryOp, Matrix, MatrixSet, StructureError,
-                  all_matrices, det, elementary, find_inverse, is_inverse_pair,
-                  madd, mmul, mneg, mprod, mscale, verify_multigroup)
+from mvla import (BlowupError, ElementaryOp, LinearSystem, Matrix, MatrixSet,
+                  StructureError, all_matrices, apply_elementary, det, elementary,
+                  find_inverse, is_inverse_pair, madd, mmul, mneg, mprod, mscale,
+                  verify_multigroup)
 from conftest import det_mod, mat_mul_mod
 
 
@@ -20,7 +21,7 @@ def x2_triple(X2):
 def test_worked_sum_box(X2, x2_triple):
     A, B, _ = x2_triple
     box = madd(A, B)
-    assert box.member_count == 9
+    assert box.size == 9
     expected = {Matrix.from_rows(X2, [(a, 1), (0, d)])
                 for a in (-1, 0, 1) for d in (-1, 0, 1)}
     assert set(box.members()) == expected
@@ -131,12 +132,11 @@ def test_distributivity_direct_box_samples(H3, X2):
             if equality:
                 assert left == right_sets
             else:
-                assert all(l <= r for l, r in
-                           zip(left.entry_sets, right_sets.entry_sets))
+                assert left.intersect(right_sets) == left  # boxwise containment
             # the mirrored law (B+C)A within BA+CA
             left2 = mmul(madd(B, C), A)
             right2 = madd(mmul(B, A), mmul(C, A))
-            assert all(l <= r for l, r in zip(left2.entry_sets, right2.entry_sets))
+            assert left2.intersect(right2) == left2
 
 
 def test_associativity_setwise_over_h3_samples(H3):
@@ -213,6 +213,16 @@ def test_elementary_operations(H3, Q2):
     added = elementary(ElementaryOp.add(0, 1), col)
     assert set(added.members()) == {Matrix.from_rows(Q2, [(v,), (-1,)])
                                     for v in (-1, 0, 1)}
+
+
+def test_row_operations_without_a_second_row_raise(H3):
+    A = Matrix.from_rows(H3, [(1, 2), (0, 1)])
+    sys_ = LinearSystem.of(A, [{0}, {1}])
+    for op in (ElementaryOp("swap", 0), ElementaryOp("add", 1)):
+        with pytest.raises(StructureError, match="needs a second row"):
+            elementary(op, A)
+        with pytest.raises(StructureError, match="needs a second row"):
+            apply_elementary(sys_, op)
 
 
 def test_find_inverse_examples(H3):
