@@ -9,7 +9,10 @@ reported as "pass-on-window", never as a global pass.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
+from operator import and_, invert, or_
 
 from .errors import StructureError, WindowRequired
 from .structures import Structure, TropicalStructure
@@ -219,6 +222,61 @@ def _neg_mask(view, mask):
     return out
 
 
+def _bits(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
+def _scan_assoc(view, col, tab, axiom, law):
+    """law((a.b).c, a.(b.c)), unionwise, for every triple, one row (a, b) at a time.
+
+    A cell is encoded as one int: its carrier mask, plus the bit inex = 1 << k
+    when it is inexact; a None cell is inex alone.  A union of cells is then a
+    plain OR.  For each distinct a.b cell the left row L[c], the union of x.c
+    over x in a.b, is built once by ORing whole table rows; equal unions share
+    one int.  The right unions, of a.y over y in a cell, are tabulated per
+    distinct cell for the current a only.  A row (a, b) whose k instances all
+    pass is counted at once; any other row is recorded instance by instance, so
+    witnesses, counts and the early exit are those of a per-triple scan.
+    """
+    els, k = view.elements, view.k
+    inex = 1 << k
+    enc = [[inex if cell is None else cell[0] if cell[1] else cell[0] | inex
+            for cell in row] for row in tab]
+    members = {cell: _bits(cell & (inex - 1))
+               for cell in set(itertools.chain.from_iterable(enc))}
+    interned = {}
+    lefts = {}
+    for i in range(k):
+        row_i = enc[i]
+        right = {cell: functools.reduce(or_, map(row_i.__getitem__, mem), cell & inex)
+                 for cell, mem in members.items()}
+        for j in range(k):
+            ab = row_i[j]
+            if ab not in lefts:
+                left = [ab & inex] * k
+                for x in members[ab]:
+                    left = list(map(or_, left, enc[x]))
+                left = list(map(interned.setdefault, left, left))
+                lefts[ab] = left, max(left) < inex
+            left, exact = lefts[ab]
+            rights = list(map(right.__getitem__, enc[j]))
+            if exact and (left == rights if law is _equality
+                          else not any(map(and_, left, map(invert, rights)))):
+                col.checked += k
+                continue
+            for c in range(k):
+                l, r = left[c], rights[c]
+                verdict = law((l & ~inex, l < inex), (r & ~inex, r < inex))
+                col.record(verdict, axiom, (els[i], els[j], els[c]))
+                if col.done:
+                    return
+
+
 # -- individual axiom scans -------------------------------------------------
 
 
@@ -287,24 +345,7 @@ def _scan_multigroup(view, col, opname, unit_i, use_inversion):
                 return
 
     # M3 weak associativity: (a.b).c subset of a.(b.c), unionwise
-    for i in range(k):
-        for j in range(k):
-            ab = tab[i][j]
-            for c in range(k):
-                if ab is None:
-                    col.record("skip", "M3" + suffix, (els[i], els[j], els[c]))
-                    continue
-                left = _union_over(tab, ab[0], c, True)
-                left = (left[0], left[1] and ab[1])
-                bc = tab[j][c]
-                if bc is None:
-                    right = (0, False)
-                else:
-                    r = _union_over(tab, bc[0], i, False)
-                    right = (r[0], r[1] and bc[1])
-                col.record(_containment(left, right), "M3" + suffix, (els[i], els[j], els[c]))
-                if col.done:
-                    return
+    _scan_assoc(view, col, tab, "M3" + suffix, _containment)
 
 
 def _scan_monoid(view, col):
@@ -332,24 +373,7 @@ def _scan_monoid(view, col):
             col.record(_equality(tab[i][j], tab[j][i]), "comm-prod", (els[i], els[j]))
             if col.done:
                 return
-    for i in range(k):
-        for j in range(k):
-            ab = tab[i][j]
-            for c in range(k):
-                if ab is None:
-                    col.record("skip", "assoc-prod", (els[i], els[j], els[c]))
-                    continue
-                left = _union_over(tab, ab[0], c, True)
-                left = (left[0], left[1] and ab[1])
-                bc = tab[j][c]
-                if bc is None:
-                    right = (0, False)
-                else:
-                    r = _union_over(tab, bc[0], i, False)
-                    right = (r[0], r[1] and bc[1])
-                col.record(_equality(left, right), "assoc-prod", (els[i], els[j], els[c]))
-                if col.done:
-                    return
+    _scan_assoc(view, col, tab, "assoc-prod", _equality)
 
 
 def _scan_absorb(view, col):
@@ -679,32 +703,28 @@ def check_morphism(spec, full=False, witness_limit=3):
     f = spec.mapping
     col = _Collector(limit=witness_limit)
 
-    col.record("pass" if f[S.zero] == T.zero else "fail", "m-zero", (S.zero,))
-    col.record("pass" if f[S.one] == T.one else "fail", "m-one", (S.one,))
-    for a in S.elements:
-        ok = f[S.neg(a)] == T.neg(f[a])
-        col.record("pass" if ok else "fail", "m-neg", (a,))
-    for a in S.elements:
-        for b in S.elements:
-            img_sum = T.set_of(T.sum_mask(f[a], f[b]))
-            for c in S.canon_of(S.sum_mask(a, b)):
-                ok = f[c] in img_sum
-                col.record("pass" if ok else "fail", "m-add", (a, b, c))
-                if col.done:
-                    break
-            img_prod = T.set_of(T.prod_mask(f[a], f[b]))
-            for c in S.canon_of(S.prod_mask(a, b)):
-                ok = f[c] in img_prod
-                col.record("pass" if ok else "fail", "m-mul", (a, b, c))
-                if col.done:
-                    break
-            if full and not col.done:
-                fs = frozenset(f[c] for c in S.sum_set(a, b))
-                col.record("pass" if fs == img_sum else "fail", "full-add", (a, b))
-                fp = frozenset(f[c] for c in S.prod_set(a, b))
-                col.record("pass" if fp == img_prod else "fail", "full-mul", (a, b))
-            if col.done:
-                break
+    def instances():
+        """(holds, axiom, instance) in check order, lazily, so a stop stops the work."""
+        yield f[S.zero] == T.zero, "m-zero", (S.zero,)
+        yield f[S.one] == T.one, "m-one", (S.one,)
+        for a in S.elements:
+            yield f[S.neg(a)] == T.neg(f[a]), "m-neg", (a,)
+        for a in S.elements:
+            for b in S.elements:
+                img_sum = T.set_of(T.sum_mask(f[a], f[b]))
+                for c in S.canon_of(S.sum_mask(a, b)):
+                    yield f[c] in img_sum, "m-add", (a, b, c)
+                img_prod = T.set_of(T.prod_mask(f[a], f[b]))
+                for c in S.canon_of(S.prod_mask(a, b)):
+                    yield f[c] in img_prod, "m-mul", (a, b, c)
+                if full:
+                    fs = frozenset(f[c] for c in S.sum_set(a, b))
+                    yield fs == img_sum, "full-add", (a, b)
+                    fp = frozenset(f[c] for c in S.prod_set(a, b))
+                    yield fp == img_prod, "full-mul", (a, b)
+
+    for ok, axiom, instance in instances():
+        col.record("pass" if ok else "fail", axiom, instance)
         if col.done:
             break
 

@@ -49,8 +49,14 @@ def classify_extension(pair):
 # -- the quotient superfield -----------------------------------------------------
 
 
-def _reduce_poly(z, p):
-    """All remainder vectors r (length deg p) with z in q*p + r for bounded q."""
+def _reduce_poly(z, p, boxes=None):
+    """All remainder vectors r (length deg p) with z in q*p + r for bounded q.
+
+    boxes maps the coefficients of q to the box q*p; a caller reducing many z
+    against one p passes the same dict to every call.
+    """
+    if boxes is None:
+        boxes = {}
     F = p.base
     m = p.degree
     if z.degree < m:
@@ -60,7 +66,10 @@ def _reduce_poly(z, p):
     lead = [e for e in F.elements if e != F.zero]
     for top in lead:
         for low in itertools.product(F.elements, repeat=z.degree - m):
-            box = pmul(Poly(F, low + (top,)), p)
+            q = low + (top,)
+            if q not in boxes:
+                boxes[q] = pmul(Poly(F, q), p)
+            box = boxes[q]
             out.update(rc for rc, rbits in _remainders(F, m)
                        if _in_box_plus(box, rbits, target))
     return out
@@ -89,6 +98,7 @@ def make_quotient_superfield(F, p, verify=True):
     sum_table = box_sums(F, elements)
 
     prod_table = {}
+    boxes = {}
     for x in elements:
         fx = Poly(F, x)
         for y in elements:
@@ -98,7 +108,7 @@ def make_quotient_superfield(F, p, verify=True):
             fy = Poly(F, y)
             acc = set()
             for z in pmul(fx, fy).members():
-                acc |= _reduce_poly(z, p)
+                acc |= _reduce_poly(z, p, boxes)
             prod_table[(x, y)] = acc
 
     neg = {x: tuple(F.neg(a) for a in x) for x in elements}

@@ -1,11 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mvla import (MorphismSpec, StructureError, WindowRequired, builtin,
-                  check_morphism, is_full, is_proto_full, mprod_sets,
-                  msum_sets, recheck_witness, structure_is, verify_axioms,
-                  verify_multigroup)
+                  check_morphism, extension_space, fn_space, is_full,
+                  is_proto_full, matrix_space, mprod_sets, msum_sets,
+                  recheck_witness, strict_ring, structure_is, verify_axioms,
+                  verify_multigroup, verify_vspace)
+from mvla import axioms
+from mvla.axioms import (KINDS, _Collector, _View, _containment, _equality,
+                         _scan_assoc, _union_over)
 from mvla.structures import mprod, msum
 
 
@@ -85,6 +90,20 @@ def test_inclusion_k_q2_is_not_a_morphism(K, Q2):
     # 0 lands in 1+1 on the left but not on the right
     assert "m-add" in axioms
     assert ("m-add", (1, 1, 0)) in rep.witnesses
+
+
+def test_morphism_check_stops_at_its_witness_limit(K, Q2):
+    # m-zero, m-one and m-neg at 0 pass, m-neg at 1 fails: nothing after it counts
+    spec = MorphismSpec.inclusion(K, Q2)
+    for full in (False, True):
+        rep = check_morphism(spec, full=full, witness_limit=1)
+        assert (rep.witnesses, rep.checked) == ((("m-neg", (1,)),), 4)
+    # the second witness is the first instance at the pair (1, 1)
+    rep = check_morphism(spec, witness_limit=2)
+    assert (rep.witnesses[-1], rep.checked) == (("m-add", (1, 1, 0)), 11)
+    # the third is full-add at (1, 1); full-mul there is not examined
+    rep = check_morphism(spec, full=True, witness_limit=3)
+    assert (rep.witnesses[-1], rep.checked) == (("full-add", (1, 1)), 20)
 
 
 def test_inclusion_h2_h3_morphism_but_not_full(H2, H3):
@@ -210,3 +229,150 @@ def test_kind_lattice_implications(K, Q2, H3, F2, F3):
         for weaker in ("superdomain", "quasi-superfield", "superring",
                        "multigroup", "multimonoid"):
             assert verify_axioms(S, weaker).passed, (S.name, weaker)
+
+
+# -- the row-at-a-time associativity kernel against the per-triple loop ----------------
+
+
+def _ref_scan_assoc(view, col, tab, axiom, law):
+    """The per-triple loop that _scan_assoc replaced, kept as its reference."""
+    els = view.elements
+    k = view.k
+    for i in range(k):
+        for j in range(k):
+            ab = tab[i][j]
+            for c in range(k):
+                if ab is None:
+                    col.record("skip", axiom, (els[i], els[j], els[c]))
+                    continue
+                left = _union_over(tab, ab[0], c, True)
+                left = (left[0], left[1] and ab[1])
+                bc = tab[j][c]
+                if bc is None:
+                    right = (0, False)
+                else:
+                    r = _union_over(tab, bc[0], i, False)
+                    right = (r[0], r[1] and bc[1])
+                col.record(law(left, right), axiom, (els[i], els[j], els[c]))
+                if col.done:
+                    return
+
+
+_UNLIMITED = {"limit": 10 ** 9}
+_LIMITED = ({"limit": 1}, {"limit": 3}, {"limit": 3, "stop_on_first": True})
+
+
+def _assoc_agrees(view, tab, axiom, law):
+    """Both scans give the same witnesses, checked and skipped; returns the full run.
+
+    A scan without witnesses runs once: the limits cannot change it.
+    """
+    runs = []
+    for kwargs in (_UNLIMITED,) + _LIMITED:
+        new, ref = _Collector(**kwargs), _Collector(**kwargs)
+        _scan_assoc(view, new, tab, axiom, law)
+        _ref_scan_assoc(view, ref, tab, axiom, law)
+        assert (new.witnesses, new.checked, new.skipped) == \
+            (ref.witnesses, ref.checked, ref.skipped), (axiom, kwargs)
+        runs.append(ref)
+        if not runs[0].witnesses:
+            break
+    return runs[0]
+
+
+def _all_assoc_agree(view):
+    _assoc_agrees(view, view.sum, "M3", _containment)
+    _assoc_agrees(view, view.prod, "M3-mult", _containment)
+    _assoc_agrees(view, view.prod, "assoc-prod", _equality)
+
+
+def _reports_agree(monkeypatch, run):
+    """run() reports the same with the per-triple loop patched in."""
+    new = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(axioms, "_scan_assoc", _ref_scan_assoc)
+        ref = run()
+    assert new == ref
+    return new
+
+
+_BUILTINS = {"K": ("K",), "Q2": ("Q2",), "H2": ("Hp", 2), "H3": ("Hp", 3),
+             "H5": ("Hp", 5), "H7": ("Hp", 7), "X1": ("Xn", 1), "X2": ("Xn", 2),
+             "X3": ("Xn", 3), "F2": ("Fp", 2), "F3": ("Fp", 3), "F5": ("Fp", 5)}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS) + ["Z6"])
+def test_assoc_kernel_matches_per_triple_loop_on_builtins(monkeypatch, name):
+    S = strict_ring(6) if name == "Z6" else builtin(*_BUILTINS[name])
+    _all_assoc_agree(_View.of_structure(S))
+    for kind in KINDS:
+        _reports_agree(monkeypatch, lambda: verify_axioms(S, kind))
+
+
+@pytest.mark.parametrize("window", [(-5, 5), (-3, 3)])
+def test_assoc_kernel_matches_per_triple_loop_on_windows(monkeypatch, trop, window):
+    view = _View.of_window(trop, *window)
+    _all_assoc_agree(view)
+    assert _assoc_agrees(view, view.sum, "M3", _containment).skipped > 0
+    for kind in ("multifield", "superring"):
+        for kwargs in ({"witness_limit": 1}, {"witness_limit": 3},
+                       {"stop_on_first": True}):
+            rep = _reports_agree(monkeypatch, lambda: verify_axioms(
+                trop, kind, window=window, **kwargs))
+            assert rep.verdict == "pass-on-window"
+
+
+@pytest.fixture(scope="module")
+def carriers(K, Q2, H2, H3, h3_quotient):
+    return {"H3^3": fn_space(H3, 3), "K^5": fn_space(K, 5), "Q2^3": fn_space(Q2, 3),
+            "M2x2(H2)": matrix_space(H2, 2, 2),
+            "quotient|H3": extension_space(h3_quotient[1])}
+
+
+@pytest.mark.parametrize("name", ["H3^3", "K^5", "Q2^3", "M2x2(H2)", "quotient|H3"])
+def test_assoc_kernel_matches_per_triple_loop_on_derived_carriers(
+        monkeypatch, carriers, name):
+    V = carriers[name]
+    view = _View.of_carrier(V.vectors, V.vsum_set, V.vneg, V.vzero)
+    assert _assoc_agrees(view, view.sum, "M3", _containment).checked == view.k ** 3
+    for full in (False, True):
+        _reports_agree(monkeypatch, lambda: verify_vspace(V, full=full))
+
+
+@st.composite
+def partial_views(draw):
+    """A window-like view on 2-5 elements with None, inexact and failing cells.
+
+    Half the masks are the whole carrier, so some rows (a, b) pass whole and
+    others fail.
+    """
+    k = draw(st.integers(2, 5))
+    whole = (1 << k) - 1
+    masks = st.one_of(st.just(whole), st.integers(0, whole))
+
+    def cell():
+        shape = draw(st.integers(0, 5))
+        if shape == 0:
+            return None
+        return draw(masks), shape != 1
+
+    def table():
+        tab = [[cell() for _ in range(k)] for _ in range(k)]
+        none_at, inexact_at = draw(st.lists(st.integers(0, k * k - 1), min_size=2,
+                                            max_size=2, unique=True))
+        tab[none_at // k][none_at % k] = None
+        tab[inexact_at // k][inexact_at % k] = (draw(masks), False)
+        return tab
+
+    els = tuple(range(k))
+    return _View(els, 0, 1, els, table(), table(), True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(view=partial_views())
+def test_assoc_kernel_matches_per_triple_loop_on_random_partial_tables(view):
+    full = _assoc_agrees(view, view.sum, "M3", _containment)
+    assert full.skipped >= view.k  # the row (a, b) at the None cell
+    assume(full.witnesses)
+    _assoc_agrees(view, view.prod, "M3-mult", _containment)
+    _assoc_agrees(view, view.prod, "assoc-prod", _equality)

@@ -242,14 +242,14 @@ def test_witness_order_ignores_the_hash_seed(tmp_path, verb):
     assert _cli_under_seed(3, *argv) == first
 
 
-def _pinned_reports():
-    """The expected stdout of each pinned command line, keyed by its arguments."""
-    text = (Path(__file__).parent / "data" / "box_verb_reports.txt").read_text()
+def _pinned_reports(name):
+    """The expected output of each pinned command line, keyed by its arguments."""
+    text = (Path(__file__).parent / "data" / name).read_text()
     sections = text.split("### mvla ")[1:]
     return dict(section.split("\n", 1) for section in sections)
 
 
-_PINNED = _pinned_reports()
+_PINNED = _pinned_reports("box_verb_reports.txt")
 
 
 # The box verbs print whole reports: each must match its stored bytes, not only
@@ -261,3 +261,49 @@ def test_box_verb_reports_are_pinned(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     assert run_cli(*command.split()) == 0
     assert capsys.readouterr().out == _PINNED[command]
+
+
+# Its sum is commutative and reversible with a neutral z, so M1, M2 and M4
+# hold, but (a + b) + c = {z, a, b, c} is not within a + (b + c) = {b, c}.
+_M3FAIL = """structure M3FAIL
+elements z a b c
+zero z
+one a
+neg z -> z
+neg a -> a
+neg b -> b
+neg c -> c
+symmetric
+sum z z -> z
+sum z a -> a
+sum z b -> b
+sum z c -> c
+sum a a -> z
+sum a b -> b c
+sum a c -> b c
+sum b b -> z a c
+sum b c -> a b
+sum c c -> z a c
+prod z z -> z
+prod z a -> z
+prod z b -> z
+prod z c -> z
+prod a a -> a
+prod a b -> b
+prod a c -> c
+prod b b -> a
+prod b c -> a
+prod c c -> a
+end
+"""
+
+_AXIOM_PINNED = _pinned_reports("axiom_verb_reports.txt")
+
+
+# The axiom verbs: each section holds the exit code and the whole stdout.
+@pytest.mark.parametrize("command", sorted(_AXIOM_PINNED))
+def test_axiom_verb_reports_are_pinned(tmp_path, monkeypatch, capsys, command):
+    (tmp_path / "m3fail.struct").write_text(_M3FAIL)
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(*command.split())
+    assert f"exit={code}\n" + capsys.readouterr().out == _AXIOM_PINNED[command]

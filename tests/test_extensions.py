@@ -10,6 +10,7 @@ from mvla import (CongruenceError, ExtensionPair, Matrix, Poly, StructureError,
                   mprod_sets, msum_sets, quotient_pair, verify_axioms)
 from mvla.extensions import generation_degree
 from mvla.linsys import homogeneous, row_value_sets
+from mvla.polys import pmul
 
 
 def test_classification_ladder(K, Q2, H2, H3):
@@ -35,6 +36,22 @@ def test_rejected_candidate_really_fails(H3, h3_quotient):
     _, _, _, _, rejected = h3_quotient
     with pytest.raises(CongruenceError):
         make_quotient_superfield(H3, rejected[0])
+
+
+def test_quotient_product_reuses_each_division_box(H3, monkeypatch):
+    # one pmul per distinct (f, g): 45 products of carrier pairs and the two
+    # boxes q*p with q = 1, 2; without reuse the boxes cost 119 calls in all
+    import mvla.extensions as ext
+    calls = []
+
+    def counting(f, g):
+        calls.append((f.coeffs, g.coeffs))
+        return pmul(f, g)
+
+    monkeypatch.setattr(ext, "pmul", counting)
+    K = make_quotient_superfield(H3, Poly(H3, (1, 0, 2)))
+    assert len(calls) == len(set(calls)) == 47
+    assert len(K.elements) == 9
 
 
 def test_quotient_requires_irreducible(H3):

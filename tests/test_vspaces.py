@@ -73,6 +73,15 @@ def test_extension_space_axioms(H2, H3, h3_quotient):
     assert rep.witnesses[0][0] == "MV3"
 
 
+# The largest spaces verified in tier-1.  The checked figures were taken from
+# the per-triple associativity scan and must not move.
+@pytest.mark.parametrize("name, n, checked", [("H3", 4, 21303), ("H5", 3, 84625)])
+def test_large_fn_spaces_verify(H3, H5, name, n, checked):
+    rep = verify_vspace(fn_space({"H3": H3, "H5": H5}[name], n))
+    assert (rep.verdict, rep.witnesses, rep.checked, rep.skipped) == \
+        ("pass", (), checked, 0)
+
+
 def test_mutated_action_fails_mv0(H3, V9):
     action = dict(V9._action)
     action[(H3.one, (1, 0))] = frozenset({(1, 0), (2, 0)})
