@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import and_, invert, or_
 
 from .errors import StructureError, WindowRequired
-from .structures import Structure, TropicalStructure
+from .structures import Structure, TropicalStructure, _bits
 
 PASS = "pass"
 FAIL = "fail"
@@ -220,15 +220,6 @@ def _neg_mask(view, mask):
         mask >>= 1
         i += 1
     return out
-
-
-def _bits(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return tuple(out)
 
 
 def _scan_assoc(view, col, tab, axiom, law):
@@ -902,12 +893,3 @@ def recheck_witness(S, axiom, witness):
     if axiom.startswith("nonempty"):
         return False  # construction already guarantees nonemptiness
     raise StructureError(f"cannot recheck axiom {axiom!r}")
-
-
-def all_kinds():
-    return KINDS
-
-
-def kind_iter(S):
-    """Convenience: which kinds does S satisfy (finite structures only)."""
-    return tuple(k for k in KINDS if verify_axioms(S, k, stop_on_first=True).passed)

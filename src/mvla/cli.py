@@ -294,14 +294,21 @@ def cmd_reproduce(args):
 # -- argument parsing -----------------------------------------------------------------
 
 
+def _env_budget():
+    raw = os.environ.get("MVLA_BUDGET", str(10 ** 7))
+    try:
+        return int(raw)
+    except ValueError:
+        raise MvlaError(f"MVLA_BUDGET must be an integer, got {raw!r}") from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mvla",
         description="Multivalued linear algebra over superfields: exhaustive "
                     "verification, set-valued matrices, linear systems, "
                     "quotient superfields and vector spaces.")
-    parser.add_argument("--budget", type=int,
-                        default=int(os.environ.get("MVLA_BUDGET", 10 ** 7)),
+    parser.add_argument("--budget", type=int, default=_env_budget(),
                         help="global search budget (env MVLA_BUDGET)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -390,9 +397,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = args.fn(args)
     except (MvlaError, ParseError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

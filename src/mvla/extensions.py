@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .axioms import MorphismSpec, check_morphism, structure_is, verify_axioms
 from .errors import CongruenceError, StructureError
-from .polys import (Poly, PolySet, _in_box_plus, _remainders, all_polys, evaluate,
-                    is_irreducible, pmul)
+from .polys import (Poly, PolySet, _in_box_plus, _nonzero, _remainders, all_polys,
+                    evaluate, is_irreducible, pmul)
 from .structures import Structure, box_sums
 
 
@@ -52,7 +52,8 @@ def classify_extension(pair):
 def _reduce_poly(z, p, boxes=None):
     """All remainder vectors r (length deg p) with z in q*p + r for bounded q.
 
-    boxes maps the coefficients of q to the box q*p; a caller reducing many z
+    The vectors are element tuples, the carrier of the quotient.  boxes maps
+    the coefficient indices of q to the box q*p; a caller reducing many z
     against one p passes the same dict to every call.
     """
     if boxes is None:
@@ -62,17 +63,16 @@ def _reduce_poly(z, p, boxes=None):
     if z.degree < m:
         return {z.padded(m)}
     target = PolySet.singleton(z).masks
-    out = set()
-    lead = [e for e in F.elements if e != F.zero]
-    for top in lead:
-        for low in itertools.product(F.elements, repeat=z.degree - m):
+    found = set()
+    for top in _nonzero(F):
+        for low in itertools.product(range(len(F)), repeat=z.degree - m):
             q = low + (top,)
             if q not in boxes:
-                boxes[q] = pmul(Poly(F, q), p)
+                boxes[q] = pmul(Poly.from_indices(F, q), p)
             box = boxes[q]
-            out.update(rc for rc, rbits in _remainders(F, m)
-                       if _in_box_plus(box, rbits, target))
-    return out
+            found.update(rc for rc, rbits in _remainders(F, m)
+                         if _in_box_plus(box, rbits, target))
+    return {tuple(map(F.elements.__getitem__, rc)) for rc in found}
 
 
 def make_quotient_superfield(F, p, verify=True):
@@ -99,13 +99,12 @@ def make_quotient_superfield(F, p, verify=True):
 
     prod_table = {}
     boxes = {}
-    for x in elements:
-        fx = Poly(F, x)
-        for y in elements:
+    polys = [Poly.from_indices(F, ix) for ix in itertools.product(range(len(F)), repeat=m)]
+    for x, fx in zip(elements, polys):
+        for y, fy in zip(elements, polys):
             if (y, x) in prod_table:
                 prod_table[(x, y)] = prod_table[(y, x)]
                 continue
-            fy = Poly(F, y)
             acc = set()
             for z in pmul(fx, fy).members():
                 acc |= _reduce_poly(z, p, boxes)
@@ -219,9 +218,9 @@ def minimal_polynomial(gamma, pair, bound):
     if gamma not in K:
         raise StructureError(f"{gamma!r} is not in {K.name}")
     for d in range(1, bound + 1):
-        for coeffs in itertools.product(F.elements, repeat=d):
-            for top in (e for e in F.elements if e != F.zero):
-                f = Poly(F, coeffs + (top,))
+        for low in itertools.product(range(len(F)), repeat=d):
+            for top in _nonzero(F):
+                f = Poly.from_indices(F, low + (top,))
                 if K.zero in evaluate(f, gamma, K, via=emb):
                     return AlgebraicityCertificate(gamma, f, True)
     return None

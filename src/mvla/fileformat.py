@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, StructureError
+from .linsys import LinearSystem
 from .matrices import Matrix
 from .polys import Poly
 from .structures import Structure
@@ -152,9 +153,14 @@ def serialize_structure(S):
 
 def parse_matrix(text, S):
     """Matrix file: first line `rows cols`, then row-major element tokens."""
+    return _matrix_from_lines(_lines(text), S)
+
+
+def _matrix_from_lines(lines, S):
+    """A matrix block from (line number, tokens) pairs; diagnostics keep the numbers."""
     rows = cols = None
     entries = []
-    for no, toks in _lines(text):
+    for no, toks in lines:
         if rows is None:
             if len(toks) != 2 or not all(_INT.match(t) for t in toks):
                 raise ParseError("first line must be: <rows> <cols>", no)
@@ -182,8 +188,6 @@ def serialize_matrix(M):
 
 def parse_system(text, S):
     """System file: a matrix block, then one `rhs {a b c}` line per row."""
-    from .linsys import LinearSystem
-
     matrix_lines = []
     rhs = []
     for no, toks in _lines(text):
@@ -203,8 +207,7 @@ def parse_system(text, S):
             if rhs:
                 raise ParseError("matrix rows after rhs lines", no)
             matrix_lines.append((no, toks))
-    matrix_text = "\n".join(" ".join(toks) for _, toks in matrix_lines)
-    A = parse_matrix(matrix_text, S)
+    A = _matrix_from_lines(matrix_lines, S)
     if len(rhs) != A.rows:
         raise ParseError(f"expected {A.rows} rhs lines, found {len(rhs)}", 1)
     return LinearSystem.of(A, rhs)

@@ -4,7 +4,7 @@ A solution is a vector d with Ad contained rowwise in B; a weak solution only
 needs a rowwise nonempty intersection.  Scaling transports solutions forward
 (original to scaled) but the converse is unknown, so every candidate found on
 a scaled system is re-verified against the original system before being
-reported.
+reported.  Systems and vectors are worked on as carrier indices and masks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .axioms import structure_is, AxiomReport, FAIL, PASS
 from .errors import BlowupError, MvlaError, StructureError
-from .matrices import Matrix, mmul
+from .matrices import Matrix, all_matrices, elementary, mmul
+from .structures import _bits
 
 DEFAULT_BRANCH_CAP = 4096
 DEFAULT_NODE_CAP = 10 ** 5
@@ -32,30 +33,31 @@ class TypeIError(MvlaError):
 @dataclass(frozen=True)
 class LinearSystem:
     A: Matrix
-    B: tuple  # one nonempty subset of the carrier per row
+    masks: tuple  # the right-hand side: one nonempty carrier mask per row
 
-    def __post_init__(self):
-        S = self.A.base
-        if len(self.B) != self.A.rows:
+    @classmethod
+    def of(cls, A, B):
+        """The system Ax within B, for right-hand side sets B of elements."""
+        S = A.base
+        B = [frozenset(s) for s in B]
+        if len(B) != A.rows:
             raise StructureError("right-hand side length does not match the rows")
-        for s in self.B:
+        for s in B:
             if not s:
                 raise StructureError("empty right-hand side set")
             for e in s:
                 if e not in S:
                     raise StructureError(f"right-hand side element {e!r} not in {S.name}")
-
-    @classmethod
-    def of(cls, A, B):
-        return cls(A, tuple(frozenset(s) for s in B))
+        return cls(A, tuple(map(S.mask_of, B)))
 
     @property
     def base(self):
         return self.A.base
 
-    def key(self):
-        S = self.base
-        return (self.A.entries, tuple(S.canon(s) for s in self.B))
+    @property
+    def B(self):
+        """The right-hand side, one frozenset of elements per row."""
+        return tuple(map(self.base.set_of, self.masks))
 
 
 @dataclass(frozen=True)
@@ -71,40 +73,32 @@ class SolveOutcome:
     note: str = ""
 
 
-def _check_vector(sys, d):
+def _row_masks(sys, d):
+    """The rowwise value masks of A*d."""
     if d.cols != 1 or d.rows != sys.A.cols or d.base is not sys.base:
         raise StructureError("candidate vector shape or base mismatch")
-
-
-def _row_masks(sys, d):
-    """The rowwise value masks of A*d, beside the masks of the right-hand side."""
-    _check_vector(sys, d)
-    S = sys.base
-    return mmul(sys.A, d).masks, [S.mask_of(b) for b in sys.B]
+    return mmul(sys.A, d).masks
 
 
 def row_value_sets(sys, d):
     """The rowwise value sets of A*d."""
-    _check_vector(sys, d)
-    return tuple(map(sys.base.set_of, mmul(sys.A, d).masks))
+    return tuple(map(sys.base.set_of, _row_masks(sys, d)))
 
 
 def is_solution(sys, d):
-    vals, bs = _row_masks(sys, d)
-    return all(not v & ~b for v, b in zip(vals, bs))
+    return all(not v & ~b for v, b in zip(_row_masks(sys, d), sys.masks))
 
 
 def is_weak_solution(sys, d):
-    vals, bs = _row_masks(sys, d)
-    return all(v & b for v, b in zip(vals, bs))
+    return all(v & b for v, b in zip(_row_masks(sys, d), sys.masks))
 
 
 def classify_candidate(sys, d):
     """SolutionVerdict for d, or None when it is not even a weak solution."""
-    vals, bs = _row_masks(sys, d)
-    if not all(v & b for v, b in zip(vals, bs)):
+    vals = _row_masks(sys, d)
+    if not all(v & b for v, b in zip(vals, sys.masks)):
         return None
-    strength = "solution" if all(not v & ~b for v, b in zip(vals, bs)) else "weak"
+    strength = "solution" if all(not v & ~b for v, b in zip(vals, sys.masks)) else "weak"
     return SolutionVerdict(d, strength)
 
 
@@ -118,18 +112,15 @@ def apply_elementary(sys, op, member_cap=DEFAULT_BRANCH_CAP):
     correspondingly on B: permutation and scaling act directly, row addition
     replaces B_i by the set sum B_i + B_j.
     """
-    from .matrices import elementary as apply_to_matrix
-
     S = sys.base
-    box = apply_to_matrix(op, sys.A)
-    B = list(sys.B)
+    box = elementary(op, sys.A)
+    B = list(sys.masks)
     if op.kind == "swap":
         B[op.i], B[op.j] = B[op.j], B[op.i]
     elif op.kind == "scale":
-        lam_mask = 1 << S.index(op.lam)
-        B[op.i] = S.set_of(S.mul_masks(lam_mask, S.mask_of(B[op.i])))
+        B[op.i] = S.mul_masks(1 << S.index(op.lam), B[op.i])
     else:
-        B[op.i] = S.set_of(S.add_masks(S.mask_of(B[op.i]), S.mask_of(B[op.j])))
+        B[op.i] = S.add_masks(B[op.i], B[op.j])
     B = tuple(B)
     return tuple(LinearSystem(M, B) for M in box.members(member_cap))
 
@@ -152,14 +143,17 @@ def scale_system(sys, branch_cap=DEFAULT_BRANCH_CAP):
         return (sys,)
 
     m, n = sys.A.rows, sys.A.cols
+    zero, one = S._idx[S.zero], S._idx[S.one]
+    prod, add, mul = S._prod, S.add_masks, S.mul_masks
     # each state carries its own next pivot row, since branch selections can
-    # zero out entries and shift the pivot structure between branches
-    states = [(tuple(map(tuple, (sys.A.row(i) for i in range(m)))),
-               tuple(sys.B), 0)]
+    # zero out entries and shift the pivot structure between branches; rows
+    # are tuples of indices and B a tuple of masks
+    entries = sys.A.indices
+    states = [(tuple(entries[i * n:(i + 1) * n] for i in range(m)), sys.masks, 0)]
     for c in range(n):
         new_states = []
         for rows, B, r in states:
-            pivot_row = next((k for k in range(r, m) if rows[k][c] != S.zero), None) \
+            pivot_row = next((k for k in range(r, m) if rows[k][c] != zero), None) \
                 if r < m else None
             if pivot_row is None:
                 new_states.append((rows, B, r))
@@ -169,77 +163,47 @@ def scale_system(sys, branch_cap=DEFAULT_BRANCH_CAP):
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             B[r], B[pivot_row] = B[pivot_row], B[r]
 
-            lam = S.inverse(rows[r][c])
-            if lam is None:
-                raise StructureError(f"{rows[r][c]!r} has no inverse in {S.name}")
-            lam_mask = 1 << S.index(lam)
-            pivot_choices = []
-            for j in range(n):
-                choice = S.canon_of(S.mul_masks(lam_mask, 1 << S.index(rows[r][j])))
-                pivot_choices.append((S.one,) if j == c else choice)
-            Br = S.set_of(S.mul_masks(lam_mask, S.mask_of(B[r])))
+            inverses = S.inverse_indices(rows[r][c])
+            if not inverses:
+                raise StructureError(f"{S.elements[rows[r][c]]!r} has no inverse in {S.name}")
+            lam = inverses[0]
+            pivot_choices = [(one,) if j == c else _bits(prod[lam][x])
+                             for j, x in enumerate(rows[r])]
+            Br = mul(1 << lam, B[r])
 
             for pivot_sel in itertools.product(*pivot_choices):
-                sub_rows = [list(map(list, rows))]
-                sub_B = [list(B)]
-                sub_rows[0][r] = list(pivot_sel)
-                sub_B[0][r] = Br
-                frontier = list(zip(sub_rows, sub_B))
+                rws, bb = list(rows), list(B)
+                rws[r], bb[r] = pivot_sel, Br
+                frontier = [(rws, bb)]
                 for k in range(r + 1, m):
-                    if rows[k][c] == S.zero:
+                    if rows[k][c] == zero:
                         continue
-                    mu = S.neg(rows[k][c])
-                    mu_mask = 1 << S.index(mu)
+                    mu = S._neg[rows[k][c]]
                     next_frontier = []
                     for rws, bb in frontier:
-                        choices = []
-                        for j in range(n):
-                            if j == c:
-                                choices.append((S.zero,))
-                                continue
-                            scaled = S.mul_masks(mu_mask, 1 << S.index(rws[r][j]))
-                            summed = S.add_masks(1 << S.index(rws[k][j]), scaled)
-                            choices.append(S.canon_of(summed))
-                        new_bk = S.set_of(S.add_masks(
-                            S.mask_of(bb[k]),
-                            S.mul_masks(mu_mask, S.mask_of(bb[r]))))
+                        choices = [(zero,) if j == c else _bits(add(1 << x, prod[mu][y]))
+                                   for j, (x, y) in enumerate(zip(rws[k], rws[r]))]
+                        new_bk = add(bb[k], mul(1 << mu, bb[r]))
                         for sel in itertools.product(*choices):
-                            rws2 = [list(row) for row in rws]
-                            rws2[k] = list(sel)
-                            bb2 = list(bb)
-                            bb2[k] = new_bk
+                            rws2, bb2 = list(rws), list(bb)
+                            rws2[k], bb2[k] = sel, new_bk
                             next_frontier.append((rws2, bb2))
                             if len(next_frontier) + len(new_states) > branch_cap:
                                 raise BlowupError("scaling branch cap exceeded")
                     frontier = next_frontier
                 for rws, bb in frontier:
-                    new_states.append((tuple(map(tuple, rws)), tuple(bb), r + 1))
+                    new_states.append((tuple(rws), tuple(bb), r + 1))
                     if len(new_states) > branch_cap:
                         raise BlowupError("scaling branch cap exceeded")
         states = new_states
 
-    out, seen = [], set()
-    for rows, B, _ in states:
-        M = Matrix.from_rows(S, rows)
-        cand = LinearSystem(M, B)
-        if M.is_upper_triangular and cand.key() not in seen:
-            seen.add(cand.key())
-            out.append(cand)
-    return tuple(out)
+    # equal systems come from different branches: keep the first of each
+    scaled = (LinearSystem(Matrix.from_indices(S, m, n, itertools.chain(*rows)), B)
+              for rows, B, _ in states)
+    return tuple(dict.fromkeys(s for s in scaled if s.A.is_upper_triangular))
 
 
 # -- back substitution ----------------------------------------------------------------
-
-
-def _pivot_columns(A):
-    """Leading-entry column per row, checking the scaled shape."""
-    S = A.base
-    pivots = []
-    for i in range(A.rows):
-        row = A.row(i)
-        lead = next((j for j, e in enumerate(row) if e != S.zero), None)
-        pivots.append(lead)
-    return pivots
 
 
 def iter_back_substitution(sys, node_cap=DEFAULT_NODE_CAP):
@@ -253,33 +217,37 @@ def iter_back_substitution(sys, node_cap=DEFAULT_NODE_CAP):
     A = sys.A
     if not A.is_upper_triangular:
         raise StructureError("back substitution needs a scaled system")
-    pivots = _pivot_columns(A)
+    zero = S._idx[S.zero]
+    n = A.cols
+    a = A.indices
+    # the leading-entry column per row; None for a row of zeros
+    pivots = [next((j for j in range(n) if a[i * n + j] != zero), None)
+              for i in range(A.rows)]
     for i, p in enumerate(pivots):
-        if p is None and S.zero not in sys.B[i]:
+        if p is None and not sys.masks[i] >> zero & 1:
             raise TypeIError(f"row {i} reads 0 within a set missing 0")
     rows = [i for i, p in enumerate(pivots) if p is not None]
-    n = A.cols
     nodes = 0
 
     def value_set(i, assigned):
         p = pivots[i]
-        inv = S.inverse(A.entry(i, p))
-        if inv is None:
-            raise StructureError(f"pivot {A.entry(i, p)!r} has no inverse")
-        inv_bit = 1 << S.index(inv)
-        terms = [S.mul_masks(inv_bit, S.mask_of(sys.B[i]))]
+        inverses = S.inverse_indices(a[i * n + p])
+        if not inverses:
+            raise StructureError(f"pivot {S.elements[a[i * n + p]]!r} has no inverse")
+        inv_bit = 1 << inverses[0]
+        terms = [S.mul_masks(inv_bit, sys.masks[i])]
         for j in range(p + 1, n):
-            a = A.entry(i, j)
-            if a == S.zero:
+            x = a[i * n + j]
+            if x == zero:
                 continue
-            t = S.prod_of((inv_bit, 1 << S.index(a), 1 << S.index(assigned[j])))
+            t = S.prod_of((inv_bit, 1 << x, 1 << assigned[j]))
             terms.append(S.neg_mask(t))
-        return S.canon_of(S.sum_of(terms))
+        return _bits(S.sum_of(terms))
 
     def rec(idx, assigned):
         nonlocal nodes
         if idx < 0:
-            d = Matrix.column(S, [assigned[j] for j in range(n)])
+            d = Matrix.from_indices(S, n, 1, assigned)
             if is_weak_solution(sys, d):
                 yield d
             return
@@ -290,9 +258,9 @@ def iter_back_substitution(sys, node_cap=DEFAULT_NODE_CAP):
                 raise BlowupError("back substitution exceeded its node cap")
             assigned[pivots[i]] = x
             yield from rec(idx - 1, assigned)
-        assigned[pivots[i]] = S.zero
+        assigned[pivots[i]] = zero
 
-    assigned = {j: S.zero for j in range(n)}  # free variables default to 0
+    assigned = [zero] * n  # free variables default to 0
     yield from rec(len(rows) - 1, assigned)
 
 
@@ -332,8 +300,7 @@ def solve_weak(sys, branch_cap=DEFAULT_BRANCH_CAP, node_cap=DEFAULT_NODE_CAP,
     total = len(S.elements) ** n
     if total > scan_cap:
         return SolveOutcome(INCONCLUSIVE, note=f"scan of {total} vectors exceeds cap")
-    for combo in itertools.product(S.elements, repeat=n):
-        d = Matrix.column(S, combo)
+    for d in all_matrices(S, n, 1):
         verdict = classify_candidate(sys, d)
         if verdict is not None:
             return SolveOutcome(SOLVED, verdict, note="exhaustive fallback")
@@ -346,14 +313,12 @@ def solve_weak(sys, branch_cap=DEFAULT_BRANCH_CAP, node_cap=DEFAULT_NODE_CAP,
 def homogeneous(A):
     """The system Ax = 0, read as B = ({0}, ..., {0}) with weak semantics."""
     S = A.base
-    return LinearSystem(A, tuple(frozenset([S.zero]) for _ in range(A.rows)))
+    return LinearSystem(A, (1 << S._idx[S.zero],) * A.rows)
 
 
 def _kernel_ok(A, d):
-    S = A.base
-    if all(e == S.zero for e in d.entries):
-        return False
-    return is_weak_solution(homogeneous(A), d)
+    zero = A.base._idx[A.base.zero]
+    return any(i != zero for i in d.indices) and is_weak_solution(homogeneous(A), d)
 
 
 def _exhaustive_kernel(A, scan_cap):
@@ -361,118 +326,122 @@ def _exhaustive_kernel(A, scan_cap):
     total = len(S.elements) ** A.cols
     if total > scan_cap:
         return SolveOutcome(INCONCLUSIVE, note=f"kernel scan of {total} exceeds cap")
-    for combo in itertools.product(S.elements, repeat=A.cols):
-        if all(e == S.zero for e in combo):
-            continue
-        d = Matrix.column(S, combo)
+    for d in all_matrices(S, A.cols, 1):
         if _kernel_ok(A, d):
             return SolveOutcome(SOLVED, SolutionVerdict(d, "weak"), note="exhaustive")
     return SolveOutcome(NO_SOLUTION)
 
 
-def _single(S, x):
-    """The unique member of a singleton product set."""
-    (v,) = x
+# The constructive kernels work on carrier indices over a multifield, where
+# every product is a single element and every nonzero element has an inverse
+# (the least one comes first in inverse_indices).
+
+
+def _single(mask):
+    """The index of the unique member of a singleton mask."""
+    (v,) = _bits(mask)
     return v
 
 
+def _unit(S, j, m):
+    """The vector of length m with 1 at position j and 0 elsewhere."""
+    zero, one = S._idx[S.zero], S._idx[S.one]
+    return [one if i == j else zero for i in range(m)]
+
+
 def _row_sum_mask(S, coeffs, d):
-    return S.sum_of(S.prod_mask(a, x) for a, x in zip(coeffs, d))
+    return S.sum_of(S._prod[a][x] for a, x in zip(coeffs, d))
 
 
-def _case1(S, row, m):
-    """One-row method: a zero coefficient, else x1 = -a1^(-1)a2, x2 = 1."""
-    for j, a in enumerate(row):
-        if a == S.zero:
-            return [S.one if i == j else S.zero for i in range(m)]
-    inv = S.inverse(row[0])
-    x1 = S.neg(_single(S, S.prod_set(inv, row[1])))
-    return [x1, S.one] + [S.zero] * (m - 2)
+def _case1(S, masks):
+    """One-row method over set-valued coefficients: d with 0 in sum coeff_j d_j.
 
-
-def _case1_masks(S, masks):
-    """Case I method over set-valued coefficients: d with 0 in sum coeff_j d_j."""
+    A coefficient set holding 0 gives a unit vector; otherwise, with the least
+    members a1, a2 of the first two sets, x1 = -a1^(-1)a2 and x2 = 1.
+    """
     m = len(masks)
-    zero = 1 << S.index(S.zero)
+    zero = S._idx[S.zero]
     for j, cs in enumerate(masks):
-        if cs & zero:
-            return [S.one if i == j else S.zero for i in range(m)]
-    s2, s3 = (S.canon_of(cs)[0] for cs in masks[:2])
-    d2 = S.neg(_single(S, S.prod_set(S.inverse(s2), s3)))
-    return [d2, S.one] + [S.zero] * (m - 2)
+        if cs >> zero & 1:
+            return _unit(S, j, m)
+    s2, s3 = (_bits(cs)[0] for cs in masks[:2])
+    d2 = S._neg[_single(S._prod[S.inverse_indices(s2)[0]][s3])]
+    return [d2, S._idx[S.one]] + [zero] * (m - 2)
 
 
 def _normalize_row(S, row):
-    inv = S.inverse(row[0])
-    return [_single(S, S.prod_set(inv, a)) for a in row]
+    inv = S._prod[S.inverse_indices(row[0])[0]]
+    return [_single(inv[a]) for a in row]
 
 
 def _case2(S, rows, m):
     a, b = rows
+    zero = S._idx[S.zero]
+    prod, neg = S._prod, S._neg
     for j in range(m):
-        if a[j] == S.zero and b[j] == S.zero:
-            return [S.one if i == j else S.zero for i in range(m)]
+        if a[j] == zero and b[j] == zero:
+            return _unit(S, j, m)
     zero_pos = next(((r, j) for r, row in enumerate(rows) for j in range(m)
-                     if row[j] == S.zero), None)
+                     if row[j] == zero), None)
     if zero_pos is not None:
         r, p = zero_pos
         zero_row, other = rows[r], rows[1 - r]
         rest_cols = [j for j in range(m) if j != p]
-        sub = _case1(S, [zero_row[j] for j in rest_cols], m - 1)
-        d = [S.zero] * m
+        sub = _case1(S, [1 << zero_row[j] for j in rest_cols])
+        d = [zero] * m
         for j, v in zip(rest_cols, sub):
             d[j] = v
-        pick = S.canon_of(_row_sum_mask(S, [other[j] for j in rest_cols], sub))[0]
-        d[p] = S.neg(_single(S, S.prod_set(S.inverse(other[p]), pick)))
+        pick = _bits(_row_sum_mask(S, [other[j] for j in rest_cols], sub))[0]
+        d[p] = neg[_single(prod[S.inverse_indices(other[p])[0]][pick])]
         return d
 
-    lam = next((l for l in S.elements if l != S.zero and
-                all(_single(S, S.prod_set(l, a[j])) == b[j] for j in range(m))), None)
+    lam = next((l for l in range(len(S)) if l != zero and
+                all(_single(prod[l][a[j]]) == b[j] for j in range(m))), None)
     if lam is not None:
-        return _case1(S, a, m)
+        return _case1(S, [1 << x for x in a])
 
     an = _normalize_row(S, a)
     bn = _normalize_row(S, b)
-    tail = _case1_masks(S, [S.sum_mask(bn[j], S.neg(an[j])) for j in range(1, m)])
+    tail = _case1(S, [S._sum[bn[j]][neg[an[j]]] for j in range(1, m)])
     meet = _row_sum_mask(S, an[1:], tail) & _row_sum_mask(S, bn[1:], tail)
     if not meet:
         return None
-    return [S.neg(S.canon_of(meet)[0])] + tail
+    return [neg[_bits(meet)[0]]] + tail
 
 
 def _case3(S, rows, m):
+    zero = S._idx[S.zero]
     for j in range(m):
-        if all(row[j] == S.zero for row in rows):
-            return [S.one if i == j else S.zero for i in range(m)]
+        if all(row[j] == zero for row in rows):
+            return _unit(S, j, m)
     # move a column with all rows nonzero to the front, keep only 4 columns
-    front = next((j for j in range(m) if all(row[j] != S.zero for row in rows)), None)
+    front = next((j for j in range(m) if all(row[j] != zero for row in rows)), None)
     if front is None or m < 4:
         return None
     cols = [front] + [j for j in range(m) if j != front][:3]
     sub = [[row[j] for j in cols] for row in rows]
     a, b, c = (_normalize_row(S, row) for row in sub)
 
-    D = [S.sum_mask(b[j], S.neg(a[j])) for j in range(1, 4)]  # rows b - a, positions 2..4
-    E = [S.sum_mask(c[j], S.neg(a[j])) for j in range(1, 4)]
-    zero = 1 << S.index(S.zero)
-    if any(s & zero for s in D + E):
+    sums, neg = S._sum, S._neg
+    D = [sums[b[j]][neg[a[j]]] for j in range(1, 4)]  # rows b - a, positions 2..4
+    E = [sums[c[j]][neg[a[j]]] for j in range(1, 4)]
+    if any(s >> zero & 1 for s in D + E):
         return None  # pairwise independence assumption failed; use the fallback
 
     add, mul = S.add_masks, S.mul_masks
     # columns 3 and 4 of the reduced system
     G = [add(mul(D[0], E[j]), S.neg_mask(mul(E[0], D[j]))) for j in (1, 2)]
-    d3, d4 = _case1_masks(S, G)
-    b3, b4 = 1 << S.index(d3), 1 << S.index(d4)
+    d3, d4 = _case1(S, G)
+    b3, b4 = 1 << d3, 1 << d4
 
     meet = (add(mul(D[0], mul(E[1], b3)), mul(D[0], mul(E[2], b4)))
             & add(mul(E[0], mul(D[1], b3)), mul(E[0], mul(D[2], b4))))
     if not meet:
         return None
-    neg_z = S.index(S.neg(S.canon_of(meet)[0]))
+    neg_z = neg[_bits(meet)[0]]
 
     sum_d = add(mul(D[1], b3), mul(D[2], b4))
-    cand = [x for x in S.canon_of(S.neg_mask(sum_d))
-            if mul(E[0], 1 << S.index(x)) >> neg_z & 1]
+    cand = [x for x in _bits(S.neg_mask(sum_d)) if mul(E[0], 1 << x) >> neg_z & 1]
     if not cand:
         return None
     d2 = cand[0]
@@ -480,10 +449,10 @@ def _case3(S, rows, m):
     meet2 = _row_sum_mask(S, a[1:], [d2, d3, d4]) & _row_sum_mask(S, b[1:], [d2, d3, d4])
     if not meet2:
         return None
-    w = S.canon_of(meet2)[0]
+    w = _bits(meet2)[0]
 
-    d = [S.zero] * m
-    for pos, val in zip(cols, [S.neg(w), d2, d3, d4]):
+    d = [zero] * m
+    for pos, val in zip(cols, [neg[w], d2, d3, d4]):
         d[pos] = val
     return d
 
@@ -498,9 +467,9 @@ def constructive_kernel(A):
     if not structure_is(S, "multifield"):
         return None
     n, m = A.rows, A.cols
-    rows = [list(A.row(i)) for i in range(n)]
+    rows = [A.indices[i * m:(i + 1) * m] for i in range(n)]
     if n == 1:
-        d = _case1(S, rows[0], m)
+        d = _case1(S, [1 << x for x in rows[0]])
     elif n == 2:
         d = _case2(S, rows, m)
     elif n == 3:
@@ -509,7 +478,7 @@ def constructive_kernel(A):
         return None
     if d is None:
         return None
-    vec = Matrix.column(S, d)
+    vec = Matrix.from_indices(S, m, 1, d)
     return vec if _kernel_ok(A, vec) else None
 
 
@@ -546,13 +515,12 @@ def is_linearly_closed(F, max_n, max_m, budget=10 ** 7, require_superfield=True)
             total = len(F.elements) ** (n * m)
             if total > budget:
                 raise BlowupError(f"{total} matrices at shape {n}x{m} exceed budget")
-            for combo in itertools.product(F.elements, repeat=n * m):
-                A = Matrix(F, n, m, combo)
+            for A in all_matrices(F, n, m):
                 out = find_nontrivial_kernel(A)
                 checked += 1
                 if out.status != SOLVED:
                     return AxiomReport(
                         subject=F.name, kind=f"linearly-closed(n<={max_n},m<={max_m})",
-                        verdict=FAIL, witnesses=((f"{n}x{m}", combo),), checked=checked)
+                        verdict=FAIL, witnesses=((f"{n}x{m}", A.entries),), checked=checked)
     return AxiomReport(subject=F.name, kind=f"linearly-closed(n<={max_n},m<={max_m})",
                        verdict=PASS, checked=checked)

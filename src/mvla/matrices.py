@@ -1,9 +1,10 @@
 """Set-valued matrix algebra: boxes of matrices, determinants, inverses.
 
-Sums, scalar products and matrix products make every result entry an
-independent choice, so the canonical container is a box: one nonempty set per
-entry, with the full Cartesian product materialized only on demand (for
-determinants, membership and golden output).
+A matrix stores its entries as carrier indices.  Sums, scalar products and
+matrix products make every result entry an independent choice, so the
+canonical container is a box: one nonempty mask per entry, with the full
+Cartesian product materialized only on demand (for determinants, membership
+and golden output).
 """
 
 from __future__ import annotations
@@ -20,9 +21,13 @@ DEFAULT_FACTORIAL_CAP = 6
 
 
 class Matrix:
-    """A concrete matrix over a finite structure, stored row-major."""
+    """A concrete matrix over a finite structure.
 
-    __slots__ = ("base", "rows", "cols", "entries")
+    The entries are stored row-major as carrier indices; `entries`, `entry`
+    and `row` read them back as elements.
+    """
+
+    __slots__ = ("base", "rows", "cols", "indices")
 
     def __init__(self, base, rows, cols, entries):
         entries = tuple(entries)
@@ -36,7 +41,14 @@ class Matrix:
         self.base = base
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.indices = tuple(map(base._idx.__getitem__, entries))
+
+    @classmethod
+    def from_indices(cls, base, rows, cols, indices):
+        """The matrix whose row-major entries have the given carrier indices."""
+        M = cls.__new__(cls)
+        M.base, M.rows, M.cols, M.indices = base, rows, cols, tuple(indices)
+        return M
 
     @classmethod
     def from_rows(cls, base, rows):
@@ -46,26 +58,28 @@ class Matrix:
     @classmethod
     def zero(cls, base, rows, cols=None):
         cols = rows if cols is None else cols
-        return cls(base, rows, cols, (base.zero,) * (rows * cols))
+        return cls.from_indices(base, rows, cols, (base._idx[base.zero],) * (rows * cols))
 
     @classmethod
     def identity(cls, base, n):
-        return cls(base, n, n, tuple(base.one if i == j else base.zero
-                                     for i in range(n) for j in range(n)))
+        zero, one = base._idx[base.zero], base._idx[base.one]
+        return cls.from_indices(base, n, n, [one if i == j else zero
+                                             for i in range(n) for j in range(n)])
 
     @classmethod
     def column(cls, base, entries):
         entries = tuple(entries)
         return cls(base, len(entries), 1, entries)
 
+    @property
+    def entries(self):
+        return tuple(map(self.base.elements.__getitem__, self.indices))
+
     def entry(self, i, j):
-        return self.entries[i * self.cols + j]
+        return self.base.elements[self.indices[i * self.cols + j]]
 
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def col(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     @property
     def is_square(self):
@@ -73,26 +87,18 @@ class Matrix:
 
     @property
     def is_upper_triangular(self):
-        return all(self.entry(i, j) == self.base.zero
+        zero = self.base._idx[self.base.zero]
+        return all(self.indices[i * self.cols + j] == zero
                    for i in range(self.rows) for j in range(min(i, self.cols)))
-
-    def with_entry(self, i, j, value):
-        es = list(self.entries)
-        es[i * self.cols + j] = value
-        return Matrix(self.base, self.rows, self.cols, es)
-
-    def sort_key(self):
-        idx = self.base.index
-        return tuple(idx(e) for e in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.base is other.base and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.indices == other.indices)
 
     def __hash__(self):
-        return hash((id(self.base), self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.indices))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
@@ -116,8 +122,7 @@ class MatrixSet(Box):
     def of(cls, m):
         if isinstance(m, MatrixSet):
             return m
-        idx = m.base._idx
-        return cls(m.base, m.rows, m.cols, [1 << idx[e] for e in m.entries])
+        return cls(m.base, m.rows, m.cols, [1 << i for i in m.indices])
 
     def _like(self, masks):
         return MatrixSet(self.base, self.rows, self.cols, masks)
@@ -129,12 +134,12 @@ class MatrixSet(Box):
         return self.base.set_of(self.masks[i * self.cols + j])
 
     def members(self, cap=DEFAULT_MEMBER_CAP):
-        return tuple(Matrix(self.base, self.rows, self.cols, combo)
+        return tuple(Matrix.from_indices(self.base, self.rows, self.cols, combo)
                      for combo in self.choices(cap))
 
     def __contains__(self, m):
         return isinstance(m, Matrix) and (m.rows, m.cols) == (self.rows, self.cols) and \
-            super().__contains__(m.entries)
+            super().__contains__(m.indices)
 
     def __repr__(self):
         cells = self._cells()
@@ -198,11 +203,10 @@ def det(a, factorial_cap=DEFAULT_FACTORIAL_CAP, member_cap=DEFAULT_MEMBER_CAP):
     if n > factorial_cap:
         raise BlowupError(f"determinant size {n} exceeds factorial cap {factorial_cap}")
     S = A.base
-    idx = S._idx
     perms = [(perm, _perm_sign(perm) < 0) for perm in itertools.permutations(range(n))]
     out = 0
     for M in A.members(member_cap):
-        bits = [1 << idx[e] for e in M.entries]
+        bits = [1 << i for i in M.indices]
         terms = []
         for perm, odd in perms:
             term = S.prod_of(bits[j * n + perm[j]] for j in range(n))
@@ -277,11 +281,12 @@ def _triangular_inverse(A, node_cap):
     the least admissible element at each step, with backtracking."""
     S = A.base
     n = A.rows
-    zero, one = S.zero, S.one
+    zero = S._idx[S.zero]
+    prod, a = S._prod, A.indices
 
     diag_inverses = []
     for i in range(n):
-        inv = S.inverses(A.entry(i, i))
+        inv = S.inverse_indices(a[i * n + i])
         if not inv:
             return None
         diag_inverses.append(inv)
@@ -296,15 +301,9 @@ def _triangular_inverse(A, node_cap):
         if i == j:
             return diag_inverses[i]
         # need 0 in sum_{k=i..j} a_ik * b_kj with all b_kj (k > i) already chosen
-        rest = [S.prod_mask(A.entry(i, k), chosen[(k, j)]) for k in range(i + 1, j + 1)]
-        rest_mask = S.sum_of(rest)
-        zero_bit = S.index(zero)
-        out = []
-        for x in S.elements:
-            m = S.add_masks(S.prod_mask(A.entry(i, i), x), rest_mask)
-            if m >> zero_bit & 1:
-                out.append(x)
-        return out
+        rest_mask = S.sum_of([prod[a[i * n + k]][chosen[(k, j)]] for k in range(i + 1, j + 1)])
+        diag = prod[a[i * n + i]]
+        return [x for x in range(len(S)) if S.add_masks(diag[x], rest_mask) >> zero & 1]
 
     nodes = 0
     chosen = {}
@@ -312,10 +311,10 @@ def _triangular_inverse(A, node_cap):
     def dfs(k):
         nonlocal nodes
         if k == len(positions):
-            entries = [[zero] * n for _ in range(n)]
+            entries = [zero] * (n * n)
             for (i, j), v in chosen.items():
-                entries[i][j] = v
-            B = Matrix.from_rows(S, entries)
+                entries[i * n + j] = v
+            B = Matrix.from_indices(S, n, n, entries)
             return B if is_inverse_pair(A, B) else None
         for x in candidates(positions[k], chosen):
             nodes += 1
@@ -356,8 +355,7 @@ def find_inverse(A, search_cap=DEFAULT_MEMBER_CAP, node_cap=10 ** 5):
     total = len(S.elements) ** (n * n)
     if total > search_cap:
         raise BlowupError(f"inverse search space {total} exceeds cap {search_cap}")
-    for combo in itertools.product(S.elements, repeat=n * n):
-        B = Matrix(S, n, n, combo)
+    for B in all_matrices(S, n, n):
         if is_inverse_pair(A, B):
             return B
     return None
@@ -365,5 +363,5 @@ def find_inverse(A, search_cap=DEFAULT_MEMBER_CAP, node_cap=10 ** 5):
 
 def all_matrices(base, rows, cols):
     """Every matrix of the given shape, in canonical order."""
-    for combo in itertools.product(base.elements, repeat=rows * cols):
-        yield Matrix(base, rows, cols, combo)
+    for combo in itertools.product(range(len(base)), repeat=rows * cols):
+        yield Matrix.from_indices(base, rows, cols, combo)

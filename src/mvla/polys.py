@@ -1,10 +1,10 @@
 """Polynomials with set-valued arithmetic over a structure.
 
 A polynomial is a finite coefficient sequence in canonical form (no trailing
-zeros); the zero polynomial is the empty sequence and its degree is the
-distinguished marker NEG_INF.  Sums and products of single polynomials have
-coefficientwise independent choices, so they are stored as coefficient boxes
-(one set per position) and materialized on demand.
+zeros), stored as carrier indices; the zero polynomial is the empty sequence
+and its degree is the distinguished marker NEG_INF.  Sums and products of
+single polynomials have coefficientwise independent choices, so they are
+stored as coefficient boxes (one mask per position) and materialized on demand.
 """
 
 from __future__ import annotations
@@ -13,27 +13,45 @@ import itertools
 
 from .axioms import MorphismSpec, check_morphism, structure_is
 from .errors import BlowupError, MvlaError, StructureError
-from .structures import Box
+from .structures import Box, _bits
 
 NEG_INF = float("-inf")
 
 DEFAULT_SET_CAP = 10 ** 6
 
 
-class Poly:
-    """A polynomial over a finite structure, in canonical form."""
+def _stripped(indices, zero):
+    """An index list without its trailing zero indices, as a tuple."""
+    while indices and indices[-1] == zero:
+        indices.pop()
+    return tuple(indices)
 
-    __slots__ = ("base", "coeffs")
+
+class Poly:
+    """A polynomial over a finite structure, in canonical form.
+
+    The coefficients are stored low to high as carrier indices, without
+    trailing zeros; `coeffs` reads them back as elements.
+    """
+
+    __slots__ = ("base", "indices")
 
     def __init__(self, base, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == base.zero:
-            coeffs.pop()
+        coeffs = tuple(coeffs)
         for c in coeffs:
             if c not in base:
                 raise StructureError(f"coefficient {c!r} not in {base.name}")
+        idx = base._idx
         self.base = base
-        self.coeffs = tuple(coeffs)
+        self.indices = _stripped([idx[c] for c in coeffs], idx[base.zero])
+
+    @classmethod
+    def from_indices(cls, base, indices):
+        """The polynomial whose coefficients have the given carrier indices."""
+        f = cls.__new__(cls)
+        f.base = base
+        f.indices = _stripped(list(indices), base._idx[base.zero])
+        return f
 
     @classmethod
     def zero(cls, base):
@@ -53,44 +71,45 @@ class Poly:
         return cls(base, (base.zero,) * n + (c,))
 
     @property
+    def coeffs(self):
+        return tuple(map(self.base.elements.__getitem__, self.indices))
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.indices) - 1 if self.indices else NEG_INF
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.indices
 
     def coeff(self, i):
-        return self.coeffs[i] if i < len(self.coeffs) else self.base.zero
+        return self.base.elements[self.indices[i]] if i < len(self.indices) else self.base.zero
 
     def padded(self, length):
-        return self.coeffs + (self.base.zero,) * (length - len(self.coeffs))
+        return self.coeffs + (self.base.zero,) * (length - len(self.indices))
 
     def shift(self, m):
         """X^m times this polynomial (exact, by the monomial shift identity)."""
         if self.is_zero:
             return self
-        return Poly(self.base, (self.base.zero,) * m + self.coeffs)
+        zero = self.base._idx[self.base.zero]
+        return Poly.from_indices(self.base, (zero,) * m + self.indices)
 
     def neg(self):
-        return Poly(self.base, tuple(self.base.neg(c) for c in self.coeffs))
+        return Poly.from_indices(self.base, map(self.base._neg.__getitem__, self.indices))
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.base is other.base and self.coeffs == other.coeffs
+        return self.base is other.base and self.indices == other.indices
 
     def __hash__(self):
-        return hash((id(self.base), self.coeffs))
+        return hash(self.indices)
 
     def __repr__(self):
         if self.is_zero:
             return "Poly<0>"
         return "Poly<" + ",".join(str(c) for c in self.coeffs) + ">"
-
-    def sort_key(self):
-        idx = self.base.index
-        return (len(self.coeffs), tuple(idx(c) for c in self.coeffs))
 
 
 class PolySet(Box):
@@ -101,26 +120,27 @@ class PolySet(Box):
 
     def __init__(self, base, masks):
         masks = list(masks)
-        zero = 1 << base.index(base.zero)
+        zero = 1 << base._idx[base.zero]
         while masks and masks[-1] == zero:
             masks.pop()
         super().__init__(base, masks)
 
     @classmethod
     def singleton(cls, f):
-        idx = f.base._idx
-        return cls(f.base, [1 << idx[c] for c in f.coeffs])
+        return cls(f.base, [1 << i for i in f.indices])
 
     def coeff_set(self, i):
         S = self.base
         return S.set_of(self.masks[i]) if i < len(self.masks) else frozenset([S.zero])
 
     def members(self, cap=DEFAULT_SET_CAP):
-        return tuple(Poly(self.base, combo) for combo in self.choices(cap))
+        return tuple(Poly.from_indices(self.base, combo) for combo in self.choices(cap))
 
     def __contains__(self, f):
-        return isinstance(f, Poly) and f.base is self.base and \
-            super().__contains__(f.padded(len(self.masks)))
+        if not isinstance(f, Poly) or f.base is not self.base:
+            return False
+        pad = (self.base._idx[self.base.zero],) * (len(self.masks) - len(f.indices))
+        return super().__contains__(f.indices + pad)
 
     def __repr__(self):
         return "PolySet<" + ";".join(self._cells()) + ">"
@@ -141,9 +161,8 @@ def pmul(f, g):
     """Convolution product of two polynomials; each coefficient is independent."""
     _same_base(f, g)
     S = f.base
-    idx, prod = S._idx, S._prod
-    rows = [prod[idx[c]] for c in f.coeffs]
-    cols = [idx[c] for c in g.coeffs]
+    rows = [S._prod[i] for i in f.indices]
+    cols = g.indices
     n = len(rows) + len(cols) - 1 if rows and cols else 0
     return PolySet(S, [S.sum_of(rows[i][cols[k - i]]
                                 for i in range(max(0, k - len(cols) + 1),
@@ -198,12 +217,18 @@ def psum_members(sets_of_polys, base, cap=DEFAULT_SET_CAP):
 def all_polys(S, max_degree, include_zero=True):
     """Every canonical polynomial of degree <= max_degree, in canonical order."""
     out = [Poly.zero(S)] if include_zero else []
+    lead = _nonzero(S)
     for d in range(max_degree + 1):
-        lead = [e for e in S.elements if e != S.zero]
-        for low in itertools.product(S.elements, repeat=d):
+        for low in itertools.product(range(len(S)), repeat=d):
             for top in lead:
-                out.append(Poly(S, low + (top,)))
+                out.append(Poly.from_indices(S, low + (top,)))
     return out
+
+
+def _nonzero(S):
+    """The indices of the nonzero elements, in carrier order."""
+    z = S._idx[S.zero]
+    return [i for i in range(len(S)) if i != z]
 
 
 # -- degree laws -------------------------------------------------------------
@@ -310,20 +335,19 @@ def pdivmod(f, g, all_pairs=False, cap=DEFAULT_SET_CAP):
 
     dq = f.degree - g.degree
     dr = g.degree  # r has positions 0..deg g - 1
-    lead = [e for e in S.elements if e != S.zero]
     target = PolySet.singleton(f).masks
     found = []
     count = 0
-    for top in lead:
-        for high_to_low in itertools.product(S.elements, repeat=dq):
-            q = Poly(S, tuple(reversed(high_to_low)) + (top,))
+    for top in _nonzero(S):
+        for high_to_low in itertools.product(range(len(S)), repeat=dq):
+            q = Poly.from_indices(S, high_to_low[::-1] + (top,))
             box = pmul(q, g)
             for rc, rbits in _remainders(S, dr):
                 count += 1
                 if count > cap:
                     raise BlowupError("division search exceeded cap")
                 if _in_box_plus(box, rbits, target):
-                    pair = (q, Poly(S, rc))
+                    pair = (q, Poly.from_indices(S, rc))
                     if not all_pairs:
                         return (pair,)
                     found.append(pair)
@@ -339,9 +363,9 @@ def divmod_holds(f, g, q, r):
 
 
 def _remainders(S, width):
-    """Every remainder of the given width, as (elements, single-bit masks), in carrier order."""
+    """Every remainder of the given width, as (indices, single-bit masks), in carrier order."""
     bits = [1 << i for i in range(len(S))]
-    return zip(itertools.product(S.elements, repeat=width),
+    return zip(itertools.product(range(len(S)), repeat=width),
                itertools.product(bits, repeat=width))
 
 
@@ -427,10 +451,6 @@ def is_effective_root(f, alpha, bound=None):
 # -- irreducibility ------------------------------------------------------------------
 
 
-def _bits(mask, k):
-    return tuple(i for i in range(k) if mask >> i & 1)
-
-
 class _MaskSums(dict):
     """(x, y) -> carrier indices in the mask sum x + y, filled on first use."""
 
@@ -441,7 +461,7 @@ class _MaskSums(dict):
         self.base = base
 
     def __missing__(self, key):
-        got = self[key] = _bits(self.base.add_masks(*key), len(self.base))
+        got = self[key] = _bits(self.base.add_masks(*key))
         return got
 
 
@@ -460,8 +480,8 @@ def _ideal_members_bounded(u, deg_cap, h_deg, max_terms):
     """
     S = u.base
     k = len(S)
-    z = S.index(S.zero)
-    uc = [S.index(c) for c in u.coeffs]
+    z = S._idx[S.zero]
+    uc = u.indices
     n = len(uc)
     width = max(h_deg + n, deg_cap + 1)
 
@@ -469,7 +489,7 @@ def _ideal_members_bounded(u, deg_cap, h_deg, max_terms):
     prod = S._prod
     zbit = 1 << z
     boxes = {(zbit,) * width}  # h = 0
-    nonzero = [i for i in range(k) if i != z]
+    nonzero = _nonzero(S)
     for d in range(h_deg + 1):
         pad = (zbit,) * (width - d - n)
         for low in itertools.product(range(k), repeat=d):
@@ -492,7 +512,7 @@ def _ideal_members_bounded(u, deg_cap, h_deg, max_terms):
     plus = _MaskSums(S)
     tiers = set()
     for box in boxes:
-        tiers.update(itertools.product(*(_bits(m, k) for m in box)))
+        tiers.update(itertools.product(*map(_bits, box)))
     frontier = boxes
     for _ in range(max_terms - 2):
         new = set()
@@ -556,12 +576,11 @@ def is_irreducible(f, max_terms=3):
         raise StructureError("irreducibility needs deg f >= 1")
     cap = f.degree
     note = f"bounded: <= {max_terms} terms, deg h <= {cap}"
-    target = tuple(S.index(c) for c in f.coeffs)
     own = _ideal_members_bounded(f, cap, cap, max_terms)
     for u in all_polys(S, f.degree):
         if u.is_zero or u.degree < 1 or u == f:
             continue
         through_u = _ideal_members_bounded(u, cap, cap, max_terms)
-        if target in through_u and through_u != own:
+        if f.indices in through_u and through_u != own:
             return IrreducibilityVerdict(False, u, note)
     return IrreducibilityVerdict(True, None, note)

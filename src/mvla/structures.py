@@ -187,11 +187,14 @@ class Structure:
         """Canonical tuple form of a subset: deduplicated, in carrier order."""
         return self.canon_of(self.mask_of(elems))
 
+    def inverse_indices(self, i):
+        """The indices of every b with 1 in a*b, for a of index i, in carrier order."""
+        one_bit = 1 << self._idx[self.one]
+        return tuple(j for j, m in enumerate(self._prod[i]) if m & one_bit)
+
     def inverses(self, a):
         """All b with 1 in a*b, in carrier order."""
-        one_bit = 1 << self.index(self.one)
-        row = self._prod[self.index(a)]
-        return tuple(b for j, b in enumerate(self.elements) if row[j] & one_bit)
+        return tuple(map(self.elements.__getitem__, self.inverse_indices(self.index(a))))
 
     def inverse(self, a):
         """Least inverse of a in carrier order, or None."""
@@ -222,6 +225,16 @@ class Structure:
 
 
 # -- folds and boxes ---------------------------------------------------------------
+
+
+def _bits(mask):
+    """The carrier indices in a mask, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
 
 
 def _setwise(table, m1, m2):
@@ -326,15 +339,14 @@ class Box:
         return n
 
     def choices(self, cap):
-        """Every choice of one element per position, as element tuples in carrier order."""
+        """Every choice of one element per position, as index tuples in carrier order."""
         if self.size > cap:
             raise BlowupError(f"{self.kind} box of {self.size} members exceeds cap {cap}")
-        return itertools.product(*map(self.base.canon_of, self.masks))
+        return itertools.product(*map(_bits, self.masks))
 
-    def __contains__(self, elements):
-        idx = self.base._idx
-        return len(elements) == len(self.masks) and \
-            all(m >> idx[e] & 1 for m, e in zip(self.masks, elements))
+    def __contains__(self, indices):
+        return len(indices) == len(self.masks) and \
+            all(m >> i & 1 for m, i in zip(self.masks, indices))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -363,10 +375,18 @@ def box_sums(S, tuples):
         for y, by in boxes:
             box = bx.add(by)
             got = seen.get(box.masks)
-            if got is None:  # the cap is never hit: S^n has k^n members
-                got = seen[box.masks] = frozenset(box.choices(len(S) ** len(x)))
+            if got is None:
+                got = seen[box.masks] = _box_elements(box)
             table[(x, y)] = got
     return table
+
+
+def _box_elements(box):
+    """The members of a box as a frozenset of element tuples, for tuple carriers."""
+    els = box.base.elements
+    # the cap is never hit: S^n has k^n members
+    return frozenset(tuple(map(els.__getitem__, c))
+                     for c in box.choices(len(els) ** len(box.masks)))
 
 
 # -- built-in structures ---------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from .axioms import (AxiomReport, FAIL, PASS, _Collector, _View, _add_group,
                      _report, _scan_action, is_full)
 from .errors import MvlaError, StructureError
-from .structures import Box, box_sums, msum
+from .structures import Box, _box_elements, box_sums, msum
 
 DEFAULT_BUNDLE_BOUND = 2
 
@@ -90,7 +90,7 @@ def _componentwise_space(F, length, name):
     vneg = {v: tuple(F.neg(a) for a in v) for v in vectors}
     idx = F._idx
     boxes = {v: Box(F, [1 << idx[a] for a in v]) for v in vectors}
-    action = {(lam, v): frozenset(boxes[v].scale(lam).choices(len(vectors)))
+    action = {(lam, v): _box_elements(boxes[v].scale(lam))
               for lam in F.elements for v in vectors}
     return VectorSpace(name, F, vectors, (F.zero,) * length, vsum, vneg, action)
 

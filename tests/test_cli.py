@@ -307,3 +307,39 @@ def test_axiom_verb_reports_are_pinned(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     code = run_cli(*command.split())
     assert f"exit={code}\n" + capsys.readouterr().out == _AXIOM_PINNED[command]
+
+
+# System and matrix files for the linsys verbs.  diag.sys carries comments and
+# a blank line; none.sys has no weak solution, so a budget below its 9
+# candidate vectors leaves the solver inconclusive.
+_LINSYS_FILES = {
+    "solved.sys": "2 3\n0 1 2\n0 2 0\nrhs {2}\nrhs {1}\n",
+    "weak.sys": "3 3\n1 2 1\n2 2 2\n2 0 1\nrhs {2}\nrhs {0}\nrhs {1}\n",
+    "none.sys": "2 2\n2 0\n2 0\nrhs {0}\nrhs {1 2}\n",
+    "fallback.sys": "3 3\n0 2 0\n0 1 2\n0 0 0\nrhs {2}\nrhs {0}\nrhs {0}\n",
+    "diag.sys": "# a diagonal system over F3\n2 2\n\n2 0  # first row\n0 2\nrhs {1}\nrhs {2}\n",
+    "k12.txt": "1 2\n1 1\n",
+    "k23.txt": "2 3\n4 3 2\n3 1 2\n",
+    "k35.txt": "3 5\n1 2 2 1 2\n1 1 1 1 2\n0 2 0 2 0\n",
+}
+
+_LINSYS_PINNED = _pinned_reports("linsys_verb_reports.txt")
+
+
+# The verbs built on polys, matrices and linsys: exit code and whole stdout.
+@pytest.mark.parametrize("command", sorted(_LINSYS_PINNED))
+def test_linsys_verb_reports_are_pinned(tmp_path, monkeypatch, capsys, command):
+    for name, text in _LINSYS_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(*command.split())
+    assert f"exit={code}\n" + capsys.readouterr().out == _LINSYS_PINNED[command]
+
+
+def test_bad_budget_variable_is_an_error_line(monkeypatch, capsys):
+    monkeypatch.setenv("MVLA_BUDGET", "abc")
+    assert run_cli("verify", "builtin:K", "--kind", "hyperfield") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MVLA_BUDGET" in err
+    monkeypatch.setenv("MVLA_BUDGET", "5")
+    assert run_cli("verify", "builtin:K", "--kind", "hyperfield") == 0

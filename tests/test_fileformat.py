@@ -112,6 +112,16 @@ def test_system_parsing(H3):
         parse_system("1 1\n1\n", H3)
 
 
+def test_system_errors_carry_the_file_line_numbers(H3):
+    text = "# a system\n2 2\n\n1 2\n0 9\nrhs {1}\nrhs {0}\n"
+    with pytest.raises(ParseError, match="unknown element token") as err:
+        parse_system(text, H3)
+    assert err.value.line == 5
+    with pytest.raises(ParseError, match="expected 4 entries") as err:
+        parse_system("# a system\n2 2\n\n1 2 0\nrhs {1}\nrhs {0}\n", H3)
+    assert err.value.line == 4
+
+
 def test_poly_text(H3):
     f = poly_from_text("1,0,2", H3)
     assert f == Poly(H3, (1, 0, 2))

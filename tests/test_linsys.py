@@ -26,6 +26,16 @@ def test_zero_vector_solution_criterion(H3):
     assert not is_weak_solution(without, z)
 
 
+def test_right_hand_side_is_one_mask_per_row(H3):
+    A = Matrix.from_rows(H3, [(1, 2), (0, 1)])
+    sys_ = LinearSystem.of(A, [{2, 0}, [1, 1]])
+    assert sys_.masks == (0b101, 0b010)
+    assert sys_.B == (frozenset({0, 2}), frozenset({1}))
+    for bad in ([{0}], [{0}, set()], [{0}, {3}]):
+        with pytest.raises(StructureError):
+            LinearSystem.of(A, bad)
+
+
 def test_triangular_recipe_gives_weak_solutions(H3):
     # upper triangular [[a, b], [0, c]] with y0 from c^-1 D2 and
     # x0 from a^-1 D1 - b y0

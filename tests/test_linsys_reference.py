@@ -1,0 +1,486 @@
+"""The index-level solver against a token-level reference, and a count of token helpers.
+
+The reference below is the solver written on element tokens: the scaling
+rewrite, back substitution, the weak solver and the constructive kernels,
+with every set handled through mask_of/set_of/canon_of and every product,
+negation and inverse asked of the structure element by element.  The library
+runs the same algorithms on carrier indices and masks; both must give the
+same scaled systems, candidates and outcomes, in the same order.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mvla import (BlowupError, LinearSystem, Matrix, Structure, builtin, det,
+                  find_nontrivial_kernel, is_linearly_closed, scale_system,
+                  solve_weak, structure_is)
+from mvla.linsys import TypeIError, constructive_kernel, iter_back_substitution
+
+
+# -- the token-level reference ------------------------------------------------------
+
+
+def ref_upper_triangular(S, rows):
+    return all(rows[i][j] == S.zero for i in range(len(rows)) for j in range(min(i, len(rows[0]))))
+
+
+def ref_values(S, rows, d):
+    """The rowwise value sets of A*d, folded element by element."""
+    out = []
+    for row in rows:
+        acc = None
+        for a, x in zip(row, d):
+            t = S.prod_set(a, x)
+            acc = t if acc is None else \
+                frozenset(z for u in acc for v in t for z in S.sum_set(u, v))
+        out.append(acc)
+    return out
+
+
+def ref_classify(S, rows, B, d):
+    vals = ref_values(S, rows, d)
+    if not all(v & b for v, b in zip(vals, B)):
+        return None
+    return "solution" if all(v <= b for v, b in zip(vals, B)) else "weak"
+
+
+def ref_scale_system(S, rows, B, branch_cap=4096):
+    """Scaled systems as (entries, B) pairs, in order."""
+    m, n = len(rows), len(rows[0])
+    if ref_upper_triangular(S, rows):
+        return [(tuple(itertools.chain(*rows)), tuple(B))]
+    states = [(tuple(map(tuple, rows)), tuple(B), 0)]
+    for c in range(n):
+        new_states = []
+        for rows, B, r in states:
+            pivot_row = next((k for k in range(r, m) if rows[k][c] != S.zero), None) \
+                if r < m else None
+            if pivot_row is None:
+                new_states.append((rows, B, r))
+                continue
+            rows = list(rows)
+            B = list(B)
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            B[r], B[pivot_row] = B[pivot_row], B[r]
+            lam = S.inverse(rows[r][c])
+            lam_mask = 1 << S.index(lam)
+            pivot_choices = []
+            for j in range(n):
+                choice = S.canon_of(S.mul_masks(lam_mask, 1 << S.index(rows[r][j])))
+                pivot_choices.append((S.one,) if j == c else choice)
+            Br = S.set_of(S.mul_masks(lam_mask, S.mask_of(B[r])))
+            for pivot_sel in itertools.product(*pivot_choices):
+                sub_rows = [list(map(list, rows))]
+                sub_B = [list(B)]
+                sub_rows[0][r] = list(pivot_sel)
+                sub_B[0][r] = Br
+                frontier = list(zip(sub_rows, sub_B))
+                for k in range(r + 1, m):
+                    if rows[k][c] == S.zero:
+                        continue
+                    mu_mask = 1 << S.index(S.neg(rows[k][c]))
+                    next_frontier = []
+                    for rws, bb in frontier:
+                        choices = []
+                        for j in range(n):
+                            if j == c:
+                                choices.append((S.zero,))
+                                continue
+                            scaled = S.mul_masks(mu_mask, 1 << S.index(rws[r][j]))
+                            summed = S.add_masks(1 << S.index(rws[k][j]), scaled)
+                            choices.append(S.canon_of(summed))
+                        new_bk = S.set_of(S.add_masks(
+                            S.mask_of(bb[k]), S.mul_masks(mu_mask, S.mask_of(bb[r]))))
+                        for sel in itertools.product(*choices):
+                            rws2 = [list(row) for row in rws]
+                            rws2[k] = list(sel)
+                            bb2 = list(bb)
+                            bb2[k] = new_bk
+                            next_frontier.append((rws2, bb2))
+                            if len(next_frontier) + len(new_states) > branch_cap:
+                                raise BlowupError("scaling branch cap exceeded")
+                    frontier = next_frontier
+                for rws, bb in frontier:
+                    new_states.append((tuple(map(tuple, rws)), tuple(bb), r + 1))
+                    if len(new_states) > branch_cap:
+                        raise BlowupError("scaling branch cap exceeded")
+        states = new_states
+    out, seen = [], set()
+    for rows, B, _ in states:
+        key = (rows, tuple(S.canon(s) for s in B))
+        if ref_upper_triangular(S, rows) and key not in seen:
+            seen.add(key)
+            out.append((tuple(itertools.chain(*rows)), B))
+    return out
+
+
+def ref_back_substitution(S, rows, B, node_cap=10 ** 5):
+    """Candidate vectors of a scaled system, as entry tuples in order."""
+    n = len(rows[0])
+    pivots = [next((j for j, e in enumerate(row) if e != S.zero), None) for row in rows]
+    for i, p in enumerate(pivots):
+        if p is None and S.zero not in B[i]:
+            raise TypeIError(f"row {i} reads 0 within a set missing 0")
+    live = [i for i, p in enumerate(pivots) if p is not None]
+    nodes = 0
+
+    def value_set(i, assigned):
+        p = pivots[i]
+        inv_bit = 1 << S.index(S.inverse(rows[i][p]))
+        terms = [S.mul_masks(inv_bit, S.mask_of(B[i]))]
+        for j in range(p + 1, n):
+            a = rows[i][j]
+            if a == S.zero:
+                continue
+            t = S.prod_of((inv_bit, 1 << S.index(a), 1 << S.index(assigned[j])))
+            terms.append(S.neg_mask(t))
+        return S.canon_of(S.sum_of(terms))
+
+    def rec(idx, assigned):
+        nonlocal nodes
+        if idx < 0:
+            d = tuple(assigned[j] for j in range(n))
+            if ref_classify(S, rows, B, d) is not None:
+                yield d
+            return
+        i = live[idx]
+        for x in value_set(i, assigned):
+            nodes += 1
+            if nodes > node_cap:
+                raise BlowupError("back substitution exceeded its node cap")
+            assigned[pivots[i]] = x
+            yield from rec(idx - 1, assigned)
+        assigned[pivots[i]] = S.zero
+
+    yield from rec(len(live) - 1, {j: S.zero for j in range(n)})
+
+
+def ref_solve_weak(S, rows, B, scan_cap=10 ** 6):
+    """(status, vector entries, strength, note), as SolveOutcome reports them."""
+    n = len(rows[0])
+    try:
+        branches = ref_scale_system(S, rows, B)
+    except BlowupError:
+        branches = ()
+    for entries, sB in branches:
+        srows = [entries[i * n:(i + 1) * n] for i in range(len(rows))]
+        try:
+            for d in ref_back_substitution(S, srows, sB):
+                strength = ref_classify(S, rows, B, d)
+                if strength is not None:
+                    return "solved", d, strength, ""
+        except (TypeIError, BlowupError):
+            continue
+    if len(S) ** n > scan_cap:
+        return "inconclusive", None, None, f"scan of {len(S) ** n} vectors exceeds cap"
+    for d in itertools.product(S.elements, repeat=n):
+        strength = ref_classify(S, rows, B, d)
+        if strength is not None:
+            return "solved", d, strength, "exhaustive fallback"
+    return "no-solution", None, None, "exhausted all candidate vectors"
+
+
+def _single(S, x):
+    (v,) = x
+    return v
+
+
+def _row_sum_mask(S, coeffs, d):
+    return S.sum_of(S.prod_mask(a, x) for a, x in zip(coeffs, d))
+
+
+def _case1(S, row, m):
+    for j, a in enumerate(row):
+        if a == S.zero:
+            return [S.one if i == j else S.zero for i in range(m)]
+    inv = S.inverse(row[0])
+    x1 = S.neg(_single(S, S.prod_set(inv, row[1])))
+    return [x1, S.one] + [S.zero] * (m - 2)
+
+
+def _case1_masks(S, masks):
+    m = len(masks)
+    zero = 1 << S.index(S.zero)
+    for j, cs in enumerate(masks):
+        if cs & zero:
+            return [S.one if i == j else S.zero for i in range(m)]
+    s2, s3 = (S.canon_of(cs)[0] for cs in masks[:2])
+    d2 = S.neg(_single(S, S.prod_set(S.inverse(s2), s3)))
+    return [d2, S.one] + [S.zero] * (m - 2)
+
+
+def _normalize_row(S, row):
+    inv = S.inverse(row[0])
+    return [_single(S, S.prod_set(inv, a)) for a in row]
+
+
+def _case2(S, rows, m):
+    a, b = rows
+    for j in range(m):
+        if a[j] == S.zero and b[j] == S.zero:
+            return [S.one if i == j else S.zero for i in range(m)]
+    zero_pos = next(((r, j) for r, row in enumerate(rows) for j in range(m)
+                     if row[j] == S.zero), None)
+    if zero_pos is not None:
+        r, p = zero_pos
+        zero_row, other = rows[r], rows[1 - r]
+        rest_cols = [j for j in range(m) if j != p]
+        sub = _case1(S, [zero_row[j] for j in rest_cols], m - 1)
+        d = [S.zero] * m
+        for j, v in zip(rest_cols, sub):
+            d[j] = v
+        pick = S.canon_of(_row_sum_mask(S, [other[j] for j in rest_cols], sub))[0]
+        d[p] = S.neg(_single(S, S.prod_set(S.inverse(other[p]), pick)))
+        return d
+    lam = next((l for l in S.elements if l != S.zero and
+                all(_single(S, S.prod_set(l, a[j])) == b[j] for j in range(m))), None)
+    if lam is not None:
+        return _case1(S, a, m)
+    an = _normalize_row(S, a)
+    bn = _normalize_row(S, b)
+    tail = _case1_masks(S, [S.sum_mask(bn[j], S.neg(an[j])) for j in range(1, m)])
+    meet = _row_sum_mask(S, an[1:], tail) & _row_sum_mask(S, bn[1:], tail)
+    if not meet:
+        return None
+    return [S.neg(S.canon_of(meet)[0])] + tail
+
+
+def _case3(S, rows, m):
+    for j in range(m):
+        if all(row[j] == S.zero for row in rows):
+            return [S.one if i == j else S.zero for i in range(m)]
+    front = next((j for j in range(m) if all(row[j] != S.zero for row in rows)), None)
+    if front is None or m < 4:
+        return None
+    cols = [front] + [j for j in range(m) if j != front][:3]
+    sub = [[row[j] for j in cols] for row in rows]
+    a, b, c = (_normalize_row(S, row) for row in sub)
+    D = [S.sum_mask(b[j], S.neg(a[j])) for j in range(1, 4)]
+    E = [S.sum_mask(c[j], S.neg(a[j])) for j in range(1, 4)]
+    zero = 1 << S.index(S.zero)
+    if any(s & zero for s in D + E):
+        return None
+    add, mul = S.add_masks, S.mul_masks
+    G = [add(mul(D[0], E[j]), S.neg_mask(mul(E[0], D[j]))) for j in (1, 2)]
+    d3, d4 = _case1_masks(S, G)
+    b3, b4 = 1 << S.index(d3), 1 << S.index(d4)
+    meet = (add(mul(D[0], mul(E[1], b3)), mul(D[0], mul(E[2], b4)))
+            & add(mul(E[0], mul(D[1], b3)), mul(E[0], mul(D[2], b4))))
+    if not meet:
+        return None
+    neg_z = S.index(S.neg(S.canon_of(meet)[0]))
+    sum_d = add(mul(D[1], b3), mul(D[2], b4))
+    cand = [x for x in S.canon_of(S.neg_mask(sum_d))
+            if mul(E[0], 1 << S.index(x)) >> neg_z & 1]
+    if not cand:
+        return None
+    d2 = cand[0]
+    meet2 = _row_sum_mask(S, a[1:], [d2, d3, d4]) & _row_sum_mask(S, b[1:], [d2, d3, d4])
+    if not meet2:
+        return None
+    w = S.canon_of(meet2)[0]
+    d = [S.zero] * m
+    for pos, val in zip(cols, [S.neg(w), d2, d3, d4]):
+        d[pos] = val
+    return d
+
+
+def ref_kernel_ok(S, rows, d):
+    return any(e != S.zero for e in d) and \
+        all(S.zero in v for v in ref_values(S, rows, d))
+
+
+def ref_constructive_kernel(S, rows):
+    """The constructive kernel vector as entries, or None."""
+    if not structure_is(S, "multifield"):
+        return None
+    case = {1: _case1, 2: _case2, 3: _case3}.get(len(rows))
+    if case is None:
+        return None
+    d = case(S, rows if len(rows) > 1 else rows[0], len(rows[0]))
+    return tuple(d) if d is not None and ref_kernel_ok(S, rows, d) else None
+
+
+def ref_find_kernel(S, rows):
+    """(status, vector entries, note), as find_nontrivial_kernel reports them."""
+    got = ref_constructive_kernel(S, rows)
+    if got is not None:
+        return "solved", got, "constructive"
+    for d in itertools.product(S.elements, repeat=len(rows[0])):
+        if ref_kernel_ok(S, rows, d):
+            return "solved", d, "exhaustive"
+    return "no-solution", None, ""
+
+
+# -- comparisons ---------------------------------------------------------------------
+
+
+def _drain(gen):
+    """The items of a generator and the name of the exception that ended it, if any."""
+    out = []
+    try:
+        for item in gen:
+            out.append(item)
+    except (TypeIError, BlowupError) as exc:
+        return out, type(exc).__name__
+    return out, None
+
+
+def check_system(S, rows, B):
+    sys_ = LinearSystem.of(Matrix.from_rows(S, rows), B)
+    try:
+        want = ref_scale_system(S, rows, B)
+    except BlowupError:
+        with pytest.raises(BlowupError):
+            scale_system(sys_)
+        want = []
+    else:
+        got = scale_system(sys_)
+        assert [(s.A.entries, s.B) for s in got] == want, (rows, B)
+        n = len(rows[0])
+        for scaled, (entries, sB) in zip(got, want):
+            srows = [entries[i * n:(i + 1) * n] for i in range(len(rows))]
+            cands, stop = _drain(iter_back_substitution(scaled))
+            assert ([d.entries for d in cands], stop) == \
+                _drain(ref_back_substitution(S, srows, sB)), (rows, B, entries, sB)
+    out = solve_weak(sys_)
+    v = out.verdict
+    assert (out.status, v and v.vector.entries, v and v.strength, out.note) == \
+        ref_solve_weak(S, rows, B), (rows, B)
+
+
+def check_kernel(S, rows):
+    """Both kernel routes, on a matrix with more columns than rows."""
+    A = Matrix.from_rows(S, rows)
+    got = constructive_kernel(A)
+    assert (got and got.entries) == ref_constructive_kernel(S, rows), rows
+    out = find_nontrivial_kernel(A)
+    assert (out.status, out.verdict and out.verdict.vector.entries, out.note) == \
+        ref_find_kernel(S, rows), rows
+
+
+BASES = {"K": ("K",), "Q2": ("Q2",), "H2": ("Hp", 2), "H3": ("Hp", 3), "F3": ("Fp", 3),
+         "H5": ("Hp", 5)}
+SHAPES = ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 3))
+KERNEL_SHAPES = ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5))
+
+
+@pytest.fixture(scope="module")
+def bases():
+    return {name: builtin(*args) for name, args in BASES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_solver_matches_token_reference_on_builtins(bases, name):
+    S = bases[name]
+    rng = random.Random(f"solve:{name}")
+    for rows, cols in SHAPES:
+        for _ in range(25):
+            A = [[rng.choice(S.elements) for _ in range(cols)] for _ in range(rows)]
+            B = [frozenset(rng.sample(S.elements, rng.randint(1, 2))) for _ in range(rows)]
+            check_system(S, A, B)
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_kernels_match_token_reference_on_builtins(bases, name):
+    S = bases[name]
+    rng = random.Random(f"kernel:{name}")
+    for rows, cols in KERNEL_SHAPES:
+        for _ in range(25):
+            check_kernel(S, [[rng.choice(S.elements) for _ in range(cols)] for _ in range(rows)])
+
+
+def test_small_bases_match_on_every_2x2_system(bases):
+    for name in ("K", "H2"):
+        S = bases[name]
+        subsets = [frozenset(c) for r in (1, 2) for c in itertools.combinations(S.elements, r)]
+        for entries in itertools.product(S.elements, repeat=4):
+            for B in itertools.product(subsets, repeat=2):
+                check_system(S, [entries[:2], entries[2:]], list(B))
+
+
+@st.composite
+def systems(draw):
+    S = builtin(*BASES[draw(st.sampled_from(sorted(BASES)))])
+    rows, cols = draw(st.sampled_from(SHAPES + ((3, 4),)))
+    A = [[draw(st.sampled_from(S.elements)) for _ in range(cols)] for _ in range(rows)]
+    B = [frozenset(draw(st.sets(st.sampled_from(S.elements), min_size=1, max_size=len(S))))
+         for _ in range(rows)]
+    return S, A, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=systems())
+def test_solver_and_kernels_match_on_drawn_systems(case):
+    S, A, B = case
+    check_system(S, A, B)
+    if len(A[0]) > len(A):
+        check_kernel(S, A)
+
+
+# -- token helpers stay off the hot paths ------------------------------------------------
+
+TOKEN_HELPERS = ("index", "mask_of", "set_of", "canon", "canon_of", "inverse", "inverses",
+                 "neg", "neg_set", "sum_set", "prod_set", "sum_mask", "prod_mask")
+
+
+@pytest.fixture
+def token_calls(monkeypatch):
+    """Counts of calls to each token helper of Structure while the fixture is live."""
+    calls = dict.fromkeys(TOKEN_HELPERS, 0)
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in TOKEN_HELPERS:
+        monkeypatch.setattr(Structure, name, counting(name, getattr(Structure, name)))
+    return calls
+
+
+def test_hot_paths_make_no_token_conversions(bases, token_calls):
+    H3, H5, Q2 = bases["H3"], bases["H5"], bases["Q2"]
+    rng = random.Random(11)
+    systems, matrices = [], []
+    for S in (H3, H5, Q2):
+        for rows, cols in ((2, 2), (2, 3), (3, 3)):
+            for _ in range(10):
+                A = Matrix.from_rows(S, [[rng.choice(S.elements) for _ in range(cols)]
+                                         for _ in range(rows)])
+                systems.append(LinearSystem.of(
+                    A, [rng.sample(S.elements, rng.randint(1, 2)) for _ in range(rows)]))
+        for rows, cols in ((1, 3), (2, 3), (3, 4), (3, 5)):
+            for _ in range(10):
+                matrices.append(Matrix.from_rows(S, [[rng.choice(S.elements) for _ in range(cols)]
+                                                     for _ in range(rows)]))
+        for kind in ("superfield", "multifield"):
+            structure_is(S, kind)
+    squares = [Matrix.from_rows(H3, [[rng.choice(H3.elements) for _ in range(3)]
+                                     for _ in range(3)]) for _ in range(10)]
+    for k in token_calls:
+        token_calls[k] = 0
+
+    outcomes = [solve_weak(s) for s in systems]
+    for s in systems:
+        try:
+            branches = scale_system(s)
+        except BlowupError:
+            continue
+        for scaled in branches:
+            _drain(iter_back_substitution(scaled))
+    kernels = [find_nontrivial_kernel(A) for A in matrices]
+    assert is_linearly_closed(H3, 1, 3).passed
+    assert {k: v for k, v in token_calls.items() if v} == {}
+    # every route ran: scaled and exhaustive solutions, proofs of none, both kernel routes
+    assert {o.note for o in outcomes} == {"", "exhaustive fallback",
+                                          "exhausted all candidate vectors"}
+    assert {o.note for o in kernels} == {"constructive", "exhaustive"}
+
+    for A in squares:
+        det(A)
+    assert {k: v for k, v in token_calls.items() if v} == {"set_of": len(squares)}

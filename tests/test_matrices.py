@@ -5,8 +5,8 @@ import pytest
 
 from mvla import (BlowupError, ElementaryOp, LinearSystem, Matrix, MatrixSet,
                   StructureError, all_matrices, apply_elementary, det, elementary,
-                  find_inverse, is_inverse_pair, madd, mmul, mneg, mprod, mscale,
-                  verify_multigroup)
+                  builtin, find_inverse, is_inverse_pair, madd, mmul, mneg, mprod,
+                  mscale, verify_multigroup)
 from conftest import det_mod, mat_mul_mod
 
 
@@ -16,6 +16,18 @@ def x2_triple(X2):
     B = Matrix.from_rows(X2, [(-1, 1), (0, -1)])
     C = Matrix.from_rows(X2, [(2, 0), (-1, 2)])
     return A, B, C
+
+
+def test_entries_are_carrier_indices_read_back_as_elements(Q2):
+    M = Matrix.from_rows(Q2, [(1, -1), (0, 1)])  # carrier -1, 0, 1
+    assert M.indices == (2, 0, 1, 2) and M.entries == (1, -1, 0, 1)
+    assert M.entry(0, 1) == -1 and M.row(1) == (0, 1)
+    assert Matrix.from_indices(Q2, 2, 2, (2, 0, 1, 2)) == M
+    other = Matrix.from_rows(builtin("Q2"), [(1, -1), (0, 1)])
+    # equal entries over equal but distinct bases: unequal, with one hash
+    assert M != other and hash(M) == hash(other)
+    with pytest.raises(StructureError):
+        Matrix.from_rows(Q2, [(1, 2)])
 
 
 def test_worked_sum_box(X2, x2_triple):

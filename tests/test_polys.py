@@ -25,6 +25,18 @@ def test_canonical_form(K):
         Poly(K, (7,))
 
 
+def test_coefficients_are_carrier_indices_read_back_as_elements():
+    S, T = builtin("Xn", 1), builtin("Xn", 1)  # carrier -1, 0, 1
+    f = Poly(S, (-1, 1, 0))
+    assert f.indices == (0, 2) and f.coeffs == (-1, 1) and f.coeff(3) == 0
+    assert Poly.from_indices(S, (0, 2, 1, 1)) == f  # index 1 is the zero
+    g = Poly(T, (-1, 1))
+    # equal coefficients over equal but distinct bases: unequal, with one hash
+    assert f != g and hash(f) == hash(g)
+    with pytest.raises(StructureError):
+        Poly(S, (-1, 2))
+
+
 def test_padd_examples(K, Q2):
     f = Poly(K, (1, 1))
     zero = Poly.zero(K)
