@@ -803,17 +803,9 @@ def recheck_witness(S, axiom, witness):
     """
     from .structures import msum_sets
 
-    def usum(xs, c, left=True):
-        out = frozenset()
-        for x in xs:
-            out |= S.sum_set(x, c) if left else S.sum_set(c, x)
-        return out
-
-    def uprod(xs, c, left=True):
-        out = frozenset()
-        for x in xs:
-            out |= S.prod_set(x, c) if left else S.prod_set(c, x)
-        return out
+    def union_over(op, xs, c, left=True):
+        """The union of op(x, c), or of op(c, x) when not left, over x in xs."""
+        return frozenset().union(*(op(x, c) if left else op(c, x) for x in xs))
 
     if axiom in ("M1", "M1-mult"):
         op = S.sum_set if axiom == "M1" else S.prod_set
@@ -825,22 +817,15 @@ def recheck_witness(S, axiom, witness):
     if axiom == "M2":
         (a,) = witness
         return S.sum_set(a, S.zero) != frozenset([a])
-    if axiom == "M4":
+    if axiom in ("M4", "M4-mult", "comm-prod"):
+        op = S.sum_set if axiom == "M4" else S.prod_set
         a, b = witness
-        return S.sum_set(a, b) != S.sum_set(b, a)
-    if axiom == "M3":
+        return op(a, b) != op(b, a)
+    if axiom in ("M3", "M3-mult"):
+        op = S.sum_set if axiom == "M3" else S.prod_set
         a, b, c = witness
-        left = usum(S.sum_set(a, b), c)
-        right = frozenset().union(*(S.sum_set(a, y) for y in S.sum_set(b, c)))
-        return not left <= right
-    if axiom == "M4-mult":
-        a, b = witness
-        return S.prod_set(a, b) != S.prod_set(b, a)
-    if axiom == "M3-mult":
-        a, b, c = witness
-        left = uprod(S.prod_set(a, b), c)
-        right = frozenset().union(*(S.prod_set(a, y) for y in S.prod_set(b, c)))
-        return not left <= right
+        left = union_over(op, op(a, b), c)
+        return not left <= union_over(op, op(b, c), a, left=False)
     if axiom == "unit-mult":
         (a,) = witness
         return a not in S.prod_set(S.one, a)
@@ -850,14 +835,10 @@ def recheck_witness(S, axiom, witness):
     if axiom == "unit-prod":
         (a,) = witness
         return S.prod_set(a, S.one) != frozenset([a])
-    if axiom == "comm-prod":
-        a, b = witness
-        return S.prod_set(a, b) != S.prod_set(b, a)
     if axiom == "assoc-prod":
         a, b, c = witness
-        left = uprod(S.prod_set(a, b), c)
-        right = frozenset().union(*(S.prod_set(a, y) for y in S.prod_set(b, c)))
-        return left != right
+        left = union_over(S.prod_set, S.prod_set(a, b), c)
+        return left != union_over(S.prod_set, S.prod_set(b, c), a, left=False)
     if axiom == "absorb":
         (a,) = witness
         zero = frozenset([S.zero])
@@ -867,7 +848,7 @@ def recheck_witness(S, axiom, witness):
             c, a, b = witness
         else:
             a, b, c = witness
-        left = uprod(S.sum_set(a, b), c, left=(axiom == "weak-dist-right"))
+        left = union_over(S.prod_set, S.sum_set(a, b), c, left=(axiom == "weak-dist-right"))
         if axiom == "weak-dist":
             right = msum_sets(S, [S.prod_set(c, a), S.prod_set(c, b)])
         else:
@@ -875,7 +856,7 @@ def recheck_witness(S, axiom, witness):
         return not left <= right
     if axiom == "hyper-dist":
         a, b, c = witness
-        left = uprod(S.sum_set(b, c), a, left=False)
+        left = union_over(S.prod_set, S.sum_set(b, c), a, left=False)
         right = msum_sets(S, [S.prod_set(a, b), S.prod_set(a, c)])
         return left != right
     if axiom == "signs":

@@ -29,6 +29,7 @@ from .vspaces import fn_space, matrix_space, poly_space, verify_vspace
 _BUILTIN = re.compile(r"^builtin:(K|Q2|Trop|H([0-9]+)|X([0-9]+)|F([0-9]+))$")
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE = 0, 1, 2
+_STATUS_EXIT = {SOLVED: EXIT_PASS, NO_SOLUTION: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 
 def load_structure(ref):
@@ -201,8 +202,7 @@ def cmd_solve(args):
         r.add("strength", out.verdict.strength)
     if out.note:
         r.add("note", out.note)
-    code = {SOLVED: EXIT_PASS, NO_SOLUTION: EXIT_FAIL,
-            INCONCLUSIVE: EXIT_INCONCLUSIVE}[out.status]
+    code = _STATUS_EXIT[out.status]
     return r.finish(f"solver status: {out.status}", code)
 
 
@@ -217,8 +217,7 @@ def cmd_kernel(args):
         r.add("vector", _fmt_matrix(out.verdict.vector))
     if out.note:
         r.add("note", out.note)
-    code = {SOLVED: EXIT_PASS, NO_SOLUTION: EXIT_FAIL,
-            INCONCLUSIVE: EXIT_INCONCLUSIVE}[out.status]
+    code = _STATUS_EXIT[out.status]
     return r.finish(f"kernel status: {out.status}", code)
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .axioms import MorphismSpec, check_morphism, structure_is, verify_axioms
 from .errors import CongruenceError, StructureError
-from .polys import (Poly, PolySet, _in_box_plus, _nonzero, _remainders, all_polys,
-                    evaluate, is_irreducible, pmul)
+from .polys import (Poly, PolySet, _in_box_plus, _irreducible, _nonzero, _remainders,
+                    all_polys, evaluate, pmul)
 from .structures import Structure, box_sums
 
 
@@ -85,9 +85,14 @@ def make_quotient_superfield(F, p, verify=True):
     witness (the faithfulness of representative arithmetic to coset
     arithmetic is exactly what that check probes).
     """
+    return _quotient(F, p, verify, {})
+
+
+def _quotient(F, p, verify, slices):
+    """make_quotient_superfield, scanning p over a search's slice table."""
     if not structure_is(F, "superfield"):
         raise StructureError(f"{F.name} is not a superfield")
-    verdict = is_irreducible(p)
+    verdict = _irreducible(p, slices)
     if not verdict:
         raise StructureError(f"{p!r} is reducible (witness {verdict.witness!r})")
     m = p.degree
@@ -124,7 +129,11 @@ def make_quotient_superfield(F, p, verify=True):
 
 def quotient_pair(F, p, verify=True):
     """(quotient, extension pair, generator): the constant embedding and X-bar."""
-    K = make_quotient_superfield(F, p, verify=verify)
+    return _quotient_pair(F, p, verify, {})
+
+
+def _quotient_pair(F, p, verify, slices):
+    K = _quotient(F, p, verify, slices)
     m = p.degree
     mapping = {a: (a,) + (F.zero,) * (m - 1) for a in F.elements}
     pair = ExtensionPair.of(F, K, mapping)
@@ -137,8 +146,9 @@ def quotient_pair(F, p, verify=True):
 
 def find_irreducible(F, degree):
     """First irreducible polynomial of the given degree, in canonical order."""
+    slices = {}
     for f in all_polys(F, degree):
-        if f.degree == degree and is_irreducible(f):
+        if f.degree == degree and _irreducible(f, slices):
             return f
     return None
 
@@ -149,16 +159,17 @@ def find_quotient_superfield(F, degree):
     Representative arithmetic is not guaranteed to match coset arithmetic for
     every irreducible p (the construction may acquire zero divisors); this
     scan keeps going until the axiom check passes and reports the rejected
-    candidates alongside the construction.
+    candidates alongside the construction.  All its scans share one slice table.
 
     Returns (quotient, pair, gamma, p, rejected) or None.
     """
     rejected = []
+    slices = {}
     for p in all_polys(F, degree):
-        if p.degree != degree or not is_irreducible(p):
+        if p.degree != degree or not _irreducible(p, slices):
             continue
         try:
-            K, pair, gamma = quotient_pair(F, p)
+            K, pair, gamma = _quotient_pair(F, p, True, slices)
         except CongruenceError:
             rejected.append(p)
             continue
@@ -199,7 +210,6 @@ def eval_closure(gamma, pair, family="all", g=None, bound=None):
                     grown = grown | evaluate(f, gamma, K, via=emb)
         if d > 0 and grown == seen:
             saturated = True
-            seen = grown
             break
         seen = grown
     return seen, saturated

@@ -464,9 +464,9 @@ def constructive_kernel(A):
     callers verify the result and fall back to exhaustive search.
     """
     S = A.base
-    if not structure_is(S, "multifield"):
-        return None
     n, m = A.rows, A.cols
+    if m <= n or not structure_is(S, "multifield"):
+        return None
     rows = [A.indices[i * m:(i + 1) * m] for i in range(n)]
     if n == 1:
         d = _case1(S, [1 << x for x in rows[0]])

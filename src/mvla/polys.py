@@ -10,6 +10,7 @@ stored as coefficient boxes (one mask per position) and materialized on demand.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .axioms import MorphismSpec, check_morphism, structure_is
 from .errors import BlowupError, MvlaError, StructureError
@@ -451,18 +452,28 @@ def is_effective_root(f, alpha, bound=None):
 # -- irreducibility ------------------------------------------------------------------
 
 
-class _MaskSums(dict):
-    """(x, y) -> carrier indices in the mask sum x + y, filled on first use."""
+def _maximal(boxes, shifts):
+    """The boxes of a set inside no other box of it.  Packed into ints (position j shifted
+    by shifts[j]), each meets only the strictly larger kept boxes: none over a field."""
+    packed = {sum(map(operator.lshift, b, shifts)): b for b in boxes}
+    kept = []
+    for _, same in itertools.groupby(sorted(packed, key=int.bit_count, reverse=True),
+                                     int.bit_count):
+        kept += [p for p in same if not any(p | q == q for q in kept)]
+    return {packed[p] for p in kept}
 
-    __slots__ = ("base",)
 
-    def __init__(self, base):
-        super().__init__()
-        self.base = base
-
-    def __missing__(self, key):
-        got = self[key] = _bits(self.base.add_masks(*key))
-        return got
+def _members_bits(boxes, k):
+    """The members of a set of boxes as one bitset: index tuple p is bit sum(p[j] * k**j)."""
+    got = 0
+    for masks in boxes:
+        bits = 1
+        step = 1
+        for m in masks:
+            bits = sum(bits << i * step for i in _bits(m))
+            step *= k
+        got |= bits
+    return got
 
 
 def _ideal_members_bounded(u, deg_cap, h_deg, max_terms):
@@ -472,75 +483,58 @@ def _ideal_members_bounded(u, deg_cap, h_deg, max_terms):
     restricted afterwards to degree <= deg_cap.  The bound makes the decision
     procedure incomplete in principle; callers report it with their verdicts.
 
-    The kernel works on element indices.  A polynomial is a tuple of carrier
-    indices of one fixed length, padded with the index of zero, so equal
-    polynomials are equal tuples; the padding is exact because 0 + 0 = {0}.
-    A box is a tuple of per-position masks.  The slice is returned as index
-    tuples of length deg_cap + 1.
+    The kernel works on boxes of one width, tuples of per-position masks padded
+    with {0} (exact, as 0 + 0 = {0}).  Each round keeps only the boxes inside no
+    other (an antichain); members are never expanded.  The slice is returned as
+    a bitset over the index tuples of length deg_cap + 1 (see _members_bits).
     """
     S = u.base
     k = len(S)
-    z = S._idx[S.zero]
+    zbit = 1 << S._idx[S.zero]
     uc = u.indices
     n = len(uc)
     width = max(h_deg + n, deg_cap + 1)
 
     # the boxes h*u, each position folded exactly as pmul folds it
     prod = S._prod
-    zbit = 1 << z
+    add = S.add_masks
     boxes = {(zbit,) * width}  # h = 0
-    nonzero = _nonzero(S)
-    for d in range(h_deg + 1):
-        pad = (zbit,) * (width - d - n)
-        for low in itertools.product(range(k), repeat=d):
-            for top in nonzero:
-                h = low + (top,)
-                box = []
-                for j in range(d + n):
-                    m = None
-                    for i in range(max(0, j - n + 1), min(j, d) + 1):
-                        t = prod[h[i]][uc[j - i]]
-                        m = t if m is None else S.add_masks(m, t)
-                    box.append(m)
-                boxes.add(tuple(box) + pad)
+    for g in all_polys(S, h_deg, include_zero=False):
+        h = g.indices
+        d = g.degree
+        box = []
+        for j in range(d + n):
+            m = None
+            for i in range(max(0, j - n + 1), min(j, d) + 1):
+                t = prod[h[i]][uc[j - i]]
+                m = t if m is None else add(m, t)
+            box.append(m)
+        boxes.add(tuple(box) + (zbit,) * (width - d - n))
 
-    # Semi-naive closure over B, the union of the boxes: the layers obey
-    # L(t+1) = L(t) + B, so T(t+1) = T(t) | (delta(t) + B) with delta(1) = B.
-    # A box plus a box is the box of the per-position mask sums, so the first
-    # round adds the boxes pairwise and later rounds add each new member as a
-    # box of single bits.
-    plus = _MaskSums(S)
-    tiers = set()
-    for box in boxes:
-        tiers.update(itertools.product(*map(_bits, box)))
+    # Semi-naive closure over antichains: L(t+1) = L(t) + B, and a box plus a
+    # box is the box of the per-position mask sums.  These are monotone, so a
+    # box inside another adds nothing; only a round's new maximal boxes meet B.
+    shifts = range(0, k * width, k)  # k bits per position
+    boxes = _maximal(boxes, shifts)
+    known = boxes
     frontier = boxes
-    for _ in range(max_terms - 2):
-        new = set()
-        for d in frontier:
-            for b in boxes:
-                new.update(itertools.product(*map(plus.__getitem__, zip(d, b))))
-        delta = new - tiers
-        tiers |= delta
-        frontier = {tuple(1 << a for a in p) for p in delta}
+    for _ in range(max_terms - 1):
+        sums = S.add_mask_tuples(frontier, boxes)
+        grown = _maximal(known | sums, shifts)
+        frontier = grown - known
+        known = grown
 
+    # the cut keeps the heads of the boxes whose tails can be all zero
     cut = deg_cap + 1
-    tail = (z,) * (width - cut)
-    got = {p[:cut] for p in tiers if p[cut:] == tail}
-    if max_terms > 1:
-        # Last round: a member of d + b survives the cut only when every tail
-        # sum d[j] + b[j] (j >= cut) can give 0, and is then cut to its head.
-        # So each head box meets each usable box once.
-        usable, by_head = {}, {}
-        for d in frontier:
-            rest = d[cut:]
-            if rest not in usable:
-                usable[rest] = {b for b in boxes
-                                if all(z in s for s in map(plus.__getitem__, zip(rest, b[cut:])))}
-            by_head.setdefault(d[:cut], set()).update(usable[rest])
-        for head, picks in by_head.items():
-            for b in picks:
-                got.update(itertools.product(*map(plus.__getitem__, zip(head, b))))
-    return frozenset(got)
+    heads = {b[:cut] for b in known if all(m & zbit for m in b[cut:])}
+    return _members_bits(heads, k)
+
+
+def _slice(slices, u, cap, max_terms):
+    """The slice of u at degree cap, built once per slice table."""
+    if u.indices not in slices:
+        slices[u.indices] = _ideal_members_bounded(u, cap, cap, max_terms)
+    return slices[u.indices]
 
 
 class IrreducibilityVerdict:
@@ -569,6 +563,11 @@ def is_irreducible(f, max_terms=3):
     <= deg f.  Constants are units in a superfield and generate everything,
     so they are excluded from the scan.
     """
+    return _irreducible(f, {}, max_terms)
+
+
+def _irreducible(f, slices, max_terms=3):
+    """is_irreducible over a table u.indices -> slice of u at deg f shared by a search."""
     S = f.base
     if not structure_is(S, "superfield"):
         raise StructureError(f"{S.name} is not a superfield")
@@ -576,11 +575,12 @@ def is_irreducible(f, max_terms=3):
         raise StructureError("irreducibility needs deg f >= 1")
     cap = f.degree
     note = f"bounded: <= {max_terms} terms, deg h <= {cap}"
-    own = _ideal_members_bounded(f, cap, cap, max_terms)
-    for u in all_polys(S, f.degree):
+    bit = _members_bits([[1 << i for i in f.indices]], len(S))
+    own = _slice(slices, f, cap, max_terms)
+    for u in all_polys(S, cap):
         if u.is_zero or u.degree < 1 or u == f:
             continue
-        through_u = _ideal_members_bounded(u, cap, cap, max_terms)
-        if f.indices in through_u and through_u != own:
+        through_u = _slice(slices, u, cap, max_terms)
+        if through_u & bit and through_u != own:
             return IrreducibilityVerdict(False, u, note)
     return IrreducibilityVerdict(True, None, note)

@@ -83,8 +83,8 @@ class Structure:
         self._neg = tuple(neg_idx)
         self._sum = build(sum_table, "sum")
         self._prod = build(prod_table, "prod")
-        self._add_cache = {}
-        self._mul_cache = {}
+        self._add_cache = _Setwise(self._sum)
+        self._mul_cache = _Setwise(self._prod)
         self._kind_cache = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -141,17 +141,16 @@ class Structure:
 
     def add_masks(self, m1, m2):
         """Setwise sum of two subsets, as masks."""
-        res = self._add_cache.get((m1, m2))
-        if res is None:
-            res = self._add_cache[(m1, m2)] = _setwise(self._sum, m1, m2)
-        return res
+        return self._add_cache[m1, m2]
+
+    def add_mask_tuples(self, ds, bs):
+        """Every positionwise setwise sum d + b of a mask tuple d in ds and b in bs."""
+        plus = self._add_cache.__getitem__
+        return {tuple(map(plus, zip(d, b))) for d in ds for b in bs}
 
     def mul_masks(self, m1, m2):
         """Setwise product of two subsets, as masks."""
-        res = self._mul_cache.get((m1, m2))
-        if res is None:
-            res = self._mul_cache[(m1, m2)] = _setwise(self._prod, m1, m2)
-        return res
+        return self._mul_cache[m1, m2]
 
     def sum_of(self, masks):
         """Left fold of the setwise sum over masks; the empty fold gives {0}."""
@@ -237,15 +236,25 @@ def _bits(mask):
     return tuple(out)
 
 
-def _setwise(table, m1, m2):
-    """Union of table[i][j] over the bits i of m1 and j of m2."""
-    res = 0
-    for i, row in enumerate(table):
-        if m1 >> i & 1:
-            for j, m in enumerate(row):
-                if m2 >> j & 1:
-                    res |= m
-    return res
+class _Setwise(dict):
+    """(m1, m2) -> union of table[i][j] over the bits i of m1, j of m2, on first use."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, key):
+        m1, m2 = key
+        res = 0
+        for i, row in enumerate(self.table):
+            if m1 >> i & 1:
+                for j, m in enumerate(row):
+                    if m2 >> j & 1:
+                        res |= m
+        self[key] = res
+        return res
 
 
 def _fold(combine, unit, masks):

@@ -257,14 +257,14 @@ def is_linearly_independent(V, vs, bundle_bound=DEFAULT_BUNDLE_BOUND):
         return True, None
     F = V.scalars
     bundles = _bundles(F, bundle_bound)
-    for combo in itertools.product(bundles, repeat=len(vs)):
-        effective = [msum(F, bundle) for bundle in combo]
-        if all(F.zero in c for c in effective):
+    effective = [msum(F, bundle) for bundle in bundles]
+    terms = [[V.act_scalar_set(c, v) for c in effective] for v in vs]  # [j][i]: bundle i, vs[j]
+    for combo in itertools.product(range(len(bundles)), repeat=len(vs)):
+        if all(F.zero in effective[i] for i in combo):
             continue  # cannot witness dependence either way
-        total = V.vsum_fold(
-            [V.act_scalar_set(c, v) for c, v in zip(effective, vs)])
+        total = V.vsum_fold([row[i] for row, i in zip(terms, combo)])
         if V.vzero in total:
-            return False, tuple(zip(vs, combo))
+            return False, tuple(zip(vs, (bundles[i] for i in combo)))
     return True, None
 
 

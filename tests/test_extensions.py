@@ -4,11 +4,11 @@ from math import comb
 
 import pytest
 
-from mvla import (CongruenceError, ExtensionPair, Matrix, Poly, StructureError,
+from mvla import (CongruenceError, ExtensionPair, Matrix, Poly, StructureError, builtin,
                   certify_algebraic_extension, classify_extension, eval_closure,
                   is_almost_full, make_quotient_superfield, minimal_polynomial,
                   mprod_sets, msum_sets, quotient_pair, verify_axioms)
-from mvla.extensions import generation_degree
+from mvla.extensions import find_irreducible, find_quotient_superfield, generation_degree
 from mvla.linsys import homogeneous, row_value_sets
 from mvla.polys import pmul
 
@@ -52,6 +52,28 @@ def test_quotient_product_reuses_each_division_box(H3, monkeypatch):
     K = make_quotient_superfield(H3, Poly(H3, (1, 0, 2)))
     assert len(calls) == len(set(calls)) == 47
     assert len(K.elements) == 9
+
+
+@pytest.mark.parametrize("name,param,degree,slices",
+                         [("Hp", 3, 2, 24), ("Fp", 3, 2, 24), ("Fp", 2, 3, 14)])
+def test_quotient_search_builds_each_slice_once(monkeypatch, name, param, degree, slices):
+    # one slice per nonconstant u of degree <= deg p, shared by every candidate's
+    # scan and by the scan inside each quotient construction
+    import mvla.polys as polys
+    built = []
+    kernel = polys._ideal_members_bounded
+
+    def counting(u, *bounds):
+        built.append(u.indices)
+        return kernel(u, *bounds)
+
+    monkeypatch.setattr(polys, "_ideal_members_bounded", counting)
+    F = builtin(name, param)
+    assert find_quotient_superfield(F, degree) is not None
+    assert len(built) == len(set(built)) == slices
+    built.clear()
+    assert find_irreducible(F, degree) is not None
+    assert len(built) == len(set(built))
 
 
 def test_quotient_requires_irreducible(H3):

@@ -8,7 +8,8 @@ from mvla import (ElementaryOp, LinearSystem, Matrix, StructureError,
                   find_nontrivial_kernel, homogeneous, is_linearly_closed,
                   is_solution, is_weak_solution, scale_system, solve_weak,
                   verify_axioms)
-from mvla.linsys import NO_SOLUTION, SOLVED, classify_candidate, row_value_sets
+from mvla.linsys import (NO_SOLUTION, SOLVED, classify_candidate, constructive_kernel,
+                         row_value_sets)
 from mvla.structures import Structure
 from conftest import nullspace_vector_mod, solvable_mod
 
@@ -176,6 +177,13 @@ def test_kernel_of_repeated_entry_row(H3, H5):
 def test_kernel_shapes_guard(H3):
     with pytest.raises(StructureError):
         find_nontrivial_kernel(Matrix.identity(H3, 2))
+
+
+def test_constructive_kernel_declines_matrices_that_are_not_wide(F3, H3):
+    # its documented answer when a precondition fails is None, not an exception
+    for S in (F3, H3):
+        for rows in ([[1]], [[1], [2]], [[1, 2], [2, 1]], [[1, 1], [2, 0], [0, 1]]):
+            assert constructive_kernel(Matrix.from_rows(S, rows)) is None
 
 
 def test_kernel_exhaustive_agreement_h3(H3):

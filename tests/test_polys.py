@@ -7,8 +7,9 @@ from mvla import (NEG_INF, Poly, PolySet, Structure, StructureError, builtin,
                   divmod_holds, evaluate, is_effective_root, is_irreducible,
                   is_root, padd, padd_sets, pdeg_laws_check, pdivmod, pmul,
                   pmul_fold)
-from mvla.polys import (_ideal_members_bounded, all_polys, deg_sum_min_counterexamples,
-                        psum_members)
+from mvla.polys import (_ideal_members_bounded, _maximal, _nonzero, all_polys,
+                        deg_sum_min_counterexamples, psum_members)
+from mvla.structures import _bits
 from conftest import poly_divmod_mod, poly_eval_mod
 
 
@@ -321,6 +322,22 @@ def test_poly_ops_commute(name, data):
 # -- the ideal-slice kernel against the layer loop it replaced ---------------------
 
 
+def decoded(bits, k, width):
+    """A slice bitset as index tuples: bit sum(p[j] * k**j) stands for p."""
+    out = set()
+    for x in _bits(bits):
+        p = []
+        for _ in range(width):
+            x, r = divmod(x, k)
+            p.append(r)
+        out.add(tuple(p))
+    return frozenset(out)
+
+
+def kernel_slice(u, deg_cap, h_deg, max_terms=3):
+    return decoded(_ideal_members_bounded(u, deg_cap, h_deg, max_terms), len(u.base), deg_cap + 1)
+
+
 def reference_slice(u, deg_cap, h_deg, max_terms=3):
     """The bounded ideal slice by the plain layer loop over Poly boxes.
 
@@ -373,8 +390,7 @@ def _nonconstant(S, degree):
 def test_slice_kernel_matches_layer_loop(diff_bases, reference_slices, name, degree, h_deg):
     S = diff_bases[name]
     for u in _nonconstant(S, degree):
-        assert (_ideal_members_bounded(u, degree, h_deg, 3)
-                == reference_slices(u, degree, h_deg)), u
+        assert kernel_slice(u, degree, h_deg, 3) == reference_slices(u, degree, h_deg), u
 
 
 @pytest.mark.parametrize("name,degree", [("F2", 2), ("F2", 3), ("F2", 4), ("F3", 2),
@@ -423,5 +439,125 @@ def test_slice_kernel_on_random_structures(terms, S, data):
     deg_cap = data.draw(st.sampled_from((2, 3, 1, 0)))
     h_deg = data.draw(st.sampled_from((2, 1, 0)))
     max_terms = data.draw(st.sampled_from(terms))
-    assert (_ideal_members_bounded(u, deg_cap, h_deg, max_terms)
+    assert (kernel_slice(u, deg_cap, h_deg, max_terms)
             == reference_slice(u, deg_cap, h_deg, max_terms))
+
+
+# -- the antichain kernel against the semi-naive member kernel it replaced ----------
+
+
+def semi_naive_slice(u, deg_cap, h_deg, max_terms):
+    """The member-level semi-naive kernel that the antichain kernel replaced.
+
+    The same boxes h*u; then every member of them, and each round adds each
+    new member (as a box of single bits) to every box.  Returns index tuples
+    of length deg_cap + 1.
+    """
+    S = u.base
+    k = len(S)
+    z = S._idx[S.zero]
+    uc = u.indices
+    n = len(uc)
+    width = max(h_deg + n, deg_cap + 1)
+    prod = S._prod
+    zbit = 1 << z
+    boxes = {(zbit,) * width}
+    for d in range(h_deg + 1):
+        pad = (zbit,) * (width - d - n)
+        for low in itertools.product(range(k), repeat=d):
+            for top in _nonzero(S):
+                h = low + (top,)
+                box = []
+                for j in range(d + n):
+                    m = None
+                    for i in range(max(0, j - n + 1), min(j, d) + 1):
+                        t = prod[h[i]][uc[j - i]]
+                        m = t if m is None else S.add_masks(m, t)
+                    box.append(m)
+                boxes.add(tuple(box) + pad)
+
+    def plus(pair):
+        return _bits(S.add_masks(*pair))
+
+    tiers = set()
+    for box in boxes:
+        tiers.update(itertools.product(*map(_bits, box)))
+    frontier = boxes
+    for _ in range(max_terms - 2):
+        new = set()
+        for d in frontier:
+            for b in boxes:
+                new.update(itertools.product(*map(plus, zip(d, b))))
+        delta = new - tiers
+        tiers |= delta
+        frontier = {tuple(1 << a for a in p) for p in delta}
+    cut = deg_cap + 1
+    tail = (z,) * (width - cut)
+    got = {p[:cut] for p in tiers if p[cut:] == tail}
+    if max_terms > 1:
+        usable, by_head = {}, {}
+        for d in frontier:
+            rest = d[cut:]
+            if rest not in usable:
+                usable[rest] = {b for b in boxes
+                                if all(z in s for s in map(plus, zip(rest, b[cut:])))}
+            by_head.setdefault(d[:cut], set()).update(usable[rest])
+        for head, picks in by_head.items():
+            for b in picks:
+                got.update(itertools.product(*map(plus, zip(head, b))))
+    return frozenset(got)
+
+
+def semi_naive_verdict(f, slices):
+    """(irreducible, witness) of is_irreducible's scan over semi-naive slices."""
+    cap = f.degree
+    for key in [f] + [u for u in _nonconstant(f.base, cap) if u != f]:
+        if key not in slices:
+            slices[key] = semi_naive_slice(key, cap, cap, 3)
+        if key != f and f.indices in slices[key] and slices[key] != slices[f]:
+            return False, key
+    return True, None
+
+
+# every nonconstant u of degree <= 2 at deg h = 2, and F2 at degrees 3 and 4
+@pytest.mark.parametrize("name,degree", [(n, 2) for n in DIFF_BASES] + [("F2", 3), ("F2", 4)])
+def test_antichain_kernel_matches_semi_naive_kernel(diff_bases, name, degree):
+    S = diff_bases[name]
+    slices = {}
+    for u in _nonconstant(S, degree):
+        slices[u] = semi_naive_slice(u, degree, degree, 3)
+        assert kernel_slice(u, degree, degree) == slices[u], u
+    for f in _nonconstant(S, degree):
+        if f.degree == degree:
+            got = is_irreducible(f)
+            assert (got.irreducible, got.witness) == semi_naive_verdict(f, slices), f
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=small_structures(), data=st.data())
+def test_antichain_kernel_on_random_structures(S, data):
+    degree = data.draw(st.sampled_from((2, 1, 0)))
+    low = [data.draw(st.sampled_from(S.elements)) for _ in range(degree)]
+    u = Poly(S, low + [data.draw(st.sampled_from(S.elements[1:]))])
+    deg_cap = data.draw(st.sampled_from((2, 3, 1, 0)))
+    h_deg = data.draw(st.sampled_from((2, 1, 0)))
+    for max_terms in (1, 2, 3, 4):
+        assert (kernel_slice(u, deg_cap, h_deg, max_terms)
+                == semi_naive_slice(u, deg_cap, h_deg, max_terms)), max_terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.data())
+def test_maximal_keeps_exactly_the_boxes_inside_no_other(k, width, data):
+    mask = st.integers(1, (1 << k) - 1)
+    boxes = data.draw(st.sets(st.tuples(*[mask] * width), max_size=30))
+    inside = {b for b in boxes for a in boxes
+              if a != b and all(x & y == x for x, y in zip(b, a))}
+    assert _maximal(boxes, range(0, k * width, k)) == boxes - inside
+
+
+def test_h5_quadratic_is_irreducible(H5):
+    # 1+2X^2 over H5: the member kernel needed over a minute for this scan
+    got = is_irreducible(Poly(H5, (1, 0, 2)))
+    assert (got.irreducible, got.witness) == (True, None)
+    assert got.note == "bounded: <= 3 terms, deg h <= 2"

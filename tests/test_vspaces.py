@@ -287,6 +287,31 @@ def test_quotient_basis_pair_is_independent(h3_quotient):
     assert is_linearly_independent(V, [one, gamma])[0]
 
 
+def reference_independence(V, vs, bundle_bound=2):
+    """is_linearly_independent as it was: each combination folds its bundles anew."""
+    from mvla.structures import msum
+    from mvla.vspaces import _bundles
+    F = V.scalars
+    for combo in itertools.product(_bundles(F, bundle_bound), repeat=len(vs)):
+        effective = [msum(F, bundle) for bundle in combo]
+        if all(F.zero in c for c in effective):
+            continue
+        total = V.vsum_fold([V.act_scalar_set(c, v) for c, v in zip(effective, vs)])
+        if V.vzero in total:
+            return False, tuple(zip(vs, combo))
+    return True, None
+
+
+def test_independence_matches_the_per_combination_fold(H3, Q2, F3, h3_quotient):
+    spaces = [fn_space(S, 2) for S in (H3, Q2, F3)] + [extension_space(h3_quotient[1])]
+    for V in spaces:
+        vectors = sorted(V.vectors, key=repr)
+        for r in (1, 2, 3):
+            for vs in itertools.combinations(vectors, r):
+                assert (is_linearly_independent(V, vs, 2)
+                        == reference_independence(V, vs, 2)), vs
+
+
 def test_find_basis_examples(V9):
     assert find_basis(V9, [(1, 0), (0, 1)]) == ((1, 0), (0, 1))
     assert find_basis(V9, [(1, 0), (1, 0), (0, 1)]) == ((1, 0), (0, 1))

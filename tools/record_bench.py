@@ -1,0 +1,164 @@
+"""Record a checkout's benchmark rows into one BENCH_<pr>.json file.
+
+    python3 tools/record_bench.py --pr N [--root DIR]
+
+`--root` is the source checkout to measure (default: the one holding this
+script), so the same recorder can measure an older checkout of the project.
+The file is written to `<root>/BENCH_<N>.json`. Everything runs from that
+checkout's own files:
+
+- the three `perfbench/run.py` workloads, untraced (end-to-end metrics) and
+  traced (per-layer metrics), REPEATS runs each at SEED;
+- the tier-1 test suite (`python -m pytest -q --continue-on-collection-errors`
+  with `src` on the path), timed as one wall time per run, TIER1_REPEATS runs;
+- the slow CLI verbs, each run REPEATS times in a fresh interpreter.
+
+Each row holds the machine, the Python version, a layer, a name, the median
+over the runs, its unit, the number of runs and the work units behind it.
+Work units are deterministic counts, so two recordings can tell a speedup
+from noise: the queries a workload ran, a layer's counters from the traced
+run, the tests that passed, a verb's exit code and a digest of its output.
+`work_stable` says whether every run gave the same work units.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+WORKLOADS = ("extension", "vspace", "linsys")
+REPEATS = 3
+TIER1_REPEATS = 1
+SEED = 1
+
+# The slow CLI verbs: (row name, argv after `mvla`).
+VERBS = (
+    ("irreducible H3 1+2X^2", ["irreducible", "--structure", "builtin:H3", "--poly", "1,0,2"]),
+    ("quotient H3 1+2X^2", ["quotient", "builtin:H3", "--poly", "1,0,2"]),
+    ("closed H3 n<=2 m<=3", ["closed", "--structure", "builtin:H3", "--max-n", "2",
+                             "--max-m", "3"]),
+    ("vspace H3^4", ["vspace", "--structure", "builtin:H3", "--space", "fn", "--n", "4"]),
+    ("verify H7 superfield", ["verify", "builtin:H7", "--kind", "superfield"]),
+)
+
+
+def machine():
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return f"{cpu}; {os.cpu_count()} cores; {platform.system()} {platform.machine()}"
+
+
+def _env(root):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src") + (os.pathsep + env["PYTHONPATH"]
+                                             if env.get("PYTHONPATH") else "")
+    return env
+
+
+def _timed(cmd, root):
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True, text=True)
+    return time.perf_counter() - t0, proc
+
+
+def _row(layer, name, values, unit, works):
+    return {"layer": layer, "name": name, "median": statistics.median(values), "unit": unit,
+            "repeats": len(values), "work": works[0],
+            "work_stable": all(w == works[0] for w in works)}
+
+
+def workload_rows(root, workload, seed, repeats, traced):
+    runs = []
+    for _ in range(repeats):
+        _, proc = _timed([sys.executable, str(root / "perfbench" / "run.py"), "--workload",
+                          workload, "--seed", str(seed), "--trace", str(int(traced))], root)
+        lines = proc.stdout.strip().splitlines()
+        if not lines or not lines[-1].startswith("{"):
+            raise RuntimeError(f"{workload} (trace {int(traced)}) printed no result; "
+                               f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}")
+        runs.append(json.loads(lines[-1]))
+    names = runs[0]["metrics"]
+    rows = []
+    for name, spec in names.items():
+        values = [r["metrics"][name]["value"] for r in runs]
+        if traced:
+            layer = name.split(".", 1)[0]
+            counts = [{k: v["value"] for k, v in r["metrics"].items()
+                       if k.startswith(layer + ".") and v["unit"] == "count"} for r in runs]
+        else:
+            layer = "end_to_end"
+            counts = [{"queries": r["attempted"], "failed": r["failed"],
+                       "correct": r["correct"]} for r in runs]
+        rows.append(_row(layer, f"{workload}.{name}", values, spec["unit"], counts))
+    return rows
+
+
+def tier1_row(root, repeats):
+    times, works = [], []
+    for _ in range(repeats):
+        dt, proc = _timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"], root)
+        tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+        times.append(dt)
+        works.append({k: int(n) for n, k in re.findall(r"(\d+) (passed|failed|xfailed|error)",
+                                                       tail)})
+    return _row("tests", "tier-1 wall time", times, "s", works)
+
+
+def verb_rows(root, repeats):
+    rows = []
+    for name, argv in VERBS:
+        code = f"import sys; from mvla.cli import main; sys.exit(main({argv!r}))"
+        times, works = [], []
+        for _ in range(repeats):
+            dt, proc = _timed([sys.executable, "-c", code], root)
+            times.append(dt)
+            works.append({"exit": proc.returncode,
+                          "stdout_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest()[:16],
+                          "stdout_lines": len(proc.stdout.splitlines())})
+        rows.append(_row("verb", f"mvla {name}", times, "s", works))
+    return rows
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    args = ap.parse_args(argv)
+    root = args.root.resolve()
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
+                            capture_output=True, text=True).stdout.strip() or None
+    rows = []
+    for workload in WORKLOADS:
+        for traced in (False, True):
+            print(f"workload {workload} trace={int(traced)}", file=sys.stderr, flush=True)
+            rows += workload_rows(root, workload, SEED, REPEATS, traced)
+    print("tier-1", file=sys.stderr, flush=True)
+    rows.append(tier1_row(root, TIER1_REPEATS))
+    print("cli verbs", file=sys.stderr, flush=True)
+    rows += verb_rows(root, REPEATS)
+    head = {"machine": machine(), "python": platform.python_version()}
+    doc = {"pr": args.pr, "commit": commit, "seed": SEED, **head,
+           "rows": [{**head, **row} for row in rows]}
+    out = root / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(rows)} rows written to {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
