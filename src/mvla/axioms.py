@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import and_, invert, or_
 
 from .errors import StructureError, WindowRequired
-from .structures import Structure, TropicalStructure, _bits
+from .structures import Structure, TropicalStructure, _Setwise, _bits
 
 PASS = "pass"
 FAIL = "fail"
@@ -182,6 +182,27 @@ def _union_over(tab, member_mask, other, left_side):
     return mask, exact
 
 
+def _sum_of_masks(view, m1, m2):
+    """Union of sum[x][y] over members x of m1 and y of m2."""
+    mask, exact = 0, True
+    tab = view.sum
+    while m1:
+        low = m1 & -m1
+        m1 ^= low
+        row = tab[low.bit_length() - 1]
+        mm2 = m2
+        while mm2:
+            low = mm2 & -mm2
+            mm2 ^= low
+            cell = row[low.bit_length() - 1]
+            if cell is None:
+                exact = False
+            else:
+                mask |= cell[0]
+                exact = exact and cell[1]
+    return mask, exact
+
+
 def _containment(L, R):
     if L is None or R is None:
         return "skip"
@@ -222,22 +243,50 @@ def _neg_mask(view, mask):
     return out
 
 
+def _encode(tab, inex):
+    """A table's cells as ints: the carrier mask, plus inex when the cell is
+    inexact; a None cell is inex alone, so a union of cells is a plain OR."""
+    return [[inex if cell is None else cell[0] if cell[1] else cell[0] | inex
+             for cell in row] for row in tab]
+
+
+def _decode(cell, inex):
+    return cell & ~inex, cell < inex
+
+
+def _row_passes(exact, left, right, law):
+    """Every instance law(left[c], right[c]) of a row of encoded cells passes,
+    given whether every left cell is exact."""
+    if not exact:
+        return False
+    if law is _equality:
+        return left == right
+    return not any(map(and_, left, map(invert, right)))
+
+
+def _record_row(col, law, left, right, inex, axiom, instances):
+    """Record a row instance by instance; True once the collector is done."""
+    for l, r, instance in zip(left, right, instances):
+        col.record(law(_decode(l, inex), _decode(r, inex)), axiom, instance)
+        if col.done:
+            return True
+    return False
+
+
 def _scan_assoc(view, col, tab, axiom, law):
     """law((a.b).c, a.(b.c)), unionwise, for every triple, one row (a, b) at a time.
 
-    A cell is encoded as one int: its carrier mask, plus the bit inex = 1 << k
-    when it is inexact; a None cell is inex alone.  A union of cells is then a
-    plain OR.  For each distinct a.b cell the left row L[c], the union of x.c
-    over x in a.b, is built once by ORing whole table rows; equal unions share
-    one int.  The right unions, of a.y over y in a cell, are tabulated per
-    distinct cell for the current a only.  A row (a, b) whose k instances all
-    pass is counted at once; any other row is recorded instance by instance, so
-    witnesses, counts and the early exit are those of a per-triple scan.
+    Cells are encoded as by _encode.  For each distinct a.b cell the left row
+    L[c], the union of x.c over x in a.b, is built once by ORing whole table
+    rows; equal unions share one int.  The right unions, of a.y over y in a
+    cell, are tabulated per distinct cell for the current a only.  A row (a, b)
+    whose k instances all pass is counted at once; any other row is recorded
+    instance by instance, so witnesses, counts and the early exit are those of
+    a per-triple scan.
     """
     els, k = view.elements, view.k
     inex = 1 << k
-    enc = [[inex if cell is None else cell[0] if cell[1] else cell[0] | inex
-            for cell in row] for row in tab]
+    enc = _encode(tab, inex)
     members = {cell: _bits(cell & (inex - 1))
                for cell in set(itertools.chain.from_iterable(enc))}
     interned = {}
@@ -256,16 +305,11 @@ def _scan_assoc(view, col, tab, axiom, law):
                 lefts[ab] = left, max(left) < inex
             left, exact = lefts[ab]
             rights = list(map(right.__getitem__, enc[j]))
-            if exact and (left == rights if law is _equality
-                          else not any(map(and_, left, map(invert, rights)))):
+            if _row_passes(exact, left, rights, law):
                 col.checked += k
-                continue
-            for c in range(k):
-                l, r = left[c], rights[c]
-                verdict = law((l & ~inex, l < inex), (r & ~inex, r < inex))
-                col.record(verdict, axiom, (els[i], els[j], els[c]))
-                if col.done:
-                    return
+            elif _record_row(col, law, left, rights, inex, axiom,
+                             ((els[i], els[j], c) for c in els)):
+                return
 
 
 # -- individual axiom scans -------------------------------------------------
@@ -304,29 +348,9 @@ def _scan_multigroup(view, col, opname, unit_i, use_inversion):
             return
 
     if use_inversion:
-        neg = view.neg
-        for i in range(k):
-            for j in range(k):
-                cell = tab[i][j]
-                if cell is None:
-                    col.record("skip", "M1" + suffix, (els[i], els[j]))
-                    continue
-                verdict, bad_c = "pass", None
-                mm = cell[0]
-                while mm and verdict != "fail":
-                    low = mm & -mm
-                    mm ^= low
-                    c = low.bit_length() - 1
-                    v1 = _membership(i, tab[c][neg[j]])
-                    v2 = _membership(j, tab[neg[i]][c])
-                    if "fail" in (v1, v2):
-                        verdict, bad_c = "fail", els[c]
-                    elif "skip" in (v1, v2):
-                        verdict = "skip"
-                instance = (els[i], els[j]) if bad_c is None else (els[i], els[j], bad_c)
-                col.record(verdict, "M1" + suffix, instance)
-                if col.done:
-                    return
+        _scan_m1(view, col, tab, "M1" + suffix)
+        if col.done:
+            return
 
     # M4 commutativity
     for i in range(k):
@@ -337,6 +361,67 @@ def _scan_multigroup(view, col, opname, unit_i, use_inversion):
 
     # M3 weak associativity: (a.b).c subset of a.(b.c), unionwise
     _scan_assoc(view, col, tab, "M3" + suffix, _containment)
+
+
+def _holders(cells, k):
+    """T[a]: the mask of the positions c whose cell (None reads as empty) holds a."""
+    T = [0] * k
+    for c, cell in enumerate(cells):
+        if cell is not None:
+            m, bit = cell[0], 1 << c
+            while m:
+                low = m & -m
+                m ^= low
+                T[low.bit_length() - 1] |= bit
+    return T
+
+
+def _scan_m1(view, col, tab, axiom):
+    """M1, reversibility: for every c in a.b, a in c.(-b) and b in (-a).c.
+
+    Each half is tested for a whole pair at once.  For each b, R[a], the mask
+    of the c with a in c.(-b), comes from the column -b alone; the pairs (a, b)
+    whose cell lies within R[a] are marked.  Then for each a, L[b], the mask of
+    the c with b in (-a).c, comes from the row -a alone, and a marked pair whose
+    cell lies within L[b] passes whole and is counted at once.  Any other pair
+    goes through the per-c loop, so witnesses, counts and the early exit are
+    those of a per-member scan.  Exactness plays no part: a member of an
+    inexact cell is a member.  No k x k table and no member list is built.
+    """
+    els, k, neg = view.elements, view.k, view.neg
+    marked = [0] * k  # bit b of marked[a]: every c in a.b has a in c.(-b)
+    for j in range(k):
+        R = _holders([row[neg[j]] for row in tab], k)
+        for i, row in enumerate(tab):
+            if row[j] is not None and not row[j][0] & ~R[i]:
+                marked[i] |= 1 << j
+    for i in range(k):
+        L = _holders(tab[neg[i]], k)
+        row, marks = tab[i], marked[i]
+        for j in range(k):
+            if marks >> j & 1 and not row[j][0] & ~L[j]:
+                col.checked += 1
+                continue
+            cell = row[j]
+            if cell is None:
+                col.record("skip", axiom, (els[i], els[j]))
+                continue
+            verdict, bad_c = "pass", None
+            mm = cell[0]
+            while mm and verdict != "fail":
+                low = mm & -mm
+                mm ^= low
+                c = low.bit_length() - 1
+                v1 = _membership(i, tab[c][neg[j]])
+                v2 = _membership(j, tab[neg[i]][c])
+                if "fail" in (v1, v2):
+                    verdict, bad_c = "fail", els[c]
+                elif "skip" in (v1, v2):
+                    verdict = "skip"
+            instance = (els[i], els[j]) if bad_c is None else (els[i], els[j], bad_c)
+            col.record(verdict, axiom, instance)
+            if col.done:
+                return
 
 
 def _scan_monoid(view, col):
@@ -380,85 +465,94 @@ def _scan_absorb(view, col):
             return
 
 
-def _scan_weak_dist(view, col):
-    """c(a+b) within ca+cb, both sides, unionwise."""
-    els = view.elements
+class _CellSums(_Setwise):
+    """_Setwise over a table of encoded cells: the sum of two encoded cells,
+    inexact also when either cell is (a None cell reads as the empty inexact cell)."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        e1, e2 = key
+        res = self[key] = _Setwise.__missing__(self, key) | (e1 | e2) & 1 << len(self.table)
+        return res
+
+
+def _dist_tables(view):
+    """The encoded tables of the distributivity scans.
+
+    Returns (sums, prods, prod_cols, times, plus): the encoded sum and product
+    tables, the product's columns, times[s] = (c.s over c, s.c over c) for each
+    distinct encoded sum cell s, and plus, the setwise sums of encoded cells.
+    c.s is the OR of the product columns, s.c the OR of the product rows, over
+    the members of s, with the inexact bit of s carried along.
+    """
     k = view.k
-    sum_tab, prod_tab = view.sum, view.prod
+    inex = 1 << k
+    sums, prods = _encode(view.sum, inex), _encode(view.prod, inex)
+    prod_cols = [list(c) for c in zip(*prods)]
+    times = {}
+    for s in set(itertools.chain.from_iterable(sums)):
+        left = right = [s & inex] * k
+        for x in _bits(s & (inex - 1)):
+            left = list(map(or_, left, prod_cols[x]))
+            right = list(map(or_, right, prods[x]))
+        times[s] = left, right
+    return sums, prods, prod_cols, times, _CellSums(sums)
+
+
+def _scan_weak_dist(view, col):
+    """c(a+b) within ca+cb and (a+b)c within ac+bc, unionwise, one row (a, b) at a time.
+
+    The left rows over c come from times[a+b], the right ones from the setwise
+    sums of the product's columns a, b and of its rows a, b.  A row whose 2k
+    instances all pass is counted at once; any other row is recorded instance
+    by instance, c(a+b) before (a+b)c for each c.  A sum a+b that escapes the
+    window leaves both sides unknown: 2k skips.
+    """
+    els, k = view.elements, view.k
+    inex = 1 << k
+    sums, prods, prod_cols, times, plus = _dist_tables(view)
     for a in range(k):
         for b in range(k):
-            ab = sum_tab[a][b]
+            left, left2 = times[sums[a][b]]
+            right = list(map(plus.__getitem__, zip(prod_cols[a], prod_cols[b])))
+            right2 = list(map(plus.__getitem__, zip(prods[a], prods[b])))
+            if (_row_passes(max(left) < inex, left, right, _containment)
+                    and _row_passes(max(left2) < inex, left2, right2, _containment)):
+                col.checked += 2 * k
+                continue
             for c in range(k):
-                if ab is None:
-                    col.record("skip", "weak-dist", (els[c], els[a], els[b]))
-                    continue
-                left = _union_over(prod_tab, ab[0], c, False)
-                left = (left[0], left[1] and ab[1])
-                ca, cb = prod_tab[c][a], prod_tab[c][b]
-                if ca is None or cb is None:
-                    right = (0, False)
-                else:
-                    rm, rex = _sum_of_masks(view, ca[0], cb[0])
-                    right = (rm, rex and ca[1] and cb[1])
-                col.record(_containment(left, right), "weak-dist", (els[c], els[a], els[b]))
+                col.record(_containment(_decode(left[c], inex), _decode(right[c], inex)),
+                           "weak-dist", (els[c], els[a], els[b]))
                 if col.done:
                     return
-                left2 = _union_over(prod_tab, ab[0], c, True)
-                left2 = (left2[0], left2[1] and ab[1])
-                ac, bc = prod_tab[a][c], prod_tab[b][c]
-                if ac is None or bc is None:
-                    right2 = (0, False)
-                else:
-                    rm, rex = _sum_of_masks(view, ac[0], bc[0])
-                    right2 = (rm, rex and ac[1] and bc[1])
-                col.record(_containment(left2, right2), "weak-dist-right", (els[a], els[b], els[c]))
+                col.record(_containment(_decode(left2[c], inex), _decode(right2[c], inex)),
+                           "weak-dist-right", (els[a], els[b], els[c]))
                 if col.done:
                     return
-
-
-def _sum_of_masks(view, m1, m2):
-    """Union of sum[x][y] over members x of m1 and y of m2."""
-    mask, exact = 0, True
-    tab = view.sum
-    while m1:
-        low = m1 & -m1
-        m1 ^= low
-        row = tab[low.bit_length() - 1]
-        mm2 = m2
-        while mm2:
-            low = mm2 & -mm2
-            mm2 ^= low
-            cell = row[low.bit_length() - 1]
-            if cell is None:
-                exact = False
-            else:
-                mask |= cell[0]
-                exact = exact and cell[1]
-    return mask, exact
 
 
 def _scan_hyper_dist(view, col):
-    """Exact distributivity a(b+c) = ab+ac."""
-    els = view.elements
-    k = view.k
+    """Exact distributivity a(b+c) = ab+ac, one row (a, b) at a time.
+
+    The left cell is times[b+c] at a, the right one the setwise sum of ab and
+    ac; a row whose k instances all pass is counted at once, any other row is
+    recorded instance by instance.
+    """
+    els, k = view.elements, view.k
+    inex = 1 << k
+    sums, prods, _, times, plus = _dist_tables(view)
     for a in range(k):
+        row = prods[a]
         for b in range(k):
-            for c in range(k):
-                bc = view.sum[b][c]
-                if bc is None:
-                    col.record("skip", "hyper-dist", (els[a], els[b], els[c]))
-                    continue
-                left = _union_over(view.prod, bc[0], a, False)
-                left = (left[0], left[1] and bc[1])
-                ab, ac = view.prod[a][b], view.prod[a][c]
-                if ab is None or ac is None:
-                    right = (0, False)
-                else:
-                    rm, rex = _sum_of_masks(view, ab[0], ac[0])
-                    right = (rm, rex and ab[1] and ac[1])
-                col.record(_equality(left, right), "hyper-dist", (els[a], els[b], els[c]))
-                if col.done:
-                    return
+            left = [times[s][0][a] for s in sums[b]]
+            ab = row[b]
+            right = [plus[ab, x] for x in row]
+            if _row_passes(max(left) < inex, left, right, _equality):
+                col.checked += k
+            elif _record_row(col, _equality, left, right, inex, "hyper-dist",
+                             ((els[a], els[b], c) for c in els)):
+                return
 
 
 def _scan_signs(view, col):
@@ -612,17 +706,9 @@ def is_full(S):
     """Setwise distributivity c(a+b) = ca+cb everywhere; witness triple on failure."""
     if not isinstance(S, Structure):
         raise StructureError("fullness needs a finite structure")
-    view = _View.of_structure(S)
-    els = S.elements
-    k = view.k
-    for c in range(k):
-        for a in range(k):
-            for b in range(k):
-                left = _union_over(view.prod, view.sum[a][b][0], c, False)[0]
-                right = _sum_of_masks(view, view.prod[c][a][0], view.prod[c][b][0])[0]
-                if left != right:
-                    return False, (els[c], els[a], els[b])
-    return True, None
+    col = _Collector(limit=1)
+    _scan_hyper_dist(_View.of_structure(S), col)
+    return (False, col.witnesses[0][1]) if col.witnesses else (True, None)
 
 
 def is_proto_full(S):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .axioms import structure_is, AxiomReport, FAIL, PASS
 from .errors import BlowupError, MvlaError, StructureError
-from .matrices import Matrix, all_matrices, elementary, mmul
+from .matrices import Matrix, _index_product, all_matrices, elementary
 from .structures import _bits
 
 DEFAULT_BRANCH_CAP = 4096
@@ -77,7 +77,7 @@ def _row_masks(sys, d):
     """The rowwise value masks of A*d."""
     if d.cols != 1 or d.rows != sys.A.cols or d.base is not sys.base:
         raise StructureError("candidate vector shape or base mismatch")
-    return mmul(sys.A, d).masks
+    return tuple(_index_product(sys.A, d))
 
 
 def row_value_sets(sys, d):
@@ -198,9 +198,10 @@ def scale_system(sys, branch_cap=DEFAULT_BRANCH_CAP):
         states = new_states
 
     # equal systems come from different branches: keep the first of each
-    scaled = (LinearSystem(Matrix.from_indices(S, m, n, itertools.chain(*rows)), B)
-              for rows, B, _ in states)
-    return tuple(dict.fromkeys(s for s in scaled if s.A.is_upper_triangular))
+    kept = dict.fromkeys((rows, B) for rows, B, _ in states
+                         if all(rows[i][j] == zero for i in range(m) for j in range(min(i, n))))
+    return tuple(LinearSystem(Matrix.from_indices(S, m, n, itertools.chain(*rows)), B)
+                 for rows, B in kept)
 
 
 # -- back substitution ----------------------------------------------------------------

@@ -162,15 +162,34 @@ def mscale(lam, a):
     return MatrixSet.of(a).scale(lam)
 
 
-def mmul(a, b):
-    """Matrix product; every result entry ranges over its sum of products."""
-    A, B = MatrixSet.of(a), MatrixSet.of(b)
+def _inner(A, B):
+    """The inner dimension of the product AB, after checking that it is defined."""
     if A.base is not B.base:
         raise StructureError("matrix boxes over different structures")
     if A.cols != B.rows:
         raise StructureError("inner dimensions do not match")
+    return A.cols
+
+
+def _index_product(A, B):
+    """The entry masks of AB for matrices A and B, row-major, one at a time.
+
+    Each entry is the left fold of the setwise sum over the products of a row
+    of A with a column of B, as in mmul, read off the product table directly.
+    """
+    n = _inner(A, B)
     S = A.base
-    n = A.cols
+    prod, a, b = S._prod, A.indices, B.indices
+    cols = [b[j::B.cols] for j in range(B.cols)]
+    return (S.sum_of([prod[x][y] for x, y in zip(a[i * n:(i + 1) * n], col)])
+            for i in range(A.rows) for col in cols)
+
+
+def mmul(a, b):
+    """Matrix product; every result entry ranges over its sum of products."""
+    A, B = MatrixSet.of(a), MatrixSet.of(b)
+    n = _inner(A, B)
+    S = A.base
     cols = [B.masks[j::B.cols] for j in range(B.cols)]
     return MatrixSet(S, A.rows, B.cols,
                      [S.sum_of(map(S.mul_masks, A.masks[i * n:(i + 1) * n], col))
@@ -271,9 +290,18 @@ def elementary(op, a):
 
 
 def is_inverse_pair(A, B):
-    """1 in AB and 1 in BA."""
-    ident = Matrix.identity(A.base, A.rows)
-    return ident in mmul(A, B) and ident in mmul(B, A)
+    """1 in AB and 1 in BA, for matrices A and B; each product stops at its
+    first entry that misses the identity's."""
+    if not (isinstance(A, Matrix) and isinstance(B, Matrix)):
+        raise StructureError("an inverse pair is a pair of matrices")
+    n = A.rows
+    ident = Matrix.identity(A.base, n).indices
+
+    def holds(product):
+        return all(m >> e & 1 for m, e in zip(product, ident))
+
+    AB = _index_product(A, B)
+    return B.cols == n and holds(AB) and A.cols == n and holds(_index_product(B, A))
 
 
 def _triangular_inverse(A, node_cap):

@@ -453,8 +453,12 @@ def is_effective_root(f, alpha, bound=None):
 
 
 def _maximal(boxes, shifts):
-    """The boxes of a set inside no other box of it.  Packed into ints (position j shifted
-    by shifts[j]), each meets only the strictly larger kept boxes: none over a field."""
+    """The boxes of a set inside no other box of it.  Boxes of one total size never lie
+    strictly inside one another, so a set of them (every set over a field) is its own
+    answer.  Otherwise each box, packed into an int (position j shifted by shifts[j]),
+    meets only the strictly larger kept boxes."""
+    if len({sum(map(int.bit_count, b)) for b in boxes}) <= 1:
+        return boxes
     packed = {sum(map(operator.lshift, b, shifts)): b for b in boxes}
     kept = []
     for _, same in itertools.groupby(sorted(packed, key=int.bit_count, reverse=True),

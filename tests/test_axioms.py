@@ -10,7 +10,8 @@ from mvla import (MorphismSpec, StructureError, WindowRequired, builtin,
                   verify_multigroup, verify_vspace)
 from mvla import axioms
 from mvla.axioms import (KINDS, _Collector, _View, _containment, _equality,
-                         _scan_assoc, _union_over)
+                         _membership, _scan_assoc, _scan_hyper_dist, _scan_m1,
+                         _scan_weak_dist, _sum_of_masks, _union_over)
 from mvla.structures import mprod, msum
 
 
@@ -262,22 +263,27 @@ _UNLIMITED = {"limit": 10 ** 9}
 _LIMITED = ({"limit": 1}, {"limit": 3}, {"limit": 3, "stop_on_first": True})
 
 
-def _assoc_agrees(view, tab, axiom, law):
-    """Both scans give the same witnesses, checked and skipped; returns the full run.
+def _scans_agree(view, scan, ref_scan, *args):
+    """Both scans give the same witnesses, checked and skipped under every witness
+    setting; returns the reference's unlimited run.
 
     A scan without witnesses runs once: the limits cannot change it.
     """
     runs = []
     for kwargs in (_UNLIMITED,) + _LIMITED:
         new, ref = _Collector(**kwargs), _Collector(**kwargs)
-        _scan_assoc(view, new, tab, axiom, law)
-        _ref_scan_assoc(view, ref, tab, axiom, law)
+        scan(view, new, *args)
+        ref_scan(view, ref, *args)
         assert (new.witnesses, new.checked, new.skipped) == \
-            (ref.witnesses, ref.checked, ref.skipped), (axiom, kwargs)
+            (ref.witnesses, ref.checked, ref.skipped), (scan.__name__, args[1:], kwargs)
         runs.append(ref)
         if not runs[0].witnesses:
             break
     return runs[0]
+
+
+def _assoc_agrees(view, tab, axiom, law):
+    return _scans_agree(view, _scan_assoc, _ref_scan_assoc, tab, axiom, law)
 
 
 def _all_assoc_agree(view):
@@ -365,7 +371,7 @@ def partial_views(draw):
         return tab
 
     els = tuple(range(k))
-    return _View(els, 0, 1, els, table(), table(), True)
+    return _View(els, 0, 1, draw(st.permutations(els)), table(), table(), True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -376,3 +382,175 @@ def test_assoc_kernel_matches_per_triple_loop_on_random_partial_tables(view):
     assume(full.witnesses)
     _assoc_agrees(view, view.prod, "M3-mult", _containment)
     _assoc_agrees(view, view.prod, "assoc-prod", _equality)
+
+
+# -- the row-at-a-time M1 and distributivity kernels against per-instance loops -------
+
+
+def _ref_m1(view, col, tab, axiom):
+    """The per-member M1 loop that _scan_m1 replaced, kept as its reference."""
+    els, k, neg = view.elements, view.k, view.neg
+    for i in range(k):
+        for j in range(k):
+            cell = tab[i][j]
+            if cell is None:
+                col.record("skip", axiom, (els[i], els[j]))
+                continue
+            verdict, bad_c = "pass", None
+            mm = cell[0]
+            while mm and verdict != "fail":
+                low = mm & -mm
+                mm ^= low
+                c = low.bit_length() - 1
+                v1 = _membership(i, tab[c][neg[j]])
+                v2 = _membership(j, tab[neg[i]][c])
+                if "fail" in (v1, v2):
+                    verdict, bad_c = "fail", els[c]
+                elif "skip" in (v1, v2):
+                    verdict = "skip"
+            instance = (els[i], els[j]) if bad_c is None else (els[i], els[j], bad_c)
+            col.record(verdict, axiom, instance)
+            if col.done:
+                return
+
+
+def _ref_right_sum(view, x, y):
+    """The unionwise sum of two product cells; unknown when either escapes."""
+    if x is None or y is None:
+        return 0, False
+    m, exact = _sum_of_masks(view, x[0], y[0])
+    return m, exact and x[1] and y[1]
+
+
+def _ref_scan_weak_dist(view, col):
+    """The per-triple loop that _scan_weak_dist replaced, kept as its reference.
+
+    A sum a+b that escapes the window skips both sides of every c.
+    """
+    els, k = view.elements, view.k
+    sum_tab, prod_tab = view.sum, view.prod
+    for a in range(k):
+        for b in range(k):
+            ab = sum_tab[a][b]
+            for c in range(k):
+                if ab is None:
+                    col.record("skip", "weak-dist", (els[c], els[a], els[b]))
+                    col.record("skip", "weak-dist-right", (els[a], els[b], els[c]))
+                    continue
+                left = _union_over(prod_tab, ab[0], c, False)
+                left = (left[0], left[1] and ab[1])
+                right = _ref_right_sum(view, prod_tab[c][a], prod_tab[c][b])
+                col.record(_containment(left, right), "weak-dist", (els[c], els[a], els[b]))
+                if col.done:
+                    return
+                left2 = _union_over(prod_tab, ab[0], c, True)
+                left2 = (left2[0], left2[1] and ab[1])
+                right2 = _ref_right_sum(view, prod_tab[a][c], prod_tab[b][c])
+                col.record(_containment(left2, right2), "weak-dist-right",
+                           (els[a], els[b], els[c]))
+                if col.done:
+                    return
+
+
+def _ref_scan_hyper_dist(view, col):
+    """The per-triple loop that _scan_hyper_dist replaced, kept as its reference."""
+    els, k = view.elements, view.k
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                bc = view.sum[b][c]
+                if bc is None:
+                    col.record("skip", "hyper-dist", (els[a], els[b], els[c]))
+                    continue
+                left = _union_over(view.prod, bc[0], a, False)
+                left = (left[0], left[1] and bc[1])
+                right = _ref_right_sum(view, view.prod[a][b], view.prod[a][c])
+                col.record(_equality(left, right), "hyper-dist", (els[a], els[b], els[c]))
+                if col.done:
+                    return
+
+
+def _ref_is_full(S):
+    """The per-triple fullness loop that is_full replaced, kept as its reference."""
+    view = _View.of_structure(S)
+    els, k = S.elements, view.k
+    for c in range(k):
+        for a in range(k):
+            for b in range(k):
+                left = _union_over(view.prod, view.sum[a][b][0], c, False)[0]
+                right = _sum_of_masks(view, view.prod[c][a][0], view.prod[c][b][0])[0]
+                if left != right:
+                    return False, (els[c], els[a], els[b])
+    return True, None
+
+
+def _kernels_agree(view):
+    """M1 on both tables, weak and exact distributivity: kernels and references agree."""
+    _scans_agree(view, _scan_m1, _ref_m1, view.sum, "M1")
+    _scans_agree(view, _scan_m1, _ref_m1, view.prod, "M1-mult")
+    _scans_agree(view, _scan_weak_dist, _ref_scan_weak_dist)
+    _scans_agree(view, _scan_hyper_dist, _ref_scan_hyper_dist)
+
+
+def _single_entry_mutants(S):
+    """S with one table entry replaced, for every entry of both tables: by the whole
+    carrier, or by {0} where the entry already is the whole carrier."""
+    whole = frozenset(S.elements)
+    for op in ("sum", "prod"):
+        for a in S.elements:
+            for b in S.elements:
+                old = S.sum_set(a, b) if op == "sum" else S.prod_set(a, b)
+                yield S.with_entry(op, a, b, {S.zero} if old == whole else whole)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS) + ["Z6"])
+def test_m1_and_dist_kernels_match_per_instance_loops_on_builtins(name):
+    S = strict_ring(6) if name == "Z6" else builtin(*_BUILTINS[name])
+    _kernels_agree(_View.of_structure(S))
+    assert is_full(S) == _ref_is_full(S)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS) + ["Z6"])
+def test_m1_and_dist_kernels_match_per_instance_loops_on_single_entry_mutants(name):
+    S = strict_ring(6) if name == "Z6" else builtin(*_BUILTINS[name])
+    failing = 0
+    for T in _single_entry_mutants(S):
+        _kernels_agree(_View.of_structure(T))
+        full = is_full(T)
+        assert full == _ref_is_full(T)
+        failing += not full[0]
+    assert failing  # the mutants reach the per-instance paths
+
+
+@pytest.mark.parametrize("window", [(-5, 5), (-3, 3)])
+def test_m1_and_dist_kernels_match_per_instance_loops_on_windows(trop, window):
+    _kernels_agree(_View.of_window(trop, *window))
+
+
+@pytest.mark.parametrize("name", ["H3^3", "K^5", "M2x2(H2)"])
+def test_m1_kernel_matches_per_member_loop_on_derived_carriers(carriers, name):
+    V = carriers[name]
+    view = _View.of_carrier(V.vectors, V.vsum_set, V.vneg, V.vzero)
+    assert _scans_agree(view, _scan_m1, _ref_m1, view.sum, "M1").checked == view.k ** 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(view=partial_views())
+def test_m1_and_dist_kernels_match_per_instance_loops_on_random_partial_tables(view):
+    _kernels_agree(view)
+
+
+def test_weak_dist_skips_both_sides_of_an_escaping_sum():
+    """Every triple is counted on both sides, checked or skipped, also where a+b
+    escapes the window."""
+    k = 3
+    els = tuple(range(k))
+    sum_tab = [[(1 << (a + b) % k, True) for b in els] for a in els]
+    sum_tab[1][2] = None
+    prod_tab = [[(1 << a * b % k, True) for b in els] for a in els]
+    view = _View(els, 0, 1, (0, 2, 1), sum_tab, prod_tab, True)
+    for scan in (_scan_weak_dist, _ref_scan_weak_dist):
+        col = _Collector(**_UNLIMITED)
+        scan(view, col)
+        assert col.checked + col.skipped == 2 * k ** 3
+        assert col.skipped >= 2 * k and not col.witnesses

@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvla import (BlowupError, ElementaryOp, LinearSystem, Matrix, MatrixSet,
                   StructureError, all_matrices, apply_elementary, det, elementary,
                   builtin, find_inverse, is_inverse_pair, madd, mmul, mneg, mprod,
                   mscale, verify_multigroup)
+from mvla.matrices import _index_product
 from conftest import det_mod, mat_mul_mod
 
 
@@ -272,3 +274,61 @@ def test_strict_field_matrix_ops_match_classical(F3):
         assert len(s) == 1
         assert s[0].entries == tuple((a + b) % 3 for a, b in
                                      zip(MA.entries, MB.entries))
+
+
+# -- the index-level product against the boxed one ---------------------------------------
+
+# H5, because there not every element is its own inverse
+PRODUCT_BASES = {name: builtin(*args) for name, args in
+                 (("K", ("K",)), ("H3", ("Hp", 3)), ("H5", ("Hp", 5)), ("Q2", ("Q2",)))}
+
+
+@st.composite
+def matrix_pairs(draw):
+    """A base and two matrices over it whose product AB is defined; square half the time."""
+    S = PRODUCT_BASES[draw(st.sampled_from(sorted(PRODUCT_BASES)))]
+    r, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    c = draw(st.sampled_from((r, draw(st.integers(1, 3)))))
+    if draw(st.booleans()):
+        r = n = c
+    entries = st.sampled_from(range(len(S)))
+    A = Matrix.from_indices(S, r, n, [draw(entries) for _ in range(r * n)])
+    B = Matrix.from_indices(S, n, c, [draw(entries) for _ in range(n * c)])
+    if draw(st.booleans()):
+        # a near-inverse: the least inverse of each diagonal entry, zero elsewhere
+        zero = S.index(S.zero)
+        B = Matrix.from_indices(S, n, c, [
+            (S.inverse_indices(A.indices[i * n + i]) or (zero,))[0] if i == j and i < r
+            else zero for i in range(n) for j in range(c)])
+    return A, B
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=matrix_pairs())
+def test_index_product_matches_the_boxed_product(pair):
+    A, B = pair
+    boxed = mmul(MatrixSet.of(A), MatrixSet.of(B))
+    assert tuple(_index_product(A, B)) == boxed.masks
+    ident = Matrix.identity(A.base, A.rows)
+    want = ident in boxed and ident in mmul(MatrixSet.of(B), MatrixSet.of(A))
+    assert is_inverse_pair(A, B) == want
+
+
+def test_index_product_checks_shapes_and_bases(H3):
+    A, B = Matrix.zero(H3, 2, 3), Matrix.zero(H3, 2, 3)
+    for f in (mmul, is_inverse_pair, _index_product):
+        with pytest.raises(StructureError, match="inner dimensions"):
+            f(A, B)
+    with pytest.raises(StructureError, match="different structures"):
+        is_inverse_pair(Matrix.identity(H3, 2), Matrix.identity(builtin("Hp", 3), 2))
+    # AB is the 2x2 identity, but BA is 3x3: no inverse pair
+    A = Matrix.from_indices(H3, 2, 3, (1, 0, 0, 0, 1, 0))
+    B = Matrix.from_indices(H3, 3, 2, (1, 0, 0, 1, 0, 0))
+    assert Matrix.identity(H3, 2) in mmul(A, B) and not is_inverse_pair(A, B)
+
+
+def test_inverse_pair_takes_matrices_only(H3):
+    ident = Matrix.identity(H3, 2)
+    for A, B in ((MatrixSet.of(ident), ident), (ident, MatrixSet.of(ident))):
+        with pytest.raises(StructureError, match="pair of matrices"):
+            is_inverse_pair(A, B)
