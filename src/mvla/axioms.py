@@ -79,19 +79,22 @@ class _Collector:
 class _View:
     """Index-level tables consumed by the axiom loops.
 
-    Each entry is (mask, exact) or None; None means the true result escapes
-    the window entirely.  Finite structures and derived carriers are always
-    total and exact.  A vector space's view also holds act[lam][v], the
-    action of scalar index lam on vector index v.
+    A cell is one int: the carrier mask of its members, plus the inexact bit
+    inex = 1 << k when the true result may hold more than the window shows; a
+    result that escapes the window is inex alone.  So a union of cells is a
+    plain OR, and it is exact when every cell is.  Finite structures and
+    derived carriers are always total and exact.  A vector space's view also
+    holds act[lam][v], the action of scalar index lam on vector index v.
     """
 
-    __slots__ = ("elements", "k", "zero_i", "one_i", "neg", "sum", "prod", "act",
+    __slots__ = ("elements", "k", "inex", "zero_i", "one_i", "neg", "sum", "prod", "act",
                  "partial")
 
     def __init__(self, elements, zero_i, one_i, neg, sum_tab, prod_tab, partial,
                  act_tab=None):
         self.elements = elements
         self.k = len(elements)
+        self.inex = 1 << self.k
         self.zero_i = zero_i
         self.one_i = one_i
         self.neg = neg
@@ -102,32 +105,24 @@ class _View:
 
     @classmethod
     def of_structure(cls, S):
-        sum_tab = [[(m, True) for m in row] for row in S._sum]
-        prod_tab = [[(m, True) for m in row] for row in S._prod]
+        """The structure's own mask tables, as they are: no scan writes to a table."""
         return cls(S.elements, S.index(S.zero), S.index(S.one), S._neg,
-                   sum_tab, prod_tab, False)
+                   S._sum, S._prod, False)
 
     @classmethod
     def of_window(cls, trop, lo, hi):
         els, sum_entry, prod_entry, neg, zero, one = trop.window_tables(lo, hi)
         idx = {e: i for i, e in enumerate(els)}
+        inex = 1 << len(els)
+
+        def cell(result):
+            if result is None:
+                return inex
+            res, exact = result
+            return functools.reduce(or_, (1 << idx[x] for x in res), 0 if exact else inex)
 
         def tab(entry):
-            rows = []
-            for a in els:
-                row = []
-                for b in els:
-                    r = entry(a, b)
-                    if r is None:
-                        row.append(None)
-                    else:
-                        res, exact = r
-                        m = 0
-                        for x in res:
-                            m |= 1 << idx[x]
-                        row.append((m, exact))
-                rows.append(row)
-            return rows
+            return [[cell(entry(a, b)) for b in els] for a in els]
 
         neg_idx = tuple(idx[neg(e)] for e in els)
         return cls(els, idx[zero], idx[one], neg_idx, tab(sum_entry), tab(prod_entry), True)
@@ -154,7 +149,7 @@ class _View:
             m = 0
             for x in res:
                 m |= 1 << index(x, key)
-            return (m, True)
+            return m
 
         sum_tab = [[cell(sum_fn(a, b), (a, b)) for b in elements] for a in elements]
         neg = tuple(index(neg_fn(a), (a,)) for a in elements)
@@ -165,57 +160,26 @@ class _View:
         return cls(elements, index(unit, ()), None, neg, sum_tab, None, False, act_tab)
 
 
-def _union_over(tab, member_mask, other, left_side):
-    """Union of tab[x][other] (or tab[other][x]) over members x of member_mask."""
-    mask, exact = 0, True
-    m = member_mask
-    while m:
-        low = m & -m
-        m ^= low
-        i = low.bit_length() - 1
-        cell = tab[i][other] if left_side else tab[other][i]
-        if cell is None:
-            exact = False
-        else:
-            mask |= cell[0]
-            exact = exact and cell[1]
-    return mask, exact
+def _union(cells, mask, start=0):
+    """start ORed with cells[i] over the members i of mask."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        start |= cells[low.bit_length() - 1]
+    return start
 
 
-def _sum_of_masks(view, m1, m2):
-    """Union of sum[x][y] over members x of m1 and y of m2."""
-    mask, exact = 0, True
-    tab = view.sum
-    while m1:
-        low = m1 & -m1
-        m1 ^= low
-        row = tab[low.bit_length() - 1]
-        mm2 = m2
-        while mm2:
-            low = mm2 & -mm2
-            mm2 ^= low
-            cell = row[low.bit_length() - 1]
-            if cell is None:
-                exact = False
-            else:
-                mask |= cell[0]
-                exact = exact and cell[1]
-    return mask, exact
+def _containment(L, R, inex):
+    """L within R, for two cells: a missing member fails only against an exact R,
+    and a pass needs an exact L."""
+    if L & ~R & ~inex:
+        return "skip" if R & inex else "fail"
+    return "skip" if L & inex else "pass"
 
 
-def _containment(L, R):
-    if L is None or R is None:
-        return "skip"
-    lm, lex = L
-    rm, rex = R
-    if lm & ~rm:
-        return "fail" if rex else "skip"
-    return "pass" if lex else "skip"
-
-
-def _equality(L, R):
-    a = _containment(L, R)
-    b = _containment(R, L)
+def _equality(L, R, inex):
+    a = _containment(L, R, inex)
+    b = _containment(R, L, inex)
     if "fail" in (a, b):
         return "fail"
     if "skip" in (a, b):
@@ -223,40 +187,15 @@ def _equality(L, R):
     return "pass"
 
 
-def _membership(bit, R):
-    if R is None:
-        return "skip"
-    rm, rex = R
-    if rm >> bit & 1:
+def _membership(bit, R, inex):
+    if R >> bit & 1:
         return "pass"
-    return "fail" if rex else "skip"
-
-
-def _neg_mask(view, mask):
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << view.neg[i]
-        mask >>= 1
-        i += 1
-    return out
-
-
-def _encode(tab, inex):
-    """A table's cells as ints: the carrier mask, plus inex when the cell is
-    inexact; a None cell is inex alone, so a union of cells is a plain OR."""
-    return [[inex if cell is None else cell[0] if cell[1] else cell[0] | inex
-             for cell in row] for row in tab]
-
-
-def _decode(cell, inex):
-    return cell & ~inex, cell < inex
+    return "skip" if R & inex else "fail"
 
 
 def _row_passes(exact, left, right, law):
-    """Every instance law(left[c], right[c]) of a row of encoded cells passes,
-    given whether every left cell is exact."""
+    """Every instance law(left[c], right[c]) of a row of cells passes, given
+    whether every left cell is exact."""
     if not exact:
         return False
     if law is _equality:
@@ -267,7 +206,7 @@ def _row_passes(exact, left, right, law):
 def _record_row(col, law, left, right, inex, axiom, instances):
     """Record a row instance by instance; True once the collector is done."""
     for l, r, instance in zip(left, right, instances):
-        col.record(law(_decode(l, inex), _decode(r, inex)), axiom, instance)
+        col.record(law(l, r, inex), axiom, instance)
         if col.done:
             return True
     return False
@@ -276,23 +215,20 @@ def _record_row(col, law, left, right, inex, axiom, instances):
 def _scan_assoc(view, col, tab, axiom, law):
     """law((a.b).c, a.(b.c)), unionwise, for every triple, one row (a, b) at a time.
 
-    Cells are encoded as by _encode.  For each distinct a.b cell the left row
-    L[c], the union of x.c over x in a.b, is built once by ORing whole table
-    rows; equal unions share one int.  The right unions, of a.y over y in a
-    cell, are tabulated per distinct cell for the current a only.  A row (a, b)
-    whose k instances all pass is counted at once; any other row is recorded
-    instance by instance, so witnesses, counts and the early exit are those of
-    a per-triple scan.
+    For each distinct a.b cell the left row L[c], the union of x.c over x in
+    a.b, is built once by ORing whole table rows; equal unions share one int.
+    The right unions, of a.y over y in a cell, are tabulated per distinct cell
+    for the current a only.  A row (a, b) whose k instances all pass is counted
+    at once; any other row is recorded instance by instance, so witnesses,
+    counts and the early exit are those of a per-triple scan.
     """
-    els, k = view.elements, view.k
-    inex = 1 << k
-    enc = _encode(tab, inex)
-    members = {cell: _bits(cell & (inex - 1))
-               for cell in set(itertools.chain.from_iterable(enc))}
+    els, k, inex = view.elements, view.k, view.inex
+    members = {cell: _bits(cell & ~inex)
+               for cell in set(itertools.chain.from_iterable(tab))}
     interned = {}
     lefts = {}
     for i in range(k):
-        row_i = enc[i]
+        row_i = tab[i]
         right = {cell: functools.reduce(or_, map(row_i.__getitem__, mem), cell & inex)
                  for cell, mem in members.items()}
         for j in range(k):
@@ -300,11 +236,11 @@ def _scan_assoc(view, col, tab, axiom, law):
             if ab not in lefts:
                 left = [ab & inex] * k
                 for x in members[ab]:
-                    left = list(map(or_, left, enc[x]))
+                    left = list(map(or_, left, tab[x]))
                 left = list(map(interned.setdefault, left, left))
                 lefts[ab] = left, max(left) < inex
             left, exact = lefts[ab]
-            rights = list(map(right.__getitem__, enc[j]))
+            rights = list(map(right.__getitem__, tab[j]))
             if _row_passes(exact, left, rights, law):
                 col.checked += k
             elif _record_row(col, law, left, rights, inex, axiom,
@@ -317,13 +253,13 @@ def _scan_assoc(view, col, tab, axiom, law):
 
 def _scan_nonempty(view, col, opname):
     tab = view.sum if opname == "sum" else view.prod
-    els = view.elements
+    els, inex = view.elements, view.inex
     for i in range(view.k):
         for j in range(view.k):
             cell = tab[i][j]
-            if cell is None:
+            if cell == inex:
                 col.record("skip", "nonempty", (els[i], els[j]))
-            elif cell[0] == 0:
+            elif cell == 0:
                 col.record("fail", f"nonempty-{opname}", (els[i], els[j]))
             else:
                 col.record("pass", "nonempty", (els[i], els[j]))
@@ -334,16 +270,15 @@ def _scan_nonempty(view, col, opname):
 def _scan_multigroup(view, col, opname, unit_i, use_inversion):
     """M1-M4 over one operation; multimonoid mode drops M1/M2 for a weak unit law."""
     tab = view.sum if opname == "sum" else view.prod
-    els = view.elements
-    k = view.k
+    els, k, inex = view.elements, view.k, view.inex
     suffix = "" if opname == "sum" else "-mult"
 
     # M2 (group mode): a . unit = {a}.  Monoid mode: a in unit . a.
     for i in range(k):
         if use_inversion:
-            col.record(_equality(tab[i][unit_i], (1 << i, True)), "M2" + suffix, (els[i],))
+            col.record(_equality(tab[i][unit_i], 1 << i, inex), "M2" + suffix, (els[i],))
         else:
-            col.record(_membership(i, tab[unit_i][i]), "unit" + suffix, (els[i],))
+            col.record(_membership(i, tab[unit_i][i], inex), "unit" + suffix, (els[i],))
         if col.done:
             return
 
@@ -355,7 +290,8 @@ def _scan_multigroup(view, col, opname, unit_i, use_inversion):
     # M4 commutativity
     for i in range(k):
         for j in range(i + 1, k):
-            col.record(_equality(tab[i][j], tab[j][i]), "M4" + suffix, (els[i], els[j]))
+            col.record(_equality(tab[i][j], tab[j][i], inex), "M4" + suffix,
+                       (els[i], els[j]))
             if col.done:
                 return
 
@@ -364,15 +300,14 @@ def _scan_multigroup(view, col, opname, unit_i, use_inversion):
 
 
 def _holders(cells, k):
-    """T[a]: the mask of the positions c whose cell (None reads as empty) holds a."""
-    T = [0] * k
+    """T[a]: the mask of the positions c whose cell holds a."""
+    T, carrier = [0] * k, (1 << k) - 1
     for c, cell in enumerate(cells):
-        if cell is not None:
-            m, bit = cell[0], 1 << c
-            while m:
-                low = m & -m
-                m ^= low
-                T[low.bit_length() - 1] |= bit
+        m, bit = cell & carrier, 1 << c
+        while m:
+            low = m & -m
+            m ^= low
+            T[low.bit_length() - 1] |= bit
     return T
 
 
@@ -381,42 +316,39 @@ def _scan_m1(view, col, tab, axiom):
 
     Each half is tested for a whole pair at once.  For each b, R[a], the mask
     of the c with a in c.(-b), comes from the column -b alone; the pairs (a, b)
-    whose cell lies within R[a] are marked.  Then for each a, L[b], the mask of
-    the c with b in (-a).c, comes from the row -a alone, and a marked pair whose
-    cell lies within L[b] passes whole and is counted at once.  Any other pair
-    goes through the per-c loop, so witnesses, counts and the early exit are
-    those of a per-member scan.  Exactness plays no part: a member of an
-    inexact cell is a member.  No k x k table and no member list is built.
+    whose cell is exact and lies within R[a] are marked.  Then for each a,
+    L[b], the mask of the c with b in (-a).c, comes from the row -a alone, and
+    a marked pair whose cell lies within L[b] passes whole and is counted at
+    once.  Any other pair goes through the per-c loop, so witnesses, counts
+    and the early exit are those of a per-member scan.  A member of an inexact
+    cell counts as a member.  No k x k table and no member list is built.
     """
-    els, k, neg = view.elements, view.k, view.neg
+    els, k, neg, inex = view.elements, view.k, view.neg, view.inex
     marked = [0] * k  # bit b of marked[a]: every c in a.b has a in c.(-b)
     for j in range(k):
         R = _holders([row[neg[j]] for row in tab], k)
         for i, row in enumerate(tab):
-            if row[j] is not None and not row[j][0] & ~R[i]:
+            if not row[j] & ~R[i]:
                 marked[i] |= 1 << j
     for i in range(k):
         L = _holders(tab[neg[i]], k)
         row, marks = tab[i], marked[i]
         for j in range(k):
-            if marks >> j & 1 and not row[j][0] & ~L[j]:
+            if marks >> j & 1 and not row[j] & ~L[j]:
                 col.checked += 1
                 continue
             cell = row[j]
-            if cell is None:
+            if cell == inex:
                 col.record("skip", axiom, (els[i], els[j]))
                 continue
             verdict, bad_c = "pass", None
-            mm = cell[0]
-            while mm and verdict != "fail":
-                low = mm & -mm
-                mm ^= low
-                c = low.bit_length() - 1
-                v1 = _membership(i, tab[c][neg[j]])
-                v2 = _membership(j, tab[neg[i]][c])
+            for c in _bits(cell & ~inex):
+                v1 = _membership(i, tab[c][neg[j]], inex)
+                v2 = _membership(j, tab[neg[i]][c], inex)
                 if "fail" in (v1, v2):
                     verdict, bad_c = "fail", els[c]
-                elif "skip" in (v1, v2):
+                    break
+                if "skip" in (v1, v2):
                     verdict = "skip"
             instance = (els[i], els[j]) if bad_c is None else (els[i], els[j], bad_c)
             col.record(verdict, axiom, instance)
@@ -427,77 +359,59 @@ def _scan_m1(view, col, tab, axiom):
 def _scan_monoid(view, col):
     """Strict commutative monoid laws for the product of a multiring."""
     tab = view.prod
-    els = view.elements
-    k = view.k
+    els, k, inex = view.elements, view.k, view.inex
     for i in range(k):
         for j in range(k):
             cell = tab[i][j]
-            if cell is None:
+            if cell == inex:
                 col.record("skip", "prod-single", (els[i], els[j]))
-            elif cell[0] & (cell[0] - 1):
+            elif cell & (cell - 1) & ~inex:  # two members or more
                 col.record("fail", "prod-single", (els[i], els[j]))
             else:
                 col.record("pass", "prod-single", (els[i], els[j]))
             if col.done:
                 return
     for i in range(k):
-        col.record(_equality(tab[i][view.one_i], (1 << i, True)), "unit-prod", (els[i],))
+        col.record(_equality(tab[i][view.one_i], 1 << i, inex), "unit-prod", (els[i],))
         if col.done:
             return
     for i in range(k):
         for j in range(i + 1, k):
-            col.record(_equality(tab[i][j], tab[j][i]), "comm-prod", (els[i], els[j]))
+            col.record(_equality(tab[i][j], tab[j][i], inex), "comm-prod", (els[i], els[j]))
             if col.done:
                 return
     _scan_assoc(view, col, tab, "assoc-prod", _equality)
 
 
 def _scan_absorb(view, col):
-    els = view.elements
-    z = view.zero_i
-    zero_mask = (1 << z, True)
+    els, z, inex = view.elements, view.zero_i, view.inex
     for i in range(view.k):
-        col.record(_equality(view.prod[i][z], zero_mask), "absorb", (els[i],))
+        col.record(_equality(view.prod[i][z], 1 << z, inex), "absorb", (els[i],))
         if col.done:
             return
-        col.record(_equality(view.prod[z][i], zero_mask), "absorb", (els[i],))
+        col.record(_equality(view.prod[z][i], 1 << z, inex), "absorb", (els[i],))
         if col.done:
             return
-
-
-class _CellSums(_Setwise):
-    """_Setwise over a table of encoded cells: the sum of two encoded cells,
-    inexact also when either cell is (a None cell reads as the empty inexact cell)."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        e1, e2 = key
-        res = self[key] = _Setwise.__missing__(self, key) | (e1 | e2) & 1 << len(self.table)
-        return res
 
 
 def _dist_tables(view):
-    """The encoded tables of the distributivity scans.
+    """The tables of the distributivity scans: (prod_cols, times, plus).
 
-    Returns (sums, prods, prod_cols, times, plus): the encoded sum and product
-    tables, the product's columns, times[s] = (c.s over c, s.c over c) for each
-    distinct encoded sum cell s, and plus, the setwise sums of encoded cells.
-    c.s is the OR of the product columns, s.c the OR of the product rows, over
-    the members of s, with the inexact bit of s carried along.
+    prod_cols are the product's columns, times[s] = (c.s over c, s.c over c)
+    for each distinct sum cell s, and plus the setwise sums of cells.  c.s is
+    the OR of the product columns, s.c the OR of the product rows, over the
+    members of s, with the inexact bit of s carried along.
     """
-    k = view.k
-    inex = 1 << k
-    sums, prods = _encode(view.sum, inex), _encode(view.prod, inex)
+    k, inex, prods = view.k, view.inex, view.prod
     prod_cols = [list(c) for c in zip(*prods)]
     times = {}
-    for s in set(itertools.chain.from_iterable(sums)):
+    for s in set(itertools.chain.from_iterable(view.sum)):
         left = right = [s & inex] * k
-        for x in _bits(s & (inex - 1)):
+        for x in _bits(s & ~inex):
             left = list(map(or_, left, prod_cols[x]))
             right = list(map(or_, right, prods[x]))
         times[s] = left, right
-    return sums, prods, prod_cols, times, _CellSums(sums)
+    return prod_cols, times, _Setwise(view.sum)
 
 
 def _scan_weak_dist(view, col):
@@ -509,12 +423,11 @@ def _scan_weak_dist(view, col):
     by instance, c(a+b) before (a+b)c for each c.  A sum a+b that escapes the
     window leaves both sides unknown: 2k skips.
     """
-    els, k = view.elements, view.k
-    inex = 1 << k
-    sums, prods, prod_cols, times, plus = _dist_tables(view)
+    els, k, inex, prods = view.elements, view.k, view.inex, view.prod
+    prod_cols, times, plus = _dist_tables(view)
     for a in range(k):
         for b in range(k):
-            left, left2 = times[sums[a][b]]
+            left, left2 = times[view.sum[a][b]]
             right = list(map(plus.__getitem__, zip(prod_cols[a], prod_cols[b])))
             right2 = list(map(plus.__getitem__, zip(prods[a], prods[b])))
             if (_row_passes(max(left) < inex, left, right, _containment)
@@ -522,11 +435,11 @@ def _scan_weak_dist(view, col):
                 col.checked += 2 * k
                 continue
             for c in range(k):
-                col.record(_containment(_decode(left[c], inex), _decode(right[c], inex)),
+                col.record(_containment(left[c], right[c], inex),
                            "weak-dist", (els[c], els[a], els[b]))
                 if col.done:
                     return
-                col.record(_containment(_decode(left2[c], inex), _decode(right2[c], inex)),
+                col.record(_containment(left2[c], right2[c], inex),
                            "weak-dist-right", (els[a], els[b], els[c]))
                 if col.done:
                     return
@@ -539,13 +452,12 @@ def _scan_hyper_dist(view, col):
     ac; a row whose k instances all pass is counted at once, any other row is
     recorded instance by instance.
     """
-    els, k = view.elements, view.k
-    inex = 1 << k
-    sums, prods, _, times, plus = _dist_tables(view)
+    els, k, inex = view.elements, view.k, view.inex
+    _, times, plus = _dist_tables(view)
     for a in range(k):
-        row = prods[a]
+        row = view.prod[a]
         for b in range(k):
-            left = [times[s][0][a] for s in sums[b]]
+            left = [times[s][0][a] for s in view.sum[b]]
             ab = row[b]
             right = [plus[ab, x] for x in row]
             if _row_passes(max(left) < inex, left, right, _equality):
@@ -556,16 +468,18 @@ def _scan_hyper_dist(view, col):
 
 
 def _scan_signs(view, col):
-    els = view.elements
+    els, neg, inex = view.elements, view.neg, view.inex
+    neg_bits = [1 << n for n in neg]
     for a in range(view.k):
-        na = view.neg[a]
         for b in range(view.k):
             ab = view.prod[a][b]
-            neg_ab = None if ab is None else (_neg_mask(view, ab[0]), ab[1])
-            col.record(_equality(neg_ab, view.prod[na][b]), "signs", (els[a], els[b]))
+            neg_ab = _union(neg_bits, ab & ~inex, ab & inex)
+            col.record(_equality(neg_ab, view.prod[neg[a]][b], inex), "signs",
+                       (els[a], els[b]))
             if col.done:
                 return
-            col.record(_equality(neg_ab, view.prod[a][view.neg[b]]), "signs", (els[a], els[b]))
+            col.record(_equality(neg_ab, view.prod[a][neg[b]], inex), "signs",
+                       (els[a], els[b]))
             if col.done:
                 return
 
@@ -576,43 +490,28 @@ def _scan_nontrivial(view, col):
 
 
 def _scan_no_zero_divisors(view, col):
-    els = view.elements
-    z = view.zero_i
+    els, z, inex = view.elements, view.zero_i, view.inex
     for a in range(view.k):
         for b in range(view.k):
             if a == z or b == z:
                 continue
             cell = view.prod[a][b]
-            if cell is None:
-                col.record("skip", "no-zero-div", (els[a], els[b]))
-            elif cell[0] >> z & 1:
-                col.record("fail", "no-zero-div", (els[a], els[b]))
-            else:
-                col.record("pass" if cell[1] else "skip", "no-zero-div", (els[a], els[b]))
+            verdict = "fail" if cell >> z & 1 else "skip" if cell & inex else "pass"
+            col.record(verdict, "no-zero-div", (els[a], els[b]))
             if col.done:
                 return
 
 
 def _scan_inverses(view, col):
-    els = view.elements
-    z, one = view.zero_i, view.one_i
+    """Every nonzero a has some b with 1 in a.b; a miss is only a skip on a window
+    (a view with an inexact or escaped cell is always partial)."""
+    els, z, one = view.elements, view.zero_i, view.one_i
     for a in range(view.k):
         if a == z:
             continue
-        found = False
-        partial = view.partial
-        for b in range(view.k):
-            cell = view.prod[a][b]
-            if cell is None:
-                partial = True
-            elif cell[0] >> one & 1:
-                found = True
-                break
-            elif not cell[1]:
-                partial = True
-        if found:
+        if any(cell >> one & 1 for cell in view.prod[a]):
             col.record("pass", "inverses", (els[a],))
-        elif partial:
+        elif view.partial:
             col.record("skip", "inverses", (els[a],))
         else:
             col.record("fail", "inverses", (els[a],))
@@ -715,20 +614,17 @@ def is_proto_full(S):
     """Nonempty intersection of ((ab+ac)d) with (a(bd+cd)) for all quadruples."""
     if not isinstance(S, Structure):
         raise StructureError("proto-fullness needs a finite structure")
-    view = _View.of_structure(S)
-    els = S.elements
-    k = view.k
-    prod = view.prod
+    els, prod, plus = S.elements, S._prod, S.add_masks
+    prod_cols = list(zip(*prod))
+    k = len(els)
     for a in range(k):
         for b in range(k):
-            ab = prod[a][b][0]
+            ab = prod[a][b]
             for c in range(k):
-                ac = prod[a][c][0]
-                sum1 = _sum_of_masks(view, ab, ac)[0]
+                sum1 = plus(ab, prod[a][c])
                 for d in range(k):
-                    left = _union_over(prod, sum1, d, True)[0]
-                    sum2 = _sum_of_masks(view, prod[b][d][0], prod[c][d][0])[0]
-                    right = _union_over(prod, sum2, a, False)[0]
+                    left = _union(prod_cols[d], sum1)
+                    right = _union(prod[a], plus(prod[b][d], prod[c][d]))
                     if not left & right:
                         return False, (els[a], els[b], els[c], els[d])
     return True, None
@@ -832,27 +728,32 @@ def _scan_action(view, F, col, full):
     """MV0-MV3 for the action of the scalars F on a tabulated vector carrier.
 
     MV2 and MV3 demand containment of the left side in the right side, or
-    equality when full is set; MV0 and MV1 always demand equality.
+    equality when full is set; MV0 and MV1 always demand equality.  The
+    carrier's cells are exact, so a union over the members of a cell is an OR
+    of action cells.  The setwise vector sums of MV2 are unions over the sum
+    rows of lam v, built once per (lam, v); a memo of them would hold k x k
+    sums.  Those of MV3 come from one _Setwise memo.
     """
-    els, act, k = view.elements, view.act, view.k
+    els, act, k, inex = view.elements, view.act, view.k, view.inex
+    act_cols = list(zip(*act))
     scal = F.elements
     s = len(scal)
     one, zero = F.index(F.one), F.index(F.zero)
-    zero_vec = (1 << view.zero_i, True)
+    zero_vec = 1 << view.zero_i
     for v in range(k):
-        col.record(_equality(act[one][v], (1 << v, True)), "MV0-one", (els[v],))
+        col.record(_equality(act[one][v], 1 << v, inex), "MV0-one", (els[v],))
         if col.done:
             return
-        col.record(_equality(act[zero][v], zero_vec), "MV0-zero", (els[v],))
+        col.record(_equality(act[zero][v], zero_vec, inex), "MV0-zero", (els[v],))
         if col.done:
             return
     # MV1: (lam mu) v = lam (mu v)
     for lam in range(s):
         for mu in range(s):
             for v in range(k):
-                left = _union_over(act, F._prod[lam][mu], v, True)
-                right = _union_over(act, act[mu][v][0], lam, False)
-                col.record(_equality(left, right), "MV1", (scal[lam], scal[mu], els[v]))
+                left = _union(act_cols[v], F._prod[lam][mu])
+                right = _union(act[lam], act[mu][v])
+                col.record(_equality(left, right, inex), "MV1", (scal[lam], scal[mu], els[v]))
                 if col.done:
                     return
     law = _equality if full else _containment
@@ -860,19 +761,23 @@ def _scan_action(view, F, col, full):
     for lam in range(s):
         row = act[lam]
         for v in range(k):
+            plus_v = [0] * k  # plus_v[x] = lam v + x, the OR of the sum rows over lam v
+            for x in _bits(row[v]):
+                plus_v = list(map(or_, plus_v, view.sum[x]))
             for w in range(k):
-                left = _union_over(act, view.sum[v][w][0], lam, False)
-                right = _sum_of_masks(view, row[v][0], row[w][0])
-                col.record(law(left, right), "MV2", (scal[lam], els[v], els[w]))
+                left = _union(row, view.sum[v][w])
+                col.record(law(left, _union(plus_v, row[w]), inex), "MV2",
+                           (scal[lam], els[v], els[w]))
                 if col.done:
                     return
     # MV3: (lam + mu) v within lam v + mu v
+    plus = _Setwise(view.sum)
     for lam in range(s):
         for mu in range(s):
             for v in range(k):
-                left = _union_over(act, F._sum[lam][mu], v, True)
-                right = _sum_of_masks(view, act[lam][v][0], act[mu][v][0])
-                col.record(law(left, right), "MV3", (scal[lam], scal[mu], els[v]))
+                left = _union(act_cols[v], F._sum[lam][mu])
+                right = plus[act[lam][v], act[mu][v]]
+                col.record(law(left, right, inex), "MV3", (scal[lam], scal[mu], els[v]))
                 if col.done:
                     return
 

@@ -14,7 +14,7 @@ import sys
 
 from . import goldens
 from .axioms import KINDS, MorphismSpec, check_morphism, verify_axioms
-from .errors import MvlaError, ParseError
+from .errors import MvlaError, ParseError, WindowRequired
 from .extensions import ExtensionPair, classify_extension, make_quotient_superfield
 from .fileformat import (element_token, parse_matrix, parse_structure,
                          parse_system, poly_from_text, serialize_structure,
@@ -32,11 +32,17 @@ EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE = 0, 1, 2
 _STATUS_EXIT = {SOLVED: EXIT_PASS, NO_SOLUTION: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
 
-def load_structure(ref):
-    """A structure from `builtin:NAME` (K, Q2, Trop, H3, X2, F5, ...) or a file path."""
+def load_structure(ref, lazy=False):
+    """A structure from `builtin:NAME` (K, Q2, Trop, H3, X2, F5, ...) or a file path.
+
+    The lazy `Trop` loads only with lazy set, that is for `verify --window`.
+    """
     m = _BUILTIN.match(ref)
     if m:
         tag = m.group(1)
+        if tag == "Trop" and not lazy:
+            raise WindowRequired(f"{ref} is lazy: only verify --window LO HI can check it; "
+                                 "this command needs a window")
         if tag in ("K", "Q2", "Trop"):
             return builtin(tag)
         kind = {"H": "Hp", "X": "Xn", "F": "Fp"}[tag[0]]
@@ -95,8 +101,8 @@ def _verdict_exit(verdict):
 
 
 def cmd_verify(args):
-    S = load_structure(args.structure)
     window = tuple(args.window) if args.window else None
+    S = load_structure(args.structure, lazy=window is not None)
     rep = verify_axioms(S, args.kind, window=window)
     r = Report("verify")
     r.add("structure", rep.subject).add("kind", rep.kind)
@@ -257,7 +263,7 @@ def cmd_vspace(args):
     if args.space == "fn":
         V = fn_space(S, args.n)
     elif args.space == "matrix":
-        V = matrix_space(S, args.n, args.m or args.n)
+        V = matrix_space(S, args.n, args.n if args.m is None else args.m)
     else:
         V = poly_space(S, args.n)
     rep = verify_vspace(V, full=args.full)

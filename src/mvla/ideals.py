@@ -19,32 +19,19 @@ def characteristic(S, window=None):
     if isinstance(S, TropicalStructure):
         if window is None:
             raise WindowRequired("characteristic of a lazy structure needs a window")
-        from .axioms import _View
+        from .axioms import _View, _union
         view = _View.of_window(S, *window)
-        one_bit = 1 << view.one_i
-        zero_i = view.zero_i
-        mask, exact = one_bit, True
-        seen = {mask}
+        inex = view.inex
+        ones = [row[view.one_i] for row in view.sum]
+        cell = 1 << view.one_i
+        seen = {cell}
         for n in range(1, 2 ** view.k + 2):
-            if mask >> zero_i & 1:
+            if cell >> view.zero_i & 1:
                 return n
-            nxt, nxt_exact = 0, exact
-            m, i = mask, 0
-            while m:
-                if m & 1:
-                    cell = view.sum[i][view.one_i]
-                    if cell is None:
-                        nxt_exact = False
-                    else:
-                        nxt |= cell[0]
-                        nxt_exact = nxt_exact and cell[1]
-                m >>= 1
-                i += 1
-            mask, exact = nxt, nxt_exact
-            if mask in seen and exact:
-                return 0
-            if mask in seen and not exact:
-                return None
+            cell = _union(ones, cell & ~inex, cell & inex)
+            mask = cell & ~inex
+            if mask in seen:
+                return 0 if cell < inex else None
             seen.add(mask)
         return None
 

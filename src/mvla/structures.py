@@ -237,7 +237,11 @@ def _bits(mask):
 
 
 class _Setwise(dict):
-    """(m1, m2) -> union of table[i][j] over the bits i of m1, j of m2, on first use."""
+    """(m1, m2) -> union of table[i][j] over the bits i of m1, j of m2, on first use.
+
+    A bit of m1 or m2 above the carrier is carried into the result as it is:
+    the axiom engine's cells mark an inexact result with such a bit.
+    """
 
     __slots__ = ("table",)
 
@@ -247,12 +251,18 @@ class _Setwise(dict):
 
     def __missing__(self, key):
         m1, m2 = key
-        res = 0
-        for i, row in enumerate(self.table):
-            if m1 >> i & 1:
-                for j, m in enumerate(row):
-                    if m2 >> j & 1:
-                        res |= m
+        carrier = (1 << len(self.table)) - 1
+        res = (m1 | m2) & ~carrier
+        m1 &= carrier
+        while m1:
+            low = m1 & -m1
+            m1 ^= low
+            row = self.table[low.bit_length() - 1]
+            m = m2 & carrier
+            while m:
+                low = m & -m
+                m ^= low
+                res |= row[low.bit_length() - 1]
         self[key] = res
         return res
 

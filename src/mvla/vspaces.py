@@ -15,7 +15,7 @@ import math
 from .axioms import (AxiomReport, FAIL, PASS, _Collector, _View, _add_group,
                      _report, _scan_action, is_full)
 from .errors import MvlaError, StructureError
-from .structures import Box, _box_elements, box_sums, msum
+from .structures import Box, _box_elements, box_sums
 
 DEFAULT_BUNDLE_BOUND = 2
 
@@ -104,6 +104,8 @@ def fn_space(F, n):
 
 def matrix_space(F, rows, cols):
     """M_{rows x cols}(F) as a vector space on row-major entry tuples."""
+    if rows < 1 or cols < 1:
+        raise StructureError("matrix shape must be positive")
     return _componentwise_space(F, rows * cols, f"M{rows}x{cols}({F.name})")
 
 
@@ -113,6 +115,8 @@ def poly_space(F, max_degree):
     The truncation is recorded in the name; the untruncated polynomial space
     is infinite and out of reach of exhaustive checks.
     """
+    if max_degree < 0:
+        raise StructureError("maximal degree must be nonnegative")
     return _componentwise_space(F, max_degree + 1, f"{F.name}[X]<= {max_degree}")
 
 
@@ -257,10 +261,12 @@ def is_linearly_independent(V, vs, bundle_bound=DEFAULT_BUNDLE_BOUND):
         return True, None
     F = V.scalars
     bundles = _bundles(F, bundle_bound)
-    effective = [msum(F, bundle) for bundle in bundles]
-    terms = [[V.act_scalar_set(c, v) for c in effective] for v in vs]  # [j][i]: bundle i, vs[j]
+    effective = [F.sum_of([1 << F.index(x) for x in bundle]) for bundle in bundles]
+    coefficients = list(map(F.canon_of, effective))
+    terms = [[V.act_scalar_set(c, v) for c in coefficients] for v in vs]  # [j][i]: bundle i, vs[j]
+    zero_bit = 1 << F.index(F.zero)
     for combo in itertools.product(range(len(bundles)), repeat=len(vs)):
-        if all(F.zero in effective[i] for i in combo):
+        if all(effective[i] & zero_bit for i in combo):
             continue  # cannot witness dependence either way
         total = V.vsum_fold([row[i] for row, i in zip(terms, combo)])
         if V.vzero in total:
@@ -322,7 +328,7 @@ def solution_subspace(A, scan_cap=10 ** 6):
     subspace predicate inside the ambient column space.  The predicate's
     verdict is reported as computed; it is not forced.
     """
-    from .linsys import homogeneous, row_value_sets
+    from .linsys import _row_masks, homogeneous
     from .matrices import Matrix
 
     F = A.base
@@ -333,10 +339,10 @@ def solution_subspace(A, scan_cap=10 ** 6):
     if total > scan_cap:
         raise MvlaError(f"kernel enumeration of {total} vectors exceeds cap")
     sysh = homogeneous(A)
+    zero_bit = 1 << F.index(F.zero)
     kernel = []
     for combo in itertools.product(F.elements, repeat=A.cols):
-        d = Matrix.column(F, combo)
-        if all(F.zero in v for v in row_value_sets(sysh, d)):
+        if all(m & zero_bit for m in _row_masks(sysh, Matrix.column(F, combo))):
             kernel.append(combo)
     V = fn_space(F, A.cols)
     ok, wit = is_subspace(V, kernel)

@@ -9,9 +9,10 @@ from mvla import (MorphismSpec, StructureError, WindowRequired, builtin,
                   recheck_witness, strict_ring, structure_is, verify_axioms,
                   verify_multigroup, verify_vspace)
 from mvla import axioms
-from mvla.axioms import (KINDS, _Collector, _View, _containment, _equality,
-                         _membership, _scan_assoc, _scan_hyper_dist, _scan_m1,
-                         _scan_weak_dist, _sum_of_masks, _union_over)
+from mvla.axioms import (KINDS, _Collector, _View, _scan_absorb, _scan_action,
+                         _scan_assoc, _scan_hyper_dist, _scan_inverses, _scan_m1,
+                         _scan_monoid, _scan_multigroup, _scan_no_zero_divisors,
+                         _scan_nonempty, _scan_signs, _scan_weak_dist)
 from mvla.structures import mprod, msum
 
 
@@ -163,6 +164,16 @@ def test_tropical_window_verdicts(trop):
         verify_axioms(trop, "multifield")
 
 
+def test_scans_leave_the_structure_tables_as_they_are(H3, X2):
+    """A finite structure's view is its own mask tables, not a copy."""
+    for S in (H3, X2, strict_ring(6)):
+        before = [[list(row) for row in tab] for tab in (S._sum, S._prod)]
+        for kind in KINDS:
+            verify_axioms(S, kind, witness_limit=10 ** 9)
+        is_full(S), is_proto_full(S)
+        assert [S._sum, S._prod] == before
+
+
 def test_structure_is_caches(H3):
     assert structure_is(H3, "superfield")
     assert structure_is(H3, "superfield")  # cached path
@@ -232,6 +243,149 @@ def test_kind_lattice_implications(K, Q2, H3, F2, F3):
             assert verify_axioms(S, weaker).passed, (S.name, weaker)
 
 
+# -- the references read (mask, exact) cells, the engine's format before int cells ------
+#
+# The helpers below are the engine's tuple-cell helpers as they were before its
+# tables held int cells, kept verbatim: a cell was (mask, exact), or None where
+# the result escapes the window.  _tuple_view turns a view of int cells into
+# that form, so every _ref_* loop runs as it did then.
+
+
+def _union_over(tab, member_mask, other, left_side):
+    """Union of tab[x][other] (or tab[other][x]) over members x of member_mask."""
+    mask, exact = 0, True
+    m = member_mask
+    while m:
+        low = m & -m
+        m ^= low
+        i = low.bit_length() - 1
+        cell = tab[i][other] if left_side else tab[other][i]
+        if cell is None:
+            exact = False
+        else:
+            mask |= cell[0]
+            exact = exact and cell[1]
+    return mask, exact
+
+
+def _sum_of_masks(view, m1, m2):
+    """Union of sum[x][y] over members x of m1 and y of m2."""
+    mask, exact = 0, True
+    tab = view.sum
+    while m1:
+        low = m1 & -m1
+        m1 ^= low
+        row = tab[low.bit_length() - 1]
+        mm2 = m2
+        while mm2:
+            low = mm2 & -mm2
+            mm2 ^= low
+            cell = row[low.bit_length() - 1]
+            if cell is None:
+                exact = False
+            else:
+                mask |= cell[0]
+                exact = exact and cell[1]
+    return mask, exact
+
+
+def _containment(L, R):
+    if L is None or R is None:
+        return "skip"
+    lm, lex = L
+    rm, rex = R
+    if lm & ~rm:
+        return "fail" if rex else "skip"
+    return "pass" if lex else "skip"
+
+
+def _equality(L, R):
+    a = _containment(L, R)
+    b = _containment(R, L)
+    if "fail" in (a, b):
+        return "fail"
+    if "skip" in (a, b):
+        return "skip"
+    return "pass"
+
+
+def _membership(bit, R):
+    if R is None:
+        return "skip"
+    rm, rex = R
+    if rm >> bit & 1:
+        return "pass"
+    return "fail" if rex else "skip"
+
+
+def _neg_mask(view, mask):
+    out = 0
+    i = 0
+    while mask:
+        if mask & 1:
+            out |= 1 << view.neg[i]
+        mask >>= 1
+        i += 1
+    return out
+
+
+def _tuple_tab(tab, inex):
+    """A table of int cells as (mask, exact) cells; an escaped cell becomes None."""
+    if tab is None:
+        return None
+    return [[None if cell == inex else (cell & ~inex, cell < inex) for cell in row]
+            for row in tab]
+
+
+def _tuple_view(view):
+    """The view with (mask, exact) cells, as the references read it."""
+    return _View(view.elements, view.zero_i, view.one_i, view.neg,
+                 _tuple_tab(view.sum, view.inex), _tuple_tab(view.prod, view.inex),
+                 view.partial, _tuple_tab(view.act, view.inex))
+
+
+_TUPLE_LAWS = {axioms._containment: _containment, axioms._equality: _equality}
+
+
+def _ref_window_view(trop, lo, hi):
+    """A window tabulated into (mask, exact) cells, as _View.of_window did it."""
+    els, sum_entry, prod_entry, neg, zero, one = trop.window_tables(lo, hi)
+    idx = {e: i for i, e in enumerate(els)}
+
+    def tab(entry):
+        rows = []
+        for a in els:
+            row = []
+            for b in els:
+                r = entry(a, b)
+                if r is None:
+                    row.append(None)
+                else:
+                    res, exact = r
+                    m = 0
+                    for x in res:
+                        m |= 1 << idx[x]
+                    row.append((m, exact))
+            rows.append(row)
+        return rows
+
+    neg_idx = tuple(idx[neg(e)] for e in els)
+    return _View(els, idx[zero], idx[one], neg_idx, tab(sum_entry), tab(prod_entry), True)
+
+
+@pytest.mark.parametrize("window", [(-5, 5), (-3, 3), (-1, 2)])
+def test_window_cells_match_tuple_tabulation(trop, window):
+    """Every window cell is its members' mask, plus the inexact bit when the window
+    clips the result; an escape is the inexact bit alone."""
+    view, ref = _View.of_window(trop, *window), _ref_window_view(trop, *window)
+    got = _tuple_view(view)
+    assert (got.sum, got.prod) == (ref.sum, ref.prod)
+    assert (view.elements, view.zero_i, view.one_i, view.neg) == \
+        (ref.elements, ref.zero_i, ref.one_i, ref.neg)
+    flat = [c for tab in (view.sum, view.prod) for row in tab for c in row]
+    assert view.inex in flat and any(c > view.inex for c in flat)
+
+
 # -- the row-at-a-time associativity kernel against the per-triple loop ----------------
 
 
@@ -259,21 +413,34 @@ def _ref_scan_assoc(view, col, tab, axiom, law):
                     return
 
 
+def _ref_scan_assoc_on_ints(view, col, tab, axiom, law):
+    """_ref_scan_assoc, called the way the engine calls _scan_assoc."""
+    _ref_scan_assoc(_tuple_view(view), col, _tuple_tab(tab, view.inex), axiom,
+                    _TUPLE_LAWS[law])
+
+
 _UNLIMITED = {"limit": 10 ** 9}
 _LIMITED = ({"limit": 1}, {"limit": 3}, {"limit": 3, "stop_on_first": True})
 
 
 def _scans_agree(view, scan, ref_scan, *args):
-    """Both scans give the same witnesses, checked and skipped under every witness
-    setting; returns the reference's unlimited run.
+    """scan on the view and ref_scan on its tuple form give the same witnesses,
+    checked and skipped under every witness setting; returns the reference's
+    unlimited run.
 
-    A scan without witnesses runs once: the limits cannot change it.
+    ref_scan gets the tuple view's table where scan gets one of the view's
+    tables, and the tuple-cell law where scan gets an int-cell law.  A scan
+    without witnesses runs once: the limits cannot change it.
     """
+    tview = _tuple_view(view)
+    swap = {id(view.sum): tview.sum, id(view.prod): tview.prod,
+            **{id(law): ref_law for law, ref_law in _TUPLE_LAWS.items()}}
+    ref_args = [swap.get(id(a), a) for a in args]
     runs = []
     for kwargs in (_UNLIMITED,) + _LIMITED:
         new, ref = _Collector(**kwargs), _Collector(**kwargs)
         scan(view, new, *args)
-        ref_scan(view, ref, *args)
+        ref_scan(tview, ref, *ref_args)
         assert (new.witnesses, new.checked, new.skipped) == \
             (ref.witnesses, ref.checked, ref.skipped), (scan.__name__, args[1:], kwargs)
         runs.append(ref)
@@ -287,16 +454,16 @@ def _assoc_agrees(view, tab, axiom, law):
 
 
 def _all_assoc_agree(view):
-    _assoc_agrees(view, view.sum, "M3", _containment)
-    _assoc_agrees(view, view.prod, "M3-mult", _containment)
-    _assoc_agrees(view, view.prod, "assoc-prod", _equality)
+    _assoc_agrees(view, view.sum, "M3", axioms._containment)
+    _assoc_agrees(view, view.prod, "M3-mult", axioms._containment)
+    _assoc_agrees(view, view.prod, "assoc-prod", axioms._equality)
 
 
 def _reports_agree(monkeypatch, run):
     """run() reports the same with the per-triple loop patched in."""
     new = run()
     with monkeypatch.context() as patched:
-        patched.setattr(axioms, "_scan_assoc", _ref_scan_assoc)
+        patched.setattr(axioms, "_scan_assoc", _ref_scan_assoc_on_ints)
         ref = run()
     assert new == ref
     return new
@@ -319,7 +486,7 @@ def test_assoc_kernel_matches_per_triple_loop_on_builtins(monkeypatch, name):
 def test_assoc_kernel_matches_per_triple_loop_on_windows(monkeypatch, trop, window):
     view = _View.of_window(trop, *window)
     _all_assoc_agree(view)
-    assert _assoc_agrees(view, view.sum, "M3", _containment).skipped > 0
+    assert _assoc_agrees(view, view.sum, "M3", axioms._containment).skipped > 0
     for kind in ("multifield", "superring"):
         for kwargs in ({"witness_limit": 1}, {"witness_limit": 3},
                        {"stop_on_first": True}):
@@ -340,34 +507,34 @@ def test_assoc_kernel_matches_per_triple_loop_on_derived_carriers(
         monkeypatch, carriers, name):
     V = carriers[name]
     view = _View.of_carrier(V.vectors, V.vsum_set, V.vneg, V.vzero)
-    assert _assoc_agrees(view, view.sum, "M3", _containment).checked == view.k ** 3
+    assert _assoc_agrees(view, view.sum, "M3", axioms._containment).checked == view.k ** 3
     for full in (False, True):
         _reports_agree(monkeypatch, lambda: verify_vspace(V, full=full))
 
 
 @st.composite
 def partial_views(draw):
-    """A window-like view on 2-5 elements with None, inexact and failing cells.
+    """A window-like view on 2-5 elements with escaped, inexact and failing cells.
 
     Half the masks are the whole carrier, so some rows (a, b) pass whole and
     others fail.
     """
     k = draw(st.integers(2, 5))
-    whole = (1 << k) - 1
+    whole, inex = (1 << k) - 1, 1 << k
     masks = st.one_of(st.just(whole), st.integers(0, whole))
 
     def cell():
         shape = draw(st.integers(0, 5))
         if shape == 0:
-            return None
-        return draw(masks), shape != 1
+            return inex
+        return draw(masks) | (inex if shape == 1 else 0)
 
     def table():
         tab = [[cell() for _ in range(k)] for _ in range(k)]
-        none_at, inexact_at = draw(st.lists(st.integers(0, k * k - 1), min_size=2,
-                                            max_size=2, unique=True))
-        tab[none_at // k][none_at % k] = None
-        tab[inexact_at // k][inexact_at % k] = (draw(masks), False)
+        escape_at, inexact_at = draw(st.lists(st.integers(0, k * k - 1), min_size=2,
+                                              max_size=2, unique=True))
+        tab[escape_at // k][escape_at % k] = inex
+        tab[inexact_at // k][inexact_at % k] = draw(masks) | inex
         return tab
 
     els = tuple(range(k))
@@ -377,11 +544,11 @@ def partial_views(draw):
 @settings(max_examples=150, deadline=None)
 @given(view=partial_views())
 def test_assoc_kernel_matches_per_triple_loop_on_random_partial_tables(view):
-    full = _assoc_agrees(view, view.sum, "M3", _containment)
-    assert full.skipped >= view.k  # the row (a, b) at the None cell
+    full = _assoc_agrees(view, view.sum, "M3", axioms._containment)
+    assert full.skipped >= view.k  # the row (a, b) at the escaped cell
     assume(full.witnesses)
-    _assoc_agrees(view, view.prod, "M3-mult", _containment)
-    _assoc_agrees(view, view.prod, "assoc-prod", _equality)
+    _assoc_agrees(view, view.prod, "M3-mult", axioms._containment)
+    _assoc_agrees(view, view.prod, "assoc-prod", axioms._equality)
 
 
 # -- the row-at-a-time M1 and distributivity kernels against per-instance loops -------
@@ -472,7 +639,7 @@ def _ref_scan_hyper_dist(view, col):
 
 def _ref_is_full(S):
     """The per-triple fullness loop that is_full replaced, kept as its reference."""
-    view = _View.of_structure(S)
+    view = _tuple_view(_View.of_structure(S))
     els, k = S.elements, view.k
     for c in range(k):
         for a in range(k):
@@ -545,12 +712,330 @@ def test_weak_dist_skips_both_sides_of_an_escaping_sum():
     escapes the window."""
     k = 3
     els = tuple(range(k))
-    sum_tab = [[(1 << (a + b) % k, True) for b in els] for a in els]
-    sum_tab[1][2] = None
-    prod_tab = [[(1 << a * b % k, True) for b in els] for a in els]
+    sum_tab = [[1 << (a + b) % k for b in els] for a in els]
+    sum_tab[1][2] = 1 << k
+    prod_tab = [[1 << a * b % k for b in els] for a in els]
     view = _View(els, 0, 1, (0, 2, 1), sum_tab, prod_tab, True)
-    for scan in (_scan_weak_dist, _ref_scan_weak_dist):
+    for scan, v in ((_scan_weak_dist, view), (_ref_scan_weak_dist, _tuple_view(view))):
         col = _Collector(**_UNLIMITED)
-        scan(view, col)
+        scan(v, col)
         assert col.checked + col.skipped == 2 * k ** 3
         assert col.skipped >= 2 * k and not col.witnesses
+
+
+# -- the per-instance scans against the tuple-cell loops they were ported from --------
+
+
+def _ref_scan_nonempty(view, col, opname):
+    tab = view.sum if opname == "sum" else view.prod
+    els = view.elements
+    for i in range(view.k):
+        for j in range(view.k):
+            cell = tab[i][j]
+            if cell is None:
+                col.record("skip", "nonempty", (els[i], els[j]))
+            elif cell[0] == 0:
+                col.record("fail", f"nonempty-{opname}", (els[i], els[j]))
+            else:
+                col.record("pass", "nonempty", (els[i], els[j]))
+            if col.done:
+                return
+
+
+def _ref_scan_multigroup(view, col, opname, unit_i, use_inversion):
+    """M1-M4 over one operation; multimonoid mode drops M1/M2 for a weak unit law."""
+    tab = view.sum if opname == "sum" else view.prod
+    els = view.elements
+    k = view.k
+    suffix = "" if opname == "sum" else "-mult"
+
+    # M2 (group mode): a . unit = {a}.  Monoid mode: a in unit . a.
+    for i in range(k):
+        if use_inversion:
+            col.record(_equality(tab[i][unit_i], (1 << i, True)), "M2" + suffix, (els[i],))
+        else:
+            col.record(_membership(i, tab[unit_i][i]), "unit" + suffix, (els[i],))
+        if col.done:
+            return
+
+    if use_inversion:
+        _ref_m1(view, col, tab, "M1" + suffix)
+        if col.done:
+            return
+
+    # M4 commutativity
+    for i in range(k):
+        for j in range(i + 1, k):
+            col.record(_equality(tab[i][j], tab[j][i]), "M4" + suffix, (els[i], els[j]))
+            if col.done:
+                return
+
+    # M3 weak associativity: (a.b).c subset of a.(b.c), unionwise
+    _ref_scan_assoc(view, col, tab, "M3" + suffix, _containment)
+
+
+def _ref_scan_monoid(view, col):
+    """Strict commutative monoid laws for the product of a multiring."""
+    tab = view.prod
+    els = view.elements
+    k = view.k
+    for i in range(k):
+        for j in range(k):
+            cell = tab[i][j]
+            if cell is None:
+                col.record("skip", "prod-single", (els[i], els[j]))
+            elif cell[0] & (cell[0] - 1):
+                col.record("fail", "prod-single", (els[i], els[j]))
+            else:
+                col.record("pass", "prod-single", (els[i], els[j]))
+            if col.done:
+                return
+    for i in range(k):
+        col.record(_equality(tab[i][view.one_i], (1 << i, True)), "unit-prod", (els[i],))
+        if col.done:
+            return
+    for i in range(k):
+        for j in range(i + 1, k):
+            col.record(_equality(tab[i][j], tab[j][i]), "comm-prod", (els[i], els[j]))
+            if col.done:
+                return
+    _ref_scan_assoc(view, col, tab, "assoc-prod", _equality)
+
+
+def _ref_scan_absorb(view, col):
+    els = view.elements
+    z = view.zero_i
+    zero_mask = (1 << z, True)
+    for i in range(view.k):
+        col.record(_equality(view.prod[i][z], zero_mask), "absorb", (els[i],))
+        if col.done:
+            return
+        col.record(_equality(view.prod[z][i], zero_mask), "absorb", (els[i],))
+        if col.done:
+            return
+
+
+def _ref_scan_signs(view, col):
+    els = view.elements
+    for a in range(view.k):
+        na = view.neg[a]
+        for b in range(view.k):
+            ab = view.prod[a][b]
+            neg_ab = None if ab is None else (_neg_mask(view, ab[0]), ab[1])
+            col.record(_equality(neg_ab, view.prod[na][b]), "signs", (els[a], els[b]))
+            if col.done:
+                return
+            col.record(_equality(neg_ab, view.prod[a][view.neg[b]]), "signs", (els[a], els[b]))
+            if col.done:
+                return
+
+
+def _ref_scan_no_zero_divisors(view, col):
+    els = view.elements
+    z = view.zero_i
+    for a in range(view.k):
+        for b in range(view.k):
+            if a == z or b == z:
+                continue
+            cell = view.prod[a][b]
+            if cell is None:
+                col.record("skip", "no-zero-div", (els[a], els[b]))
+            elif cell[0] >> z & 1:
+                col.record("fail", "no-zero-div", (els[a], els[b]))
+            else:
+                col.record("pass" if cell[1] else "skip", "no-zero-div", (els[a], els[b]))
+            if col.done:
+                return
+
+
+def _ref_scan_inverses(view, col):
+    els = view.elements
+    z, one = view.zero_i, view.one_i
+    for a in range(view.k):
+        if a == z:
+            continue
+        found = False
+        partial = view.partial
+        for b in range(view.k):
+            cell = view.prod[a][b]
+            if cell is None:
+                partial = True
+            elif cell[0] >> one & 1:
+                found = True
+                break
+            elif not cell[1]:
+                partial = True
+        if found:
+            col.record("pass", "inverses", (els[a],))
+        elif partial:
+            col.record("skip", "inverses", (els[a],))
+        else:
+            col.record("fail", "inverses", (els[a],))
+        if col.done:
+            return
+
+
+def _ref_is_proto_full(S):
+    """Nonempty intersection of ((ab+ac)d) with (a(bd+cd)) for all quadruples."""
+    view = _tuple_view(_View.of_structure(S))
+    els = S.elements
+    k = view.k
+    prod = view.prod
+    for a in range(k):
+        for b in range(k):
+            ab = prod[a][b][0]
+            for c in range(k):
+                ac = prod[a][c][0]
+                sum1 = _sum_of_masks(view, ab, ac)[0]
+                for d in range(k):
+                    left = _union_over(prod, sum1, d, True)[0]
+                    sum2 = _sum_of_masks(view, prod[b][d][0], prod[c][d][0])[0]
+                    right = _union_over(prod, sum2, a, False)[0]
+                    if not left & right:
+                        return False, (els[a], els[b], els[c], els[d])
+    return True, None
+
+
+def _ref_scan_action(view, F, col, full):
+    """MV0-MV3 for the action of the scalars F on a tabulated vector carrier.
+
+    MV2 and MV3 demand containment of the left side in the right side, or
+    equality when full is set; MV0 and MV1 always demand equality.
+    """
+    els, act, k = view.elements, view.act, view.k
+    scal = F.elements
+    s = len(scal)
+    one, zero = F.index(F.one), F.index(F.zero)
+    zero_vec = (1 << view.zero_i, True)
+    for v in range(k):
+        col.record(_equality(act[one][v], (1 << v, True)), "MV0-one", (els[v],))
+        if col.done:
+            return
+        col.record(_equality(act[zero][v], zero_vec), "MV0-zero", (els[v],))
+        if col.done:
+            return
+    # MV1: (lam mu) v = lam (mu v)
+    for lam in range(s):
+        for mu in range(s):
+            for v in range(k):
+                left = _union_over(act, F._prod[lam][mu], v, True)
+                right = _union_over(act, act[mu][v][0], lam, False)
+                col.record(_equality(left, right), "MV1", (scal[lam], scal[mu], els[v]))
+                if col.done:
+                    return
+    law = _equality if full else _containment
+    # MV2: lam (v + w) within lam v + lam w
+    for lam in range(s):
+        row = act[lam]
+        for v in range(k):
+            for w in range(k):
+                left = _union_over(act, view.sum[v][w][0], lam, False)
+                right = _sum_of_masks(view, row[v][0], row[w][0])
+                col.record(law(left, right), "MV2", (scal[lam], els[v], els[w]))
+                if col.done:
+                    return
+    # MV3: (lam + mu) v within lam v + mu v
+    for lam in range(s):
+        for mu in range(s):
+            for v in range(k):
+                left = _union_over(act, F._sum[lam][mu], v, True)
+                right = _sum_of_masks(view, act[lam][v][0], act[mu][v][0])
+                col.record(law(left, right), "MV3", (scal[lam], scal[mu], els[v]))
+                if col.done:
+                    return
+
+
+_PER_INSTANCE = ((_scan_monoid, _ref_scan_monoid), (_scan_absorb, _ref_scan_absorb),
+                 (_scan_signs, _ref_scan_signs),
+                 (_scan_no_zero_divisors, _ref_scan_no_zero_divisors),
+                 (_scan_inverses, _ref_scan_inverses))
+
+
+def _per_instance_agree(view):
+    """Nonemptiness, M2/M4 (with M1 and M3) in group and monoid mode on both tables,
+    and the ring scans: every scan and its tuple-cell loop agree."""
+    for opname, unit_i in (("sum", view.zero_i), ("prod", view.one_i)):
+        _scans_agree(view, _scan_nonempty, _ref_scan_nonempty, opname)
+        for use_inversion in (True, False):
+            _scans_agree(view, _scan_multigroup, _ref_scan_multigroup,
+                         opname, unit_i, use_inversion)
+    for scan, ref_scan in _PER_INSTANCE:
+        _scans_agree(view, scan, ref_scan)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS) + ["Z6"])
+def test_per_instance_scans_match_tuple_loops_on_builtins(name):
+    S = strict_ring(6) if name == "Z6" else builtin(*_BUILTINS[name])
+    _per_instance_agree(_View.of_structure(S))
+    assert is_proto_full(S) == _ref_is_proto_full(S)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS) + ["Z6"])
+def test_per_instance_scans_match_tuple_loops_on_single_entry_mutants(name):
+    S = strict_ring(6) if name == "Z6" else builtin(*_BUILTINS[name])
+    for T in _single_entry_mutants(S):
+        _per_instance_agree(_View.of_structure(T))
+
+
+@pytest.mark.parametrize("name", ["K", "Q2", "H2", "H3", "X1", "F2", "F3"])
+def test_proto_fullness_matches_tuple_loop_on_mutants(name):
+    """Every table entry replaced by every nonempty subset of the carrier."""
+    S = builtin(*_BUILTINS[name])
+    subsets = [c for r in range(1, len(S.elements) + 1)
+               for c in itertools.combinations(S.elements, r)]
+    failing = 0
+    for op, a, b in itertools.product(("sum", "prod"), S.elements, S.elements):
+        for new in subsets:
+            T = S.with_entry(op, a, b, new)
+            proto = is_proto_full(T)
+            assert proto == _ref_is_proto_full(T)
+            failing += not proto[0]
+    assert failing  # the mutants reach the witness path
+
+
+@pytest.mark.parametrize("window", [(-5, 5), (-3, 3), (-1, 2)])
+def test_per_instance_scans_match_tuple_loops_on_windows(trop, window):
+    _per_instance_agree(_View.of_window(trop, *window))
+
+
+@settings(max_examples=150, deadline=None)
+@given(view=partial_views())
+def test_per_instance_scans_match_tuple_loops_on_random_partial_tables(view):
+    _per_instance_agree(view)
+
+
+def _action_agrees(view, F):
+    for full in (False, True):
+        _scans_agree(view, lambda v, col: _scan_action(v, F, col, full),
+                     lambda v, col: _ref_scan_action(v, F, col, full))
+
+
+@pytest.mark.parametrize("name", ["H3^3", "K^5", "Q2^3", "M2x2(H2)", "quotient|H3"])
+def test_action_scan_matches_tuple_loop_on_derived_carriers(carriers, name):
+    V = carriers[name]
+    _action_agrees(_View.of_carrier(V.vectors, V.vsum_set, V.vneg, V.vzero,
+                                    V.scalars, V.act), V.scalars)
+
+
+@st.composite
+def action_views(draw):
+    """An exact view of 2-5 vectors under a random action of a small built-in's
+    scalars; half the cells are the whole carrier, so instances pass and fail."""
+    F = builtin(*draw(st.sampled_from([("K",), ("Q2",), ("Fp", 2), ("Fp", 3), ("Hp", 3)])))
+    k = draw(st.integers(2, 5))
+    whole = (1 << k) - 1
+    masks = st.one_of(st.just(whole), st.integers(1, whole))
+
+    def table(rows):
+        return [[draw(masks) for _ in range(k)] for _ in range(rows)]
+
+    els = tuple(range(k))
+    view = _View(els, 0, None, draw(st.permutations(els)), table(k), None, False,
+                 table(len(F.elements)))
+    return view, F
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=action_views())
+def test_action_scan_matches_tuple_loop_on_random_actions(drawn):
+    _action_agrees(*drawn)

@@ -103,6 +103,53 @@ def test_extension_and_vspace_verbs(capsys):
                    "--space", "fn", "--n", "2", "--full") == 1
 
 
+def test_vspace_verb_rejects_nonpositive_shapes(capsys):
+    for shape in (["--space", "matrix", "--n", "-1"], ["--space", "matrix", "--n", "0"],
+                  ["--space", "matrix", "--n", "2", "--m", "0"],
+                  ["--space", "poly", "--n", "-1"], ["--space", "fn", "--n", "0"]):
+        assert run_cli("vspace", "--structure", "builtin:K", *shape) == 2, shape
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), shape
+    assert run_cli("vspace", "--structure", "builtin:K", "--space", "matrix",
+                   "--n", "1", "--m", "2") == 0
+    assert "space=M1x2(K)" in capsys.readouterr().out
+
+
+_TROP_VERBS = {
+    "verify": ["verify", "builtin:Trop", "--kind", "multifield"],
+    "morphism": ["morphism", "builtin:Trop", "builtin:K"],
+    "morphism-target": ["morphism", "builtin:K", "builtin:Trop"],
+    "det": ["det", "{matrix}", "--structure", "builtin:Trop"],
+    "matmul": ["matmul", "{matrix}", "{matrix}", "--structure", "builtin:Trop"],
+    "divmod": ["divmod", "--structure", "builtin:Trop", "--f", "1,1", "--g", "1"],
+    "eval": ["eval", "--structure", "builtin:Trop", "--poly", "1,1", "--at", "0"],
+    "eval-ambient": ["eval", "--structure", "builtin:K", "--poly", "1,1", "--at", "0",
+                     "--ambient", "builtin:Trop"],
+    "irreducible": ["irreducible", "--structure", "builtin:Trop", "--poly", "1,0,1"],
+    "solve": ["solve", "{system}", "--structure", "builtin:Trop"],
+    "kernel": ["kernel", "{matrix}", "--structure", "builtin:Trop"],
+    "closed": ["closed", "--structure", "builtin:Trop", "--max-n", "1", "--max-m", "2"],
+    "quotient": ["quotient", "builtin:Trop", "--poly", "1,0,1"],
+    "extension": ["extension", "builtin:Trop", "builtin:K"],
+    "extension-big": ["extension", "builtin:K", "builtin:Trop"],
+    "vspace": ["vspace", "--structure", "builtin:Trop", "--n", "2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TROP_VERBS))
+def test_lazy_structure_needs_a_window_on_every_verb(tmp_path, capsys, case):
+    """Trop loads only for verify --window; anywhere else it is an error line, exit 2."""
+    (tmp_path / "m.txt").write_text("1 1\n0\n")
+    (tmp_path / "s.txt").write_text("1 1\n0 | 0\n")
+    files = {"{matrix}": str(tmp_path / "m.txt"), "{system}": str(tmp_path / "s.txt")}
+    argv = [files.get(arg, arg) for arg in _TROP_VERBS[case]]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: builtin:Trop is lazy: only verify --window LO HI can "
+                            "check it; this command needs a window\n")
+
+
 def test_reproduce_all_goldens(capsys):
     for name in sorted(GOLDENS):
         assert load_golden(name) is not None, name

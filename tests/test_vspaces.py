@@ -61,6 +61,16 @@ def test_poly_space_truncation_named(H3):
     assert verify_vspace(V).passed
 
 
+def test_spaces_reject_nonpositive_shapes(K):
+    for build in (lambda: fn_space(K, 0), lambda: matrix_space(K, -1, -1),
+                  lambda: matrix_space(K, 0, 2), lambda: matrix_space(K, 2, 0),
+                  lambda: poly_space(K, -1)):
+        with pytest.raises(StructureError):
+            build()
+    assert len(poly_space(K, 0).vectors) == 2
+    assert len(matrix_space(K, 1, 2).vectors) == 4
+
+
 def test_extension_space_axioms(H2, H3, h3_quotient):
     ext = extension_space(ExtensionPair.inclusion(H2, H3))
     assert verify_vspace(ext).passed
@@ -384,6 +394,21 @@ def test_solution_subspace_reports_the_closure_gap(H3):
     _, v, w = wit
     escaped = {x for x in fn_space(H3, 2).vsum_set(v, w)} - ker
     assert escaped  # the witness re-checks
+
+
+def test_solution_subspace_matches_the_value_set_scan(H3, F3, K):
+    """The kernel is every vector with 0 in each value set of Av, as row_value_sets reads it."""
+    import random
+    from mvla.linsys import homogeneous, row_value_sets
+    rng = random.Random(7)
+    for F in (H3, F3, K):
+        for _ in range(6):
+            A = Matrix.from_rows(F, [[rng.choice(F.elements) for _ in range(3)]
+                                     for _ in range(rng.choice((1, 2)))])
+            sysh = homogeneous(A)
+            want = {v for v in itertools.product(F.elements, repeat=3)
+                    if all(F.zero in s for s in row_value_sets(sysh, Matrix.column(F, v)))}
+            assert solution_subspace(A)[0] == want
 
 
 def test_solution_subspace_requires_full_base(X2):
