@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import and_, invert, or_
+from operator import and_, invert, itemgetter, or_
 
 from .errors import StructureError, WindowRequired
 from .structures import Structure, TropicalStructure, _Setwise, _bits
@@ -212,38 +212,106 @@ def _record_row(col, law, left, right, inex, axiom, instances):
     return False
 
 
-def _scan_assoc(view, col, tab, axiom, law):
-    """law((a.b).c, a.(b.c)), unionwise, for every triple, one row (a, b) at a time.
+# -- packed rows: a whole row of cells in one int ---------------------------------
+#
+# A row of cells packs into one int at w = ceil((k + 1) / 8) bytes a cell, the
+# first cell in the highest bytes, so every cell keeps its inexact bit.  An OR of
+# packed rows is the packed row of the cellwise ORs, so a row of k instances
+# passes or fails with one int test.
 
-    For each distinct a.b cell the left row L[c], the union of x.c over x in
-    a.b, is built once by ORing whole table rows; equal unions share one int.
-    The right unions, of a.y over y in a cell, are tabulated per distinct cell
-    for the current a only.  A row (a, b) whose k instances all pass is counted
-    at once; any other row is recorded instance by instance, so witnesses,
-    counts and the early exit are those of a per-triple scan.
+# Rows of a table packed together in _row_unions: more rows take fewer ORs, fewer
+# hold less at once (a block's unions are a block of bytes per distinct cell).
+_BLOCK = 8
+
+
+def _pack(cells, w):
+    raw = bytes(cells) if w == 1 else b"".join([c.to_bytes(w, "big") for c in cells])
+    return int.from_bytes(raw, "big")
+
+
+def _unpack(packed, n, w):
+    raw = packed.to_bytes(n * w, "big")
+    return [int.from_bytes(raw[o:o + w], "big") for o in range(0, n * w, w)]
+
+
+def _or(packed, indices, start=0):
+    return functools.reduce(or_, map(packed.__getitem__, indices), start)
+
+
+def _passes(L, R, equal, inex_all):
+    """Every instance of a packed row passes: L is exact, and within R (or equal
+    to R when equal is set)."""
+    return not L & inex_all and (L == R if equal else (L | R) == R)
+
+
+def _cells(tab, inex):
+    """The distinct cells of tab in first-seen order, as {cell: (its members, its
+    inexact bit)}, and the position of each."""
+    members = dict.fromkeys(itertools.chain.from_iterable(tab))
+    for cell in members:
+        members[cell] = _bits(cell & ~inex), cell & inex
+    return members, {cell: n for n, cell in enumerate(members)}
+
+
+def _getters(ids, tab):
+    """Per row of tab, an itemgetter of its cells' unions from a list of _row_unions
+    (the cells positioned as in ids), and of the list's closing b"", so that it
+    always returns a tuple."""
+    return [itemgetter(*map(ids.__getitem__, row), -1) for row in tab]
+
+
+def _gather(get, unions):
+    """The packed row of the unions that get (from _getters) picks."""
+    return int.from_bytes(b"".join(get(unions)), "big")
+
+
+def _row_unions(tab, members, w, inex):
+    """For each row a of tab in turn, the list over the cells of members (from
+    _cells) of the OR of tab[a][y] over the members y of the cell, with the cell's
+    inexact bit, as w bytes; then b"".
+
+    The table's columns are packed over a block of rows, so one OR per member
+    serves the whole block; only one block's unions are held at a time.
+    """
+    for lo in range(0, len(tab), _BLOCK):
+        block = tab[lo:lo + _BLOCK]
+        n = len(block)
+        cols = [_pack(c, w) for c in zip(*block)]
+        inex_n = _pack([inex] * n, w)
+        unions = [_or(cols, mem, inex_n if x else 0).to_bytes(n * w, "big")
+                  for mem, x in members.values()]
+        unions.append(b"")
+        for o in range(0, n * w, w):
+            yield [raw[o:o + w] for raw in unions]
+
+
+def _scan_assoc(view, col, tab, axiom, law):
+    """law((a.b).c, a.(b.c)), unionwise, for every triple, one packed row (a, b) at a time.
+
+    The left row over c is the OR of the packed table rows x over x in a.b.  The
+    right row gathers, over the cells b.c, the unions of a.y over y in the cell,
+    which _row_unions builds for all distinct cells and one row a at a time.  A
+    row whose k instances all pass is counted at once; any other row is unpacked
+    and recorded instance by instance, so witnesses, counts and the early exit
+    are those of a per-triple scan.
     """
     els, k, inex = view.elements, view.k, view.inex
-    members = {cell: _bits(cell & ~inex)
-               for cell in set(itertools.chain.from_iterable(tab))}
-    interned = {}
-    lefts = {}
-    for i in range(k):
-        row_i = tab[i]
-        right = {cell: functools.reduce(or_, map(row_i.__getitem__, mem), cell & inex)
-                 for cell, mem in members.items()}
-        for j in range(k):
-            ab = row_i[j]
-            if ab not in lefts:
-                left = [ab & inex] * k
-                for x in members[ab]:
-                    left = list(map(or_, left, tab[x]))
-                left = list(map(interned.setdefault, left, left))
-                lefts[ab] = left, max(left) < inex
-            left, exact = lefts[ab]
-            rights = list(map(right.__getitem__, tab[j]))
-            if _row_passes(exact, left, rights, law):
+    w = (k + 8) // 8
+    inex_all = _pack([inex] * k, w)
+    packed = [_pack(row, w) for row in tab]
+    members, ids = _cells(tab, inex)
+    getters = _getters(ids, tab)
+    equal = law is _equality
+    # _or, _gather and _passes are inlined here: every structure_is runs this loop
+    reduce, from_bytes, join = functools.reduce, int.from_bytes, b"".join
+    for i, right in enumerate(_row_unions(tab, members, w, inex)):
+        for j, ab in enumerate(tab[i]):
+            mem, x = members[ab]
+            L = reduce(or_, map(packed.__getitem__, mem), inex_all if x else 0)
+            R = from_bytes(join(getters[j](right)), "big")
+            if not L & inex_all and (L == R if equal else (L | R) == R):
                 col.checked += k
-            elif _record_row(col, law, left, rights, inex, axiom,
+            elif _record_row(col, law, _unpack(L, k, w), _unpack(R, k, w), inex, axiom,
                              ((els[i], els[j], c) for c in els)):
                 return
 
@@ -728,14 +796,15 @@ def _scan_action(view, F, col, full):
     """MV0-MV3 for the action of the scalars F on a tabulated vector carrier.
 
     MV2 and MV3 demand containment of the left side in the right side, or
-    equality when full is set; MV0 and MV1 always demand equality.  The
-    carrier's cells are exact, so a union over the members of a cell is an OR
-    of action cells.  The setwise vector sums of MV2 are unions over the sum
-    rows of lam v, built once per (lam, v); a memo of them would hold k x k
-    sums.  Those of MV3 come from one _Setwise memo.
+    equality when full is set; MV0 and MV1 always demand equality.  MV1 and MV3
+    test one packed row (lam, mu) over v, MV2 one row (lam, v) over w, as
+    _scan_assoc does.  The unions of lam.y over the members y of a cell come from
+    _row_unions on the action table, over the distinct action cells for MV1 and
+    the distinct sum cells for MV2, one lam at a time.  The right side of MV2,
+    lam.v + lam.w over w, is the OR over x in lam.v of packed rows that gather
+    the unions of x + y over y in lam.w; they are built for one lam at a time.
     """
     els, act, k, inex = view.elements, view.act, view.k, view.inex
-    act_cols = list(zip(*act))
     scal = F.elements
     s = len(scal)
     one, zero = F.index(F.one), F.index(F.zero)
@@ -747,39 +816,48 @@ def _scan_action(view, F, col, full):
         col.record(_equality(act[zero][v], zero_vec, inex), "MV0-zero", (els[v],))
         if col.done:
             return
+    width = (k + 8) // 8
+    inex_all = _pack([inex] * k, width)
+
+    def done(L, R, law, axiom, instances):
+        """Count a passing packed row, or record it instance by instance; True once
+        the collector is done."""
+        if _passes(L, R, law is _equality, inex_all):
+            col.checked += k
+            return False
+        return _record_row(col, law, _unpack(L, k, width), _unpack(R, k, width), inex,
+                           axiom, instances)
+
+    acts = [_pack(row, width) for row in act]
+    act_cells, act_ids = _cells(act, inex)
+    act_getters = _getters(act_ids, act)
     # MV1: (lam mu) v = lam (mu v)
-    for lam in range(s):
+    for lam, unions in enumerate(_row_unions(act, act_cells, width, inex)):
         for mu in range(s):
-            for v in range(k):
-                left = _union(act_cols[v], F._prod[lam][mu])
-                right = _union(act[lam], act[mu][v])
-                col.record(_equality(left, right, inex), "MV1", (scal[lam], scal[mu], els[v]))
-                if col.done:
-                    return
+            R = _gather(act_getters[mu], unions)
+            if done(_or(acts, _bits(F._prod[lam][mu])), R, _equality, "MV1",
+                    ((scal[lam], scal[mu], v) for v in els)):
+                return
     law = _equality if full else _containment
     # MV2: lam (v + w) within lam v + lam w
-    for lam in range(s):
-        row = act[lam]
+    sum_cells, sum_ids = _cells(view.sum, inex)
+    sum_getters = _getters(sum_ids, view.sum)
+    for lam, unions in enumerate(_row_unions(act, sum_cells, width, inex)):
+        sums = [_gather(act_getters[lam], u)
+                for u in _row_unions(view.sum, act_cells, width, inex)]
         for v in range(k):
-            plus_v = [0] * k  # plus_v[x] = lam v + x, the OR of the sum rows over lam v
-            for x in _bits(row[v]):
-                plus_v = list(map(or_, plus_v, view.sum[x]))
-            for w in range(k):
-                left = _union(row, view.sum[v][w])
-                col.record(law(left, _union(plus_v, row[w]), inex), "MV2",
-                           (scal[lam], els[v], els[w]))
-                if col.done:
-                    return
+            R = _or(sums, act_cells[act[lam][v]][0])
+            if done(_gather(sum_getters[v], unions), R, law, "MV2",
+                    ((scal[lam], els[v], w) for w in els)):
+                return
     # MV3: (lam + mu) v within lam v + mu v
     plus = _Setwise(view.sum)
     for lam in range(s):
         for mu in range(s):
-            for v in range(k):
-                left = _union(act_cols[v], F._sum[lam][mu])
-                right = plus[act[lam][v], act[mu][v]]
-                col.record(law(left, right, inex), "MV3", (scal[lam], scal[mu], els[v]))
-                if col.done:
-                    return
+            R = _pack(map(plus.__getitem__, zip(act[lam], act[mu])), width)
+            if done(_or(acts, _bits(F._sum[lam][mu])), R, law, "MV3",
+                    ((scal[lam], scal[mu], v) for v in els)):
+                return
 
 
 # -- single-instance witness re-evaluation ----------------------------------------

@@ -147,16 +147,20 @@ def scale_system(sys, branch_cap=DEFAULT_BRANCH_CAP):
     prod, add, mul = S._prod, S.add_masks, S.mul_masks
     # each state carries its own next pivot row, since branch selections can
     # zero out entries and shift the pivot structure between branches; rows
-    # are tuples of indices and B a tuple of masks
+    # are tuples of indices and B a tuple of masks.  Equal states from
+    # different branches are merged after every column, first one first, and
+    # each keeps the number of branches that reached it: the cap counts those.
     entries = sys.A.indices
-    states = [(tuple(entries[i * n:(i + 1) * n] for i in range(m)), sys.masks, 0)]
+    states = {(tuple(entries[i * n:(i + 1) * n] for i in range(m)), sys.masks, 0): 1}
     for c in range(n):
-        new_states = []
-        for rows, B, r in states:
+        new_states = {}
+        reached = 0  # branches of this column so far, merged or not
+        for (rows, B, r), times in states.items():
             pivot_row = next((k for k in range(r, m) if rows[k][c] != zero), None) \
                 if r < m else None
             if pivot_row is None:
-                new_states.append((rows, B, r))
+                new_states[rows, B, r] = new_states.get((rows, B, r), 0) + times
+                reached += times
                 continue
             rows = list(rows)
             B = list(B)
@@ -188,12 +192,14 @@ def scale_system(sys, branch_cap=DEFAULT_BRANCH_CAP):
                             rws2, bb2 = list(rws), list(bb)
                             rws2[k], bb2[k] = sel, new_bk
                             next_frontier.append((rws2, bb2))
-                            if len(next_frontier) + len(new_states) > branch_cap:
+                            if times * len(next_frontier) + reached > branch_cap:
                                 raise BlowupError("scaling branch cap exceeded")
                     frontier = next_frontier
                 for rws, bb in frontier:
-                    new_states.append((tuple(rws), tuple(bb), r + 1))
-                    if len(new_states) > branch_cap:
+                    state = tuple(rws), tuple(bb), r + 1
+                    new_states[state] = new_states.get(state, 0) + times
+                    reached += times
+                    if reached > branch_cap:
                         raise BlowupError("scaling branch cap exceeded")
         states = new_states
 

@@ -579,6 +579,9 @@ class TropicalStructure:
 
     sum_set = _no_window
     prod_set = _no_window
+    # a finite structure's carrier and tables, which every entry point that takes
+    # one reads first: spaces, Poly, Matrix, structure_is
+    elements = _idx = _kind_cache = property(_no_window)
 
 
 def builtin(name, param=None):

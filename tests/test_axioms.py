@@ -482,7 +482,9 @@ def test_assoc_kernel_matches_per_triple_loop_on_builtins(monkeypatch, name):
         _reports_agree(monkeypatch, lambda: verify_axioms(S, kind))
 
 
-@pytest.mark.parametrize("window", [(-5, 5), (-3, 3)])
+# (-3, 2), (-3, 3), (-7, 6) and (-7, 7) have 7, 8, 15 and 16 elements: a packed cell,
+# with its inexact bit, just fills or just overflows one or two bytes.
+@pytest.mark.parametrize("window", [(-5, 5), (-3, 3), (-3, 2), (-7, 6), (-7, 7)])
 def test_assoc_kernel_matches_per_triple_loop_on_windows(monkeypatch, trop, window):
     view = _View.of_window(trop, *window)
     _all_assoc_agree(view)
@@ -513,18 +515,19 @@ def test_assoc_kernel_matches_per_triple_loop_on_derived_carriers(
 
 
 @st.composite
-def partial_views(draw):
-    """A window-like view on 2-5 elements with escaped, inexact and failing cells.
+def partial_views(draw, sizes=st.integers(2, 5), odds=5):
+    """A window-like view on 2-5 elements (or sizes) with escaped, inexact and
+    failing cells: about one cell in odds + 1 escapes and one is inexact.
 
     Half the masks are the whole carrier, so some rows (a, b) pass whole and
     others fail.
     """
-    k = draw(st.integers(2, 5))
+    k = draw(sizes)
     whole, inex = (1 << k) - 1, 1 << k
     masks = st.one_of(st.just(whole), st.integers(0, whole))
 
     def cell():
-        shape = draw(st.integers(0, 5))
+        shape = draw(st.integers(0, odds))
         if shape == 0:
             return inex
         return draw(masks) | (inex if shape == 1 else 0)
@@ -549,6 +552,18 @@ def test_assoc_kernel_matches_per_triple_loop_on_random_partial_tables(view):
     assume(full.witnesses)
     _assoc_agrees(view, view.prod, "M3-mult", axioms._containment)
     _assoc_agrees(view, view.prod, "assoc-prod", axioms._equality)
+
+
+# Carriers of 7 to 17 elements: packed cells of one, two and three bytes, and the
+# sizes where the inexact bit is the first bit of a new byte.  Few inexact cells,
+# so that wide rows pass whole as well as fail.
+_BYTE_EDGES = st.sampled_from([7, 8, 9, 15, 16, 17])
+
+
+@settings(max_examples=30, deadline=None)
+@given(view=partial_views(_BYTE_EDGES, odds=60))
+def test_assoc_kernel_matches_per_triple_loop_at_byte_boundaries(view):
+    _all_assoc_agree(view)
 
 
 # -- the row-at-a-time M1 and distributivity kernels against per-instance loops -------
@@ -1018,11 +1033,12 @@ def test_action_scan_matches_tuple_loop_on_derived_carriers(carriers, name):
 
 
 @st.composite
-def action_views(draw):
-    """An exact view of 2-5 vectors under a random action of a small built-in's
-    scalars; half the cells are the whole carrier, so instances pass and fail."""
+def action_views(draw, sizes=st.integers(2, 5)):
+    """An exact view of 2-5 vectors (or sizes) under a random action of a small
+    built-in's scalars; half the cells are the whole carrier, so instances pass
+    and fail."""
     F = builtin(*draw(st.sampled_from([("K",), ("Q2",), ("Fp", 2), ("Fp", 3), ("Hp", 3)])))
-    k = draw(st.integers(2, 5))
+    k = draw(sizes)
     whole = (1 << k) - 1
     masks = st.one_of(st.just(whole), st.integers(1, whole))
 
@@ -1038,4 +1054,10 @@ def action_views(draw):
 @settings(max_examples=150, deadline=None)
 @given(drawn=action_views())
 def test_action_scan_matches_tuple_loop_on_random_actions(drawn):
+    _action_agrees(*drawn)
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=action_views(_BYTE_EDGES))
+def test_action_scan_matches_tuple_loop_at_byte_boundaries(drawn):
     _action_agrees(*drawn)

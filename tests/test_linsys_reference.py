@@ -402,6 +402,32 @@ def test_small_bases_match_on_every_2x2_system(bases):
                 check_system(S, [entries[:2], entries[2:]], list(B))
 
 
+@pytest.mark.parametrize("cap", [4, 16, 64])
+def test_scaling_matches_token_reference_at_small_branch_caps(bases, cap):
+    """Equal states are merged after every column, but the cap still counts every
+    branch: the same systems, in the same order, and the same BlowupErrors as the
+    reference, which merges only at the end."""
+    blowups = 0
+    for name in sorted(BASES):
+        S = bases[name]
+        rng = random.Random(f"scale:{name}:{cap}")
+        for rows, cols in SHAPES + ((3, 4), (4, 4)):
+            for _ in range(25):
+                A = [[rng.choice(S.elements) for _ in range(cols)] for _ in range(rows)]
+                B = [frozenset(rng.sample(S.elements, rng.randint(1, len(S))))
+                     for _ in range(rows)]
+                sys_ = LinearSystem.of(Matrix.from_rows(S, A), B)
+                try:
+                    want = ref_scale_system(S, A, B, branch_cap=cap)
+                except BlowupError:
+                    blowups += 1
+                    with pytest.raises(BlowupError):
+                        scale_system(sys_, cap)
+                    continue
+                assert [(s.A.entries, s.B) for s in scale_system(sys_, cap)] == want, (A, B)
+    assert blowups
+
+
 @st.composite
 def systems(draw):
     S = builtin(*BASES[draw(st.sampled_from(sorted(BASES)))])

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvla import (INF, StructureError, WindowRequired, builtin, mprod,
-                  mprod_sets, msum, msum_sets)
+from mvla import (INF, Matrix, Poly, StructureError, WindowRequired, builtin, fn_space,
+                  matrix_space, mprod, mprod_sets, msum, msum_sets, poly_space, structure_is)
 
 
 def test_krasner_table(K):
@@ -125,6 +125,19 @@ def test_tropical_rules(trop):
     assert trop.window_elements(-2, 2) == (-2, -1, 0, 1, 2, INF)
     with pytest.raises(WindowRequired):
         trop.sum_set(1, 1)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda T: fn_space(T, 2),
+    lambda T: matrix_space(T, 2, 2),
+    lambda T: poly_space(T, 1),
+    lambda T: Poly(T, [1, 1]),
+    lambda T: Matrix.from_rows(T, [[1, 0], [INF, 2]]),
+    lambda T: structure_is(T, "superfield"),
+], ids=["fn_space", "matrix_space", "poly_space", "Poly", "Matrix.from_rows", "structure_is"])
+def test_finite_entry_points_refuse_the_lazy_structure(trop, entry):
+    with pytest.raises(WindowRequired):
+        entry(trop)
 
 
 @settings(max_examples=60, deadline=None)
