@@ -128,36 +128,24 @@ class _View:
         return cls(els, idx[zero], idx[one], neg_idx, tab(sum_entry), tab(prod_entry), True)
 
     @classmethod
-    def of_carrier(cls, elements, sum_fn, neg_fn, unit, scalars=None, act_fn=None):
+    def of_carrier(cls, elements, sum_fn, neg_fn, unit):
         """Tabulate a finite derived carrier (vectors, matrices, extension elements).
 
-        sum_fn(a, b), and act_fn(lam, v) for lam in scalars.elements, return
-        iterables of carrier members; any result outside the carrier raises
-        StructureError here, before a scan starts.
+        sum_fn(a, b) returns an iterable of carrier members; any result outside
+        the carrier raises StructureError here, before a scan starts.
         """
         elements = tuple(elements)
         idx = {e: i for i, e in enumerate(elements)}
 
         def index(x, key):
-            try:
-                return idx[x]
-            except KeyError:
-                raise StructureError(
-                    f"operation escapes the carrier at {key!r}: {x!r}") from None
+            if x not in idx:
+                raise StructureError(f"operation escapes the carrier at {key!r}: {x!r}")
+            return idx[x]
 
-        def cell(res, key):
-            m = 0
-            for x in res:
-                m |= 1 << index(x, key)
-            return m
-
-        sum_tab = [[cell(sum_fn(a, b), (a, b)) for b in elements] for a in elements]
+        sum_tab = [[functools.reduce(or_, (1 << index(x, (a, b)) for x in sum_fn(a, b)), 0)
+                    for b in elements] for a in elements]
         neg = tuple(index(neg_fn(a), (a,)) for a in elements)
-        act_tab = None
-        if act_fn is not None:
-            act_tab = [[cell(act_fn(lam, v), (lam, v)) for v in elements]
-                       for lam in scalars.elements]
-        return cls(elements, index(unit, ()), None, neg, sum_tab, None, False, act_tab)
+        return cls(elements, index(unit, ()), None, neg, sum_tab, None, False)
 
 
 def _union(cells, mask, start=0):

@@ -149,17 +149,18 @@ def scale_system(sys, branch_cap=DEFAULT_BRANCH_CAP):
     # zero out entries and shift the pivot structure between branches; rows
     # are tuples of indices and B a tuple of masks.  Equal states from
     # different branches are merged after every column, first one first, and
-    # each keeps the number of branches that reached it: the cap counts those.
+    # each keeps the number of branches that reached it, in a one-item list so
+    # that a merge hashes the state once: the cap counts those branches.
     entries = sys.A.indices
-    states = {(tuple(entries[i * n:(i + 1) * n] for i in range(m)), sys.masks, 0): 1}
+    states = {(tuple(entries[i * n:(i + 1) * n] for i in range(m)), sys.masks, 0): [1]}
     for c in range(n):
         new_states = {}
         reached = 0  # branches of this column so far, merged or not
-        for (rows, B, r), times in states.items():
+        for (rows, B, r), (times,) in states.items():
             pivot_row = next((k for k in range(r, m) if rows[k][c] != zero), None) \
                 if r < m else None
             if pivot_row is None:
-                new_states[rows, B, r] = new_states.get((rows, B, r), 0) + times
+                new_states.setdefault((rows, B, r), [0])[0] += times
                 reached += times
                 continue
             rows = list(rows)
@@ -196,8 +197,7 @@ def scale_system(sys, branch_cap=DEFAULT_BRANCH_CAP):
                                 raise BlowupError("scaling branch cap exceeded")
                     frontier = next_frontier
                 for rws, bb in frontier:
-                    state = tuple(rws), tuple(bb), r + 1
-                    new_states[state] = new_states.get(state, 0) + times
+                    new_states.setdefault((tuple(rws), tuple(bb), r + 1), [0])[0] += times
                     reached += times
                     if reached > branch_cap:
                         raise BlowupError("scaling branch cap exceeded")

@@ -1,46 +1,70 @@
 """Multivalued vector spaces over superfields.
 
 Vectors form an abelian multigroup and scalars act through nonempty sets.
-All spaces here are finite and fully tabulated, so axioms, spans and
-independence can be checked exhaustively.  Independence verdicts depend on a
-bundle bound (the maximal number of scalar summands tested per generator) and
-are reported together with that bound.
+All spaces here are finite and tabulated as masks over vector indices, so
+axioms, spans and independence are checked exhaustively.  Independence
+verdicts depend on a bundle bound (the maximal number of scalar summands
+tested per generator) and are reported together with that bound.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from operator import or_
 
 from .axioms import (AxiomReport, FAIL, PASS, _Collector, _View, _add_group,
-                     _report, _scan_action, is_full)
+                     _report, _scan_action, _union, is_full)
 from .errors import MvlaError, StructureError
-from .structures import Box, _box_elements, box_sums
+from .structures import _Setwise, _bits
 
 DEFAULT_BUNDLE_BOUND = 2
 
 
+def _check_table(label, tab, rows, k):
+    """tab is rows x k nonempty masks over k vectors, or StructureError names the cell."""
+    if len(tab) != rows or any(len(row) != k for row in tab):
+        raise StructureError(f"{label} is not a {rows} x {k} table")
+    for i, row in enumerate(tab):
+        for j, cell in enumerate(row):
+            if not 0 < cell < 1 << k:
+                raise StructureError(f"{label}[{i}][{j}] = {cell!r} is not a nonempty "
+                                     f"mask of the {k} vectors")
+
+
 class VectorSpace:
-    """A finite vector space: tabulated vector sum, negation and scalar action."""
+    """A finite vector space over the scalars, as the axiom engine's int-cell tables.
 
-    __slots__ = ("name", "scalars", "vectors", "vzero", "_idx", "_vsum", "_vneg",
-                 "_action")
+    Vector v is vectors[v]; sum[v][w] and act[lam][v] (lam a scalar index) are
+    the masks of v + w and lam.v, neg[v] is the index of -v, zero_i that of 0.
+    """
 
-    def __init__(self, name, scalars, vectors, vzero, vsum, vneg, action):
+    __slots__ = ("name", "scalars", "vectors", "vzero", "zero_i", "neg", "sum", "act",
+                 "_idx", "_plus")
+
+    def __init__(self, name, scalars, vectors, zero_i, neg, sum_tab, act_tab):
+        vectors = tuple(vectors)
+        k = len(vectors)
+        if not 0 <= zero_i < k:
+            raise StructureError(f"zero_i = {zero_i!r} is not a vector index")
+        if len(neg) != k:
+            raise StructureError(f"neg has {len(neg)} entries, needs {k}")
+        for v, n in enumerate(neg):
+            if not 0 <= n < k:
+                raise StructureError(f"neg[{v}] = {n!r} is not a vector index")
+        _check_table("sum", sum_tab, k, k)
+        _check_table("act", act_tab, len(scalars.elements), k)
         self.name = name
         self.scalars = scalars
-        self.vectors = tuple(vectors)
-        self.vzero = vzero
-        self._idx = {v: i for i, v in enumerate(self.vectors)}
-        self._vsum = vsum
-        self._vneg = vneg
-        self._action = action
-        for key, res in action.items():
-            if not res:
-                raise StructureError(f"empty action result at {key!r}")
-        for key, res in vsum.items():
-            if not res:
-                raise StructureError(f"empty vector sum at {key!r}")
+        self.vectors = vectors
+        self.vzero = vectors[zero_i]
+        self.zero_i = zero_i
+        self.neg = tuple(neg)
+        self.sum = sum_tab
+        self.act = act_tab
+        self._idx = {v: i for i, v in enumerate(vectors)}
+        self._plus = _Setwise(sum_tab)
 
     def index(self, v):
         try:
@@ -48,51 +72,39 @@ class VectorSpace:
         except KeyError:
             raise StructureError(f"{v!r} is not a vector of {self.name}") from None
 
-    def canon(self, vs):
-        return tuple(sorted(set(vs), key=self.index))
+    def mask_of(self, vs):
+        return functools.reduce(or_, (1 << self.index(v) for v in vs), 0)
 
-    def vsum_set(self, v, w):
-        return self._vsum[(v, w)]
-
-    def vneg(self, v):
-        return self._vneg[v]
-
-    def act(self, lam, v):
-        return self._action[(lam, v)]
-
-    def act_scalar_set(self, lams, v):
-        out = frozenset()
-        for lam in lams:
-            out |= self.act(lam, v)
-        return out
-
-    def vsum_fold(self, sets):
-        """Left fold of the vector sum over vector sets; empty fold is {0}."""
-        sets = list(sets)
-        if not sets:
-            return frozenset([self.vzero])
-        acc = frozenset(sets[0])
-        for part in sets[1:]:
-            nxt = frozenset()
-            for a in acc:
-                for b in part:
-                    nxt |= self._vsum[(a, b)]
-            acc = nxt
-        return acc
+    def set_of(self, mask):
+        return frozenset(map(self.vectors.__getitem__, _bits(mask)))
 
     def __repr__(self):
         return f"VectorSpace({self.name!r}, {len(self.vectors)} vectors over {self.scalars.name})"
 
 
 def _componentwise_space(F, length, name):
-    vectors = list(itertools.product(F.elements, repeat=length))
-    vsum = box_sums(F, vectors)
-    vneg = {v: tuple(F.neg(a) for a in v) for v in vectors}
-    idx = F._idx
-    boxes = {v: Box(F, [1 << idx[a] for a in v]) for v in vectors}
-    action = {(lam, v): _box_elements(boxes[v].scale(lam))
-              for lam in F.elements for v in vectors}
-    return VectorSpace(name, F, vectors, (F.zero,) * length, vsum, vneg, action)
+    """F^length on element tuples, numbered in itertools.product order.
+
+    The tables grow one coordinate at a time, the new one leading: with size
+    vectors so far, (a,) + v has index a * size + v.  So a cell is an F cell
+    with the inner cell in the block of size bits of each member x, which is
+    the inner cell times the spread of the F cell (bit x * size per member x).
+    """
+    q = len(F.elements)
+    sum_tab, act_tab, neg, zero_i, size = [[1]], [[1]] * q, [0], 0, 1
+    for _ in range(length):
+        sums, prods = ([[sum(1 << x * size for x in _bits(m)) for m in row] for row in tab]
+                       for tab in (F._sum, F._prod))
+        spread = {}  # equal (spread, inner cell) pairs give one int
+        sum_tab = [[spread.setdefault((s, cell), s * cell) for s in sums[a] for cell in row]
+                   for a in range(q) for row in sum_tab]
+        act_tab = [[spread.setdefault((p, cell), p * cell) for p in prods[lam]
+                    for cell in act_tab[lam]] for lam in range(q)]
+        neg = [F._neg[a] * size + n for a in range(q) for n in neg]
+        zero_i += F._idx[F.zero] * size
+        size *= q
+    return VectorSpace(name, F, itertools.product(F.elements, repeat=length), zero_i, neg,
+                       sum_tab, act_tab)
 
 
 def fn_space(F, n):
@@ -122,13 +134,10 @@ def poly_space(F, max_degree):
 
 def extension_space(pair):
     """The big structure of an extension pair as a vector space over the small one."""
-    F, K, emb = pair.small, pair.big, pair.embedding
-    f = emb.mapping
-    vectors = list(K.elements)
-    vsum = {(v, w): K.sum_set(v, w) for v in vectors for w in vectors}
-    vneg = {v: K.neg(v) for v in vectors}
-    action = {(lam, v): K.prod_set(f[lam], v) for lam in F.elements for v in vectors}
-    return VectorSpace(f"{K.name}|{F.name}", F, vectors, K.zero, vsum, vneg, action)
+    F, K, f = pair.small, pair.big, pair.embedding.mapping
+    act = [K._prod[K.index(f[lam])] for lam in F.elements]
+    return VectorSpace(f"{K.name}|{F.name}", F, K.elements, K.index(K.zero), K._neg,
+                       K._sum, act)
 
 
 # -- axioms -----------------------------------------------------------------------
@@ -137,24 +146,32 @@ def extension_space(pair):
 def verify_vspace(V, full=False, witness_limit=3):
     """Exhaustive MV0-MV3 plus the vector multigroup; full demands equalities.
 
-    The space is tabulated once into an index-level view.  The multigroup
-    scan's witnesses come first, prefixed "group-", then MV0-MV3 run on the
-    same view until the witness limit is reached.
+    The scans read the space's own tables.  The multigroup scan's witnesses
+    come first, prefixed "group-", then MV0-MV3 run on the same view until the
+    witness limit is reached.
     """
-    F = V.scalars
-    view = _View.of_carrier(V.vectors, V.vsum_set, V.vneg, V.vzero, F, V.act)
+    view = _View(V.vectors, V.zero_i, None, V.neg, V.sum, None, False, V.act)
     group = _Collector(limit=witness_limit)
     _add_group(view, group)
     col = _Collector(limit=witness_limit)
     for ax, wit in group.witnesses:
         col.record("fail", "group-" + ax, wit)
     if not col.done:
-        _scan_action(view, F, col, full)
-    kind = "vector-space-full" if full else "vector-space"
-    return _report(V.name, kind, view, col)
+        _scan_action(view, V.scalars, col, full)
+    return _report(V.name, "vector-space-full" if full else "vector-space", view, col)
 
 
 # -- spans ------------------------------------------------------------------------
+
+
+def _closure(V, gens):
+    """The mask of the saturation of the vector indices gens: with T the OR of
+    every lam.g, each round adds the sums of a member and a member of T."""
+    T = functools.reduce(or_, (row[g] for row in V.act for g in gens), 0)
+    cur, grown = 0, 1 << V.zero_i
+    while grown != cur:
+        cur, grown = grown, grown | V._plus[grown, T]
+    return cur
 
 
 def linear_combinations(V, gens):
@@ -164,38 +181,31 @@ def linear_combinations(V, gens):
     bundle (reusing a generator concatenates bundles), so no bundle bound
     applies.
     """
-    F = V.scalars
-    gens = list(gens)
-    terms = []
-    for v in gens:
-        for lam in F.elements:
-            terms.append(V.act(lam, v))
-    current = frozenset([V.vzero])
-    while True:
-        grown = current
-        for t in terms:
-            for w in current:
-                for x in t:
-                    grown = grown | V.vsum_set(w, x)
-        if grown == current:
-            return current
-        current = grown
+    return V.set_of(_closure(V, [V.index(g) for g in gens]))
+
+
+def _subspace_witness(V, W):
+    """The first failure of the subspace predicate on the mask W, in carrier
+    order, as tokens; None when W is a subspace."""
+    if not W >> V.zero_i & 1:
+        return ("zero",)
+    members = _bits(W)
+    for a in members:
+        row = V.sum[a]
+        for b in members:
+            if row[b] & ~W:
+                return "sum", V.vectors[a], V.vectors[b]
+    for lam, row in zip(V.scalars.elements, V.act):
+        for a in members:
+            if row[a] & ~W:
+                return "scale", lam, V.vectors[a]
+    return None
 
 
 def is_subspace(V, W):
     """The subspace predicate with a witness: 0 in W, sums and actions stay in W."""
-    W = frozenset(W)
-    if V.vzero not in W:
-        return False, ("zero",)
-    for a in W:
-        for b in W:
-            if not V.vsum_set(a, b) <= W:
-                return False, ("sum", a, b)
-    for lam in V.scalars.elements:
-        for a in W:
-            if not V.act(lam, a) <= W:
-                return False, ("scale", lam, a)
-    return True, None
+    wit = _subspace_witness(V, V.mask_of(W))
+    return wit is None, wit
 
 
 def span(V, gens, minimality_cap=14):
@@ -205,33 +215,27 @@ def span(V, gens, minimality_cap=14):
     (every subspace containing gens contains the span) when the ambient space
     is small enough to scan all subsets.
     """
-    W = linear_combinations(V, gens)
-    ok, wit = is_subspace(V, W)
-    witnesses = [] if ok else [("subspace", wit)]
-    checked = 1
-    note = ""
+    g = V.mask_of(gens)
+    W = _closure(V, _bits(g))
+    wit = _subspace_witness(V, W)
+    witnesses = [] if wit is None else [("subspace", wit)]
+    checked, note = 1, "minimality by construction (space too large to scan)"
     if len(V.vectors) <= minimality_cap:
-        gens = frozenset(gens)
-        rest = [v for v in V.vectors if v != V.vzero]
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                cand = frozenset(extra) | {V.vzero}
-                if not gens <= cand:
-                    continue
-                sub, _ = is_subspace(V, cand)
-                checked += 1
-                if sub and not W <= cand:
-                    witnesses.append(("minimality", tuple(sorted(map(str, cand)))))
-                    break
-            if any(ax == "minimality" for ax, _ in witnesses):
+        zero = 1 << V.zero_i
+        rest = [1 << i for i in range(len(V.vectors)) if i != V.zero_i]
+        for cand in (zero | sum(extra) for r in range(len(rest) + 1)
+                     for extra in itertools.combinations(rest, r)):
+            if g & ~cand:
+                continue
+            checked += 1
+            if W & ~cand and _subspace_witness(V, cand) is None:
+                witnesses.append(("minimality", tuple(sorted(map(str, V.set_of(cand))))))
                 break
         note = "minimality scanned exhaustively"
-    else:
-        note = "minimality by construction (space too large to scan)"
     report = AxiomReport(subject=V.name, kind="span-certificate",
                          verdict=FAIL if witnesses else PASS,
                          witnesses=tuple(witnesses), checked=checked, notes=note)
-    return W, report
+    return V.set_of(W), report
 
 
 # -- independence, bases, dimension ------------------------------------------------
@@ -243,6 +247,26 @@ def _bundles(F, bound):
     for r in range(1, bound + 1):
         out.extend(itertools.combinations_with_replacement(F.elements, r))
     return out
+
+
+def _dependence(V, vs, bundles):
+    """The first choice of one bundle per vector index in vs (as positions in
+    bundles) whose weighted sum holds 0 while some effective coefficient set
+    misses 0; None when there is none."""
+    F = V.scalars
+    effective = [F.sum_of([1 << F.index(x) for x in bundle]) for bundle in bundles]
+    # terms[j][i]: the effective set of bundle i applied to vs[j]
+    terms = [[_union([row[v] for row in V.act], e) for e in effective] for v in vs]
+    zero_bit, zero_vec, plus = 1 << F.index(F.zero), 1 << V.zero_i, V._plus
+    for combo in itertools.product(range(len(bundles)), repeat=len(vs)):
+        if all(effective[i] & zero_bit for i in combo):
+            continue  # cannot witness dependence either way
+        total = terms[0][combo[0]]
+        for row, i in zip(terms[1:], combo[1:]):
+            total = plus[total, row[i]]
+        if total & zero_vec:
+            return combo
+    return None
 
 
 def is_linearly_independent(V, vs, bundle_bound=DEFAULT_BUNDLE_BOUND):
@@ -257,42 +281,30 @@ def is_linearly_independent(V, vs, bundle_bound=DEFAULT_BUNDLE_BOUND):
     vs = list(vs)
     if len(set(vs)) != len(vs):
         raise StructureError("independence needs distinct vectors")
-    if not vs:
+    bundles = _bundles(V.scalars, bundle_bound)
+    combo = _dependence(V, [V.index(v) for v in vs], bundles)
+    if combo is None:
         return True, None
-    F = V.scalars
-    bundles = _bundles(F, bundle_bound)
-    effective = [F.sum_of([1 << F.index(x) for x in bundle]) for bundle in bundles]
-    coefficients = list(map(F.canon_of, effective))
-    terms = [[V.act_scalar_set(c, v) for c in coefficients] for v in vs]  # [j][i]: bundle i, vs[j]
-    zero_bit = 1 << F.index(F.zero)
-    for combo in itertools.product(range(len(bundles)), repeat=len(vs)):
-        if all(effective[i] & zero_bit for i in combo):
-            continue  # cannot witness dependence either way
-        total = V.vsum_fold([row[i] for row, i in zip(terms, combo)])
-        if V.vzero in total:
-            return False, tuple(zip(vs, (bundles[i] for i in combo)))
-    return True, None
+    return False, tuple(zip(vs, (bundles[i] for i in combo)))
 
 
 def find_basis(V, gens, bundle_bound=DEFAULT_BUNDLE_BOUND):
     """Greedy basis extraction: while the set is dependent, drop the earliest
     generator lying in the span of the others."""
-    seen = set()
-    gens = [g for g in gens if not (g in seen or seen.add(g))]
-    if linear_combinations(V, gens) != frozenset(V.vectors):
+    gens = list(dict.fromkeys(map(V.index, gens)))
+    if _closure(V, gens) != (1 << len(V.vectors)) - 1:
         raise StructureError("generators do not span the space")
-    while True:
-        indep, _ = is_linearly_independent(V, gens, bundle_bound)
-        if indep:
-            return tuple(gens)
+    bundles = _bundles(V.scalars, bundle_bound)
+    while _dependence(V, gens, bundles) is not None:
         for i, g in enumerate(gens):
             others = gens[:i] + gens[i + 1:]
-            if g in linear_combinations(V, others):
+            if _closure(V, others) >> g & 1:
                 gens = others
                 break
         else:
             raise MvlaError("dependent generators with no member inside the "
                             "span of the others")
+    return tuple(map(V.vectors.__getitem__, gens))
 
 
 def dimension(V, closure_report, bundle_bound=DEFAULT_BUNDLE_BOUND,
@@ -309,13 +321,13 @@ def dimension(V, closure_report, bundle_bound=DEFAULT_BUNDLE_BOUND,
         raise StructureError(
             "dimension needs a passing linearly-closed report for the scalar "
             "structure; run linsys.is_linearly_closed first")
-    basis = find_basis(V, list(V.vectors), bundle_bound)
-    dim = len(basis)
+    dim = len(find_basis(V, V.vectors, bundle_bound))
     size = dim + 1
     if math.comb(len(V.vectors), size) <= scan_cap:
-        for vs in itertools.combinations(V.vectors, size):
-            indep, _ = is_linearly_independent(V, vs, bundle_bound)
-            if indep:
+        bundles = _bundles(V.scalars, bundle_bound)
+        for vs in itertools.combinations(range(len(V.vectors)), size):
+            if _dependence(V, vs, bundles) is None:
+                vs = tuple(map(V.vectors.__getitem__, vs))
                 raise MvlaError(
                     f"independent set {vs!r} exceeds the extracted basis size {dim}")
     return dim
@@ -340,14 +352,12 @@ def solution_subspace(A, scan_cap=10 ** 6):
         raise MvlaError(f"kernel enumeration of {total} vectors exceeds cap")
     sysh = homogeneous(A)
     zero_bit = 1 << F.index(F.zero)
-    kernel = []
-    for combo in itertools.product(F.elements, repeat=A.cols):
-        if all(m & zero_bit for m in _row_masks(sysh, Matrix.column(F, combo))):
-            kernel.append(combo)
     V = fn_space(F, A.cols)
-    ok, wit = is_subspace(V, kernel)
+    kernel = sum(1 << n for n, v in enumerate(V.vectors)
+                 if all(m & zero_bit for m in _row_masks(sysh, Matrix.column(F, v))))
+    wit = _subspace_witness(V, kernel)
     report = AxiomReport(subject=f"Sol[{A!r}]", kind="subspace-certificate",
-                         verdict=PASS if ok else FAIL,
-                         witnesses=() if ok else (("subspace", wit),),
-                         checked=len(kernel))
-    return frozenset(kernel), report
+                         verdict=PASS if wit is None else FAIL,
+                         witnesses=() if wit is None else (("subspace", wit),),
+                         checked=kernel.bit_count())
+    return V.set_of(kernel), report

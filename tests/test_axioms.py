@@ -497,6 +497,11 @@ def test_assoc_kernel_matches_per_triple_loop_on_windows(monkeypatch, trop, wind
             assert rep.verdict == "pass-on-window"
 
 
+def _space_view(V):
+    """The view verify_vspace scans: the space's own tables."""
+    return _View(V.vectors, V.zero_i, None, V.neg, V.sum, None, False, V.act)
+
+
 @pytest.fixture(scope="module")
 def carriers(K, Q2, H2, H3, h3_quotient):
     return {"H3^3": fn_space(H3, 3), "K^5": fn_space(K, 5), "Q2^3": fn_space(Q2, 3),
@@ -508,7 +513,7 @@ def carriers(K, Q2, H2, H3, h3_quotient):
 def test_assoc_kernel_matches_per_triple_loop_on_derived_carriers(
         monkeypatch, carriers, name):
     V = carriers[name]
-    view = _View.of_carrier(V.vectors, V.vsum_set, V.vneg, V.vzero)
+    view = _space_view(V)
     assert _assoc_agrees(view, view.sum, "M3", axioms._containment).checked == view.k ** 3
     for full in (False, True):
         _reports_agree(monkeypatch, lambda: verify_vspace(V, full=full))
@@ -712,7 +717,7 @@ def test_m1_and_dist_kernels_match_per_instance_loops_on_windows(trop, window):
 @pytest.mark.parametrize("name", ["H3^3", "K^5", "M2x2(H2)"])
 def test_m1_kernel_matches_per_member_loop_on_derived_carriers(carriers, name):
     V = carriers[name]
-    view = _View.of_carrier(V.vectors, V.vsum_set, V.vneg, V.vzero)
+    view = _space_view(V)
     assert _scans_agree(view, _scan_m1, _ref_m1, view.sum, "M1").checked == view.k ** 2
 
 
@@ -1028,8 +1033,7 @@ def _action_agrees(view, F):
 @pytest.mark.parametrize("name", ["H3^3", "K^5", "Q2^3", "M2x2(H2)", "quotient|H3"])
 def test_action_scan_matches_tuple_loop_on_derived_carriers(carriers, name):
     V = carriers[name]
-    _action_agrees(_View.of_carrier(V.vectors, V.vsum_set, V.vneg, V.vzero,
-                                    V.scalars, V.act), V.scalars)
+    _action_agrees(_space_view(V), V.scalars)
 
 
 @st.composite

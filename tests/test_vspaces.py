@@ -1,4 +1,9 @@
+import functools
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +14,48 @@ from mvla import (ExtensionPair, Matrix, StructureError, builtin, dimension,
                   verify_multigroup, verify_vspace)
 from mvla.axioms import _Collector
 from mvla.vspaces import VectorSpace
+
+
+# -- test-local decoder: the index-level tables read on vector tokens --------------
+
+
+class TokenSpace:
+    """A space's tables decoded once into frozensets of vector tokens, with the
+    object-level accessors the reference oracles below are written in."""
+
+    def __init__(self, V):
+        self.name, self.scalars, self.vectors, self.vzero = V.name, V.scalars, V.vectors, V.vzero
+        self.index = V.index
+        vs, decode = V.vectors, functools.lru_cache(maxsize=None)(V.set_of)
+        self._vsum = {(v, w): decode(c) for v, row in zip(vs, V.sum) for w, c in zip(vs, row)}
+        self._action = {(lam, v): decode(c) for lam, row in zip(V.scalars.elements, V.act)
+                        for v, c in zip(vs, row)}
+        self._vneg = dict(zip(vs, map(vs.__getitem__, V.neg)))
+
+    def canon(self, vs):
+        return tuple(sorted(set(vs), key=self.index))
+
+    def vsum_set(self, v, w):
+        return self._vsum[v, w]
+
+    def vneg(self, v):
+        return self._vneg[v]
+
+    def act(self, lam, v):
+        return self._action[lam, v]
+
+    def act_scalar_set(self, lams, v):
+        return frozenset().union(*(self.act(lam, v) for lam in lams))
+
+    def vsum_fold(self, sets):
+        """Left fold of the vector sum over vector sets; the empty fold is {0}."""
+        sets = list(sets)
+        if not sets:
+            return frozenset([self.vzero])
+        acc = frozenset(sets[0])
+        for part in sets[1:]:
+            acc = frozenset().union(*(self.vsum_set(a, b) for a in acc for b in part))
+        return acc
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +70,7 @@ def h3_closure(H3):
 
 def test_fn_space_axioms(V9):
     assert verify_vspace(V9).passed
-    assert V9.act(2, (1, 0)) == {(2, 0)}
+    assert TokenSpace(V9).act(2, (1, 0)) == {(2, 0)}
 
 
 def test_fn_space_full_claim_is_refuted(V9, H3):
@@ -34,22 +81,23 @@ def test_fn_space_full_claim_is_refuted(V9, H3):
     axiom, wit = rep.witnesses[0]
     assert axiom == "MV3"
     lam, mu, v = wit
-    left = V9.act_scalar_set(H3.sum_set(lam, mu), v)
-    right = V9.vsum_fold([V9.act(lam, v), V9.act(mu, v)])
+    T = TokenSpace(V9)
+    left = T.act_scalar_set(H3.sum_set(lam, mu), v)
+    right = T.vsum_fold([T.act(lam, v), T.act(mu, v)])
     assert left < right  # the containment direction of MV3 still holds
 
 
 def test_f1_is_the_base_additively(H3):
-    V = fn_space(H3, 1)
+    T = TokenSpace(fn_space(H3, 1))
     for a in H3.elements:
         for b in H3.elements:
-            assert V.vsum_set((a,), (b,)) == {(s,) for s in H3.sum_set(a, b)}
+            assert T.vsum_set((a,), (b,)) == {(s,) for s in H3.sum_set(a, b)}
 
 
 def test_matrix_space_multigroup(K):
     V = matrix_space(K, 2, 2)
-    rep = verify_multigroup(V.vectors, V.vsum_set, V.vneg, V.vzero,
-                            subject=V.name)
+    T = TokenSpace(V)
+    rep = verify_multigroup(T.vectors, T.vsum_set, T.vneg, T.vzero, subject=T.name)
     assert rep.passed
     assert verify_vspace(V).passed
 
@@ -93,23 +141,135 @@ def test_large_fn_spaces_verify(H3, H5, name, n, checked):
 
 
 def test_mutated_action_fails_mv0(H3, V9):
-    action = dict(V9._action)
-    action[(H3.one, (1, 0))] = frozenset({(1, 0), (2, 0)})
-    broken = VectorSpace("broken", H3, V9.vectors, V9.vzero, V9._vsum,
-                         V9._vneg, action)
+    action = [list(row) for row in V9.act]
+    action[H3.index(H3.one)][V9.index((1, 0))] = V9.mask_of([(1, 0), (2, 0)])
+    broken = VectorSpace("broken", H3, V9.vectors, V9.zero_i, V9.neg, V9.sum, action)
     rep = verify_vspace(broken)
     assert rep.verdict == "fail"
     assert any(ax == "MV0-one" for ax, _ in rep.witnesses)
+    T = TokenSpace(broken)
     for axiom, inst in rep.witnesses:
-        assert _ref_violated(broken, axiom, inst), (axiom, inst)
+        assert _ref_violated(T, axiom, inst), (axiom, inst)
     _agrees_with_reference(broken, full=False)
+
+
+# -- the constructor's checks of its tables -----------------------------------------
+
+
+def _broken(V, zero_i=None, neg=None, sum_tab=None, act_tab=None):
+    return VectorSpace("broken", V.scalars, V.vectors,
+                       V.zero_i if zero_i is None else zero_i,
+                       V.neg if neg is None else neg,
+                       V.sum if sum_tab is None else sum_tab,
+                       V.act if act_tab is None else act_tab)
+
+
+def _with_cell(tab, i, j, cell):
+    tab = [list(row) for row in tab]
+    tab[i][j] = cell
+    return tab
+
+
+def test_constructor_rejects_an_empty_cell(V9):
+    with pytest.raises(StructureError, match=r"sum\[1\]\[2\] = 0 is not a nonempty mask"):
+        _broken(V9, sum_tab=_with_cell(V9.sum, 1, 2, 0))
+    with pytest.raises(StructureError, match=r"act\[2\]\[0\] = 0 is not a nonempty mask"):
+        _broken(V9, act_tab=_with_cell(V9.act, 2, 0, 0))
+
+
+def test_constructor_rejects_a_bit_outside_the_carrier(V9):
+    with pytest.raises(StructureError,
+                       match=r"act\[2\]\[4\] = 513 is not a nonempty mask of the 9 vectors"):
+        _broken(V9, act_tab=_with_cell(V9.act, 2, 4, 1 << 9 | 1))
+    with pytest.raises(StructureError, match=r"sum\[8\]\[8\] = -1 is not a nonempty mask"):
+        _broken(V9, sum_tab=_with_cell(V9.sum, 8, 8, -1))
+
+
+def test_constructor_rejects_a_negation_out_of_range(V9):
+    for bad in (9, -1):
+        neg = list(V9.neg)
+        neg[5] = bad
+        with pytest.raises(StructureError, match=rf"neg\[5\] = {bad} is not a vector index"):
+            _broken(V9, neg=neg)
+    with pytest.raises(StructureError, match=r"neg has 8 entries, needs 9"):
+        _broken(V9, neg=V9.neg[:8])
+
+
+def test_constructor_rejects_a_zero_out_of_range(V9):
+    for bad in (9, -1):
+        with pytest.raises(StructureError, match=rf"zero_i = {bad} is not a vector index"):
+            _broken(V9, zero_i=bad)
+
+
+def test_constructor_rejects_a_wrong_table_shape(V9):
+    with pytest.raises(StructureError, match=r"sum is not a 9 x 9 table"):
+        _broken(V9, sum_tab=V9.sum[:8])
+    with pytest.raises(StructureError, match=r"act is not a 3 x 9 table"):
+        _broken(V9, act_tab=V9.act + V9.act[:1])
+    with pytest.raises(StructureError, match=r"act is not a 3 x 9 table"):
+        _broken(V9, act_tab=[V9.act[0], V9.act[1][:8], V9.act[2]])
+    with pytest.raises(StructureError, match=r"sum is not a 9 x 9 table"):
+        _broken(V9, sum_tab=[row + [1] if i == 3 else row for i, row in enumerate(V9.sum)])
+
+
+# -- the tables against a token-level definition ---------------------------------------
+
+
+def _agrees_with_token_tables(V, vsum_of, act_of, neg_of):
+    """V's sum, act and neg equal the masks of the token-level vsum_of(v, w),
+    act_of(lam, v) and neg_of(v), read on V's numbering of its vectors."""
+    pos = {v: i for i, v in enumerate(V.vectors)}
+
+    def mask(vs):
+        return sum(1 << pos[v] for v in set(vs))
+
+    vs = V.vectors
+    assert V.sum == [[mask(vsum_of(v, w)) for w in vs] for v in vs], V.name
+    assert V.act == [[mask(act_of(lam, v)) for v in vs] for lam in V.scalars.elements], V.name
+    assert V.neg == tuple(pos[neg_of(v)] for v in vs), V.name
+
+
+def _componentwise_agrees(V, F, length):
+    assert V.vectors == tuple(itertools.product(F.elements, repeat=length))
+    assert V.vzero == (F.zero,) * length
+    _agrees_with_token_tables(
+        V,
+        lambda v, w: itertools.product(*map(F.sum_set, v, w)),
+        lambda lam, v: itertools.product(*(F.prod_set(lam, a) for a in v)),
+        lambda v: tuple(map(F.neg, v)))
+
+
+_BUILTINS = {"K": ("K",), "Q2": ("Q2",), "H2": ("Hp", 2), "H3": ("Hp", 3),
+             "H5": ("Hp", 5), "H7": ("Hp", 7), "X1": ("Xn", 1), "X2": ("Xn", 2),
+             "X3": ("Xn", 3), "F2": ("Fp", 2), "F3": ("Fp", 3), "F5": ("Fp", 5)}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS))
+def test_fn_space_tables_match_the_token_definition(name):
+    F = builtin(*_BUILTINS[name])
+    for n in (1, 2, 3) + ((4,) if name == "H3" else ()):
+        _componentwise_agrees(fn_space(F, n), F, n)
+
+
+def test_matrix_and_poly_space_tables_match_the_token_definition(H2, K):
+    _componentwise_agrees(matrix_space(H2, 2, 2), H2, 4)
+    _componentwise_agrees(poly_space(K, 3), K, 4)
+
+
+def test_extension_space_tables_match_the_token_definition(h3_quotient):
+    Kq, pair, _, _, _ = h3_quotient
+    f = pair.embedding.mapping
+    V = extension_space(pair)
+    assert (V.vectors, V.vzero) == (Kq.elements, Kq.zero)
+    _agrees_with_token_tables(V, Kq.sum_set, lambda lam, v: Kq.prod_set(f[lam], v), Kq.neg)
 
 
 # -- differential check against the object-level scan the view replaced --------
 
 
 def _ref_violated(V, axiom, inst, full=False):
-    """Single-instance re-evaluation of one vector-space axiom over frozensets."""
+    """Single-instance re-evaluation of one vector-space axiom over frozensets;
+    V is a TokenSpace."""
     F, op = V.scalars, V.vsum_set
 
     def union(sets):
@@ -190,14 +350,15 @@ def _ref_verify_vspace(V, full=False, limit=3):
 
 def _agrees_with_reference(V, full):
     rep = verify_vspace(V, full=full)
-    verdict, witnesses, checked = _ref_verify_vspace(V, full)
+    T = TokenSpace(V)
+    verdict, witnesses, checked = _ref_verify_vspace(T, full)
     assert rep.verdict == verdict, (V.name, full)
     group_failed = any(ax.startswith("group-") for ax, _ in witnesses)
     assert group_failed == any(ax.startswith("group-") for ax, _ in rep.witnesses)
     if not group_failed:
         assert (rep.witnesses, rep.checked) == (witnesses, checked), (V.name, full)
     for axiom, inst in rep.witnesses:
-        assert _ref_violated(V, axiom, inst, full), (V.name, axiom, inst)
+        assert _ref_violated(T, axiom, inst, full), (V.name, axiom, inst)
 
 
 def test_view_scan_matches_object_level_reference(H2, H3, H5, K, Q2, F3, h3_quotient):
@@ -298,7 +459,8 @@ def test_quotient_basis_pair_is_independent(h3_quotient):
 
 
 def reference_independence(V, vs, bundle_bound=2):
-    """is_linearly_independent as it was: each combination folds its bundles anew."""
+    """is_linearly_independent as it was: each combination folds its bundles anew;
+    V is a TokenSpace."""
     from mvla.structures import msum
     from mvla.vspaces import _bundles
     F = V.scalars
@@ -315,11 +477,12 @@ def reference_independence(V, vs, bundle_bound=2):
 def test_independence_matches_the_per_combination_fold(H3, Q2, F3, h3_quotient):
     spaces = [fn_space(S, 2) for S in (H3, Q2, F3)] + [extension_space(h3_quotient[1])]
     for V in spaces:
+        T = TokenSpace(V)
         vectors = sorted(V.vectors, key=repr)
         for r in (1, 2, 3):
             for vs in itertools.combinations(vectors, r):
                 assert (is_linearly_independent(V, vs, 2)
-                        == reference_independence(V, vs, 2)), vs
+                        == reference_independence(T, vs, 2)), vs
 
 
 def test_find_basis_examples(V9):
@@ -392,7 +555,7 @@ def test_solution_subspace_reports_the_closure_gap(H3):
     (label, wit), = cert.witnesses
     assert label == "subspace" and wit[0] == "sum"
     _, v, w = wit
-    escaped = {x for x in fn_space(H3, 2).vsum_set(v, w)} - ker
+    escaped = TokenSpace(fn_space(H3, 2)).vsum_set(v, w) - ker
     assert escaped  # the witness re-checks
 
 
@@ -436,3 +599,64 @@ def test_strict_field_space_agrees_with_classical(F3):
         indep, _ = is_linearly_independent(VF, [v, w]) if v != w else (False, None)
         if v != w:
             assert indep == (rank == 2)
+
+
+# H3 on string tokens z, p, q, whose hashes move with PYTHONHASHSEED; prints the
+# span and solution-subspace certificates and one is_subspace witness
+_ZPQ_CERTIFICATES = """
+import mvla as m
+H3 = m.builtin("Hp", 3)
+t = dict(zip(H3.elements, "zpq"))
+def table(op):
+    return {(t[a], t[b]): {t[c] for c in op(a, b)} for a in H3.elements for b in H3.elements}
+S = m.Structure("H3zpq", "zpq", "z", "p", {t[a]: t[H3.neg(a)] for a in H3.elements},
+                table(H3.sum_set), table(H3.prod_set))
+V = m.fn_space(S, 2)
+for gens in ([("p", "p")], [("p", "z"), ("z", "q")]):
+    W, cert = m.span(V, gens)
+    print(sorted(W), cert)
+for rows in ([["p", "p"]], [["p", "q"]], [["z", "z"]]):
+    print(m.solution_subspace(m.Matrix.from_rows(S, rows))[1])
+print(m.is_subspace(V, {("z", "z"), ("q", "q"), ("p", "p"), ("p", "q")}))
+"""
+
+
+def _certificates_under_seed(seed):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED=str(seed),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _ZPQ_CERTIFICATES], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+def test_subspace_witnesses_follow_carrier_order_under_any_hash_seed():
+    out = _certificates_under_seed(0)
+    assert out == _certificates_under_seed(1)
+    assert "witnesses=(('subspace', ('sum', ('p', 'p'), ('p', 'p'))),)" in out
+    assert out.endswith("(False, ('sum', ('p', 'p'), ('p', 'p')))\n")
+
+
+def _ref_subspace_witness(V, W):
+    """The subspace predicate's first failure, scanned in carrier order on the
+    tokens of a TokenSpace V."""
+    members = sorted(W, key=V.index)
+    if V.vzero not in W:
+        return ("zero",)
+    for a, b in itertools.product(members, repeat=2):
+        if not V.vsum_set(a, b) <= W:
+            return "sum", a, b
+    for lam, a in itertools.product(V.scalars.elements, members):
+        if not V.act(lam, a) <= W:
+            return "scale", lam, a
+    return None
+
+
+def test_subspace_witness_is_the_first_failure_in_carrier_order(H3, Q2, F3):
+    for V in (fn_space(S, 2) for S in (H3, Q2, F3)):
+        T = TokenSpace(V)
+        for r in (1, 2, 3):
+            for vs in itertools.combinations(V.vectors, r):
+                for W in (frozenset(vs), frozenset(vs) | {V.vzero}):
+                    wit = _ref_subspace_witness(T, W)
+                    assert is_subspace(V, W) == (wit is None, wit), (V.name, W)
