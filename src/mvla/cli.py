@@ -14,7 +14,7 @@ import sys
 
 from . import goldens
 from .axioms import KINDS, MorphismSpec, check_morphism, verify_axioms
-from .errors import MvlaError, ParseError, WindowRequired
+from .errors import CongruenceError, MvlaError, ParseError, WindowRequired
 from .extensions import ExtensionPair, classify_extension, make_quotient_superfield
 from .fileformat import (element_token, parse_matrix, parse_structure,
                          parse_system, poly_from_text, serialize_structure,
@@ -240,12 +240,15 @@ def cmd_closed(args):
 def cmd_quotient(args):
     S = load_structure(args.structure)
     p = poly_from_text(args.poly, S)
-    K = make_quotient_superfield(S, p)
-    sys.stdout.write(serialize_structure(K))
     r = Report("quotient")
-    r.add("structure", S.name).add("poly", args.poly).add("elements", len(K.elements))
-    r.exit_code = EXIT_PASS
     r.lines = []  # the structure file itself is the machine output
+    try:
+        sys.stdout.write(serialize_structure(make_quotient_superfield(S, p)))
+    except CongruenceError as exc:
+        # an exhaustive axiom failure is a definite fail, not an inconclusive run
+        axiom, wit = exc.witnesses[0]
+        sys.stderr.write(f"error: {exc}\nwitness.1={axiom} @ {wit}\n")
+        r.exit_code = EXIT_FAIL
     return r
 
 

@@ -1,22 +1,27 @@
 """Superfield extensions and the quotient construction F[X]/<p>.
 
 Quotient elements are coefficient vectors of length deg p (canonical coset
-representatives); products go through the polynomial convolution followed by
-reduction against every admissible remainder, so no multivalue is silently
-dropped.  Constructed quotients are only released after passing the full
-superfield axiom scan.
+representatives), numbered in itertools.product order.  The sum, negation and
+zero are the componentwise tables of F^(deg p); products go through the
+polynomial convolution followed by reduction against every admissible
+remainder, so no multivalue is silently dropped, and each product cell is the
+mask of those remainders.  Constructed quotients are only released after
+passing the full superfield axiom scan.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import or_
 
 from .axioms import MorphismSpec, check_morphism, structure_is, verify_axioms
 from .errors import CongruenceError, StructureError
 from .polys import (Poly, PolySet, _in_box_plus, _irreducible, _nonzero, _remainders,
                     all_polys, evaluate, pmul)
-from .structures import Structure, box_sums
+from .structures import Structure, _bits
+from .vspaces import _componentwise_tables, extension_space, is_linearly_independent
 
 
 @dataclass(frozen=True)
@@ -50,29 +55,32 @@ def classify_extension(pair):
 
 
 def _reduce_poly(z, p, boxes=None):
-    """All remainder vectors r (length deg p) with z in q*p + r for bounded q.
+    """The remainders r (length m = deg p) with z in q*p + r for bounded q, as a mask.
 
-    The vectors are element tuples, the carrier of the quotient.  boxes maps
-    the coefficient indices of q to the box q*p; a caller reducing many z
-    against one p passes the same dict to every call.
+    Bit n is the remainder of coefficient indices r with n = sum r[i] * |F|^(m-1-i),
+    the n-th tuple in itertools.product order, as in the quotient's carrier.
+    boxes maps the coefficient indices of q to the box q*p; a caller reducing
+    many z against one p passes the same dict to every call.
     """
     if boxes is None:
         boxes = {}
     F = p.base
     m = p.degree
     if z.degree < m:
-        return {z.padded(m)}
+        padded = z.indices + (F._idx[F.zero],) * (m - len(z.indices))
+        return 1 << sum(r * len(F) ** (m - 1 - i) for i, r in enumerate(padded))
     target = PolySet.singleton(z).masks
-    found = set()
+    found = 0
     for top in _nonzero(F):
         for low in itertools.product(range(len(F)), repeat=z.degree - m):
             q = low + (top,)
             if q not in boxes:
                 boxes[q] = pmul(Poly.from_indices(F, q), p)
             box = boxes[q]
-            found.update(rc for rc, rbits in _remainders(F, m)
-                         if _in_box_plus(box, rbits, target))
-    return {tuple(map(F.elements.__getitem__, rc)) for rc in found}
+            for n, (_, rbits) in enumerate(_remainders(F, m)):
+                if _in_box_plus(box, rbits, target):
+                    found |= 1 << n
+    return found
 
 
 def make_quotient_superfield(F, p, verify=True):
@@ -96,28 +104,21 @@ def _quotient(F, p, verify, slices):
     if not verdict:
         raise StructureError(f"{p!r} is reducible (witness {verdict.witness!r})")
     m = p.degree
-    elements = list(itertools.product(F.elements, repeat=m))
-    zero = (F.zero,) * m
-    one = (F.one,) + (F.zero,) * (m - 1)
-
-    sum_table = box_sums(F, elements)
-
-    prod_table = {}
+    sum_tab, _, neg, zero_i = _componentwise_tables(F, m)
     boxes = {}
     polys = [Poly.from_indices(F, ix) for ix in itertools.product(range(len(F)), repeat=m)]
-    for x, fx in zip(elements, polys):
-        for y, fy in zip(elements, polys):
-            if (y, x) in prod_table:
-                prod_table[(x, y)] = prod_table[(y, x)]
-                continue
-            acc = set()
-            for z in pmul(fx, fy).members():
-                acc |= _reduce_poly(z, p, boxes)
-            prod_table[(x, y)] = acc
+    prod_tab = []
+    for i, fx in enumerate(polys):
+        # the product is symmetric: the cells left of the diagonal are copies
+        prod_tab.append([row[i] for row in prod_tab] + [
+            functools.reduce(or_, (_reduce_poly(z, p, boxes) for z in pmul(fx, fy).members()))
+            for fy in polys[i:]])
 
-    neg = {x: tuple(F.neg(a) for a in x) for x in elements}
+    # (1, 0, ..., 0) is the zero vector with its leading coordinate raised
+    one_i = zero_i + (F._idx[F.one] - F._idx[F.zero]) * len(F) ** (m - 1)
     name = f"{F.name}({','.join(str(c) for c in p.coeffs)})"
-    out = Structure(name, elements, zero, one, neg, sum_table, prod_table)
+    out = Structure.from_masks(name, itertools.product(F.elements, repeat=m), zero_i, one_i,
+                               neg, sum_tab, prod_tab)
     if verify:
         report = verify_axioms(out, "superfield")
         if not report.passed:
@@ -140,7 +141,7 @@ def _quotient_pair(F, p, verify, slices):
     if m >= 2:
         gamma = (F.zero, F.one) + (F.zero,) * (m - 2)
     else:
-        gamma = min(_reduce_poly(Poly.x_power(F, 1), p), key=K.index)
+        gamma = K.elements[_bits(_reduce_poly(Poly.x_power(F, 1), p))[0]]
     return K, pair, gamma
 
 
@@ -336,8 +337,6 @@ def certify_algebraic_extension(pair, bound):
     of power chains {1, lambda, ..., lambda^bound} (selections of the
     multivalued powers), which must never be independent past the bound.
     """
-    from .vspaces import extension_space, is_linearly_independent
-
     K = pair.big
     certificates = {}
     missing = []

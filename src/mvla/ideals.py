@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import CongruenceError, StructureError, WindowRequired
-from .structures import Structure, TropicalStructure
+from .structures import Structure, TropicalStructure, _bits
 
 
 def characteristic(S, window=None):
@@ -139,58 +140,53 @@ def quotient(S, ideal):
         raise StructureError("quotient requires an ideal")
     imask = S.mask_of(members)
 
-    coset = {}
-    classes = {}
-    for e in S.elements:
-        key = S.add_masks(1 << S.index(e), imask)
-        coset[e] = key
-        classes.setdefault(key, []).append(e)
-    rep = {key: min(cls, key=S.index) for key, cls in classes.items()}
-    cls_of = {e: rep[coset[e]] for e in S.elements}
-    reps = tuple(sorted(rep.values(), key=S.index))
+    # classes are numbered in the order of their least members, the representatives
+    els = S.elements
+    k = len(els)
+    cosets = [S.add_masks(1 << i, imask) for i in range(k)]
+    keys = list(dict.fromkeys(cosets))
+    reps = [cosets.index(c) for c in keys]
+    cls = [keys.index(c) for c in cosets]
 
-    def induced(op_set, label):
-        table = {}
-        for ra in reps:
-            for rb in reps:
-                expected = None
-                for a in classes[coset[ra]]:
-                    for b in classes[coset[rb]]:
-                        got = frozenset(cls_of[z] for z in op_set(a, b))
-                        if expected is None:
-                            expected = got
-                        elif got != expected:
-                            raise CongruenceError(
-                                f"{label} not well defined on classes of "
-                                f"{ra!r}, {rb!r}",
-                                witnesses=[(label, ra, rb, a, b,
-                                            tuple(sorted(map(str, got))),
-                                            tuple(sorted(map(str, expected))))])
-                table[(ra, rb)] = expected
-        return table
+    def image(mask):
+        """The mask of the classes of the members of a carrier mask."""
+        return sum({1 << cls[z] for z in _bits(mask)})
 
-    sum_table = induced(S.sum_set, "sum")
-    prod_table = induced(S.prod_set, "prod")
+    def tokens(mask):
+        return tuple(sorted(str(els[reps[c]]) for c in _bits(mask)))
 
-    neg_table = {}
-    for r in reps:
-        images = {cls_of[S.neg(a)] for a in classes[coset[r]]}
-        if len(images) != 1:
-            raise CongruenceError(f"negation not well defined on class of {r!r}",
-                                  witnesses=[("neg", r, tuple(sorted(map(str, images))))])
-        neg_table[r] = images.pop()
+    def induced(tab, label):
+        out = [[image(tab[ra][rb]) for rb in reps] for ra in reps]
+        # class by class, then member by member: the first mismatch is the witness
+        for a, b in sorted(itertools.product(range(k), repeat=2),
+                           key=lambda ab: (cls[ab[0]], cls[ab[1]], ab)):
+            got, expected = image(tab[a][b]), out[cls[a]][cls[b]]
+            if got != expected:
+                ra, rb = els[reps[cls[a]]], els[reps[cls[b]]]
+                raise CongruenceError(
+                    f"{label} not well defined on classes of {ra!r}, {rb!r}",
+                    witnesses=[(label, ra, rb, els[a], els[b], tokens(got), tokens(expected))])
+        return out
 
-    return Structure(f"{S.name}/I", reps, cls_of[S.zero], cls_of[S.one],
-                     neg_table, sum_table, prod_table)
+    sum_tab, prod_tab = induced(S._sum, "sum"), induced(S._prod, "prod")
+    neg = []
+    for c, r in enumerate(reps):
+        images = sum({1 << cls[S._neg[a]] for a in range(k) if cls[a] == c})
+        if images & (images - 1):
+            raise CongruenceError(f"negation not well defined on class of {els[r]!r}",
+                                  witnesses=[("neg", els[r], tokens(images))])
+        neg.append(images.bit_length() - 1)
+
+    return Structure.from_masks(f"{S.name}/I", (els[r] for r in reps), cls[S.index(S.zero)],
+                                cls[S.index(S.one)], neg, sum_tab, prod_tab)
 
 
 def all_ideals(S):
     """Every ideal of a small finite structure, by subset scan."""
-    from itertools import combinations
     out = []
     rest = [e for e in S.elements if e != S.zero]
     for r in range(len(rest) + 1):
-        for extra in combinations(rest, r):
+        for extra in itertools.combinations(rest, r):
             members = frozenset(extra) | {S.zero}
             if is_ideal(S, members):
                 out.append(Ideal(S, members))

@@ -36,6 +36,49 @@ class Structure:
     )
 
     def __init__(self, name, elements, zero, one, neg, sum_table, prod_table):
+        """The IO-edge constructor: tokens, neg a dict and tables keyed by token pairs."""
+        elements = tuple(elements)
+        idx = {e: i for i, e in enumerate(elements)}
+        if zero not in idx or one not in idx:
+            raise StructureError("zero/one must belong to the carrier")
+        for e in elements:
+            if e not in neg:
+                raise StructureError(f"negation undefined for {e!r}")
+            if neg[e] not in idx:
+                raise StructureError(f"negation of {e!r} leaves the carrier: {neg[e]!r}")
+
+        def masks(table, label):
+            rows = []
+            for a in elements:
+                row = []
+                for b in elements:
+                    if (a, b) not in table:
+                        raise StructureError(f"{label}({a!r},{b!r}) is undefined")
+                    m = 0
+                    for r in table[(a, b)]:
+                        if r not in idx:
+                            raise StructureError(
+                                f"{label}({a!r},{b!r}) result {r!r} leaves the carrier")
+                        m |= 1 << idx[r]
+                    row.append(m)
+                rows.append(row)
+            return rows
+
+        self._install(name, elements, idx[zero], idx[one], [idx[neg[e]] for e in elements],
+                      masks(sum_table, "sum"), masks(prod_table, "prod"))
+
+    @classmethod
+    def from_masks(cls, name, elements, zero_i, one_i, neg, sum_tab, prod_tab):
+        """A structure from index-level tables: neg[i] is the index of -elements[i],
+        sum_tab[i][j] and prod_tab[i][j] are carrier masks."""
+        S = cls.__new__(cls)
+        S._install(name, elements, zero_i, one_i, neg, [list(row) for row in sum_tab],
+                   [list(row) for row in prod_tab])
+        return S
+
+    def _install(self, name, elements, zero_i, one_i, neg, sum_tab, prod_tab):
+        """The one construction path: check the carrier and the tables (lists of
+        lists that no caller keeps), then store them."""
         elements = tuple(elements)
         if len(set(elements)) != len(elements):
             raise StructureError("carrier contains duplicate elements")
@@ -43,46 +86,17 @@ class Structure:
             raise StructureError("carrier is empty")
         for e in elements:
             _check_token(e)
-        idx = {e: i for i, e in enumerate(elements)}
-        if zero not in idx or one not in idx:
-            raise StructureError("zero/one must belong to the carrier")
         k = len(elements)
-
-        neg_idx = [None] * k
-        for e in elements:
-            if e not in neg:
-                raise StructureError(f"negation undefined for {e!r}")
-            v = neg[e]
-            if v not in idx:
-                raise StructureError(f"negation of {e!r} leaves the carrier: {v!r}")
-            neg_idx[idx[e]] = idx[v]
-
-        def build(table, label):
-            masks = [[0] * k for _ in range(k)]
-            for a in elements:
-                for b in elements:
-                    if (a, b) not in table:
-                        raise StructureError(f"{label}({a!r},{b!r}) is undefined")
-                    res = table[(a, b)]
-                    m = 0
-                    for r in res:
-                        if r not in idx:
-                            raise StructureError(
-                                f"{label}({a!r},{b!r}) result {r!r} leaves the carrier")
-                        m |= 1 << idx[r]
-                    if m == 0:
-                        raise StructureError(f"{label}({a!r},{b!r}) has empty result")
-                    masks[idx[a]][idx[b]] = m
-            return masks
-
+        _check_tables("an element", k, (("zero_i", zero_i), ("one_i", one_i)), neg,
+                      (("sum", sum_tab, k), ("prod", prod_tab, k)))
         self.name = name
         self.elements = elements
-        self.zero = zero
-        self.one = one
-        self._idx = idx
-        self._neg = tuple(neg_idx)
-        self._sum = build(sum_table, "sum")
-        self._prod = build(prod_table, "prod")
+        self.zero = elements[zero_i]
+        self.one = elements[one_i]
+        self._idx = {e: i for i, e in enumerate(elements)}
+        self._neg = tuple(neg)
+        self._sum = sum_tab
+        self._prod = prod_tab
         self._add_cache = _Setwise(self._sum)
         self._mul_cache = _Setwise(self._prod)
         self._kind_cache = {}
@@ -216,11 +230,36 @@ class Structure:
         """Copy of this structure with one table entry replaced (for mutation tests)."""
         if op not in ("sum", "prod"):
             raise StructureError(f"unknown operation {op!r}")
-        sum_table = {(x, y): self.sum_set(x, y) for x in self.elements for y in self.elements}
-        prod_table = {(x, y): self.prod_set(x, y) for x in self.elements for y in self.elements}
-        (sum_table if op == "sum" else prod_table)[(a, b)] = frozenset(new_set)
-        return Structure(name or f"{self.name}*", self.elements, self.zero, self.one,
-                         {e: self.neg(e) for e in self.elements}, sum_table, prod_table)
+        tabs = {"sum": [list(row) for row in self._sum],
+                "prod": [list(row) for row in self._prod]}
+        tabs[op][self.index(a)][self.index(b)] = self.mask_of(new_set)
+        return Structure.from_masks(name or f"{self.name}*", self.elements,
+                                    self._idx[self.zero], self._idx[self.one], self._neg,
+                                    tabs["sum"], tabs["prod"])
+
+
+def _check_tables(noun, k, indices, neg, tables):
+    """The index-level tables over k members, or StructureError names the first bad
+    entry: each (label, i) of indices and every neg[v] is {noun} index, and each
+    (label, tab, rows) of tables is rows x k nonempty masks of the k members."""
+    for label, i in indices:
+        if not 0 <= i < k:
+            raise StructureError(f"{label} = {i!r} is not {noun} index")
+    if len(neg) != k:
+        raise StructureError(f"neg has {len(neg)} entries, needs {k}")
+    if min(neg) < 0 or max(neg) >= k:
+        v, n = next((v, n) for v, n in enumerate(neg) if not 0 <= n < k)
+        raise StructureError(f"neg[{v}] = {n!r} is not {noun} index")
+    for label, tab, rows in tables:
+        if len(tab) != rows:
+            raise StructureError(f"{label} is not a {rows} x {k} table")
+        for i, row in enumerate(tab):
+            if len(row) != k:
+                raise StructureError(f"{label} is not a {rows} x {k} table")
+            if min(row) <= 0 or max(row) >> k:
+                j, cell = next((j, c) for j, c in enumerate(row) if not 0 < c < 1 << k)
+                raise StructureError(f"{label}[{i}][{j}] = {cell!r} is not a nonempty "
+                                     f"mask of the {k} {noun.split()[-1]}s")
 
 
 # -- folds and boxes ---------------------------------------------------------------
@@ -379,33 +418,6 @@ class Box:
     def _cells(self):
         return ["{" + ",".join(str(e) for e in self.base.canon_of(m)) + "}"
                 for m in self.masks]
-
-
-def box_sums(S, tuples):
-    """The positionwise sum table on equal-length tuples of elements of S.
-
-    Maps each pair (x, y) of the given tuples to the frozenset of tuples in the
-    box x + y; pairs whose boxes are equal share one frozenset.
-    """
-    idx = S._idx
-    boxes = [(x, Box(S, [1 << idx[e] for e in x])) for x in tuples]
-    table, seen = {}, {}
-    for x, bx in boxes:
-        for y, by in boxes:
-            box = bx.add(by)
-            got = seen.get(box.masks)
-            if got is None:
-                got = seen[box.masks] = _box_elements(box)
-            table[(x, y)] = got
-    return table
-
-
-def _box_elements(box):
-    """The members of a box as a frozenset of element tuples, for tuple carriers."""
-    els = box.base.elements
-    # the cap is never hit: S^n has k^n members
-    return frozenset(tuple(map(els.__getitem__, c))
-                     for c in box.choices(len(els) ** len(box.masks)))
 
 
 # -- built-in structures ---------------------------------------------------------

@@ -17,20 +17,9 @@ from operator import or_
 from .axioms import (AxiomReport, FAIL, PASS, _Collector, _View, _add_group,
                      _report, _scan_action, _union, is_full)
 from .errors import MvlaError, StructureError
-from .structures import _Setwise, _bits
+from .structures import _Setwise, _bits, _check_tables
 
 DEFAULT_BUNDLE_BOUND = 2
-
-
-def _check_table(label, tab, rows, k):
-    """tab is rows x k nonempty masks over k vectors, or StructureError names the cell."""
-    if len(tab) != rows or any(len(row) != k for row in tab):
-        raise StructureError(f"{label} is not a {rows} x {k} table")
-    for i, row in enumerate(tab):
-        for j, cell in enumerate(row):
-            if not 0 < cell < 1 << k:
-                raise StructureError(f"{label}[{i}][{j}] = {cell!r} is not a nonempty "
-                                     f"mask of the {k} vectors")
 
 
 class VectorSpace:
@@ -46,15 +35,8 @@ class VectorSpace:
     def __init__(self, name, scalars, vectors, zero_i, neg, sum_tab, act_tab):
         vectors = tuple(vectors)
         k = len(vectors)
-        if not 0 <= zero_i < k:
-            raise StructureError(f"zero_i = {zero_i!r} is not a vector index")
-        if len(neg) != k:
-            raise StructureError(f"neg has {len(neg)} entries, needs {k}")
-        for v, n in enumerate(neg):
-            if not 0 <= n < k:
-                raise StructureError(f"neg[{v}] = {n!r} is not a vector index")
-        _check_table("sum", sum_tab, k, k)
-        _check_table("act", act_tab, len(scalars.elements), k)
+        _check_tables("a vector", k, (("zero_i", zero_i),), neg,
+                      (("sum", sum_tab, k), ("act", act_tab, len(scalars.elements))))
         self.name = name
         self.scalars = scalars
         self.vectors = vectors
@@ -82,8 +64,9 @@ class VectorSpace:
         return f"VectorSpace({self.name!r}, {len(self.vectors)} vectors over {self.scalars.name})"
 
 
-def _componentwise_space(F, length, name):
-    """F^length on element tuples, numbered in itertools.product order.
+def _componentwise_tables(F, length):
+    """(sum, act, neg, zero_i) of F^length on element tuples, numbered in
+    itertools.product order.
 
     The tables grow one coordinate at a time, the new one leading: with size
     vectors so far, (a,) + v has index a * size + v.  So a cell is an F cell
@@ -103,6 +86,12 @@ def _componentwise_space(F, length, name):
         neg = [F._neg[a] * size + n for a in range(q) for n in neg]
         zero_i += F._idx[F.zero] * size
         size *= q
+    return sum_tab, act_tab, neg, zero_i
+
+
+def _componentwise_space(F, length, name):
+    """F^length on element tuples, the vectors in itertools.product order."""
+    sum_tab, act_tab, neg, zero_i = _componentwise_tables(F, length)
     return VectorSpace(name, F, itertools.product(F.elements, repeat=length), zero_i, neg,
                        sum_tab, act_tab)
 

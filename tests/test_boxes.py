@@ -4,7 +4,9 @@ The reference below is the box arithmetic written out over frozensets: one
 set per position, folds that union the element-level results pair by pair,
 and members in carrier order.  Every box operation of polys and matrices, the
 division cell test and the quotient's remainder search are compared with it
-on the built-ins and on random 2-3 element structures.
+on the built-ins and on random 2-3 element structures.  So are the tables of
+the quotient superfield and the quotients by ideals, against constructions
+from token dicts.
 """
 
 import itertools
@@ -13,9 +15,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvla import (ElementaryOp, Matrix, MatrixSet, Poly, PolySet, Structure,
-                  StructureError, all_polys, builtin, det, divmod_holds, elementary,
-                  madd, mmul, mneg, mscale, padd, padd_sets, pdivmod, pmul, structure_is)
+from mvla import (CongruenceError, ElementaryOp, Matrix, MatrixSet, Poly, PolySet, Structure,
+                  StructureError, all_ideals, all_polys, builtin, det, divmod_holds, elementary,
+                  madd, make_quotient_superfield, mmul, mneg, mscale, msum_sets, padd,
+                  padd_sets, pdivmod, pmul, quotient, serialize_structure, strict_ring,
+                  structure_is)
 from mvla.extensions import _reduce_poly
 
 
@@ -89,6 +93,56 @@ def ref_reduce(z, p):
             out.update(rc for rc in itertools.product(S.elements, repeat=m)
                        if ref_in_box_plus(S, box, z, rc))
     return out
+
+
+def decode_remainders(p, mask):
+    """The remainder tuples in a mask of _reduce_poly: bit n stands for the n-th
+    tuple of itertools.product(elements, repeat=deg p)."""
+    tuples = list(itertools.product(p.base.elements, repeat=p.degree))
+    assert mask >> len(tuples) == 0, "a bit past the last remainder"
+    return {r for n, r in enumerate(tuples) if mask >> n & 1}
+
+
+def ref_ideal_quotient(S, members):
+    """The quotient by an ideal on frozensets of tokens: classes of equal cosets
+    x + I, each named by its least member, and every pair of members checked."""
+    coset, classes = {}, {}
+    for e in S.elements:
+        coset[e] = key = ref_fold(S.sum_set, S.zero, [[e], members])
+        classes.setdefault(key, []).append(e)
+    rep = {key: min(cls, key=S.index) for key, cls in classes.items()}
+    cls_of = {e: rep[coset[e]] for e in S.elements}
+    reps = tuple(sorted(rep.values(), key=S.index))
+
+    def induced(op_set, label):
+        table = {}
+        for ra in reps:
+            for rb in reps:
+                expected = None
+                for a in classes[coset[ra]]:
+                    for b in classes[coset[rb]]:
+                        got = frozenset(cls_of[z] for z in op_set(a, b))
+                        if expected is None:
+                            expected = got
+                        elif got != expected:
+                            raise CongruenceError(
+                                f"{label} not well defined on classes of {ra!r}, {rb!r}",
+                                witnesses=[(label, ra, rb, a, b, tuple(sorted(map(str, got))),
+                                            tuple(sorted(map(str, expected))))])
+                table[(ra, rb)] = expected
+        return table
+
+    sum_table = induced(S.sum_set, "sum")
+    prod_table = induced(S.prod_set, "prod")
+    neg_table = {}
+    for r in reps:
+        images = {cls_of[S.neg(a)] for a in classes[coset[r]]}
+        if len(images) != 1:
+            raise CongruenceError(f"negation not well defined on class of {r!r}",
+                                  witnesses=[("neg", r, tuple(sorted(map(str, images))))])
+        neg_table[r] = images.pop()
+    return Structure(f"{S.name}/I", reps, cls_of[S.zero], cls_of[S.one],
+                     neg_table, sum_table, prod_table)
 
 
 def ref_mmul(S, A, B):
@@ -185,6 +239,24 @@ def check_matrices(S, A, B, lam):
         assert det(box) == ref_det(S, ref)
 
 
+def check_ideal_quotients(S):
+    """quotient against the token reference on every ideal of S: the same file
+    text, or the same CongruenceError message and witnesses.  Returns the
+    number of ideals whose classes are not a congruence."""
+    def outcome(build, members):
+        try:
+            return serialize_structure(build(S, members))
+        except CongruenceError as exc:
+            return str(exc), exc.witnesses
+
+    failures = 0
+    for ideal in all_ideals(S):
+        want = outcome(ref_ideal_quotient, ideal.members)
+        assert outcome(quotient, ideal.members) == want, (S.name, ideal.canon())
+        failures += isinstance(want, tuple)
+    return failures
+
+
 def check_division(f, g, q, r):
     S = f.base
     box = ref_pmul(q, g)
@@ -240,7 +312,37 @@ def test_reduce_poly_matches_reference(base):
         if p.is_zero or p.degree < 1:
             continue
         for z in polys:
-            assert _reduce_poly(z, p) == ref_reduce(z, p), (z, p)
+            assert decode_remainders(p, _reduce_poly(z, p)) == ref_reduce(z, p), (z, p)
+
+
+@pytest.mark.parametrize("name,param,coeffs,verify", [
+    ("Fp", 2, (1, 1, 1), True), ("Fp", 2, (1, 1, 0, 1), True), ("Fp", 3, (1, 0, 1), True),
+    ("Hp", 3, (1, 0, 2), True), ("Hp", 3, (1, 0, 1), False)])
+def test_quotient_tables_match_reference(name, param, coeffs, verify):
+    # H3 1+X^2 fails the superfield axioms: its tables are compared unverified
+    F = builtin(name, param)
+    p = Poly(F, coeffs)
+    K = make_quotient_superfield(F, p, verify=verify)
+    m = p.degree
+    vectors = tuple(itertools.product(F.elements, repeat=m))
+    assert K.elements == vectors
+    assert (K.zero, K.one) == ((F.zero,) * m, (F.one,) + (F.zero,) * (m - 1))
+    for x in vectors:
+        assert K.neg(x) == tuple(map(F.neg, x))
+        for y in vectors:
+            assert K.sum_set(x, y) == set(itertools.product(
+                *(msum_sets(F, [[a], [b]]) for a, b in zip(x, y)))), (x, y)
+            members = pmul(Poly(F, x), Poly(F, y)).members()
+            assert K.prod_set(x, y) == set().union(*(ref_reduce(z, p) for z in members)), (x, y)
+
+
+IDEAL_BASES = [*BUILTINS.values(), ("Hp", 5), ("Fp", 2), ("Fp", 5)]
+
+
+def test_ideal_quotients_match_reference():
+    # no ideal of these bases fails to give a congruence
+    bases = [builtin(*b) for b in IDEAL_BASES] + [strict_ring(6)]
+    assert sum(check_ideal_quotients(S) for S in bases) == 0
 
 
 # -- random structures ------------------------------------------------------------------
@@ -280,9 +382,15 @@ def test_boxes_on_random_structures(S, data):
 
     p = Poly(S, [data.draw(st.sampled_from(S.elements)) for _ in range(2)] + [1])
     z = _poly(data, S, 3)
-    assert _reduce_poly(z, p) == ref_reduce(z, p)
+    assert decode_remainders(p, _reduce_poly(z, p)) == ref_reduce(z, p)
     q, r = _poly(data, S, 1), _poly(data, S, 1)
     check_division(z, p, q, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=small_structures())
+def test_ideal_quotients_on_random_structures(S):
+    check_ideal_quotients(S)
 
 
 def test_box_positions_must_be_nonempty_subsets(K):

@@ -94,6 +94,15 @@ def test_quotient_round_trips_into_verify(tmp_path, capsys):
     assert run_cli("verify", str(path), "--kind", "superfield") == 0
 
 
+def test_failing_quotient_exits_one_with_its_witness(capsys):
+    # an exhaustive axiom failure is a definite fail (1), not inconclusive (2)
+    assert run_cli("quotient", "builtin:H3", "--poly", "1,0,1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: quotient by Poly<1,0,1> fails the superfield axioms\n"
+                            "witness.1=no-zero-div @ ((1, 1), (1, 1))\n")
+
+
 def test_extension_and_vspace_verbs(capsys):
     assert run_cli("extension", "builtin:H2", "builtin:H3") == 0
     assert "class=extension" in capsys.readouterr().out

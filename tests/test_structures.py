@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvla import (INF, Matrix, Poly, StructureError, WindowRequired, builtin, fn_space,
-                  matrix_space, mprod, mprod_sets, msum, msum_sets, poly_space, structure_is)
+from mvla import (INF, Matrix, Poly, Structure, StructureError, WindowRequired, builtin,
+                  fn_space, matrix_space, mprod, mprod_sets, msum, msum_sets, poly_space,
+                  structure_is)
 
 
 def test_krasner_table(K):
@@ -99,12 +102,32 @@ def test_canonical_order_and_masks(H3):
     assert H3.add_masks(m, m) == H3.mask_of(msum_sets(H3, [[2, 0], [2, 0]]))
 
 
-def test_with_entry_is_a_copy(K):
+def test_with_entry_is_a_copy(K, Q2, H3):
     Km = K.with_entry("sum", 1, 1, {1})
     assert Km.sum_set(1, 1) == {1}
     assert K.sum_set(1, 1) == {0, 1}
+    assert Km.name == "K*"
     with pytest.raises(StructureError):
         K.with_entry("sum", 1, 1, set())
+    for bad in ({2}, {0, 2}):
+        with pytest.raises(StructureError):
+            K.with_entry("prod", 1, 1, bad)
+    with pytest.raises(StructureError):
+        K.with_entry("sum", 2, 1, {1})
+    # every single-entry mutant equals the structure built from token dicts
+    for S in (K, Q2, H3):
+        els = S.elements
+        tables = {op: {(x, y): getattr(S, f"{op}_set")(x, y) for x in els for y in els}
+                  for op in ("sum", "prod")}
+        neg = {e: S.neg(e) for e in els}
+        subsets = [set(c) for r in range(1, len(els) + 1)
+                   for c in itertools.combinations(els, r)]
+        for op, (a, b), new in itertools.product(tables, itertools.product(els, repeat=2),
+                                                 subsets):
+            tabs = {o: dict(t) for o, t in tables.items()}
+            tabs[op][(a, b)] = new
+            want = Structure("M", els, S.zero, S.one, neg, tabs["sum"], tabs["prod"])
+            assert S.with_entry(op, a, b, new, name="M") == want, (S.name, op, a, b, new)
 
 
 def test_inverses(H3, X2):
