@@ -14,7 +14,7 @@ import sys
 
 from . import goldens
 from .axioms import KINDS, MorphismSpec, check_morphism, verify_axioms
-from .errors import CongruenceError, MvlaError, ParseError, WindowRequired
+from .errors import CongruenceError, MvlaError, ParseError, ReducibleError, WindowRequired
 from .extensions import ExtensionPair, classify_extension, make_quotient_superfield
 from .fileformat import (element_token, parse_matrix, parse_structure,
                          parse_system, poly_from_text, serialize_structure,
@@ -244,8 +244,8 @@ def cmd_quotient(args):
     r.lines = []  # the structure file itself is the machine output
     try:
         sys.stdout.write(serialize_structure(make_quotient_superfield(S, p)))
-    except CongruenceError as exc:
-        # an exhaustive axiom failure is a definite fail, not an inconclusive run
+    except (CongruenceError, ReducibleError) as exc:
+        # a failed axiom or a divisor of p is a definite fail, not an inconclusive run
         axiom, wit = exc.witnesses[0]
         sys.stderr.write(f"error: {exc}\nwitness.1={axiom} @ {wit}\n")
         r.exit_code = EXIT_FAIL

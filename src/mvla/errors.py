@@ -31,5 +31,13 @@ class CongruenceError(MvlaError):
         super().__init__(message)
 
 
+class ReducibleError(StructureError):
+    """A quotient was asked of a reducible polynomial; carries the divisor."""
+
+    def __init__(self, message, witnesses=()):
+        self.witnesses = tuple(witnesses)
+        super().__init__(message)
+
+
 class WindowRequired(MvlaError):
     """An operation on a lazy structure needs an explicit finite window."""

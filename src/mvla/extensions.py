@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import or_
 
 from .axioms import MorphismSpec, check_morphism, structure_is, verify_axioms
-from .errors import CongruenceError, StructureError
+from .errors import CongruenceError, ReducibleError, StructureError
 from .polys import (Poly, PolySet, _in_box_plus, _irreducible, _nonzero, _remainders,
                     all_polys, evaluate, pmul)
 from .structures import Structure, _bits
@@ -102,7 +102,8 @@ def _quotient(F, p, verify, slices):
         raise StructureError(f"{F.name} is not a superfield")
     verdict = _irreducible(p, slices)
     if not verdict:
-        raise StructureError(f"{p!r} is reducible (witness {verdict.witness!r})")
+        raise ReducibleError(f"{p!r} is reducible (witness {verdict.witness!r})",
+                             witnesses=(("divisor", verdict.witness),))
     m = p.degree
     sum_tab, _, neg, zero_i = _componentwise_tables(F, m)
     boxes = {}

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,25 @@ def test_failing_quotient_exits_one_with_its_witness(capsys):
     assert captured.out == ""
     assert captured.err == ("error: quotient by Poly<1,0,1> fails the superfield axioms\n"
                             "witness.1=no-zero-div @ ((1, 1), (1, 1))\n")
+
+
+def test_reducible_quotient_exits_one_with_its_divisor(capsys):
+    # a divisor found by the scan is a definite fail (1), not inconclusive (2)
+    assert run_cli("quotient", "builtin:H3", "--poly", "0,0,1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: Poly<0,0,1> is reducible (witness Poly<0,1>)\n"
+                            "witness.1=divisor @ Poly<0,1>\n")
+
+
+def test_closed_charges_its_scan_against_the_budget(capsys):
+    start = time.perf_counter()
+    assert run_cli("--budget", "1", "closed", "--structure", "builtin:H3",
+                   "--max-n", "2", "--max-m", "3") == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: closedness work 90 at 1x2 exceeds budget 1\n"
 
 
 def test_extension_and_vspace_verbs(capsys):
