@@ -12,7 +12,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import and_, invert, itemgetter, or_
+from itertools import compress, repeat
+from operator import and_, eq, invert, itemgetter, mul, not_, or_
 
 from .errors import StructureError, WindowRequired
 from .structures import Structure, TropicalStructure, _Setwise, _bits
@@ -88,7 +89,7 @@ class _View:
     """
 
     __slots__ = ("elements", "k", "inex", "zero_i", "one_i", "neg", "sum", "prod", "act",
-                 "partial")
+                 "partial", "_tables")
 
     def __init__(self, elements, zero_i, one_i, neg, sum_tab, prod_tab, partial,
                  act_tab=None):
@@ -102,6 +103,14 @@ class _View:
         self.prod = prod_tab
         self.act = act_tab
         self.partial = partial
+        self._tables = {}
+
+    def table(self, tab):
+        """The _Table of one of the view's k x k tables, made on first use."""
+        t = self._tables.get(id(tab))
+        if t is None:  # the entry holds tab, so its id is not reused while it lives
+            t = self._tables[id(tab)] = _Table(tab, self.k)
+        return t
 
     @classmethod
     def of_structure(cls, S):
@@ -181,16 +190,6 @@ def _membership(bit, R, inex):
     return "skip" if R & inex else "fail"
 
 
-def _row_passes(exact, left, right, law):
-    """Every instance law(left[c], right[c]) of a row of cells passes, given
-    whether every left cell is exact."""
-    if not exact:
-        return False
-    if law is _equality:
-        return left == right
-    return not any(map(and_, left, map(invert, right)))
-
-
 def _record_row(col, law, left, right, inex, axiom, instances):
     """Record a row instance by instance; True once the collector is done."""
     for l, r, instance in zip(left, right, instances):
@@ -200,20 +199,44 @@ def _record_row(col, law, left, right, inex, axiom, instances):
     return False
 
 
-# -- packed rows: a whole row of cells in one int ---------------------------------
+# -- packed rows, slabs and tensors: many cells in one int ---------------------------
 #
 # A row of cells packs into one int at w = ceil((k + 1) / 8) bytes a cell, the
 # first cell in the highest bytes, so every cell keeps its inexact bit.  An OR of
 # packed rows is the packed row of the cellwise ORs, so a row of k instances
-# passes or fails with one int test.
+# passes or fails with one int test.  A slab is the k rows (b, c) of one a, b
+# major, and a tensor the k slabs (a, b, c), packed the same way: the k**3
+# instances of a law pass or fail with one int test.
+#
+# A tensor of 0s and 1s times a value below 1 << 8w puts that value in its 1
+# cells.  So a side of a law is an OR of k products: for each x, the cells that
+# hold x (from _holding) times the packed row or column of x.
 
 # Rows of a table packed together in _row_unions: more rows take fewer ORs, fewer
 # hold less at once (a block's unions are a block of bytes per distinct cell).
 _BLOCK = 8
 
+# A table of at most _WHOLE elements, whose cells fit in one byte, is tested whole:
+# each side of a law is one tensor of k**3 bytes.  With wider cells the products
+# that build a tensor grow with k**4, so a larger table, such as a derived
+# carrier's, is tested one packed row at a time.
+_WHOLE = 7
+
+# M1 is tested whole, as strings of k**3 characters, on an exact table of at most
+# _WHOLE_M1 elements (32 kB a string); a larger table goes one row of pairs at a
+# time, holding one column's or row's holders at a time.
+_WHOLE_M1 = 32
+
+
+def _flat(tab):
+    """The cells of a table, row by row."""
+    return list(itertools.chain.from_iterable(tab))
+
 
 def _pack(cells, w):
-    raw = bytes(cells) if w == 1 else b"".join([c.to_bytes(w, "big") for c in cells])
+    """One int of the cells, w bytes each (each below 1 << 8w), the first highest."""
+    raw = bytes(cells) if w == 1 else b"".join(map(int.to_bytes, cells, repeat(w),
+                                                   repeat("big")))
     return int.from_bytes(raw, "big")
 
 
@@ -226,10 +249,47 @@ def _or(packed, indices, start=0):
     return functools.reduce(or_, map(packed.__getitem__, indices), start)
 
 
+def _sum_products(tensors, values):
+    """The OR of tensors[x] * values[x] over x: each value put in its tensor's 1 cells."""
+    return functools.reduce(or_, map(mul, tensors, values))
+
+
 def _passes(L, R, equal, inex_all):
-    """Every instance of a packed row passes: L is exact, and within R (or equal
-    to R when equal is set)."""
+    """Every instance of a packed row, slab or tensor passes: L is exact, and within
+    R (or equal to R when equal is set)."""
     return not L & inex_all and (L == R if equal else (L | R) == R)
+
+
+def _holding(packed, n, w, k):
+    """For each a < k, the n cells of w bytes of packed with 1 where the cell holds a
+    and 0 elsewhere."""
+    ones = int.from_bytes((bytes(w - 1) + b"\1") * n, "big")
+    return list(map(and_, map(packed.__rshift__, range(k)), repeat(ones)))
+
+
+class _Table:
+    """A k x k table of a view, its cells row by row and its columns, and for a small
+    exact table the packed forms that the whole-table tests take from it; made
+    once and shared by the view's scans."""
+
+    def __init__(self, rows, k):
+        w = (k + 8) // 8
+        self.rows, self.k, self.w = rows, k, w
+        self.flat = _flat(rows)
+        self.cols = list(zip(*rows))
+        self.exact = max(self.flat) >> k == 0
+        self.whole = self.exact and k <= _WHOLE
+        if self.whole:
+            self.packed_rows = list(map(_pack, rows, repeat(w)))
+            self.packed_cols = list(map(_pack, self.cols, repeat(w)))
+            # each column with its cells a slab apart: times a slab of 0s and 1s,
+            # it puts its cell a in slab a of a tensor
+            self.wide_cols = list(map(_pack, self.cols, repeat(k * k * w)))
+            # for each x, the rows (a, b) of a tensor with 1 at the end of each row
+            # whose cell holds x: times a packed row, it puts that row there
+            self.in_rows = _holding(_pack(self.flat, k * w), k * k, k * w, k)
+            # for each y, the slab with 1 in the cells (b, c) whose cell holds y
+            self.in_cells = _holding(_pack(self.flat, w), k * k, w, k)
 
 
 def _cells(tab, inex):
@@ -274,23 +334,31 @@ def _row_unions(tab, members, w, inex):
 
 
 def _scan_assoc(view, col, tab, axiom, law):
-    """law((a.b).c, a.(b.c)), unionwise, for every triple, one packed row (a, b) at a time.
+    """law((a.b).c, a.(b.c)), unionwise, for every triple.
 
-    The left row over c is the OR of the packed table rows x over x in a.b.  The
-    right row gathers, over the cells b.c, the unions of a.y over y in the cell,
-    which _row_unions builds for all distinct cells and one row a at a time.  A
-    row whose k instances all pass is counted at once; any other row is unpacked
-    and recorded instance by instance, so witnesses, counts and the early exit
-    are those of a per-triple scan.
+    A small exact table is tested whole: (a.b).c puts the packed row x in each
+    row (a, b) whose cell holds x, and a.(b.c) puts the column y in each cell
+    (b, c) that holds y, in every slab.  Otherwise one packed row (a, b) at a
+    time: the left row over c is the OR of the packed table rows x over x in
+    a.b, and the right row gathers, over the cells b.c, the unions of a.y over y
+    in the cell, which _row_unions builds for all distinct cells and one row a
+    at a time.  A row whose k instances all pass is counted at once; any other
+    row is unpacked and recorded instance by instance, so witnesses, counts and
+    the early exit are those of a per-triple scan.
     """
     els, k, inex = view.elements, view.k, view.inex
-    w = (k + 8) // 8
+    t = view.table(tab)
+    w, equal = t.w, law is _equality
+    if t.whole and _passes(_sum_products(t.in_rows, t.packed_rows),
+                           _sum_products(t.wide_cols, t.in_cells), equal, 0):
+        col.checked += k ** 3
+        return
     inex_all = _pack([inex] * k, w)
-    packed = [_pack(row, w) for row in tab]
     members, ids = _cells(tab, inex)
     getters = _getters(ids, tab)
-    equal = law is _equality
-    # _or, _gather and _passes are inlined here: every structure_is runs this loop
+    packed = [_pack(row, w) for row in tab]  # not kept: a carrier's take megabytes
+    # _or, _gather and _passes are inlined here: every derived carrier's check runs
+    # this loop
     reduce, from_bytes, join = functools.reduce, int.from_bytes, b"".join
     for i, right in enumerate(_row_unions(tab, members, w, inex)):
         for j, ab in enumerate(tab[i]):
@@ -305,13 +373,33 @@ def _scan_assoc(view, col, tab, axiom, law):
 
 
 # -- individual axiom scans -------------------------------------------------
+#
+# Each scan first tests all its instances at once and counts them when they all
+# pass; a law over triples on a table too large to test whole goes one packed row
+# at a time.  Only a table or row that fails that test, for an inexact cell or a
+# failing instance, is recorded instance by instance, in the order of a
+# per-instance scan.
+
+
+def _units(k):
+    """[{0}, {1}, ..., {k - 1}] as masks."""
+    return list(map((1).__lshift__, range(k)))
+
+
+def _symmetric(t):
+    """Every cell of the table is exact and equals its mirror cell."""
+    return t.exact and all(map(eq, map(tuple, t.rows), t.cols))
 
 
 def _scan_nonempty(view, col, opname):
     tab = view.sum if opname == "sum" else view.prod
-    els, inex = view.elements, view.inex
-    for i in range(view.k):
-        for j in range(view.k):
+    els, k, inex = view.elements, view.k, view.inex
+    cells = view.table(tab).flat
+    if 0 not in cells and inex not in cells:
+        col.checked += k * k
+        return
+    for i in range(k):
+        for j in range(k):
             cell = tab[i][j]
             if cell == inex:
                 col.record("skip", "nonempty", (els[i], els[j]))
@@ -328,15 +416,22 @@ def _scan_multigroup(view, col, opname, unit_i, use_inversion):
     tab = view.sum if opname == "sum" else view.prod
     els, k, inex = view.elements, view.k, view.inex
     suffix = "" if opname == "sum" else "-mult"
+    t = view.table(tab)
+    units = _units(k)
 
     # M2 (group mode): a . unit = {a}.  Monoid mode: a in unit . a.
-    for i in range(k):
-        if use_inversion:
-            col.record(_equality(tab[i][unit_i], 1 << i, inex), "M2" + suffix, (els[i],))
-        else:
-            col.record(_membership(i, tab[unit_i][i], inex), "unit" + suffix, (els[i],))
-        if col.done:
-            return
+    if use_inversion and list(map(itemgetter(unit_i), tab)) == units:
+        col.checked += k
+    elif not use_inversion and list(map(and_, tab[unit_i], units)) == units:
+        col.checked += k
+    else:
+        for i in range(k):
+            if use_inversion:
+                col.record(_equality(tab[i][unit_i], 1 << i, inex), "M2" + suffix, (els[i],))
+            else:
+                col.record(_membership(i, tab[unit_i][i], inex), "unit" + suffix, (els[i],))
+            if col.done:
+                return
 
     if use_inversion:
         _scan_m1(view, col, tab, "M1" + suffix)
@@ -344,56 +439,82 @@ def _scan_multigroup(view, col, opname, unit_i, use_inversion):
             return
 
     # M4 commutativity
-    for i in range(k):
-        for j in range(i + 1, k):
-            col.record(_equality(tab[i][j], tab[j][i], inex), "M4" + suffix,
-                       (els[i], els[j]))
-            if col.done:
-                return
+    if _symmetric(t):
+        col.checked += k * (k - 1) // 2
+    else:
+        for i in range(k):
+            for j in range(i + 1, k):
+                col.record(_equality(tab[i][j], tab[j][i], inex), "M4" + suffix,
+                           (els[i], els[j]))
+                if col.done:
+                    return
 
     # M3 weak associativity: (a.b).c subset of a.(b.c), unionwise
     _scan_assoc(view, col, tab, "M3" + suffix, _containment)
 
 
 def _holders(cells, k):
-    """T[a]: the mask of the positions c whose cell holds a."""
-    T, carrier = [0] * k, (1 << k) - 1
-    for c, cell in enumerate(cells):
-        m, bit = cell & carrier, 1 << c
-        while m:
-            low = m & -m
-            m ^= low
-            T[low.bit_length() - 1] |= bit
-    return T
+    """T[a]: the mask of the positions c whose cell holds a.
+
+    The cells' bit strings, the last cell first, are joined into one string; the
+    slice of every k-th character from the one of bit a reads off its holders,
+    the last position first.
+    """
+    bits = "".join(map(format, map(and_, reversed(cells), repeat((1 << k) - 1)),
+                       repeat(f"0{k}b")))
+    return list(map(int, map(bits.__getitem__, map(slice, range(k - 1, -1, -1), repeat(None),
+                                                   repeat(k))), repeat(2)))
+
+
+def _m1_whole(t, neg):
+    """Every instance of M1 passes, for an exact table tested whole.
+
+    Three strings of k**3 0s and 1s over (a, b, c), c descending, are compared as
+    ints: c in a.b, a in c.(-b) and b in (-a).c.  The cells' bit strings give the
+    first; transposed by zip, they give for each x the string of the cells that
+    hold x, whose columns -b and rows -a, read backwards, give the other two.
+    """
+    k = t.k
+    bits = list(map(format, t.flat, repeat(f"0{k}b")))
+    holding = list(map("".join, zip(*bits)))[::-1]  # holding[x]: the cells that hold x
+    cols = [slice((k - 1) * k + n, None, -k) for n in neg]       # column -b, backwards
+    rows = [slice(n * k + k - 1, n * k - 1 if n else None, -1) for n in neg]  # row -a
+    right = "".join(map(str.__getitem__, _flat(map(repeat, holding, repeat(k))), cols * k))
+    left = "".join(map(str.__getitem__, holding * k, _flat(map(repeat, rows, repeat(k)))))
+    return not int("".join(bits), 2) & ~(int(right, 2) & int(left, 2))
 
 
 def _scan_m1(view, col, tab, axiom):
     """M1, reversibility: for every c in a.b, a in c.(-b) and b in (-a).c.
 
-    Each half is tested for a whole pair at once.  For each b, R[a], the mask
-    of the c with a in c.(-b), comes from the column -b alone; the pairs (a, b)
-    whose cell is exact and lies within R[a] are marked.  Then for each a,
-    L[b], the mask of the c with b in (-a).c, comes from the row -a alone, and
-    a marked pair whose cell lies within L[b] passes whole and is counted at
-    once.  Any other pair goes through the per-c loop, so witnesses, counts
-    and the early exit are those of a per-member scan.  A member of an inexact
-    cell counts as a member.  No k x k table and no member list is built.
+    An exact table of up to _WHOLE_M1 elements is tested whole.  Otherwise, for
+    each b, the holders of a in the column -b give the c with a in c.(-b); for
+    each a, the holders of b in the row -a give the c with b in (-a).c.  A pair
+    (a, b) passes whole when its cell is exact and lies within both, and a row
+    of pairs that all pass is counted at once.  Any other pair goes through the
+    per-c loop, so witnesses, counts and the early exit are those of a
+    per-member scan.  A member of an inexact cell counts as a member.  One
+    column's or row's holders are held at a time, with one byte per pair.
     """
     els, k, neg, inex = view.elements, view.k, view.neg, view.inex
-    marked = [0] * k  # bit b of marked[a]: every c in a.b has a in c.(-b)
-    for j in range(k):
-        R = _holders([row[neg[j]] for row in tab], k)
-        for i, row in enumerate(tab):
-            if not row[j] & ~R[i]:
-                marked[i] |= 1 << j
-    for i in range(k):
-        L = _holders(tab[neg[i]], k)
-        row, marks = tab[i], marked[i]
-        for j in range(k):
-            if marks >> j & 1 and not row[j] & ~L[j]:
+    t = view.table(tab)
+    if t.exact and k <= _WHOLE_M1 and _m1_whole(t, neg):
+        col.checked += k * k
+        return
+    # right[b * k + a]: 1 when every c in a.b has a in c.(-b)
+    right = b"".join(bytes(map(not_, map(and_, t.cols[b], map(invert, _holders(t.cols[n], k)))))
+                     for b, n in enumerate(neg))
+    for i, row in enumerate(tab):
+        # both[b]: 1 when, besides, every c in a.b has b in (-a).c
+        left = map(not_, map(and_, row, map(invert, _holders(tab[neg[i]], k))))
+        both = bytes(map(and_, right[i::k], left))
+        if all(both):
+            col.checked += k
+            continue
+        for j, cell in enumerate(row):
+            if both[j]:
                 col.checked += 1
                 continue
-            cell = row[j]
             if cell == inex:
                 col.record("skip", axiom, (els[i], els[j]))
                 continue
@@ -416,125 +537,161 @@ def _scan_monoid(view, col):
     """Strict commutative monoid laws for the product of a multiring."""
     tab = view.prod
     els, k, inex = view.elements, view.k, view.inex
-    for i in range(k):
-        for j in range(k):
-            cell = tab[i][j]
-            if cell == inex:
-                col.record("skip", "prod-single", (els[i], els[j]))
-            elif cell & (cell - 1) & ~inex:  # two members or more
-                col.record("fail", "prod-single", (els[i], els[j]))
-            else:
-                col.record("pass", "prod-single", (els[i], els[j]))
+    t = view.table(tab)
+    if t.exact and max(map(int.bit_count, t.flat)) <= 1:
+        col.checked += k * k
+    else:
+        for i in range(k):
+            for j in range(k):
+                cell = tab[i][j]
+                if cell == inex:
+                    col.record("skip", "prod-single", (els[i], els[j]))
+                elif cell & (cell - 1) & ~inex:  # two members or more
+                    col.record("fail", "prod-single", (els[i], els[j]))
+                else:
+                    col.record("pass", "prod-single", (els[i], els[j]))
+                if col.done:
+                    return
+    if list(map(itemgetter(view.one_i), tab)) == _units(k):
+        col.checked += k
+    else:
+        for i in range(k):
+            col.record(_equality(tab[i][view.one_i], 1 << i, inex), "unit-prod", (els[i],))
             if col.done:
                 return
-    for i in range(k):
-        col.record(_equality(tab[i][view.one_i], 1 << i, inex), "unit-prod", (els[i],))
-        if col.done:
-            return
-    for i in range(k):
-        for j in range(i + 1, k):
-            col.record(_equality(tab[i][j], tab[j][i], inex), "comm-prod", (els[i], els[j]))
-            if col.done:
-                return
+    if _symmetric(t):
+        col.checked += k * (k - 1) // 2
+    else:
+        for i in range(k):
+            for j in range(i + 1, k):
+                col.record(_equality(tab[i][j], tab[j][i], inex), "comm-prod",
+                           (els[i], els[j]))
+                if col.done:
+                    return
     _scan_assoc(view, col, tab, "assoc-prod", _equality)
 
 
 def _scan_absorb(view, col):
-    els, z, inex = view.elements, view.zero_i, view.inex
-    for i in range(view.k):
-        col.record(_equality(view.prod[i][z], 1 << z, inex), "absorb", (els[i],))
+    els, k, z, inex, prod = view.elements, view.k, view.zero_i, view.inex, view.prod
+    zeros = [1 << z] * k
+    if list(prod[z]) == zeros and list(map(itemgetter(z), prod)) == zeros:
+        col.checked += 2 * k
+        return
+    for i in range(k):
+        col.record(_equality(prod[i][z], 1 << z, inex), "absorb", (els[i],))
         if col.done:
             return
-        col.record(_equality(view.prod[z][i], 1 << z, inex), "absorb", (els[i],))
+        col.record(_equality(prod[z][i], 1 << z, inex), "absorb", (els[i],))
         if col.done:
             return
 
 
-def _dist_tables(view):
-    """The tables of the distributivity scans: (prod_cols, times, plus).
-
-    prod_cols are the product's columns, times[s] = (c.s over c, s.c over c)
-    for each distinct sum cell s, and plus the setwise sums of cells.  c.s is
-    the OR of the product columns, s.c the OR of the product rows, over the
-    members of s, with the inexact bit of s carried along.
-    """
-    k, inex, prods = view.k, view.inex, view.prod
-    prod_cols = [list(c) for c in zip(*prods)]
-    times = {}
-    for s in set(itertools.chain.from_iterable(view.sum)):
-        left = right = [s & inex] * k
-        for x in _bits(s & ~inex):
-            left = list(map(or_, left, prod_cols[x]))
-            right = list(map(or_, right, prods[x]))
-        times[s] = left, right
-    return prod_cols, times, _Setwise(view.sum)
+def _plus(view):
+    """The setwise sums of cells, seeded with the sums of two singletons, which are
+    the sum table's own cells."""
+    plus = _Setwise(view.sum)
+    plus.update(zip(itertools.product(_units(view.k), repeat=2), view.table(view.sum).flat))
+    return plus
 
 
 def _scan_weak_dist(view, col):
-    """c(a+b) within ca+cb and (a+b)c within ac+bc, unionwise, one row (a, b) at a time.
+    """c(a+b) within ca+cb and (a+b)c within ac+bc, unionwise.
 
-    The left rows over c come from times[a+b], the right ones from the setwise
-    sums of the product's columns a, b and of its rows a, b.  A row whose 2k
-    instances all pass is counted at once; any other row is recorded instance
-    by instance, c(a+b) before (a+b)c for each c.  A sum a+b that escapes the
-    window leaves both sides unknown: 2k skips.
+    The right sides are the setwise sums of the product's columns a, b and of
+    its rows a, b.  Small exact tables are tested whole: c(a+b) and (a+b)c put
+    the product's packed column and row x in each row (a, b) whose sum holds x.
+    Otherwise one packed row (a, b) at a time: the rows c.s and s.c over c, for
+    s = a+b, are ORs of the product's packed columns and rows over the members
+    of s.  A row whose 2k instances all pass is counted at once; any other row
+    is recorded instance by instance, c(a+b) before (a+b)c for each c.  A sum
+    a+b that escapes the window leaves both sides unknown: 2k skips.
     """
     els, k, inex, prods = view.elements, view.k, view.inex, view.prod
-    prod_cols, times, plus = _dist_tables(view)
-    for a in range(k):
-        for b in range(k):
-            left, left2 = times[view.sum[a][b]]
-            right = list(map(plus.__getitem__, zip(prod_cols[a], prod_cols[b])))
-            right2 = list(map(plus.__getitem__, zip(prods[a], prods[b])))
-            if (_row_passes(max(left) < inex, left, right, _containment)
-                    and _row_passes(max(left2) < inex, left2, right2, _containment)):
-                col.checked += 2 * k
-                continue
-            for c in range(k):
-                col.record(_containment(left[c], right[c], inex),
-                           "weak-dist", (els[c], els[a], els[b]))
-                if col.done:
-                    return
-                col.record(_containment(left2[c], right2[c], inex),
-                           "weak-dist-right", (els[a], els[b], els[c]))
-                if col.done:
-                    return
+    s, p = view.table(view.sum), view.table(prods)
+    w, plus, cols = p.w, _plus(view), p.cols
+    # the first and second cells of the sums ca+cb and ac+bc over (a, b, c)
+    firsts, seconds = _flat(map(mul, cols, repeat(k))), _flat(cols) * k
+    firsts2, seconds2 = _flat(map(mul, prods, repeat(k))), p.flat * k
+    right = list(map(plus.__getitem__, zip(firsts, seconds)))
+    right2 = list(map(plus.__getitem__, zip(firsts2, seconds2)))
+    if (s.whole and p.whole
+            and _passes(_sum_products(s.in_rows, p.packed_cols), _pack(right, w), False, 0)
+            and _passes(_sum_products(s.in_rows, p.packed_rows), _pack(right2, w), False, 0)):
+        col.checked += 2 * k ** 3
+        return
+    inex_row = _pack([inex] * k, w)
+    members, _ = _cells(view.sum, inex)
+    packed_cols, packed_rows = [_pack(c, w) for c in cols], [_pack(r, w) for r in prods]
+    cs = {ab: _or(packed_cols, mem, inex_row if x else 0) for ab, (mem, x) in members.items()}
+    sc = {ab: _or(packed_rows, mem, inex_row if x else 0) for ab, (mem, x) in members.items()}
+    for n, ab in enumerate(s.flat):
+        R, R2 = right[n * k:(n + 1) * k], right2[n * k:(n + 1) * k]
+        if (_passes(cs[ab], _pack(R, w), False, inex_row)
+                and _passes(sc[ab], _pack(R2, w), False, inex_row)):
+            col.checked += 2 * k
+            continue
+        a, b = divmod(n, k)
+        L, L2 = _unpack(cs[ab], k, w), _unpack(sc[ab], k, w)
+        for c in range(k):
+            col.record(_containment(L[c], R[c], inex), "weak-dist", (els[c], els[a], els[b]))
+            if col.done:
+                return
+            col.record(_containment(L2[c], R2[c], inex), "weak-dist-right",
+                       (els[a], els[b], els[c]))
+            if col.done:
+                return
 
 
 def _scan_hyper_dist(view, col):
-    """Exact distributivity a(b+c) = ab+ac, one row (a, b) at a time.
+    """Exact distributivity a(b+c) = ab+ac.
 
-    The left cell is times[b+c] at a, the right one the setwise sum of ab and
-    ac; a row whose k instances all pass is counted at once, any other row is
-    recorded instance by instance.
+    The right side is the setwise sums of ab and ac.  Small exact tables are
+    tested whole: a(b+c) puts the product's column x in each cell (b, c) whose
+    sum holds x, in every slab.  Otherwise one packed row (a, b) at a time: the
+    left row gathers, over the sums b+c, the unions a.(b+c), which _row_unions
+    builds from the product for all distinct sum cells and one row a at a time.
+    A passing row is counted at once, any other row is recorded instance by
+    instance.
     """
-    els, k, inex = view.elements, view.k, view.inex
-    _, times, plus = _dist_tables(view)
-    for a in range(k):
-        row = view.prod[a]
+    els, k, inex, prods = view.elements, view.k, view.inex, view.prod
+    s, p = view.table(view.sum), view.table(prods)
+    w, plus = p.w, _plus(view)
+    firsts = itertools.chain.from_iterable(map(repeat, p.flat, repeat(k)))
+    right = list(map(plus.__getitem__, zip(firsts, _flat(map(mul, prods, repeat(k))))))
+    if s.whole and p.whole and _sum_products(p.wide_cols, s.in_cells) == _pack(right, w):
+        col.checked += k ** 3
+        return
+    members, ids = _cells(view.sum, inex)
+    inex_row = _pack([inex] * k, w)
+    getters = _getters(ids, view.sum)
+    for a, unions in enumerate(_row_unions(prods, members, w, inex)):
         for b in range(k):
-            left = [times[s][0][a] for s in view.sum[b]]
-            ab = row[b]
-            right = [plus[ab, x] for x in row]
-            if _row_passes(max(left) < inex, left, right, _equality):
+            L, R = _gather(getters[b], unions), right[(a * k + b) * k:(a * k + b + 1) * k]
+            if _passes(L, _pack(R, w), True, inex_row):
                 col.checked += k
-            elif _record_row(col, _equality, left, right, inex, "hyper-dist",
+            elif _record_row(col, _equality, _unpack(L, k, w), R, inex, "hyper-dist",
                              ((els[a], els[b], c) for c in els)):
                 return
 
 
 def _scan_signs(view, col):
-    els, neg, inex = view.elements, view.neg, view.inex
+    """-(ab) = (-a)b and -(ab) = a(-b), tested for the whole table at once."""
+    els, k, neg, inex, prod = view.elements, view.k, view.neg, view.inex, view.prod
+    t = view.table(prod)
     neg_bits = [1 << n for n in neg]
-    for a in range(view.k):
-        for b in range(view.k):
-            ab = view.prod[a][b]
-            neg_ab = _union(neg_bits, ab & ~inex, ab & inex)
-            col.record(_equality(neg_ab, view.prod[neg[a]][b], inex), "signs",
+    negs = {cell: _union(neg_bits, cell & ~inex, cell & inex) for cell in set(t.flat)}
+    neg_ab = list(map(negs.__getitem__, t.flat))
+    if (t.exact and neg_ab == _flat(map(prod.__getitem__, neg))
+            and neg_ab == _flat(zip(*map(t.cols.__getitem__, neg)))):
+        col.checked += 2 * k * k
+        return
+    for a in range(k):
+        for b in range(k):
+            col.record(_equality(neg_ab[a * k + b], prod[neg[a]][b], inex), "signs",
                        (els[a], els[b]))
             if col.done:
                 return
-            col.record(_equality(neg_ab, view.prod[a][neg[b]], inex), "signs",
+            col.record(_equality(neg_ab[a * k + b], prod[a][neg[b]], inex), "signs",
                        (els[a], els[b]))
             if col.done:
                 return
@@ -546,9 +703,18 @@ def _scan_nontrivial(view, col):
 
 
 def _scan_no_zero_divisors(view, col):
-    els, z, inex = view.elements, view.zero_i, view.inex
-    for a in range(view.k):
-        for b in range(view.k):
+    els, k, z, inex = view.elements, view.k, view.zero_i, view.inex
+    # the pairs (a, b) with a and b nonzero, as selectors over the table's cells
+    nonzero = [1] * k
+    nonzero[z] = 0
+    pairs = nonzero * k
+    pairs[z * k:(z + 1) * k] = [0] * k
+    cells = view.table(view.prod).flat
+    if not any(compress(map(and_, cells, repeat(1 << z | inex)), pairs)):
+        col.checked += (k - 1) ** 2
+        return
+    for a in range(k):
+        for b in range(k):
             if a == z or b == z:
                 continue
             cell = view.prod[a][b]

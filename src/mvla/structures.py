@@ -423,28 +423,20 @@ class Box:
 # -- built-in structures ---------------------------------------------------------
 
 
+# Each built-in computes its index-level tables and goes through Structure.from_masks,
+# which checks them like any other tables.
+
+
 def _krasner():
-    els = (0, 1)
-    s = {(0, 0): {0}, (0, 1): {1}, (1, 0): {1}, (1, 1): {0, 1}}
-    p = {(a, b): {a * b} for a in els for b in els}
-    return Structure("K", els, 0, 1, {0: 0, 1: 1}, s, p)
+    return Structure.from_masks("K", (0, 1), 0, 1, (0, 1), [[1, 2], [2, 3]], [[1, 1], [1, 2]])
 
 
 def _signs():
-    els = (-1, 0, 1)
-    s = {}
-    for a in els:
-        for b in els:
-            if a == 0:
-                s[(a, b)] = {b}
-            elif b == 0:
-                s[(a, b)] = {a}
-            elif a == b:
-                s[(a, b)] = {a}
-            else:
-                s[(a, b)] = {-1, 0, 1}
-    p = {(a, b): {a * b} for a in els for b in els}
-    return Structure("Q2", els, 0, 1, {a: -a for a in els}, s, p)
+    # index i holds the sign i - 1
+    s = [[1 << j if i == 1 else 1 << i if j == 1 or i == j else 7 for j in range(3)]
+         for i in range(3)]
+    p = [[1 << (i - 1) * (j - 1) + 1 for j in range(3)] for i in range(3)]
+    return Structure.from_masks("Q2", (-1, 0, 1), 1, 2, (2, 1, 0), s, p)
 
 
 def _is_prime(p):
@@ -456,53 +448,45 @@ def _is_prime(p):
 def _hp(p):
     if not _is_prime(p):
         raise StructureError(f"Hp needs a prime, got {p}")
+    full = (1 << p) - 1
+    s = [[1 << j if i == 0 else 1 << i if j == 0 else full if i == j else 1 << i | 1 << j
+          for j in range(p)] for i in range(p)]
+    pr = [[1 << i * j % p for j in range(p)] for i in range(p)]
     els = tuple(range(p))
-    full = set(els)
-    s = {}
-    for a in els:
-        for b in els:
-            if a == 0:
-                s[(a, b)] = {b}
-            elif b == 0:
-                s[(a, b)] = {a}
-            elif a == b:
-                s[(a, b)] = full
-            else:
-                s[(a, b)] = {a, b}
-    pr = {(a, b): {(a * b) % p} for a in els for b in els}
-    return Structure(f"H{p}", els, 0, 1, {a: a for a in els}, s, pr)
+    return Structure.from_masks(f"H{p}", els, 0, 1, els, s, pr)
 
 
 def _kaleidoscope(n):
     if n < 0:
         raise StructureError(f"Xn needs n >= 0, got {n}")
-    els = tuple(range(-n, n + 1))
-    s = {}
-    for a in els:
-        for b in els:
-            if b == -a:
-                s[(a, b)] = set(range(-abs(a), abs(a) + 1))
-            elif abs(b) <= abs(a):
-                s[(a, b)] = {a}
-            else:
-                s[(a, b)] = {b}
-    def prod(a, b):
+    if n == 0:
+        raise StructureError("zero/one must belong to the carrier")
+    # element a has index a + n
+
+    def sum_cell(a, b):
+        if b == -a:  # the interval from -|a| to |a|
+            return ((1 << 2 * abs(a) + 1) - 1) << n - abs(a)
+        return 1 << (a if abs(b) <= abs(a) else b) + n
+
+    def prod_cell(a, b):
         if a == 0 or b == 0:
-            return 0
-        sgn = 1 if (a > 0) == (b > 0) else -1
-        return sgn * max(abs(a), abs(b))
-    p = {(a, b): {prod(a, b)} for a in els for b in els}
-    return Structure(f"X{n}", els, 0, 1, {a: -a for a in els}, s, p)
+            return 1 << n
+        return 1 << (1 if (a > 0) == (b > 0) else -1) * max(abs(a), abs(b)) + n
+
+    els = tuple(range(-n, n + 1))
+    s = [[sum_cell(a, b) for b in els] for a in els]
+    p = [[prod_cell(a, b) for b in els] for a in els]
+    return Structure.from_masks(f"X{n}", els, n, n + 1, tuple(range(2 * n, -1, -1)), s, p)
 
 
 def strict_ring(n, name=None):
     """The ordinary ring of integers mod n, as a strict (singleton-valued) structure."""
     if n < 1:
         raise StructureError("modulus must be positive")
-    els = tuple(range(n))
-    s = {(a, b): {(a + b) % n} for a in els for b in els}
-    p = {(a, b): {(a * b) % n} for a in els for b in els}
-    return Structure(name or f"Z{n}", els, 0, 1 % n, {a: (-a) % n for a in els}, s, p)
+    s = [[1 << (a + b) % n for b in range(n)] for a in range(n)]
+    p = [[1 << a * b % n for b in range(n)] for a in range(n)]
+    return Structure.from_masks(name or f"Z{n}", tuple(range(n)), 0, 1 % n,
+                                tuple(-a % n for a in range(n)), s, p)
 
 
 def _fp(p):

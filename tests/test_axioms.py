@@ -1,4 +1,7 @@
+import collections
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -1065,3 +1068,160 @@ def test_action_scan_matches_tuple_loop_on_random_actions(drawn):
 @given(drawn=action_views(_BYTE_EDGES))
 def test_action_scan_matches_tuple_loop_at_byte_boundaries(drawn):
     _action_agrees(*drawn)
+
+
+# -- whole reports against the per-instance references ------------------------------
+
+
+def _ref_add_group(view, col):
+    _ref_scan_nonempty(view, col, "sum")
+    if not col.done:
+        _ref_scan_multigroup(view, col, "sum", view.zero_i, True)
+
+
+def _ref_mult_multimonoid(view, col):
+    _ref_scan_nonempty(view, col, "prod")
+    if not col.done:
+        _ref_scan_multigroup(view, col, "prod", view.one_i, False)
+
+
+def _ref_scan_nontrivial(view, col):
+    col.record("fail" if view.zero_i == view.one_i else "pass", "nontrivial", ())
+
+
+_REF_SCANS = {axioms._add_group: _ref_add_group,
+              axioms._mult_multimonoid: _ref_mult_multimonoid,
+              _scan_monoid: _ref_scan_monoid, _scan_absorb: _ref_scan_absorb,
+              _scan_weak_dist: _ref_scan_weak_dist, _scan_hyper_dist: _ref_scan_hyper_dist,
+              _scan_signs: _ref_scan_signs, axioms._scan_nontrivial: _ref_scan_nontrivial,
+              _scan_no_zero_divisors: _ref_scan_no_zero_divisors,
+              _scan_inverses: _ref_scan_inverses}
+
+
+def _ref_verify(S, kind, witness_limit=3, stop_on_first=False):
+    """verify_axioms with the per-instance references run in the engine's scan order."""
+    view = _tuple_view(_View.of_structure(S))
+    col = _Collector(limit=witness_limit, stop_on_first=stop_on_first)
+    for scan in axioms._KIND_SCANS[kind]:
+        _REF_SCANS[scan](view, col)
+        if col.done:
+            break
+    return axioms._report(S.name, kind, view, col)
+
+
+_REPORT_SETTINGS = ({"witness_limit": 1}, {"witness_limit": 3}, {"stop_on_first": True})
+_TRIPLE_AXIOMS = {"M3": 0, "M3-mult": 0, "assoc-prod": 0, "hyper-dist": 0,
+                  "weak-dist-right": 0, "weak-dist": 1}  # the position of a in the witness
+
+
+def _reports_match_reference(S):
+    """Every kind's report under every witness setting is the reference's, and
+    structure_is agrees; returns the witnesses of the reports."""
+    witnesses = []
+    for kind in KINDS:
+        for kwargs in _REPORT_SETTINGS:
+            rep = verify_axioms(S, kind, **kwargs)
+            assert rep == _ref_verify(S, kind, **kwargs), (S.name, kind, kwargs)
+            witnesses += rep.witnesses
+        assert structure_is(S, kind) == rep.passed
+    return witnesses
+
+
+def _past_first_slab(S, witnesses):
+    """Whether some triple witness has a past the first element, so that the
+    rows of the slabs before it passed and were counted before it failed."""
+    return any(ax in _TRIPLE_AXIOMS and wit[_TRIPLE_AXIOMS[ax]] != S.elements[0]
+               for ax, wit in witnesses)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS) + ["Z6"])
+def test_reports_match_reference_on_builtins(name):
+    _reports_match_reference(strict_ring(6) if name == "Z6" else builtin(*_BUILTINS[name]))
+
+
+@pytest.mark.parametrize("name", ["K", "Q2", "H3", "F3", "X1", "Z6"])
+def test_reports_match_reference_on_single_entry_mutants(name):
+    S = strict_ring(6) if name == "Z6" else builtin(*_BUILTINS[name])
+    past = [_past_first_slab(T, _reports_match_reference(T)) for T in _single_entry_mutants(S)]
+    assert any(past) or len(S.elements) == 2  # K's triples start at 0 or fail at once
+
+
+@pytest.mark.parametrize("name", ["H5", "H7"])
+def test_reports_match_reference_on_sampled_mutants(name):
+    mutants = random.Random(14).sample(list(_single_entry_mutants(builtin(*_BUILTINS[name]))),
+                                       8)
+    for T in mutants:
+        _reports_match_reference(T)
+
+
+def test_cold_check_runs_every_scan_on_each_fresh_structure(monkeypatch):
+    """structure_is pays the whole check on every fresh structure: nothing is kept
+    from one structure's check for the next."""
+    calls = collections.Counter()
+
+    def counting(scan):
+        def run(view, col):
+            calls[scan] += 1
+            scan(view, col)
+        return run
+
+    scans = axioms._KIND_SCANS["superfield"]
+    monkeypatch.setitem(axioms._KIND_SCANS, "superfield", tuple(map(counting, scans)))
+    for _ in range(2):
+        assert structure_is(builtin("Hp", 5), "superfield")
+    assert calls == {scan: 2 for scan in scans}
+
+
+# -- every kernel on exact tables with one or two cells replaced -------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_sources(k):
+    """Exact tables of k elements, as (sum, prod, zero_i, one_i, neg): the built-ins
+    and strict rings of that size, and the derived carriers with the product of
+    the integers mod k."""
+    kaleidoscope = [builtin("Xn", k // 2)] if k % 2 and k > 1 else []
+    sources = [S for S in (*(builtin(*a) for a in _BUILTINS.values()), *kaleidoscope,
+                           strict_ring(k))
+               if len(S.elements) == k]
+    out = [(S._sum, S._prod, S.index(S.zero), S.index(S.one), S._neg) for S in sources]
+    ring = strict_ring(k)
+    for V in (fn_space(builtin("K"), 2), fn_space(builtin("K"), 3), fn_space(builtin("K"), 4),
+              fn_space(builtin("Hp", 3), 2), fn_space(builtin("Q2"), 2),
+              matrix_space(builtin("K"), 2, 2)):
+        if len(V.vectors) == k:
+            out.append((V.sum, ring._prod, V.zero_i, 1 % k, V.neg))
+    return out
+
+
+@st.composite
+def exact_views(draw, sizes=st.integers(2, 5)):
+    """An exact view on 2-5 elements (or sizes): a built-in's or a derived carrier's
+    tables with one or two cells replaced by the whole carrier or another mask."""
+    k = draw(sizes)
+    sum_tab, prod_tab, zero_i, one_i, neg = draw(st.sampled_from(_exact_sources(k)))
+    tabs = {"sum": [list(row) for row in sum_tab], "prod": [list(row) for row in prod_tab]}
+    whole = (1 << k) - 1
+    for _ in range(draw(st.integers(1, 2))):
+        op, i, j = draw(st.sampled_from(("sum", "prod"))), draw(st.integers(0, k - 1)), \
+            draw(st.integers(0, k - 1))
+        tabs[op][i][j] = draw(st.one_of(st.just(whole), st.integers(0, whole)))
+    return _View(tuple(range(k)), zero_i, one_i, neg, tabs["sum"], tabs["prod"], False)
+
+
+def _all_kernels_agree(view):
+    _all_assoc_agree(view)
+    _kernels_agree(view)
+    _per_instance_agree(view)
+
+
+@settings(max_examples=150, deadline=None)
+@given(view=exact_views())
+def test_kernels_match_per_instance_loops_on_exact_tables(view):
+    _all_kernels_agree(view)
+
+
+@settings(max_examples=12, deadline=None)
+@given(view=exact_views(_BYTE_EDGES))
+def test_kernels_match_per_instance_loops_on_exact_tables_at_byte_boundaries(view):
+    _all_kernels_agree(view)

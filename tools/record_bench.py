@@ -11,7 +11,11 @@ checkout's own files:
   traced (per-layer metrics), REPEATS runs each at SEED;
 - the tier-1 test suite (`python -m pytest -q --continue-on-collection-errors`
   with `src` on the path), timed as one wall time per run, TIER1_REPEATS runs;
-- the slow CLI verbs, each run REPEATS times in a fresh interpreter.
+- the slow CLI verbs, each run REPEATS times in a fresh interpreter;
+- the cold structure check every library entry point pays: `builtin()` and
+  `structure_is` on a fresh structure, for each of COLD_STRUCTURES under each of
+  COLD_KINDS, COLD_CALLS calls in each of REPEATS fresh interpreters; the row is
+  the median in microseconds, and its work units are `verify_axioms(...).checked`.
 
 Each row holds the machine, the Python version, a layer, a name, the median
 over the runs, its unit, the number of runs and the work units behind it.
@@ -49,6 +53,28 @@ VERBS = (
     ("vspace H3^4", ["vspace", "--structure", "builtin:H3", "--space", "fn", "--n", "4"]),
     ("verify H7 superfield", ["verify", "builtin:H7", "--kind", "superfield"]),
 )
+
+
+# The cold checks: (row name, builtin() arguments), and the kinds checked.
+COLD_STRUCTURES = (("H3", ("Hp", 3)), ("H5", ("Hp", 5)), ("H7", ("Hp", 7)), ("Q2", ("Q2",)),
+                   ("F5", ("Fp", 5)))
+COLD_KINDS = ("superfield", "multifield")
+COLD_CALLS = 300
+COLD_CODE = """
+import json, statistics, sys, time
+from mvla import builtin, structure_is, verify_axioms
+out = {}
+for kind in KINDS:
+    for name, args in STRUCTURES:
+        times = []
+        for _ in range(CALLS):
+            t0 = time.perf_counter()
+            structure_is(builtin(*args), kind)
+            times.append(time.perf_counter() - t0)
+        out[name + " " + kind] = (statistics.median(times) * 1e6,
+                                  verify_axioms(builtin(*args), kind).checked)
+print(json.dumps(out))
+"""
 
 
 def machine():
@@ -134,6 +160,19 @@ def verb_rows(root, repeats):
     return rows
 
 
+def cold_rows(root, repeats):
+    code = (f"KINDS, STRUCTURES, CALLS = {COLD_KINDS!r}, {COLD_STRUCTURES!r}, {COLD_CALLS}"
+            + COLD_CODE)
+    runs = []
+    for _ in range(repeats):
+        _, proc = _timed([sys.executable, "-c", code], root)
+        if proc.returncode != 0:
+            raise RuntimeError(f"cold checks exited {proc.returncode}: {proc.stderr[-300:]}")
+        runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    return [_row("axioms", f"cold check {key}", [r[key][0] for r in runs], "us",
+                 [{"checked": r[key][1]} for r in runs]) for key in runs[0]]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
@@ -151,6 +190,8 @@ def main(argv=None):
     rows.append(tier1_row(root, TIER1_REPEATS))
     print("cli verbs", file=sys.stderr, flush=True)
     rows += verb_rows(root, REPEATS)
+    print("cold checks", file=sys.stderr, flush=True)
+    rows += cold_rows(root, REPEATS)
     head = {"machine": machine(), "python": platform.python_version()}
     doc = {"pr": args.pr, "commit": commit, "seed": SEED, **head,
            "rows": [{**head, **row} for row in rows]}
