@@ -106,10 +106,13 @@ class _View:
         self._tables = {}
 
     def table(self, tab):
-        """The _Table of one of the view's k x k tables, made on first use."""
+        """The _Table of one of the view's k x k tables.  A whole table's is made on
+        first use and kept for the view's other scans; any other is made for one scan."""
         t = self._tables.get(id(tab))
-        if t is None:  # the entry holds tab, so its id is not reused while it lives
-            t = self._tables[id(tab)] = _Table(tab, self.k)
+        if t is None:
+            t = _Table(tab, self.k)
+            if t.whole:  # the entry holds tab, so its id is not reused while it lives
+                self._tables[id(tab)] = t
         return t
 
     @classmethod
@@ -199,33 +202,30 @@ def _record_row(col, law, left, right, inex, axiom, instances):
     return False
 
 
-# -- packed rows, slabs and tensors: many cells in one int ---------------------------
+# -- packed rows and tensors: many cells in one int ---------------------------------
 #
 # A row of cells packs into one int at w = ceil((k + 1) / 8) bytes a cell, the
 # first cell in the highest bytes, so every cell keeps its inexact bit.  An OR of
 # packed rows is the packed row of the cellwise ORs, so a row of k instances
-# passes or fails with one int test.  A slab is the k rows (b, c) of one a, b
-# major, and a tensor the k slabs (a, b, c), packed the same way: the k**3
-# instances of a law pass or fail with one int test.
+# passes or fails with one int test.  A tensor is the k**3 cells (a, b, c) of a
+# law over triples, packed the same way, a major: all its instances pass or fail
+# with one int test.
 #
-# A tensor of 0s and 1s times a value below 1 << 8w puts that value in its 1
-# cells.  So a side of a law is an OR of k products: for each x, the cells that
-# hold x (from _holding) times the packed row or column of x.
+# For a whole table (exact, with cells of one byte) a side of a law is an OR of k
+# products: in_rows[x], the rows (a, b) of a tensor with 1 at the end of each row
+# whose cell a.b holds x, times the packed row or column of x, which it puts in
+# those rows.  A side over (b, c, a) is rotated to (a, b, c) by _rotated.
 
 # Rows of a table packed together in _row_unions: more rows take fewer ORs, fewer
 # hold less at once (a block's unions are a block of bytes per distinct cell).
 _BLOCK = 8
 
-# A table of at most _WHOLE elements, whose cells fit in one byte, is tested whole:
-# each side of a law is one tensor of k**3 bytes.  With wider cells the products
-# that build a tensor grow with k**4, so a larger table, such as a derived
-# carrier's, is tested one packed row at a time.
-_WHOLE = 7
+# _LOG2[m]: i for the one-member mask m = 1 << i (i < 8), 255 for any other byte.
+_LOG2 = bytes(m.bit_length() - 1 if m & (m - 1) == 0 < m else 255 for m in range(256))
 
-# M1 is tested whole, as strings of k**3 characters, on an exact table of at most
-# _WHOLE_M1 elements (32 kB a string); a larger table goes one row of pairs at a
-# time, holding one column's or row's holders at a time.
-_WHOLE_M1 = 32
+# M1 transposes the blocks of bits of its lines of cells at most this many bits
+# (8 kB) at a time, and at least one line at a time.
+_M1_BITS = 1 << 16
 
 
 def _flat(tab):
@@ -254,42 +254,49 @@ def _sum_products(tensors, values):
     return functools.reduce(or_, map(mul, tensors, values))
 
 
+def _rotated(tensor, k):
+    """A tensor of one-byte cells over (b, c, a), as over (a, b, c)."""
+    raw = tensor.to_bytes(k ** 3, "big")
+    return int.from_bytes(b"".join([raw[a::k] for a in range(k)]), "big")
+
+
 def _passes(L, R, equal, inex_all):
-    """Every instance of a packed row, slab or tensor passes: L is exact, and within
-    R (or equal to R when equal is set)."""
+    """Every instance of a packed row or tensor passes: L is exact, and within R (or
+    equal to R when equal is set)."""
     return not L & inex_all and (L == R if equal else (L | R) == R)
 
 
-def _holding(packed, n, w, k):
-    """For each a < k, the n cells of w bytes of packed with 1 where the cell holds a
-    and 0 elsewhere."""
-    ones = int.from_bytes((bytes(w - 1) + b"\1") * n, "big")
-    return list(map(and_, map(packed.__rshift__, range(k)), repeat(ones)))
-
-
 class _Table:
-    """A k x k table of a view, its cells row by row and its columns, and for a small
-    exact table the packed forms that the whole-table tests take from it; made
-    once and shared by the view's scans."""
+    """A k x k table of a view: whether every cell is exact, and, made when a scan
+    first asks for them, its cells row by row (flat) and its columns (cols).  A
+    whole table, exact with cells of one byte (k <= 7), also holds its cells as
+    bytes, its rows and columns as bytes and as packed ints, and its in_rows."""
 
     def __init__(self, rows, k):
         w = (k + 8) // 8
         self.rows, self.k, self.w = rows, k, w
-        self.flat = _flat(rows)
-        self.cols = list(zip(*rows))
-        self.exact = max(self.flat) >> k == 0
-        self.whole = self.exact and k <= _WHOLE
+        self.exact = max(map(max, rows)) >> k == 0
+        self.whole = self.exact and w == 1
         if self.whole:
-            self.packed_rows = list(map(_pack, rows, repeat(w)))
-            self.packed_cols = list(map(_pack, self.cols, repeat(w)))
-            # each column with its cells a slab apart: times a slab of 0s and 1s,
-            # it puts its cell a in slab a of a tensor
-            self.wide_cols = list(map(_pack, self.cols, repeat(k * k * w)))
-            # for each x, the rows (a, b) of a tensor with 1 at the end of each row
-            # whose cell holds x: times a packed row, it puts that row there
-            self.in_rows = _holding(_pack(self.flat, k * w), k * k, k * w, k)
-            # for each y, the slab with 1 in the cells (b, c) whose cell holds y
-            self.in_cells = _holding(_pack(self.flat, w), k * k, w, k)
+            from_bytes = int.from_bytes
+            self.row_bytes = [bytes(row) for row in rows]
+            self.cells = cells = b"".join(self.row_bytes)
+            self.col_bytes = [cells[b::k] for b in range(k)]
+            self.packed_rows = [from_bytes(row, "big") for row in self.row_bytes]
+            self.packed_cols = [from_bytes(c, "big") for c in self.col_bytes]
+            ends = bytearray(k ** 3)  # each cell at the end of a row of k bytes
+            ends[k - 1::k] = cells
+            held, ones = from_bytes(ends, "big"), from_bytes(b"\1".rjust(k, b"\0") * k * k, "big")
+            self.in_rows = [held >> x & ones for x in range(k)]
+
+    def __getattr__(self, name):  # only an attribute not yet set reaches here
+        if name == "flat":
+            self.flat = _flat(self.rows)
+        elif name == "cols":
+            self.cols = list(zip(*self.rows))
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
 
 def _cells(tab, inex):
@@ -333,30 +340,38 @@ def _row_unions(tab, members, w, inex):
             yield [raw[o:o + w] for raw in unions]
 
 
+def _assoc_passes(t, equal):
+    """(a.b).c within a.(b.c) (equal to it when equal is set) for every triple, on a
+    whole table: each side is one tensor of k**3 cells."""
+    L = _sum_products(t.in_rows, t.packed_rows)
+    # a.(b.c) over (b, c, a) is (a.b).c there on a commutative table
+    R = L if _symmetric(t) else _sum_products(t.in_rows, t.packed_cols)
+    return _passes(L, _rotated(R, t.k), equal, 0)
+
+
 def _scan_assoc(view, col, tab, axiom, law):
     """law((a.b).c, a.(b.c)), unionwise, for every triple.
 
-    A small exact table is tested whole: (a.b).c puts the packed row x in each
-    row (a, b) whose cell holds x, and a.(b.c) puts the column y in each cell
-    (b, c) that holds y, in every slab.  Otherwise one packed row (a, b) at a
-    time: the left row over c is the OR of the packed table rows x over x in
-    a.b, and the right row gathers, over the cells b.c, the unions of a.y over y
-    in the cell, which _row_unions builds for all distinct cells and one row a
-    at a time.  A row whose k instances all pass is counted at once; any other
-    row is unpacked and recorded instance by instance, so witnesses, counts and
-    the early exit are those of a per-triple scan.
+    A whole table is tested at once (_assoc_passes): (a.b).c puts the packed row
+    x in each row (a, b) whose cell holds x, and a.(b.c), over (b, c, a), the
+    packed column y in each row (b, c) whose cell holds y.  Otherwise one packed
+    row (a, b) at a time: the left row over c is the OR of the packed table rows
+    x over x in a.b, and the right row gathers, over the cells b.c, the unions of
+    a.y over y in the cell, which _row_unions builds for all distinct cells and
+    one row a at a time.  A row whose k instances all pass is counted at once;
+    any other row is unpacked and recorded instance by instance, so witnesses,
+    counts and the early exit are those of a per-triple scan.
     """
     els, k, inex = view.elements, view.k, view.inex
     t = view.table(tab)
     w, equal = t.w, law is _equality
-    if t.whole and _passes(_sum_products(t.in_rows, t.packed_rows),
-                           _sum_products(t.wide_cols, t.in_cells), equal, 0):
+    if t.whole and _assoc_passes(t, equal):
         col.checked += k ** 3
         return
     inex_all = _pack([inex] * k, w)
+    packed = [_pack(row, w) for row in tab]
     members, ids = _cells(tab, inex)
     getters = _getters(ids, tab)
-    packed = [_pack(row, w) for row in tab]  # not kept: a carrier's take megabytes
     # _or, _gather and _passes are inlined here: every derived carrier's check runs
     # this loop
     reduce, from_bytes, join = functools.reduce, int.from_bytes, b"".join
@@ -388,14 +403,15 @@ def _units(k):
 
 def _symmetric(t):
     """Every cell of the table is exact and equals its mirror cell."""
-    return t.exact and all(map(eq, map(tuple, t.rows), t.cols))
+    if t.whole:
+        return t.packed_rows == t.packed_cols
+    return t.exact and all(map(eq, map(tuple, t.rows), zip(*t.rows)))
 
 
 def _scan_nonempty(view, col, opname):
     tab = view.sum if opname == "sum" else view.prod
     els, k, inex = view.elements, view.k, view.inex
-    cells = view.table(tab).flat
-    if 0 not in cells and inex not in cells:
+    if view.table(tab).exact and min(map(min, tab)):
         col.checked += k * k
         return
     for i in range(k):
@@ -416,7 +432,6 @@ def _scan_multigroup(view, col, opname, unit_i, use_inversion):
     tab = view.sum if opname == "sum" else view.prod
     els, k, inex = view.elements, view.k, view.inex
     suffix = "" if opname == "sum" else "-mult"
-    t = view.table(tab)
     units = _units(k)
 
     # M2 (group mode): a . unit = {a}.  Monoid mode: a in unit . a.
@@ -439,7 +454,7 @@ def _scan_multigroup(view, col, opname, unit_i, use_inversion):
             return
 
     # M4 commutativity
-    if _symmetric(t):
+    if _symmetric(view.table(tab)):
         col.checked += k * (k - 1) // 2
     else:
         for i in range(k):
@@ -466,30 +481,62 @@ def _holders(cells, k):
                                                    repeat(k))), repeat(2)))
 
 
-def _m1_whole(t, neg):
-    """Every instance of M1 passes, for an exact table tested whole.
+def _transpose_steps(size, n):
+    """The steps that transpose every block of size x size bits of an int of n
+    blocks (bit c of row r of a block at r * size + c, the first block lowest):
+    for j = size / 2, ..., 1, the j x j corners of each 2j x 2j square swap
+    places, as (the shift between them, the mask of the bits (r, c) with bit j
+    clear in r and set in c)."""
+    width, steps, j = size // 8, [], size // 2
+    while j:
+        cols = ((1 << j) - 1 << j) * ((1 << size) - 1) // ((1 << 2 * j) - 1)
+        square = cols.to_bytes(width, "little") * j + bytes(width * j)
+        steps.append((j * (size - 1), int.from_bytes(square * (size // (2 * j) * n), "little")))
+        j >>= 1
+    return steps
 
-    Three strings of k**3 0s and 1s over (a, b, c), c descending, are compared as
-    ints: c in a.b, a in c.(-b) and b in (-a).c.  The cells' bit strings give the
-    first; transposed by zip, they give for each x the string of the cells that
-    hold x, whose columns -b and rows -a, read backwards, give the other two.
+
+def _m1_passes(t, neg):
+    """Every instance of M1 passes, for an exact table.
+
+    Each row and each column of cells is a block of size x size bits, a cell a
+    row of it.  Transposed, the row -a gives for each b the c with b in (-a).c,
+    and the column -b gives for each a the c with a in c.(-b): the cells of row
+    a and of column b must lie within them.  The lines go _M1_BITS bits of
+    blocks at a time.
     """
     k = t.k
-    bits = list(map(format, t.flat, repeat(f"0{k}b")))
-    holding = list(map("".join, zip(*bits)))[::-1]  # holding[x]: the cells that hold x
-    cols = [slice((k - 1) * k + n, None, -k) for n in neg]       # column -b, backwards
-    rows = [slice(n * k + k - 1, n * k - 1 if n else None, -1) for n in neg]  # row -a
-    right = "".join(map(str.__getitem__, _flat(map(repeat, holding, repeat(k))), cols * k))
-    left = "".join(map(str.__getitem__, holding * k, _flat(map(repeat, rows, repeat(k)))))
-    return not int("".join(bits), 2) & ~(int(right, 2) & int(left, 2))
+    size = max(8, 1 << (k - 1).bit_length())
+    width, pad = size // 8, bytes(size // 8 * (size - k))
+    bound = list(neg) + [k + n for n in neg]  # line i lies within transposed line bound[i]
+
+    def packed(i):
+        """Row i, or column i - k, as the rows of a block."""
+        cells = t.rows[i] if i < k else map(itemgetter(i - k), t.rows)
+        return b"".join(map(int.to_bytes, cells, repeat(width), repeat("little")))
+
+    step = max(1, _M1_BITS // size ** 2)
+    steps = _transpose_steps(size, min(step, 2 * k))
+    for lo in range(0, 2 * k, step):
+        ids = range(lo, min(lo + step, 2 * k))
+        bounds = list(map(bound.__getitem__, ids))
+        # the lines of the chunk and their bounds, each packed once
+        lines = t.row_bytes + t.col_bytes if t.whole else {i: packed(i) for i in {*ids, *bounds}}
+        held = int.from_bytes(pad.join(map(lines.__getitem__, bounds)) + pad, "little")
+        for shift, mask in steps:
+            swap = (held ^ held >> shift) & mask
+            held ^= swap ^ swap << shift
+        if int.from_bytes(pad.join(map(lines.__getitem__, ids)) + pad, "little") & ~held:
+            return False
+    return True
 
 
 def _scan_m1(view, col, tab, axiom):
     """M1, reversibility: for every c in a.b, a in c.(-b) and b in (-a).c.
 
-    An exact table of up to _WHOLE_M1 elements is tested whole.  Otherwise, for
-    each b, the holders of a in the column -b give the c with a in c.(-b); for
-    each a, the holders of b in the row -a give the c with b in (-a).c.  A pair
+    An exact table is tested at once (_m1_passes).  Otherwise, for each b, the
+    holders of a in the column -b give the c with a in c.(-b); for each a, the
+    holders of b in the row -a give the c with b in (-a).c.  A pair
     (a, b) passes whole when its cell is exact and lies within both, and a row
     of pairs that all pass is counted at once.  Any other pair goes through the
     per-c loop, so witnesses, counts and the early exit are those of a
@@ -498,7 +545,7 @@ def _scan_m1(view, col, tab, axiom):
     """
     els, k, neg, inex = view.elements, view.k, view.neg, view.inex
     t = view.table(tab)
-    if t.exact and k <= _WHOLE_M1 and _m1_whole(t, neg):
+    if t.exact and _m1_passes(t, neg):
         col.checked += k * k
         return
     # right[b * k + a]: 1 when every c in a.b has a in c.(-b)
@@ -594,11 +641,32 @@ def _plus(view):
     return plus
 
 
+def _line_sums(view, s, p, by_cols):
+    """The setwise sums of lines a and b of the product p over (a, b, c), for its
+    columns (ca+cb) or its rows (ac+bc) as lines; s is the sum table.
+
+    On whole tables where every cell of the product has one member, the sum of
+    {x} and {y} is the sum table's cell x.y: the indices x * k + y of all the
+    sums are one int, and its bytes, translated by the sum table's cells, are
+    the sums.
+    """
+    k = view.k
+    if s.whole and p.whole:
+        members = b"".join(p.col_bytes if by_cols else p.row_bytes).translate(_LOG2)
+        if 255 not in members:
+            firsts = b"".join([members[i:i + k] * k for i in range(0, k * k, k)])
+            at = int.from_bytes(firsts, "big") * k + int.from_bytes(members * k, "big")
+            return at.to_bytes(k ** 3, "big").translate(s.cells.ljust(256, b"\0"))
+    plus, lines = _plus(view), p.cols if by_cols else p.rows
+    return list(map(plus.__getitem__, zip(_flat(map(mul, lines, repeat(k))),
+                                          _flat(lines) * k)))
+
+
 def _scan_weak_dist(view, col):
     """c(a+b) within ca+cb and (a+b)c within ac+bc, unionwise.
 
     The right sides are the setwise sums of the product's columns a, b and of
-    its rows a, b.  Small exact tables are tested whole: c(a+b) and (a+b)c put
+    its rows a, b.  Whole tables are tested at once: c(a+b) and (a+b)c put
     the product's packed column and row x in each row (a, b) whose sum holds x.
     Otherwise one packed row (a, b) at a time: the rows c.s and s.c over c, for
     s = a+b, are ORs of the product's packed columns and rows over the members
@@ -608,20 +676,20 @@ def _scan_weak_dist(view, col):
     """
     els, k, inex, prods = view.elements, view.k, view.inex, view.prod
     s, p = view.table(view.sum), view.table(prods)
-    w, plus, cols = p.w, _plus(view), p.cols
-    # the first and second cells of the sums ca+cb and ac+bc over (a, b, c)
-    firsts, seconds = _flat(map(mul, cols, repeat(k))), _flat(cols) * k
-    firsts2, seconds2 = _flat(map(mul, prods, repeat(k))), p.flat * k
-    right = list(map(plus.__getitem__, zip(firsts, seconds)))
-    right2 = list(map(plus.__getitem__, zip(firsts2, seconds2)))
+    w = p.w
+    # ca+cb and ac+bc; on a commutative product they are the same, and so are the
+    # left sides
+    right = _line_sums(view, s, p, True)
+    right2 = right if _symmetric(p) else _line_sums(view, s, p, False)
     if (s.whole and p.whole
             and _passes(_sum_products(s.in_rows, p.packed_cols), _pack(right, w), False, 0)
-            and _passes(_sum_products(s.in_rows, p.packed_rows), _pack(right2, w), False, 0)):
+            and (right2 is right or _passes(_sum_products(s.in_rows, p.packed_rows),
+                                            _pack(right2, w), False, 0))):
         col.checked += 2 * k ** 3
         return
     inex_row = _pack([inex] * k, w)
     members, _ = _cells(view.sum, inex)
-    packed_cols, packed_rows = [_pack(c, w) for c in cols], [_pack(r, w) for r in prods]
+    packed_cols, packed_rows = [_pack(c, w) for c in p.cols], [_pack(r, w) for r in prods]
     cs = {ab: _or(packed_cols, mem, inex_row if x else 0) for ab, (mem, x) in members.items()}
     sc = {ab: _or(packed_rows, mem, inex_row if x else 0) for ab, (mem, x) in members.items()}
     for n, ab in enumerate(s.flat):
@@ -645,9 +713,9 @@ def _scan_weak_dist(view, col):
 def _scan_hyper_dist(view, col):
     """Exact distributivity a(b+c) = ab+ac.
 
-    The right side is the setwise sums of ab and ac.  Small exact tables are
-    tested whole: a(b+c) puts the product's column x in each cell (b, c) whose
-    sum holds x, in every slab.  Otherwise one packed row (a, b) at a time: the
+    The right side is the setwise sums of ab and ac.  Whole tables are tested
+    at once: a(b+c), over (b, c, a), puts the product's packed column x in each
+    row (b, c) whose sum holds x.  Otherwise one packed row (a, b) at a time: the
     left row gathers, over the sums b+c, the unions a.(b+c), which _row_unions
     builds from the product for all distinct sum cells and one row a at a time.
     A passing row is counted at once, any other row is recorded instance by
@@ -658,7 +726,8 @@ def _scan_hyper_dist(view, col):
     w, plus = p.w, _plus(view)
     firsts = itertools.chain.from_iterable(map(repeat, p.flat, repeat(k)))
     right = list(map(plus.__getitem__, zip(firsts, _flat(map(mul, prods, repeat(k))))))
-    if s.whole and p.whole and _sum_products(p.wide_cols, s.in_cells) == _pack(right, w):
+    if (s.whole and p.whole
+            and _rotated(_sum_products(s.in_rows, p.packed_cols), k) == _pack(right, w)):
         col.checked += k ** 3
         return
     members, ids = _cells(view.sum, inex)
@@ -675,12 +744,20 @@ def _scan_hyper_dist(view, col):
 
 
 def _scan_signs(view, col):
-    """-(ab) = (-a)b and -(ab) = a(-b), tested for the whole table at once."""
+    """-(ab) = (-a)b and -(ab) = a(-b), tested for the whole table at once.
+
+    On a whole table whose cells have one member each, the cells -(ab) are one
+    bytes.translate of the members' indices.
+    """
     els, k, neg, inex, prod = view.elements, view.k, view.neg, view.inex, view.prod
     t = view.table(prod)
     neg_bits = [1 << n for n in neg]
-    negs = {cell: _union(neg_bits, cell & ~inex, cell & inex) for cell in set(t.flat)}
-    neg_ab = list(map(negs.__getitem__, t.flat))
+    members = t.cells.translate(_LOG2) if t.whole else b"\xff"
+    if 255 not in members:
+        neg_ab = list(members.translate(bytes(neg_bits).ljust(256, b"\0")))
+    else:
+        negs = {cell: _union(neg_bits, cell & ~inex, cell & inex) for cell in set(t.flat)}
+        neg_ab = list(map(negs.__getitem__, t.flat))
     if (t.exact and neg_ab == _flat(map(prod.__getitem__, neg))
             and neg_ab == _flat(zip(*map(t.cols.__getitem__, neg)))):
         col.checked += 2 * k * k
@@ -727,11 +804,16 @@ def _scan_no_zero_divisors(view, col):
 def _scan_inverses(view, col):
     """Every nonzero a has some b with 1 in a.b; a miss is only a skip on a window
     (a view with an inexact or escaped cell is always partial)."""
-    els, z, one = view.elements, view.zero_i, view.one_i
+    els, z, one = view.elements, view.zero_i, 1 << view.one_i
+    found = [any(map(and_, row, repeat(one))) for row in view.prod]
+    found[z] = True
+    if all(found):
+        col.checked += view.k - 1
+        return
     for a in range(view.k):
         if a == z:
             continue
-        if any(cell >> one & 1 for cell in view.prod[a]):
+        if found[a]:
             col.record("pass", "inverses", (els[a],))
         elif view.partial:
             col.record("skip", "inverses", (els[a],))

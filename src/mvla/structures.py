@@ -16,12 +16,6 @@ from .errors import BlowupError, StructureError, WindowRequired
 INF = "inf"  # token for the tropical point at infinity
 
 
-def _check_token(e):
-    if isinstance(e, str) and (not e or any(c.isspace() for c in e) or e.startswith("#")):
-        raise StructureError(f"bad element token {e!r}")
-    return e
-
-
 class Structure:
     """A finite structure with set-valued sum and product tables.
 
@@ -72,8 +66,8 @@ class Structure:
         """A structure from index-level tables: neg[i] is the index of -elements[i],
         sum_tab[i][j] and prod_tab[i][j] are carrier masks."""
         S = cls.__new__(cls)
-        S._install(name, elements, zero_i, one_i, neg, [list(row) for row in sum_tab],
-                   [list(row) for row in prod_tab])
+        S._install(name, elements, zero_i, one_i, neg, list(map(list, sum_tab)),
+                   list(map(list, prod_tab)))
         return S
 
     def _install(self, name, elements, zero_i, one_i, neg, sum_tab, prod_tab):
@@ -85,7 +79,8 @@ class Structure:
         if not elements:
             raise StructureError("carrier is empty")
         for e in elements:
-            _check_token(e)
+            if isinstance(e, str) and (not e or any(c.isspace() for c in e) or e.startswith("#")):
+                raise StructureError(f"bad element token {e!r}")
         k = len(elements)
         _check_tables("an element", k, (("zero_i", zero_i), ("one_i", one_i)), neg,
                       (("sum", sum_tab, k), ("prod", prod_tab, k)))
@@ -93,7 +88,7 @@ class Structure:
         self.elements = elements
         self.zero = elements[zero_i]
         self.one = elements[one_i]
-        self._idx = {e: i for i, e in enumerate(elements)}
+        self._idx = dict(zip(elements, range(k)))
         self._neg = tuple(neg)
         self._sum = sum_tab
         self._prod = prod_tab
@@ -251,15 +246,13 @@ def _check_tables(noun, k, indices, neg, tables):
         v, n = next((v, n) for v, n in enumerate(neg) if not 0 <= n < k)
         raise StructureError(f"neg[{v}] = {n!r} is not {noun} index")
     for label, tab, rows in tables:
-        if len(tab) != rows:
+        if list(map(len, tab)) != [k] * rows:
             raise StructureError(f"{label} is not a {rows} x {k} table")
-        for i, row in enumerate(tab):
-            if len(row) != k:
-                raise StructureError(f"{label} is not a {rows} x {k} table")
-            if min(row) <= 0 or max(row) >> k:
-                j, cell = next((j, c) for j, c in enumerate(row) if not 0 < c < 1 << k)
-                raise StructureError(f"{label}[{i}][{j}] = {cell!r} is not a nonempty "
-                                     f"mask of the {k} {noun.split()[-1]}s")
+        if rows and (min(map(min, tab)) <= 0 or max(map(max, tab)) >> k):
+            n, cell = next((n, c) for n, c in enumerate(itertools.chain.from_iterable(tab))
+                           if not 0 < c < 1 << k)
+            raise StructureError(f"{label}[{n // k}][{n % k}] = {cell!r} is not a nonempty "
+                                 f"mask of the {k} {noun.split()[-1]}s")
 
 
 # -- folds and boxes ---------------------------------------------------------------
@@ -284,8 +277,7 @@ class _Setwise(dict):
 
     __slots__ = ("table",)
 
-    def __init__(self, table):
-        super().__init__()
+    def __init__(self, table):  # empty, as dict.__new__ made it
         self.table = table
 
     def __missing__(self, key):
@@ -440,9 +432,7 @@ def _signs():
 
 
 def _is_prime(p):
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
+    return p >= 2 and all(map(p.__mod__, range(2, int(p ** 0.5) + 1)))
 
 
 def _hp(p):

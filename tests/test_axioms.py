@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import random
+import unittest.mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -426,14 +427,36 @@ _UNLIMITED = {"limit": 10 ** 9}
 _LIMITED = ({"limit": 1}, {"limit": 3}, {"limit": 3, "stop_on_first": True})
 
 
-def _scans_agree(view, scan, ref_scan, *args):
+class _Quiet(_Collector):
+    """A collector for a scan that must count every instance at once."""
+
+    def record(self, verdict, axiom, instance):
+        raise AssertionError(f"{axiom} recorded {verdict} at {instance}")
+
+
+def _refused(*_args):
+    raise AssertionError("a passing exact table reached a per-row path")
+
+
+def _exact(view):
+    """Every cell of the view's sum and product tables is exact."""
+    return all(cell >> view.k == 0 for tab in (view.sum, view.prod) if tab is not None
+               for row in tab for cell in row)
+
+
+def _scans_agree(view, scan, ref_scan, *args, counts_at_once=True):
     """scan on the view and ref_scan on its tuple form give the same witnesses,
     checked and skipped under every witness setting; returns the reference's
     unlimited run.
 
     ref_scan gets the tuple view's table where scan gets one of the view's
     tables, and the tuple-cell law where scan gets an int-cell law.  A scan
-    without witnesses runs once: the limits cannot change it.
+    without witnesses runs once: the limits cannot change it.  On exact tables
+    whose instances all pass, scan must count them without recording any, and
+    its whole-table tests may not fail them: M1 tests every exact table whole
+    (no _holders), the laws over triples every one of at most 7 elements (no
+    _cells).  The action scan is left out (counts_at_once off): it records MV0
+    one instance at a time.
     """
     tview = _tuple_view(view)
     swap = {id(view.sum): tview.sum, id(view.prod): tview.prod,
@@ -449,6 +472,12 @@ def _scans_agree(view, scan, ref_scan, *args):
         runs.append(ref)
         if not runs[0].witnesses:
             break
+    if counts_at_once and not runs[0].witnesses and not runs[0].skipped and _exact(view):
+        quiet = _Quiet(**_UNLIMITED)
+        row_paths = ("_holders", "_cells") if view.k <= 7 else ("_holders",)
+        with unittest.mock.patch.multiple(axioms, **dict.fromkeys(row_paths, _refused)):
+            scan(view, quiet, *args)
+        assert quiet.checked == runs[0].checked, (scan.__name__, args[1:])
     return runs[0]
 
 
@@ -722,6 +751,22 @@ def test_m1_kernel_matches_per_member_loop_on_derived_carriers(carriers, name):
     V = carriers[name]
     view = _space_view(V)
     assert _scans_agree(view, _scan_m1, _ref_m1, view.sum, "M1").checked == view.k ** 2
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_m1_kernel_matches_per_member_loop_on_carriers_with_replaced_cells(K, n):
+    """M1 on K^n, 16, 32 and 64 vectors (blocks of 16, 32 and 64 bits, K^6's
+    over several chunks), as it is and with one sum cell replaced by the whole
+    carrier or by one vector."""
+    V = fn_space(K, n)
+    k, rng = len(V.vectors), random.Random(n)
+    view = _space_view(V)
+    assert _scans_agree(view, _scan_m1, _ref_m1, view.sum, "M1").checked == k * k
+    for cell in ((1 << k) - 1, 1, 1 << k - 1):
+        tab = [list(row) for row in V.sum]
+        tab[rng.randrange(k)][rng.randrange(k)] = cell
+        mutant = _View(V.vectors, V.zero_i, None, V.neg, tab, None, False)
+        assert _scans_agree(mutant, _scan_m1, _ref_m1, mutant.sum, "M1").witnesses
 
 
 @settings(max_examples=150, deadline=None)
@@ -1030,7 +1075,7 @@ def test_per_instance_scans_match_tuple_loops_on_random_partial_tables(view):
 def _action_agrees(view, F):
     for full in (False, True):
         _scans_agree(view, lambda v, col: _scan_action(v, F, col, full),
-                     lambda v, col: _ref_scan_action(v, F, col, full))
+                     lambda v, col: _ref_scan_action(v, F, col, full), counts_at_once=False)
 
 
 @pytest.mark.parametrize("name", ["H3^3", "K^5", "Q2^3", "M2x2(H2)", "quotient|H3"])
