@@ -10,7 +10,7 @@ from .axioms import (AxiomReport, MorphismSpec, check_morphism, is_full,
                      is_proto_full, recheck_witness, structure_is,
                      verify_axioms, verify_multigroup)
 from .errors import (BlowupError, CongruenceError, MvlaError, ParseError,
-                     ReducibleError, StructureError, WindowRequired)
+                     ReducibleError, StructureError, WindowRequired, search_budget)
 from .extensions import (AlgebraicityCertificate, ExtensionPair,
                          certify_algebraic_extension, classify_extension,
                          eval_closure, find_irreducible,

@@ -1045,13 +1045,16 @@ def _scan_action(view, F, col, full):
     s = len(scal)
     one, zero = F.index(F.one), F.index(F.zero)
     zero_vec = 1 << view.zero_i
-    for v in range(k):
-        col.record(_equality(act[one][v], 1 << v, inex), "MV0-one", (els[v],))
-        if col.done:
-            return
-        col.record(_equality(act[zero][v], zero_vec, inex), "MV0-zero", (els[v],))
-        if col.done:
-            return
+    if [*act[one]] == [1 << v for v in range(k)] and [*act[zero]] == [zero_vec] * k:
+        col.checked += 2 * k  # MV0 holds in both columns
+    else:
+        for v in range(k):
+            col.record(_equality(act[one][v], 1 << v, inex), "MV0-one", (els[v],))
+            if col.done:
+                return
+            col.record(_equality(act[zero][v], zero_vec, inex), "MV0-zero", (els[v],))
+            if col.done:
+                return
     width = (k + 8) // 8
     inex_all = _pack([inex] * k, width)
 

@@ -14,7 +14,8 @@ import sys
 
 from . import goldens
 from .axioms import KINDS, MorphismSpec, check_morphism, verify_axioms
-from .errors import CongruenceError, MvlaError, ParseError, ReducibleError, WindowRequired
+from .errors import (CongruenceError, MvlaError, ParseError, ReducibleError, WindowRequired,
+                     search_budget)
 from .extensions import ExtensionPair, classify_extension, make_quotient_superfield
 from .fileformat import (element_token, parse_matrix, parse_structure,
                          parse_system, poly_from_text, serialize_structure,
@@ -200,7 +201,7 @@ def cmd_solve(args):
     S = load_structure(args.structure)
     with open(args.system, encoding="utf-8") as fh:
         sys_ = parse_system(fh.read(), S)
-    out = solve_weak(sys_, scan_cap=args.budget)
+    out = solve_weak(sys_)
     r = Report("solve")
     r.add("structure", S.name).add("status", out.status)
     if out.verdict is not None:
@@ -216,7 +217,7 @@ def cmd_kernel(args):
     S = load_structure(args.structure)
     with open(args.matrix, encoding="utf-8") as fh:
         A = parse_matrix(fh.read(), S)
-    out = find_nontrivial_kernel(A, scan_cap=args.budget)
+    out = find_nontrivial_kernel(A)
     r = Report("kernel")
     r.add("structure", S.name).add("status", out.status)
     if out.verdict is not None:
@@ -229,7 +230,7 @@ def cmd_kernel(args):
 
 def cmd_closed(args):
     S = load_structure(args.structure)
-    rep = is_linearly_closed(S, args.max_n, args.max_m, budget=args.budget)
+    rep = is_linearly_closed(S, args.max_n, args.max_m)
     r = Report("closed")
     r.add("structure", S.name).add("kind", rep.kind)
     r.add("verdict", rep.verdict).add("checked", rep.checked)
@@ -317,7 +318,7 @@ def build_parser():
                     "verification, set-valued matrices, linear systems, "
                     "quotient superfields and vector spaces.")
     parser.add_argument("--budget", type=int, default=_env_budget(),
-                        help="global search budget (env MVLA_BUDGET)")
+                        help="work limit of each bounded search (env MVLA_BUDGET)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("verify", help="check structure axioms for a kind")
@@ -407,7 +408,8 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        report = args.fn(args)
+        with search_budget(args.budget):
+            report = args.fn(args)
     except (MvlaError, ParseError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INCONCLUSIVE

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the search limit."""
+
+import contextlib
+import contextvars
 
 
 class MvlaError(Exception):
@@ -21,6 +24,27 @@ class ParseError(MvlaError):
 
 class BlowupError(MvlaError):
     """A set-valued computation exceeded its combinatorial budget."""
+
+
+# The work limit each bounded search reads when it starts: per search, not a meter.
+_limit = contextvars.ContextVar("mvla_search_limit", default=10 ** 7)
+
+
+@contextlib.contextmanager
+def search_budget(limit):
+    """Run a block with every bounded search limited to `limit` work units."""
+    token = _limit.set(limit)
+    try:
+        yield
+    finally:
+        _limit.reset(token)
+
+
+def charge(work, what):
+    """Raise BlowupError naming what was counted when a search's work passes the limit."""
+    limit = _limit.get()
+    if work > limit:
+        raise BlowupError(f"{what}: {work} exceeds budget {limit}")
 
 
 class CongruenceError(MvlaError):

@@ -15,13 +15,14 @@ import math
 from dataclasses import dataclass
 
 from .axioms import structure_is, AxiomReport, FAIL, PASS
-from .errors import BlowupError, MvlaError, StructureError
+from .errors import BlowupError, MvlaError, StructureError, _limit
 from .matrices import Matrix, _index_product, all_matrices, elementary
 from .structures import _bits
 
-DEFAULT_BRANCH_CAP = 4096
-DEFAULT_NODE_CAP = 10 ** 5
-DEFAULT_SCAN_CAP = 10 ** 6
+# The scaled route stops at the first of the search limit and these: past them
+# solve_weak falls back to its exhaustive scan, so they pick the route.
+_SCALE_BRANCHES = 4096
+_BACKSUB_NODES = 10 ** 5
 
 SOLVED = "solved"
 NO_SOLUTION = "no-solution"
@@ -107,7 +108,7 @@ def classify_candidate(sys, d):
 # -- elementary operations on systems ----------------------------------------------
 
 
-def apply_elementary(sys, op, member_cap=DEFAULT_BRANCH_CAP):
+def apply_elementary(sys, op):
     """All systems reachable by one elementary operation.
 
     The operation acts on A (branching entrywise where sums are involved) and
@@ -124,19 +125,20 @@ def apply_elementary(sys, op, member_cap=DEFAULT_BRANCH_CAP):
     else:
         B[op.i] = S.add_masks(B[op.i], B[op.j])
     B = tuple(B)
-    return tuple(LinearSystem(M, B) for M in box.members(member_cap))
+    return tuple(LinearSystem(M, B) for M in box.members())
 
 
 # -- scaling (Gaussian rewriting) ----------------------------------------------------
 
 
-def scale_system(sys, branch_cap=DEFAULT_BRANCH_CAP):
+def scale_system(sys):
     """Rewrite into upper-triangular (scaled) systems by elementary operations.
 
     Pivots are normalized with the least inverse in carrier order and rows
     below are cleared through add-with-scaled-row steps; eliminated entries
     are pinned to 0 (a member of their choice set) while the remaining
-    entries branch.  Exceeding the branch cap raises BlowupError.
+    entries branch.  More branches than the search limit or 4096 raise
+    BlowupError.
     """
     S = sys.base
     if not structure_is(S, "superfield"):
@@ -147,6 +149,7 @@ def scale_system(sys, branch_cap=DEFAULT_BRANCH_CAP):
     m, n = sys.A.rows, sys.A.cols
     zero, one = S._idx[S.zero], S._idx[S.one]
     prod, add, mul = S._prod, S.add_masks, S.mul_masks
+    branch_cap = min(_limit.get(), _SCALE_BRANCHES)
     # each state carries its own next pivot row, since branch selections can
     # zero out entries and shift the pivot structure between branches; rows
     # are tuples of indices and B a tuple of masks.  Equal states from
@@ -196,13 +199,13 @@ def scale_system(sys, branch_cap=DEFAULT_BRANCH_CAP):
                             rws2[k], bb2[k] = sel, new_bk
                             next_frontier.append((rws2, bb2))
                             if times * len(next_frontier) + reached > branch_cap:
-                                raise BlowupError("scaling branch cap exceeded")
+                                raise BlowupError(f"scaling exceeded {branch_cap} branches")
                     frontier = next_frontier
                 for rws, bb in frontier:
                     new_states.setdefault((tuple(rws), tuple(bb), r + 1), [0])[0] += times
                     reached += times
                     if reached > branch_cap:
-                        raise BlowupError("scaling branch cap exceeded")
+                        raise BlowupError(f"scaling exceeded {branch_cap} branches")
         states = new_states
 
     # equal systems come from different branches: keep the first of each
@@ -215,12 +218,14 @@ def scale_system(sys, branch_cap=DEFAULT_BRANCH_CAP):
 # -- back substitution ----------------------------------------------------------------
 
 
-def iter_back_substitution(sys, node_cap=DEFAULT_NODE_CAP):
+def iter_back_substitution(sys):
     """Depth-first candidates for a scaled system, verified on that system.
 
     Rows of zeros with 0 not in their right side make the system impossible
     (type I) and raise TypeIError.  Columns without a pivot are free variables
-    and default to 0.  Candidates come out in canonical choice order.
+    and default to 0.  Candidates come out in canonical choice order.  More
+    nodes than the search limit (read when iteration starts) or 10**5 raise
+    BlowupError.
     """
     S = sys.base
     A = sys.A
@@ -236,7 +241,7 @@ def iter_back_substitution(sys, node_cap=DEFAULT_NODE_CAP):
         if p is None and not sys.masks[i] >> zero & 1:
             raise TypeIError(f"row {i} reads 0 within a set missing 0")
     rows = [i for i, p in enumerate(pivots) if p is not None]
-    nodes = 0
+    nodes, node_cap = 0, min(_limit.get(), _BACKSUB_NODES)
 
     def value_set(i, assigned):
         p = pivots[i]
@@ -264,7 +269,7 @@ def iter_back_substitution(sys, node_cap=DEFAULT_NODE_CAP):
         for x in value_set(i, assigned):
             nodes += 1
             if nodes > node_cap:
-                raise BlowupError("back substitution exceeded its node cap")
+                raise BlowupError(f"back substitution exceeded {node_cap} nodes")
             assigned[pivots[i]] = x
             yield from rec(idx - 1, assigned)
         assigned[pivots[i]] = zero
@@ -273,9 +278,9 @@ def iter_back_substitution(sys, node_cap=DEFAULT_NODE_CAP):
     yield from rec(len(rows) - 1, assigned)
 
 
-def back_substitute(sys, node_cap=DEFAULT_NODE_CAP):
+def back_substitute(sys):
     """First weak solution of a scaled system in canonical order, or None."""
-    for d in iter_back_substitution(sys, node_cap):
+    for d in iter_back_substitution(sys):
         return classify_candidate(sys, d)
     return None
 
@@ -283,22 +288,22 @@ def back_substitute(sys, node_cap=DEFAULT_NODE_CAP):
 # -- the solver -----------------------------------------------------------------------
 
 
-def solve_weak(sys, branch_cap=DEFAULT_BRANCH_CAP, node_cap=DEFAULT_NODE_CAP,
-               scan_cap=DEFAULT_SCAN_CAP):
+def solve_weak(sys):
     """Find a weak solution: scale, back-substitute, re-verify on the original.
 
     Candidates produced on scaled systems are only trusted after re-checking
-    against the original system.  When the pipeline yields nothing, a bounded
-    exhaustive scan decides between no-solution and inconclusive.
+    against the original system.  When the pipeline yields nothing, an
+    exhaustive scan decides between no-solution and inconclusive: the outcome
+    is inconclusive when the scan would pass the search limit.
     """
     S = sys.base
     try:
-        branches = scale_system(sys, branch_cap)
+        branches = scale_system(sys)
     except BlowupError:
         branches = ()
     for scaled in branches:
         try:
-            for d in iter_back_substitution(scaled, node_cap):
+            for d in iter_back_substitution(scaled):
                 verdict = classify_candidate(sys, d)
                 if verdict is not None:
                     return SolveOutcome(SOLVED, verdict)
@@ -307,7 +312,7 @@ def solve_weak(sys, branch_cap=DEFAULT_BRANCH_CAP, node_cap=DEFAULT_NODE_CAP,
 
     n = sys.A.cols
     total = len(S.elements) ** n
-    if total > scan_cap:
+    if total > _limit.get():
         return SolveOutcome(INCONCLUSIVE, note=f"scan of {total} vectors exceeds cap")
     for d in all_matrices(S, n, 1):
         verdict = classify_candidate(sys, d)
@@ -328,17 +333,6 @@ def homogeneous(A):
 def _kernel_ok(A, d):
     zero = A.base._idx[A.base.zero]
     return any(i != zero for i in d.indices) and is_weak_solution(homogeneous(A), d)
-
-
-def _exhaustive_kernel(A, scan_cap):
-    S = A.base
-    total = len(S.elements) ** A.cols
-    if total > scan_cap:
-        return SolveOutcome(INCONCLUSIVE, note=f"kernel scan of {total} exceeds cap")
-    for d in all_matrices(S, A.cols, 1):
-        if _kernel_ok(A, d):
-            return SolveOutcome(SOLVED, SolutionVerdict(d, "weak"), note="exhaustive")
-    return SolveOutcome(NO_SOLUTION)
 
 
 # The constructive kernels work on carrier indices over a multifield, where
@@ -491,19 +485,26 @@ def constructive_kernel(A):
     return vec if _kernel_ok(A, vec) else None
 
 
-def find_nontrivial_kernel(A, scan_cap=DEFAULT_SCAN_CAP):
+def find_nontrivial_kernel(A):
     """A nonzero d with 0 in every row of Ad, for systems with cols > rows.
 
     The constructive route covers up to three rows over hyperfields; its
     output is always re-verified, and the exhaustive scan is both the
-    fallback and the completeness backstop.
+    fallback and the completeness backstop.  The outcome is inconclusive when
+    that scan would pass the search limit.
     """
     if A.cols <= A.rows:
         raise StructureError("kernel construction expects more columns than rows")
     got = constructive_kernel(A)
     if got is not None:
         return SolveOutcome(SOLVED, SolutionVerdict(got, "weak"), note="constructive")
-    return _exhaustive_kernel(A, scan_cap)
+    total = len(A.base.elements) ** A.cols
+    if total > _limit.get():
+        return SolveOutcome(INCONCLUSIVE, note=f"kernel scan of {total} exceeds cap")
+    for d in all_matrices(A.base, A.cols, 1):
+        if _kernel_ok(A, d):
+            return SolveOutcome(SOLVED, SolutionVerdict(d, "weak"), note="exhaustive")
+    return SolveOutcome(NO_SOLUTION)
 
 
 def _zero_sets(F):
@@ -517,7 +518,7 @@ def _zero_sets(F):
         zvec = zvec * k + zero
 
 
-def is_linearly_closed(F, max_n, max_m, budget=10 ** 7, require_superfield=True):
+def is_linearly_closed(F, max_n, max_m, require_superfield=True):
     """Certify nontrivial weak solutions of Ax = 0 for every A with n < m.
 
     Covers every matrix of the shapes n <= max_n, n < m <= max_m, in order,
@@ -529,7 +530,7 @@ def is_linearly_closed(F, max_n, max_m, budget=10 ** 7, require_superfield=True)
     smaller shape, scanned earlier).  Prefix: if a.0 = {0} and s + 0 = {s} in
     F's tables, then r.(d, 0) = r.d, so a kernel of the first n + 1 columns
     padded with zeros is one of A, and n x (n + 1) covers every n x m.  The
-    budget is charged with the table cells and row sets scanned; `notes`
+    search limit is charged with the table cells and row sets scanned; `notes`
     counts the row sets decided.  require_superfield=False admits mutants.
     """
     if max_m <= max_n:
@@ -541,6 +542,7 @@ def is_linearly_closed(F, max_n, max_m, budget=10 ** 7, require_superfield=True)
     kind = f"linearly-closed(n<={max_n},m<={max_m})"
     tables, zeros = _zero_sets(F), []  # zeros[m - 1]: Z at length m
     checked = scanned = spent = 0
+    budget = _limit.get()
     for n in range(1, max_n + 1):
         for m in range(n + 1, max_m + 1):
             if prefix and m > n + 1:

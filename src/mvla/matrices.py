@@ -10,14 +10,15 @@ and golden output).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .axioms import structure_is
-from .errors import BlowupError, StructureError
+from .errors import BlowupError, StructureError, _limit, charge
 from .structures import Box
 
-DEFAULT_MEMBER_CAP = 10 ** 6
-DEFAULT_FACTORIAL_CAP = 6
+# The permutation expansion runs only up to this size: n! terms per member.
+_DET_MAX_N = 6
 
 
 class Matrix:
@@ -133,9 +134,9 @@ class MatrixSet(Box):
     def entry_set(self, i, j):
         return self.base.set_of(self.masks[i * self.cols + j])
 
-    def members(self, cap=DEFAULT_MEMBER_CAP):
+    def members(self):
         return tuple(Matrix.from_indices(self.base, self.rows, self.cols, combo)
-                     for combo in self.choices(cap))
+                     for combo in self.choices())
 
     def __contains__(self, m):
         return isinstance(m, Matrix) and (m.rows, m.cols) == (self.rows, self.cols) and \
@@ -186,9 +187,11 @@ def _index_product(A, B):
 
 
 def mmul(a, b):
-    """Matrix product; every result entry ranges over its sum of products."""
+    """Matrix product; every result entry ranges over its sum of products.  It is
+    charged with its entry products, rows x inner x cols."""
     A, B = MatrixSet.of(a), MatrixSet.of(b)
     n = _inner(A, B)
+    charge(A.rows * n * B.cols, "matrix product entry products")
     S = A.base
     cols = [B.masks[j::B.cols] for j in range(B.cols)]
     return MatrixSet(S, A.rows, B.cols,
@@ -208,23 +211,25 @@ def _perm_sign(perm):
     return -1 if inv & 1 else 1
 
 
-def det(a, factorial_cap=DEFAULT_FACTORIAL_CAP, member_cap=DEFAULT_MEMBER_CAP):
+def det(a):
     """Permutation-expansion determinant; over a box, the union over members.
 
     Terms are accumulated in canonical order (identity permutation first,
     then lexicographic); the multivalued sum does not depend on the order, so
-    the fixed order only pins down determinism.
+    the fixed order only pins down determinism.  Sizes above 6 are refused;
+    the expansion is charged with its terms, n! per member.
     """
     A = MatrixSet.of(a)
     if A.rows != A.cols:
         raise StructureError("determinant needs a square matrix")
     n = A.rows
-    if n > factorial_cap:
-        raise BlowupError(f"determinant size {n} exceeds factorial cap {factorial_cap}")
+    if n > _DET_MAX_N:
+        raise BlowupError(f"determinant size {n} exceeds factorial cap {_DET_MAX_N}")
+    charge(A.size * math.factorial(n), "determinant terms")
     S = A.base
     perms = [(perm, _perm_sign(perm) < 0) for perm in itertools.permutations(range(n))]
     out = 0
-    for M in A.members(member_cap):
+    for M in A.members():
         bits = [1 << i for i in M.indices]
         terms = []
         for perm, odd in perms:
@@ -304,7 +309,7 @@ def is_inverse_pair(A, B):
     return B.cols == n and holds(AB) and A.cols == n and holds(_index_product(B, A))
 
 
-def _triangular_inverse(A, node_cap):
+def _triangular_inverse(A):
     """Back-substitution construction for triangular matrices, choosing
     the least admissible element at each step, with backtracking."""
     S = A.base
@@ -333,7 +338,7 @@ def _triangular_inverse(A, node_cap):
         diag = prod[a[i * n + i]]
         return [x for x in range(len(S)) if S.add_masks(diag[x], rest_mask) >> zero & 1]
 
-    nodes = 0
+    nodes, limit = 0, _limit.get()
     chosen = {}
 
     def dfs(k):
@@ -346,8 +351,8 @@ def _triangular_inverse(A, node_cap):
             return B if is_inverse_pair(A, B) else None
         for x in candidates(positions[k], chosen):
             nodes += 1
-            if nodes > node_cap:
-                raise BlowupError("inverse construction exceeded its node cap")
+            if nodes > limit:
+                raise BlowupError(f"inverse construction nodes exceed budget {limit}")
             chosen[positions[k]] = x
             got = dfs(k + 1)
             if got is not None:
@@ -358,12 +363,14 @@ def _triangular_inverse(A, node_cap):
     return dfs(0)
 
 
-def find_inverse(A, search_cap=DEFAULT_MEMBER_CAP, node_cap=10 ** 5):
-    """A two-sided inverse of A, or None when the bounded search is exhausted.
+def find_inverse(A):
+    """A two-sided inverse of A, or None when A has none.
 
     Upper-triangular matrices with 0 not in det go through the constructive
-    back-substitution recipe; everything else falls back to a bounded
-    exhaustive scan over candidate matrices.
+    back-substitution recipe; everything else falls back to an exhaustive
+    scan over candidate matrices.  Either search raises BlowupError when it
+    would pass the search limit: the recipe counts its nodes, the scan its
+    candidates.
     """
     if not A.is_square:
         raise StructureError("only square matrices can be inverted")
@@ -375,14 +382,12 @@ def find_inverse(A, search_cap=DEFAULT_MEMBER_CAP, node_cap=10 ** 5):
         diag = det(A)
         if S.zero in diag:
             return None  # a zero on the diagonal rules out invertibility
-        got = _triangular_inverse(A, node_cap)
+        got = _triangular_inverse(A)
         if got is not None:
             return got
 
     n = A.rows
-    total = len(S.elements) ** (n * n)
-    if total > search_cap:
-        raise BlowupError(f"inverse search space {total} exceeds cap {search_cap}")
+    charge(len(S.elements) ** (n * n), "inverse search matrices")
     for B in all_matrices(S, n, n):
         if is_inverse_pair(A, B):
             return B

@@ -13,12 +13,14 @@ import itertools
 import operator
 
 from .axioms import MorphismSpec, check_morphism, structure_is
-from .errors import BlowupError, MvlaError, StructureError
+from .errors import BlowupError, MvlaError, StructureError, _limit, charge
 from .structures import Box, _bits
 
 NEG_INF = float("-inf")
 
-DEFAULT_SET_CAP = 10 ** 6
+# The irreducibility scan's ideal slices hold sums of at most this many
+# multiples of u; the bound is part of every verdict's note.
+_TERMS = 3
 
 
 def _stripped(indices, zero):
@@ -134,8 +136,8 @@ class PolySet(Box):
         S = self.base
         return S.set_of(self.masks[i]) if i < len(self.masks) else frozenset([S.zero])
 
-    def members(self, cap=DEFAULT_SET_CAP):
-        return tuple(Poly.from_indices(self.base, combo) for combo in self.choices(cap))
+    def members(self):
+        return tuple(Poly.from_indices(self.base, combo) for combo in self.choices())
 
     def __contains__(self, f):
         if not isinstance(f, Poly) or f.base is not self.base:
@@ -176,43 +178,37 @@ def padd_sets(ps1, ps2):
     return ps1.add(ps2)
 
 
-def pmul_fold(polys, cap=DEFAULT_SET_CAP):
+def _member_fold(op, parts, what):
+    """The left fold of op over parts, sets of polynomials, member by member."""
+    limit = _limit.get()
+    acc = set(parts[0])
+    for part in parts[1:]:
+        nxt = set()
+        for f in acc:
+            for g in part:
+                nxt.update(op(f, g).members())
+                if len(nxt) > limit:
+                    raise BlowupError(f"{what} members exceed budget {limit}")
+        acc = nxt
+    return frozenset(acc)
+
+
+def pmul_fold(polys):
     """Memberwise fold of the product over a sequence of polynomials.
 
     Iterated products follow the finite-product convention, so the fold goes
     through concrete members rather than boxes.  Returns a frozenset of Poly.
     """
-    polys = list(polys)
-    if not polys:
+    parts = [[f] for f in polys]
+    if not parts:
         raise StructureError("empty product fold has no base")
-    acc = {polys[0]}
-    for g in polys[1:]:
-        nxt = set()
-        for f in acc:
-            nxt.update(pmul(f, g).members(cap))
-            if len(nxt) > cap:
-                raise BlowupError("product fold exceeded cap")
-        acc = nxt
-    return frozenset(acc)
+    return _member_fold(pmul, parts, "product fold")
 
 
-def psum_members(sets_of_polys, base, cap=DEFAULT_SET_CAP):
+def psum_members(sets_of_polys, base):
     """Memberwise fold of the sum over sets of polynomials."""
-    acc = {Poly.zero(base)}
-    started = False
-    for part in sets_of_polys:
-        part = list(part)
-        if not started:
-            acc, started = set(part), True
-            continue
-        nxt = set()
-        for f in acc:
-            for g in part:
-                nxt.update(padd(f, g).members(cap))
-                if len(nxt) > cap:
-                    raise BlowupError("sum fold exceeded cap")
-        acc = nxt
-    return frozenset(acc)
+    parts = [list(part) for part in sets_of_polys]
+    return _member_fold(padd, parts, "sum fold") if parts else frozenset([Poly.zero(base)])
 
 
 def all_polys(S, max_degree, include_zero=True):
@@ -316,7 +312,7 @@ def deg_sum_min_counterexamples(S, bound, limit=5):
 # -- Euclidean division -----------------------------------------------------------
 
 
-def pdivmod(f, g, all_pairs=False, cap=DEFAULT_SET_CAP):
+def pdivmod(f, g, all_pairs=False):
     """Pairs (q, r) with f in q*g + r and deg r < deg g (or r = 0).
 
     The base must be a superfield.  With all_pairs=False the first pair in
@@ -338,15 +334,15 @@ def pdivmod(f, g, all_pairs=False, cap=DEFAULT_SET_CAP):
     dr = g.degree  # r has positions 0..deg g - 1
     target = PolySet.singleton(f).masks
     found = []
-    count = 0
+    count, limit = 0, _limit.get()
     for top in _nonzero(S):
         for high_to_low in itertools.product(range(len(S)), repeat=dq):
             q = Poly.from_indices(S, high_to_low[::-1] + (top,))
             box = pmul(q, g)
             for rc, rbits in _remainders(S, dr):
                 count += 1
-                if count > cap:
-                    raise BlowupError("division search exceeded cap")
+                if count > limit:
+                    raise BlowupError(f"division search steps exceed budget {limit}")
                 if _in_box_plus(box, rbits, target):
                     pair = (q, Poly.from_indices(S, rc))
                     if not all_pairs:
@@ -534,10 +530,10 @@ def _ideal_members_bounded(u, deg_cap, h_deg, max_terms):
     return _members_bits(heads, k)
 
 
-def _slice(slices, u, cap, max_terms):
+def _slice(slices, u, cap):
     """The slice of u at degree cap, built once per slice table."""
     if u.indices not in slices:
-        slices[u.indices] = _ideal_members_bounded(u, cap, cap, max_terms)
+        slices[u.indices] = _ideal_members_bounded(u, cap, cap, _TERMS)
     return slices[u.indices]
 
 
@@ -559,7 +555,7 @@ class IrreducibilityVerdict:
         return f"IrreducibilityVerdict({tag}; {self.note})"
 
 
-def is_irreducible(f, max_terms=3):
+def is_irreducible(f):
     """Bounded divisor scan for irreducibility over a finite superfield.
 
     Nonconstant divisors u are tested: whenever f lies in the (bounded) ideal
@@ -567,10 +563,10 @@ def is_irreducible(f, max_terms=3):
     <= deg f.  Constants are units in a superfield and generate everything,
     so they are excluded from the scan.
     """
-    return _irreducible(f, {}, max_terms)
+    return _irreducible(f, {})
 
 
-def _irreducible(f, slices, max_terms=3):
+def _irreducible(f, slices):
     """is_irreducible over a table u.indices -> slice of u at deg f shared by a search."""
     S = f.base
     if not structure_is(S, "superfield"):
@@ -578,13 +574,15 @@ def _irreducible(f, slices, max_terms=3):
     if f.is_zero or f.degree < 1:
         raise StructureError("irreducibility needs deg f >= 1")
     cap = f.degree
-    note = f"bounded: <= {max_terms} terms, deg h <= {cap}"
+    # a slice is a bitset over the polynomials of degree <= cap
+    charge(len(S) ** (cap + 1), "ideal slice polynomials")
+    note = f"bounded: <= {_TERMS} terms, deg h <= {cap}"
     bit = _members_bits([[1 << i for i in f.indices]], len(S))
-    own = _slice(slices, f, cap, max_terms)
+    own = _slice(slices, f, cap)
     for u in all_polys(S, cap):
         if u.is_zero or u.degree < 1 or u == f:
             continue
-        through_u = _slice(slices, u, cap, max_terms)
+        through_u = _slice(slices, u, cap)
         if through_u & bit and through_u != own:
             return IrreducibilityVerdict(False, u, note)
     return IrreducibilityVerdict(True, None, note)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BlowupError, StructureError, WindowRequired
+from .errors import StructureError, WindowRequired, charge
 
 INF = "inf"  # token for the tropical point at infinity
 
@@ -388,10 +388,9 @@ class Box:
             n *= m.bit_count()
         return n
 
-    def choices(self, cap):
+    def choices(self):
         """Every choice of one element per position, as index tuples in carrier order."""
-        if self.size > cap:
-            raise BlowupError(f"{self.kind} box of {self.size} members exceeds cap {cap}")
+        charge(self.size, f"{self.kind} box members")
         return itertools.product(*map(_bits, self.masks))
 
     def __contains__(self, indices):

@@ -2,9 +2,9 @@
 
 Vectors form an abelian multigroup and scalars act through nonempty sets.
 All spaces here are finite and tabulated as masks over vector indices, so
-axioms, spans and independence are checked exhaustively.  Independence
-verdicts depend on a bundle bound (the maximal number of scalar summands
-tested per generator) and are reported together with that bound.
+axioms, spans and independence are checked exhaustively.  Independence,
+bases and dimension test bundles of at most 2 scalar summands per generator;
+that fixed bundle bound is part of what their verdicts mean.
 """
 
 from __future__ import annotations
@@ -16,10 +16,13 @@ from operator import or_
 
 from .axioms import (AxiomReport, FAIL, PASS, _Collector, _View, _add_group,
                      _report, _scan_action, _union, is_full)
-from .errors import MvlaError, StructureError
+from .errors import MvlaError, StructureError, charge
 from .structures import _Setwise, _bits, _check_tables
 
-DEFAULT_BUNDLE_BOUND = 2
+# Policy bounds, not budgets: they define a verdict or choose a check.
+_BUNDLE_BOUND = 2  # scalar summands per generator in independence tests
+_MINIMALITY_SCAN = 14  # span re-verifies minimality over spaces this small
+_DIMENSION_RECHECK = 200000  # dimension re-checks up to this many subsets
 
 
 class VectorSpace:
@@ -72,8 +75,10 @@ def _componentwise_tables(F, length):
     vectors so far, (a,) + v has index a * size + v.  So a cell is an F cell
     with the inner cell in the block of size bits of each member x, which is
     the inner cell times the spread of the F cell (bit x * size per member x).
+    The build is charged with the cells of both tables.
     """
     q = len(F.elements)
+    charge(q ** (2 * length) + q ** (length + 1), "vector table cells")
     sum_tab, act_tab, neg, zero_i, size = [[1]], [[1]] * q, [0], 0, 1
     for _ in range(length):
         sums, prods = ([[sum(1 << x * size for x in _bits(m)) for m in row] for row in tab]
@@ -197,19 +202,19 @@ def is_subspace(V, W):
     return wit is None, wit
 
 
-def span(V, gens, minimality_cap=14):
+def span(V, gens):
     """The generated subspace with its certificate.
 
     Besides the subspace predicate, minimality is re-verified exhaustively
     (every subspace containing gens contains the span) when the ambient space
-    is small enough to scan all subsets.
+    has at most 14 vectors, so that all subsets can be scanned.
     """
     g = V.mask_of(gens)
     W = _closure(V, _bits(g))
     wit = _subspace_witness(V, W)
     witnesses = [] if wit is None else [("subspace", wit)]
     checked, note = 1, "minimality by construction (space too large to scan)"
-    if len(V.vectors) <= minimality_cap:
+    if len(V.vectors) <= _MINIMALITY_SCAN:
         zero = 1 << V.zero_i
         rest = [1 << i for i in range(len(V.vectors)) if i != V.zero_i]
         for cand in (zero | sum(extra) for r in range(len(rest) + 1)
@@ -238,11 +243,11 @@ def _bundles(F, bound):
     return out
 
 
-def _dependence(V, vs, bundles):
-    """The first choice of one bundle per vector index in vs (as positions in
-    bundles) whose weighted sum holds 0 while some effective coefficient set
-    misses 0; None when there is none."""
+def _dependence(V, vs):
+    """The first choice of one bundle per vector index in vs whose weighted sum
+    holds 0 while some effective coefficient set misses 0; None when there is none."""
     F = V.scalars
+    bundles = _bundles(F, _BUNDLE_BOUND)
     effective = [F.sum_of([1 << F.index(x) for x in bundle]) for bundle in bundles]
     # terms[j][i]: the effective set of bundle i applied to vs[j]
     terms = [[_union([row[v] for row in V.act], e) for e in effective] for v in vs]
@@ -254,37 +259,33 @@ def _dependence(V, vs, bundles):
         for row, i in zip(terms[1:], combo[1:]):
             total = plus[total, row[i]]
         if total & zero_vec:
-            return combo
+            return tuple(bundles[i] for i in combo)
     return None
 
 
-def is_linearly_independent(V, vs, bundle_bound=DEFAULT_BUNDLE_BOUND):
+def is_linearly_independent(V, vs):
     """Bundle-bounded independence: (verdict, witness bundle or None).
 
     Each generator carries a bundle of scalars whose multivalued sum is its
     effective coefficient set; the weighted sum applies the effective set to
     the generator and folds with the vector sum.  Dependence needs a bundle
     whose weighted sum reaches 0 while some effective coefficient set misses
-    0.  The verdict is honest only up to the bundle bound.
+    0.  The verdict is honest only up to the bundle bound 2.
     """
     vs = list(vs)
     if len(set(vs)) != len(vs):
         raise StructureError("independence needs distinct vectors")
-    bundles = _bundles(V.scalars, bundle_bound)
-    combo = _dependence(V, [V.index(v) for v in vs], bundles)
-    if combo is None:
-        return True, None
-    return False, tuple(zip(vs, (bundles[i] for i in combo)))
+    combo = _dependence(V, [V.index(v) for v in vs])
+    return (True, None) if combo is None else (False, tuple(zip(vs, combo)))
 
 
-def find_basis(V, gens, bundle_bound=DEFAULT_BUNDLE_BOUND):
+def find_basis(V, gens):
     """Greedy basis extraction: while the set is dependent, drop the earliest
     generator lying in the span of the others."""
     gens = list(dict.fromkeys(map(V.index, gens)))
     if _closure(V, gens) != (1 << len(V.vectors)) - 1:
         raise StructureError("generators do not span the space")
-    bundles = _bundles(V.scalars, bundle_bound)
-    while _dependence(V, gens, bundles) is not None:
+    while _dependence(V, gens) is not None:
         for i, g in enumerate(gens):
             others = gens[:i] + gens[i + 1:]
             if _closure(V, others) >> g & 1:
@@ -296,13 +297,13 @@ def find_basis(V, gens, bundle_bound=DEFAULT_BUNDLE_BOUND):
     return tuple(map(V.vectors.__getitem__, gens))
 
 
-def dimension(V, closure_report, bundle_bound=DEFAULT_BUNDLE_BOUND,
-              scan_cap=200000):
+def dimension(V, closure_report):
     """Basis size, guarded by a linear-closedness certificate for the scalars.
 
     Refuses to answer without a passing closure report, since basis-size
     uniqueness is only known for linearly closed scalars.  Additionally
-    re-checks that no independent set exceeds the basis size.
+    re-checks that no independent set exceeds the basis size, when there are
+    at most 200000 sets of that size.
     """
     if not isinstance(closure_report, AxiomReport) or \
             not closure_report.kind.startswith("linearly-closed") or \
@@ -310,24 +311,24 @@ def dimension(V, closure_report, bundle_bound=DEFAULT_BUNDLE_BOUND,
         raise StructureError(
             "dimension needs a passing linearly-closed report for the scalar "
             "structure; run linsys.is_linearly_closed first")
-    dim = len(find_basis(V, V.vectors, bundle_bound))
+    dim = len(find_basis(V, V.vectors))
     size = dim + 1
-    if math.comb(len(V.vectors), size) <= scan_cap:
-        bundles = _bundles(V.scalars, bundle_bound)
+    if math.comb(len(V.vectors), size) <= _DIMENSION_RECHECK:
         for vs in itertools.combinations(range(len(V.vectors)), size):
-            if _dependence(V, vs, bundles) is None:
+            if _dependence(V, vs) is None:
                 vs = tuple(map(V.vectors.__getitem__, vs))
                 raise MvlaError(
                     f"independent set {vs!r} exceeds the extracted basis size {dim}")
     return dim
 
 
-def solution_subspace(A, scan_cap=10 ** 6):
+def solution_subspace(A):
     """Kernel vectors of a homogeneous system over a full base, with certificate.
 
     Enumerates every v with 0 in each row of Av and then evaluates the
     subspace predicate inside the ambient column space.  The predicate's
-    verdict is reported as computed; it is not forced.
+    verdict is reported as computed; it is not forced.  Building the column
+    space is charged against the search limit.
     """
     from .linsys import _row_masks, homogeneous
     from .matrices import Matrix
@@ -336,9 +337,6 @@ def solution_subspace(A, scan_cap=10 ** 6):
     full, wit = is_full(F)
     if not full:
         raise StructureError(f"{F.name} is not full (witness {wit!r})")
-    total = len(F.elements) ** A.cols
-    if total > scan_cap:
-        raise MvlaError(f"kernel enumeration of {total} vectors exceeds cap")
     sysh = homogeneous(A)
     zero_bit = 1 << F.index(F.zero)
     V = fn_space(F, A.cols)

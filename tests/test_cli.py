@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -410,6 +411,38 @@ def test_linsys_verb_reports_are_pinned(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     code = run_cli(*command.split())
     assert f"exit={code}\n" + capsys.readouterr().out == _LINSYS_PINNED[command]
+
+
+# Each verb that searches, on an input whose search takes more than one unit of
+# work: under --budget 1 it ends inconclusive at once and names the bound.
+_BUDGET_ONE = {
+    "closed": "closed --structure builtin:H3 --max-n 2 --max-m 3",
+    "det": "det m.txt --structure builtin:H3",
+    "divmod": "divmod --structure builtin:H3 --f 1,0,1 --g 1,1 --all",
+    "irreducible": "irreducible --structure builtin:H5 --poly 1,0,2",
+    "kernel": "kernel k35.txt --structure builtin:H3",
+    "matmul": "matmul m.txt m.txt --structure builtin:H3",
+    "quotient": "quotient builtin:H3 --poly 1,0,2",
+    "solve": "solve none.sys --structure builtin:H3",
+    "vspace": "vspace --structure builtin:H3 --space fn --n 4",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_BUDGET_ONE))
+def test_budget_one_stops_every_searching_verb(tmp_path, monkeypatch, capsys, verb):
+    for name, text in _LINSYS_FILES.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "m.txt").write_text("2 2\n1 2\n0 1\n")
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert run_cli("--budget", "1", *_BUDGET_ONE[verb].split()) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    if verb in ("solve", "kernel"):
+        assert re.search(r"^note=.* exceeds cap$", captured.out, re.M), captured.out
+    else:
+        assert captured.out == ""
+        assert re.fullmatch(r"error: .* budget 1\n", captured.err), captured.err
 
 
 def test_bad_budget_variable_is_an_error_line(monkeypatch, capsys):

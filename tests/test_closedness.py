@@ -14,7 +14,7 @@ import time
 import pytest
 
 from mvla import (BlowupError, Matrix, builtin, homogeneous, is_linearly_closed,
-                  is_weak_solution)
+                  is_weak_solution, search_budget)
 from mvla.linsys import SOLVED, _zero_sets, find_nontrivial_kernel
 from mvla.matrices import all_matrices
 
@@ -133,8 +133,10 @@ def test_pinned_passes_in_under_a_second(name, param, shape, checked, scanned):
 def test_budget_counts_table_cells_and_row_sets():
     H3 = builtin("Hp", 3)
     # 1x2: 9 rows + 81 cells; 1x3 is covered by 1x2; 2x3: 351 row sets + 729 cells
-    assert is_linearly_closed(H3, 2, 3, budget=1170).checked == 765
-    with pytest.raises(BlowupError, match="1170 at 2x3 exceeds budget 1169"):
-        is_linearly_closed(H3, 2, 3, budget=1169)
-    with pytest.raises(BlowupError, match="90 at 1x2 exceeds budget 89"):
-        is_linearly_closed(H3, 2, 3, budget=89)
+    with search_budget(1170):
+        assert is_linearly_closed(H3, 2, 3).checked == 765
+    with search_budget(1169), pytest.raises(BlowupError,
+                                            match="1170 at 2x3 exceeds budget 1169"):
+        is_linearly_closed(H3, 2, 3)
+    with search_budget(89), pytest.raises(BlowupError, match="90 at 1x2 exceeds budget 89"):
+        is_linearly_closed(H3, 2, 3)

@@ -6,8 +6,8 @@ import pytest
 from mvla import (ElementaryOp, LinearSystem, Matrix, StructureError,
                   TypeIError, apply_elementary, back_substitute,
                   find_nontrivial_kernel, homogeneous, is_linearly_closed,
-                  is_solution, is_weak_solution, scale_system, solve_weak,
-                  verify_axioms)
+                  is_solution, is_weak_solution, scale_system, search_budget,
+                  solve_weak, verify_axioms)
 from mvla.linsys import (NO_SOLUTION, SOLVED, classify_candidate, constructive_kernel,
                          row_value_sets)
 from mvla.structures import Structure
@@ -299,12 +299,13 @@ def test_scaled_solution_transport_is_an_experiment_not_an_invariant(H3):
             continue
         for scaled in branches:
             try:
-                for d in iter_back_substitution(scaled, node_cap=2000):
-                    if is_weak_solution(sys_, d):
-                        kept += 1
-                    else:
-                        dropped += 1
-                    break
+                with search_budget(2000):
+                    for d in iter_back_substitution(scaled):
+                        if is_weak_solution(sys_, d):
+                            kept += 1
+                        else:
+                            dropped += 1
+                        break
             except (TypeIError, Exception):
                 continue
     assert kept > 0  # transport holds often enough to be useful

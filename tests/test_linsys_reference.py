@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvla import (BlowupError, LinearSystem, Matrix, Structure, builtin, det,
                   find_nontrivial_kernel, is_linearly_closed, scale_system,
-                  solve_weak, structure_is)
+                  search_budget, solve_weak, structure_is)
 from mvla.linsys import TypeIError, constructive_kernel, iter_back_substitution
 
 
@@ -406,7 +406,7 @@ def test_small_bases_match_on_every_2x2_system(bases):
 def test_scaling_matches_token_reference_at_small_branch_caps(bases, cap):
     """Equal states are merged after every column, but the cap still counts every
     branch: the same systems, in the same order, and the same BlowupErrors as the
-    reference, which merges only at the end."""
+    reference, which merges only at the end.  A search limit below 4096 is the cap."""
     blowups = 0
     for name in sorted(BASES):
         S = bases[name]
@@ -421,10 +421,12 @@ def test_scaling_matches_token_reference_at_small_branch_caps(bases, cap):
                     want = ref_scale_system(S, A, B, branch_cap=cap)
                 except BlowupError:
                     blowups += 1
-                    with pytest.raises(BlowupError):
-                        scale_system(sys_, cap)
+                    with search_budget(cap), pytest.raises(BlowupError):
+                        scale_system(sys_)
                     continue
-                assert [(s.A.entries, s.B) for s in scale_system(sys_, cap)] == want, (A, B)
+                with search_budget(cap):
+                    got = [(s.A.entries, s.B) for s in scale_system(sys_)]
+                assert got == want, (A, B)
     assert blowups
 
 

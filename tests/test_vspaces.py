@@ -481,8 +481,7 @@ def test_independence_matches_the_per_combination_fold(H3, Q2, F3, h3_quotient):
         vectors = sorted(V.vectors, key=repr)
         for r in (1, 2, 3):
             for vs in itertools.combinations(vectors, r):
-                assert (is_linearly_independent(V, vs, 2)
-                        == reference_independence(T, vs, 2)), vs
+                assert is_linearly_independent(V, vs) == reference_independence(T, vs, 2), vs
 
 
 def test_find_basis_examples(V9):
