@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .axioms import structure_is, AxiomReport, FAIL, PASS
 from .errors import BlowupError, MvlaError, StructureError, _limit
-from .matrices import Matrix, _index_product, all_matrices, elementary
+from .matrices import Matrix, _index_product, _value_masks, _vector, elementary
 from .structures import _bits
 
 # The scaled route stops at the first of the search limit and these: past them
@@ -292,11 +292,11 @@ def solve_weak(sys):
     """Find a weak solution: scale, back-substitute, re-verify on the original.
 
     Candidates produced on scaled systems are only trusted after re-checking
-    against the original system.  When the pipeline yields nothing, an
-    exhaustive scan decides between no-solution and inconclusive: the outcome
-    is inconclusive when the scan would pass the search limit.
+    against the original system.  When the pipeline yields nothing, the first
+    weak solution in product order (_first_weak) is classified, or none
+    exists; the outcome is inconclusive when the k^n vectors would pass the
+    search limit.
     """
-    S = sys.base
     try:
         branches = scale_system(sys)
     except BlowupError:
@@ -310,15 +310,23 @@ def solve_weak(sys):
         except (TypeIError, BlowupError):
             continue
 
-    n = sys.A.cols
-    total = len(S.elements) ** n
+    total = len(sys.base) ** sys.A.cols
     if total > _limit.get():
         return SolveOutcome(INCONCLUSIVE, note=f"scan of {total} vectors exceeds cap")
-    for d in all_matrices(S, n, 1):
-        verdict = classify_candidate(sys, d)
-        if verdict is not None:
-            return SolveOutcome(SOLVED, verdict, note="exhaustive fallback")
+    d = _first_weak(sys)
+    if d is not None:
+        return SolveOutcome(SOLVED, classify_candidate(sys, d), note="exhaustive fallback")
     return SolveOutcome(NO_SOLUTION, note="exhausted all candidate vectors")
+
+
+def _first_weak(sys, skip=0):
+    """The first weak solution in product order outside the vector mask skip, or None:
+    the lowest bit of the AND over rows i of the vectors d with r_i.d meeting B_i."""
+    S, n, a, memos = sys.base, sys.A.cols, sys.A.indices, {}
+    weak = functools.reduce(int.__and__, (_value_masks(S, S._prod, a[i * n:(i + 1) * n], b, memos)
+                                          for i, b in enumerate(sys.masks))) & ~skip
+    return Matrix.from_indices(S, n, 1, _vector(len(S), n, (weak & -weak).bit_length() - 1)) \
+        if weak else None
 
 
 # -- homogeneous kernels ---------------------------------------------------------------
@@ -328,11 +336,6 @@ def homogeneous(A):
     """The system Ax = 0, read as B = ({0}, ..., {0}) with weak semantics."""
     S = A.base
     return LinearSystem(A, (1 << S._idx[S.zero],) * A.rows)
-
-
-def _kernel_ok(A, d):
-    zero = A.base._idx[A.base.zero]
-    return any(i != zero for i in d.indices) and is_weak_solution(homogeneous(A), d)
 
 
 # The constructive kernels work on carrier indices over a multifield, where
@@ -464,7 +467,7 @@ def constructive_kernel(A):
     """The row-count-specific kernel constructions; None when preconditions fail.
 
     Requires the hyperfield toolkit (single-valued products with inverses);
-    callers verify the result and fall back to exhaustive search.
+    the result is verified here, and find_nontrivial_kernel falls back.
     """
     S = A.base
     n, m = A.rows, A.cols
@@ -479,42 +482,41 @@ def constructive_kernel(A):
         d = _case3(S, rows, m)
     else:
         return None
-    if d is None:
+    if d is None or all(x == S._idx[S.zero] for x in d):
         return None
     vec = Matrix.from_indices(S, m, 1, d)
-    return vec if _kernel_ok(A, vec) else None
+    return vec if is_weak_solution(homogeneous(A), vec) else None
 
 
 def find_nontrivial_kernel(A):
     """A nonzero d with 0 in every row of Ad, for systems with cols > rows.
 
     The constructive route covers up to three rows over hyperfields; its
-    output is always re-verified, and the exhaustive scan is both the
-    fallback and the completeness backstop.  The outcome is inconclusive when
-    that scan would pass the search limit.
+    output is always re-verified.  Otherwise _first_weak decides: the first
+    nonzero d in product order, or none.  The outcome is inconclusive when the
+    k^cols vectors would pass the search limit.
     """
     if A.cols <= A.rows:
         raise StructureError("kernel construction expects more columns than rows")
     got = constructive_kernel(A)
     if got is not None:
         return SolveOutcome(SOLVED, SolutionVerdict(got, "weak"), note="constructive")
-    total = len(A.base.elements) ** A.cols
-    if total > _limit.get():
-        return SolveOutcome(INCONCLUSIVE, note=f"kernel scan of {total} exceeds cap")
-    for d in all_matrices(A.base, A.cols, 1):
-        if _kernel_ok(A, d):
-            return SolveOutcome(SOLVED, SolutionVerdict(d, "weak"), note="exhaustive")
+    k, n, zero = len(A.base), A.cols, A.base._idx[A.base.zero]
+    if k ** n > _limit.get():
+        return SolveOutcome(INCONCLUSIVE, note=f"kernel scan of {k ** n} exceeds cap")
+    d = _first_weak(homogeneous(A), 1 << sum(zero * k ** e for e in range(n)))
+    if d is not None:
+        return SolveOutcome(SOLVED, SolutionVerdict(d, "weak"), note="exhaustive")
     return SolveOutcome(NO_SOLUTION)
 
 
 def _zero_sets(F):
     """Z at m = 1, 2, ...: bit d of Z[r] is set iff d != 0 and 0 in r.d (product order)."""
-    k, zero, add, prod = len(F), F._idx[F.zero], F.add_masks, F._prod
-    vals, zvec = prod, zero  # vals[r][d] = r.d, a left fold: a new last entry adds last
-    while True:
-        yield [sum(1 << d for d, v in enumerate(row) if v >> zero & 1) & ~(1 << zvec)
-               for row in vals]
-        vals = [[add(v, p) for v in row for p in prod[a]] for row in vals for a in range(k)]
+    k, memos = len(F), {}  # shared by every row of every length
+    zvec = zero = F._idx[F.zero]
+    for m in itertools.count(1):
+        yield [_value_masks(F, F._prod, row, 1 << zero, memos) & ~(1 << zvec)
+               for row in itertools.product(range(k), repeat=m)]
         zvec = zvec * k + zero
 
 
@@ -524,12 +526,12 @@ def is_linearly_closed(F, max_n, max_m, require_superfield=True):
     Covers every matrix of the shapes n <= max_n, n < m <= max_m, in order,
     and reports the first counterexample; `checked` counts the matrices
     covered up to it.  A has a nontrivial weak kernel iff the AND of Z
-    (_zero_sets) over its rows is nonzero.  Two exact reductions keep the
-    first counterexample.  Row sets: a weak solution meets each row on its
-    own, so only sorted, distinct rows are scanned (a repeated row gives a
-    smaller shape, scanned earlier).  Prefix: if a.0 = {0} and s + 0 = {s} in
-    F's tables, then r.(d, 0) = r.d, so a kernel of the first n + 1 columns
-    padded with zeros is one of A, and n x (n + 1) covers every n x m.  The
+    (_zero_sets, by _value_masks) over its rows is nonzero.  Two exact
+    reductions keep the first counterexample.  Row sets: a weak solution meets
+    each row on its own, so only sorted, distinct rows are scanned (a repeated
+    row gives a smaller shape, scanned earlier).  Prefix: if a.0 = {0} and
+    s + 0 = {s} in F's tables, then r.(d, 0) = r.d, so a zero-padded kernel of
+    the first n + 1 columns is one of A: n x (n + 1) covers every n x m.  The
     search limit is charged with the table cells and row sets scanned; `notes`
     counts the row sets decided.  require_superfield=False admits mutants.
     """
@@ -560,7 +562,7 @@ def is_linearly_closed(F, max_n, max_m, require_superfield=True):
                 continue
             rows = next(itertools.islice(itertools.combinations(range(k ** m), n), first, None))
             rank = functools.reduce(lambda acc, r: acc * k ** m + r, rows, 0)
-            A = Matrix.from_indices(F, n, m, (rank // k ** e % k for e in reversed(range(n * m))))
+            A = Matrix.from_indices(F, n, m, _vector(k, n * m, rank))
             return AxiomReport(F.name, kind, FAIL, ((f"{n}x{m}", A.entries),),
                                checked + rank + 1, notes=f"scanned={scanned + first + 1}")
     return AxiomReport(F.name, kind, PASS, checked=checked, notes=f"scanned={scanned}")

@@ -9,13 +9,14 @@ and golden output).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from .axioms import structure_is
 from .errors import BlowupError, StructureError, _limit, charge
-from .structures import Box
+from .structures import Box, _bits
 
 # The permutation expansion runs only up to this size: n! terms per member.
 _DET_MAX_N = 6
@@ -184,6 +185,33 @@ def _index_product(A, B):
     cols = [b[j::B.cols] for j in range(B.cols)]
     return (S.sum_of([prod[x][y] for x, y in zip(a[i * n:(i + 1) * n], col)])
             for i in range(A.rows) for col in cols)
+
+
+def _value_masks(S, tab, coeffs, target, memos):
+    """Bit d is set iff the left fold tab[c_0][d_0] + tab[c_1][d_1] + ... meets target:
+    S.sum_of's fold, as in _index_product, with vectors d numbered in product order as
+    all_matrices yields them.  memos[target] maps (partial sum, coefficients left) to
+    the mask over the entries left; calls with the same tab may share memos."""
+    k, add, memo = len(S), S.add_masks, memos.setdefault(target, {})
+
+    def rest(v, cs):
+        got = memo.get((v, cs))
+        if got is None:
+            sums = tab[cs[0]] if v is None else [add(v, t) for t in tab[cs[0]]]
+            if len(cs) == 1:
+                got = sum(1 << x for x, u in enumerate(sums) if u & target)
+            else:
+                width = k ** (len(cs) - 1)
+                got = sum(rest(u, cs[1:]) << x * width for x, u in enumerate(sums))
+            memo[v, cs] = got
+        return got
+
+    return rest(None, tuple(coeffs))
+
+
+def _vector(k, n, d):
+    """The entries of vector number d of length n, in product order."""
+    return tuple(d // k ** e % k for e in reversed(range(n)))
 
 
 def mmul(a, b):
@@ -367,10 +395,10 @@ def find_inverse(A):
     """A two-sided inverse of A, or None when A has none.
 
     Upper-triangular matrices with 0 not in det go through the constructive
-    back-substitution recipe; everything else falls back to an exhaustive
-    scan over candidate matrices.  Either search raises BlowupError when it
-    would pass the search limit: the recipe counts its nodes, the scan its
-    candidates.
+    back-substitution recipe.  Otherwise row i of B runs over R_i = {b: delta_il
+    in b.A_col_l for all l} in row-major canonical order, and the first B with
+    each column j in C_j = {c: delta_ij in A_row_i.c for all i} is the full
+    scan's.  BlowupError counts the recipe's nodes or the product of the |R_i|.
     """
     if not A.is_square:
         raise StructureError("only square matrices can be inverted")
@@ -386,12 +414,22 @@ def find_inverse(A):
         if got is not None:
             return got
 
-    n = A.rows
-    charge(len(S.elements) ** (n * n), "inverse search matrices")
-    for B in all_matrices(S, n, n):
-        if is_inverse_pair(A, B):
-            return B
-    return None
+    n, k, a, prod = A.rows, len(S), A.indices, S._prod
+    delta = (1 << S._idx[S.zero], 1 << S._idx[S.one])
+
+    def meet(tab, lines):  # per i: the vectors v with delta_il in the fold of v and line l
+        memos = {}
+        return [functools.reduce(int.__and__, (_value_masks(S, tab, line, delta[i == l], memos)
+                                               for l, line in enumerate(lines))) for i in range(n)]
+
+    R = meet([list(c) for c in zip(*prod)], [a[l::n] for l in range(n)])  # tab[c][x] = x.c
+    C = meet(prod, [a[l * n:(l + 1) * n] for l in range(n)])
+    rows = [[_vector(k, n, r) for r in _bits(Ri)] for Ri in R]
+    charge(math.prod(map(len, rows)), "inverse search matrices")
+    return next((Matrix.from_indices(S, n, n, itertools.chain(*combo))
+                 for combo in itertools.product(*rows)
+                 if all(C[j] >> sum(row[j] * k ** (n - 1 - i) for i, row in enumerate(combo)) & 1
+                        for j in range(n))), None)
 
 
 def all_matrices(base, rows, cols):

@@ -531,8 +531,10 @@ def _ideal_members_bounded(u, deg_cap, h_deg, max_terms):
 
 
 def _slice(slices, u, cap):
-    """The slice of u at degree cap, built once per slice table."""
+    """The slice of u at degree cap, built once per slice table.  The table's
+    search is charged with the k^(cap+1) polynomials of each slice it builds."""
     if u.indices not in slices:
+        charge((len(slices) + 1) * len(u.base) ** (cap + 1), "ideal slice polynomials")
         slices[u.indices] = _ideal_members_bounded(u, cap, cap, _TERMS)
     return slices[u.indices]
 
@@ -574,8 +576,6 @@ def _irreducible(f, slices):
     if f.is_zero or f.degree < 1:
         raise StructureError("irreducibility needs deg f >= 1")
     cap = f.degree
-    # a slice is a bitset over the polynomials of degree <= cap
-    charge(len(S) ** (cap + 1), "ideal slice polynomials")
     note = f"bounded: <= {_TERMS} terms, deg h <= {cap}"
     bit = _members_bits([[1 << i for i in f.indices]], len(S))
     own = _slice(slices, f, cap)

@@ -7,7 +7,8 @@ import re
 import pytest
 
 import mvla
-from mvla import BlowupError, Matrix, det, find_nontrivial_kernel, search_budget
+from mvla import (BlowupError, Matrix, Poly, det, find_nontrivial_kernel, is_irreducible,
+                  search_budget)
 from mvla.errors import _limit
 
 
@@ -35,6 +36,16 @@ def test_the_limit_bounds_a_search_per_call(H3):
         # not a meter: each search gets the whole limit
         for _ in range(2):
             assert find_nontrivial_kernel(A).note == "exhaustive"
+
+
+def test_irreducible_charges_each_slice_it_builds(H3):
+    # 1+2X^2 over H3 builds 24 slices of 3^3 polynomials: the edge is 24 * 27 = 648
+    f = Poly(H3, [1, 0, 2])
+    with search_budget(648):
+        assert is_irreducible(f)
+    with search_budget(647), pytest.raises(
+            BlowupError, match="ideal slice polynomials: 648 exceeds budget 647"):
+        is_irreducible(f)
 
 
 _CAP_KEYWORD = re.compile(r".*_cap|budget|bundle_bound|max_terms")

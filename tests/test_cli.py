@@ -124,6 +124,17 @@ def test_closed_charges_its_scan_against_the_budget(capsys):
     assert captured.err == "error: closedness work 90 at 1x2 exceeds budget 1\n"
 
 
+def test_irreducible_charges_every_slice_it_builds(capsys):
+    # 125 polynomials per slice over H5 at degree 2: f's own slice fits, the next does not
+    start = time.perf_counter()
+    assert run_cli("--budget", "125", "irreducible", "--structure", "builtin:H5",
+                   "--poly", "1,0,2") == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ideal slice polynomials: 250 exceeds budget 125\n"
+
+
 def test_extension_and_vspace_verbs(capsys):
     assert run_cli("extension", "builtin:H2", "builtin:H3") == 0
     assert "class=extension" in capsys.readouterr().out

@@ -5,7 +5,9 @@ rewrite, back substitution, the weak solver and the constructive kernels,
 with every set handled through mask_of/set_of/canon_of and every product,
 negation and inverse asked of the structure element by element.  The library
 runs the same algorithms on carrier indices and masks; both must give the
-same scaled systems, candidates and outcomes, in the same order.
+same scaled systems, candidates and outcomes, in the same order.  Where the
+library reads a search off per-row value masks (the kernel scan, the solve
+fallback, the inverse), the reference still tests every candidate in turn.
 """
 
 import itertools
@@ -15,9 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvla import (BlowupError, LinearSystem, Matrix, Structure, builtin, det,
-                  find_nontrivial_kernel, is_linearly_closed, scale_system,
-                  search_budget, solve_weak, structure_is)
+                  find_inverse, find_nontrivial_kernel, is_inverse_pair, is_linearly_closed,
+                  scale_system, search_budget, solve_weak, structure_is)
 from mvla.linsys import TypeIError, constructive_kernel, iter_back_substitution
+from mvla.matrices import _index_product, _value_masks
+from test_closedness import single_entry_mutants
 
 
 # -- the token-level reference ------------------------------------------------------
@@ -315,6 +319,23 @@ def ref_find_kernel(S, rows):
     return "no-solution", None, ""
 
 
+def ref_has_identity(S, X, Y):
+    """delta_ij in (XY)_ij for every i and j."""
+    n = len(X)
+    return all((S.one if i == j else S.zero) in ref_values(S, [X[i]], [y[j] for y in Y])[0]
+               for i in range(n) for j in range(n))
+
+
+def ref_find_inverse(S, rows):
+    """The first B of a full scan in canonical order with I in AB and in BA, or None."""
+    n = len(rows)
+    for entries in itertools.product(S.elements, repeat=n * n):
+        B = [entries[i * n:(i + 1) * n] for i in range(n)]
+        if ref_has_identity(S, rows, B) and ref_has_identity(S, B, rows):
+            return tuple(B)
+    return None
+
+
 # -- comparisons ---------------------------------------------------------------------
 
 
@@ -428,6 +449,76 @@ def test_scaling_matches_token_reference_at_small_branch_caps(bases, cap):
                     got = [(s.A.entries, s.B) for s in scale_system(sys_)]
                 assert got == want, (A, B)
     assert blowups
+
+
+def check_inverse(S, rows):
+    """find_inverse against the full scan.  An upper-triangular matrix may take the
+    constructive recipe, whose inverse need not come first: there only existence
+    is compared."""
+    A = Matrix.from_rows(S, rows)
+    got = find_inverse(A)
+    want = ref_find_inverse(S, rows)
+    assert got is None or is_inverse_pair(A, got), rows
+    if A.is_upper_triangular:
+        assert (got is None) == (want is None), rows
+    else:
+        assert (got and tuple(got.row(i) for i in range(got.rows))) == want, rows
+
+
+SMALL_SUPERFIELDS = (("K",), ("Q2",), ("Hp", 2), ("Hp", 3), ("Xn", 1), ("Fp", 2), ("Fp", 3))
+
+
+@pytest.mark.parametrize("args", SMALL_SUPERFIELDS)
+def test_inverse_matches_the_full_scan_on_every_2x2(args):
+    S = builtin(*args)
+    for entries in itertools.product(S.elements, repeat=4):
+        check_inverse(S, [entries[:2], entries[2:]])
+
+
+@pytest.mark.parametrize("args", [("Hp", 3), ("Q2",), ("Fp", 3)])
+def test_inverse_matches_the_full_scan_on_dense_3x3(args):
+    S = builtin(*args)
+    rng = random.Random(f"inverse:{S.name}")
+    nonzero = [e for e in S.elements if e != S.zero]
+    for _ in range(4):
+        check_inverse(S, [[rng.choice(nonzero) for _ in range(3)] for _ in range(3)])
+
+
+def check_value_masks(T, m):
+    """_value_masks against _index_product on every row and vector of length m, for
+    a row of A against a vector (tab = _prod) and a vector against a column of A
+    (tab transposed), with one memo table per tab shared by every row."""
+    k = len(T)
+    by_col = [list(col) for col in zip(*T._prod)]
+    vectors = [Matrix.from_indices(T, m, 1, d) for d in itertools.product(range(k), repeat=m)]
+    targets = [1 << e for e in range(k)] + [(1 << k) - 2]
+    left_memos, right_memos = {}, {}
+    for c in itertools.product(range(k), repeat=m):
+        for target in targets:
+            left = _value_masks(T, T._prod, c, target, left_memos)
+            right = _value_masks(T, by_col, c, target, right_memos)
+            row, col = Matrix.from_indices(T, 1, m, c), Matrix.from_indices(T, m, 1, c)
+            for d, vec in enumerate(vectors):
+                (dc,) = _index_product(row, vec)
+                (cd,) = _index_product(Matrix.from_indices(T, 1, m, vec.indices), col)
+                assert (left >> d & 1, right >> d & 1) == \
+                    (bool(dc & target), bool(cd & target)), (T._sum, T._prod, c, d, target)
+
+
+@pytest.mark.parametrize("args", SMALL_SUPERFIELDS + (("Fp", 5),))
+def test_value_masks_match_index_products_on_builtins(args):
+    S = builtin(*args)
+    for m in (1, 2, 3):
+        check_value_masks(S, m)
+
+
+def test_value_masks_match_index_products_on_table_mutants():
+    # a slip in the fold order (a right fold, or a start at {0} + t_0) shows on
+    # tables where the sum is not associative or 0 is not neutral
+    mutants = list(single_entry_mutants(builtin("K")))
+    mutants += random.Random(17).sample(list(single_entry_mutants(builtin("Q2"))), 24)
+    for T in mutants:
+        check_value_masks(T, 3)
 
 
 @st.composite

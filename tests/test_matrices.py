@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mvla import (BlowupError, ElementaryOp, LinearSystem, Matrix, MatrixSet,
                   StructureError, all_matrices, apply_elementary, det, elementary,
                   builtin, find_inverse, is_inverse_pair, madd, mmul, mneg, mprod,
-                  mscale, verify_multigroup)
+                  mscale, search_budget, structure_is, verify_multigroup)
 from mvla.matrices import _index_product
 from conftest import det_mod, mat_mul_mod
 
@@ -250,6 +251,30 @@ def test_find_inverse_examples(H3):
     P = Matrix.from_rows(H3, [(0, 1), (1, 0)])
     BP = find_inverse(P)
     assert BP is not None and is_inverse_pair(P, BP)
+
+
+@pytest.mark.parametrize("args", [("Hp", 3), ("Hp", 5), ("Hp", 7), ("Q2",), ("Fp", 5)])
+def test_dense_3x3_inverses_are_decided_in_a_tenth_of_a_second(args):
+    # a full scan would test k^9 matrices: 1,953,125 over H5, 40,353,607 over H7
+    S = builtin(*args)
+    rng = random.Random(f"dense:{S.name}")
+    nonzero = [e for e in S.elements if e != S.zero]
+    A = Matrix.from_rows(S, [[rng.choice(nonzero) for _ in range(3)] for _ in range(3)])
+    assert structure_is(S, "superfield")  # the cold check is not timed
+    start = time.perf_counter()
+    B = find_inverse(A)
+    assert time.perf_counter() - start < 0.1
+    assert B is not None and is_inverse_pair(A, B)
+
+
+def test_inverse_budget_counts_row_set_candidates(H3):
+    # not triangular: the search runs over R_0 x R_1 x R_2, 10 rows each, not 3^9 matrices
+    A = Matrix.from_rows(H3, [(1, 1, 2), (2, 1, 1), (1, 1, 1)])
+    with search_budget(1000):
+        assert find_inverse(A) == Matrix.from_rows(H3, [(0, 1, 1), (1, 1, 1), (1, 0, 1)])
+    with search_budget(999), pytest.raises(
+            BlowupError, match="inverse search matrices: 1000 exceeds budget 999"):
+        find_inverse(A)
 
 
 def test_find_inverse_guards(H3, X2):
