@@ -5,6 +5,10 @@ witnesses in canonical carrier order, so repeated runs produce identical
 reports.  Lazy structures are checked on an explicit window: instances whose
 evaluation would leave the window are skipped and counted, and a clean run is
 reported as "pass-on-window", never as a global pass.
+
+The fast kernels take exact tables only and decide whether a whole table, or a
+packed row of a law over triples, passes.  A window's rows and each failing row
+of an exact table go through one per-instance path, which rebuilds the cells.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import and_, eq, invert, itemgetter, mul, not_, or_
+from operator import and_, eq, itemgetter, mul, or_
 
-from .errors import StructureError, WindowRequired
+from .errors import StructureError, WindowRequired, charge
 from .structures import Structure, TropicalStructure, _Setwise, _bits
 
 PASS = "pass"
@@ -178,13 +182,8 @@ def _containment(L, R, inex):
 
 
 def _equality(L, R, inex):
-    a = _containment(L, R, inex)
-    b = _containment(R, L, inex)
-    if "fail" in (a, b):
-        return "fail"
-    if "skip" in (a, b):
-        return "skip"
-    return "pass"
+    both = _containment(L, R, inex), _containment(R, L, inex)
+    return "fail" if "fail" in both else "skip" if "skip" in both else "pass"
 
 
 def _membership(bit, R, inex):
@@ -193,23 +192,30 @@ def _membership(bit, R, inex):
     return "skip" if R & inex else "fail"
 
 
-def _record_row(col, law, left, right, inex, axiom, instances):
-    """Record a row instance by instance; True once the collector is done."""
-    for l, r, instance in zip(left, right, instances):
-        col.record(law(l, r, inex), axiom, instance)
+def _unions(lines, masks, inex):
+    """For each line and mask, the union of the line's cells over the members of the
+    mask, inexact when the mask is."""
+    return (_union(line, m & ~inex, m & inex) for line, m in zip(lines, masks))
+
+
+def _record_row(col, law, inex, sides):
+    """The per-instance path of the laws over triples: record law(left, right) for each
+    (left, right, axiom, instance) of sides in turn, with the cells rebuilt by
+    _unions; True once the collector is done."""
+    for left, right, axiom, instance in sides:
+        col.record(law(left, right, inex), axiom, instance)
         if col.done:
             return True
     return False
 
 
-# -- packed rows and tensors: many cells in one int ---------------------------------
+# -- packed rows and tensors: many exact cells in one int ----------------------------
 #
-# A row of cells packs into one int at w = ceil((k + 1) / 8) bytes a cell, the
-# first cell in the highest bytes, so every cell keeps its inexact bit.  An OR of
-# packed rows is the packed row of the cellwise ORs, so a row of k instances
-# passes or fails with one int test.  A tensor is the k**3 cells (a, b, c) of a
-# law over triples, packed the same way, a major: all its instances pass or fail
-# with one int test.
+# A row of exact cells packs into one int at w = ceil(k / 8) bytes a cell, the first
+# cell in the highest bytes.  An OR of packed rows is the packed row of the cellwise
+# ORs, so a row of k instances passes or fails with one int test.  A tensor is the
+# k**3 cells (a, b, c) of a law over triples, packed the same way, a major: all its
+# instances pass or fail with one int test.
 #
 # For a whole table (exact, with cells of one byte) a side of a law is an OR of k
 # products: in_rows[x], the rows (a, b) of a tensor with 1 at the end of each row
@@ -240,13 +246,8 @@ def _pack(cells, w):
     return int.from_bytes(raw, "big")
 
 
-def _unpack(packed, n, w):
-    raw = packed.to_bytes(n * w, "big")
-    return [int.from_bytes(raw[o:o + w], "big") for o in range(0, n * w, w)]
-
-
-def _or(packed, indices, start=0):
-    return functools.reduce(or_, map(packed.__getitem__, indices), start)
+def _or(packed, indices):
+    return functools.reduce(or_, map(packed.__getitem__, indices), 0)
 
 
 def _sum_products(tensors, values):
@@ -260,20 +261,21 @@ def _rotated(tensor, k):
     return int.from_bytes(b"".join([raw[a::k] for a in range(k)]), "big")
 
 
-def _passes(L, R, equal, inex_all):
-    """Every instance of a packed row or tensor passes: L is exact, and within R (or
-    equal to R when equal is set)."""
-    return not L & inex_all and (L == R if equal else (L | R) == R)
+def _passes(L, R, equal):
+    """Every instance of a packed row or tensor passes: L within R (or equal to R when
+    equal is set)."""
+    return L == R if equal else (L | R) == R
 
 
 class _Table:
-    """A k x k table of a view: whether every cell is exact, and, made when a scan
-    first asks for them, its cells row by row (flat) and its columns (cols).  A
-    whole table, exact with cells of one byte (k <= 7), also holds its cells as
-    bytes, its rows and columns as bytes and as packed ints, and its in_rows."""
+    """A k x k table of a view: whether every cell is exact, its packed width
+    w = ceil(k / 8), and, made when a scan first asks for them, its cells row by row
+    (flat) and its columns (cols).  A whole table, exact with cells of one byte
+    (k <= 8), also holds its cells as bytes, its rows and columns as bytes and as
+    packed ints, and its in_rows."""
 
     def __init__(self, rows, k):
-        w = (k + 8) // 8
+        w = (k + 7) // 8
         self.rows, self.k, self.w = rows, k, w
         self.exact = max(map(max, rows)) >> k == 0
         self.whole = self.exact and w == 1
@@ -299,12 +301,12 @@ class _Table:
         return getattr(self, name)
 
 
-def _cells(tab, inex):
-    """The distinct cells of tab in first-seen order, as {cell: (its members, its
-    inexact bit)}, and the position of each."""
+def _cells(tab):
+    """The distinct cells of an exact tab in first-seen order, as {cell: its members},
+    and the position of each."""
     members = dict.fromkeys(itertools.chain.from_iterable(tab))
     for cell in members:
-        members[cell] = _bits(cell & ~inex), cell & inex
+        members[cell] = _bits(cell)
     return members, {cell: n for n, cell in enumerate(members)}
 
 
@@ -320,10 +322,10 @@ def _gather(get, unions):
     return int.from_bytes(b"".join(get(unions)), "big")
 
 
-def _row_unions(tab, members, w, inex):
+def _row_unions(tab, members, w):
     """For each row a of tab in turn, the list over the cells of members (from
-    _cells) of the OR of tab[a][y] over the members y of the cell, with the cell's
-    inexact bit, as w bytes; then b"".
+    _cells) of the OR of tab[a][y] over the members y of the cell, as w bytes;
+    then b"".
 
     The table's columns are packed over a block of rows, so one OR per member
     serves the whole block; only one block's unions are held at a time.
@@ -332,9 +334,7 @@ def _row_unions(tab, members, w, inex):
         block = tab[lo:lo + _BLOCK]
         n = len(block)
         cols = [_pack(c, w) for c in zip(*block)]
-        inex_n = _pack([inex] * n, w)
-        unions = [_or(cols, mem, inex_n if x else 0).to_bytes(n * w, "big")
-                  for mem, x in members.values()]
+        unions = [_or(cols, mem).to_bytes(n * w, "big") for mem in members.values()]
         unions.append(b"")
         for o in range(0, n * w, w):
             yield [raw[o:o + w] for raw in unions]
@@ -346,7 +346,26 @@ def _assoc_passes(t, equal):
     L = _sum_products(t.in_rows, t.packed_rows)
     # a.(b.c) over (b, c, a) is (a.b).c there on a commutative table
     R = L if _symmetric(t) else _sum_products(t.in_rows, t.packed_cols)
-    return _passes(L, _rotated(R, t.k), equal, 0)
+    return _passes(L, _rotated(R, t.k), equal)
+
+
+def _assoc_rows(t, equal):
+    """Whether each row (a, b) of an exact table passes, in order.  The left row over
+    c is the OR of the packed table rows x over x in a.b, and the right row gathers,
+    over the cells b.c, the unions of a.y over y in the cell, which _row_unions
+    builds for all distinct cells and one row a at a time."""
+    tab, w = t.rows, t.w
+    packed = [_pack(row, w) for row in tab]
+    members, ids = _cells(tab)
+    getters = _getters(ids, tab)
+    # _or, _gather and _passes are inlined here: every derived carrier's check runs
+    # this loop
+    reduce, from_bytes, join = functools.reduce, int.from_bytes, b"".join
+    for row, right in zip(tab, _row_unions(tab, members, w)):
+        for get, ab in zip(getters, row):
+            L = reduce(or_, map(packed.__getitem__, members[ab]), 0)
+            R = from_bytes(join(get(right)), "big")
+            yield L == R if equal else (L | R) == R
 
 
 def _scan_assoc(view, col, tab, axiom, law):
@@ -354,46 +373,35 @@ def _scan_assoc(view, col, tab, axiom, law):
 
     A whole table is tested at once (_assoc_passes): (a.b).c puts the packed row
     x in each row (a, b) whose cell holds x, and a.(b.c), over (b, c, a), the
-    packed column y in each row (b, c) whose cell holds y.  Otherwise one packed
-    row (a, b) at a time: the left row over c is the OR of the packed table rows
-    x over x in a.b, and the right row gathers, over the cells b.c, the unions of
-    a.y over y in the cell, which _row_unions builds for all distinct cells and
-    one row a at a time.  A row whose k instances all pass is counted at once;
-    any other row is unpacked and recorded instance by instance, so witnesses,
-    counts and the early exit are those of a per-triple scan.
+    packed column y in each row (b, c) whose cell holds y.  Any other exact table
+    goes one packed row (a, b) at a time (_assoc_rows), and a row whose k
+    instances all pass is counted at once.  Every row of a window, and each
+    failing row, goes through the per-instance path, so witnesses, counts and the
+    early exit are those of a per-triple scan.
     """
     els, k, inex = view.elements, view.k, view.inex
     t = view.table(tab)
-    w, equal = t.w, law is _equality
+    equal = law is _equality
     if t.whole and _assoc_passes(t, equal):
         col.checked += k ** 3
         return
-    inex_all = _pack([inex] * k, w)
-    packed = [_pack(row, w) for row in tab]
-    members, ids = _cells(tab, inex)
-    getters = _getters(ids, tab)
-    # _or, _gather and _passes are inlined here: every derived carrier's check runs
-    # this loop
-    reduce, from_bytes, join = functools.reduce, int.from_bytes, b"".join
-    for i, right in enumerate(_row_unions(tab, members, w, inex)):
-        for j, ab in enumerate(tab[i]):
-            mem, x = members[ab]
-            L = reduce(or_, map(packed.__getitem__, mem), inex_all if x else 0)
-            R = from_bytes(join(getters[j](right)), "big")
-            if not L & inex_all and (L == R if equal else (L | R) == R):
-                col.checked += k
-            elif _record_row(col, law, _unpack(L, k, w), _unpack(R, k, w), inex, axiom,
-                             ((els[i], els[j], c) for c in els)):
-                return
+    for n, passed in enumerate(_assoc_rows(t, equal) if t.exact else repeat(False, k * k)):
+        if passed:
+            col.checked += k
+            continue
+        i, j = divmod(n, k)
+        if _record_row(col, law, inex, zip(_unions(t.cols, repeat(tab[i][j]), inex),
+                                           _unions(repeat(tab[i]), tab[j], inex),
+                                           repeat(axiom), [(els[i], els[j], c) for c in els])):
+            return
 
 
 # -- individual axiom scans -------------------------------------------------
 #
-# Each scan first tests all its instances at once and counts them when they all
-# pass; a law over triples on a table too large to test whole goes one packed row
-# at a time.  Only a table or row that fails that test, for an inexact cell or a
-# failing instance, is recorded instance by instance, in the order of a
-# per-instance scan.
+# Each scan first tests all its instances at once on an exact table and counts
+# them when they all pass; a law over triples on a table too large to test whole
+# goes one packed row at a time.  A window's table, and a table or row that fails
+# that test, is recorded instance by instance, in the order of a per-instance scan.
 
 
 def _units(k):
@@ -468,19 +476,6 @@ def _scan_multigroup(view, col, opname, unit_i, use_inversion):
     _scan_assoc(view, col, tab, "M3" + suffix, _containment)
 
 
-def _holders(cells, k):
-    """T[a]: the mask of the positions c whose cell holds a.
-
-    The cells' bit strings, the last cell first, are joined into one string; the
-    slice of every k-th character from the one of bit a reads off its holders,
-    the last position first.
-    """
-    bits = "".join(map(format, map(and_, reversed(cells), repeat((1 << k) - 1)),
-                       repeat(f"0{k}b")))
-    return list(map(int, map(bits.__getitem__, map(slice, range(k - 1, -1, -1), repeat(None),
-                                                   repeat(k))), repeat(2)))
-
-
 def _transpose_steps(size, n):
     """The steps that transpose every block of size x size bits of an int of n
     blocks (bit c of row r of a block at r * size + c, the first block lowest):
@@ -534,34 +529,18 @@ def _m1_passes(t, neg):
 def _scan_m1(view, col, tab, axiom):
     """M1, reversibility: for every c in a.b, a in c.(-b) and b in (-a).c.
 
-    An exact table is tested at once (_m1_passes).  Otherwise, for each b, the
-    holders of a in the column -b give the c with a in c.(-b); for each a, the
-    holders of b in the row -a give the c with b in (-a).c.  A pair
-    (a, b) passes whole when its cell is exact and lies within both, and a row
-    of pairs that all pass is counted at once.  Any other pair goes through the
-    per-c loop, so witnesses, counts and the early exit are those of a
-    per-member scan.  A member of an inexact cell counts as a member.  One
-    column's or row's holders are held at a time, with one byte per pair.
+    An exact table is tested at once (_m1_passes).  A window's table, or one that
+    fails that test, goes through the per-member loop, so witnesses, counts and
+    the early exit are those of a per-member scan.  A member of an inexact cell
+    counts as a member.
     """
     els, k, neg, inex = view.elements, view.k, view.neg, view.inex
     t = view.table(tab)
     if t.exact and _m1_passes(t, neg):
         col.checked += k * k
         return
-    # right[b * k + a]: 1 when every c in a.b has a in c.(-b)
-    right = b"".join(bytes(map(not_, map(and_, t.cols[b], map(invert, _holders(t.cols[n], k)))))
-                     for b, n in enumerate(neg))
     for i, row in enumerate(tab):
-        # both[b]: 1 when, besides, every c in a.b has b in (-a).c
-        left = map(not_, map(and_, row, map(invert, _holders(tab[neg[i]], k))))
-        both = bytes(map(and_, right[i::k], left))
-        if all(both):
-            col.checked += k
-            continue
         for j, cell in enumerate(row):
-            if both[j]:
-                col.checked += 1
-                continue
             if cell == inex:
                 col.record("skip", axiom, (els[i], els[j]))
                 continue
@@ -668,46 +647,44 @@ def _scan_weak_dist(view, col):
     The right sides are the setwise sums of the product's columns a, b and of
     its rows a, b.  Whole tables are tested at once: c(a+b) and (a+b)c put
     the product's packed column and row x in each row (a, b) whose sum holds x.
-    Otherwise one packed row (a, b) at a time: the rows c.s and s.c over c, for
-    s = a+b, are ORs of the product's packed columns and rows over the members
-    of s.  A row whose 2k instances all pass is counted at once; any other row
-    is recorded instance by instance, c(a+b) before (a+b)c for each c.  A sum
-    a+b that escapes the window leaves both sides unknown: 2k skips.
+    Other exact tables go one packed row (a, b) at a time: the rows c.s and s.c
+    over c, for s = a+b, are ORs of the product's packed columns and rows over
+    the members of s, and a row whose 2k instances all pass is counted at once.
+    Every row of a window, and each failing row, goes through the per-instance
+    path, c(a+b) before (a+b)c for each c.  A sum a+b that escapes the window
+    leaves both sides unknown: 2k skips.
     """
     els, k, inex, prods = view.elements, view.k, view.inex, view.prod
     s, p = view.table(view.sum), view.table(prods)
-    w = p.w
+    w, exact = p.w, s.exact and p.exact
     # ca+cb and ac+bc; on a commutative product they are the same, and so are the
     # left sides
     right = _line_sums(view, s, p, True)
     right2 = right if _symmetric(p) else _line_sums(view, s, p, False)
     if (s.whole and p.whole
-            and _passes(_sum_products(s.in_rows, p.packed_cols), _pack(right, w), False, 0)
+            and _passes(_sum_products(s.in_rows, p.packed_cols), _pack(right, w), False)
             and (right2 is right or _passes(_sum_products(s.in_rows, p.packed_rows),
-                                            _pack(right2, w), False, 0))):
+                                            _pack(right2, w), False))):
         col.checked += 2 * k ** 3
         return
-    inex_row = _pack([inex] * k, w)
-    members, _ = _cells(view.sum, inex)
-    packed_cols, packed_rows = [_pack(c, w) for c in p.cols], [_pack(r, w) for r in prods]
-    cs = {ab: _or(packed_cols, mem, inex_row if x else 0) for ab, (mem, x) in members.items()}
-    sc = {ab: _or(packed_rows, mem, inex_row if x else 0) for ab, (mem, x) in members.items()}
+    if exact:
+        members, _ = _cells(view.sum)
+        packed_cols, packed_rows = [_pack(c, w) for c in p.cols], [_pack(r, w) for r in prods]
+        lefts = {ab: (_or(packed_cols, mem), _or(packed_rows, mem)) for ab, mem in members.items()}
     for n, ab in enumerate(s.flat):
         R, R2 = right[n * k:(n + 1) * k], right2[n * k:(n + 1) * k]
-        if (_passes(cs[ab], _pack(R, w), False, inex_row)
-                and _passes(sc[ab], _pack(R2, w), False, inex_row)):
+        if exact and (_passes(lefts[ab][0], _pack(R, w), False)
+                      and _passes(lefts[ab][1], _pack(R2, w), False)):
             col.checked += 2 * k
             continue
         a, b = divmod(n, k)
-        L, L2 = _unpack(cs[ab], k, w), _unpack(sc[ab], k, w)
-        for c in range(k):
-            col.record(_containment(L[c], R[c], inex), "weak-dist", (els[c], els[a], els[b]))
-            if col.done:
-                return
-            col.record(_containment(L2[c], R2[c], inex), "weak-dist-right",
-                       (els[a], els[b], els[c]))
-            if col.done:
-                return
+        sides = zip(_unions(prods, repeat(ab), inex), R, repeat("weak-dist"),
+                    [(c, els[a], els[b]) for c in els])
+        sides2 = zip(_unions(p.cols, repeat(ab), inex), R2, repeat("weak-dist-right"),
+                     [(els[a], els[b], c) for c in els])
+        if _record_row(col, _containment, inex,
+                       itertools.chain.from_iterable(zip(sides, sides2))):
+            return
 
 
 def _scan_hyper_dist(view, col):
@@ -715,31 +692,32 @@ def _scan_hyper_dist(view, col):
 
     The right side is the setwise sums of ab and ac.  Whole tables are tested
     at once: a(b+c), over (b, c, a), puts the product's packed column x in each
-    row (b, c) whose sum holds x.  Otherwise one packed row (a, b) at a time: the
-    left row gathers, over the sums b+c, the unions a.(b+c), which _row_unions
-    builds from the product for all distinct sum cells and one row a at a time.
-    A passing row is counted at once, any other row is recorded instance by
-    instance.
+    row (b, c) whose sum holds x.  Other exact tables go one packed row (a, b) at
+    a time: the left row gathers, over the sums b+c, the unions a.(b+c), which
+    _row_unions builds from the product for all distinct sum cells and one row a
+    at a time, and a passing row is counted at once.  Every row of a window, and
+    each failing row, goes through the per-instance path.
     """
     els, k, inex, prods = view.elements, view.k, view.inex, view.prod
     s, p = view.table(view.sum), view.table(prods)
-    w, plus = p.w, _plus(view)
+    w, plus, exact = p.w, _plus(view), s.exact and p.exact
     firsts = itertools.chain.from_iterable(map(repeat, p.flat, repeat(k)))
     right = list(map(plus.__getitem__, zip(firsts, _flat(map(mul, prods, repeat(k))))))
     if (s.whole and p.whole
             and _rotated(_sum_products(s.in_rows, p.packed_cols), k) == _pack(right, w)):
         col.checked += k ** 3
         return
-    members, ids = _cells(view.sum, inex)
-    inex_row = _pack([inex] * k, w)
-    getters = _getters(ids, view.sum)
-    for a, unions in enumerate(_row_unions(prods, members, w, inex)):
+    if exact:
+        members, ids = _cells(view.sum)
+        getters = _getters(ids, view.sum)
+    for a, unions in enumerate(_row_unions(prods, members, w) if exact else repeat(None, k)):
         for b in range(k):
-            L, R = _gather(getters[b], unions), right[(a * k + b) * k:(a * k + b + 1) * k]
-            if _passes(L, _pack(R, w), True, inex_row):
+            R = right[(a * k + b) * k:(a * k + b + 1) * k]
+            if exact and _gather(getters[b], unions) == _pack(R, w):
                 col.checked += k
-            elif _record_row(col, _equality, _unpack(L, k, w), R, inex, "hyper-dist",
-                             ((els[a], els[b], c) for c in els)):
+            elif _record_row(col, _equality, inex, zip(
+                    _unions(repeat(prods[a]), view.sum[b], inex), R, repeat("hyper-dist"),
+                    [(els[a], els[b], c) for c in els])):
                 return
 
 
@@ -756,8 +734,7 @@ def _scan_signs(view, col):
     if 255 not in members:
         neg_ab = list(members.translate(bytes(neg_bits).ljust(256, b"\0")))
     else:
-        negs = {cell: _union(neg_bits, cell & ~inex, cell & inex) for cell in set(t.flat)}
-        neg_ab = list(map(negs.__getitem__, t.flat))
+        neg_ab = list(_unions(repeat(neg_bits), t.flat, inex))
     if (t.exact and neg_ab == _flat(map(prod.__getitem__, neg))
             and neg_ab == _flat(zip(*map(t.cols.__getitem__, neg)))):
         col.checked += 2 * k * k
@@ -786,8 +763,8 @@ def _scan_no_zero_divisors(view, col):
     nonzero[z] = 0
     pairs = nonzero * k
     pairs[z * k:(z + 1) * k] = [0] * k
-    cells = view.table(view.prod).flat
-    if not any(compress(map(and_, cells, repeat(1 << z | inex)), pairs)):
+    t = view.table(view.prod)
+    if t.exact and not any(compress(map(and_, t.flat, repeat(1 << z)), pairs)):
         col.checked += (k - 1) ** 2
         return
     for a in range(k):
@@ -860,16 +837,21 @@ _KIND_SCANS = {
 def verify_axioms(S, kind, window=None, witness_limit=3, stop_on_first=False):
     """Exhaustively check the axioms of the given kind over S.
 
-    Lazy structures require window=(lo, hi); the verdict is then at best
-    "pass-on-window" and skipped instance counts are reported.
+    Lazy structures require window=(lo, hi), and only they take one; the verdict
+    is then at best "pass-on-window" and skipped instance counts are reported.
+    A window of k elements is charged k**3 to the search limit before its tables
+    are built; a finite structure's check is not charged.
     """
     if kind not in _KIND_SCANS:
         raise StructureError(f"unknown structure kind {kind!r}")
     if isinstance(S, TropicalStructure):
         if window is None:
             raise WindowRequired("axiom check on a lazy structure needs window=(lo, hi)")
+        charge(len(S.window_elements(*window)) ** 3, "window axiom instances")
         view = _View.of_window(S, *window)
     elif isinstance(S, Structure):
+        if window is not None:
+            raise StructureError(f"{S.name} is finite: only a lazy structure takes a window")
         view = _View.of_structure(S)
     else:
         raise StructureError(f"cannot verify {S!r}")
@@ -1032,15 +1014,18 @@ def _scan_action(view, F, col, full):
     """MV0-MV3 for the action of the scalars F on a tabulated vector carrier.
 
     MV2 and MV3 demand containment of the left side in the right side, or
-    equality when full is set; MV0 and MV1 always demand equality.  MV1 and MV3
-    test one packed row (lam, mu) over v, MV2 one row (lam, v) over w, as
-    _scan_assoc does.  The unions of lam.y over the members y of a cell come from
-    _row_unions on the action table, over the distinct action cells for MV1 and
-    the distinct sum cells for MV2, one lam at a time.  The right side of MV2,
-    lam.v + lam.w over w, is the OR over x in lam.v of packed rows that gather
-    the unions of x + y over y in lam.w; they are built for one lam at a time.
+    equality when full is set; MV0 and MV1 always demand equality.  A vector
+    carrier's tables are exact, and a scalar cell is a mask over the scalars, so
+    no cell here has an inexact bit.  MV1 and MV3 test one packed row (lam, mu)
+    over v, MV2 one row (lam, v) over w, as _scan_assoc does.  The unions of
+    lam.y over the members y of a cell come from _row_unions on the action
+    table, over the distinct action cells for MV1 and the distinct sum cells for
+    MV2, one lam at a time.  The right side of MV2, lam.v + lam.w over w, is the
+    OR over x in lam.v of packed rows that gather the unions of x + y over y in
+    lam.w; they are built for one lam at a time.  A row that fails goes through
+    the per-instance path.
     """
-    els, act, k, inex = view.elements, view.act, view.k, view.inex
+    els, act, k = view.elements, view.act, view.k
     scal = F.elements
     s = len(scal)
     one, zero = F.index(F.one), F.index(F.zero)
@@ -1049,53 +1034,54 @@ def _scan_action(view, F, col, full):
         col.checked += 2 * k  # MV0 holds in both columns
     else:
         for v in range(k):
-            col.record(_equality(act[one][v], 1 << v, inex), "MV0-one", (els[v],))
+            col.record(_equality(act[one][v], 1 << v, 0), "MV0-one", (els[v],))
             if col.done:
                 return
-            col.record(_equality(act[zero][v], zero_vec, inex), "MV0-zero", (els[v],))
+            col.record(_equality(act[zero][v], zero_vec, 0), "MV0-zero", (els[v],))
             if col.done:
                 return
-    width = (k + 8) // 8
-    inex_all = _pack([inex] * k, width)
+    width = (k + 7) // 8
 
-    def done(L, R, law, axiom, instances):
+    def done(L, R, law, sides):
         """Count a passing packed row, or record it instance by instance; True once
         the collector is done."""
-        if _passes(L, R, law is _equality, inex_all):
+        if _passes(L, R, law is _equality):
             col.checked += k
             return False
-        return _record_row(col, law, _unpack(L, k, width), _unpack(R, k, width), inex,
-                           axiom, instances)
+        return _record_row(col, law, 0, sides)
 
-    acts = [_pack(row, width) for row in act]
-    act_cells, act_ids = _cells(act, inex)
+    acts, cols = [_pack(row, width) for row in act], list(zip(*act))
+    act_cells, act_ids = _cells(act)
     act_getters = _getters(act_ids, act)
     # MV1: (lam mu) v = lam (mu v)
-    for lam, unions in enumerate(_row_unions(act, act_cells, width, inex)):
+    for lam, unions in enumerate(_row_unions(act, act_cells, width)):
         for mu in range(s):
-            R = _gather(act_getters[mu], unions)
-            if done(_or(acts, _bits(F._prod[lam][mu])), R, _equality, "MV1",
-                    ((scal[lam], scal[mu], v) for v in els)):
+            m = F._prod[lam][mu]
+            if done(_or(acts, _bits(m)), _gather(act_getters[mu], unions), _equality, zip(
+                    _unions(cols, repeat(m), 0), _unions(repeat(act[lam]), act[mu], 0),
+                    repeat("MV1"), ((scal[lam], scal[mu], v) for v in els))):
                 return
     law = _equality if full else _containment
+    plus = _Setwise(view.sum)
     # MV2: lam (v + w) within lam v + lam w
-    sum_cells, sum_ids = _cells(view.sum, inex)
+    sum_cells, sum_ids = _cells(view.sum)
     sum_getters = _getters(sum_ids, view.sum)
-    for lam, unions in enumerate(_row_unions(act, sum_cells, width, inex)):
-        sums = [_gather(act_getters[lam], u)
-                for u in _row_unions(view.sum, act_cells, width, inex)]
+    for lam, unions in enumerate(_row_unions(act, sum_cells, width)):
+        row = act[lam]
+        sums = [_gather(act_getters[lam], u) for u in _row_unions(view.sum, act_cells, width)]
         for v in range(k):
-            R = _or(sums, act_cells[act[lam][v]][0])
-            if done(_gather(sum_getters[v], unions), R, law, "MV2",
-                    ((scal[lam], els[v], w) for w in els)):
+            if done(_gather(sum_getters[v], unions), _or(sums, act_cells[row[v]]), law, zip(
+                    _unions(repeat(row), view.sum[v], 0),
+                    map(plus.__getitem__, zip(repeat(row[v]), row)),
+                    repeat("MV2"), ((scal[lam], els[v], w) for w in els))):
                 return
     # MV3: (lam + mu) v within lam v + mu v
-    plus = _Setwise(view.sum)
     for lam in range(s):
         for mu in range(s):
-            R = _pack(map(plus.__getitem__, zip(act[lam], act[mu])), width)
-            if done(_or(acts, _bits(F._sum[lam][mu])), R, law, "MV3",
-                    ((scal[lam], scal[mu], v) for v in els)):
+            R, m = list(map(plus.__getitem__, zip(act[lam], act[mu]))), F._sum[lam][mu]
+            if done(_or(acts, _bits(m)), _pack(R, width), law, zip(
+                    _unions(cols, repeat(m), 0), R, repeat("MV3"),
+                    ((scal[lam], scal[mu], v) for v in els))):
                 return
 
 

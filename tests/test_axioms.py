@@ -453,9 +453,10 @@ def _scans_agree(view, scan, ref_scan, *args):
     tables, and the tuple-cell law where scan gets an int-cell law.  A scan
     without witnesses runs once: the limits cannot change it.  On exact tables
     whose instances all pass, scan must count them without recording any, and
-    its whole-table tests may not fail them: M1 tests every exact table whole
-    (no _holders), the laws over triples every one of at most 7 elements (no
-    _cells; the action scan gathers its unions with _cells at every size).
+    its whole-table and packed-row tests may not fail them: no row of a law over
+    triples reaches the per-instance path (_record_row), and the laws over
+    triples test every table of at most 8 elements whole (no _cells; the action
+    scan gathers its unions with _cells at every size).
     """
     tview = _tuple_view(view)
     swap = {id(view.sum): tview.sum, id(view.prod): tview.prod,
@@ -473,8 +474,8 @@ def _scans_agree(view, scan, ref_scan, *args):
             break
     if not runs[0].witnesses and not runs[0].skipped and _exact(view):
         quiet = _Quiet(**_UNLIMITED)
-        row_paths = ("_holders", "_cells") if view.k <= 7 and view.act is None \
-            else ("_holders",)
+        row_paths = ("_record_row", "_cells") if view.k <= 8 and view.act is None \
+            else ("_record_row",)
         with unittest.mock.patch.multiple(axioms, **dict.fromkeys(row_paths, _refused)):
             scan(view, quiet, *args)
         assert quiet.checked == runs[0].checked, (scan.__name__, args[1:])
@@ -514,8 +515,9 @@ def test_assoc_kernel_matches_per_triple_loop_on_builtins(monkeypatch, name):
         _reports_agree(monkeypatch, lambda: verify_axioms(S, kind))
 
 
-# (-3, 2), (-3, 3), (-7, 6) and (-7, 7) have 7, 8, 15 and 16 elements: a packed cell,
-# with its inexact bit, just fills or just overflows one or two bytes.
+# (-3, 2), (-3, 3), (-7, 6) and (-7, 7) have 7, 8, 15 and 16 elements, the carrier
+# sizes around one and two bytes of cell bits; every row of a window goes through
+# the per-instance path.
 @pytest.mark.parametrize("window", [(-5, 5), (-3, 3), (-3, 2), (-7, 6), (-7, 7)])
 def test_assoc_kernel_matches_per_triple_loop_on_windows(monkeypatch, trop, window):
     view = _View.of_window(trop, *window)
@@ -536,12 +538,12 @@ def _space_view(V):
 
 @pytest.fixture(scope="module")
 def carriers(K, Q2, H2, H3, h3_quotient):
-    return {"H3^3": fn_space(H3, 3), "K^5": fn_space(K, 5), "Q2^3": fn_space(Q2, 3),
-            "M2x2(H2)": matrix_space(H2, 2, 2),
+    return {"H3^3": fn_space(H3, 3), "K^3": fn_space(K, 3), "K^5": fn_space(K, 5),
+            "Q2^3": fn_space(Q2, 3), "M2x2(H2)": matrix_space(H2, 2, 2),
             "quotient|H3": extension_space(h3_quotient[1])}
 
 
-@pytest.mark.parametrize("name", ["H3^3", "K^5", "Q2^3", "M2x2(H2)", "quotient|H3"])
+@pytest.mark.parametrize("name", ["H3^3", "K^3", "K^5", "Q2^3", "M2x2(H2)", "quotient|H3"])
 def test_assoc_kernel_matches_per_triple_loop_on_derived_carriers(
         monkeypatch, carriers, name):
     V = carriers[name]
@@ -591,9 +593,10 @@ def test_assoc_kernel_matches_per_triple_loop_on_random_partial_tables(view):
     _assoc_agrees(view, view.prod, "assoc-prod", axioms._equality)
 
 
-# Carriers of 7 to 17 elements: packed cells of one, two and three bytes, and the
-# sizes where the inexact bit is the first bit of a new byte.  Few inexact cells,
-# so that wide rows pass whole as well as fail.
+# Carriers of 7 to 17 elements: exact packed cells of one, two and three bytes (8
+# and 16 elements fill their bytes), and on random partial tables the sizes where a
+# window's inexact bit would be the first bit of a new byte.  Few inexact cells, so
+# that on exact tables wide rows pass whole as well as fail.
 _BYTE_EDGES = st.sampled_from([7, 8, 9, 15, 16, 17])
 
 
@@ -746,7 +749,7 @@ def test_m1_and_dist_kernels_match_per_instance_loops_on_windows(trop, window):
     _kernels_agree(_View.of_window(trop, *window))
 
 
-@pytest.mark.parametrize("name", ["H3^3", "K^5", "M2x2(H2)"])
+@pytest.mark.parametrize("name", ["H3^3", "K^3", "K^5", "M2x2(H2)"])
 def test_m1_kernel_matches_per_member_loop_on_derived_carriers(carriers, name):
     V = carriers[name]
     view = _space_view(V)
@@ -1078,7 +1081,7 @@ def _action_agrees(view, F):
                      lambda v, col: _ref_scan_action(v, F, col, full))
 
 
-@pytest.mark.parametrize("name", ["H3^3", "K^5", "Q2^3", "M2x2(H2)", "quotient|H3"])
+@pytest.mark.parametrize("name", ["H3^3", "K^3", "K^5", "Q2^3", "M2x2(H2)", "quotient|H3"])
 def test_action_scan_matches_tuple_loop_on_derived_carriers(carriers, name):
     V = carriers[name]
     _action_agrees(_space_view(V), V.scalars)

@@ -31,6 +31,24 @@ def test_verify_window(capsys):
     assert "pass-on-window" in capsys.readouterr().out
 
 
+def test_window_check_is_charged_its_instances(capsys):
+    # the window -5..5 and inf has 12 elements: 12**3 = 1728 instances per law over triples
+    assert run_cli("--budget", "1727", "verify", "builtin:Trop", "--kind", "multifield",
+                   "--window", "-5", "5") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: window axiom instances: 1728 exceeds budget 1727\n"
+    assert run_cli("--budget", "1728", "verify", "builtin:Trop", "--kind", "multifield",
+                   "--window", "-5", "5") == 0
+
+
+def test_window_on_a_finite_structure_is_an_error_line(capsys):
+    assert run_cli("verify", "builtin:K", "--kind", "superfield", "--window", "0", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: K is finite: only a lazy structure takes a window\n"
+
+
 def test_structure_file_loading(tmp_path, capsys, H3):
     from mvla import serialize_structure
     path = tmp_path / "h3.struct"
@@ -435,6 +453,7 @@ _BUDGET_ONE = {
     "matmul": "matmul m.txt m.txt --structure builtin:H3",
     "quotient": "quotient builtin:H3 --poly 1,0,2",
     "solve": "solve none.sys --structure builtin:H3",
+    "verify-window": "verify builtin:Trop --kind multifield --window -5 5",
     "vspace": "vspace --structure builtin:H3 --space fn --n 4",
 }
 

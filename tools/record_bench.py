@@ -15,7 +15,9 @@ checkout's own files:
 - the cold structure check every library entry point pays: `builtin()` and
   `structure_is` on a fresh structure, for each of COLD_STRUCTURES under each of
   COLD_KINDS, COLD_CALLS calls in each of REPEATS fresh interpreters; the row is
-  the median in microseconds, and its work units are `verify_axioms(...).checked`.
+  the median in microseconds, and its work units are `verify_axioms(...).checked`;
+- the size of the library: `repo/src_lines`, the line count of `src/mvla/*.py`
+  (what `cat src/mvla/*.py | wc -l` prints), which is also its work units.
 
 Each row holds the machine, the Python version, a layer, a name, the median
 over the runs, its unit, the number of runs and the work units behind it.
@@ -173,6 +175,12 @@ def cold_rows(root, repeats):
                  [{"checked": r[key][1]} for r in runs]) for key in runs[0]]
 
 
+def src_lines_row(root):
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in sorted((root / "src" / "mvla").glob("*.py")))
+    return _row("repo", "src_lines", [lines], "lines", [{"lines": lines}])
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
@@ -192,6 +200,7 @@ def main(argv=None):
     rows += verb_rows(root, REPEATS)
     print("cold checks", file=sys.stderr, flush=True)
     rows += cold_rows(root, REPEATS)
+    rows.append(src_lines_row(root))
     head = {"machine": machine(), "python": platform.python_version()}
     doc = {"pr": args.pr, "commit": commit, "seed": SEED, **head,
            "rows": [{**head, **row} for row in rows]}
