@@ -2,23 +2,21 @@
 
 Quotient elements are coefficient vectors of length deg p (canonical coset
 representatives), numbered in itertools.product order.  The sum, negation and
-zero are the componentwise tables of F^(deg p); products go through the
-polynomial convolution followed by reduction against every admissible
-remainder, so no multivalue is silently dropped, and each product cell is the
-mask of those remainders.  Constructed quotients are only released after
-passing the full superfield axiom scan.
+zero are the componentwise tables of F^(deg p).  Each product cell divides the
+convolution box by p position by position: for each quotient q the admissible
+remainders form a box, and the cell is the union of those boxes, so no
+multivalue is silently dropped and no member is expanded.  Constructed
+quotients are only released after passing the full superfield axiom scan.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from operator import or_
 
 from .axioms import MorphismSpec, check_morphism, structure_is, verify_axioms
 from .errors import CongruenceError, ReducibleError, StructureError
-from .polys import (Poly, PolySet, _in_box_plus, _irreducible, _nonzero, _remainders,
+from .polys import (Poly, PolySet, _divisions, _irreducible, _members_bits, _nonzero,
                     all_polys, evaluate, pmul)
 from .structures import Structure, _bits
 from .vspaces import _componentwise_tables, extension_space, is_linearly_independent
@@ -54,49 +52,28 @@ def classify_extension(pair):
 # -- the quotient superfield -----------------------------------------------------
 
 
-def _reduce_poly(z, p, boxes=None):
-    """The remainders r (length m = deg p) with z in q*p + r for bounded q, as a mask.
-
-    Bit n is the remainder of coefficient indices r with n = sum r[i] * |F|^(m-1-i),
-    the n-th tuple in itertools.product order, as in the quotient's carrier.
-    boxes maps the coefficient indices of q to the box q*p; a caller reducing
-    many z against one p passes the same dict to every call.
-    """
-    if boxes is None:
-        boxes = {}
-    F = p.base
-    m = p.degree
-    if z.degree < m:
-        padded = z.indices + (F._idx[F.zero],) * (m - len(z.indices))
-        return 1 << sum(r * len(F) ** (m - 1 - i) for i, r in enumerate(padded))
-    target = PolySet.singleton(z).masks
-    found = 0
-    for top in _nonzero(F):
-        for low in itertools.product(range(len(F)), repeat=z.degree - m):
-            q = low + (top,)
-            if q not in boxes:
-                boxes[q] = pmul(Poly.from_indices(F, q), p)
-            box = boxes[q]
-            for n, (_, rbits) in enumerate(_remainders(F, m)):
-                if _in_box_plus(box, rbits, target):
-                    found |= 1 << n
-    return found
+def _remainder_mask(Z, p, boxes):
+    """The remainders of the members of box Z modulo p, the union of the boxes R of
+    _divisions, as a mask: bit n is the remainder r with n = sum r[i] * |F|^(m-1-i),
+    the n-th tuple in itertools.product order, as in the quotient's carrier."""
+    return _members_bits([R[::-1] for _, R in _divisions(Z, p, boxes) if R is not None],
+                         len(p.base))
 
 
-def make_quotient_superfield(F, p, verify=True):
+def make_quotient_superfield(F, p):
     """The quotient of the polynomial superring by an irreducible p.
 
     The carrier is every coefficient vector of length deg p; the sum is
-    componentwise, the product reduces each convolution member against all
+    componentwise, the product reduces each convolution box against all
     admissible remainders.  The superfield axioms are re-checked before the
     structure is returned; failure raises a CongruenceError carrying the
     witness (the faithfulness of representative arithmetic to coset
     arithmetic is exactly what that check probes).
     """
-    return _quotient(F, p, verify, {})
+    return _quotient(F, p, {})
 
 
-def _quotient(F, p, verify, slices):
+def _quotient(F, p, slices):
     """make_quotient_superfield, scanning p over a search's slice table."""
     if not structure_is(F, "superfield"):
         raise StructureError(f"{F.name} is not a superfield")
@@ -104,6 +81,16 @@ def _quotient(F, p, verify, slices):
     if not verdict:
         raise ReducibleError(f"{p!r} is reducible (witness {verdict.witness!r})",
                              witnesses=(("divisor", verdict.witness),))
+    out = _quotient_tables(F, p)
+    report = verify_axioms(out, "superfield")
+    if not report.passed:
+        raise CongruenceError(f"quotient by {p!r} fails the superfield axioms",
+                              witnesses=report.witnesses)
+    return out
+
+
+def _quotient_tables(F, p):
+    """The quotient's carrier and tables, neither scanned for irreducibility nor verified."""
     m = p.degree
     sum_tab, _, neg, zero_i = _componentwise_tables(F, m)
     boxes = {}
@@ -111,38 +98,31 @@ def _quotient(F, p, verify, slices):
     prod_tab = []
     for i, fx in enumerate(polys):
         # the product is symmetric: the cells left of the diagonal are copies
-        prod_tab.append([row[i] for row in prod_tab] + [
-            functools.reduce(or_, (_reduce_poly(z, p, boxes) for z in pmul(fx, fy).members()))
-            for fy in polys[i:]])
+        prod_tab.append([row[i] for row in prod_tab] +
+                        [_remainder_mask(pmul(fx, fy), p, boxes) for fy in polys[i:]])
 
     # (1, 0, ..., 0) is the zero vector with its leading coordinate raised
     one_i = zero_i + (F._idx[F.one] - F._idx[F.zero]) * len(F) ** (m - 1)
     name = f"{F.name}({','.join(str(c) for c in p.coeffs)})"
-    out = Structure.from_masks(name, itertools.product(F.elements, repeat=m), zero_i, one_i,
-                               neg, sum_tab, prod_tab)
-    if verify:
-        report = verify_axioms(out, "superfield")
-        if not report.passed:
-            raise CongruenceError(
-                f"quotient by {p!r} fails the superfield axioms",
-                witnesses=report.witnesses)
-    return out
+    return Structure.from_masks(name, itertools.product(F.elements, repeat=m), zero_i, one_i,
+                                neg, sum_tab, prod_tab)
 
 
-def quotient_pair(F, p, verify=True):
+def quotient_pair(F, p):
     """(quotient, extension pair, generator): the constant embedding and X-bar."""
-    return _quotient_pair(F, p, verify, {})
+    return _quotient_pair(F, p, {})
 
 
-def _quotient_pair(F, p, verify, slices):
-    K = _quotient(F, p, verify, slices)
+def _quotient_pair(F, p, slices):
+    K = _quotient(F, p, slices)
     m = p.degree
     mapping = {a: (a,) + (F.zero,) * (m - 1) for a in F.elements}
     pair = ExtensionPair.of(F, K, mapping)
     if m >= 2:
         gamma = (F.zero, F.one) + (F.zero,) * (m - 2)
     else:
-        gamma = K.elements[_bits(_reduce_poly(Poly.x_power(F, 1), p))[0]]
+        x = PolySet.singleton(Poly.x_power(F, 1))
+        gamma = K.elements[_bits(_remainder_mask(x, p, {}))[0]]
     return K, pair, gamma
 
 
@@ -171,7 +151,7 @@ def find_quotient_superfield(F, degree):
         if p.degree != degree or not _irreducible(p, slices):
             continue
         try:
-            K, pair, gamma = _quotient_pair(F, p, True, slices)
+            K, pair, gamma = _quotient_pair(F, p, slices)
         except CongruenceError:
             rejected.append(p)
             continue

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import or_
 
-from .errors import CongruenceError, StructureError, WindowRequired
+from .errors import CongruenceError, StructureError, WindowRequired, charge
 from .structures import Structure, TropicalStructure, _bits
 
 
@@ -20,16 +22,21 @@ def characteristic(S, window=None):
     if isinstance(S, TropicalStructure):
         if window is None:
             raise WindowRequired("characteristic of a lazy structure needs a window")
-        from .axioms import _View, _union
-        view = _View.of_window(S, *window)
-        inex = view.inex
-        ones = [row[view.one_i] for row in view.sum]
-        cell = 1 << view.one_i
+        els, sum_entry, _, _, zero, one = S.window_tables(*window)
+        k = len(els)
+        charge(k, "window characteristic cells")
+        idx = {e: i for i, e in enumerate(els)}
+        inex = 1 << k
+        ones = []  # the cells a + 1, the inexact bit set on a clipped one
+        for a in els:
+            res, exact = sum_entry(a, one)
+            ones.append(sum(1 << idx[x] for x in res) | (0 if exact else inex))
+        cell = 1 << idx[one]
         seen = {cell}
-        for n in range(1, 2 ** view.k + 2):
-            if cell >> view.zero_i & 1:
+        for n in range(1, 2 ** k + 2):
+            if cell >> idx[zero] & 1:
                 return n
-            cell = _union(ones, cell & ~inex, cell & inex)
+            cell = functools.reduce(or_, (ones[i] for i in _bits(cell & ~inex)), cell & inex)
             mask = cell & ~inex
             if mask in seen:
                 return 0 if cell < inex else None

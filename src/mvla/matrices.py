@@ -18,9 +18,6 @@ from .axioms import structure_is
 from .errors import BlowupError, StructureError, _limit, charge
 from .structures import Box, _bits
 
-# The permutation expansion runs only up to this size: n! terms per member.
-_DET_MAX_N = 6
-
 
 class Matrix:
     """A concrete matrix over a finite structure.
@@ -244,15 +241,13 @@ def det(a):
 
     Terms are accumulated in canonical order (identity permutation first,
     then lexicographic); the multivalued sum does not depend on the order, so
-    the fixed order only pins down determinism.  Sizes above 6 are refused;
-    the expansion is charged with its terms, n! per member.
+    the fixed order only pins down determinism.  The expansion is charged
+    with its terms, n! per member.
     """
     A = MatrixSet.of(a)
     if A.rows != A.cols:
         raise StructureError("determinant needs a square matrix")
     n = A.rows
-    if n > _DET_MAX_N:
-        raise BlowupError(f"determinant size {n} exceeds factorial cap {_DET_MAX_N}")
     charge(A.size * math.factorial(n), "determinant terms")
     S = A.base
     perms = [(perm, _perm_sign(perm) < 0) for perm in itertools.permutations(range(n))]

@@ -326,56 +326,64 @@ def pdivmod(f, g, all_pairs=False):
         raise StructureError("division by the zero polynomial")
     if not structure_is(S, "superfield"):
         raise StructureError(f"{S.name} is not a superfield")
-
-    if f.is_zero or f.degree < g.degree:
-        return ((Poly.zero(S), f),)
-
-    dq = f.degree - g.degree
-    dr = g.degree  # r has positions 0..deg g - 1
-    target = PolySet.singleton(f).masks
-    found = []
-    count, limit = 0, _limit.get()
-    for top in _nonzero(S):
-        for high_to_low in itertools.product(range(len(S)), repeat=dq):
-            q = Poly.from_indices(S, high_to_low[::-1] + (top,))
-            box = pmul(q, g)
-            for rc, rbits in _remainders(S, dr):
-                count += 1
-                if count > limit:
-                    raise BlowupError(f"division search steps exceed budget {limit}")
-                if _in_box_plus(box, rbits, target):
-                    pair = (q, Poly.from_indices(S, rc))
-                    if not all_pairs:
-                        return (pair,)
-                    found.append(pair)
+    pairs = ((q, Poly.from_indices(S, r)) for q, R in _divisions(PolySet.singleton(f), g, {})
+             if R is not None for r in itertools.product(*map(_bits, R)))
+    found = tuple(pairs if all_pairs else itertools.islice(pairs, 1))
     if not found:
         raise MvlaError(f"division of {f!r} by {g!r} found no (q, r) in bound; "
                         "the base structure violates the division guarantee")
-    return tuple(found)
+    return found
 
 
 def divmod_holds(f, g, q, r):
     """Re-verify one division pair by direct membership."""
-    return _in_box_plus(pmul(q, g), PolySet.singleton(r).masks, PolySet.singleton(f).masks)
+    return f in pmul(q, g).add(PolySet.singleton(r))
 
 
-def _remainders(S, width):
-    """Every remainder of the given width, as (indices, single-bit masks), in carrier order."""
-    bits = [1 << i for i in range(len(S))]
-    return zip(itertools.product(range(len(S)), repeat=width),
-               itertools.product(bits, repeat=width))
+def _divisions(Z, g, boxes):
+    """The divisions of the members of box Z by g, decided position by position.
 
-
-def _in_box_plus(box, rbits, target):
-    """Whether target lies in box + r position by position, stopping at the first miss.
-
-    r and target are tuples of single-bit masks; missing positions hold 0.
+    Yields (q, R): R is the box of the remainders r (deg g masks, low to high)
+    with some member of Z in q*g + r, or None when no r admits one.  The
+    members of one degree d form a box, and so does q*g + r, so membership
+    holds per position.  The members of degree below deg g come first, as
+    their own remainders with q = 0; then, for each degree d >= deg g held by
+    a member, every q of degree d - deg g in pdivmod's order (leading
+    coefficient outermost, the others from the highest down).  Each q is
+    charged k^deg g division steps before it is decided.  boxes maps q's
+    indices to q and its box q*g padded to d + 1 positions, shared by the
+    calls of one g.
     """
-    S = box.base
+    S = g.base
+    k = len(S)
+    m = g.degree
+    zbit = 1 << S._idx[S.zero]
     add = S.add_masks
-    zero = 1 << S._idx[S.zero]
-    return all(add(m, r) & t for m, r, t in
-               itertools.zip_longest(box.masks, rbits, target, fillvalue=zero))
+    bits = [1 << r for r in range(k)]
+    masks = Z.masks
+    if all(t & zbit for t in masks[m:]):
+        yield Poly.zero(S), masks[:m] + (zbit,) * (m - len(masks))
+    steps, step = 0, k ** m
+    for d in range(m, len(masks)):
+        top = masks[d] & ~zbit
+        if not top or not all(t & zbit for t in masks[d + 1:]):
+            continue
+        zd = masks[:d] + (top,)  # the members of degree d
+        for lead in _nonzero(S):
+            for high_to_low in itertools.product(range(k), repeat=d - m):
+                steps += step
+                charge(steps, "division search steps")
+                key = high_to_low[::-1] + (lead,)
+                if key not in boxes:
+                    q = Poly.from_indices(S, key)
+                    qg = pmul(q, g).masks  # deg q + deg g = d: at most d + 1 positions
+                    boxes[key] = q, qg + (zbit,) * (d + 1 - len(qg))
+                q, qg = boxes[key]
+                if all(a & t for a, t in zip(qg[m:], zd[m:])):
+                    R = tuple(sum(b for b in bits if add(a, b) & t) for a, t in zip(qg, zd[:m]))
+                    yield q, R if all(R) else None
+                else:
+                    yield q, None
 
 
 # -- evaluation and roots -----------------------------------------------------------

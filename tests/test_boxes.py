@@ -3,10 +3,10 @@
 The reference below is the box arithmetic written out over frozensets: one
 set per position, folds that union the element-level results pair by pair,
 and members in carrier order.  Every box operation of polys and matrices, the
-division cell test and the quotient's remainder search are compared with it
-on the built-ins and on random 2-3 element structures.  So are the tables of
-the quotient superfield and the quotients by ideals, against constructions
-from token dicts.
+division check and the division kernel behind pdivmod and the quotient's
+product cells are compared with it on the built-ins and on random 2-3 element
+structures.  So are the tables of the quotient superfield and the quotients by
+ideals, against constructions from token dicts.
 """
 
 import itertools
@@ -20,7 +20,7 @@ from mvla import (CongruenceError, ElementaryOp, Matrix, MatrixSet, Poly, PolySe
                   madd, make_quotient_superfield, mmul, mneg, mscale, msum_sets, padd,
                   padd_sets, pdivmod, pmul, quotient, serialize_structure, strict_ring,
                   structure_is)
-from mvla.extensions import _reduce_poly
+from mvla.extensions import _quotient_tables, _remainder_mask
 
 
 # -- the frozenset reference --------------------------------------------------------
@@ -95,8 +95,13 @@ def ref_reduce(z, p):
     return out
 
 
+def reduce_box(Z, p):
+    """The remainder tuples of the members of box Z modulo p, by the kernel."""
+    return decode_remainders(p, _remainder_mask(Z, p, {}))
+
+
 def decode_remainders(p, mask):
-    """The remainder tuples in a mask of _reduce_poly: bit n stands for the n-th
+    """The remainder tuples in a mask of _remainder_mask: bit n stands for the n-th
     tuple of itertools.product(elements, repeat=deg p)."""
     tuples = list(itertools.product(p.base.elements, repeat=p.degree))
     assert mask >> len(tuples) == 0, "a bit past the last remainder"
@@ -312,17 +317,17 @@ def test_reduce_poly_matches_reference(base):
         if p.is_zero or p.degree < 1:
             continue
         for z in polys:
-            assert decode_remainders(p, _reduce_poly(z, p)) == ref_reduce(z, p), (z, p)
+            assert reduce_box(PolySet.singleton(z), p) == ref_reduce(z, p), (z, p)
 
 
-@pytest.mark.parametrize("name,param,coeffs,verify", [
+@pytest.mark.parametrize("name,param,coeffs,verified", [
     ("Fp", 2, (1, 1, 1), True), ("Fp", 2, (1, 1, 0, 1), True), ("Fp", 3, (1, 0, 1), True),
     ("Hp", 3, (1, 0, 2), True), ("Hp", 3, (1, 0, 1), False)])
-def test_quotient_tables_match_reference(name, param, coeffs, verify):
-    # H3 1+X^2 fails the superfield axioms: its tables are compared unverified
+def test_quotient_tables_match_reference(name, param, coeffs, verified):
+    # H3 1+X^2 fails the superfield axioms: its tables are built unverified
     F = builtin(name, param)
     p = Poly(F, coeffs)
-    K = make_quotient_superfield(F, p, verify=verify)
+    K = (make_quotient_superfield if verified else _quotient_tables)(F, p)
     m = p.degree
     vectors = tuple(itertools.product(F.elements, repeat=m))
     assert K.elements == vectors
@@ -382,7 +387,9 @@ def test_boxes_on_random_structures(S, data):
 
     p = Poly(S, [data.draw(st.sampled_from(S.elements)) for _ in range(2)] + [1])
     z = _poly(data, S, 3)
-    assert decode_remainders(p, _reduce_poly(z, p)) == ref_reduce(z, p)
+    assert reduce_box(PolySet.singleton(z), p) == ref_reduce(z, p)
+    assert reduce_box(pmul(f, g), p) == set().union(*(ref_reduce(y, p)
+                                                       for y in pmul(f, g).members()))
     q, r = _poly(data, S, 1), _poly(data, S, 1)
     check_division(z, p, q, r)
 

@@ -7,8 +7,8 @@ import re
 import pytest
 
 import mvla
-from mvla import (BlowupError, Matrix, Poly, det, find_nontrivial_kernel, is_irreducible,
-                  search_budget)
+from mvla import (BlowupError, Matrix, Poly, builtin, characteristic, det,
+                  find_nontrivial_kernel, is_irreducible, pdivmod, search_budget)
 from mvla.errors import _limit
 
 
@@ -36,6 +36,13 @@ def test_the_limit_bounds_a_search_per_call(H3):
         # not a meter: each search gets the whole limit
         for _ in range(2):
             assert find_nontrivial_kernel(A).note == "exhaustive"
+    # every pair of 1+X^3 by 1+X: 18 quotients of degree 2, each charged 3 remainders
+    f, g = Poly(H3, [1, 0, 0, 1]), Poly(H3, [1, 1])
+    with search_budget(54):
+        assert len(pdivmod(f, g, all_pairs=True)) == 3
+    with search_budget(53), pytest.raises(
+            BlowupError, match="division search steps: 54 exceeds budget 53"):
+        pdivmod(f, g, all_pairs=True)
 
 
 def test_irreducible_charges_each_slice_it_builds(H3):
@@ -46,6 +53,18 @@ def test_irreducible_charges_each_slice_it_builds(H3):
     with search_budget(647), pytest.raises(
             BlowupError, match="ideal slice polynomials: 648 exceeds budget 647"):
         is_irreducible(f)
+
+
+def test_characteristic_charges_the_window_cells():
+    # the cells a + 1 of the window's k elements (LO..HI and inf), before they are built
+    trop = builtin("Trop")
+    with search_budget(1), pytest.raises(
+            BlowupError, match="window characteristic cells: 302 exceeds budget 1"):
+        characteristic(trop, window=(-150, 150))
+    with search_budget(12):
+        assert characteristic(trop, window=(-5, 5)) == 2
+    with search_budget(11), pytest.raises(BlowupError):
+        characteristic(trop, window=(-5, 5))
 
 
 _CAP_KEYWORD = re.compile(r".*_cap|budget|bundle_bound|max_terms")

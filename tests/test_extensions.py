@@ -39,9 +39,11 @@ def test_rejected_candidate_really_fails(H3, h3_quotient):
 
 
 def test_quotient_product_reuses_each_division_box(H3, monkeypatch):
-    # one pmul per distinct (f, g): 45 products of carrier pairs and the two
-    # boxes q*p with q = 1, 2; without reuse the boxes cost 119 calls in all
+    # one pmul per distinct (f, g), counted in both modules: 45 products of
+    # carrier pairs in extensions and the two boxes q*p with q = 1, 2 in polys;
+    # without reuse the boxes cost 119 calls in all
     import mvla.extensions as ext
+    import mvla.polys as polys
     calls = []
 
     def counting(f, g):
@@ -49,6 +51,7 @@ def test_quotient_product_reuses_each_division_box(H3, monkeypatch):
         return pmul(f, g)
 
     monkeypatch.setattr(ext, "pmul", counting)
+    monkeypatch.setattr(polys, "pmul", counting)
     K = make_quotient_superfield(H3, Poly(H3, (1, 0, 2)))
     assert len(calls) == len(set(calls)) == 47
     assert len(K.elements) == 9

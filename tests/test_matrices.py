@@ -213,8 +213,12 @@ def test_det_over_matrix_set_unions_members(X2, x2_triple):
 def test_det_guards(H3):
     with pytest.raises(StructureError):
         det(Matrix.zero(H3, 2, 3))
-    with pytest.raises(BlowupError):
-        det(Matrix.identity(H3, 7))
+    # no size cap: the expansion is bounded by its terms alone, 7! = 5040 here
+    I7 = Matrix.identity(H3, 7)
+    assert det(I7) == {1}
+    with search_budget(5039), pytest.raises(
+            BlowupError, match="determinant terms: 5040 exceeds budget 5039"):
+        det(I7)
 
 
 def test_elementary_operations(H3, Q2):

@@ -16,6 +16,9 @@ checkout's own files:
   `structure_is` on a fresh structure, for each of COLD_STRUCTURES under each of
   COLD_KINDS, COLD_CALLS calls in each of REPEATS fresh interpreters; the row is
   the median in microseconds, and its work units are `verify_axioms(...).checked`;
+- the quotient search `find_quotient_superfield(builtin("Hp", 5), 2)`, timed
+  around the call in each of REPEATS fresh interpreters; its work units say
+  whether it found a quotient;
 - the size of the library: `repo/src_lines`, the line count of `src/mvla/*.py`
   (what `cat src/mvla/*.py | wc -l` prints), which is also its work units.
 
@@ -76,6 +79,17 @@ for kind in KINDS:
         out[name + " " + kind] = (statistics.median(times) * 1e6,
                                   verify_axioms(builtin(*args), kind).checked)
 print(json.dumps(out))
+"""
+
+# The quotient search row: (row name, builtin() arguments, degree).
+SEARCH = ("quotient search H5 deg 2", ("Hp", 5), 2)
+SEARCH_CODE = """
+import json, time
+from mvla import builtin
+from mvla.extensions import find_quotient_superfield
+t0 = time.perf_counter()
+found = find_quotient_superfield(builtin(*ARGS), DEGREE) is not None
+print(json.dumps([time.perf_counter() - t0, found]))
 """
 
 
@@ -175,6 +189,20 @@ def cold_rows(root, repeats):
                  [{"checked": r[key][1]} for r in runs]) for key in runs[0]]
 
 
+def search_row(root, repeats):
+    name, args, degree = SEARCH
+    code = f"ARGS, DEGREE = {args!r}, {degree}" + SEARCH_CODE
+    times, works = [], []
+    for _ in range(repeats):
+        _, proc = _timed([sys.executable, "-c", code], root)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{name} exited {proc.returncode}: {proc.stderr[-300:]}")
+        dt, found = json.loads(proc.stdout.strip().splitlines()[-1])
+        times.append(dt)
+        works.append({"found": found})
+    return _row("extensions", name, times, "s", works)
+
+
 def src_lines_row(root):
     lines = sum(path.read_bytes().count(b"\n")
                 for path in sorted((root / "src" / "mvla").glob("*.py")))
@@ -200,6 +228,8 @@ def main(argv=None):
     rows += verb_rows(root, REPEATS)
     print("cold checks", file=sys.stderr, flush=True)
     rows += cold_rows(root, REPEATS)
+    print("quotient search", file=sys.stderr, flush=True)
+    rows.append(search_row(root, REPEATS))
     rows.append(src_lines_row(root))
     head = {"machine": machine(), "python": platform.python_version()}
     doc = {"pr": args.pr, "commit": commit, "seed": SEED, **head,
