@@ -302,11 +302,7 @@ def _power_chains(K, gamma, length):
     """All selections (1, gamma, p2, ..., p_length) with p_{k+1} in p_k * gamma."""
     chains = [[K.one, gamma]]
     for _ in range(length - 1):
-        grown = []
-        for ch in chains:
-            for nxt in K.prod_set(ch[-1], gamma):
-                grown.append(ch + [nxt])
-        chains = grown
+        chains = [ch + [nxt] for ch in chains for nxt in K.prod_set(ch[-1], gamma)]
     return chains
 
 
@@ -319,33 +315,16 @@ def certify_algebraic_extension(pair, bound):
     multivalued powers), which must never be independent past the bound.
     """
     K = pair.big
-    certificates = {}
-    missing = []
-    for el in K.elements:
-        cert = minimal_polynomial(el, pair, bound)
-        if cert is None:
-            missing.append(el)
-        else:
-            certificates[el] = cert
-
+    found = {el: minimal_polynomial(el, pair, bound) for el in K.elements}
     V = extension_space(pair)
-    claim_holds = True
-    degree_witness = None
-    for el in K.elements:
-        for chain in _power_chains(K, el, bound):
-            vs = list(dict.fromkeys(chain))
-            if len(vs) != bound + 1:
-                continue  # collisions cannot witness an oversized independent set
-            indep, _ = is_linearly_independent(V, vs)
-            if indep:
-                claim_holds = False
-                degree_witness = (el, tuple(chain))
-                break
-        if not claim_holds:
-            break
-
+    # chains with collisions cannot witness an oversized independent set
+    degree_witness = next(((el, tuple(chain)) for el in K.elements
+                           for chain in _power_chains(K, el, bound)
+                           if len(set(chain)) == bound + 1
+                           and is_linearly_independent(V, chain)[0]), None)
     return ExtensionReport(pair_label=f"{pair.big.name}|{pair.small.name}",
-                           certificates=certificates, missing=tuple(missing),
+                           certificates={el: c for el, c in found.items() if c is not None},
+                           missing=tuple(el for el, c in found.items() if c is None),
                            degree_claim_bound=bound,
-                           degree_claim_holds=claim_holds,
+                           degree_claim_holds=degree_witness is None,
                            degree_witness=degree_witness)

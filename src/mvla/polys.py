@@ -522,14 +522,16 @@ def _ideal_members_bounded(u, deg_cap, h_deg, max_terms):
     # Semi-naive closure over antichains: L(t+1) = L(t) + B, and a box plus a
     # box is the box of the per-position mask sums.  These are monotone, so a
     # box inside another adds nothing; only a round's new maximal boxes meet B.
+    # Under a symmetric sum table d + b = b + d: the first round, B + B, sums pairs once.
     shifts = range(0, k * width, k)  # k bits per position
-    boxes = _maximal(boxes, shifts)
-    known = boxes
-    frontier = boxes
+    boxes = known = _maximal(boxes, shifts)
+    plus = S._add_cache.__getitem__
+    pairs = (itertools.combinations_with_replacement(boxes, 2)
+             if S._sum == list(map(list, zip(*S._sum))) else itertools.product(boxes, repeat=2))
     for _ in range(max_terms - 1):
-        sums = S.add_mask_tuples(frontier, boxes)
+        sums = {tuple(map(plus, zip(d, b))) for d, b in pairs}
         grown = _maximal(known | sums, shifts)
-        frontier = grown - known
+        pairs = itertools.product(grown - known, boxes)
         known = grown
 
     # the cut keeps the heads of the boxes whose tails can be all zero
@@ -538,13 +540,32 @@ def _ideal_members_bounded(u, deg_cap, h_deg, max_terms):
     return _members_bits(heads, k)
 
 
-def _slice(slices, u, cap):
-    """The slice of u at degree cap, built once per slice table.  The table's
-    search is charged with the k^(cap+1) polynomials of each slice it builds."""
-    if u.indices not in slices:
+def _unit_scalings(S):
+    """The maps x -> c*x (index lists) of the units c whose multiples c*u have the slices
+    of u: x -> c*x and x -> x*c permute the singletons and fix 0, and a*(c*b) = (a*c)*b.
+    Then box(h*(c*u)) = box((h*c)*u) at every position, and h -> h*c permutes the
+    polynomials of each degree, so the two box sets are equal."""
+    prod, z = S._prod, S._idx[S.zero]
+    singles = [1 << i for i in range(len(S))]
+    out = []
+    for c, left in enumerate(prod):
+        right = [row[c] for row in prod]
+        cl, cr = [m.bit_length() - 1 for m in left], [m.bit_length() - 1 for m in right]
+        if (sorted(left) == sorted(right) == singles and cl[z] == cr[z] == z
+                and all([row[j] for j in cl] == prod[cr[a]] for a, row in enumerate(prod))):
+            out.append(cl)
+    return out
+
+
+def _slice(slices, u, cap, scalings):
+    """The slice of u at degree cap, built once per slice table and class of unit
+    multiples: the key is the least of u and its multiples c*u by scalings.  The
+    table's search is charged with the k^(cap+1) polynomials of each slice it builds."""
+    key = min([u.indices] + [tuple(map(m.__getitem__, u.indices)) for m in scalings])
+    if key not in slices:
         charge((len(slices) + 1) * len(u.base) ** (cap + 1), "ideal slice polynomials")
-        slices[u.indices] = _ideal_members_bounded(u, cap, cap, _TERMS)
-    return slices[u.indices]
+        slices[key] = _ideal_members_bounded(u, cap, cap, _TERMS)
+    return slices[key]
 
 
 class IrreducibilityVerdict:
@@ -577,7 +598,7 @@ def is_irreducible(f):
 
 
 def _irreducible(f, slices):
-    """is_irreducible over a table u.indices -> slice of u at deg f shared by a search."""
+    """is_irreducible over a table of slices at deg f (see _slice) shared by a search."""
     S = f.base
     if not structure_is(S, "superfield"):
         raise StructureError(f"{S.name} is not a superfield")
@@ -586,11 +607,12 @@ def _irreducible(f, slices):
     cap = f.degree
     note = f"bounded: <= {_TERMS} terms, deg h <= {cap}"
     bit = _members_bits([[1 << i for i in f.indices]], len(S))
-    own = _slice(slices, f, cap)
+    scalings = _unit_scalings(S)
+    own = _slice(slices, f, cap, scalings)
     for u in all_polys(S, cap):
         if u.is_zero or u.degree < 1 or u == f:
             continue
-        through_u = _slice(slices, u, cap)
+        through_u = _slice(slices, u, cap, scalings)
         if through_u & bit and through_u != own:
             return IrreducibilityVerdict(False, u, note)
     return IrreducibilityVerdict(True, None, note)

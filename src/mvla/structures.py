@@ -152,11 +152,6 @@ class Structure:
         """Setwise sum of two subsets, as masks."""
         return self._add_cache[m1, m2]
 
-    def add_mask_tuples(self, ds, bs):
-        """Every positionwise setwise sum d + b of a mask tuple d in ds and b in bs."""
-        plus = self._add_cache.__getitem__
-        return {tuple(map(plus, zip(d, b))) for d in ds for b in bs}
-
     def mul_masks(self, m1, m2):
         """Setwise product of two subsets, as masks."""
         return self._mul_cache[m1, m2]
@@ -526,8 +521,8 @@ class TropicalStructure:
         return a + b
 
     def window_elements(self, lo, hi):
-        if lo > hi:
-            raise StructureError("empty tropical window")
+        if lo > 0 or hi < 0:
+            raise StructureError(f"tropical window [{lo}, {hi}] does not hold the unit 0")
         return tuple(range(lo, hi + 1)) + (INF,)
 
     def window_tables(self, lo, hi):

@@ -46,12 +46,13 @@ def test_the_limit_bounds_a_search_per_call(H3):
 
 
 def test_irreducible_charges_each_slice_it_builds(H3):
-    # 1+2X^2 over H3 builds 24 slices of 3^3 polynomials: the edge is 24 * 27 = 648
+    # 1+2X^2 over H3 builds 12 slices of 3^3 polynomials, one per class of unit
+    # multiples u and -u: the edge is 12 * 27 = 324
     f = Poly(H3, [1, 0, 2])
-    with search_budget(648):
+    with search_budget(324):
         assert is_irreducible(f)
-    with search_budget(647), pytest.raises(
-            BlowupError, match="ideal slice polynomials: 648 exceeds budget 647"):
+    with search_budget(323), pytest.raises(
+            BlowupError, match="ideal slice polynomials: 324 exceeds budget 323"):
         is_irreducible(f)
 
 

@@ -49,6 +49,13 @@ def test_window_on_a_finite_structure_is_an_error_line(capsys):
     assert captured.err == "error: K is finite: only a lazy structure takes a window\n"
 
 
+def test_window_without_the_unit_is_an_error_line(capsys):
+    assert run_cli("verify", "builtin:Trop", "--kind", "superfield", "--window", "1", "5") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tropical window [1, 5] does not hold the unit 0\n"
+
+
 def test_structure_file_loading(tmp_path, capsys, H3):
     from mvla import serialize_structure
     path = tmp_path / "h3.struct"

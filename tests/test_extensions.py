@@ -58,9 +58,10 @@ def test_quotient_product_reuses_each_division_box(H3, monkeypatch):
 
 
 @pytest.mark.parametrize("name,param,degree,slices",
-                         [("Hp", 3, 2, 24), ("Fp", 3, 2, 24), ("Fp", 2, 3, 14)])
+                         [("Hp", 3, 2, 12), ("Fp", 3, 2, 12), ("Fp", 2, 3, 14)])
 def test_quotient_search_builds_each_slice_once(monkeypatch, name, param, degree, slices):
-    # one slice per nonconstant u of degree <= deg p, shared by every candidate's
+    # one slice per class of unit multiples c*u of the nonconstant u of degree <= deg p
+    # (u and -u over H3 and F3; F2 has the unit 1 alone), shared by every candidate's
     # scan and by the scan inside each quotient construction
     import mvla.polys as polys
     built = []

@@ -21,6 +21,11 @@ def test_characteristic_needs_window_for_lazy(trop):
         characteristic(trop)
 
 
+def test_characteristic_refuses_a_window_without_the_unit(trop):
+    with pytest.raises(StructureError, match="does not hold the unit 0"):
+        characteristic(trop, window=(1, 5))
+
+
 def test_principal_ideal_examples(H3, X2):
     assert principal_ideal(H3, {0}).members == {0}
     assert principal_ideal(H3, {1}).members == set(H3.elements)

@@ -7,10 +7,11 @@ from mvla import (NEG_INF, Poly, PolySet, Structure, StructureError, builtin,
                   divmod_holds, evaluate, is_effective_root, is_irreducible,
                   is_root, padd, padd_sets, pdeg_laws_check, pdivmod, pmul,
                   pmul_fold)
-from mvla.polys import (_ideal_members_bounded, _maximal, _nonzero, all_polys,
-                        deg_sum_min_counterexamples, psum_members)
+from mvla.polys import (_ideal_members_bounded, _irreducible, _maximal, _members_bits, _nonzero,
+                        _unit_scalings, all_polys, deg_sum_min_counterexamples, psum_members)
 from mvla.structures import _bits
 from conftest import poly_divmod_mod, poly_eval_mod
+from test_closedness import single_entry_mutants
 
 
 def members(ps):
@@ -546,6 +547,80 @@ def test_antichain_kernel_on_random_structures(S, data):
                 == semi_naive_slice(u, deg_cap, h_deg, max_terms)), max_terms
 
 
+# -- one slice per class of unit multiples ------------------------------------------
+
+
+def unit_multiples_sharing_slices(S, deg_cap, h_deg, max_terms, scalings):
+    """Per map x -> c*x in scalings, whether c*u has the slice of u for every nonzero u
+    of degree <= 2."""
+    us = all_polys(S, 2, include_zero=False)
+    got = {u: _ideal_members_bounded(u, deg_cap, h_deg, max_terms) for u in us}
+    return [all(got[Poly.from_indices(S, [cl[i] for i in u.indices])] == got[u] for u in us)
+            for cl in scalings]
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=small_structures(), data=st.data())
+def test_unit_multiples_share_slices_on_random_structures(S, data):
+    if len(S) == 3 and data.draw(st.booleans()):
+        # random tables seldom admit a unit besides 1: make 2 one, with 2*2 = 1 and
+        # 0*2 = 2*0 = 0, which leaves a*(2*b) = (a*2)*b true whatever 0*0 is
+        for a, b, c in ((2, 0, 0), (0, 2, 0), (2, 2, 1)):
+            S = S.with_entry("prod", a, b, {c})
+        assert [0, 2, 1] in _unit_scalings(S)
+    scalings = _unit_scalings(S)
+    assert list(range(len(S))) in scalings  # the unit 1
+    bounds = [data.draw(st.sampled_from(xs)) for xs in ((2, 3, 1, 0), (2, 1, 0), (3, 4, 2))]
+    assert all(unit_multiples_sharing_slices(S, *bounds, scalings))
+
+
+# H3 and Q2 admit the unit -1.  A product mutant that keeps -1's row and column
+# can still break a*(c*b) = (a*c)*b; the check must then drop c, and over Q2 some
+# of those mutants do split the slices of u and -u.
+@pytest.mark.parametrize("name,dropped,split", [("H3", 18, 0), ("Q2", 18, 5)])
+def test_unit_multiples_share_slices_on_product_mutants(diff_bases, name, dropped, split):
+    S = diff_bases[name]
+    one = S._idx[S.one]
+    (cl,) = [cl for cl in _unit_scalings(S) if cl[one] != one]
+    c = cl[one]
+    seen = []
+    for T in single_entry_mutants(S):
+        if T._sum != S._sum:
+            continue
+        if cl in _unit_scalings(T):
+            assert all(unit_multiples_sharing_slices(T, 2, 2, 3, [cl])), T._prod
+        elif T._prod[c] == S._prod[c] and [r[c] for r in T._prod] == [r[c] for r in S._prod]:
+            seen += unit_multiples_sharing_slices(T, 2, 2, 3, [cl])
+    assert (len(seen), seen.count(False)) == (dropped, split)
+
+
+def per_u_verdict(f, slices):
+    """(irreducible, witness) of the scan that keyed its slice table by u.indices."""
+    S, cap = f.base, f.degree
+    bit = _members_bits([[1 << i for i in f.indices]], len(S))
+
+    def through(u):
+        if u.indices not in slices:
+            slices[u.indices] = _ideal_members_bounded(u, cap, cap, 3)
+        return slices[u.indices]
+    own = through(f)
+    return next(((False, u) for u in _nonconstant(S, cap)
+                 if u != f and through(u) & bit and through(u) != own), (True, None))
+
+
+@pytest.mark.parametrize("name,param", [("Hp", 5), ("Fp", 5)])
+def test_unit_classes_keep_every_verdict(name, param):
+    # one slice table per base and side, as a quotient search shares it
+    S = builtin(name, param)
+    classes, per_u = {}, {}
+    for f in _nonconstant(S, 2):
+        if f.degree == 2:
+            got = _irreducible(f, classes)
+            assert (got.irreducible, got.witness) == per_u_verdict(f, per_u), f
+    # every nonzero c is admitted: 4 multiples in each class of the 120 u
+    assert (len(classes), len(per_u)) == (30, 120)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 3), st.data())
 def test_maximal_keeps_exactly_the_boxes_inside_no_other(k, width, data):
@@ -556,8 +631,19 @@ def test_maximal_keeps_exactly_the_boxes_inside_no_other(k, width, data):
     assert _maximal(boxes, range(0, k * width, k)) == boxes - inside
 
 
-def test_h5_quadratic_is_irreducible(H5):
-    # 1+2X^2 over H5: the member kernel needed over a minute for this scan
+def test_h5_quadratic_is_irreducible(monkeypatch, H5):
+    # 1+2X^2 over H5: the member kernel needed over a minute for this scan.  It builds
+    # one slice per class {c*u : c != 0} of the 120 nonconstant u of degree <= 2.
+    import mvla.polys as polys
+    built = []
+    kernel = polys._ideal_members_bounded
+
+    def counting(u, *bounds):
+        built.append(u)
+        return kernel(u, *bounds)
+
+    monkeypatch.setattr(polys, "_ideal_members_bounded", counting)
     got = is_irreducible(Poly(H5, (1, 0, 2)))
     assert (got.irreducible, got.witness) == (True, None)
     assert got.note == "bounded: <= 3 terms, deg h <= 2"
+    assert len(built) == 30

@@ -150,6 +150,13 @@ def test_tropical_rules(trop):
         trop.sum_set(1, 1)
 
 
+@pytest.mark.parametrize("lo,hi", [(1, 5), (-5, -1), (2, 1)])
+def test_a_tropical_window_must_hold_the_unit(trop, lo, hi):
+    # every window table indexes 0, the multiplicative unit
+    with pytest.raises(StructureError, match=rf"window \[{lo}, {hi}\] does not hold the unit 0"):
+        trop.window_elements(lo, hi)
+
+
 @pytest.mark.parametrize("entry", [
     lambda T: fn_space(T, 2),
     lambda T: matrix_space(T, 2, 2),

@@ -16,6 +16,9 @@ checkout's own files:
   `structure_is` on a fresh structure, for each of COLD_STRUCTURES under each of
   COLD_KINDS, COLD_CALLS calls in each of REPEATS fresh interpreters; the row is
   the median in microseconds, and its work units are `verify_axioms(...).checked`;
+- the irreducibility scan of 1+2X^2 over `builtin("Hp", 5)`, `polys._irreducible`
+  timed around the call in each of REPEATS fresh interpreters; its work units
+  are the verdict and the number of ideal slices its table holds afterwards;
 - the quotient search `find_quotient_superfield(builtin("Hp", 5), 2)`, timed
   around the call in each of REPEATS fresh interpreters; its work units say
   whether it found a quotient;
@@ -81,16 +84,27 @@ for kind in KINDS:
 print(json.dumps(out))
 """
 
-# The quotient search row: (row name, builtin() arguments, degree).
-SEARCH = ("quotient search H5 deg 2", ("Hp", 5), 2)
-SEARCH_CODE = """
+# The rows timed around one call in a fresh interpreter: (layer, row name, code).
+# Each code prints [seconds, work units].
+TIMED_CALLS = (
+    ("polys", "irreducible H5 1+2X^2", """
+import json, time
+from mvla import Poly, builtin
+from mvla.polys import _irreducible
+f, slices = Poly(builtin("Hp", 5), (1, 0, 2)), {}
+t0 = time.perf_counter()
+irreducible = _irreducible(f, slices).irreducible
+print(json.dumps([time.perf_counter() - t0, {"irreducible": irreducible, "slices": len(slices)}]))
+"""),
+    ("extensions", "quotient search H5 deg 2", """
 import json, time
 from mvla import builtin
 from mvla.extensions import find_quotient_superfield
 t0 = time.perf_counter()
-found = find_quotient_superfield(builtin(*ARGS), DEGREE) is not None
-print(json.dumps([time.perf_counter() - t0, found]))
-"""
+found = find_quotient_superfield(builtin("Hp", 5), 2) is not None
+print(json.dumps([time.perf_counter() - t0, {"found": found}]))
+"""),
+)
 
 
 def machine():
@@ -189,18 +203,17 @@ def cold_rows(root, repeats):
                  [{"checked": r[key][1]} for r in runs]) for key in runs[0]]
 
 
-def search_row(root, repeats):
-    name, args, degree = SEARCH
-    code = f"ARGS, DEGREE = {args!r}, {degree}" + SEARCH_CODE
-    times, works = [], []
-    for _ in range(repeats):
-        _, proc = _timed([sys.executable, "-c", code], root)
-        if proc.returncode != 0:
-            raise RuntimeError(f"{name} exited {proc.returncode}: {proc.stderr[-300:]}")
-        dt, found = json.loads(proc.stdout.strip().splitlines()[-1])
-        times.append(dt)
-        works.append({"found": found})
-    return _row("extensions", name, times, "s", works)
+def timed_call_rows(root, repeats):
+    rows = []
+    for layer, name, code in TIMED_CALLS:
+        runs = []
+        for _ in range(repeats):
+            _, proc = _timed([sys.executable, "-c", code], root)
+            if proc.returncode != 0:
+                raise RuntimeError(f"{name} exited {proc.returncode}: {proc.stderr[-300:]}")
+            runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        rows.append(_row(layer, name, [dt for dt, _ in runs], "s", [w for _, w in runs]))
+    return rows
 
 
 def src_lines_row(root):
@@ -228,8 +241,8 @@ def main(argv=None):
     rows += verb_rows(root, REPEATS)
     print("cold checks", file=sys.stderr, flush=True)
     rows += cold_rows(root, REPEATS)
-    print("quotient search", file=sys.stderr, flush=True)
-    rows.append(search_row(root, REPEATS))
+    print("irreducibility scan and quotient search", file=sys.stderr, flush=True)
+    rows += timed_call_rows(root, REPEATS)
     rows.append(src_lines_row(root))
     head = {"machine": machine(), "python": platform.python_version()}
     doc = {"pr": args.pr, "commit": commit, "seed": SEED, **head,
