@@ -25,7 +25,7 @@ from .ideals import (Ideal, all_ideals, characteristic, classify_ideal,
 from .linsys import (LinearSystem, SolutionVerdict, SolveOutcome, TypeIError,
                      apply_elementary, back_substitute, find_nontrivial_kernel,
                      homogeneous, is_linearly_closed, is_solution,
-                     is_weak_solution, scale_system, solve_weak)
+                     is_weak_solution, iter_scaled_systems, scale_system, solve_weak)
 from .matrices import (ElementaryOp, Matrix, MatrixSet, all_matrices, det,
                        elementary, find_inverse, is_inverse_pair, madd, mmul,
                        mneg, mscale)

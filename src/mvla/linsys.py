@@ -19,8 +19,8 @@ from .errors import BlowupError, MvlaError, StructureError, _limit
 from .matrices import Matrix, _index_product, _value_masks, _vector, elementary
 from .structures import _bits
 
-# The scaled route stops at the first of the search limit and these: past them
-# solve_weak falls back to its exhaustive scan, so they pick the route.
+# The scaled route stops once the branches walked so far, or the nodes, pass the search
+# limit or these; solve_weak then falls back to its exhaustive scan.
 _SCALE_BRANCHES = 4096
 _BACKSUB_NODES = 10 ** 5
 
@@ -131,88 +131,77 @@ def apply_elementary(sys, op):
 # -- scaling (Gaussian rewriting) ----------------------------------------------------
 
 
-def scale_system(sys):
+def iter_scaled_systems(sys):
     """Rewrite into upper-triangular (scaled) systems by elementary operations.
 
     Pivots are normalized with the least inverse in carrier order and rows
     below are cleared through add-with-scaled-row steps; eliminated entries
     are pinned to 0 (a member of their choice set) while the remaining
-    entries branch.  More branches than the search limit or 4096 raise
-    BlowupError.
+    entries branch.  Branches are walked depth first, one column per level,
+    in product order, and a state already walked at its column is skipped, so
+    each scaled system is yielded once, where first reached.  The cap counts
+    the branches (leaf paths) walked so far, a skipped state with all of its
+    own: past the search limit or 4096 of them, BlowupError.
     """
     S = sys.base
     if not structure_is(S, "superfield"):
         raise StructureError(f"{S.name} is not a superfield")
     if sys.A.is_upper_triangular:
-        return (sys,)
+        yield sys
+        return
 
     m, n = sys.A.rows, sys.A.cols
     zero, one = S._idx[S.zero], S._idx[S.one]
-    prod, add, mul = S._prod, S.add_masks, S.mul_masks
+    prod, add, mul, neg = S._prod, S.add_masks, S.mul_masks, S._neg
     branch_cap = min(_limit.get(), _SCALE_BRANCHES)
-    # each state carries its own next pivot row, since branch selections can
-    # zero out entries and shift the pivot structure between branches; rows
-    # are tuples of indices and B a tuple of masks.  Equal states from
-    # different branches are merged after every column, first one first, and
-    # each keeps the number of branches that reached it, in a one-item list so
-    # that a merge hashes the state once: the cap counts those branches.
-    entries = sys.A.indices
-    states = {(tuple(entries[i * n:(i + 1) * n] for i in range(m)), sys.masks, 0): [1]}
-    for c in range(n):
-        new_states = {}
-        reached = 0  # branches of this column so far, merged or not
-        for (rows, B, r), (times,) in states.items():
-            pivot_row = next((k for k in range(r, m) if rows[k][c] != zero), None) \
-                if r < m else None
-            if pivot_row is None:
-                new_states.setdefault((rows, B, r), [0])[0] += times
-                reached += times
-                continue
-            rows = list(rows)
-            B = list(B)
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            B[r], B[pivot_row] = B[pivot_row], B[r]
+    paths, walked = 0, {}  # walked: (state, column) -> the state's leaf paths
 
-            inverses = S.inverse_indices(rows[r][c])
-            if not inverses:
-                raise StructureError(f"{S.elements[rows[r][c]]!r} has no inverse in {S.name}")
-            lam = inverses[0]
-            pivot_choices = [(one,) if j == c else _bits(prod[lam][x])
-                             for j, x in enumerate(rows[r])]
-            Br = mul(1 << lam, B[r])
+    def steps(rows, B, r, c):
+        """The states after column c in product order: rows of indices, B masks and r the
+        next pivot row, which branch selections can shift by zeroing out entries."""
+        p = next((k for k in range(r, m) if rows[k][c] != zero), None)
+        if p is None:
+            yield rows, B, r
+            return
+        rows, B = list(rows), list(B)
+        rows[r], rows[p], B[r], B[p] = rows[p], rows[r], B[p], B[r]
+        lam = S.inverse_indices(rows[r][c])[0]  # a superfield has inverses
+        B[r] = mul(1 << lam, B[r])
+        B = tuple(b if k <= r or rows[k][c] == zero else add(b, mul(1 << neg[rows[k][c]], B[r]))
+                  for k, b in enumerate(B))
+        for pivot in itertools.product(*[(one,) if j == c else _bits(prod[lam][x])
+                                         for j, x in enumerate(rows[r])]):
+            for tail in itertools.product(*[(row,) if row[c] == zero else itertools.product(*[
+                    (zero,) if j == c else _bits(add(1 << x, prod[neg[row[c]]][y]))
+                    for j, (x, y) in enumerate(zip(row, pivot))]) for row in rows[r + 1:]]):
+                yield (*rows[:r], pivot, *tail), B, r + 1
 
-            for pivot_sel in itertools.product(*pivot_choices):
-                rws, bb = list(rows), list(B)
-                rws[r], bb[r] = pivot_sel, Br
-                frontier = [(rws, bb)]
-                for k in range(r + 1, m):
-                    if rows[k][c] == zero:
-                        continue
-                    mu = S._neg[rows[k][c]]
-                    next_frontier = []
-                    for rws, bb in frontier:
-                        choices = [(zero,) if j == c else _bits(add(1 << x, prod[mu][y]))
-                                   for j, (x, y) in enumerate(zip(rws[k], rws[r]))]
-                        new_bk = add(bb[k], mul(1 << mu, bb[r]))
-                        for sel in itertools.product(*choices):
-                            rws2, bb2 = list(rws), list(bb)
-                            rws2[k], bb2[k] = sel, new_bk
-                            next_frontier.append((rws2, bb2))
-                            if times * len(next_frontier) + reached > branch_cap:
-                                raise BlowupError(f"scaling exceeded {branch_cap} branches")
-                    frontier = next_frontier
-                for rws, bb in frontier:
-                    new_states.setdefault((tuple(rws), tuple(bb), r + 1), [0])[0] += times
-                    reached += times
-                    if reached > branch_cap:
-                        raise BlowupError(f"scaling exceeded {branch_cap} branches")
-        states = new_states
+    def walk(rows, B, r, c):
+        """Yield the scaled systems below a state, each once; return its leaf paths.  In
+        a superfield each leaf is upper triangular and r counts its nonzero rows."""
+        nonlocal paths
+        total = 0
+        for state in steps(rows, B, r, c):
+            got = walked.get((state, c))
+            if got is None and c + 1 < n:
+                got = walked[state, c] = yield from walk(*state, c + 1)
+            else:  # a leaf, or a state that an earlier branch reached: count its paths
+                paths += got or 1
+                if paths > branch_cap:
+                    raise BlowupError(f"scaling exceeded {branch_cap} branches")
+                if got is None:
+                    got = walked[state, c] = 1
+                    yield LinearSystem(Matrix.from_indices(S, m, n, itertools.chain(*state[0])),
+                                       state[1])
+            total += got
+        return total
 
-    # equal systems come from different branches: keep the first of each
-    kept = dict.fromkeys((rows, B) for rows, B, _ in states
-                         if all(rows[i][j] == zero for i in range(m) for j in range(min(i, n))))
-    return tuple(LinearSystem(Matrix.from_indices(S, m, n, itertools.chain(*rows)), B)
-                 for rows, B in kept)
+    yield from walk(tuple(sys.A.indices[i * n:(i + 1) * n] for i in range(m)), sys.masks, 0, 0)
+
+
+def scale_system(sys):
+    """All of iter_scaled_systems, in order, or its BlowupError."""
+    return tuple(iter_scaled_systems(sys))
 
 
 # -- back substitution ----------------------------------------------------------------
@@ -291,24 +280,23 @@ def back_substitute(sys):
 def solve_weak(sys):
     """Find a weak solution: scale, back-substitute, re-verify on the original.
 
-    Candidates produced on scaled systems are only trusted after re-checking
-    against the original system.  When the pipeline yields nothing, the first
-    weak solution in product order (_first_weak) is classified, or none
-    exists; the outcome is inconclusive when the k^n vectors would pass the
-    search limit.
+    Scaled systems are read one at a time, as iter_scaled_systems walks them,
+    and their candidates are only trusted after re-checking against the
+    original system.  When they yield nothing, or the scaler passes its cap,
+    the first weak solution in product order (_first_weak) is classified, or
+    none exists; inconclusive when the k^n vectors would pass the search limit.
     """
     try:
-        branches = scale_system(sys)
+        for scaled in iter_scaled_systems(sys):
+            try:
+                for d in iter_back_substitution(scaled):
+                    verdict = classify_candidate(sys, d)
+                    if verdict is not None:
+                        return SolveOutcome(SOLVED, verdict)
+            except (TypeIError, BlowupError):
+                continue
     except BlowupError:
-        branches = ()
-    for scaled in branches:
-        try:
-            for d in iter_back_substitution(scaled):
-                verdict = classify_candidate(sys, d)
-                if verdict is not None:
-                    return SolveOutcome(SOLVED, verdict)
-        except (TypeIError, BlowupError):
-            continue
+        pass  # the scaler passed its cap: the scan below decides
 
     total = len(sys.base) ** sys.A.cols
     if total > _limit.get():

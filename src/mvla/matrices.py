@@ -390,10 +390,11 @@ def find_inverse(A):
     """A two-sided inverse of A, or None when A has none.
 
     Upper-triangular matrices with 0 not in det go through the constructive
-    back-substitution recipe.  Otherwise row i of B runs over R_i = {b: delta_il
-    in b.A_col_l for all l} in row-major canonical order, and the first B with
-    each column j in C_j = {c: delta_ij in A_row_i.c for all i} is the full
-    scan's.  BlowupError counts the recipe's nodes or the product of the |R_i|.
+    back-substitution recipe.  Otherwise rows of B are chosen one at a time, row
+    i from R_i = {b: delta_il in b.A_col_l for all l}, in row-major canonical
+    order; a prefix is dropped as soon as some column j of it starts no member
+    of C_j = {c: delta_ij in A_row_i.c for all i}.  The first B found is the
+    full scan's.  BlowupError counts the recipe's nodes or the rows visited.
     """
     if not A.is_square:
         raise StructureError("only square matrices can be inverted")
@@ -419,12 +420,23 @@ def find_inverse(A):
 
     R = meet([list(c) for c in zip(*prod)], [a[l::n] for l in range(n)])  # tab[c][x] = x.c
     C = meet(prod, [a[l * n:(l + 1) * n] for l in range(n)])
-    rows = [[_vector(k, n, r) for r in _bits(Ri)] for Ri in R]
-    charge(math.prod(map(len, rows)), "inverse search matrices")
-    return next((Matrix.from_indices(S, n, n, itertools.chain(*combo))
-                 for combo in itertools.product(*rows)
-                 if all(C[j] >> sum(row[j] * k ** (n - 1 - i) for i, row in enumerate(combo)) & 1
-                        for j in range(n))), None)
+    rows, visited = [[_vector(k, n, r) for r in _bits(Ri)] for Ri in R], 0
+
+    def pick(i, tops):  # rows i.. of B, given tops[j]: column j of rows 0..i-1, as a number
+        nonlocal visited
+        span = k ** (n - 1 - i)  # the columns of B that share a prefix of i + 1 rows
+        for row in rows[i]:
+            visited += 1
+            charge(visited, "inverse search rows")
+            here = [t * k + x for t, x in zip(tops, row)]
+            if all(C[j] >> v * span & (1 << span) - 1 for j, v in enumerate(here)):
+                got = () if i == n - 1 else pick(i + 1, here)
+                if got is not None:
+                    return (row,) + got
+        return None
+
+    got = pick(0, [0] * n)
+    return None if got is None else Matrix.from_indices(S, n, n, itertools.chain(*got))
 
 
 def all_matrices(base, rows, cols):

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from mvla import (ElementaryOp, LinearSystem, Matrix, StructureError,
+from mvla import linsys
+from mvla import (BlowupError, ElementaryOp, LinearSystem, Matrix, StructureError,
                   TypeIError, apply_elementary, back_substitute,
                   find_nontrivial_kernel, homogeneous, is_linearly_closed,
                   is_solution, is_weak_solution, scale_system, search_budget,
                   solve_weak, verify_axioms)
 from mvla.linsys import (NO_SOLUTION, SOLVED, classify_candidate, constructive_kernel,
-                         row_value_sets)
+                         iter_scaled_systems, row_value_sets)
 from mvla.structures import Structure
 from conftest import nullspace_vector_mod, solvable_mod
 
@@ -94,6 +95,43 @@ def test_scale_system_shapes(H3):
     full = LinearSystem.of(Matrix.from_rows(H3, [(2, 1), (1, 2)]), [{1}, {2}])
     outs = scale_system(full)
     assert outs and all(o.A.is_upper_triangular for o in outs)
+
+
+def test_solve_weak_answers_a_blowup_from_the_branches_within_the_cap(H7):
+    # full scaling passes 4096 branches, but a verified candidate comes out of
+    # the branches walked before the cap: the scaled route answers, no fallback
+    A = Matrix.from_rows(H7, [(1, 2, 5, 3), (6, 5, 2, 1), (3, 1, 5, 5)])
+    sys_ = LinearSystem.of(A, [{0}, {1}, {5}])
+    with pytest.raises(BlowupError):
+        scale_system(sys_)
+    out = solve_weak(sys_)
+    assert (out.status, out.verdict.vector.entries, out.verdict.strength, out.note) == \
+        (SOLVED, (3, 2, 0, 1), "weak", "")
+    assert classify_candidate(sys_, out.verdict.vector) == out.verdict
+
+
+def test_solve_weak_walks_only_the_branches_it_reads(H3, monkeypatch):
+    sys_ = LinearSystem.of(Matrix.from_rows(H3, [(2, 1, 2), (1, 2, 2)]), [{0, 2}, {0, 2}])
+    first, *rest = scale_system(sys_)
+    assert len(rest) == 2
+    yielded = []
+
+    def counting(s):
+        for scaled in iter_scaled_systems(s):
+            yielded.append(scaled)
+            yield scaled
+
+    monkeypatch.setattr(linsys, "iter_scaled_systems", counting)
+    out = solve_weak(sys_)
+    assert out.status == SOLVED and out.note == ""
+    assert yielded == [first]
+
+
+def test_solve_weak_needs_a_superfield(X2):
+    a, b = X2.elements[3], X2.elements[4]
+    for rows in ([(a, b), (b, a)], [(a, b), (X2.zero, a)]):
+        with pytest.raises(StructureError, match="not a superfield"):
+            solve_weak(LinearSystem.of(Matrix.from_rows(X2, rows), [{a}, {b}]))
 
 
 def test_type_one_detection(H3):

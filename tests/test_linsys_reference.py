@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from mvla import (BlowupError, LinearSystem, Matrix, Structure, builtin, det,
                   find_inverse, find_nontrivial_kernel, is_inverse_pair, is_linearly_closed,
                   scale_system, search_budget, solve_weak, structure_is)
-from mvla.linsys import TypeIError, constructive_kernel, iter_back_substitution
+from mvla.linsys import (TypeIError, constructive_kernel, iter_back_substitution,
+                         iter_scaled_systems)
 from mvla.matrices import _index_product, _value_masks
 from test_closedness import single_entry_mutants
 
@@ -52,73 +53,75 @@ def ref_classify(S, rows, B, d):
 
 
 def ref_scale_system(S, rows, B, branch_cap=4096):
-    """Scaled systems as (entries, B) pairs, in order."""
+    """Scaled systems as (entries, B) pairs, in order, lazily.
+
+    Every branch is walked depth first, one column per level, and equal states
+    are never merged: each leaf path is counted, BlowupError comes once more
+    than branch_cap of them are walked, and a system already yielded is dropped.
+    """
     m, n = len(rows), len(rows[0])
     if ref_upper_triangular(S, rows):
-        return [(tuple(itertools.chain(*rows)), tuple(B))]
-    states = [(tuple(map(tuple, rows)), tuple(B), 0)]
-    for c in range(n):
-        new_states = []
-        for rows, B, r in states:
-            pivot_row = next((k for k in range(r, m) if rows[k][c] != S.zero), None) \
-                if r < m else None
-            if pivot_row is None:
-                new_states.append((rows, B, r))
+        yield tuple(itertools.chain(*rows)), tuple(B)
+        return
+    seen, leaves = set(), 0
+
+    def clear(rws, bb, r, c, k):
+        """Branch rows k, k + 1, ... below the pivot row r in column c."""
+        if k == m:
+            yield tuple(map(tuple, rws)), tuple(bb), r + 1
+            return
+        if rws[k][c] == S.zero:
+            yield from clear(rws, bb, r, c, k + 1)
+            return
+        mu_mask = 1 << S.index(S.neg(rws[k][c]))
+        choices = []
+        for j in range(n):
+            if j == c:
+                choices.append((S.zero,))
                 continue
-            rows = list(rows)
-            B = list(B)
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            B[r], B[pivot_row] = B[pivot_row], B[r]
-            lam = S.inverse(rows[r][c])
-            lam_mask = 1 << S.index(lam)
-            pivot_choices = []
-            for j in range(n):
-                choice = S.canon_of(S.mul_masks(lam_mask, 1 << S.index(rows[r][j])))
-                pivot_choices.append((S.one,) if j == c else choice)
-            Br = S.set_of(S.mul_masks(lam_mask, S.mask_of(B[r])))
-            for pivot_sel in itertools.product(*pivot_choices):
-                sub_rows = [list(map(list, rows))]
-                sub_B = [list(B)]
-                sub_rows[0][r] = list(pivot_sel)
-                sub_B[0][r] = Br
-                frontier = list(zip(sub_rows, sub_B))
-                for k in range(r + 1, m):
-                    if rows[k][c] == S.zero:
-                        continue
-                    mu_mask = 1 << S.index(S.neg(rows[k][c]))
-                    next_frontier = []
-                    for rws, bb in frontier:
-                        choices = []
-                        for j in range(n):
-                            if j == c:
-                                choices.append((S.zero,))
-                                continue
-                            scaled = S.mul_masks(mu_mask, 1 << S.index(rws[r][j]))
-                            summed = S.add_masks(1 << S.index(rws[k][j]), scaled)
-                            choices.append(S.canon_of(summed))
-                        new_bk = S.set_of(S.add_masks(
-                            S.mask_of(bb[k]), S.mul_masks(mu_mask, S.mask_of(bb[r]))))
-                        for sel in itertools.product(*choices):
-                            rws2 = [list(row) for row in rws]
-                            rws2[k] = list(sel)
-                            bb2 = list(bb)
-                            bb2[k] = new_bk
-                            next_frontier.append((rws2, bb2))
-                            if len(next_frontier) + len(new_states) > branch_cap:
-                                raise BlowupError("scaling branch cap exceeded")
-                    frontier = next_frontier
-                for rws, bb in frontier:
-                    new_states.append((tuple(map(tuple, rws)), tuple(bb), r + 1))
-                    if len(new_states) > branch_cap:
-                        raise BlowupError("scaling branch cap exceeded")
-        states = new_states
-    out, seen = [], set()
-    for rows, B, _ in states:
-        key = (rows, tuple(S.canon(s) for s in B))
-        if ref_upper_triangular(S, rows) and key not in seen:
-            seen.add(key)
-            out.append((tuple(itertools.chain(*rows)), B))
-    return out
+            scaled = S.mul_masks(mu_mask, 1 << S.index(rws[r][j]))
+            summed = S.add_masks(1 << S.index(rws[k][j]), scaled)
+            choices.append(S.canon_of(summed))
+        new_bk = S.set_of(S.add_masks(S.mask_of(bb[k]), S.mul_masks(mu_mask, S.mask_of(bb[r]))))
+        for sel in itertools.product(*choices):
+            rws2 = [list(row) for row in rws]
+            rws2[k] = list(sel)
+            bb2 = list(bb)
+            bb2[k] = new_bk
+            yield from clear(rws2, bb2, r, c, k + 1)
+
+    def walk(rows, B, r, c):
+        nonlocal leaves
+        if c == n:
+            leaves += 1
+            if leaves > branch_cap:
+                raise BlowupError("scaling branch cap exceeded")
+            key = (rows, tuple(S.canon(s) for s in B))
+            if ref_upper_triangular(S, rows) and key not in seen:
+                seen.add(key)
+                yield tuple(itertools.chain(*rows)), B
+            return
+        pivot_row = next((k for k in range(r, m) if rows[k][c] != S.zero), None) \
+            if r < m else None
+        if pivot_row is None:
+            yield from walk(rows, B, r, c + 1)
+            return
+        rows = list(map(list, rows))
+        B = list(B)
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        B[r], B[pivot_row] = B[pivot_row], B[r]
+        lam_mask = 1 << S.index(S.inverse(rows[r][c]))
+        pivot_choices = []
+        for j in range(n):
+            choice = S.canon_of(S.mul_masks(lam_mask, 1 << S.index(rows[r][j])))
+            pivot_choices.append((S.one,) if j == c else choice)
+        B[r] = S.set_of(S.mul_masks(lam_mask, S.mask_of(B[r])))
+        for pivot_sel in itertools.product(*pivot_choices):
+            rows[r] = list(pivot_sel)
+            for state in clear(rows, B, r, c, r + 1):
+                yield from walk(*state, c + 1)
+
+    yield from walk(tuple(map(tuple, rows)), tuple(B), 0, 0)
 
 
 def ref_back_substitution(S, rows, B, node_cap=10 ** 5):
@@ -166,18 +169,17 @@ def ref_solve_weak(S, rows, B, scan_cap=10 ** 6):
     """(status, vector entries, strength, note), as SolveOutcome reports them."""
     n = len(rows[0])
     try:
-        branches = ref_scale_system(S, rows, B)
+        for entries, sB in ref_scale_system(S, rows, B):
+            srows = [entries[i * n:(i + 1) * n] for i in range(len(rows))]
+            try:
+                for d in ref_back_substitution(S, srows, sB):
+                    strength = ref_classify(S, rows, B, d)
+                    if strength is not None:
+                        return "solved", d, strength, ""
+            except (TypeIError, BlowupError):
+                continue
     except BlowupError:
-        branches = ()
-    for entries, sB in branches:
-        srows = [entries[i * n:(i + 1) * n] for i in range(len(rows))]
-        try:
-            for d in ref_back_substitution(S, srows, sB):
-                strength = ref_classify(S, rows, B, d)
-                if strength is not None:
-                    return "solved", d, strength, ""
-        except (TypeIError, BlowupError):
-            continue
+        pass  # more branches than the cap: the scan below decides
     if len(S) ** n > scan_cap:
         return "inconclusive", None, None, f"scan of {len(S) ** n} vectors exceeds cap"
     for d in itertools.product(S.elements, repeat=n):
@@ -353,7 +355,7 @@ def _drain(gen):
 def check_system(S, rows, B):
     sys_ = LinearSystem.of(Matrix.from_rows(S, rows), B)
     try:
-        want = ref_scale_system(S, rows, B)
+        want = list(ref_scale_system(S, rows, B))
     except BlowupError:
         with pytest.raises(BlowupError):
             scale_system(sys_)
@@ -423,11 +425,13 @@ def test_small_bases_match_on_every_2x2_system(bases):
                 check_system(S, [entries[:2], entries[2:]], list(B))
 
 
-@pytest.mark.parametrize("cap", [4, 16, 64])
+@pytest.mark.parametrize("cap", [4, 16, 64, None])
 def test_scaling_matches_token_reference_at_small_branch_caps(bases, cap):
-    """Equal states are merged after every column, but the cap still counts every
-    branch: the same systems, in the same order, and the same BlowupErrors as the
-    reference, which merges only at the end.  A search limit below 4096 is the cap."""
+    """A state reached twice is walked once, but the cap still counts every branch:
+    the systems iter_scaled_systems yields before it stops, and how it stops, are
+    the reference's, which merges nothing.  On a blow-up that prefix is what
+    solve_weak reads before it falls back; scale_system is all of them, or the same
+    BlowupError.  A search limit below 4096 is the cap (None: the default)."""
     blowups = 0
     for name in sorted(BASES):
         S = bases[name]
@@ -438,16 +442,16 @@ def test_scaling_matches_token_reference_at_small_branch_caps(bases, cap):
                 B = [frozenset(rng.sample(S.elements, rng.randint(1, len(S))))
                      for _ in range(rows)]
                 sys_ = LinearSystem.of(Matrix.from_rows(S, A), B)
-                try:
-                    want = ref_scale_system(S, A, B, branch_cap=cap)
-                except BlowupError:
-                    blowups += 1
-                    with search_budget(cap), pytest.raises(BlowupError):
-                        scale_system(sys_)
-                    continue
-                with search_budget(cap):
-                    got = [(s.A.entries, s.B) for s in scale_system(sys_)]
-                assert got == want, (A, B)
+                with search_budget(cap or 10 ** 7):
+                    got, stop = _drain(iter_scaled_systems(sys_))
+                    if stop:
+                        blowups += 1
+                        with pytest.raises(BlowupError):
+                            scale_system(sys_)
+                    else:
+                        assert scale_system(sys_) == tuple(got)
+                want = _drain(ref_scale_system(S, A, B, branch_cap=cap or 4096))
+                assert ([(s.A.entries, s.B) for s in got], stop) == want, (A, B)
     assert blowups
 
 

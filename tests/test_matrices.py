@@ -272,12 +272,30 @@ def test_dense_3x3_inverses_are_decided_in_a_tenth_of_a_second(args):
 
 
 def test_inverse_budget_counts_row_set_candidates(H3):
-    # not triangular: the search runs over R_0 x R_1 x R_2, 10 rows each, not 3^9 matrices
+    # not triangular: rows of B come from R_0, R_1, R_2 (10 rows each), not from 3^9
+    # matrices, and only the rows visited are charged: here the first of each set
     A = Matrix.from_rows(H3, [(1, 1, 2), (2, 1, 1), (1, 1, 1)])
-    with search_budget(1000):
+    with search_budget(3):
         assert find_inverse(A) == Matrix.from_rows(H3, [(0, 1, 1), (1, 1, 1), (1, 0, 1)])
-    with search_budget(999), pytest.raises(
-            BlowupError, match="inverse search matrices: 1000 exceeds budget 999"):
+    with search_budget(2), pytest.raises(
+            BlowupError, match="inverse search rows: 3 exceeds budget 2"):
+        find_inverse(A)
+
+
+@pytest.mark.parametrize("args, seed, visited", [(("Hp", 5), 0, 335), (("Hp", 7), 2, 498)])
+def test_dense_4x4_inverses_charge_the_rows_visited(args, seed, visited):
+    # R_0 x ... x R_3 holds billions of candidates here; prefixes whose columns
+    # already miss every C_j are dropped, and the charge counts the rows tried
+    S = builtin(*args)
+    rng = random.Random(seed)
+    nonzero = [e for e in S.elements if e != S.zero]
+    A = Matrix.from_rows(S, [[rng.choice(nonzero) for _ in range(4)] for _ in range(4)])
+    B = find_inverse(A)
+    assert B is not None and is_inverse_pair(A, B)
+    with search_budget(visited):
+        assert find_inverse(A) == B
+    with search_budget(visited - 1), pytest.raises(
+            BlowupError, match=f"inverse search rows: {visited} exceeds budget {visited - 1}"):
         find_inverse(A)
 
 
