@@ -23,9 +23,9 @@ from .fileformat import (parse_matrix, parse_structure, parse_system,
 from .ideals import (Ideal, all_ideals, characteristic, classify_ideal,
                      is_ideal, principal_ideal, quotient)
 from .linsys import (LinearSystem, SolutionVerdict, SolveOutcome, TypeIError,
-                     apply_elementary, back_substitute, find_nontrivial_kernel,
-                     homogeneous, is_linearly_closed, is_solution,
-                     is_weak_solution, iter_scaled_systems, scale_system, solve_weak)
+                     apply_elementary, find_nontrivial_kernel, homogeneous,
+                     is_linearly_closed, is_solution, is_weak_solution,
+                     iter_scaled_systems, solve_weak)
 from .matrices import (ElementaryOp, Matrix, MatrixSet, all_matrices, det,
                        elementary, find_inverse, is_inverse_pair, madd, mmul,
                        mneg, mscale)

@@ -199,11 +199,6 @@ def iter_scaled_systems(sys):
     yield from walk(tuple(sys.A.indices[i * n:(i + 1) * n] for i in range(m)), sys.masks, 0, 0)
 
 
-def scale_system(sys):
-    """All of iter_scaled_systems, in order, or its BlowupError."""
-    return tuple(iter_scaled_systems(sys))
-
-
 # -- back substitution ----------------------------------------------------------------
 
 
@@ -265,13 +260,6 @@ def iter_back_substitution(sys):
 
     assigned = [zero] * n  # free variables default to 0
     yield from rec(len(rows) - 1, assigned)
-
-
-def back_substitute(sys):
-    """First weak solution of a scaled system in canonical order, or None."""
-    for d in iter_back_substitution(sys):
-        return classify_candidate(sys, d)
-    return None
 
 
 # -- the solver -----------------------------------------------------------------------

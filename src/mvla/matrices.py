@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .axioms import structure_is
-from .errors import BlowupError, StructureError, _limit, charge
+from .errors import StructureError, charge
 from .structures import Box, _bits
 
 
@@ -332,69 +332,14 @@ def is_inverse_pair(A, B):
     return B.cols == n and holds(AB) and A.cols == n and holds(_index_product(B, A))
 
 
-def _triangular_inverse(A):
-    """Back-substitution construction for triangular matrices, choosing
-    the least admissible element at each step, with backtracking."""
-    S = A.base
-    n = A.rows
-    zero = S._idx[S.zero]
-    prod, a = S._prod, A.indices
-
-    diag_inverses = []
-    for i in range(n):
-        inv = S.inverse_indices(a[i * n + i])
-        if not inv:
-            return None
-        diag_inverses.append(inv)
-
-    # positions: diagonal first, then bands of increasing superdiagonal offset
-    positions = [(i, i) for i in range(n)]
-    for d in range(1, n):
-        positions += [(i, i + d) for i in range(n - d)]
-
-    def candidates(pos, chosen):
-        i, j = pos
-        if i == j:
-            return diag_inverses[i]
-        # need 0 in sum_{k=i..j} a_ik * b_kj with all b_kj (k > i) already chosen
-        rest_mask = S.sum_of([prod[a[i * n + k]][chosen[(k, j)]] for k in range(i + 1, j + 1)])
-        diag = prod[a[i * n + i]]
-        return [x for x in range(len(S)) if S.add_masks(diag[x], rest_mask) >> zero & 1]
-
-    nodes, limit = 0, _limit.get()
-    chosen = {}
-
-    def dfs(k):
-        nonlocal nodes
-        if k == len(positions):
-            entries = [zero] * (n * n)
-            for (i, j), v in chosen.items():
-                entries[i * n + j] = v
-            B = Matrix.from_indices(S, n, n, entries)
-            return B if is_inverse_pair(A, B) else None
-        for x in candidates(positions[k], chosen):
-            nodes += 1
-            if nodes > limit:
-                raise BlowupError(f"inverse construction nodes exceed budget {limit}")
-            chosen[positions[k]] = x
-            got = dfs(k + 1)
-            if got is not None:
-                return got
-            del chosen[positions[k]]
-        return None
-
-    return dfs(0)
-
-
 def find_inverse(A):
-    """A two-sided inverse of A, or None when A has none.
+    """A two-sided inverse of A, or None when A has none: the first B of a full scan
+    in row-major canonical order.
 
-    Upper-triangular matrices with 0 not in det go through the constructive
-    back-substitution recipe.  Otherwise rows of B are chosen one at a time, row
-    i from R_i = {b: delta_il in b.A_col_l for all l}, in row-major canonical
-    order; a prefix is dropped as soon as some column j of it starts no member
-    of C_j = {c: delta_ij in A_row_i.c for all i}.  The first B found is the
-    full scan's.  BlowupError counts the recipe's nodes or the rows visited.
+    Rows of B are chosen one at a time, row i from R_i = {b: delta_il in b.A_col_l
+    for all l}; a prefix is dropped as soon as some column j of it starts no member
+    of C_j = {c: delta_ij in A_row_i.c for all i}.  BlowupError counts the rows
+    visited.
     """
     if not A.is_square:
         raise StructureError("only square matrices can be inverted")
@@ -402,24 +347,18 @@ def find_inverse(A):
     if not structure_is(S, "superfield"):
         raise StructureError(f"{S.name} is not a superfield")
 
-    if A.is_upper_triangular:
-        diag = det(A)
-        if S.zero in diag:
-            return None  # a zero on the diagonal rules out invertibility
-        got = _triangular_inverse(A)
-        if got is not None:
-            return got
-
     n, k, a, prod = A.rows, len(S), A.indices, S._prod
     delta = (1 << S._idx[S.zero], 1 << S._idx[S.one])
+    # a superfield's product is commutative (axiom M4, checked above), so b.A_col_l
+    # folds the same table as A_row_i.c, and R and C share one memo
+    memos = {}
 
-    def meet(tab, lines):  # per i: the vectors v with delta_il in the fold of v and line l
-        memos = {}
-        return [functools.reduce(int.__and__, (_value_masks(S, tab, line, delta[i == l], memos)
+    def meet(lines):  # per i: the vectors v with delta_il in the fold of line l and v
+        return [functools.reduce(int.__and__, (_value_masks(S, prod, line, delta[i == l], memos)
                                                for l, line in enumerate(lines))) for i in range(n)]
 
-    R = meet([list(c) for c in zip(*prod)], [a[l::n] for l in range(n)])  # tab[c][x] = x.c
-    C = meet(prod, [a[l * n:(l + 1) * n] for l in range(n)])
+    R = meet([a[l::n] for l in range(n)])
+    C = meet([a[l * n:(l + 1) * n] for l in range(n)])
     rows, visited = [[_vector(k, n, r) for r in _bits(Ri)] for Ri in R], 0
 
     def pick(i, tops):  # rows i.. of B, given tops[j]: column j of rows 0..i-1, as a number

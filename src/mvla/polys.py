@@ -178,37 +178,24 @@ def padd_sets(ps1, ps2):
     return ps1.add(ps2)
 
 
-def _member_fold(op, parts, what):
-    """The left fold of op over parts, sets of polynomials, member by member."""
-    limit = _limit.get()
-    acc = set(parts[0])
-    for part in parts[1:]:
-        nxt = set()
-        for f in acc:
-            for g in part:
-                nxt.update(op(f, g).members())
-                if len(nxt) > limit:
-                    raise BlowupError(f"{what} members exceed budget {limit}")
-        acc = nxt
-    return frozenset(acc)
-
-
 def pmul_fold(polys):
     """Memberwise fold of the product over a sequence of polynomials.
 
     Iterated products follow the finite-product convention, so the fold goes
     through concrete members rather than boxes.  Returns a frozenset of Poly.
     """
-    parts = [[f] for f in polys]
-    if not parts:
+    polys = list(polys)
+    if not polys:
         raise StructureError("empty product fold has no base")
-    return _member_fold(pmul, parts, "product fold")
-
-
-def psum_members(sets_of_polys, base):
-    """Memberwise fold of the sum over sets of polynomials."""
-    parts = [list(part) for part in sets_of_polys]
-    return _member_fold(padd, parts, "sum fold") if parts else frozenset([Poly.zero(base)])
+    limit, acc = _limit.get(), {polys[0]}
+    for g in polys[1:]:
+        nxt = set()
+        for f in acc:
+            nxt.update(pmul(f, g).members())
+            if len(nxt) > limit:
+                raise BlowupError(f"product fold members exceed budget {limit}")
+        acc = nxt
+    return frozenset(acc)
 
 
 def all_polys(S, max_degree, include_zero=True):

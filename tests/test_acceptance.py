@@ -285,6 +285,22 @@ def test_criterion_6_triangular_invertibility(H3):
            time.monotonic() - t0, 60)
 
 
+@pytest.mark.parametrize("args", [("K",), ("Q2",), ("Hp", 2), ("Hp", 3), ("Hp", 5),
+                                  ("Hp", 7), ("Fp", 5), ("Xn", 1)])
+def test_criterion_6_random_triangular_matrices_are_inverted(args):
+    # criterion 6 past 2x2 over H3: random upper-triangular n x n, nonzero diagonal
+    S = builtin(*args)
+    rng = random.Random(f"criterion 6:{S.name}")
+    nonzero = [e for e in S.elements if e != S.zero]
+    for n in (2, 3, 4):
+        for _ in range(10):
+            rows = [[S.zero if j < i else rng.choice(nonzero if j == i else S.elements)
+                     for j in range(n)] for i in range(n)]
+            A = Matrix.from_rows(S, rows)
+            B = find_inverse(A)
+            assert B is not None and is_inverse_pair(A, B), A
+
+
 # -- criterion 7 -----------------------------------------------------------------
 
 

@@ -5,12 +5,11 @@ import pytest
 
 from mvla import linsys
 from mvla import (BlowupError, ElementaryOp, LinearSystem, Matrix, StructureError,
-                  TypeIError, apply_elementary, back_substitute,
-                  find_nontrivial_kernel, homogeneous, is_linearly_closed,
-                  is_solution, is_weak_solution, scale_system, search_budget,
-                  solve_weak, verify_axioms)
+                  TypeIError, apply_elementary, find_nontrivial_kernel,
+                  homogeneous, is_linearly_closed, is_solution, is_weak_solution,
+                  iter_scaled_systems, search_budget, solve_weak, verify_axioms)
 from mvla.linsys import (NO_SOLUTION, SOLVED, classify_candidate, constructive_kernel,
-                         iter_scaled_systems, row_value_sets)
+                         iter_back_substitution, row_value_sets)
 from mvla.structures import Structure
 from conftest import nullspace_vector_mod, solvable_mod
 
@@ -91,9 +90,9 @@ def test_elementary_ops_transport_solutions_forward(H3):
 
 def test_scale_system_shapes(H3):
     tri = LinearSystem.of(Matrix.from_rows(H3, [(1, 2), (0, 1)]), [{1}, {2}])
-    assert scale_system(tri) == (tri,)
+    assert tuple(iter_scaled_systems(tri)) == (tri,)
     full = LinearSystem.of(Matrix.from_rows(H3, [(2, 1), (1, 2)]), [{1}, {2}])
-    outs = scale_system(full)
+    outs = tuple(iter_scaled_systems(full))
     assert outs and all(o.A.is_upper_triangular for o in outs)
 
 
@@ -103,7 +102,7 @@ def test_solve_weak_answers_a_blowup_from_the_branches_within_the_cap(H7):
     A = Matrix.from_rows(H7, [(1, 2, 5, 3), (6, 5, 2, 1), (3, 1, 5, 5)])
     sys_ = LinearSystem.of(A, [{0}, {1}, {5}])
     with pytest.raises(BlowupError):
-        scale_system(sys_)
+        tuple(iter_scaled_systems(sys_))
     out = solve_weak(sys_)
     assert (out.status, out.verdict.vector.entries, out.verdict.strength, out.note) == \
         (SOLVED, (3, 2, 0, 1), "weak", "")
@@ -112,7 +111,7 @@ def test_solve_weak_answers_a_blowup_from_the_branches_within_the_cap(H7):
 
 def test_solve_weak_walks_only_the_branches_it_reads(H3, monkeypatch):
     sys_ = LinearSystem.of(Matrix.from_rows(H3, [(2, 1, 2), (1, 2, 2)]), [{0, 2}, {0, 2}])
-    first, *rest = scale_system(sys_)
+    first, *rest = iter_scaled_systems(sys_)
     assert len(rest) == 2
     yielded = []
 
@@ -138,16 +137,16 @@ def test_type_one_detection(H3):
     impossible = LinearSystem.of(Matrix.from_rows(H3, [(1, 1), (0, 0)]),
                                  [{1}, {2}])
     with pytest.raises(TypeIError):
-        back_substitute(impossible)
+        next(iter_back_substitution(impossible))
     fine = LinearSystem.of(Matrix.from_rows(H3, [(1, 1), (0, 0)]),
                            [{1}, {0, 2}])
-    got = back_substitute(fine)
+    got = classify_candidate(fine, next(iter_back_substitution(fine)))
     assert got is not None and is_weak_solution(fine, got.vector)
 
 
 def test_back_substitute_classical_diagonal(F3):
     sys_ = LinearSystem.of(Matrix.from_rows(F3, [(2, 0), (0, 2)]), [{1}, {2}])
-    got = back_substitute(sys_)
+    got = classify_candidate(sys_, next(iter_back_substitution(sys_)))
     assert got is not None
     assert got.vector.entries == (2, 1)  # 2*2=4=1 and 2*1=2
     assert got.strength == "solution"
@@ -323,7 +322,6 @@ def test_every_returned_verdict_reverifies(H3):
 def test_scaled_solution_transport_is_an_experiment_not_an_invariant(H3):
     # candidates that solve a scaled system but not the original exist; the
     # solver must therefore re-verify on the original system (it does)
-    from mvla.linsys import iter_back_substitution
     rng = random.Random(43)
     dropped = kept = 0
     for _ in range(40):
@@ -332,7 +330,7 @@ def test_scaled_solution_transport_is_an_experiment_not_an_invariant(H3):
              for _ in range(2)]
         sys_ = LinearSystem.of(A, B)
         try:
-            branches = scale_system(sys_)
+            branches = tuple(iter_scaled_systems(sys_))
         except Exception:
             continue
         for scaled in branches:

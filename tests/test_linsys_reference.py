@@ -18,9 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from mvla import (BlowupError, LinearSystem, Matrix, Structure, builtin, det,
                   find_inverse, find_nontrivial_kernel, is_inverse_pair, is_linearly_closed,
-                  scale_system, search_budget, solve_weak, structure_is)
-from mvla.linsys import (TypeIError, constructive_kernel, iter_back_substitution,
-                         iter_scaled_systems)
+                  iter_scaled_systems, search_budget, solve_weak, structure_is)
+from mvla.linsys import TypeIError, constructive_kernel, iter_back_substitution
 from mvla.matrices import _index_product, _value_masks
 from test_closedness import single_entry_mutants
 
@@ -358,10 +357,10 @@ def check_system(S, rows, B):
         want = list(ref_scale_system(S, rows, B))
     except BlowupError:
         with pytest.raises(BlowupError):
-            scale_system(sys_)
+            tuple(iter_scaled_systems(sys_))
         want = []
     else:
-        got = scale_system(sys_)
+        got = tuple(iter_scaled_systems(sys_))
         assert [(s.A.entries, s.B) for s in got] == want, (rows, B)
         n = len(rows[0])
         for scaled, (entries, sB) in zip(got, want):
@@ -430,8 +429,8 @@ def test_scaling_matches_token_reference_at_small_branch_caps(bases, cap):
     """A state reached twice is walked once, but the cap still counts every branch:
     the systems iter_scaled_systems yields before it stops, and how it stops, are
     the reference's, which merges nothing.  On a blow-up that prefix is what
-    solve_weak reads before it falls back; scale_system is all of them, or the same
-    BlowupError.  A search limit below 4096 is the cap (None: the default)."""
+    solve_weak reads before it falls back; a second walk gives all of them again, or
+    the same BlowupError.  A search limit below 4096 is the cap (None: the default)."""
     blowups = 0
     for name in sorted(BASES):
         S = bases[name]
@@ -447,26 +446,20 @@ def test_scaling_matches_token_reference_at_small_branch_caps(bases, cap):
                     if stop:
                         blowups += 1
                         with pytest.raises(BlowupError):
-                            scale_system(sys_)
+                            tuple(iter_scaled_systems(sys_))
                     else:
-                        assert scale_system(sys_) == tuple(got)
+                        assert tuple(iter_scaled_systems(sys_)) == tuple(got)
                 want = _drain(ref_scale_system(S, A, B, branch_cap=cap or 4096))
                 assert ([(s.A.entries, s.B) for s in got], stop) == want, (A, B)
     assert blowups
 
 
 def check_inverse(S, rows):
-    """find_inverse against the full scan.  An upper-triangular matrix may take the
-    constructive recipe, whose inverse need not come first: there only existence
-    is compared."""
+    """find_inverse against the full scan: the same first inverse, or None."""
     A = Matrix.from_rows(S, rows)
     got = find_inverse(A)
-    want = ref_find_inverse(S, rows)
     assert got is None or is_inverse_pair(A, got), rows
-    if A.is_upper_triangular:
-        assert (got is None) == (want is None), rows
-    else:
-        assert (got and tuple(got.row(i) for i in range(got.rows))) == want, rows
+    assert (got and tuple(got.row(i) for i in range(got.rows))) == ref_find_inverse(S, rows), rows
 
 
 SMALL_SUPERFIELDS = (("K",), ("Q2",), ("Hp", 2), ("Hp", 3), ("Xn", 1), ("Fp", 2), ("Fp", 3))
@@ -486,6 +479,12 @@ def test_inverse_matches_the_full_scan_on_dense_3x3(args):
     nonzero = [e for e in S.elements if e != S.zero]
     for _ in range(4):
         check_inverse(S, [[rng.choice(nonzero) for _ in range(3)] for _ in range(3)])
+    for zero_at in (None, None, 0, 2):  # upper triangular, with or without a zero on the diagonal
+        rows = [[S.zero if j < i else rng.choice(nonzero if j == i else S.elements)
+                 for j in range(3)] for i in range(3)]
+        if zero_at is not None:
+            rows[zero_at][zero_at] = S.zero
+        check_inverse(S, rows)
 
 
 def check_value_masks(T, m):
@@ -591,7 +590,7 @@ def test_hot_paths_make_no_token_conversions(bases, token_calls):
     outcomes = [solve_weak(s) for s in systems]
     for s in systems:
         try:
-            branches = scale_system(s)
+            branches = tuple(iter_scaled_systems(s))
         except BlowupError:
             continue
         for scaled in branches:

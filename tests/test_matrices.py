@@ -251,7 +251,7 @@ def test_find_inverse_examples(H3):
     B = find_inverse(A)
     assert B is not None and is_inverse_pair(A, B)
     assert find_inverse(Matrix.from_rows(H3, [(0, 2), (0, 1)])) is None
-    # a non-triangular invertible matrix goes through the general search
+    # a matrix that is not triangular is inverted by the same search
     P = Matrix.from_rows(H3, [(0, 1), (1, 0)])
     BP = find_inverse(P)
     assert BP is not None and is_inverse_pair(P, BP)
@@ -272,8 +272,8 @@ def test_dense_3x3_inverses_are_decided_in_a_tenth_of_a_second(args):
 
 
 def test_inverse_budget_counts_row_set_candidates(H3):
-    # not triangular: rows of B come from R_0, R_1, R_2 (10 rows each), not from 3^9
-    # matrices, and only the rows visited are charged: here the first of each set
+    # rows of B come from R_0, R_1, R_2 (10 rows each), not from 3^9 matrices, and
+    # only the rows visited are charged: here the first of each set
     A = Matrix.from_rows(H3, [(1, 1, 2), (2, 1, 1), (1, 1, 1)])
     with search_budget(3):
         assert find_inverse(A) == Matrix.from_rows(H3, [(0, 1, 1), (1, 1, 1), (1, 0, 1)])

@@ -22,6 +22,10 @@ checkout's own files:
 - the quotient search `find_quotient_superfield(builtin("Hp", 5), 2)`, timed
   around the call in each of REPEATS fresh interpreters; its work units say
   whether it found a quotient;
+- `find_inverse` over one seeded batch of 200 upper-triangular 3x3 matrices
+  with a nonzero diagonal, 40 each over H3, H5, H7, Q2 and F5 (the shape of the
+  `linsys` workload's inverse queries), timed around the batch in each of
+  REPEATS fresh interpreters; its work units count the matrices inverted;
 - the size of the library: `repo/src_lines`, the line count of `src/mvla/*.py`
   (what `cat src/mvla/*.py | wc -l` prints), which is also its work units.
 
@@ -103,6 +107,22 @@ from mvla.extensions import find_quotient_superfield
 t0 = time.perf_counter()
 found = find_quotient_superfield(builtin("Hp", 5), 2) is not None
 print(json.dumps([time.perf_counter() - t0, {"found": found}]))
+"""),
+    ("matrices", "inverse upper-triangular 3x3 batch", """
+import json, random, time
+from mvla import Matrix, builtin, find_inverse, structure_is
+rng, batch = random.Random(1), []
+for args in (("Hp", 3), ("Hp", 5), ("Hp", 7), ("Q2",), ("Fp", 5)):
+    S = builtin(*args)
+    structure_is(S, "superfield")  # the cold check is not timed
+    nonzero = [e for e in S.elements if e != S.zero]
+    for _ in range(40):
+        batch.append(Matrix.from_rows(S, [[rng.choice(nonzero) if i == j else
+                                          rng.choice(S.elements) if j > i else S.zero
+                                          for j in range(3)] for i in range(3)]))
+t0 = time.perf_counter()
+inverted = sum(find_inverse(A) is not None for A in batch)
+print(json.dumps([time.perf_counter() - t0, {"matrices": len(batch), "inverted": inverted}]))
 """),
 )
 
@@ -241,7 +261,8 @@ def main(argv=None):
     rows += verb_rows(root, REPEATS)
     print("cold checks", file=sys.stderr, flush=True)
     rows += cold_rows(root, REPEATS)
-    print("irreducibility scan and quotient search", file=sys.stderr, flush=True)
+    print("irreducibility scan, quotient search and inverse batch", file=sys.stderr,
+          flush=True)
     rows += timed_call_rows(root, REPEATS)
     rows.append(src_lines_row(root))
     head = {"machine": machine(), "python": platform.python_version()}
