@@ -338,8 +338,9 @@ def find_inverse(A):
 
     Rows of B are chosen one at a time, row i from R_i = {b: delta_il in b.A_col_l
     for all l}; a prefix is dropped as soon as some column j of it starts no member
-    of C_j = {c: delta_ij in A_row_i.c for all i}.  BlowupError counts the rows
-    visited.
+    of C_j = {c: delta_ij in A_row_i.c for all i}.  BlowupError counts the 2n*k^n
+    vectors of the R_i and C_j, before they are built, and then each row visited on
+    top of them.
     """
     if not A.is_square:
         raise StructureError("only square matrices can be inverted")
@@ -357,16 +358,18 @@ def find_inverse(A):
         return [functools.reduce(int.__and__, (_value_masks(S, prod, line, delta[i == l], memos)
                                                for l, line in enumerate(lines))) for i in range(n)]
 
+    work = 2 * n * k ** n  # the vectors of the R_i and C_j
+    charge(work, "inverse search tables")
     R = meet([a[l::n] for l in range(n)])
     C = meet([a[l * n:(l + 1) * n] for l in range(n)])
-    rows, visited = [[_vector(k, n, r) for r in _bits(Ri)] for Ri in R], 0
+    rows = [[_vector(k, n, r) for r in _bits(Ri)] for Ri in R]
 
     def pick(i, tops):  # rows i.. of B, given tops[j]: column j of rows 0..i-1, as a number
-        nonlocal visited
+        nonlocal work
         span = k ** (n - 1 - i)  # the columns of B that share a prefix of i + 1 rows
         for row in rows[i]:
-            visited += 1
-            charge(visited, "inverse search rows")
+            work += 1
+            charge(work, "inverse search rows")
             here = [t * k + x for t, x in zip(tops, row)]
             if all(C[j] >> v * span & (1 << span) - 1 for j, v in enumerate(here)):
                 got = () if i == n - 1 else pick(i + 1, here)

@@ -10,7 +10,6 @@ stored as coefficient boxes (one mask per position) and materialized on demand.
 from __future__ import annotations
 
 import itertools
-import operator
 
 from .axioms import MorphismSpec, check_morphism, structure_is
 from .errors import BlowupError, MvlaError, StructureError, _limit, charge
@@ -21,6 +20,10 @@ NEG_INF = float("-inf")
 # The irreducibility scan's ideal slices hold sums of at most this many
 # multiples of u; the bound is part of every verdict's note.
 _TERMS = 3
+
+# The closure sums about this many pairs of boxes (at least one box against all) in
+# one lane sum, which bounds its memory.
+_BATCH = 1 << 12
 
 
 def _stripped(indices, zero):
@@ -443,18 +446,20 @@ def is_effective_root(f, alpha, bound=None):
 # -- irreducibility ------------------------------------------------------------------
 
 
-def _maximal(boxes, shifts):
-    """The boxes of a set inside no other box of it.  Boxes of one total size never lie
-    strictly inside one another, so a set of them (every set over a field) is its own
-    answer.  Otherwise each box, packed into an int (position j shifted by shifts[j]),
-    meets only the strictly larger kept boxes."""
-    if len({sum(map(int.bit_count, b)) for b in boxes}) <= 1:
+def _maximal(boxes):
+    """The boxes of a set inside no other box of it.  A box is a bytes string of lanes,
+    so int.from_bytes packs it, and p lies inside q iff p | q == q.  So p lies inside a
+    kept box iff some p | q is a kept box (p | q = q' puts p inside q').  Boxes of one
+    total size never lie strictly inside one another, so a set of them (every set over
+    a field) is its own answer.  Otherwise each box meets only the strictly larger kept
+    boxes."""
+    packed = {int.from_bytes(b, "big"): b for b in boxes}
+    if len(set(map(int.bit_count, packed))) <= 1:
         return boxes
-    packed = {sum(map(operator.lshift, b, shifts)): b for b in boxes}
-    kept = []
+    kept = set()
     for _, same in itertools.groupby(sorted(packed, key=int.bit_count, reverse=True),
                                      int.bit_count):
-        kept += [p for p in same if not any(p | q == q for q in kept)]
+        kept.update([p for p in same if kept.isdisjoint(map(p.__or__, kept))])
     return {packed[p] for p in kept}
 
 
@@ -471,6 +476,25 @@ def _members_bits(boxes, k):
     return got
 
 
+def _lanewise(A, B, table, ones, full):
+    """The setwise op of table on every lane at once: lane p of the result is the union
+    of table[i][j] over the bits i of lane p of A and j of lane p of B, as _Setwise gives
+    it.  A and B are ints of equal lanes; ones holds bit 0 of each lane and full fills
+    one lane, so a lane indicator times full covers its lane, and times a mask of the
+    table puts the mask in it (a mask fits its lane, so nothing carries)."""
+    bs = [(B >> j) & ones for j in range(len(table))]
+    out = 0
+    for i, row in enumerate(table):
+        a = (A >> i) & ones
+        if a:
+            v = 0
+            for b, t in zip(bs, row):
+                if b:
+                    v |= b * t
+            out |= a * full & v
+    return out
+
+
 def _ideal_members_bounded(u, deg_cap, h_deg, max_terms):
     """Bounded slice of the ideal generated by a nonzero u in the polynomial superring.
 
@@ -478,53 +502,92 @@ def _ideal_members_bounded(u, deg_cap, h_deg, max_terms):
     restricted afterwards to degree <= deg_cap.  The bound makes the decision
     procedure incomplete in principle; callers report it with their verdicts.
 
-    The kernel works on boxes of one width, tuples of per-position masks padded
-    with {0} (exact, as 0 + 0 = {0}).  Each round keeps only the boxes inside no
-    other (an antichain); members are never expanded.  The slice is returned as
-    a bitset over the index tuples of length deg_cap + 1 (see _members_bits).
+    The kernel works on boxes of one width, per-position masks padded with {0}
+    (exact, as 0 + 0 = {0}).  A box is a bytes string with one lane of
+    ceil(k/8) bytes per position, big-endian, so a joined batch of boxes is one
+    int and a setwise sum of two batches is a few big-int operations
+    (_lanewise), for every carrier size.  Each round keeps only the boxes
+    inside no other (an antichain); members are never expanded.  The slice is
+    returned as a bitset over the index tuples of length deg_cap + 1 (see
+    _members_bits).
     """
     S = u.base
     k = len(S)
-    zbit = 1 << S._idx[S.zero]
+    w = (k + 7) // 8  # bytes per lane
+    full = (1 << 8 * w) - 1
+    zlane = (1 << S._idx[S.zero]).to_bytes(w, "big")
     uc = u.indices
     n = len(uc)
     width = max(h_deg + n, deg_cap + 1)
+    stride = width * w  # bytes per box
 
-    # the boxes h*u, each position folded exactly as pmul folds it
-    prod = S._prod
-    add = S.add_masks
-    boxes = {(zbit,) * width}  # h = 0
-    for g in all_polys(S, h_deg, include_zero=False):
-        h = g.indices
-        d = g.degree
-        box = []
-        for j in range(d + n):
-            m = None
-            for i in range(max(0, j - n + 1), min(j, d) + 1):
-                t = prod[h[i]][uc[j - i]]
-                m = t if m is None else add(m, t)
-            box.append(m)
-        boxes.add(tuple(box) + (zbit,) * (width - d - n))
+    def ones(lanes):
+        return int.from_bytes((1).to_bytes(w, "big") * lanes, "big")
+
+    def split(joined):
+        return {joined[p:p + stride] for p in range(0, len(joined), stride)}
+
+    # The boxes h*u of every h at once, one lane per h: first h = 0, then the h of each
+    # degree d in turn, h_0 fastest and the nonzero top slowest.  The lanes of degree
+    # >= i are then the low ones, and on them the term (i, c), prod[h_i][c], repeats
+    # with period k^(i+1).  Each position folds its terms exactly as pmul folds them,
+    # each on the lanes whose h has it; the lanes of an h with none hold {0}.
+    prod, lead = S._prod, _nonzero(S)
+    count = k ** (h_deg + 1)
+    one = ones(count)
+    low = [(1 << 8 * w * (count - k ** i)) - 1 for i in range(h_deg + 1)]  # degree >= i
+    zeros = int.from_bytes(zlane * count, "big")
+
+    def term(i, c):
+        runs = [prod[a][c].to_bytes(w, "big") * k ** i for a in range(k)]
+        return int.from_bytes(b"".join(runs[a] for a in lead)
+                              + b"".join(runs) * (k ** (h_deg - i) - 1), "big")
+
+    joined = bytearray(zlane * width * count)
+    for j in range(h_deg + n):
+        first = max(0, j - n + 1)
+        m = None
+        for i in range(first, min(j, h_deg) + 1):
+            t = term(i, uc[j - i])
+            m = t if m is None else m & ~low[i] | _lanewise(m & low[i], t, S._sum, one, full)
+        m = (m | zeros & ~low[first]).to_bytes(count * w, "big")
+        for b in range(w):  # position j of every box
+            joined[j * w + b::stride] = m[b::w]
+    boxes = split(bytes(joined))
 
     # Semi-naive closure over antichains: L(t+1) = L(t) + B, and a box plus a
     # box is the box of the per-position mask sums.  These are monotone, so a
     # box inside another adds nothing; only a round's new maximal boxes meet B.
-    # Under a symmetric sum table d + b = b + d: the first round, B + B, sums pairs once.
-    shifts = range(0, k * width, k)  # k bits per position
-    boxes = known = _maximal(boxes, shifts)
-    plus = S._add_cache.__getitem__
-    pairs = (itertools.combinations_with_replacement(boxes, 2)
-             if S._sum == list(map(list, zip(*S._sum))) else itertools.product(boxes, repeat=2))
+    # A row r meets the boxes of B from its start on: the pairs are product(new, B),
+    # except that under a symmetric sum table the first round, B + B, sums each
+    # unordered pair once.  A batch of rows is one lane sum: each row repeated
+    # against the joined boxes it meets.
+    boxes = known = _maximal(boxes)
+    order = list(boxes)
+    every, nb = b"".join(order), len(order)
+    symmetric = S._sum == list(map(list, zip(*S._sum)))
+    rows = [(r, i if symmetric else 0) for i, r in enumerate(order)]
+    size = max(1, _BATCH // nb)  # rows per batch
     for _ in range(max_terms - 1):
-        sums = {tuple(map(plus, zip(d, b))) for d, b in pairs}
-        grown = _maximal(known | sums, shifts)
-        pairs = itertools.product(grown - known, boxes)
+        sums = set()
+        for at in range(0, len(rows), size):
+            batch = rows[at:at + size]
+            left = b"".join(r * (nb - start) for r, start in batch)
+            right = b"".join(every[start * stride:] for _, start in batch)
+            got = _lanewise(int.from_bytes(left, "big"), int.from_bytes(right, "big"),
+                            S._sum, ones(len(left) // w), full)
+            sums |= split(got.to_bytes(len(left), "big"))
+        grown = _maximal(known | sums)
+        rows = [(r, 0) for r in grown - known]
         known = grown
 
     # the cut keeps the heads of the boxes whose tails can be all zero
     cut = deg_cap + 1
-    heads = {b[:cut] for b in known if all(m & zbit for m in b[cut:])}
-    return _members_bits(heads, k)
+    cut_bytes = cut * w
+    tail = int.from_bytes(zlane * (width - cut), "big")
+    heads = {b[:cut_bytes] for b in known if int.from_bytes(b[cut_bytes:], "big") & tail == tail}
+    return _members_bits([[int.from_bytes(h[p:p + w], "big") for p in range(0, cut_bytes, w)]
+                          for h in heads], k)
 
 
 def _unit_scalings(S):

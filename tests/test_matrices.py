@@ -273,12 +273,16 @@ def test_dense_3x3_inverses_are_decided_in_a_tenth_of_a_second(args):
 
 def test_inverse_budget_counts_row_set_candidates(H3):
     # rows of B come from R_0, R_1, R_2 (10 rows each), not from 3^9 matrices, and
-    # only the rows visited are charged: here the first of each set
+    # only the rows visited are charged, on top of the 2*3*3^3 = 162 vectors of the
+    # R_i and C_j: here the first of each set
     A = Matrix.from_rows(H3, [(1, 1, 2), (2, 1, 1), (1, 1, 1)])
-    with search_budget(3):
+    with search_budget(162 + 3):
         assert find_inverse(A) == Matrix.from_rows(H3, [(0, 1, 1), (1, 1, 1), (1, 0, 1)])
-    with search_budget(2), pytest.raises(
-            BlowupError, match="inverse search rows: 3 exceeds budget 2"):
+    with search_budget(162 + 2), pytest.raises(
+            BlowupError, match="inverse search rows: 165 exceeds budget 164"):
+        find_inverse(A)
+    with search_budget(161), pytest.raises(
+            BlowupError, match="inverse search tables: 162 exceeds budget 161"):
         find_inverse(A)
 
 
@@ -292,11 +296,26 @@ def test_dense_4x4_inverses_charge_the_rows_visited(args, seed, visited):
     A = Matrix.from_rows(S, [[rng.choice(nonzero) for _ in range(4)] for _ in range(4)])
     B = find_inverse(A)
     assert B is not None and is_inverse_pair(A, B)
-    with search_budget(visited):
+    work = 2 * 4 * len(S) ** 4 + visited  # the vectors of the R_i and C_j, then the rows
+    with search_budget(work):
         assert find_inverse(A) == B
-    with search_budget(visited - 1), pytest.raises(
-            BlowupError, match=f"inverse search rows: {visited} exceeds budget {visited - 1}"):
+    with search_budget(work - 1), pytest.raises(
+            BlowupError, match=f"inverse search rows: {work} exceeds budget {work - 1}"):
         find_inverse(A)
+
+
+def test_inverse_tables_are_charged_before_they_are_built(H7):
+    # a dense 6x6 over H7: its 12 tables hold 2*6*7^6 vectors, which took seconds
+    # and tens of MB to build before the first row was charged
+    rng = random.Random(0)
+    nonzero = [e for e in H7.elements if e != H7.zero]
+    A = Matrix.from_rows(H7, [[rng.choice(nonzero) for _ in range(6)] for _ in range(6)])
+    assert structure_is(H7, "superfield")  # the cold check is not timed
+    start = time.perf_counter()
+    with search_budget(1), pytest.raises(
+            BlowupError, match=f"inverse search tables: {2 * 6 * 7 ** 6} exceeds budget 1"):
+        find_inverse(A)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_find_inverse_guards(H3, X2):

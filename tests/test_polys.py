@@ -624,13 +624,96 @@ def test_unit_classes_keep_every_verdict(name, param):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(2, 4), st.integers(1, 3), st.data())
+@given(st.sampled_from((2, 3, 4, 11)), st.integers(1, 3), st.data())
 def test_maximal_keeps_exactly_the_boxes_inside_no_other(k, width, data):
+    # boxes as the kernel holds them: one lane of ceil(k/8) bytes per position
+    w = (k + 7) // 8
     mask = st.integers(1, (1 << k) - 1)
     boxes = data.draw(st.sets(st.tuples(*[mask] * width), max_size=30))
     inside = {b for b in boxes for a in boxes
               if a != b and all(x & y == x for x, y in zip(b, a))}
-    assert _maximal(boxes, range(0, k * width, k)) == boxes - inside
+
+    def lanes(box):
+        return b"".join(m.to_bytes(w, "big") for m in box)
+    assert _maximal({lanes(b) for b in boxes}) == {lanes(b) for b in boxes - inside}
+
+
+# -- the byte-lane kernel against the tuple closure it replaced ---------------------
+
+
+def tuple_slice(u, deg_cap, h_deg, max_terms):
+    """The slice bitset by the tuple closure that the byte-lane kernel replaced.
+
+    Boxes are tuples of per-position masks padded with {0}.  The boxes h*u are
+    folded one h at a time as pmul folds them; each round sums its pairs one
+    tuple at a time through S.add_masks and keeps the boxes inside no other.
+    """
+    S = u.base
+    k = len(S)
+    zbit = 1 << S._idx[S.zero]
+    uc = u.indices
+    n = len(uc)
+    width = max(h_deg + n, deg_cap + 1)
+    prod = S._prod
+    add = S.add_masks
+    boxes = {(zbit,) * width}
+    for g in all_polys(S, h_deg, include_zero=False):
+        h = g.indices
+        d = g.degree
+        box = []
+        for j in range(d + n):
+            m = None
+            for i in range(max(0, j - n + 1), min(j, d) + 1):
+                t = prod[h[i]][uc[j - i]]
+                m = t if m is None else add(m, t)
+            box.append(m)
+        boxes.add(tuple(box) + (zbit,) * (width - d - n))
+
+    def maximal(boxes):
+        packed = {sum(m << k * j for j, m in enumerate(b)): b for b in boxes}
+        kept = []
+        for _, same in itertools.groupby(sorted(packed, key=int.bit_count, reverse=True),
+                                         int.bit_count):
+            kept += [p for p in same if not any(p | q == q for q in kept)]
+        return {packed[p] for p in kept}
+
+    boxes = known = maximal(boxes)
+    pairs = (itertools.combinations_with_replacement(boxes, 2)
+             if S._sum == list(map(list, zip(*S._sum))) else itertools.product(boxes, repeat=2))
+    for _ in range(max_terms - 1):
+        sums = {tuple(map(add, d, b)) for d, b in pairs}
+        grown = maximal(known | sums)
+        pairs = itertools.product(grown - known, boxes)
+        known = grown
+    cut = deg_cap + 1
+    return _members_bits({b[:cut] for b in known if all(m & zbit for m in b[cut:])}, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(S=small_structures(), data=st.data())
+def test_lane_kernel_matches_tuple_closure_on_random_structures(S, data):
+    if len(S) == 3 and data.draw(st.booleans()):
+        # a sum table that is not symmetric, so that every round sums ordered pairs; a
+        # single element keeps the slices growing over the rounds
+        other = [e for e in S.elements if {e} != S.set_of(S._sum[2][1])]
+        S = S.with_entry("sum", 1, 2, {data.draw(st.sampled_from(other))})
+        assert S._sum[1][2] != S._sum[2][1]
+    degree = data.draw(st.sampled_from((2, 1, 0)))
+    low = [data.draw(st.sampled_from(S.elements)) for _ in range(degree)]
+    u = Poly(S, low + [data.draw(st.sampled_from(S.elements[1:]))])
+    bounds = [data.draw(st.sampled_from(xs)) for xs in ((2, 3, 1, 0), (2, 1, 0), (3, 4, 2, 1))]
+    assert _ideal_members_bounded(u, *bounds) == tuple_slice(u, *bounds)
+
+
+# is_irreducible's bounds (deg h = cap = 2) over H5 and F5; over F11 (k = 11 > 8) each
+# lane holds two bytes, at degree 1
+@pytest.mark.parametrize("args,degree", [(("Hp", 5), 2), (("Fp", 5), 2), (("Fp", 11), 1)],
+                         ids=["H5", "F5", "F11"])
+def test_lane_kernel_matches_tuple_closure_on_builtins(args, degree):
+    S = builtin(*args)
+    for u in _nonconstant(S, degree):
+        assert (_ideal_members_bounded(u, degree, degree, 3)
+                == tuple_slice(u, degree, degree, 3)), u
 
 
 def test_h5_quadratic_is_irreducible(monkeypatch, H5):

@@ -16,9 +16,11 @@ checkout's own files:
   `structure_is` on a fresh structure, for each of COLD_STRUCTURES under each of
   COLD_KINDS, COLD_CALLS calls in each of REPEATS fresh interpreters; the row is
   the median in microseconds, and its work units are `verify_axioms(...).checked`;
-- the irreducibility scan of 1+2X^2 over `builtin("Hp", 5)`, `polys._irreducible`
-  timed around the call in each of REPEATS fresh interpreters; its work units
-  are the verdict and the number of ideal slices its table holds afterwards;
+- the irreducibility scans of 1+2X^2 over `builtin("Hp", 5)` and of 1+X+X^4 over
+  `builtin("Fp", 2)` (the shape of the `extension` workload's slowest
+  irreducibility queries), `polys._irreducible` timed around the call in each of
+  REPEATS fresh interpreters; the work units of each are the verdict and the
+  number of ideal slices its table holds afterwards;
 - the quotient search `find_quotient_superfield(builtin("Hp", 5), 2)`, timed
   around the call in each of REPEATS fresh interpreters; its work units say
   whether it found a quotient;
@@ -88,18 +90,23 @@ for kind in KINDS:
 print(json.dumps(out))
 """
 
-# The rows timed around one call in a fresh interpreter: (layer, row name, code).
-# Each code prints [seconds, work units].
-TIMED_CALLS = (
-    ("polys", "irreducible H5 1+2X^2", """
+# The irreducibility scan of COEFFS over builtin(*ARGS), which its rows set first.
+IRREDUCIBLE_CODE = """
 import json, time
 from mvla import Poly, builtin
 from mvla.polys import _irreducible
-f, slices = Poly(builtin("Hp", 5), (1, 0, 2)), {}
+f, slices = Poly(builtin(*ARGS), COEFFS), {}
 t0 = time.perf_counter()
 irreducible = _irreducible(f, slices).irreducible
 print(json.dumps([time.perf_counter() - t0, {"irreducible": irreducible, "slices": len(slices)}]))
-"""),
+"""
+
+# The rows timed around one call in a fresh interpreter: (layer, row name, code).
+# Each code prints [seconds, work units].
+TIMED_CALLS = (
+    ("polys", "irreducible H5 1+2X^2", 'ARGS, COEFFS = ("Hp", 5), (1, 0, 2)' + IRREDUCIBLE_CODE),
+    ("polys", "irreducible F2 1+X+X^4",
+     'ARGS, COEFFS = ("Fp", 2), (1, 1, 0, 0, 1)' + IRREDUCIBLE_CODE),
     ("extensions", "quotient search H5 deg 2", """
 import json, time
 from mvla import builtin
