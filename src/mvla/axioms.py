@@ -6,8 +6,9 @@ reports.  Lazy structures are checked on an explicit window: instances whose
 evaluation would leave the window are skipped and counted, and a clean run is
 reported as "pass-on-window", never as a global pass.
 
-The fast kernels take exact tables only and decide whether a whole table, or a
-packed row of a law over triples, passes.  A window's rows and each failing row
+The fast kernels take exact tables only and decide whether a whole table, a
+larger commutative table (associativity, one byte lane at a time), or a packed
+row of a law over triples, passes.  A window's rows and each failing row
 of an exact table go through one per-instance path, which rebuilds the cells.
 """
 
@@ -233,6 +234,10 @@ _LOG2 = bytes(m.bit_length() - 1 if m & (m - 1) == 0 < m else 255 for m in range
 # (8 kB) at a time, and at least one line at a time.
 _M1_BITS = 1 << 16
 
+# The rotation test of associativity holds at most this many bytes of a lane on
+# each side at a time, and at least one b at a time.
+_LANE_BYTES = 1 << 16
+
 
 def _flat(tab):
     """The cells of a table, row by row."""
@@ -368,21 +373,59 @@ def _assoc_rows(t, equal):
             yield L == R if equal else (L | R) == R
 
 
+def _assoc_lanes_pass(t):
+    """(a.b).c equals a.(b.c) for every triple, on an exact commutative table.
+
+    There a.(b.c) = (b.c).a, so the right side R(a, b, c) is L(b, c, a), where
+    L(a, b, c) = (a.b).c.  If L is within R at every triple, the 3-cycle
+    L(a, b, c) <= L(b, c, a) <= L(c, a, b) <= L(a, b, c) makes every instance an
+    equality, so both laws hold everywhere exactly when L equals its rotation.
+
+    L's row over c is built once per distinct cell a.b, one byte lane of the
+    cells at a time, and the lane is compared a chunk of b values at a time: of
+    the rows L(b, c, .) gathered in order (b, c), every k-th byte from a is
+    R(a, b, c) in order (b, c), and must equal the rows L(a, b, .) gathered in
+    order (a, b).
+    """
+    tab, k, w = t.rows, t.k, t.w
+    members, ids = _cells(tab)
+    id_rows = [list(map(ids.__getitem__, row)) for row in tab]
+    step = max(1, _LANE_BYTES // k ** 2)
+    # per chunk, the cell ids of the rows L(a, b, .) (the chunk's columns, which
+    # are its rows transposed) and of the rows L(b, c, .)
+    chunks = [(_flat(zip(*id_rows[lo:lo + step])), _flat(id_rows[lo:lo + step]))
+              for lo in range(0, k, step)]
+    del id_rows
+    raws = [_pack(row, w).to_bytes(k * w, "big") for row in tab]
+    reduce, join = functools.reduce, b"".join  # _or is inlined: it runs once a cell and lane
+    for lane in range(w):
+        row = [int.from_bytes(raw[lane::w], "big") for raw in raws].__getitem__
+        lines = [reduce(or_, map(row, mem), 0).to_bytes(k, "big") for mem in members.values()]
+        get = lines.__getitem__
+        for left, right in chunks:
+            rotated = join(map(get, right))
+            if join([rotated[a::k] for a in range(k)]) != join(map(get, left)):
+                return False
+    return True
+
+
 def _scan_assoc(view, col, tab, axiom, law):
     """law((a.b).c, a.(b.c)), unionwise, for every triple.
 
     A whole table is tested at once (_assoc_passes): (a.b).c puts the packed row
     x in each row (a, b) whose cell holds x, and a.(b.c), over (b, c, a), the
-    packed column y in each row (b, c) whose cell holds y.  Any other exact table
-    goes one packed row (a, b) at a time (_assoc_rows), and a row whose k
-    instances all pass is counted at once.  Every row of a window, and each
-    failing row, goes through the per-instance path, so witnesses, counts and the
-    early exit are those of a per-triple scan.
+    packed column y in each row (b, c) whose cell holds y.  Any other exact
+    commutative table is first tested at once by rotation (_assoc_lanes_pass).
+    An exact table that fails it or is not commutative goes one packed row (a, b)
+    at a time (_assoc_rows), and a row whose k instances all pass is counted at
+    once.  Every row of a window, and each failing row, goes through the
+    per-instance path, so witnesses, counts and the early exit are those of a
+    per-triple scan.
     """
     els, k, inex = view.elements, view.k, view.inex
     t = view.table(tab)
     equal = law is _equality
-    if t.whole and _assoc_passes(t, equal):
+    if _assoc_passes(t, equal) if t.whole else _symmetric(t) and _assoc_lanes_pass(t):
         col.checked += k ** 3
         return
     for n, passed in enumerate(_assoc_rows(t, equal) if t.exact else repeat(False, k * k)):
@@ -400,7 +443,8 @@ def _scan_assoc(view, col, tab, axiom, law):
 #
 # Each scan first tests all its instances at once on an exact table and counts
 # them when they all pass; a law over triples on a table too large to test whole
-# goes one packed row at a time.  A window's table, and a table or row that fails
+# goes one packed row at a time, after the rotation test for associativity on a
+# commutative table.  A window's table, and a table or row that fails
 # that test, is recorded instance by instance, in the order of a per-instance scan.
 
 

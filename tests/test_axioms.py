@@ -1,17 +1,18 @@
 import collections
 import functools
 import itertools
+import math
 import random
 import unittest.mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mvla import (MorphismSpec, StructureError, WindowRequired, builtin,
+from mvla import (MorphismSpec, Poly, StructureError, WindowRequired, builtin,
                   check_morphism, extension_space, fn_space, is_full,
-                  is_proto_full, matrix_space, mprod_sets, msum_sets,
-                  recheck_witness, strict_ring, structure_is, verify_axioms,
-                  verify_multigroup, verify_vspace)
+                  is_proto_full, matrix_space, mprod_sets, msum_sets, poly_space,
+                  quotient_pair, recheck_witness, strict_ring, structure_is,
+                  verify_axioms, verify_multigroup, verify_vspace)
 from mvla import axioms
 from mvla.axioms import (KINDS, _Collector, _View, _scan_absorb, _scan_action,
                          _scan_assoc, _scan_hyper_dist, _scan_inverses, _scan_m1,
@@ -604,6 +605,188 @@ _BYTE_EDGES = st.sampled_from([7, 8, 9, 15, 16, 17])
 @given(view=partial_views(_BYTE_EDGES, odds=60))
 def test_assoc_kernel_matches_per_triple_loop_at_byte_boundaries(view):
     _all_assoc_agree(view)
+
+
+# -- the rotation test of associativity against the packed rows ------------------------
+#
+# On an exact commutative table of more than 8 elements _scan_assoc first tries
+# _assoc_lanes_pass, which decides both laws at once; the packed rows (_assoc_rows),
+# its fallback, are its reference.
+
+
+def _members(mask):
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def _lanes_agree(tab, step=None):
+    """_assoc_lanes_pass on an exact symmetric table of 9 or more elements, with
+    chunks of step b values when step is set, gives the packed rows' verdict under
+    both laws; returns it."""
+    k = len(tab)
+    t = axioms._Table(tab, k)
+    assert k > 8 and axioms._symmetric(t)
+    with unittest.mock.patch.object(axioms, "_LANE_BYTES", step * k * k if step
+                                    else axioms._LANE_BYTES):
+        got = axioms._assoc_lanes_pass(t)
+    assert got == all(axioms._assoc_rows(t, False)) == all(axioms._assoc_rows(t, True))
+    return got
+
+
+def _product_table(tabs):
+    """The componentwise table of tables of masks, on the tuples of their indices in
+    lexicographic order."""
+    points = list(itertools.product(*(range(len(t)) for t in tabs)))
+    index = {p: n for n, p in enumerate(points)}
+
+    def cell(p, q):
+        return sum(1 << index[r] for r in itertools.product(
+            *(_members(t[i][j]) for t, i, j in zip(tabs, p, q))))
+
+    return [[cell(p, q) for q in points] for p in points]
+
+
+def _relabelled(tab, perm):
+    """tab with element x renamed perm[x]."""
+    out = [[0] * len(tab) for _ in tab]
+    for a, row in enumerate(tab):
+        for b, cell in enumerate(row):
+            out[perm[a]][perm[b]] = sum(1 << perm[x] for x in _members(cell))
+    return out
+
+
+def _widened(tab, a, b, x):
+    """tab with x added to the cell a.b and its mirror."""
+    out = [list(row) for row in tab]
+    out[a][b] |= 1 << x
+    out[b][a] = out[a][b]
+    return out
+
+
+@functools.cache
+def _factor_tables():
+    """The sum and product tables of built-in structures of 2 to 7 elements: each is
+    exact, commutative and associative, and so is any componentwise product of them."""
+    structures = [builtin(*args) for args in (("K",), ("Q2",), ("Hp", 3), ("Hp", 5),
+                                              ("Xn", 1), ("Fp", 2), ("Fp", 3), ("Hp", 7))]
+    return [tab for S in structures for tab in (S._sum, S._prod)]
+
+
+@st.composite
+def commutative_tables(draw):
+    """An exact symmetric table on 9 to 40 elements (2 to 5 byte lanes): a relabelled
+    componentwise product of built-in tables, which passes both laws; or, a third of
+    the time each, one of its near misses, with a cell and its mirror widened by one
+    element, or a random table whose cells are mostly the whole carrier."""
+    factors = draw(st.lists(st.sampled_from(_factor_tables()), min_size=2, max_size=4)
+                   .filter(lambda fs: 9 <= math.prod(map(len, fs)) <= 40))
+    k = math.prod(map(len, factors))
+    tab = _relabelled(_product_table(factors), draw(st.permutations(range(k))))
+    shape = draw(st.sampled_from(["product", "near miss", "random"]))
+    if shape == "near miss":
+        a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        missing = [x for x in range(k) if not tab[a][b] >> x & 1]
+        assume(missing)
+        tab = _widened(tab, a, b, draw(st.sampled_from(missing)))
+    elif shape == "random":
+        rng, whole = random.Random(draw(st.integers(0, 2 ** 32))), (1 << k) - 1
+        for a in range(k):
+            for b in range(a, k):
+                tab[a][b] = tab[b][a] = whole if rng.random() < 0.9 else rng.randrange(1, whole)
+    return tab
+
+
+@settings(max_examples=80, deadline=None)
+@given(tab=commutative_tables(), step=st.sampled_from([None, 1, 2, 3]))
+def test_rotation_test_matches_packed_rows_on_random_tables(tab, step):
+    _lanes_agree(tab, step)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tab=commutative_tables())
+def test_scan_assoc_counts_and_witnesses_match_the_packed_rows(tab):
+    """The rotation test changes no count or witness: _scan_assoc with it and with
+    every table sent to the packed rows agree, under both laws and each witness
+    limit (an unlimited collector would record a random table's many failing
+    instances one by one)."""
+    k = len(tab)
+    view = _View(tuple(range(k)), 0, 1, tuple(range(k)), tab, tab, False)
+    for axiom, law in (("M3", axioms._containment), ("assoc-prod", axioms._equality)):
+        for kwargs in _LIMITED + ({"limit": 40},):
+            new, rows = _Collector(**kwargs), _Collector(**kwargs)
+            _scan_assoc(view, new, tab, axiom, law)
+            with unittest.mock.patch.object(axioms, "_assoc_lanes_pass", lambda t: False):
+                _scan_assoc(view, rows, tab, axiom, law)
+            assert (new.witnesses, new.checked, new.skipped) == \
+                (rows.witnesses, rows.checked, rows.skipped), (axiom, kwargs)
+
+
+@pytest.mark.parametrize("step", [None, 1, 2, 4])
+def test_rotation_test_on_every_near_miss(H3, step):
+    """Every cell a.b with a <= b of a passing 9-element table, widened with its
+    mirror by its first missing element, under chunks of 1, 2, 4 and all b values."""
+    base = _product_table([H3._sum, builtin("Xn", 1)._sum])
+    assert _lanes_agree(base, step)
+    verdicts = [_lanes_agree(_widened(base, a, b, _members(~base[a][b] & 511)[0]), step)
+                for a in range(9) for b in range(a, 9) if base[a][b] != 511]
+    assert verdicts.count(False) >= len(verdicts) // 2
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_rotation_test_sees_a_failure_at_one_middle_element(K, H5, step):
+    """On K x H5, widening the cell (1, 0) + (1, 0) by (0, 1) breaks associativity
+    only at triples (a, b, c) with b = (1, 0), so only the chunk of b values that
+    holds (1, 0) sees it.  (1, 0), element 5, is moved to each place in turn."""
+    base = _product_table([K._sum, H5._sum])
+    for p in range(10):
+        perm = list(range(10))
+        perm[5], perm[p] = p, 5
+        tab, near = _relabelled(base, perm), _widened(_relabelled(base, perm), p, p, perm[1])
+        assert _lanes_agree(tab, step)
+        assert not _lanes_agree(near, step)
+        failing = axioms._assoc_rows(axioms._Table(near, 10), False)
+        assert {n % 10 for n, ok in enumerate(failing) if not ok} == {p}
+
+
+@pytest.mark.parametrize("step", [None, 1, 3])
+def test_rotation_test_sees_a_failure_in_the_low_byte_lane_alone(step):
+    """On 16 elements, 0 to 7 summed by xor and every other cell the whole carrier,
+    associativity holds.  Widening 0+1 = {1} by 2 breaks it only among the members
+    0 to 7, which every cell keeps in its low byte lane."""
+    whole = (1 << 16) - 1
+    tab = [[1 << (a ^ b) if a < 8 and b < 8 else whole for b in range(16)]
+           for a in range(16)]
+    assert _lanes_agree(tab, step)
+    assert not _lanes_agree(_widened(tab, 0, 1, 2), step)
+
+
+@pytest.fixture(scope="module")
+def workload_spaces(K, Q2, H2, H3, H5, F3):
+    """The spaces of more than 8 vectors whose vector sums the benchmark's vspace
+    workload verifies."""
+    gf9 = quotient_pair(F3, Poly(F3, (1, 0, 1)))
+    return {"H3^3": fn_space(H3, 3), "H3^4": fn_space(H3, 4), "K^5": fn_space(K, 5),
+            "Q2^3": fn_space(Q2, 3), "X1^3": fn_space(builtin("Xn", 1), 3),
+            "F3^3": fn_space(F3, 3), "H5^2": fn_space(H5, 2),
+            "M2x2(H2)": matrix_space(H2, 2, 2), "K[X]<=3": poly_space(K, 3),
+            "GF(9)|F3": extension_space(gf9[1])}
+
+
+@pytest.mark.parametrize("name", ["H3^3", "H3^4", "K^5", "Q2^3", "X1^3", "F3^3", "H5^2",
+                                  "M2x2(H2)", "K[X]<=3", "GF(9)|F3"])
+def test_rotation_test_passes_the_workload_spaces(monkeypatch, workload_spaces, name):
+    V = workload_spaces[name]
+    assert _lanes_agree(V.sum)
+    new = verify_vspace(V)
+    monkeypatch.setattr(axioms, "_assoc_lanes_pass", lambda t: False)
+    assert new == verify_vspace(V) and new.passed
+
+
+def test_rotation_test_on_the_f11_superfield(monkeypatch):
+    S = builtin("Fp", 11)
+    assert _lanes_agree(S._sum) and _lanes_agree(S._prod)
+    _all_assoc_agree(_View.of_structure(S))
+    for kind in KINDS:
+        _reports_agree(monkeypatch, lambda: verify_axioms(S, kind))
 
 
 # -- the row-at-a-time M1 and distributivity kernels against per-instance loops -------

@@ -24,6 +24,11 @@ checkout's own files:
 - the quotient search `find_quotient_superfield(builtin("Hp", 5), 2)`, timed
   around the call in each of REPEATS fresh interpreters; its work units say
   whether it found a quotient;
+- M3 on the sum table of `fn_space(builtin("Hp", 3), 4)` (81 vectors), the
+  private `axioms._scan_assoc` timed around the call, and `verify_vspace` on
+  `fn_space(builtin("Hp", 3), 5)` (243 vectors), each in REPEATS fresh
+  interpreters; the work units of each are the instances it counted as
+  `checked`;
 - `find_inverse` over one seeded batch of 200 upper-triangular 3x3 matrices
   with a nonzero diagonal, 40 each over H3, H5, H7, Q2 and F5 (the shape of the
   `linsys` workload's inverse queries), timed around the batch in each of
@@ -114,6 +119,25 @@ from mvla.extensions import find_quotient_superfield
 t0 = time.perf_counter()
 found = find_quotient_superfield(builtin("Hp", 5), 2) is not None
 print(json.dumps([time.perf_counter() - t0, {"found": found}]))
+"""),
+    ("axioms", "M3 H3^4 sum", """
+import json, time
+from mvla import builtin, fn_space
+from mvla.axioms import _Collector, _View, _containment, _scan_assoc
+V = fn_space(builtin("Hp", 3), 4)
+view, col = _View(V.vectors, V.zero_i, None, V.neg, V.sum, None, False, V.act), _Collector()
+t0 = time.perf_counter()
+_scan_assoc(view, col, V.sum, "M3", _containment)
+print(json.dumps([time.perf_counter() - t0, {"checked": col.checked,
+                                             "witnesses": len(col.witnesses)}]))
+"""),
+    ("vspaces", "verify H3^5", """
+import json, time
+from mvla import builtin, fn_space, verify_vspace
+V = fn_space(builtin("Hp", 3), 5)
+t0 = time.perf_counter()
+rep = verify_vspace(V)
+print(json.dumps([time.perf_counter() - t0, {"checked": rep.checked, "verdict": rep.verdict}]))
 """),
     ("matrices", "inverse upper-triangular 3x3 batch", """
 import json, random, time
@@ -268,8 +292,8 @@ def main(argv=None):
     rows += verb_rows(root, REPEATS)
     print("cold checks", file=sys.stderr, flush=True)
     rows += cold_rows(root, REPEATS)
-    print("irreducibility scan, quotient search and inverse batch", file=sys.stderr,
-          flush=True)
+    print("irreducibility scans, quotient search, axiom scans and inverse batch",
+          file=sys.stderr, flush=True)
     rows += timed_call_rows(root, REPEATS)
     rows.append(src_lines_row(root))
     head = {"machine": machine(), "python": platform.python_version()}
