@@ -123,7 +123,7 @@ class _View:
     @classmethod
     def of_structure(cls, S):
         """The structure's own mask tables, as they are: no scan writes to a table."""
-        return cls(S.elements, S.index(S.zero), S.index(S.one), S._neg,
+        return cls(S.elements, S.zero_i, S.one_i, S._neg,
                    S._sum, S._prod, False)
 
     @classmethod
@@ -969,72 +969,67 @@ class MorphismSpec:
 
     source: Structure
     target: Structure
-    pairs: tuple  # ((a, f(a)), ...) in source carrier order
+    images: tuple  # the target index of the image of each source index
 
     @classmethod
     def from_mapping(cls, source, target, mapping):
-        pairs = []
         for a in source.elements:
             if a not in mapping:
                 raise StructureError(f"morphism map undefined at {a!r}")
-            fa = mapping[a]
-            if fa not in target:
-                raise StructureError(f"morphism image {fa!r} not in {target.name}")
-            pairs.append((a, fa))
-        return cls(source, target, tuple(pairs))
+            if mapping[a] not in target:
+                raise StructureError(f"morphism image {mapping[a]!r} not in {target.name}")
+        return cls(source, target, tuple(target._idx[mapping[a]] for a in source.elements))
 
     @classmethod
     def inclusion(cls, source, target):
         return cls.from_mapping(source, target, {a: a for a in source.elements})
 
     def __call__(self, a):
-        return dict(self.pairs)[a]
+        return self.target.elements[self.images[self.source._idx[a]]]
 
     @property
     def mapping(self):
-        return dict(self.pairs)
+        return dict(zip(self.source.elements, map(self.target.elements.__getitem__, self.images)))
 
     @property
     def is_injective(self):
-        images = [fa for _, fa in self.pairs]
-        return len(set(images)) == len(images)
+        return len(set(self.images)) == len(self.images)
 
 
 def check_morphism(spec, full=False, witness_limit=3):
-    """Check the morphism conditions; with full=True also setwise image equalities."""
-    S, T = spec.source, spec.target
-    f = spec.mapping
+    """Check the morphism conditions on the mask tables of both structures; with
+    full=True also setwise image equalities.  Only witnesses are made tokens."""
+    S, T, f = spec.source, spec.target, spec.images
+    bits = [1 << x for x in f]
     col = _Collector(limit=witness_limit)
 
     def instances():
-        """(holds, axiom, instance) in check order, lazily, so a stop stops the work."""
-        yield f[S.zero] == T.zero, "m-zero", (S.zero,)
-        yield f[S.one] == T.one, "m-one", (S.one,)
-        for a in S.elements:
-            yield f[S.neg(a)] == T.neg(f[a]), "m-neg", (a,)
-        for a in S.elements:
-            for b in S.elements:
-                img_sum = T.set_of(T.sum_mask(f[a], f[b]))
-                for c in S.canon_of(S.sum_mask(a, b)):
-                    yield f[c] in img_sum, "m-add", (a, b, c)
-                img_prod = T.set_of(T.prod_mask(f[a], f[b]))
-                for c in S.canon_of(S.prod_mask(a, b)):
-                    yield f[c] in img_prod, "m-mul", (a, b, c)
+        """(holds, axiom, source indices) in check order, lazily, so a stop stops the work."""
+        yield f[S.zero_i] == T.zero_i, "m-zero", (S.zero_i,)
+        yield f[S.one_i] == T.one_i, "m-one", (S.one_i,)
+        for a, n in enumerate(S._neg):
+            yield f[n] == T._neg[f[a]], "m-neg", (a,)
+        for a, (sums, prods) in enumerate(zip(S._sum, S._prod)):
+            for b in range(len(S)):
+                img_sum, img_prod = T._sum[f[a]][f[b]], T._prod[f[a]][f[b]]
+                for c in _bits(sums[b]):
+                    yield img_sum >> f[c] & 1, "m-add", (a, b, c)
+                for c in _bits(prods[b]):
+                    yield img_prod >> f[c] & 1, "m-mul", (a, b, c)
                 if full:
-                    fs = frozenset(f[c] for c in S.sum_set(a, b))
-                    yield fs == img_sum, "full-add", (a, b)
-                    fp = frozenset(f[c] for c in S.prod_set(a, b))
-                    yield fp == img_prod, "full-mul", (a, b)
+                    yield _union(bits, sums[b]) == img_sum, "full-add", (a, b)
+                    yield _union(bits, prods[b]) == img_prod, "full-mul", (a, b)
 
     for ok, axiom, instance in instances():
         col.record("pass" if ok else "fail", axiom, instance)
         if col.done:
             break
 
-    verdict = FAIL if col.witnesses else PASS
+    witnesses = tuple((ax, tuple(map(S.elements.__getitem__, wit))) for ax, wit in col.witnesses)
     label = "full-morphism" if full else "morphism"
-    return AxiomReport(subject=f"{S.name}->{T.name}", kind=label, verdict=verdict,
-                       witnesses=tuple(col.witnesses), checked=col.checked)
+    return AxiomReport(subject=f"{S.name}->{T.name}", kind=label,
+                       verdict=FAIL if witnesses else PASS, witnesses=witnesses,
+                       checked=col.checked)
 
 
 # -- derived carriers: vector, matrix and extension multigroups ------------------
@@ -1066,13 +1061,13 @@ def _scan_action(view, F, col, full):
     table, over the distinct action cells for MV1 and the distinct sum cells for
     MV2, one lam at a time.  The right side of MV2, lam.v + lam.w over w, is the
     OR over x in lam.v of packed rows that gather the unions of x + y over y in
-    lam.w; they are built for one lam at a time.  A row that fails goes through
-    the per-instance path.
+    lam.w; one pass of _row_unions over the sum table builds them for every lam.
+    A row that fails goes through the per-instance path.
     """
     els, act, k = view.elements, view.act, view.k
     scal = F.elements
     s = len(scal)
-    one, zero = F.index(F.one), F.index(F.zero)
+    one, zero = F.one_i, F.zero_i
     zero_vec = 1 << view.zero_i
     if [*act[one]] == [1 << v for v in range(k)] and [*act[zero]] == [zero_vec] * k:
         col.checked += 2 * k  # MV0 holds in both columns
@@ -1110,9 +1105,11 @@ def _scan_action(view, F, col, full):
     # MV2: lam (v + w) within lam v + lam w
     sum_cells, sum_ids = _cells(view.sum)
     sum_getters = _getters(sum_ids, view.sum)
-    for lam, unions in enumerate(_row_unions(act, sum_cells, width)):
+    # lam_sums[lam][x]: the packed row over w of x + lam.w
+    lam_sums = list(zip(*([_gather(get, u) for get in act_getters]
+                          for u in _row_unions(view.sum, act_cells, width))))
+    for lam, (unions, sums) in enumerate(zip(_row_unions(act, sum_cells, width), lam_sums)):
         row = act[lam]
-        sums = [_gather(act_getters[lam], u) for u in _row_unions(view.sum, act_cells, width)]
         for v in range(k):
             if done(_gather(sum_getters[v], unions), _or(sums, act_cells[row[v]]), law, zip(
                     _unions(repeat(row), view.sum[v], 0),

@@ -12,14 +12,15 @@ quotients are only released after passing the full superfield axiom scan.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .axioms import MorphismSpec, check_morphism, structure_is, verify_axioms
-from .errors import CongruenceError, ReducibleError, StructureError
-from .polys import (Poly, PolySet, _divisions, _irreducible, _members_bits, _nonzero,
-                    all_polys, evaluate, pmul)
+from .axioms import MorphismSpec, check_morphism, verify_axioms
+from .errors import CongruenceError, ReducibleError, StructureError, charge
+from .polys import (Poly, PolySet, _coeff_map, _divisions, _irreducible, _members_bits,
+                    _nonzero, _values, all_polys, pmul)
 from .structures import Structure, _bits
-from .vspaces import _componentwise_tables, extension_space, is_linearly_independent
+from .vspaces import _componentwise_tables, _dependence, extension_space
 
 
 @dataclass(frozen=True)
@@ -70,23 +71,34 @@ def make_quotient_superfield(F, p):
     witness (the faithfulness of representative arithmetic to coset
     arithmetic is exactly what that check probes).
     """
+    return quotient_pair(F, p)[0]
+
+
+def quotient_pair(F, p):
+    """(quotient, extension pair, generator): the constant embedding and X-bar."""
     return _quotient(F, p, {})
 
 
 def _quotient(F, p, slices):
-    """make_quotient_superfield, scanning p over a search's slice table."""
-    if not structure_is(F, "superfield"):
-        raise StructureError(f"{F.name} is not a superfield")
+    """quotient_pair, scanning p over a search's slice table."""
     verdict = _irreducible(p, slices)
     if not verdict:
         raise ReducibleError(f"{p!r} is reducible (witness {verdict.witness!r})",
                              witnesses=(("divisor", verdict.witness),))
-    out = _quotient_tables(F, p)
-    report = verify_axioms(out, "superfield")
+    K = _quotient_tables(F, p)
+    report = verify_axioms(K, "superfield")
     if not report.passed:
         raise CongruenceError(f"quotient by {p!r} fails the superfield axioms",
                               witnesses=report.witnesses)
-    return out
+    m = p.degree
+    # (a, 0, ..., 0) is the zero vector with its leading coordinate raised to a
+    images = tuple(K.zero_i + (a - F.zero_i) * len(F) ** (m - 1) for a in range(len(F)))
+    if m >= 2:
+        gamma = (F.zero, F.one) + (F.zero,) * (m - 2)
+    else:
+        x = PolySet.singleton(Poly.x_power(F, 1))
+        gamma = K.elements[_bits(_remainder_mask(x, p, {}))[0]]
+    return K, ExtensionPair(F, K, MorphismSpec(F, K, images)), gamma
 
 
 def _quotient_tables(F, p):
@@ -102,28 +114,10 @@ def _quotient_tables(F, p):
                         [_remainder_mask(pmul(fx, fy), p, boxes) for fy in polys[i:]])
 
     # (1, 0, ..., 0) is the zero vector with its leading coordinate raised
-    one_i = zero_i + (F._idx[F.one] - F._idx[F.zero]) * len(F) ** (m - 1)
+    one_i = zero_i + (F.one_i - F.zero_i) * len(F) ** (m - 1)
     name = f"{F.name}({','.join(str(c) for c in p.coeffs)})"
     return Structure.from_masks(name, itertools.product(F.elements, repeat=m), zero_i, one_i,
                                 neg, sum_tab, prod_tab)
-
-
-def quotient_pair(F, p):
-    """(quotient, extension pair, generator): the constant embedding and X-bar."""
-    return _quotient_pair(F, p, {})
-
-
-def _quotient_pair(F, p, slices):
-    K = _quotient(F, p, slices)
-    m = p.degree
-    mapping = {a: (a,) + (F.zero,) * (m - 1) for a in F.elements}
-    pair = ExtensionPair.of(F, K, mapping)
-    if m >= 2:
-        gamma = (F.zero, F.one) + (F.zero,) * (m - 2)
-    else:
-        x = PolySet.singleton(Poly.x_power(F, 1))
-        gamma = K.elements[_bits(_remainder_mask(x, p, {}))[0]]
-    return K, pair, gamma
 
 
 def find_irreducible(F, degree):
@@ -148,10 +142,12 @@ def find_quotient_superfield(F, degree):
     rejected = []
     slices = {}
     for p in all_polys(F, degree):
-        if p.degree != degree or not _irreducible(p, slices):
+        if p.degree != degree:
             continue
         try:
-            K, pair, gamma = _quotient_pair(F, p, slices)
+            K, pair, gamma = _quotient(F, p, slices)
+        except ReducibleError:
+            continue
         except CongruenceError:
             rejected.append(p)
             continue
@@ -169,7 +165,7 @@ def eval_closure(gamma, pair, family="all", g=None, bound=None):
     h*g.  Degrees grow until the union stops growing or the bound (default
     |K|) is hit; the result reports whether it saturated.
     """
-    F, K, emb = pair.small, pair.big, pair.embedding
+    F, K = pair.small, pair.big
     if gamma not in K:
         raise StructureError(f"{gamma!r} is not in {K.name}")
     if family not in ("all", "multiples"):
@@ -177,24 +173,22 @@ def eval_closure(gamma, pair, family="all", g=None, bound=None):
     if family == "multiples" and g is None:
         raise StructureError("family 'multiples' needs g")
     bound = len(K.elements) if bound is None else bound
+    x, h = K._idx[gamma], _coeff_map(F, K, pair.embedding)
 
-    seen = frozenset()
+    seen = 0
     saturated = False
     for d in range(bound + 1):
         grown = seen
-        for h in all_polys(F, d):
-            if h.degree != d and not (d == 0 and h.is_zero):
+        for f in all_polys(F, d):
+            if f.degree != d and not (d == 0 and f.is_zero):
                 continue
-            if family == "all":
-                grown = grown | evaluate(h, gamma, K, via=emb)
-            else:
-                for f in pmul(h, g).members():
-                    grown = grown | evaluate(f, gamma, K, via=emb)
+            for member in (f,) if family == "all" else pmul(f, g).members():
+                grown |= _values(member, x, K, h)
         if d > 0 and grown == seen:
             saturated = True
             break
         seen = grown
-    return seen, saturated
+    return K.set_of(seen), saturated
 
 
 @dataclass(frozen=True)
@@ -206,14 +200,15 @@ class AlgebraicityCertificate:
 
 def minimal_polynomial(gamma, pair, bound):
     """Least-degree, then lexicographically least f over F with a root at gamma."""
-    F, K, emb = pair.small, pair.big, pair.embedding
+    F, K = pair.small, pair.big
     if gamma not in K:
         raise StructureError(f"{gamma!r} is not in {K.name}")
+    x, h = K._idx[gamma], _coeff_map(F, K, pair.embedding)
     for d in range(1, bound + 1):
         for low in itertools.product(range(len(F)), repeat=d):
             for top in _nonzero(F):
                 f = Poly.from_indices(F, low + (top,))
-                if K.zero in evaluate(f, gamma, K, via=emb):
+                if _values(f, x, K, h) >> K.zero_i & 1:
                     return AlgebraicityCertificate(gamma, f, True)
     return None
 
@@ -221,30 +216,31 @@ def minimal_polynomial(gamma, pair, bound):
 # -- almost-fullness ----------------------------------------------------------------
 
 
-def _power_masks(K, gamma, top):
-    """gamma^0 .. gamma^top as masks of K (iterated set products)."""
-    g = 1 << K.index(gamma)
-    powers = [1 << K.index(K.one)]
+def _power_masks(K, x, top):
+    """gamma^0 .. gamma^top as masks of K (iterated set products), gamma of index x."""
+    powers = [1 << K.one_i]
     for _ in range(top):
-        powers.append(K.mul_masks(powers[-1], g))
+        powers.append(K.mul_masks(powers[-1], 1 << x))
     return powers
 
 
-def _image_bits(pair):
-    K, f = pair.big, pair.embedding.mapping
-    return {a: 1 << K.index(f[a]) for a in pair.small.elements}
-
-
 def generation_degree(pair, gamma, limit=None):
-    """Least n with K covered by sums a_0 + a_1 g + ... + a_n g^n, else None."""
-    F, K = pair.small, pair.big
-    bit = _image_bits(pair)
+    """Least n with K covered by sums a_0 + a_1 g + ... + a_n g^n, else None.
+
+    Each n is charged its q^(n+1) coefficient tuples (q = |F|), summed over the
+    n scanned so far, before it is scanned.
+    """
+    K = pair.big
+    bits = [1 << i for i in pair.embedding.images]
     limit = len(K.elements) if limit is None else limit
-    powers = _power_masks(K, gamma, limit)
+    powers = _power_masks(K, K.index(gamma), limit)
+    work = 0
     for n in range(limit + 1):
+        work += len(bits) ** (n + 1)
+        charge(work, "generation degree coefficient tuples")
         covered = 0
-        for coeffs in itertools.product(F.elements, repeat=n + 1):
-            covered |= K.sum_of(K.mul_masks(bit[a], powers[i]) for i, a in enumerate(coeffs))
+        for coeffs in itertools.product(bits, repeat=n + 1):
+            covered |= K.sum_of(map(K.mul_masks, coeffs, powers))
         if covered == (1 << len(K)) - 1:
             return n
     return None
@@ -255,30 +251,30 @@ def is_almost_full(pair, gamma, gen_degree=None, witness_limit=3):
 
     Exhausts all a, b, c in F and distinct powers p, q, r up to n+1 where n
     is the generation degree.  Returns (verdict, witness); verdict is None
-    (inconclusive) when the generation assumption cannot be established.
+    (inconclusive) when the generation assumption cannot be established.  The
+    C(n+2, 3) q^3 instances (q = |F|) are charged before the scan.
     """
     F, K = pair.small, pair.big
-    bit = _image_bits(pair)
+    bits = [1 << i for i in pair.embedding.images]
     n = generation_degree(pair, gamma) if gen_degree is None else gen_degree
     if n is None:
         return None, "generation degree not established"
-    top = n + 2  # identities mention exponents up to n+2
-    powers = _power_masks(K, gamma, top)
-    g = 1 << K.index(gamma)
+    x = K.index(gamma)
+    charge(math.comb(n + 2, 3) * len(F) ** 3, "almost-fullness instances")
+    powers = _power_masks(K, x, n + 2)  # identities mention exponents up to n+2
 
     def weighted(coeffs, exps):
-        return K.sum_of(K.mul_masks(bit[x], powers[e]) for x, e in zip(coeffs, exps))
+        return K.sum_of(K.mul_masks(bits[c], powers[e]) for c, e in zip(coeffs, exps))
 
     witnesses = []
     for p, q, r in itertools.combinations(range(n + 2), 3):
-        for abc in itertools.product(F.elements, repeat=3):
-            if K.mul_masks(weighted(abc, (p, q, r)), g) != weighted(abc, (p + 1, q + 1, r + 1)):
-                witnesses.append(abc + (p, q, r))
+        for abc in itertools.product(range(len(F)), repeat=3):
+            if K.mul_masks(weighted(abc, (p, q, r)), 1 << x) != \
+                    weighted(abc, (p + 1, q + 1, r + 1)):
+                witnesses.append(tuple(map(F.elements.__getitem__, abc)) + (p, q, r))
                 if len(witnesses) >= witness_limit:
                     return False, tuple(witnesses)
-    if witnesses:
-        return False, tuple(witnesses)
-    return True, None
+    return (False, tuple(witnesses)) if witnesses else (True, None)
 
 
 # -- algebraic extension certification ------------------------------------------------
@@ -298,11 +294,12 @@ class ExtensionReport:
         return not self.missing
 
 
-def _power_chains(K, gamma, length):
-    """All selections (1, gamma, p2, ..., p_length) with p_{k+1} in p_k * gamma."""
-    chains = [[K.one, gamma]]
+def _power_chains(K, x, length):
+    """All selections (1, gamma, p2, ..., p_length) with p_{k+1} in p_k * gamma, as
+    index lists, gamma of index x."""
+    chains = [[K.one_i, x]]
     for _ in range(length - 1):
-        chains = [ch + [nxt] for ch in chains for nxt in K.prod_set(ch[-1], gamma)]
+        chains = [ch + [nxt] for ch in chains for nxt in _bits(K._prod[ch[-1]][x])]
     return chains
 
 
@@ -318,10 +315,11 @@ def certify_algebraic_extension(pair, bound):
     found = {el: minimal_polynomial(el, pair, bound) for el in K.elements}
     V = extension_space(pair)
     # chains with collisions cannot witness an oversized independent set
-    degree_witness = next(((el, tuple(chain)) for el in K.elements
-                           for chain in _power_chains(K, el, bound)
-                           if len(set(chain)) == bound + 1
-                           and is_linearly_independent(V, chain)[0]), None)
+    degree_witness = next(((el, tuple(map(K.elements.__getitem__, chain)))
+                           for x, el in enumerate(K.elements)
+                           for chain in _power_chains(K, x, bound)
+                           if len(set(chain)) == bound + 1 and _dependence(V, chain) is None),
+                          None)
     return ExtensionReport(pair_label=f"{pair.big.name}|{pair.small.name}",
                            certificates={el: c for el, c in found.items() if c is not None},
                            missing=tuple(el for el, c in found.items() if c is None),

@@ -43,8 +43,8 @@ def characteristic(S, window=None):
             seen.add(mask)
         return None
 
-    zero_bit = 1 << S.index(S.zero)
-    one_mask = 1 << S.index(S.one)
+    zero_bit = 1 << S.zero_i
+    one_mask = 1 << S.one_i
     mask = one_mask
     seen = {mask}
     n = 1
@@ -70,24 +70,28 @@ class Ideal:
         return self.parent.canon(self.members)
 
 
+def _closed(S, mask):
+    """Whether a carrier mask is closed under the set sum and carrier multiplication."""
+    return (S.add_masks(mask, mask) | mask) == mask and \
+        (S.mul_masks((1 << len(S)) - 1, mask) | mask) == mask
+
+
+def _closure(S, mask):
+    """The least closed mask holding mask, by fixed-point rounds."""
+    while not _closed(S, mask):
+        mask |= S.add_masks(mask, mask) | S.mul_masks((1 << len(S)) - 1, mask)
+    return mask
+
+
 def is_ideal(S, members):
     """Nonempty, closed under the set sum and under carrier multiplication."""
     m = S.mask_of(members)
-    if m == 0:
-        return False
-    full = (1 << len(S.elements)) - 1
-    return (S.add_masks(m, m) | m) == m and (S.mul_masks(full, m) | m) == m
+    return m != 0 and _closed(S, m)
 
 
 def principal_ideal(S, gens):
     """Least ideal containing gens, by fixed-point closure."""
-    mask = S.mask_of(gens) | 1 << S.index(S.zero)
-    full = (1 << len(S.elements)) - 1
-    while True:
-        nxt = mask | S.add_masks(mask, mask) | S.mul_masks(full, mask)
-        if nxt == mask:
-            return Ideal(S, S.set_of(mask))
-        mask = nxt
+    return Ideal(S, S.set_of(_closure(S, S.mask_of(gens) | 1 << S.zero_i)))
 
 
 @dataclass(frozen=True)
@@ -101,20 +105,19 @@ class IdealFlags:
 def classify_ideal(S, ideal):
     """Exhaustive prime / strongly prime / maximal flags for a candidate ideal."""
     members = ideal.members if isinstance(ideal, Ideal) else frozenset(ideal)
-    if not is_ideal(S, members):
-        return IdealFlags(False, None, None, None)
     imask = S.mask_of(members)
-    full = (1 << len(S.elements)) - 1
-    one_in = S.one in members
+    if not (imask and _closed(S, imask)):
+        return IdealFlags(False, None, None, None)
+    full = (1 << len(S)) - 1
+    one_in = imask >> S.one_i & 1
 
-    prime = not one_in
-    strongly = not one_in
+    prime = strongly = not one_in
     if not one_in:
-        for a in S.elements:
-            for b in S.elements:
-                pm = S.prod_mask(a, b)
-                inside = a in members or b in members
-                if not inside:
+        for a, row in enumerate(S._prod):
+            if imask >> a & 1:
+                continue
+            for b, pm in enumerate(row):
+                if not imask >> b & 1:
                     if pm & ~imask == 0:
                         prime = False
                     if pm & imask:
@@ -124,10 +127,8 @@ def classify_ideal(S, ideal):
 
     maximal = imask != full
     if maximal:
-        for x in S.elements:
-            if x in members:
-                continue
-            grown = S.mask_of(principal_ideal(S, members | {x}).members)
+        for x in _bits(full & ~imask):
+            grown = _closure(S, imask | 1 << x | 1 << S.zero_i)
             if grown != full and grown != imask:
                 maximal = False
                 break
@@ -184,17 +185,15 @@ def quotient(S, ideal):
                                   witnesses=[("neg", els[r], tokens(images))])
         neg.append(images.bit_length() - 1)
 
-    return Structure.from_masks(f"{S.name}/I", (els[r] for r in reps), cls[S.index(S.zero)],
-                                cls[S.index(S.one)], neg, sum_tab, prod_tab)
+    return Structure.from_masks(f"{S.name}/I", (els[r] for r in reps), cls[S.zero_i],
+                                cls[S.one_i], neg, sum_tab, prod_tab)
 
 
 def all_ideals(S):
-    """Every ideal of a small finite structure, by subset scan."""
-    out = []
-    rest = [e for e in S.elements if e != S.zero]
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            members = frozenset(extra) | {S.zero}
-            if is_ideal(S, members):
-                out.append(Ideal(S, members))
-    return out
+    """Every ideal of a small finite structure, by subset scan.  The 2^(k-1)
+    candidate subsets (every one holds 0) are charged before the scan."""
+    charge(2 ** (len(S) - 1), "ideal candidate subsets")
+    rest = [1 << i for i in range(len(S)) if i != S.zero_i]
+    masks = (sum(extra, 1 << S.zero_i) for r in range(len(rest) + 1)
+             for extra in itertools.combinations(rest, r))
+    return [Ideal(S, S.set_of(m)) for m in masks if _closed(S, m)]

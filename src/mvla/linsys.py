@@ -151,7 +151,7 @@ def iter_scaled_systems(sys):
         return
 
     m, n = sys.A.rows, sys.A.cols
-    zero, one = S._idx[S.zero], S._idx[S.one]
+    zero, one = S.zero_i, S.one_i
     prod, add, mul, neg = S._prod, S.add_masks, S.mul_masks, S._neg
     branch_cap = min(_limit.get(), _SCALE_BRANCHES)
     paths, walked = 0, {}  # walked: (state, column) -> the state's leaf paths
@@ -215,7 +215,7 @@ def iter_back_substitution(sys):
     A = sys.A
     if not A.is_upper_triangular:
         raise StructureError("back substitution needs a scaled system")
-    zero = S._idx[S.zero]
+    zero = S.zero_i
     n = A.cols
     a = A.indices
     # the leading-entry column per row; None for a row of zeros
@@ -311,7 +311,7 @@ def _first_weak(sys, skip=0):
 def homogeneous(A):
     """The system Ax = 0, read as B = ({0}, ..., {0}) with weak semantics."""
     S = A.base
-    return LinearSystem(A, (1 << S._idx[S.zero],) * A.rows)
+    return LinearSystem(A, (1 << S.zero_i,) * A.rows)
 
 
 # The constructive kernels work on carrier indices over a multifield, where
@@ -327,7 +327,7 @@ def _single(mask):
 
 def _unit(S, j, m):
     """The vector of length m with 1 at position j and 0 elsewhere."""
-    zero, one = S._idx[S.zero], S._idx[S.one]
+    zero, one = S.zero_i, S.one_i
     return [one if i == j else zero for i in range(m)]
 
 
@@ -342,13 +342,13 @@ def _case1(S, masks):
     members a1, a2 of the first two sets, x1 = -a1^(-1)a2 and x2 = 1.
     """
     m = len(masks)
-    zero = S._idx[S.zero]
+    zero = S.zero_i
     for j, cs in enumerate(masks):
         if cs >> zero & 1:
             return _unit(S, j, m)
     s2, s3 = (_bits(cs)[0] for cs in masks[:2])
     d2 = S._neg[_single(S._prod[S.inverse_indices(s2)[0]][s3])]
-    return [d2, S._idx[S.one]] + [zero] * (m - 2)
+    return [d2, S.one_i] + [zero] * (m - 2)
 
 
 def _normalize_row(S, row):
@@ -358,7 +358,7 @@ def _normalize_row(S, row):
 
 def _case2(S, rows, m):
     a, b = rows
-    zero = S._idx[S.zero]
+    zero = S.zero_i
     prod, neg = S._prod, S._neg
     for j in range(m):
         if a[j] == zero and b[j] == zero:
@@ -392,7 +392,7 @@ def _case2(S, rows, m):
 
 
 def _case3(S, rows, m):
-    zero = S._idx[S.zero]
+    zero = S.zero_i
     for j in range(m):
         if all(row[j] == zero for row in rows):
             return _unit(S, j, m)
@@ -458,7 +458,7 @@ def constructive_kernel(A):
         d = _case3(S, rows, m)
     else:
         return None
-    if d is None or all(x == S._idx[S.zero] for x in d):
+    if d is None or all(x == S.zero_i for x in d):
         return None
     vec = Matrix.from_indices(S, m, 1, d)
     return vec if is_weak_solution(homogeneous(A), vec) else None
@@ -477,7 +477,7 @@ def find_nontrivial_kernel(A):
     got = constructive_kernel(A)
     if got is not None:
         return SolveOutcome(SOLVED, SolutionVerdict(got, "weak"), note="constructive")
-    k, n, zero = len(A.base), A.cols, A.base._idx[A.base.zero]
+    k, n, zero = len(A.base), A.cols, A.base.zero_i
     if k ** n > _limit.get():
         return SolveOutcome(INCONCLUSIVE, note=f"kernel scan of {k ** n} exceeds cap")
     d = _first_weak(homogeneous(A), 1 << sum(zero * k ** e for e in range(n)))
@@ -489,7 +489,7 @@ def find_nontrivial_kernel(A):
 def _zero_sets(F):
     """Z at m = 1, 2, ...: bit d of Z[r] is set iff d != 0 and 0 in r.d (product order)."""
     k, memos = len(F), {}  # shared by every row of every length
-    zvec = zero = F._idx[F.zero]
+    zvec = zero = F.zero_i
     for m in itertools.count(1):
         yield [_value_masks(F, F._prod, row, 1 << zero, memos) & ~(1 << zvec)
                for row in itertools.product(range(k), repeat=m)]
@@ -515,7 +515,7 @@ def is_linearly_closed(F, max_n, max_m, require_superfield=True):
         raise StructureError("need max_m > max_n")
     if require_superfield and not structure_is(F, "superfield"):
         raise StructureError(f"{F.name} is not a superfield")
-    k, zero = len(F), F._idx[F.zero]
+    k, zero = len(F), F.zero_i
     prefix = all(F._sum[s][zero] == 1 << s and F._prod[s][zero] == 1 << zero for s in range(k))
     kind = f"linearly-closed(n<={max_n},m<={max_m})"
     tables, zeros = _zero_sets(F), []  # zeros[m - 1]: Z at length m

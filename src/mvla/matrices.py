@@ -57,11 +57,11 @@ class Matrix:
     @classmethod
     def zero(cls, base, rows, cols=None):
         cols = rows if cols is None else cols
-        return cls.from_indices(base, rows, cols, (base._idx[base.zero],) * (rows * cols))
+        return cls.from_indices(base, rows, cols, (base.zero_i,) * (rows * cols))
 
     @classmethod
     def identity(cls, base, n):
-        zero, one = base._idx[base.zero], base._idx[base.one]
+        zero, one = base.zero_i, base.one_i
         return cls.from_indices(base, n, n, [one if i == j else zero
                                              for i in range(n) for j in range(n)])
 
@@ -86,7 +86,7 @@ class Matrix:
 
     @property
     def is_upper_triangular(self):
-        zero = self.base._idx[self.base.zero]
+        zero = self.base.zero_i
         return all(self.indices[i * self.cols + j] == zero
                    for i in range(self.rows) for j in range(min(i, self.cols)))
 
@@ -349,7 +349,7 @@ def find_inverse(A):
         raise StructureError(f"{S.name} is not a superfield")
 
     n, k, a, prod = A.rows, len(S), A.indices, S._prod
-    delta = (1 << S._idx[S.zero], 1 << S._idx[S.one])
+    delta = (1 << S.zero_i, 1 << S.one_i)
     # a superfield's product is commutative (axiom M4, checked above), so b.A_col_l
     # folds the same table as A_row_i.c, and R and C share one memo
     memos = {}

@@ -56,7 +56,7 @@ class Poly:
         """The polynomial whose coefficients have the given carrier indices."""
         f = cls.__new__(cls)
         f.base = base
-        f.indices = _stripped(list(indices), base._idx[base.zero])
+        f.indices = _stripped(list(indices), base.zero_i)
         return f
 
     @classmethod
@@ -98,8 +98,7 @@ class Poly:
         """X^m times this polynomial (exact, by the monomial shift identity)."""
         if self.is_zero:
             return self
-        zero = self.base._idx[self.base.zero]
-        return Poly.from_indices(self.base, (zero,) * m + self.indices)
+        return Poly.from_indices(self.base, (self.base.zero_i,) * m + self.indices)
 
     def neg(self):
         return Poly.from_indices(self.base, map(self.base._neg.__getitem__, self.indices))
@@ -126,7 +125,7 @@ class PolySet(Box):
 
     def __init__(self, base, masks):
         masks = list(masks)
-        zero = 1 << base._idx[base.zero]
+        zero = 1 << base.zero_i
         while masks and masks[-1] == zero:
             masks.pop()
         super().__init__(base, masks)
@@ -145,7 +144,7 @@ class PolySet(Box):
     def __contains__(self, f):
         if not isinstance(f, Poly) or f.base is not self.base:
             return False
-        pad = (self.base._idx[self.base.zero],) * (len(self.masks) - len(f.indices))
+        pad = (self.base.zero_i,) * (len(self.masks) - len(f.indices))
         return super().__contains__(f.indices + pad)
 
     def __repr__(self):
@@ -214,8 +213,7 @@ def all_polys(S, max_degree, include_zero=True):
 
 def _nonzero(S):
     """The indices of the nonzero elements, in carrier order."""
-    z = S._idx[S.zero]
-    return [i for i in range(len(S)) if i != z]
+    return [i for i in range(len(S)) if i != S.zero_i]
 
 
 # -- degree laws -------------------------------------------------------------
@@ -347,7 +345,7 @@ def _divisions(Z, g, boxes):
     S = g.base
     k = len(S)
     m = g.degree
-    zbit = 1 << S._idx[S.zero]
+    zbit = 1 << S.zero_i
     add = S.add_masks
     bits = [1 << r for r in range(k)]
     masks = Z.masks
@@ -388,21 +386,28 @@ def _morphism_ok(spec):
     return cache[key]
 
 
-def _coeff_map(f, ambient, via):
+def _coeff_map(base, ambient, via):
+    """The ambient index of each index of base: via's images, or an inclusion's."""
     if via is not None:
-        if via.source is not f.base or via.target is not ambient:
+        if via.source is not base or via.target is not ambient:
             raise StructureError("morphism endpoints do not match the evaluation")
         if not _morphism_ok(via):
             raise StructureError("evaluation map is not a morphism")
-        return via.mapping.__getitem__
-    if ambient is f.base:
-        return lambda a: a
-    spec = MorphismSpec.inclusion(f.base, ambient)
+        return via.images
+    if ambient is base:
+        return range(len(base))
+    spec = MorphismSpec.inclusion(base, ambient)
     if not _morphism_ok(spec):
         raise StructureError(
-            f"inclusion {f.base.name} -> {ambient.name} is not a morphism; "
+            f"inclusion {base.name} -> {ambient.name} is not a morphism; "
             "pass an explicit via= map")
-    return lambda a: a
+    return spec.images
+
+
+def _values(f, x, ambient, h):
+    """The mask of all values of f at ambient index x, each coefficient c mapped to h[c]."""
+    terms = [ambient.prod_of([1 << h[c]] + [1 << x] * i) for i, c in enumerate(f.indices)]
+    return ambient.sum_of(terms)
 
 
 def evaluate(f, alpha, ambient=None, via=None):
@@ -410,13 +415,8 @@ def evaluate(f, alpha, ambient=None, via=None):
     ambient = ambient or f.base
     if alpha not in ambient:
         raise StructureError(f"{alpha!r} is not in {ambient.name}")
-    h = _coeff_map(f, ambient, via)
-    if f.is_zero:
-        return frozenset([ambient.zero])
-    idx = ambient._idx
-    x = 1 << idx[alpha]
-    terms = [ambient.prod_of([1 << idx[h(a)]] + [x] * i) for i, a in enumerate(f.coeffs)]
-    return ambient.set_of(ambient.sum_of(terms))
+    h = _coeff_map(f.base, ambient, via)
+    return ambient.set_of(_values(f, ambient._idx[alpha], ambient, h))
 
 
 def is_root(f, alpha, ambient=None, via=None):
@@ -515,7 +515,7 @@ def _ideal_members_bounded(u, deg_cap, h_deg, max_terms):
     k = len(S)
     w = (k + 7) // 8  # bytes per lane
     full = (1 << 8 * w) - 1
-    zlane = (1 << S._idx[S.zero]).to_bytes(w, "big")
+    zlane = (1 << S.zero_i).to_bytes(w, "big")
     uc = u.indices
     n = len(uc)
     width = max(h_deg + n, deg_cap + 1)
@@ -595,7 +595,7 @@ def _unit_scalings(S):
     of u: x -> c*x and x -> x*c permute the singletons and fix 0, and a*(c*b) = (a*c)*b.
     Then box(h*(c*u)) = box((h*c)*u) at every position, and h -> h*c permutes the
     polynomials of each degree, so the two box sets are equal."""
-    prod, z = S._prod, S._idx[S.zero]
+    prod, z = S._prod, S.zero_i
     singles = [1 << i for i in range(len(S))]
     out = []
     for c, left in enumerate(prod):

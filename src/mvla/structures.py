@@ -24,7 +24,7 @@ class Structure:
     """
 
     __slots__ = (
-        "name", "elements", "zero", "one",
+        "name", "elements", "zero", "one", "zero_i", "one_i",
         "_idx", "_neg", "_sum", "_prod",
         "_add_cache", "_mul_cache", "_kind_cache",
     )
@@ -88,6 +88,8 @@ class Structure:
         self.elements = elements
         self.zero = elements[zero_i]
         self.one = elements[one_i]
+        self.zero_i = zero_i
+        self.one_i = one_i
         self._idx = dict(zip(elements, range(k)))
         self._neg = tuple(neg)
         self._sum = sum_tab
@@ -158,11 +160,11 @@ class Structure:
 
     def sum_of(self, masks):
         """Left fold of the setwise sum over masks; the empty fold gives {0}."""
-        return _fold(self.add_masks, 1 << self._idx[self.zero], masks)
+        return _fold(self.add_masks, 1 << self.zero_i, masks)
 
     def prod_of(self, masks):
         """Left fold of the setwise product over masks; the empty fold gives {1}."""
-        return _fold(self.mul_masks, 1 << self._idx[self.one], masks)
+        return _fold(self.mul_masks, 1 << self.one_i, masks)
 
     def neg_mask(self, mask):
         res = 0
@@ -192,7 +194,7 @@ class Structure:
 
     def inverse_indices(self, i):
         """The indices of every b with 1 in a*b, for a of index i, in carrier order."""
-        one_bit = 1 << self._idx[self.one]
+        one_bit = 1 << self.one_i
         return tuple(j for j, m in enumerate(self._prod[i]) if m & one_bit)
 
     def inverses(self, a):
@@ -224,7 +226,7 @@ class Structure:
                 "prod": [list(row) for row in self._prod]}
         tabs[op][self.index(a)][self.index(b)] = self.mask_of(new_set)
         return Structure.from_masks(name or f"{self.name}*", self.elements,
-                                    self._idx[self.zero], self._idx[self.one], self._neg,
+                                    self.zero_i, self.one_i, self._neg,
                                     tabs["sum"], tabs["prod"])
 
 
@@ -356,7 +358,7 @@ class Box:
             raise StructureError(f"{self.kind} boxes over different structures")
         if self._shape() != other._shape():
             raise StructureError(f"{self.kind} box shapes do not match")
-        zero = 1 << self.base._idx[self.base.zero]
+        zero = 1 << self.base.zero_i
         return itertools.zip_longest(self.masks, other.masks, fillvalue=zero)
 
     def add(self, other):
@@ -561,7 +563,7 @@ class TropicalStructure:
     prod_set = _no_window
     # a finite structure's carrier and tables, which every entry point that takes
     # one reads first: spaces, Poly, Matrix, structure_is
-    elements = _idx = _kind_cache = property(_no_window)
+    elements = _idx = zero_i = one_i = _kind_cache = property(_no_window)
 
 
 def builtin(name, param=None):

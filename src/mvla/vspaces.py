@@ -89,7 +89,7 @@ def _componentwise_tables(F, length):
         act_tab = [[spread.setdefault((p, cell), p * cell) for p in prods[lam]
                     for cell in act_tab[lam]] for lam in range(q)]
         neg = [F._neg[a] * size + n for a in range(q) for n in neg]
-        zero_i += F._idx[F.zero] * size
+        zero_i += F.zero_i * size
         size *= q
     return sum_tab, act_tab, neg, zero_i
 
@@ -128,9 +128,9 @@ def poly_space(F, max_degree):
 
 def extension_space(pair):
     """The big structure of an extension pair as a vector space over the small one."""
-    F, K, f = pair.small, pair.big, pair.embedding.mapping
-    act = [K._prod[K.index(f[lam])] for lam in F.elements]
-    return VectorSpace(f"{K.name}|{F.name}", F, K.elements, K.index(K.zero), K._neg,
+    F, K = pair.small, pair.big
+    act = [K._prod[i] for i in pair.embedding.images]
+    return VectorSpace(f"{K.name}|{F.name}", F, K.elements, K.zero_i, K._neg,
                        K._sum, act)
 
 
@@ -251,7 +251,7 @@ def _dependence(V, vs):
     effective = [F.sum_of([1 << F.index(x) for x in bundle]) for bundle in bundles]
     # terms[j][i]: the effective set of bundle i applied to vs[j]
     terms = [[_union([row[v] for row in V.act], e) for e in effective] for v in vs]
-    zero_bit, zero_vec, plus = 1 << F.index(F.zero), 1 << V.zero_i, V._plus
+    zero_bit, zero_vec, plus = 1 << F.zero_i, 1 << V.zero_i, V._plus
     for combo in itertools.product(range(len(bundles)), repeat=len(vs)):
         if all(effective[i] & zero_bit for i in combo):
             continue  # cannot witness dependence either way
@@ -338,7 +338,7 @@ def solution_subspace(A):
     if not full:
         raise StructureError(f"{F.name} is not full (witness {wit!r})")
     sysh = homogeneous(A)
-    zero_bit = 1 << F.index(F.zero)
+    zero_bit = 1 << F.zero_i
     V = fn_space(F, A.cols)
     kernel = sum(1 << n for n, v in enumerate(V.vectors)
                  if all(m & zero_bit for m in _row_masks(sysh, Matrix.column(F, v))))

@@ -3,13 +3,16 @@ keywords it replaced."""
 
 import inspect
 import re
+import time
 
 import pytest
 
 import mvla
-from mvla import (BlowupError, Matrix, Poly, builtin, characteristic, det,
-                  find_nontrivial_kernel, is_irreducible, pdivmod, search_budget)
+from mvla import (BlowupError, Matrix, Poly, all_ideals, builtin, characteristic, det,
+                  find_nontrivial_kernel, is_almost_full, is_irreducible, pdivmod,
+                  quotient_pair, search_budget)
 from mvla.errors import _limit
+from mvla.extensions import generation_degree
 
 
 def test_scopes_nest_and_restore_the_limit(H3):
@@ -66,6 +69,47 @@ def test_characteristic_charges_the_window_cells():
         assert characteristic(trop, window=(-5, 5)) == 2
     with search_budget(11), pytest.raises(BlowupError):
         characteristic(trop, window=(-5, 5))
+
+
+def test_extension_searches_charge_before_they_scan(F3):
+    # GF(9)|F3, q = 3: X-bar generates in degree 1, so the generation degree charges
+    # q + q^2 = 12 coefficient tuples and almost-fullness C(3, 3) * q^3 = 27 instances
+    # (12 first, without a given degree); the ideal scan charges the 2^8 subsets with 0
+    K, pair, gamma = quotient_pair(F3, Poly(F3, (1, 0, 1)))
+    searches = (
+        (lambda: generation_degree(pair, gamma), 12, "generation degree coefficient tuples"),
+        (lambda: is_almost_full(pair, gamma, gen_degree=1), 27, "almost-fullness instances"),
+        (lambda: is_almost_full(pair, gamma), 27, "almost-fullness instances"),
+        (lambda: all_ideals(K), 256, "ideal candidate subsets"),
+    )
+    for search, edge, what in searches:
+        with search_budget(edge):
+            search()
+        with search_budget(edge - 1), pytest.raises(
+                BlowupError, match=f"{what}: {edge} exceeds budget {edge - 1}"):
+            search()
+        t0 = time.monotonic()
+        with search_budget(1), pytest.raises(BlowupError, match="exceeds budget 1$"):
+            search()
+        assert time.monotonic() - t0 < 1
+
+
+def test_unbounded_extension_searches_stop_at_the_budget():
+    # GF(25)|F5: the powers of 1 never cover K, so the generation degree would scan
+    # 5^(n+1) tuples for every n up to 25 (more than 30 s when nothing was charged);
+    # at the budget 10^4 it stops at n = 5, 5 + 25 + ... + 5^6 = 19530 tuples in all
+    F5 = builtin("Fp", 5)
+    K, pair, _ = quotient_pair(F5, Poly(F5, (2, 0, 1)))
+    t0 = time.monotonic()
+    with search_budget(10 ** 4), pytest.raises(
+            BlowupError, match="generation degree coefficient tuples: 19530 exceeds budget"):
+        is_almost_full(pair, pair.embedding(1))
+    assert time.monotonic() - t0 < 1
+    t0 = time.monotonic()
+    with pytest.raises(BlowupError,
+                       match=f"ideal candidate subsets: {2 ** 24} exceeds budget {10 ** 7}"):
+        all_ideals(K)
+    assert time.monotonic() - t0 < 1
 
 
 _CAP_KEYWORD = re.compile(r".*_cap|budget|bundle_bound|max_terms")

@@ -62,19 +62,27 @@ def test_quotient_product_reuses_each_division_box(H3, monkeypatch):
 def test_quotient_search_builds_each_slice_once(monkeypatch, name, param, degree, slices):
     # one slice per class of unit multiples c*u of the nonconstant u of degree <= deg p
     # (u and -u over H3 and F3; F2 has the unit 1 alone), shared by every candidate's
-    # scan and by the scan inside each quotient construction
+    # scan, which is also the scan of the quotient built from it: each candidate is
+    # scanned once
+    import mvla.extensions as ext
     import mvla.polys as polys
-    built = []
-    kernel = polys._ideal_members_bounded
+    built, scanned = [], []
+    kernel, scan = polys._ideal_members_bounded, ext._irreducible
 
     def counting(u, *bounds):
         built.append(u.indices)
         return kernel(u, *bounds)
 
+    def counting_scans(p, table):
+        scanned.append(p.indices)
+        return scan(p, table)
+
     monkeypatch.setattr(polys, "_ideal_members_bounded", counting)
+    monkeypatch.setattr(ext, "_irreducible", counting_scans)
     F = builtin(name, param)
     assert find_quotient_superfield(F, degree) is not None
     assert len(built) == len(set(built)) == slices
+    assert len(scanned) == len(set(scanned))
     built.clear()
     assert find_irreducible(F, degree) is not None
     assert len(built) == len(set(built))
