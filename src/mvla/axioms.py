@@ -8,8 +8,10 @@ reported as "pass-on-window", never as a global pass.
 
 The fast kernels take exact tables only and decide whether a whole table, a
 larger commutative table (associativity, one byte lane at a time), or a packed
-row of a law over triples, passes.  A window's rows and each failing row
-of an exact table go through one per-instance path, which rebuilds the cells.
+row of a law over triples, passes.  A window's rows and each failing table or
+row of an exact table go through one per-instance path, _Collector.record_all,
+which records a generator of the instances, their cells rebuilt, until the
+collector is done.  A scan builds that generator only once its fast test fails.
 """
 
 from __future__ import annotations
@@ -80,6 +82,15 @@ class _Collector:
                 self.witnesses.append((axiom, instance))
             if self.stop or len(self.witnesses) >= self.limit:
                 self.done = True
+
+    def record_all(self, instances):
+        """The engine's one per-instance path: record each (verdict, axiom, instance)
+        of instances in turn until the collector is done; returns done."""
+        for verdict, axiom, instance in instances:
+            self.record(verdict, axiom, instance)
+            if self.done:
+                break
+        return self.done
 
 
 class _View:
@@ -199,15 +210,12 @@ def _unions(lines, masks, inex):
     return (_union(line, m & ~inex, m & inex) for line, m in zip(lines, masks))
 
 
-def _record_row(col, law, inex, sides):
-    """The per-instance path of the laws over triples: record law(left, right) for each
-    (left, right, axiom, instance) of sides in turn, with the cells rebuilt by
-    _unions; True once the collector is done."""
+def _judged(law, inex, sides):
+    """The instances of a law, for record_all: law(left, right), with the axiom and
+    instance, for each (left, right, axiom, instance) of sides.  The laws over
+    triples pass cells that _unions rebuilt."""
     for left, right, axiom, instance in sides:
-        col.record(law(left, right, inex), axiom, instance)
-        if col.done:
-            return True
-    return False
+        yield law(left, right, inex), axiom, instance
 
 
 # -- packed rows and tensors: many exact cells in one int ----------------------------
@@ -433,9 +441,9 @@ def _scan_assoc(view, col, tab, axiom, law):
             col.checked += k
             continue
         i, j = divmod(n, k)
-        if _record_row(col, law, inex, zip(_unions(t.cols, repeat(tab[i][j]), inex),
-                                           _unions(repeat(tab[i]), tab[j], inex),
-                                           repeat(axiom), [(els[i], els[j], c) for c in els])):
+        if col.record_all(_judged(law, inex, zip(
+                _unions(t.cols, repeat(tab[i][j]), inex), _unions(repeat(tab[i]), tab[j], inex),
+                repeat(axiom), [(els[i], els[j], c) for c in els]))):
             return
 
 
@@ -444,13 +452,27 @@ def _scan_assoc(view, col, tab, axiom, law):
 # Each scan first tests all its instances at once on an exact table and counts
 # them when they all pass; a law over triples on a table too large to test whole
 # goes one packed row at a time, after the rotation test for associativity on a
-# commutative table.  A window's table, and a table or row that fails
-# that test, is recorded instance by instance, in the order of a per-instance scan.
+# commutative table.  A window's table, and a table or row that fails that test,
+# is handed to record_all as a generator of its instances, in the order of a
+# per-instance scan.
 
 
 def _units(k):
     """[{0}, {1}, ..., {k - 1}] as masks."""
     return list(map((1).__lshift__, range(k)))
+
+
+def _unit_instances(view, tab, unit_i, axiom):
+    """The instances of a.unit = {a}, for each a in turn."""
+    els, inex = view.elements, view.inex
+    return ((_equality(tab[i][unit_i], 1 << i, inex), axiom, (els[i],)) for i in range(view.k))
+
+
+def _commuting_instances(view, tab, axiom):
+    """The instances of a.b = b.a, for each a < b in turn."""
+    els, inex, k = view.elements, view.inex, view.k
+    return ((_equality(tab[i][j], tab[j][i], inex), axiom, (els[i], els[j]))
+            for i in range(k) for j in range(i + 1, k))
 
 
 def _symmetric(t):
@@ -466,17 +488,9 @@ def _scan_nonempty(view, col, opname):
     if view.table(tab).exact and min(map(min, tab)):
         col.checked += k * k
         return
-    for i in range(k):
-        for j in range(k):
-            cell = tab[i][j]
-            if cell == inex:
-                col.record("skip", "nonempty", (els[i], els[j]))
-            elif cell == 0:
-                col.record("fail", f"nonempty-{opname}", (els[i], els[j]))
-            else:
-                col.record("pass", "nonempty", (els[i], els[j]))
-            if col.done:
-                return
+    col.record_all(("skip" if cell == inex else "pass" if cell else "fail",
+                    "nonempty" if cell else f"nonempty-{opname}", (els[i], els[j]))
+                   for i, row in enumerate(tab) for j, cell in enumerate(row))
 
 
 def _scan_multigroup(view, col, opname, unit_i, use_inversion):
@@ -491,30 +505,19 @@ def _scan_multigroup(view, col, opname, unit_i, use_inversion):
         col.checked += k
     elif not use_inversion and list(map(and_, tab[unit_i], units)) == units:
         col.checked += k
-    else:
-        for i in range(k):
-            if use_inversion:
-                col.record(_equality(tab[i][unit_i], 1 << i, inex), "M2" + suffix, (els[i],))
-            else:
-                col.record(_membership(i, tab[unit_i][i], inex), "unit" + suffix, (els[i],))
-            if col.done:
-                return
+    elif col.record_all(_unit_instances(view, tab, unit_i, "M2" + suffix) if use_inversion
+                        else _judged(_membership, inex, zip(range(k), tab[unit_i],
+                                                            repeat("unit" + suffix), zip(els)))):
+        return
 
-    if use_inversion:
-        _scan_m1(view, col, tab, "M1" + suffix)
-        if col.done:
-            return
+    if use_inversion and _scan_m1(view, col, tab, "M1" + suffix):
+        return
 
     # M4 commutativity
     if _symmetric(view.table(tab)):
         col.checked += k * (k - 1) // 2
-    else:
-        for i in range(k):
-            for j in range(i + 1, k):
-                col.record(_equality(tab[i][j], tab[j][i], inex), "M4" + suffix,
-                           (els[i], els[j]))
-                if col.done:
-                    return
+    elif col.record_all(_commuting_instances(view, tab, "M4" + suffix)):
+        return
 
     # M3 weak associativity: (a.b).c subset of a.(b.c), unionwise
     _scan_assoc(view, col, tab, "M3" + suffix, _containment)
@@ -574,33 +577,36 @@ def _scan_m1(view, col, tab, axiom):
     """M1, reversibility: for every c in a.b, a in c.(-b) and b in (-a).c.
 
     An exact table is tested at once (_m1_passes).  A window's table, or one that
-    fails that test, goes through the per-member loop, so witnesses, counts and
-    the early exit are those of a per-member scan.  A member of an inexact cell
-    counts as a member.
+    fails that test, goes through the per-instance path one cell (a, b) at a time,
+    so witnesses, counts and the early exit are those of a per-member scan.  A
+    member of an inexact cell counts as a member.  True once the collector is done.
     """
     els, k, neg, inex = view.elements, view.k, view.neg, view.inex
     t = view.table(tab)
     if t.exact and _m1_passes(t, neg):
         col.checked += k * k
-        return
+        return False
+    return col.record_all(_m1_instances(view, tab, axiom))
+
+
+def _m1_instances(view, tab, axiom):
+    """The instances of M1, one cell (a, b) at a time, with the first c that fails."""
+    els, neg, inex = view.elements, view.neg, view.inex
     for i, row in enumerate(tab):
         for j, cell in enumerate(row):
             if cell == inex:
-                col.record("skip", axiom, (els[i], els[j]))
+                yield "skip", axiom, (els[i], els[j])
                 continue
-            verdict, bad_c = "pass", None
+            verdict, instance = "pass", (els[i], els[j])
             for c in _bits(cell & ~inex):
                 v1 = _membership(i, tab[c][neg[j]], inex)
                 v2 = _membership(j, tab[neg[i]][c], inex)
                 if "fail" in (v1, v2):
-                    verdict, bad_c = "fail", els[c]
+                    verdict, instance = "fail", (els[i], els[j], els[c])
                     break
                 if "skip" in (v1, v2):
                     verdict = "skip"
-            instance = (els[i], els[j]) if bad_c is None else (els[i], els[j], bad_c)
-            col.record(verdict, axiom, instance)
-            if col.done:
-                return
+            yield verdict, axiom, instance
 
 
 def _scan_monoid(view, col):
@@ -610,34 +616,19 @@ def _scan_monoid(view, col):
     t = view.table(tab)
     if t.exact and max(map(int.bit_count, t.flat)) <= 1:
         col.checked += k * k
-    else:
-        for i in range(k):
-            for j in range(k):
-                cell = tab[i][j]
-                if cell == inex:
-                    col.record("skip", "prod-single", (els[i], els[j]))
-                elif cell & (cell - 1) & ~inex:  # two members or more
-                    col.record("fail", "prod-single", (els[i], els[j]))
-                else:
-                    col.record("pass", "prod-single", (els[i], els[j]))
-                if col.done:
-                    return
+    elif col.record_all(  # a cell of two members or more fails
+            ("skip" if cell == inex else "fail" if cell & (cell - 1) & ~inex else "pass",
+             "prod-single", (els[i], els[j]))
+            for i, row in enumerate(tab) for j, cell in enumerate(row)):
+        return
     if list(map(itemgetter(view.one_i), tab)) == _units(k):
         col.checked += k
-    else:
-        for i in range(k):
-            col.record(_equality(tab[i][view.one_i], 1 << i, inex), "unit-prod", (els[i],))
-            if col.done:
-                return
+    elif col.record_all(_unit_instances(view, tab, view.one_i, "unit-prod")):
+        return
     if _symmetric(t):
         col.checked += k * (k - 1) // 2
-    else:
-        for i in range(k):
-            for j in range(i + 1, k):
-                col.record(_equality(tab[i][j], tab[j][i], inex), "comm-prod",
-                           (els[i], els[j]))
-                if col.done:
-                    return
+    elif col.record_all(_commuting_instances(view, tab, "comm-prod")):
+        return
     _scan_assoc(view, col, tab, "assoc-prod", _equality)
 
 
@@ -647,13 +638,8 @@ def _scan_absorb(view, col):
     if list(prod[z]) == zeros and list(map(itemgetter(z), prod)) == zeros:
         col.checked += 2 * k
         return
-    for i in range(k):
-        col.record(_equality(prod[i][z], 1 << z, inex), "absorb", (els[i],))
-        if col.done:
-            return
-        col.record(_equality(prod[z][i], 1 << z, inex), "absorb", (els[i],))
-        if col.done:
-            return
+    col.record_all((_equality(cell, 1 << z, inex), "absorb", (els[i],))
+                   for i in range(k) for cell in (prod[i][z], prod[z][i]))
 
 
 def _plus(view):
@@ -726,8 +712,8 @@ def _scan_weak_dist(view, col):
                     [(c, els[a], els[b]) for c in els])
         sides2 = zip(_unions(p.cols, repeat(ab), inex), R2, repeat("weak-dist-right"),
                      [(els[a], els[b], c) for c in els])
-        if _record_row(col, _containment, inex,
-                       itertools.chain.from_iterable(zip(sides, sides2))):
+        if col.record_all(_judged(_containment, inex,
+                                  itertools.chain.from_iterable(zip(sides, sides2)))):
             return
 
 
@@ -759,9 +745,9 @@ def _scan_hyper_dist(view, col):
             R = right[(a * k + b) * k:(a * k + b + 1) * k]
             if exact and _gather(getters[b], unions) == _pack(R, w):
                 col.checked += k
-            elif _record_row(col, _equality, inex, zip(
+            elif col.record_all(_judged(_equality, inex, zip(
                     _unions(repeat(prods[a]), view.sum[b], inex), R, repeat("hyper-dist"),
-                    [(els[a], els[b], c) for c in els])):
+                    [(els[a], els[b], c) for c in els]))):
                 return
 
 
@@ -783,16 +769,9 @@ def _scan_signs(view, col):
             and neg_ab == _flat(zip(*map(t.cols.__getitem__, neg)))):
         col.checked += 2 * k * k
         return
-    for a in range(k):
-        for b in range(k):
-            col.record(_equality(neg_ab[a * k + b], prod[neg[a]][b], inex), "signs",
-                       (els[a], els[b]))
-            if col.done:
-                return
-            col.record(_equality(neg_ab[a * k + b], prod[a][neg[b]], inex), "signs",
-                       (els[a], els[b]))
-            if col.done:
-                return
+    col.record_all((_equality(neg_ab[a * k + b], cell, inex), "signs", (els[a], els[b]))
+                   for a in range(k) for b in range(k)
+                   for cell in (prod[neg[a]][b], prod[a][neg[b]]))
 
 
 def _scan_nontrivial(view, col):
@@ -811,15 +790,10 @@ def _scan_no_zero_divisors(view, col):
     if t.exact and not any(compress(map(and_, t.flat, repeat(1 << z)), pairs)):
         col.checked += (k - 1) ** 2
         return
-    for a in range(k):
-        for b in range(k):
-            if a == z or b == z:
-                continue
-            cell = view.prod[a][b]
-            verdict = "fail" if cell >> z & 1 else "skip" if cell & inex else "pass"
-            col.record(verdict, "no-zero-div", (els[a], els[b]))
-            if col.done:
-                return
+    col.record_all(("fail" if cell >> z & 1 else "skip" if cell & inex else "pass",
+                    "no-zero-div", (els[a], els[b]))
+                   for a, row in enumerate(view.prod) if a != z
+                   for b, cell in enumerate(row) if b != z)
 
 
 def _scan_inverses(view, col):
@@ -831,17 +805,8 @@ def _scan_inverses(view, col):
     if all(found):
         col.checked += view.k - 1
         return
-    for a in range(view.k):
-        if a == z:
-            continue
-        if found[a]:
-            col.record("pass", "inverses", (els[a],))
-        elif view.partial:
-            col.record("skip", "inverses", (els[a],))
-        else:
-            col.record("fail", "inverses", (els[a],))
-        if col.done:
-            return
+    col.record_all(("pass" if found[a] else "skip" if view.partial else "fail", "inverses",
+                    (els[a],)) for a in range(view.k) if a != z)
 
 
 def _add_group(view, col):
@@ -1020,10 +985,8 @@ def check_morphism(spec, full=False, witness_limit=3):
                     yield _union(bits, sums[b]) == img_sum, "full-add", (a, b)
                     yield _union(bits, prods[b]) == img_prod, "full-mul", (a, b)
 
-    for ok, axiom, instance in instances():
-        col.record("pass" if ok else "fail", axiom, instance)
-        if col.done:
-            break
+    col.record_all(("pass" if ok else "fail", axiom, instance)
+                   for ok, axiom, instance in instances())
 
     witnesses = tuple((ax, tuple(map(S.elements.__getitem__, wit))) for ax, wit in col.witnesses)
     label = "full-morphism" if full else "morphism"
@@ -1071,24 +1034,11 @@ def _scan_action(view, F, col, full):
     zero_vec = 1 << view.zero_i
     if [*act[one]] == [1 << v for v in range(k)] and [*act[zero]] == [zero_vec] * k:
         col.checked += 2 * k  # MV0 holds in both columns
-    else:
-        for v in range(k):
-            col.record(_equality(act[one][v], 1 << v, 0), "MV0-one", (els[v],))
-            if col.done:
-                return
-            col.record(_equality(act[zero][v], zero_vec, 0), "MV0-zero", (els[v],))
-            if col.done:
-                return
+    elif col.record_all((_equality(cell, unit, 0), axiom, (els[v],)) for v in range(k)
+                        for cell, unit, axiom in ((act[one][v], 1 << v, "MV0-one"),
+                                                  (act[zero][v], zero_vec, "MV0-zero"))):
+        return
     width = (k + 7) // 8
-
-    def done(L, R, law, sides):
-        """Count a passing packed row, or record it instance by instance; True once
-        the collector is done."""
-        if _passes(L, R, law is _equality):
-            col.checked += k
-            return False
-        return _record_row(col, law, 0, sides)
-
     acts, cols = [_pack(row, width) for row in act], list(zip(*act))
     act_cells, act_ids = _cells(act)
     act_getters = _getters(act_ids, act)
@@ -1096,9 +1046,11 @@ def _scan_action(view, F, col, full):
     for lam, unions in enumerate(_row_unions(act, act_cells, width)):
         for mu in range(s):
             m = F._prod[lam][mu]
-            if done(_or(acts, _bits(m)), _gather(act_getters[mu], unions), _equality, zip(
+            if _or(acts, _bits(m)) == _gather(act_getters[mu], unions):
+                col.checked += k
+            elif col.record_all(_judged(_equality, 0, zip(
                     _unions(cols, repeat(m), 0), _unions(repeat(act[lam]), act[mu], 0),
-                    repeat("MV1"), ((scal[lam], scal[mu], v) for v in els))):
+                    repeat("MV1"), ((scal[lam], scal[mu], v) for v in els)))):
                 return
     law = _equality if full else _containment
     plus = _Setwise(view.sum)
@@ -1111,18 +1063,22 @@ def _scan_action(view, F, col, full):
     for lam, (unions, sums) in enumerate(zip(_row_unions(act, sum_cells, width), lam_sums)):
         row = act[lam]
         for v in range(k):
-            if done(_gather(sum_getters[v], unions), _or(sums, act_cells[row[v]]), law, zip(
+            if _passes(_gather(sum_getters[v], unions), _or(sums, act_cells[row[v]]), full):
+                col.checked += k
+            elif col.record_all(_judged(law, 0, zip(
                     _unions(repeat(row), view.sum[v], 0),
                     map(plus.__getitem__, zip(repeat(row[v]), row)),
-                    repeat("MV2"), ((scal[lam], els[v], w) for w in els))):
+                    repeat("MV2"), ((scal[lam], els[v], w) for w in els)))):
                 return
     # MV3: (lam + mu) v within lam v + mu v
     for lam in range(s):
         for mu in range(s):
             R, m = list(map(plus.__getitem__, zip(act[lam], act[mu]))), F._sum[lam][mu]
-            if done(_or(acts, _bits(m)), _pack(R, width), law, zip(
+            if _passes(_or(acts, _bits(m)), _pack(R, width), full):
+                col.checked += k
+            elif col.record_all(_judged(law, 0, zip(
                     _unions(cols, repeat(m), 0), R, repeat("MV3"),
-                    ((scal[lam], scal[mu], v) for v in els))):
+                    ((scal[lam], scal[mu], v) for v in els)))):
                 return
 
 

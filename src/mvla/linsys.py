@@ -171,10 +171,14 @@ def iter_scaled_systems(sys):
                   for k, b in enumerate(B))
         for pivot in itertools.product(*[(one,) if j == c else _bits(prod[lam][x])
                                          for j, x in enumerate(rows[r])]):
-            for tail in itertools.product(*[(row,) if row[c] == zero else itertools.product(*[
-                    (zero,) if j == c else _bits(add(1 << x, prod[neg[row[c]]][y]))
-                    for j, (x, y) in enumerate(zip(row, pivot))]) for row in rows[r + 1:]]):
-                yield (*rows[:r], pivot, *tail), B, r + 1
+            # one product over the entries of the rows below, in the order of a product
+            # over the rows, so that no row's choices are held before the first is walked
+            below = [(x,) if row[c] == zero else (zero,) if j == c
+                     else _bits(add(1 << x, prod[neg[row[c]]][y]))
+                     for row in rows[r + 1:] for j, (x, y) in enumerate(zip(row, pivot))]
+            for tail in itertools.product(*below):
+                yield (*rows[:r], pivot, *(tail[j:j + n] for j in range(0, len(tail), n))), \
+                    B, r + 1
 
     def walk(rows, B, r, c):
         """Yield the scaled systems below a state, each once; return its leaf paths.  In
@@ -295,12 +299,18 @@ def solve_weak(sys):
     return SolveOutcome(NO_SOLUTION, note="exhausted all candidate vectors")
 
 
-def _first_weak(sys, skip=0):
-    """The first weak solution in product order outside the vector mask skip, or None:
-    the lowest bit of the AND over rows i of the vectors d with r_i.d meeting B_i."""
+def _weak_mask(sys):
+    """The weak solutions as a mask over the vectors in product order: the AND over
+    rows i of the vectors d with r_i.d meeting B_i."""
     S, n, a, memos = sys.base, sys.A.cols, sys.A.indices, {}
-    weak = functools.reduce(int.__and__, (_value_masks(S, S._prod, a[i * n:(i + 1) * n], b, memos)
-                                          for i, b in enumerate(sys.masks))) & ~skip
+    return functools.reduce(int.__and__, (_value_masks(S, S._prod, a[i * n:(i + 1) * n], b, memos)
+                                          for i, b in enumerate(sys.masks)))
+
+
+def _first_weak(sys, skip=0):
+    """The first weak solution in product order outside the vector mask skip, or None."""
+    S, n = sys.base, sys.A.cols
+    weak = _weak_mask(sys) & ~skip
     return Matrix.from_indices(S, n, 1, _vector(len(S), n, (weak & -weak).bit_length() - 1)) \
         if weak else None
 

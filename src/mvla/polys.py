@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .axioms import MorphismSpec, check_morphism, structure_is
-from .errors import BlowupError, MvlaError, StructureError, _limit, charge
+from .errors import MvlaError, StructureError, charge
 from .structures import Box, _bits
 
 NEG_INF = float("-inf")
@@ -189,13 +189,12 @@ def pmul_fold(polys):
     polys = list(polys)
     if not polys:
         raise StructureError("empty product fold has no base")
-    limit, acc = _limit.get(), {polys[0]}
+    acc = {polys[0]}
     for g in polys[1:]:
         nxt = set()
         for f in acc:
             nxt.update(pmul(f, g).members())
-            if len(nxt) > limit:
-                raise BlowupError(f"product fold members exceed budget {limit}")
+            charge(len(nxt), "product fold members")
         acc = nxt
     return frozenset(acc)
 

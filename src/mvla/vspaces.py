@@ -148,9 +148,7 @@ def verify_vspace(V, full=False, witness_limit=3):
     group = _Collector(limit=witness_limit)
     _add_group(view, group)
     col = _Collector(limit=witness_limit)
-    for ax, wit in group.witnesses:
-        col.record("fail", "group-" + ax, wit)
-    if not col.done:
+    if not col.record_all(("fail", "group-" + ax, wit) for ax, wit in group.witnesses):
         _scan_action(view, V.scalars, col, full)
     return _report(V.name, "vector-space-full" if full else "vector-space", view, col)
 
@@ -325,23 +323,19 @@ def dimension(V, closure_report):
 def solution_subspace(A):
     """Kernel vectors of a homogeneous system over a full base, with certificate.
 
-    Enumerates every v with 0 in each row of Av and then evaluates the
-    subspace predicate inside the ambient column space.  The predicate's
-    verdict is reported as computed; it is not forced.  Building the column
-    space is charged against the search limit.
+    Reads every v with 0 in each row of Av off the solver's weak-solution mask
+    and then evaluates the subspace predicate inside the ambient column space.
+    The predicate's verdict is reported as computed; it is not forced.  Building
+    the column space is charged against the search limit.
     """
-    from .linsys import _row_masks, homogeneous
-    from .matrices import Matrix
+    from .linsys import _weak_mask, homogeneous
 
     F = A.base
     full, wit = is_full(F)
     if not full:
         raise StructureError(f"{F.name} is not full (witness {wit!r})")
-    sysh = homogeneous(A)
-    zero_bit = 1 << F.zero_i
     V = fn_space(F, A.cols)
-    kernel = sum(1 << n for n, v in enumerate(V.vectors)
-                 if all(m & zero_bit for m in _row_masks(sysh, Matrix.column(F, v))))
+    kernel = _weak_mask(homogeneous(A))  # both number the vectors in product order
     wit = _subspace_witness(V, kernel)
     report = AxiomReport(subject=f"Sol[{A!r}]", kind="subspace-certificate",
                          verdict=PASS if wit is None else FAIL,

@@ -1,9 +1,11 @@
+import ast
 import collections
 import functools
 import itertools
 import math
 import random
 import unittest.mock
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -431,12 +433,12 @@ _LIMITED = ({"limit": 1}, {"limit": 3}, {"limit": 3, "stop_on_first": True})
 class _Quiet(_Collector):
     """A collector for a scan that must count every instance at once."""
 
-    def record(self, verdict, axiom, instance):
-        raise AssertionError(f"{axiom} recorded {verdict} at {instance}")
+    def record_all(self, instances):
+        raise AssertionError("a passing exact table reached the per-instance path")
 
 
 def _refused(*_args):
-    raise AssertionError("a passing exact table reached a per-row path")
+    raise AssertionError("a passing exact table of at most 8 elements gathered its cells")
 
 
 def _exact(view):
@@ -454,10 +456,10 @@ def _scans_agree(view, scan, ref_scan, *args):
     tables, and the tuple-cell law where scan gets an int-cell law.  A scan
     without witnesses runs once: the limits cannot change it.  On exact tables
     whose instances all pass, scan must count them without recording any, and
-    its whole-table and packed-row tests may not fail them: no row of a law over
-    triples reaches the per-instance path (_record_row), and the laws over
-    triples test every table of at most 8 elements whole (no _cells; the action
-    scan gathers its unions with _cells at every size).
+    its whole-table and packed-row tests may not fail them: no instance reaches
+    the per-instance path (record_all), and the laws over triples test every table
+    of at most 8 elements whole (no _cells; the action scan gathers its unions with
+    _cells at every size).
     """
     tview = _tuple_view(view)
     swap = {id(view.sum): tview.sum, id(view.prod): tview.prod,
@@ -475,9 +477,10 @@ def _scans_agree(view, scan, ref_scan, *args):
             break
     if not runs[0].witnesses and not runs[0].skipped and _exact(view):
         quiet = _Quiet(**_UNLIMITED)
-        row_paths = ("_record_row", "_cells") if view.k <= 8 and view.act is None \
-            else ("_record_row",)
-        with unittest.mock.patch.multiple(axioms, **dict.fromkeys(row_paths, _refused)):
+        if view.k <= 8 and view.act is None:
+            with unittest.mock.patch.object(axioms, "_cells", _refused):
+                scan(view, quiet, *args)
+        else:
             scan(view, quiet, *args)
         assert quiet.checked == runs[0].checked, (scan.__name__, args[1:])
     return runs[0]
@@ -1456,3 +1459,43 @@ def test_kernels_match_per_instance_loops_on_exact_tables(view):
 @given(view=exact_views(_BYTE_EDGES))
 def test_kernels_match_per_instance_loops_on_exact_tables_at_byte_boundaries(view):
     _all_kernels_agree(view)
+
+
+# -- one per-instance path -----------------------------------------------------------
+
+# (class, function) of the only places that may call a collector's record: the
+# per-instance path itself and the one-instance nontriviality scan
+_RECORD_SITES = {("_Collector", "record_all"), (None, "_scan_nontrivial")}
+
+
+def _record_calls(tree):
+    """(line, class, function) of each call of .record in a module's tree, with its
+    innermost class and function."""
+    found = []
+
+    def visit(node, cls, fn):
+        if isinstance(node, ast.ClassDef):
+            cls, fn = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "record":
+            found.append((node.lineno, cls, fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, fn)
+
+    visit(tree, None, None)
+    return found
+
+
+def test_every_scan_records_through_record_all():
+    sites = {}
+    for path in sorted(Path(axioms.__file__).parent.glob("*.py")):
+        for line, cls, fn in _record_calls(ast.parse(path.read_text())):
+            sites.setdefault((cls, fn), []).append(f"{path.name}:{line}")
+    assert set(sites) == _RECORD_SITES, sites
+    # the walk sees a hand-written record loop inside a nested generator
+    loop = ("def _scan(view, col):\n"
+            "    def rows():\n"
+            "        for i in range(view.k):\n"
+            "            col.record('pass', 'x', (i,))\n")
+    assert _record_calls(ast.parse(loop)) == [(4, None, "rows")]

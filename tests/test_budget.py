@@ -1,16 +1,20 @@
 """The search limit: its scope, its reach into a library search, and the cap
 keywords it replaced."""
 
+import functools
 import inspect
+import random
 import re
 import time
 
 import pytest
 
 import mvla
-from mvla import (BlowupError, Matrix, Poly, all_ideals, builtin, characteristic, det,
-                  find_nontrivial_kernel, is_almost_full, is_irreducible, pdivmod,
-                  quotient_pair, search_budget)
+from mvla import (BlowupError, LinearSystem, Matrix, Poly, PolySet, all_ideals, builtin,
+                  characteristic, det, find_inverse, find_irreducible,
+                  find_nontrivial_kernel, find_quotient_superfield, fn_space, is_almost_full,
+                  is_irreducible, is_linearly_closed, mmul, pdivmod, pmul_fold, quotient_pair,
+                  search_budget, solve_weak, strict_ring, verify_axioms)
 from mvla.errors import _limit
 from mvla.extensions import generation_degree
 
@@ -57,6 +61,16 @@ def test_irreducible_charges_each_slice_it_builds(H3):
     with search_budget(323), pytest.raises(
             BlowupError, match="ideal slice polynomials: 324 exceeds budget 323"):
         is_irreducible(f)
+
+
+def test_product_fold_charges_the_members_it_collects(H3):
+    # (1+X)(2+X) has 6 members, and their products by 1+X collect 8: the edge is 8
+    fs = [Poly(H3, (1, 1)), Poly(H3, (2, 1)), Poly(H3, (1, 1))]
+    with search_budget(8):
+        assert len(pmul_fold(fs)) == 8
+    with search_budget(7), pytest.raises(
+            BlowupError, match="product fold members: 8 exceeds budget 7"):
+        pmul_fold(fs)
 
 
 def test_characteristic_charges_the_window_cells():
@@ -110,6 +124,70 @@ def test_unbounded_extension_searches_stop_at_the_budget():
                        match=f"ideal candidate subsets: {2 ** 24} exceeds budget {10 ** 7}"):
         all_ideals(K)
     assert time.monotonic() - t0 < 1
+
+
+def _nonzero_rows(S, rows, cols, seed=0):
+    """rows x cols random nonzero elements of S, as lists."""
+    rng = random.Random(seed)
+    nonzero = [e for e in S.elements if e != S.zero]
+    return [[rng.choice(nonzero) for _ in range(cols)] for _ in range(rows)]
+
+
+def _nonzero_matrix(S, rows, cols, seed=0):
+    return Matrix.from_rows(S, _nonzero_rows(S, rows, cols, seed))
+
+
+def test_budget_one_stops_every_enumerating_function(H3, H5, H7):
+    """Every exported function that enumerates, on an input whose run at the default
+    budget takes more than 1 s, stops within 1 s under budget 1 and names its bound.
+    The seconds after each input are its default run on one 2-core host (Python
+    3.11), to its answer or to its BlowupError."""
+    F5 = builtin("Fp", 5)
+    _, gf25, _ = quotient_pair(F5, Poly(F5, (2, 0, 1)))
+    searches = [
+        (det, (_nonzero_matrix(H3, 9, 9),), "determinant terms"),  # 1.4 s
+        (mmul, (_nonzero_matrix(H3, 200, 200), _nonzero_matrix(H3, 200, 200, 1)),
+         "matrix product entry products"),  # 1.6 s
+        (find_inverse, (_nonzero_matrix(H7, 6, 6),), "inverse search tables"),  # 2.7 s
+        (functools.partial(pdivmod, all_pairs=True), (Poly(H3, [1] * 12), Poly(H3, (1, 1))),
+         "division search steps"),  # 1.8 s
+        (pmul_fold, ([Poly(H3, (1, 1))] * 10,), "poly box members"),  # 1.7 s
+        (is_irreducible, (Poly(H5, (1, 0, 0, 1)),), "ideal slice polynomials"),  # 3.9 s
+        (find_irreducible, (H5, 3), "ideal slice polynomials"),  # 4.0 s
+        (find_quotient_superfield, (H7, 2), "ideal slice polynomials"),  # 7.7 s
+        (all_ideals, (strict_ring(19),), "ideal candidate subsets"),  # 2.4 s
+        # GF(25)|F5 at 1: refused at the default budget after 5.0 s
+        (generation_degree, (gf25, gf25.embedding(1)), "generation degree coefficient tuples"),
+        (is_almost_full, (gf25, gf25.embedding(1)), "generation degree coefficient tuples"),
+        (fn_space, (builtin("Fp", 2), 11), "vector table cells"),  # 2.9 s
+        (is_linearly_closed, (builtin("K"), 5, 6), "closedness work"),  # 3.1 s
+        (verify_axioms, (builtin("Trop"), "superfield", (-40, 40)),
+         "window axiom instances"),  # 1.8 s
+        (PolySet.members, (PolySet(H3, [7] * 12),), "poly box members"),  # 1.4 s
+    ]
+    for search, args, bound in searches:
+        t0 = time.monotonic()
+        with search_budget(1), pytest.raises(BlowupError) as refused:
+            search(*args)
+        assert time.monotonic() - t0 < 1, bound
+        message = str(refused.value)
+        assert message.startswith(bound) and message.endswith("exceeds budget 1"), message
+    # The solver and the kernel search report their scan as inconclusive instead.  The
+    # H3 system, seven random rows and the first again with a disjoint right side, walks
+    # the scaling cap at the default budget (1.4 s).  No kernel input admitted at the
+    # default budget runs for 1 s: the scan reads its k^n <= 10^7 vectors off value
+    # masks (0.06 s for K at 22 x 23).
+    rows = _nonzero_rows(H3, 7, 60)
+    system = LinearSystem.of(Matrix.from_rows(H3, rows + rows[:1]),
+                             [{0}, {1}, {1}, {1}, {1}, {2}, {0}, {1}])
+    for search, arg, note in ((solve_weak, system, f"scan of {3 ** 60} vectors exceeds cap"),
+                              (find_nontrivial_kernel, _nonzero_matrix(H3, 4, 14),
+                               f"kernel scan of {3 ** 14} exceeds cap")):
+        t0 = time.monotonic()
+        with search_budget(1):
+            out = search(arg)
+        assert time.monotonic() - t0 < 1, note
+        assert (out.status, out.note) == ("inconclusive", note)
 
 
 _CAP_KEYWORD = re.compile(r".*_cap|budget|bundle_bound|max_terms")

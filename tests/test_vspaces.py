@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mvla import (ExtensionPair, Matrix, StructureError, builtin, dimension,
-                  extension_space, find_basis, fn_space, is_linearly_closed,
+                  extension_space, find_basis, fn_space, is_full, is_linearly_closed,
                   is_linearly_independent, is_subspace, linear_combinations,
                   matrix_space, poly_space, solution_subspace, span,
                   verify_multigroup, verify_vspace)
@@ -558,12 +558,13 @@ def test_solution_subspace_reports_the_closure_gap(H3):
     assert escaped  # the witness re-checks
 
 
-def test_solution_subspace_matches_the_value_set_scan(H3, F3, K):
+def test_solution_subspace_matches_the_value_set_scan(H3, F3, K, Q2, H5):
     """The kernel is every vector with 0 in each value set of Av, as row_value_sets reads it."""
     import random
     from mvla.linsys import homogeneous, row_value_sets
     rng = random.Random(7)
-    for F in (H3, F3, K):
+    for F in (H3, F3, K, Q2, H5, builtin("Fp", 5)):
+        assert is_full(F)[0]
         for _ in range(6):
             A = Matrix.from_rows(F, [[rng.choice(F.elements) for _ in range(3)]
                                      for _ in range(rng.choice((1, 2)))])
