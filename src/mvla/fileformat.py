@@ -24,7 +24,7 @@ from .errors import ParseError, StructureError
 from .linsys import LinearSystem
 from .matrices import Matrix
 from .polys import Poly
-from .structures import Structure
+from .structures import Structure, _bits
 
 _INT = re.compile(r"^-?[0-9]+$")
 
@@ -136,17 +136,14 @@ def parse_structure(text):
 
 def serialize_structure(S):
     """Canonical file form: full tables in carrier order, results sorted."""
-    out = [f"structure {S.name}"]
-    out.append("elements " + " ".join(element_token(e) for e in S.elements))
-    out.append(f"zero {element_token(S.zero)}")
-    out.append(f"one {element_token(S.one)}")
-    for e in S.elements:
-        out.append(f"neg {element_token(e)} -> {element_token(S.neg(e))}")
-    for label, op in (("sum", S.sum_set), ("prod", S.prod_set)):
-        for a in S.elements:
-            for b in S.elements:
-                res = " ".join(element_token(c) for c in S.canon(op(a, b)))
-                out.append(f"{label} {element_token(a)} {element_token(b)} -> {res}")
+    tok = [element_token(e) for e in S.elements]
+    out = [f"structure {S.name}", "elements " + " ".join(tok),
+           f"zero {tok[S.zero_i]}", f"one {tok[S.one_i]}"]
+    out += [f"neg {a} -> {tok[n]}" for a, n in zip(tok, S._neg)]
+    for label, table in (("sum", S._sum), ("prod", S._prod)):
+        for a, row in zip(tok, table):
+            out += [f"{label} {a} {b} -> " + " ".join(map(tok.__getitem__, _bits(m)))
+                    for b, m in zip(tok, row)]
     out.append("end")
     return "\n".join(out) + "\n"
 

@@ -641,7 +641,10 @@ def is_irreducible(f):
     Nonconstant divisors u are tested: whenever f lies in the (bounded) ideal
     of u, the ideals of f and u must agree on every polynomial of degree
     <= deg f.  Constants are units in a superfield and generate everything,
-    so they are excluded from the scan.
+    so they are excluded from the scan.  So is every u of valuation (index of
+    the lowest nonzero coefficient) above f's: as 0 absorbs (x*0 = {0}) and
+    0 + 0 = {0}, each member of u's ideal is 0 below u's valuation, so it
+    cannot hold f.  f's own slice is built when a u first holds f.
     """
     return _irreducible(f, {})
 
@@ -657,11 +660,15 @@ def _irreducible(f, slices):
     note = f"bounded: <= {_TERMS} terms, deg h <= {cap}"
     bit = _members_bits([[1 << i for i in f.indices]], len(S))
     scalings = _unit_scalings(S)
-    own = _slice(slices, f, cap, scalings)
+    # a u that is 0 up to f's valuation has a slice without f (see is_irreducible)
+    low = (S.zero_i,) * (next(j for j, c in enumerate(f.indices) if c != S.zero_i) + 1)
+    own = None
     for u in all_polys(S, cap):
-        if u.is_zero or u.degree < 1 or u == f:
+        if u.is_zero or u.degree < 1 or u == f or u.indices[:len(low)] == low:
             continue
         through_u = _slice(slices, u, cap, scalings)
-        if through_u & bit and through_u != own:
-            return IrreducibilityVerdict(False, u, note)
+        if through_u & bit:
+            own = own or _slice(slices, f, cap, scalings)
+            if through_u != own:
+                return IrreducibilityVerdict(False, u, note)
     return IrreducibilityVerdict(True, None, note)

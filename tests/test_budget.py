@@ -6,6 +6,7 @@ import inspect
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -52,15 +53,36 @@ def test_the_limit_bounds_a_search_per_call(H3):
         pdivmod(f, g, all_pairs=True)
 
 
-def test_irreducible_charges_each_slice_it_builds(H3):
-    # 1+2X^2 over H3 builds 12 slices of 3^3 polynomials, one per class of unit
-    # multiples u and -u: the edge is 12 * 27 = 324
-    f = Poly(H3, [1, 0, 2])
-    with search_budget(324):
-        assert is_irreducible(f)
-    with search_budget(323), pytest.raises(
-            BlowupError, match="ideal slice polynomials: 324 exceeds budget 323"):
-        is_irreducible(f)
+def test_irreducible_charges_each_slice_it_builds(H3, H5):
+    # 1+2X^2 builds one slice of k^3 polynomials per class of unit multiples c*u of the
+    # u of valuation 0: 8 over H3 (u and -u) and 24 over H5 (4 per class), so the
+    # edges are 8 * 27 = 216 and 24 * 125 = 3000
+    for f, edge in ((Poly(H3, [1, 0, 2]), 216), (Poly(H5, [1, 0, 2]), 3000)):
+        with search_budget(edge):
+            assert is_irreducible(f)
+        with search_budget(edge - 1), pytest.raises(
+                BlowupError, match=f"ideal slice polynomials: {edge} exceeds budget {edge - 1}"):
+            is_irreducible(f)
+
+
+def test_readme_states_the_slice_budget_of_the_quadratics(monkeypatch, H3, H5):
+    # the README's budget example, recomputed: slices built by 1+2X^2 times k^3
+    import mvla.polys as polys
+    built = []
+    kernel = polys._ideal_members_bounded
+
+    def counting(u, *bounds):
+        built.append(u)
+        return kernel(u, *bounds)
+
+    monkeypatch.setattr(polys, "_ideal_members_bounded", counting)
+    figures = []
+    for S in (H3, H5):
+        built.clear()
+        assert is_irreducible(Poly(S, [1, 0, 2]))
+        figures.append(f"{len(built)} * {len(S) ** 3} = {len(built) * len(S) ** 3}")
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    assert "1+2X^2 over H3 charges {} and over H5 {};".format(*figures) in readme
 
 
 def test_product_fold_charges_the_members_it_collects(H3):

@@ -150,7 +150,8 @@ def test_closed_charges_its_scan_against_the_budget(capsys):
 
 
 def test_irreducible_charges_every_slice_it_builds(capsys):
-    # 125 polynomials per slice over H5 at degree 2: f's own slice fits, the next does not
+    # 125 polynomials per slice over H5 at degree 2: the first slice the scan reads fits,
+    # the second does not
     start = time.perf_counter()
     assert run_cli("--budget", "125", "irreducible", "--structure", "builtin:H5",
                    "--poly", "1,0,2") == 2

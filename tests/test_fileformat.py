@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
-from mvla import (LinearSystem, Matrix, ParseError, Poly, parse_matrix,
-                  parse_structure, parse_system, poly_from_text, poly_to_text,
+from mvla import (LinearSystem, Matrix, ParseError, Poly, builtin, make_quotient_superfield,
+                  parse_matrix, parse_structure, parse_system, poly_from_text, poly_to_text,
                   serialize_matrix, serialize_structure)
+from mvla.fileformat import element_token
+from test_axioms import _BUILTINS
+from test_boxes import small_structures
 
 
 def test_structure_round_trip_on_builtins(K, Q2, H3, X2, F3):
@@ -11,6 +15,45 @@ def test_structure_round_trip_on_builtins(K, Q2, H3, X2, F3):
         back = parse_structure(text)
         assert back == S
         assert serialize_structure(back) == text  # identity on canonical files
+
+
+def token_serialization(S):
+    """The token-level serializer that the index-table one replaced: every cell goes
+    through sum_set or prod_set and canon, and every token is built per cell."""
+    out = [f"structure {S.name}"]
+    out.append("elements " + " ".join(element_token(e) for e in S.elements))
+    out.append(f"zero {element_token(S.zero)}")
+    out.append(f"one {element_token(S.one)}")
+    for e in S.elements:
+        out.append(f"neg {element_token(e)} -> {element_token(S.neg(e))}")
+    for label, op in (("sum", S.sum_set), ("prod", S.prod_set)):
+        for a in S.elements:
+            for b in S.elements:
+                res = " ".join(element_token(c) for c in S.canon(op(a, b)))
+                out.append(f"{label} {element_token(a)} {element_token(b)} -> {res}")
+    out.append("end")
+    return "\n".join(out) + "\n"
+
+
+_QUOTIENTS = {"H3/1+2X^2": (("Hp", 3), (1, 0, 2)), "F3/1+X^2": (("Fp", 3), (1, 0, 1)),
+              "F2/1+X+X^2": (("Fp", 2), (1, 1, 1))}
+
+
+@pytest.mark.parametrize("name", list(_BUILTINS) + list(_QUOTIENTS))
+def test_serializer_matches_the_token_level_one(name):
+    if name in _BUILTINS:
+        S = builtin(*_BUILTINS[name])
+    else:
+        base, coeffs = _QUOTIENTS[name]
+        F = builtin(*base)
+        S = make_quotient_superfield(F, Poly(F, coeffs))
+    assert serialize_structure(S) == token_serialization(S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=small_structures())
+def test_serializer_matches_the_token_level_one_on_random_structures(S):
+    assert serialize_structure(S) == token_serialization(S)
 
 
 def test_round_trip_of_quotient_structures(h3_quotient):

@@ -623,6 +623,34 @@ def test_unit_classes_keep_every_verdict(name, param):
     assert (len(classes), len(per_u)) == (30, 120)
 
 
+# every built-in superfield, F2 also at degree 4
+@pytest.mark.parametrize("name,degree", [(name, 2) for name in DIFF_BASES] + [("F2", 4)]
+                         + [(name, 2) for name in ("H5", "H7", "F5")])
+def test_slice_members_vanish_below_the_valuation(name, degree):
+    # the scan's filter: as 0 absorbs and 0 + 0 = {0}, a member of u's slice has no
+    # nonzero coefficient below val(u), so no u of valuation above f's holds f
+    S = builtin(*{**DIFF_BASES, "H5": ("Hp", 5), "H7": ("Hp", 7), "F5": ("Fp", 5)}[name])
+    k, z = len(S), S.zero_i
+    for u in _nonconstant(S, degree):
+        val = next(j for j, c in enumerate(u.indices) if c != z)
+        if val:
+            got = _ideal_members_bounded(u, degree, degree, 3)
+            members = [[b // k ** j % k for j in range(degree + 1)]
+                       for b in range(k ** (degree + 1)) if got >> b & 1]
+            assert members and all(p[:val] == [z] * val for p in members), u
+
+
+# the bases that no other test compares with the unfiltered per-u scan
+@pytest.mark.parametrize("name,degree", [("Q2", 2), ("X1", 2), ("K", 3), ("F3", 3)])
+def test_valuation_filter_keeps_every_verdict(diff_bases, name, degree):
+    S = diff_bases[name]
+    classes, per_u = {}, {}  # one table per degree, as the slices are cut at deg f
+    for f in _nonconstant(S, degree):
+        got = _irreducible(f, classes.setdefault(f.degree, {}))
+        want = per_u_verdict(f, per_u.setdefault(f.degree, {}))
+        assert (got.irreducible, got.witness) == want, f
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from((2, 3, 4, 11)), st.integers(1, 3), st.data())
 def test_maximal_keeps_exactly_the_boxes_inside_no_other(k, width, data):
@@ -718,7 +746,8 @@ def test_lane_kernel_matches_tuple_closure_on_builtins(args, degree):
 
 def test_h5_quadratic_is_irreducible(monkeypatch, H5):
     # 1+2X^2 over H5: the member kernel needed over a minute for this scan.  It builds
-    # one slice per class {c*u : c != 0} of the 120 nonconstant u of degree <= 2.
+    # one slice per class {c*u : c != 0} of the 96 nonconstant u of degree <= 2 with a
+    # nonzero constant term; the other 24 have valuation above f's 0.
     import mvla.polys as polys
     built = []
     kernel = polys._ideal_members_bounded
@@ -731,4 +760,4 @@ def test_h5_quadratic_is_irreducible(monkeypatch, H5):
     got = is_irreducible(Poly(H5, (1, 0, 2)))
     assert (got.irreducible, got.witness) == (True, None)
     assert got.note == "bounded: <= 3 terms, deg h <= 2"
-    assert len(built) == 30
+    assert len(built) == 24
