@@ -8,6 +8,7 @@ codes: 0 pass/solved, 1 fail/no-solution, 2 inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -311,13 +312,15 @@ def _env_budget():
         raise MvlaError(f"MVLA_BUDGET must be an integer, got {raw!r}") from None
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; every verb NAME runs cmd_NAME."""
     parser = argparse.ArgumentParser(
         prog="mvla",
         description="Multivalued linear algebra over superfields: exhaustive "
                     "verification, set-valued matrices, linear systems, "
                     "quotient superfields and vector spaces.")
-    parser.add_argument("--budget", type=int, default=_env_budget(),
+    parser.add_argument("--budget", type=int,
                         help="work limit of each bounded search (env MVLA_BUDGET)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -325,70 +328,58 @@ def build_parser():
     p.add_argument("structure")
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--window", type=int, nargs=2, metavar=("LO", "HI"))
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("morphism", help="check a map between structures")
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--map", help="comma list a:b of source:target tokens")
     p.add_argument("--full", action="store_true")
-    p.set_defaults(fn=cmd_morphism)
 
     p = sub.add_parser("det", help="determinant of a matrix file")
     p.add_argument("matrix")
     p.add_argument("--structure", required=True)
-    p.set_defaults(fn=cmd_det)
 
     p = sub.add_parser("matmul", help="product box of two matrix files")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--structure", required=True)
-    p.set_defaults(fn=cmd_matmul)
 
     p = sub.add_parser("divmod", help="Euclidean division pairs")
     p.add_argument("--structure", required=True)
     p.add_argument("--f", required=True, help="coefficients low-to-high, e.g. 1,0,1")
     p.add_argument("--g", required=True)
     p.add_argument("--all", action="store_true")
-    p.set_defaults(fn=cmd_divmod)
 
     p = sub.add_parser("eval", help="evaluate a polynomial at an element")
     p.add_argument("--structure", required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--at", required=True)
     p.add_argument("--ambient")
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("irreducible", help="bounded irreducibility scan")
     p.add_argument("--structure", required=True)
     p.add_argument("--poly", required=True)
-    p.set_defaults(fn=cmd_irreducible)
 
     p = sub.add_parser("solve", help="find a weak solution of a system file")
     p.add_argument("system")
     p.add_argument("--structure", required=True)
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("kernel", help="nontrivial kernel vector of a matrix file")
     p.add_argument("matrix")
     p.add_argument("--structure", required=True)
-    p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("closed", help="linear closedness certification")
     p.add_argument("--structure", required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--max-m", type=int, required=True)
-    p.set_defaults(fn=cmd_closed)
 
     p = sub.add_parser("quotient", help="emit the quotient superfield as a file")
     p.add_argument("structure")
     p.add_argument("--poly", required=True)
-    p.set_defaults(fn=cmd_quotient)
 
     p = sub.add_parser("extension", help="classify small inside big")
     p.add_argument("small")
     p.add_argument("big")
-    p.set_defaults(fn=cmd_extension)
 
     p = sub.add_parser("vspace", help="verify vector space axioms")
     p.add_argument("--structure", required=True)
@@ -396,20 +387,19 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--full", action="store_true")
-    p.set_defaults(fn=cmd_vspace)
 
     p = sub.add_parser("reproduce", help="replay a named example against its golden")
     p.add_argument("name")
-    p.set_defaults(fn=cmd_reproduce)
 
     return parser
 
 
 def main(argv=None):
     try:
+        budget = _env_budget()
         args = build_parser().parse_args(argv)
-        with search_budget(args.budget):
-            report = args.fn(args)
+        with search_budget(budget if args.budget is None else args.budget):
+            report = globals()["cmd_" + args.verb](args)
     except (MvlaError, ParseError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INCONCLUSIVE

@@ -33,7 +33,7 @@ class VectorSpace:
     """
 
     __slots__ = ("name", "scalars", "vectors", "vzero", "zero_i", "neg", "sum", "act",
-                 "_idx", "_plus")
+                 "_idx", "_plus", "_terms")
 
     def __init__(self, name, scalars, vectors, zero_i, neg, sum_tab, act_tab):
         vectors = tuple(vectors)
@@ -49,7 +49,7 @@ class VectorSpace:
         self.sum = sum_tab
         self.act = act_tab
         self._idx = {v: i for i, v in enumerate(vectors)}
-        self._plus = _Setwise(sum_tab)
+        self._plus, self._terms = _Setwise(sum_tab), None
 
     def index(self, v):
         try:
@@ -142,13 +142,15 @@ def verify_vspace(V, full=False, witness_limit=3):
 
     The scans read the space's own tables.  The multigroup scan's witnesses
     come first, prefixed "group-", then MV0-MV3 run on the same view until the
-    witness limit is reached.
+    witness limit is reached; checked counts the instances of both scans.
     """
     view = _View(V.vectors, V.zero_i, None, V.neg, V.sum, None, False, V.act)
     group = _Collector(limit=witness_limit)
     _add_group(view, group)
     col = _Collector(limit=witness_limit)
-    if not col.record_all(("fail", "group-" + ax, wit) for ax, wit in group.witnesses):
+    done = col.record_all(("fail", "group-" + ax, wit) for ax, wit in group.witnesses)
+    col.checked = group.checked  # the group's witnesses are among its own checked
+    if not done:
         _scan_action(view, V.scalars, col, full)
     return _report(V.name, "vector-space-full" if full else "vector-space", view, col)
 
@@ -235,29 +237,55 @@ def span(V, gens):
 
 def _bundles(F, bound):
     """Scalar multisets of size 1..bound, in canonical order."""
-    out = []
-    for r in range(1, bound + 1):
-        out.extend(itertools.combinations_with_replacement(F.elements, r))
-    return out
+    return [b for r in range(1, bound + 1)
+            for b in itertools.combinations_with_replacement(F.elements, r)]
+
+
+class _Terms(dict):
+    """Per vector index v, the row of masks e.v over the distinct effective sets e
+    of the bundles (sets, in order of their first bundles, bundles), built on first
+    read; misses says which sets miss 0.  A space keeps one as V._terms."""
+
+    def __init__(self, V):  # empty, as dict.__new__ made it
+        F, first = V.scalars, {}
+        for bundle in _bundles(F, _BUNDLE_BOUND):
+            first.setdefault(F.sum_of([1 << F.index(x) for x in bundle]), bundle)
+        self.act, self.sets, self.bundles = V.act, list(first), list(first.values())
+        self.misses = [not e >> F.zero_i & 1 for e in first]
+
+    def __missing__(self, v):
+        row = self[v] = [_union([r[v] for r in self.act], e) for e in self.sets]
+        return row
 
 
 def _dependence(V, vs):
-    """The first choice of one bundle per vector index in vs whose weighted sum
-    holds 0 while some effective coefficient set misses 0; None when there is none."""
-    F = V.scalars
-    bundles = _bundles(F, _BUNDLE_BOUND)
-    effective = [F.sum_of([1 << F.index(x) for x in bundle]) for bundle in bundles]
-    # terms[j][i]: the effective set of bundle i applied to vs[j]
-    terms = [[_union([row[v] for row in V.act], e) for e in effective] for v in vs]
-    zero_bit, zero_vec, plus = 1 << F.zero_i, 1 << V.zero_i, V._plus
-    for combo in itertools.product(range(len(bundles)), repeat=len(vs)):
-        if all(effective[i] & zero_bit for i in combo):
-            continue  # cannot witness dependence either way
-        total = terms[0][combo[0]]
-        for row, i in zip(terms[1:], combo[1:]):
-            total = plus[total, row[i]]
-        if total & zero_vec:
-            return tuple(bundles[i] for i in combo)
+    """The first choice, in product order, of one bundle per vector index in vs
+    whose weighted sum holds 0 while some effective coefficient set misses 0;
+    None when there is none.
+
+    Both tests read only the effective sets, so a passing choice still passes with
+    each bundle swapped for the first bundle of its set, which is no later in
+    product order: the first passing choice uses first bundles only.  So the walk
+    runs depth first over the distinct sets in order of their first bundles, and
+    charges each tuple of sets it visits, prefixes included.
+    """
+    terms = V._terms = _Terms(V) if V._terms is None else V._terms
+    rows, misses, plus, zero_vec = [terms[v] for v in vs], terms.misses, V._plus, 1 << V.zero_i
+    # per open depth: its sets left, prefix sum, a chosen set misses 0, the set chosen above
+    walk, work = [(enumerate(row), None, False, None) for row in rows[:1]], 0
+    while walk:
+        sets, prefix, missed, _ = walk[-1]
+        for i, term in sets:
+            work += 1
+            charge(work, "independence bundle tuples")
+            total, flag = term if prefix is None else plus[prefix, term], missed or misses[i]
+            if len(walk) < len(rows):
+                walk.append((enumerate(rows[len(walk)]), total, flag, i))
+                break
+            if flag and total & zero_vec:
+                return tuple(terms.bundles[j] for *_, j in walk[1:]) + (terms.bundles[i],)
+        else:
+            walk.pop()
     return None
 
 
@@ -268,7 +296,9 @@ def is_linearly_independent(V, vs):
     effective coefficient set; the weighted sum applies the effective set to
     the generator and folds with the vector sum.  Dependence needs a bundle
     whose weighted sum reaches 0 while some effective coefficient set misses
-    0.  The verdict is honest only up to the bundle bound 2.
+    0.  The verdict is honest only up to the bundle bound 2.  The witness is the
+    first such bundle in product order, so it holds only the first bundle of each
+    effective set (see _dependence).
     """
     vs = list(vs)
     if len(set(vs)) != len(vs):

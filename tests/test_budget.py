@@ -12,12 +12,14 @@ import pytest
 
 import mvla
 from mvla import (BlowupError, LinearSystem, Matrix, Poly, PolySet, all_ideals, builtin,
-                  characteristic, det, find_inverse, find_irreducible,
+                  characteristic, det, find_basis, find_inverse, find_irreducible,
                   find_nontrivial_kernel, find_quotient_superfield, fn_space, is_almost_full,
-                  is_irreducible, is_linearly_closed, mmul, pdivmod, pmul_fold, quotient_pair,
-                  search_budget, solve_weak, strict_ring, verify_axioms)
+                  is_irreducible, is_linearly_closed, is_linearly_independent, mmul, pdivmod,
+                  pmul_fold, quotient_pair, search_budget, solve_weak, strict_ring,
+                  verify_axioms)
 from mvla.errors import _limit
 from mvla.extensions import generation_degree
+from mvla.vspaces import _bundles
 
 
 def test_scopes_nest_and_restore_the_limit(H3):
@@ -93,6 +95,25 @@ def test_product_fold_charges_the_members_it_collects(H3):
     with search_budget(7), pytest.raises(
             BlowupError, match="product fold members: 8 exceeds budget 7"):
         pmul_fold(fs)
+
+
+def test_independence_charges_each_tuple_of_effective_sets_it_visits(H3):
+    # an independent pair walks every tuple of the g distinct effective sets of the
+    # bundles, g prefixes and g^2 pairs; a dependent set stops at its first witness
+    g = len({H3.sum_of([1 << H3.index(x) for x in b]) for b in _bundles(H3, 2)})
+    V, edge = fn_space(H3, 2), g + g * g
+    with search_budget(edge):
+        assert is_linearly_independent(V, [(1, 0), (0, 1)]) == (True, None)
+    with search_budget(edge - 1), pytest.raises(
+            BlowupError, match=f"independence bundle tuples: {edge} exceeds budget {edge - 1}"):
+        is_linearly_independent(V, [(1, 0), (0, 1)])
+    # find_basis starts from all 9 vectors, whose walk could visit g + ... + g^9
+    # tuples; it stops at a witness long before, so its budget is far below that
+    basis = find_basis(V, V.vectors)
+    with search_budget(2 * edge):
+        assert find_basis(V, V.vectors) == basis
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    assert f"an independent pair over H3 charges {g} + {g * g} = {edge}." in readme
 
 
 def test_characteristic_charges_the_window_cells():
@@ -183,6 +204,8 @@ def test_budget_one_stops_every_enumerating_function(H3, H5, H7):
         (is_almost_full, (gf25, gf25.embedding(1)), "generation degree coefficient tuples"),
         (fn_space, (builtin("Fp", 2), 11), "vector table cells"),  # 2.9 s
         (is_linearly_closed, (builtin("K"), 5, 6), "closedness work"),  # 3.1 s
+        (is_linearly_independent, (fn_space(builtin("Hp", 43), 2), [(1, 0), (0, 1)]),
+         "independence bundle tuples"),  # 1.4 s, after 1.5 s to build the space
         (verify_axioms, (builtin("Trop"), "superfield", (-40, 40)),
          "window axiom instances"),  # 1.8 s
         (PolySet.members, (PolySet(H3, [7] * 12),), "poly box members"),  # 1.4 s

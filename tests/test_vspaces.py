@@ -6,14 +6,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mvla import (ExtensionPair, Matrix, StructureError, builtin, dimension,
-                  extension_space, find_basis, fn_space, is_full, is_linearly_closed,
-                  is_linearly_independent, is_subspace, linear_combinations,
-                  matrix_space, poly_space, solution_subspace, span,
-                  verify_multigroup, verify_vspace)
-from mvla.axioms import _Collector
-from mvla.vspaces import VectorSpace
+from mvla import (ExtensionPair, Matrix, Poly, StructureError, builtin,
+                  certify_algebraic_extension, dimension, extension_space, find_basis,
+                  fn_space, is_full, is_linearly_closed, is_linearly_independent, is_subspace,
+                  linear_combinations, matrix_space, poly_space, quotient_pair,
+                  solution_subspace, span, verify_multigroup, verify_vspace)
+from mvla.axioms import _Collector, _union
+from mvla.vspaces import VectorSpace, _bundles, _dependence
+from test_boxes import small_structures
 
 
 # -- test-local decoder: the index-level tables read on vector tokens --------------
@@ -131,13 +133,22 @@ def test_extension_space_axioms(H2, H3, h3_quotient):
     assert rep.witnesses[0][0] == "MV3"
 
 
-# The largest spaces verified in tier-1.  The checked figures were taken from
-# the per-triple associativity scan and must not move.
+def _passing_group_checked(k):
+    """What the axiom engine counts for a passing multigroup scan of k vectors:
+    nonempty and M1 per ordered pair, M2 per vector, M4 per unordered pair and M3
+    per triple."""
+    return 2 * k * k + k + k * (k - 1) // 2 + k ** 3
+
+
+# The largest spaces verified in tier-1.  The checked figures of MV0-MV3 were
+# taken from the per-triple associativity scan and must not move; the passing
+# vector multigroup adds its own count.
 @pytest.mark.parametrize("name, n, checked", [("H3", 4, 21303), ("H5", 3, 84625)])
 def test_large_fn_spaces_verify(H3, H5, name, n, checked):
     rep = verify_vspace(fn_space({"H3": H3, "H5": H5}[name], n))
+    k = len({"H3": H3, "H5": H5}[name].elements) ** n
     assert (rep.verdict, rep.witnesses, rep.checked, rep.skipped) == \
-        ("pass", (), checked, 0)
+        ("pass", (), checked + _passing_group_checked(k), 0)
 
 
 def test_mutated_action_fails_mv0(H3, V9):
@@ -330,7 +341,8 @@ def _ref_action_instances(V):
 
 
 def _ref_verify_vspace(V, full=False, limit=3):
-    """(verdict, witnesses, checked) as the object-level loops reported them."""
+    """(verdict, witnesses, checked) as the object-level loops reported them, with
+    the engine's count of a passing multigroup scan in checked."""
     def scan(col, instances):
         for axiom, inst in instances:
             if col.done:
@@ -345,7 +357,7 @@ def _ref_verify_vspace(V, full=False, limit=3):
         col.record("fail", ax, wit)
     scan(col, _ref_action_instances(V))
     verdict = "fail" if col.witnesses else "pass"
-    return verdict, tuple(col.witnesses), col.checked
+    return verdict, tuple(col.witnesses), col.checked + _passing_group_checked(len(V.vectors))
 
 
 def _agrees_with_reference(V, full):
@@ -370,6 +382,28 @@ def test_view_scan_matches_object_level_reference(H2, H3, H5, K, Q2, F3, h3_quot
     for V in spaces:
         for full in (False, True):
             _agrees_with_reference(V, full)
+
+
+def test_pinned_vspace_reports_count_both_scans():
+    # every `vspace` report pinned for the CLI counts the reference MV0-MV3 scan and
+    # the passing vector multigroup scan; the report lines are parsed, not copied
+    from mvla.cli import load_structure
+    build = {"fn": fn_space, "matrix": lambda S, n: matrix_space(S, n, n), "poly": poly_space}
+    seen = 0
+    for name in ("axiom_verb_reports.txt", "box_verb_reports.txt"):
+        text = (Path(__file__).parent / "data" / name).read_text()
+        for section in text.split("### mvla ")[1:]:
+            argv, report = section.split("\n", 1)
+            if not argv.startswith("vspace "):
+                continue
+            args = argv.split()
+            space = args[args.index("--space") + 1] if "--space" in args else "fn"
+            V = build[space](load_structure(args[args.index("--structure") + 1]),
+                             int(args[args.index("--n") + 1]))
+            _, _, checked = _ref_verify_vspace(TokenSpace(V), full="--full" in args)
+            assert f"\nchecked={checked}\n" in report, argv
+            seen += 1
+    assert seen == 4
 
 
 def test_view_scan_matches_reference_on_mutated_scalars(K, Q2, H3):
@@ -482,6 +516,112 @@ def test_independence_matches_the_per_combination_fold(H3, Q2, F3, h3_quotient):
         for r in (1, 2, 3):
             for vs in itertools.combinations(vectors, r):
                 assert is_linearly_independent(V, vs) == reference_independence(T, vs, 2), vs
+
+
+# -- the walk over distinct effective sets against the product-order scan ---------------
+
+
+def _product_order_dependence(V, vs):
+    """_dependence as it was before the walk over distinct effective sets: every
+    choice of one bundle per vector index, in product order, folded anew."""
+    F = V.scalars
+    bundles = _bundles(F, 2)
+    effective = [F.sum_of([1 << F.index(x) for x in bundle]) for bundle in bundles]
+    terms = [[_union([row[v] for row in V.act], e) for e in effective] for v in vs]
+    zero_bit, zero_vec, plus = 1 << F.zero_i, 1 << V.zero_i, V._plus
+    for combo in itertools.product(range(len(bundles)), repeat=len(vs)):
+        if all(effective[i] & zero_bit for i in combo):
+            continue  # cannot witness dependence either way
+        total = terms[0][combo[0]]
+        for row, i in zip(terms[1:], combo[1:]):
+            total = plus[total, row[i]]
+        if total & zero_vec:
+            return tuple(bundles[i] for i in combo)
+    return None
+
+
+def _walk_agrees(V, sizes):
+    """_dependence equals the product-order scan on every set of nonzero vector
+    indices of V of each size."""
+    nonzero = [v for v in range(len(V.vectors)) if v != V.zero_i]
+    for r in sizes:
+        for vs in itertools.combinations(nonzero, r):
+            assert _dependence(V, vs) == _product_order_dependence(V, vs), (V.name, vs)
+
+
+def _gf_pairs(F2, F3):
+    """The extension pairs GF(9)|F3 and GF(8)|F2."""
+    return [quotient_pair(F, Poly(F, coeffs))[1]
+            for F, coeffs in ((F3, (1, 0, 1)), (F2, (1, 1, 0, 1)))]
+
+
+def test_distinct_effective_sets_at_bound_two():
+    # derived from the bundles of each built-in: the walk reads one row entry per
+    # distinct effective set, each with the first bundle that has it
+    counts = {}
+    for name in sorted(_BUILTINS):
+        F = builtin(*_BUILTINS[name])
+        first = {}
+        for bundle in _bundles(F, 2):
+            first.setdefault(F.sum_of([1 << F.index(x) for x in bundle]), bundle)
+        V = fn_space(F, 1)
+        unit = V.index((F.one,))
+        assert _dependence(V, [unit]) is None, name
+        assert list(V._terms.bundles) == list(first.values()), name
+        assert len(V._terms[unit]) == len(first) < len(_bundles(F, 2)), name
+        if name.startswith("F"):  # a field: a + b is one element
+            assert len(first) == len(F.elements), name
+        counts[name] = len(first), len(_bundles(F, 2))
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    (a, x), (b, y), (c, z) = counts["H3"], counts["H5"], counts["H7"]
+    assert f"({a} over H3, {b} over H5 and {c} over H7, of {x}, {y} and {z} bundles)" in readme
+
+
+def test_walk_matches_the_product_order_scan_on_planes(H5, H7):
+    _walk_agrees(fn_space(H5, 2), (1, 2, 3))  # 24 + 276 + 2,024 sets
+    _walk_agrees(fn_space(H7, 2), (2,))  # 1,128 pairs
+
+
+def test_walk_matches_the_product_order_scan_on_extensions(F2, F3, h3_quotient):
+    for pair in _gf_pairs(F2, F3) + [h3_quotient[1]]:
+        _walk_agrees(extension_space(pair), (1, 2, 3, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(S=small_structures(), data=st.data())
+def test_walk_matches_the_product_order_scan_on_random_spaces(S, data):
+    V = fn_space(S, data.draw(st.sampled_from((1, 2))))
+    vs = data.draw(st.lists(st.sampled_from(range(len(V.vectors))), min_size=1,
+                            max_size=3, unique=True))
+    assert _dependence(V, vs) == _product_order_dependence(V, vs)
+
+
+def test_bases_dimensions_and_degree_witnesses_match_the_product_order_scan(
+        monkeypatch, H3, F2, F3, h3_quotient, h3_closure):
+    import mvla.extensions as extensions
+    import mvla.vspaces as vspaces
+
+    pairs = _gf_pairs(F2, F3) + [h3_quotient[1]]
+    closures = {S.name: is_linearly_closed(S, 2, 3) for S in (F2, F3)}
+    closures[H3.name] = h3_closure
+    spaces = [fn_space(H3, 2), fn_space(F3, 2), fn_space(F2, 3)]
+
+    def answers():
+        out = []
+        for V in spaces + [extension_space(pair) for pair in pairs]:
+            gens = list(reversed(V.vectors))
+            out += [find_basis(V, V.vectors), find_basis(V, gens),
+                    dimension(V, closures[V.scalars.name])]
+        for pair in pairs:
+            for bound in (1, 2, 3):
+                rep = certify_algebraic_extension(pair, bound)
+                out.append((rep.degree_claim_holds, rep.degree_witness))
+        return out
+
+    walked = answers()
+    monkeypatch.setattr(vspaces, "_dependence", _product_order_dependence)
+    monkeypatch.setattr(extensions, "_dependence", _product_order_dependence)
+    assert walked == answers()
 
 
 def test_find_basis_examples(V9):

@@ -29,6 +29,12 @@ checkout's own files:
   `fn_space(builtin("Hp", 3), 5)` (243 vectors), each in REPEATS fresh
   interpreters; the work units of each are the instances it counted as
   `checked`;
+- `dimension` on `fn_space(builtin("Hp", 3), 2)` and `fn_space(builtin("Fp", 3),
+  2)` under their `is_linearly_closed(F, 2, 3)` certificates (built before the
+  clock starts), and `is_linearly_independent` on every triple of nonzero vectors
+  of `fn_space(builtin("Hp", 5), 2)`, each timed around the calls in REPEATS
+  fresh interpreters; the work units are the dimensions and the subsets of size
+  dimension + 1 that `dimension` rechecks, and the number of dependent triples;
 - `find_inverse` over one seeded batch of 200 upper-triangular 3x3 matrices
   with a nonzero diagonal, 40 each over H3, H5, H7, Q2 and F5 (the shape of the
   `linsys` workload's inverse queries), timed around the batch in each of
@@ -138,6 +144,25 @@ V = fn_space(builtin("Hp", 3), 5)
 t0 = time.perf_counter()
 rep = verify_vspace(V)
 print(json.dumps([time.perf_counter() - t0, {"checked": rep.checked, "verdict": rep.verdict}]))
+"""),
+    ("vspaces", "dimension H3^2 and F3^2", """
+import json, math, time
+from mvla import builtin, dimension, fn_space, is_linearly_closed
+runs = [(fn_space(F, 2), is_linearly_closed(F, 2, 3)) for F in (builtin("Hp", 3), builtin("Fp", 3))]
+t0 = time.perf_counter()
+dims = [dimension(V, closure) for V, closure in runs]
+print(json.dumps([time.perf_counter() - t0, {
+    "dimensions": dims,
+    "rechecked": [math.comb(len(V.vectors), d + 1) for (V, _), d in zip(runs, dims)]}]))
+"""),
+    ("vspaces", "independence H5^2 triples", """
+import itertools, json, time
+from mvla import builtin, fn_space, is_linearly_independent
+V = fn_space(builtin("Hp", 5), 2)
+triples = list(itertools.combinations([v for v in V.vectors if v != V.vzero], 3))
+t0 = time.perf_counter()
+dependent = sum(not is_linearly_independent(V, vs)[0] for vs in triples)
+print(json.dumps([time.perf_counter() - t0, {"triples": len(triples), "dependent": dependent}]))
 """),
     ("matrices", "inverse upper-triangular 3x3 batch", """
 import json, random, time
