@@ -18,9 +18,9 @@ from .axioms import KINDS, MorphismSpec, check_morphism, verify_axioms
 from .errors import (CongruenceError, MvlaError, ParseError, ReducibleError, WindowRequired,
                      search_budget)
 from .extensions import ExtensionPair, classify_extension, make_quotient_superfield
-from .fileformat import (element_token, parse_matrix, parse_structure,
-                         parse_system, poly_from_text, serialize_structure,
-                         token_to_element)
+from .fileformat import (element_token, format_box, format_matrix, format_set,
+                         parse_matrix, parse_structure, parse_system, poly_from_text,
+                         serialize_structure, token_to_element)
 from .linsys import (INCONCLUSIVE, NO_SOLUTION, SOLVED, find_nontrivial_kernel,
                      is_linearly_closed, solve_weak)
 from .matrices import det, mmul
@@ -51,19 +51,6 @@ def load_structure(ref, lazy=False):
         return builtin(kind, int(tag[1:]))
     with open(ref, encoding="utf-8") as fh:
         return parse_structure(fh.read())
-
-
-def _fmt_set(S, elems):
-    return "{" + " ".join(element_token(e) for e in S.canon(elems)) + "}"
-
-
-def _fmt_matrix(M):
-    return " ".join(element_token(e) for e in M.entries)
-
-
-def _fmt_box(B):
-    return "; ".join(" ".join(_fmt_set(B.base, B.entry_set(i, j))
-                              for j in range(B.cols)) for i in range(B.rows))
 
 
 class Report:
@@ -138,8 +125,8 @@ def cmd_det(args):
         M = parse_matrix(fh.read(), S)
     value = det(M)
     r = Report("det")
-    r.add("structure", S.name).add("matrix", _fmt_matrix(M))
-    r.add("det", _fmt_set(S, value))
+    r.add("structure", S.name).add("matrix", format_matrix(M))
+    r.add("det", format_set(S, value))
     return r.finish(f"determinant has {len(value)} members")
 
 
@@ -152,7 +139,7 @@ def cmd_matmul(args):
     box = mmul(A, B)
     r = Report("matmul")
     r.add("structure", S.name).add("shape", f"{box.rows}x{box.cols}")
-    r.add("box", _fmt_box(box)).add("members", box.size)
+    r.add("box", format_box(box)).add("members", box.size)
     return r.finish(f"product box with {box.size} members")
 
 
@@ -180,7 +167,7 @@ def cmd_eval(args):
     r = Report("eval")
     r.add("structure", S.name).add("ambient", ambient.name)
     r.add("poly", args.poly).add("at", args.at)
-    r.add("value", _fmt_set(ambient, value)).add("root", "yes" if root else "no")
+    r.add("value", format_set(ambient, value)).add("root", "yes" if root else "no")
     return r.finish(f"evaluation has {len(value)} members")
 
 
@@ -206,7 +193,7 @@ def cmd_solve(args):
     r = Report("solve")
     r.add("structure", S.name).add("status", out.status)
     if out.verdict is not None:
-        r.add("vector", _fmt_matrix(out.verdict.vector))
+        r.add("vector", format_matrix(out.verdict.vector))
         r.add("strength", out.verdict.strength)
     if out.note:
         r.add("note", out.note)
@@ -222,7 +209,7 @@ def cmd_kernel(args):
     r = Report("kernel")
     r.add("structure", S.name).add("status", out.status)
     if out.verdict is not None:
-        r.add("vector", _fmt_matrix(out.verdict.vector))
+        r.add("vector", format_matrix(out.verdict.vector))
     if out.note:
         r.add("note", out.note)
     code = _STATUS_EXIT[out.status]

@@ -39,6 +39,22 @@ def element_token(e):
     return str(e)
 
 
+def format_set(S, elems):
+    """A subset of S's carrier as {t ...}, in carrier order."""
+    return "{" + " ".join(element_token(e) for e in S.canon(elems)) + "}"
+
+
+def format_matrix(M):
+    """A matrix's entries in row-major order."""
+    return " ".join(element_token(e) for e in M.entries)
+
+
+def format_box(B):
+    """A matrix box's entry sets, row by row, the rows separated by "; "."""
+    return "; ".join(" ".join(format_set(B.base, B.entry_set(i, j))
+                              for j in range(B.cols)) for i in range(B.rows))
+
+
 def _lines(text):
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

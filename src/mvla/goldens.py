@@ -12,22 +12,10 @@ from importlib import resources
 from pathlib import Path
 
 from .axioms import MorphismSpec, check_morphism
+from .fileformat import format_box, format_matrix
 from .linsys import is_linearly_closed
 from .matrices import Matrix, det, madd, mmul, mscale
 from .structures import builtin, mprod
-
-
-def _fmt_set(S, elems):
-    return "{" + " ".join(str(e) for e in S.canon(elems)) + "}"
-
-
-def _fmt_box(B):
-    return "; ".join(" ".join(_fmt_set(B.base, B.entry_set(i, j))
-                              for j in range(B.cols)) for i in range(B.rows))
-
-
-def _fmt_members(B):
-    return [" ".join(str(e) for e in M.entries) for M in B.members()]
 
 
 def _x2_triple():
@@ -40,9 +28,9 @@ def _x2_triple():
 
 def _box_report(name, box):
     lines = [f"name={name}", f"structure={box.base.name}",
-             f"shape={box.rows}x{box.cols}", f"box={_fmt_box(box)}",
+             f"shape={box.rows}x{box.cols}", f"box={format_box(box)}",
              f"members={box.size}"]
-    for i, m in enumerate(_fmt_members(box), start=1):
+    for i, m in enumerate(map(format_matrix, box.members()), start=1):
         lines.append(f"member.{i}={m}")
     return "\n".join(lines) + "\n"
 
@@ -68,8 +56,8 @@ def golden_x2_nonassoc():
     right = mmul(A, mmul(B, C))
     meet = left.intersect(right)
     lines = ["name=x2-nonassoc",
-             f"left=(AB)C {_fmt_box(left)}",
-             f"right=A(BC) {_fmt_box(right)}",
+             f"left=(AB)C {format_box(left)}",
+             f"right=A(BC) {format_box(right)}",
              f"equal={'yes' if left == right else 'no'}",
              f"intersect-nonempty={'yes' if meet is not None else 'no'}"]
     return "\n".join(lines) + "\n"

@@ -427,16 +427,17 @@ def is_effective_root(f, alpha, bound=None):
     """A witness g with f in (X - alpha) * g, or None.
 
     The search runs over g of degree exactly deg f - 1 (bound overrides),
-    in canonical coefficient order.
+    in canonical coefficient order, and charges each candidate g.
     """
     S = f.base
-    if f.is_zero or f.degree < 1:
-        return None
     dg = (f.degree - 1) if bound is None else bound
+    if f.is_zero or f.degree < 1 or dg < 0:
+        return None
     xma = Poly(S, (S.neg(alpha), S.one))
-    for g in all_polys(S, dg):
-        if g.is_zero or g.degree != dg:
-            continue
+    cands = itertools.product(itertools.product(range(len(S)), repeat=dg), _nonzero(S))
+    for n, (low, top) in enumerate(cands, 1):
+        charge(n, "effective root candidates")
+        g = Poly.from_indices(S, low + (top,))
         if f in pmul(xma, g):
             return g
     return None

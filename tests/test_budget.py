@@ -14,9 +14,9 @@ import mvla
 from mvla import (BlowupError, LinearSystem, Matrix, Poly, PolySet, all_ideals, builtin,
                   characteristic, det, find_basis, find_inverse, find_irreducible,
                   find_nontrivial_kernel, find_quotient_superfield, fn_space, is_almost_full,
-                  is_irreducible, is_linearly_closed, is_linearly_independent, mmul, pdivmod,
-                  pmul_fold, quotient_pair, search_budget, solve_weak, strict_ring,
-                  verify_axioms)
+                  is_effective_root, is_irreducible, is_linearly_closed,
+                  is_linearly_independent, mmul, pdivmod, pmul_fold, quotient_pair,
+                  search_budget, solve_weak, strict_ring, verify_axioms)
 from mvla.errors import _limit
 from mvla.extensions import generation_degree
 from mvla.vspaces import _bundles
@@ -196,6 +196,9 @@ def test_budget_one_stops_every_enumerating_function(H3, H5, H7):
          "division search steps"),  # 1.8 s
         (pmul_fold, ([Poly(H3, (1, 1))] * 10,), "poly box members"),  # 1.7 s
         (is_irreducible, (Poly(H5, (1, 0, 0, 1)),), "ideal slice polynomials"),  # 3.9 s
+        # 0 is no root: every g of degree 10 over F3 is tried
+        (is_effective_root, (Poly(builtin("Fp", 3), [1, 0, 1] + [0] * 8 + [1]), 0),
+         "effective root candidates"),  # 1.5 s
         (find_irreducible, (H5, 3), "ideal slice polynomials"),  # 4.0 s
         (find_quotient_superfield, (H7, 2), "ideal slice polynomials"),  # 7.7 s
         (all_ideals, (strict_ring(19),), "ideal candidate subsets"),  # 2.4 s

@@ -3,18 +3,19 @@ import itertools
 import os
 import subprocess
 import sys
+from operator import or_
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvla import (ExtensionPair, Matrix, Poly, StructureError, builtin,
+from mvla import (ExtensionPair, Matrix, MvlaError, Poly, StructureError, builtin,
                   certify_algebraic_extension, dimension, extension_space, find_basis,
                   fn_space, is_full, is_linearly_closed, is_linearly_independent, is_subspace,
                   linear_combinations, matrix_space, poly_space, quotient_pair,
                   solution_subspace, span, verify_multigroup, verify_vspace)
 from mvla.axioms import _Collector, _union
-from mvla.vspaces import VectorSpace, _bundles, _dependence
+from mvla.vspaces import VectorSpace, _bundles, _dependence, _subspace_witness
 from test_boxes import small_structures
 
 
@@ -430,32 +431,52 @@ def test_linear_combinations_saturate(V9):
     assert linear_combinations(V9, [(1, 1)]) == frozenset(V9.vectors)
 
 
-def _all_subspaces(V):
-    rest = [v for v in V.vectors if v != V.vzero]
-    out = []
+def _rescan_meet(V, gens):
+    """The meet, as a mask, of every subspace holding the vector indices gens: the
+    exhaustive minimality scan, which tests every superset of gens and 0 with the
+    subspace predicate (at most 2^(k-1) sets for k vectors)."""
+    base = functools.reduce(or_, (1 << g for g in gens), 1 << V.zero_i)
+    rest = [1 << i for i in range(len(V.vectors)) if not base >> i & 1]
+    meet = (1 << len(V.vectors)) - 1
     for r in range(len(rest) + 1):
         for extra in itertools.combinations(rest, r):
-            cand = frozenset(extra) | {V.vzero}
-            if is_subspace(V, cand)[0]:
-                out.append(cand)
-    return out
+            cand = base | sum(extra)
+            if _subspace_witness(V, cand) is None:
+                meet &= cand
+    return meet
 
 
-def test_span_equals_intersection_of_subspaces(V9):
-    # generated-subspace equality, with the intersection computed directly
-    subspaces = _all_subspaces(V9)
-    subsets = [()]
-    for r in (1, 2, 3):
-        subsets.extend(itertools.combinations(V9.vectors, r))
-    for A in subsets:
-        Aset = frozenset(A)
-        meet = frozenset(V9.vectors)
-        for W in subspaces:
-            if Aset <= W:
-                meet &= W
-        got, cert = span(V9, list(A))
-        assert got == meet, A
-        assert cert.passed, (A, cert.witnesses)
+def _check_span(V, A):
+    """span(V, A) against the rescan: no subspace holding A misses a member of the
+    span, so the span is the meet exactly when its certificate passes; the
+    certificate is the subspace predicate's, evaluated once."""
+    got, cert = span(V, list(A))
+    W, meet = V.mask_of(got), _rescan_meet(V, [V.index(a) for a in A])
+    assert W & ~meet == 0, A
+    wit = _ref_subspace_witness(TokenSpace(V), got)
+    assert cert.witnesses == (() if wit is None else (("subspace", wit),)), A
+    assert (W == meet) == cert.passed, A
+    assert (cert.kind, cert.checked, cert.notes) == (
+        "span-certificate", 1, "minimality by construction")
+    return cert
+
+
+def test_span_equals_intersection_of_subspaces(H3, Q2, F3, K, gf4):
+    # the three planes of the benchmark, K^3 and GF(4)|F2, on every set of at most
+    # 3 generators
+    for V in (*(fn_space(S, 2) for S in (H3, Q2, F3)), fn_space(K, 3),
+              extension_space(gf4[1])):
+        for r in range(4):
+            for A in itertools.combinations(V.vectors, r):
+                assert _check_span(V, A).passed, (V, A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(S=small_structures(), data=st.data())
+def test_span_equals_the_rescan_meet_on_random_spaces(S, data):
+    # at most 9 vectors; with no axiom beyond the units the certificate may fail
+    V = fn_space(S, data.draw(st.sampled_from((1, 2, 3) if len(S.elements) == 2 else (1, 2))))
+    _check_span(V, data.draw(st.lists(st.sampled_from(V.vectors), max_size=3, unique=True)))
 
 
 def test_span_monotonicity_and_idempotence(V9):
@@ -641,6 +662,19 @@ def test_no_independent_triples_over_h3_squared(V9):
 def test_dimension_requires_certificate(V9):
     with pytest.raises(StructureError):
         dimension(V9, None)
+
+
+def test_dimension_refuses_h3_cubed_under_a_bounded_closedness_report(H3, h3_closure):
+    # the closedness report passes at max_n=2, max_m=3 only: on H3^3 the greedy basis
+    # keeps 2 vectors while the 3 unit vectors pass the independence test
+    V = fn_space(H3, 3)
+    units = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert h3_closure.passed
+    assert len(find_basis(V, V.vectors)) == 2
+    assert is_linearly_independent(V, units) == (True, None)
+    with pytest.raises(MvlaError) as refused:
+        dimension(V, h3_closure)
+    assert str(refused.value) == f"independent set {units!r} exceeds the extracted basis size 2"
 
 
 def test_dimensions(V9, F3, h3_closure, h3_quotient):

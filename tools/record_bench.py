@@ -35,6 +35,12 @@ checkout's own files:
   of `fn_space(builtin("Hp", 5), 2)`, each timed around the calls in REPEATS
   fresh interpreters; the work units are the dimensions and the subsets of size
   dimension + 1 that `dimension` rechecks, and the number of dependent triples;
+- `span` on 60 plane spans in the shape of the `vspace` workload's: 20 each
+  over `fn_space(F, 2)` for F = H3, Q2 and F3, of 1 and 2 nonzero generators in
+  turn from one seeded draw, each on a fresh plane built before the clock
+  starts, timed around the spans in each of REPEATS fresh interpreters; the
+  work units are the spans, how many certificates passed, and the
+  subspace-predicate evaluations, counted in a second, untimed pass;
 - `find_inverse` over one seeded batch of 200 upper-triangular 3x3 matrices
   with a nonzero diagonal, 40 each over H3, H5, H7, Q2 and F5 (the shape of the
   `linsys` workload's inverse queries), timed around the batch in each of
@@ -163,6 +169,26 @@ triples = list(itertools.combinations([v for v in V.vectors if v != V.vzero], 3)
 t0 = time.perf_counter()
 dependent = sum(not is_linearly_independent(V, vs)[0] for vs in triples)
 print(json.dumps([time.perf_counter() - t0, {"triples": len(triples), "dependent": dependent}]))
+"""),
+    ("vspaces", "span planes", """
+import json, random, time
+from mvla import builtin, fn_space, vspaces
+rng, runs = random.Random(1), []
+for args in (("Hp", 3), ("Q2",), ("Fp", 3)):
+    S = builtin(*args)
+    nonzero = [v for v in fn_space(S, 2).vectors if v != (S.zero, S.zero)]
+    runs += [(fn_space(S, 2), rng.sample(nonzero, 1 + i % 2)) for i in range(20)]
+t0 = time.perf_counter()
+passed = sum(vspaces.span(V, gens)[1].passed for V, gens in runs)
+dt, predicate, evaluations = time.perf_counter() - t0, vspaces._subspace_witness, []
+def counted(V, W):
+    evaluations.append(W)
+    return predicate(V, W)
+vspaces._subspace_witness = counted
+for V, gens in runs:
+    vspaces.span(V, gens)
+print(json.dumps([dt, {"spans": len(runs), "passed": passed,
+                       "predicate_evaluations": len(evaluations)}]))
 """),
     ("matrices", "inverse upper-triangular 3x3 batch", """
 import json, random, time
