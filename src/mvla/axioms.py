@@ -139,21 +139,12 @@ class _View:
 
     @classmethod
     def of_window(cls, trop, lo, hi):
-        els, sum_entry, prod_entry, neg, zero, one = trop.window_tables(lo, hi)
-        idx = {e: i for i, e in enumerate(els)}
-        inex = 1 << len(els)
+        els, zero_i, one_i, neg, cell = trop.window_cells(lo, hi)
 
-        def cell(result):
-            if result is None:
-                return inex
-            res, exact = result
-            return functools.reduce(or_, (1 << idx[x] for x in res), 0 if exact else inex)
+        def tab(op):
+            return [[cell(op, i, j) for j in range(len(els))] for i in range(len(els))]
 
-        def tab(entry):
-            return [[cell(entry(a, b)) for b in els] for a in els]
-
-        neg_idx = tuple(idx[neg(e)] for e in els)
-        return cls(els, idx[zero], idx[one], neg_idx, tab(sum_entry), tab(prod_entry), True)
+        return cls(els, zero_i, one_i, neg, tab("sum"), tab("prod"), True)
 
     @classmethod
     def of_carrier(cls, elements, sum_fn, neg_fn, unit):

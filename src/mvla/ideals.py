@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from operator import or_
 
+from .axioms import _union
 from .errors import CongruenceError, StructureError, WindowRequired, charge
 from .structures import Structure, TropicalStructure, _bits
 
@@ -14,48 +13,32 @@ from .structures import Structure, TropicalStructure, _bits
 def characteristic(S, window=None):
     """Least n >= 1 with 0 in the n-fold sum of ones; 0 when no such n exists.
 
-    The iterated sum-of-ones sets live in a finite powerset, so the sequence
-    is eventually periodic: a repeat without hitting 0 proves characteristic
-    zero.  Lazy structures are searched on a window; finding 0 there is
-    conclusive, anything else returns None (inconclusive).
+    Each n-fold sum is a mask, the union of the cells a + 1 over the members a
+    of the one before, so the masks repeat within 2^k steps (k the carrier
+    size): a repeat without hitting 0 proves characteristic zero.  A lazy
+    structure is searched on a window, whose k cells a + 1 come from
+    TropicalStructure.window_cells and are charged before they are read.
+    Finding 0 there is conclusive; a repeat after a cell that the window
+    clipped returns None (inconclusive).
     """
     if isinstance(S, TropicalStructure):
         if window is None:
             raise WindowRequired("characteristic of a lazy structure needs a window")
-        els, sum_entry, _, _, zero, one = S.window_tables(*window)
-        k = len(els)
-        charge(k, "window characteristic cells")
-        idx = {e: i for i, e in enumerate(els)}
-        inex = 1 << k
-        ones = []  # the cells a + 1, the inexact bit set on a clipped one
-        for a in els:
-            res, exact = sum_entry(a, one)
-            ones.append(sum(1 << idx[x] for x in res) | (0 if exact else inex))
-        cell = 1 << idx[one]
-        seen = {cell}
-        for n in range(1, 2 ** k + 2):
-            if cell >> idx[zero] & 1:
-                return n
-            cell = functools.reduce(or_, (ones[i] for i in _bits(cell & ~inex)), cell & inex)
-            mask = cell & ~inex
-            if mask in seen:
-                return 0 if cell < inex else None
-            seen.add(mask)
-        return None
-
-    zero_bit = 1 << S.zero_i
-    one_mask = 1 << S.one_i
-    mask = one_mask
-    seen = {mask}
-    n = 1
-    while True:
-        if mask & zero_bit:
-            return n
-        mask = S.add_masks(mask, one_mask)
+        els, zero_i, one_i, _, cell = S.window_cells(*window)
+        charge(len(els), "window characteristic cells")
+        ones = [cell("sum", i, one_i) for i in range(len(els))]
+    else:
+        els, zero_i, one_i = S.elements, S.zero_i, S.one_i
+        ones = [row[one_i] for row in S._sum]
+    inex = 1 << len(els)  # set on a window's clipped cells only
+    mask, seen, n = 1 << one_i, set(), 1
+    while not mask >> zero_i & 1:
+        seen.add(mask & ~inex)
+        mask = _union(ones, mask & ~inex, mask & inex)
+        if mask & ~inex in seen:
+            return None if mask & inex else 0
         n += 1
-        if mask in seen:
-            return 0
-        seen.add(mask)
+    return n
 
 
 @dataclass(frozen=True)

@@ -521,6 +521,8 @@ def is_linearly_closed(F, max_n, max_m, require_superfield=True):
     search limit is charged with the table cells and row sets scanned; `notes`
     counts the row sets decided.  require_superfield=False admits mutants.
     """
+    if max_n < 1:
+        raise StructureError("need max_n >= 1")
     if max_m <= max_n:
         raise StructureError("need max_m > max_n")
     if require_superfield and not structure_is(F, "superfield"):

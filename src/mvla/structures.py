@@ -486,7 +486,8 @@ class TropicalStructure:
 
     The carrier is lazy: membership, negation and the operation rules are
     available everywhere, but enumeration and exhaustive checks need an
-    explicit finite window of integers.
+    explicit finite window of integers.  window_cells is the one place where a
+    window's cells are made; the axiom engine and characteristic read them.
     """
 
     name = "Trop"
@@ -527,34 +528,29 @@ class TropicalStructure:
             raise StructureError(f"tropical window [{lo}, {hi}] does not hold the unit 0")
         return tuple(range(lo, hi + 1)) + (INF,)
 
-    def window_tables(self, lo, hi):
-        """Clip the rules to [lo, hi] + {inf}.
+    def window_cells(self, lo, hi):
+        """The window [lo, hi] + {inf} as index cells: the one place where the
+        rules are clipped to a window.
 
-        Returns (elements, sum_entry, prod_entry, neg, zero, one) where the
-        entry maps give (result_set, exact) or None when the true result
-        escapes the window entirely.  Infinite sums are clipped and flagged
-        inexact; products that land outside the window are escapes.
+        Returns (elements, zero_i, one_i, neg, cell): neg[i] is the index of
+        -elements[i], and cell(op, i, j), for op "sum" or "prod", is the mask of
+        the members of elements[i] op elements[j], plus the inexact bit 1 << k
+        (k the window's size) when the true result holds more: a sum a + a is
+        clipped at hi, and a product that lands outside the window is that bit
+        alone.
         """
         els = self.window_elements(lo, hi)
-        inside = set(els)
+        k = len(els)  # the integer x has index x - lo, inf has index k - 1
 
-        def sum_entry(a, b):
-            if a == INF:
-                return frozenset([b]), True
-            if b == INF:
-                return frozenset([a]), True
-            if a != b:
-                return frozenset([min(a, b)]), True
-            up = frozenset([x for x in range(a, hi + 1)] + [INF])
-            return up, False  # the true up-set continues past hi
+        def cell(op, i, j):
+            if op == "prod":
+                v = self.prod_value(els[i], els[j])
+                return 1 << k - 1 if v == INF else 1 << v - lo if lo <= v <= hi else 1 << k
+            if i == k - 1 or j == k - 1 or i != j:  # inf is neutral, else the least wins
+                return 1 << min(i, j)
+            return (1 << k + 1) - (1 << i)  # a, ..., hi, inf and the inexact bit
 
-        def prod_entry(a, b):
-            v = self.prod_value(a, b)
-            if v not in inside:
-                return None
-            return frozenset([v]), True
-
-        return els, sum_entry, prod_entry, self.neg, INF, 0
+        return els, k - 1, -lo, tuple(range(k)), cell
 
     def _no_window(self, *_args, **_kw):
         raise WindowRequired("tropical structure needs a window for this operation")

@@ -355,42 +355,43 @@ _TUPLE_LAWS = {axioms._containment: _containment, axioms._equality: _equality}
 
 
 def _ref_window_view(trop, lo, hi):
-    """A window tabulated into (mask, exact) cells, as _View.of_window did it."""
-    els, sum_entry, prod_entry, neg, zero, one = trop.window_tables(lo, hi)
+    """A window tabulated into (mask, exact) cells from the rules that need no window:
+    a sum cell holds every x of the window with x in a + b (sum_contains) and is
+    inexact when a + b also holds hi + 1; a product cell holds prod_value, or is
+    None when that escapes the window."""
+    els = trop.window_elements(lo, hi)
     idx = {e: i for i, e in enumerate(els)}
 
-    def tab(entry):
-        rows = []
-        for a in els:
-            row = []
-            for b in els:
-                r = entry(a, b)
-                if r is None:
-                    row.append(None)
-                else:
-                    res, exact = r
-                    m = 0
-                    for x in res:
-                        m |= 1 << idx[x]
-                    row.append((m, exact))
-            rows.append(row)
-        return rows
+    def sum_cell(a, b):
+        members = sum(1 << idx[x] for x in els if trop.sum_contains(a, b, x))
+        return members, not trop.sum_contains(a, b, hi + 1)
 
-    neg_idx = tuple(idx[neg(e)] for e in els)
-    return _View(els, idx[zero], idx[one], neg_idx, tab(sum_entry), tab(prod_entry), True)
+    def prod_cell(a, b):
+        v = trop.prod_value(a, b)
+        return (1 << idx[v], True) if v in idx else None
+
+    sums = [[sum_cell(a, b) for b in els] for a in els]
+    prods = [[prod_cell(a, b) for b in els] for a in els]
+    neg = tuple(idx[trop.neg(e)] for e in els)
+    return _View(els, idx[trop.zero], idx[trop.one], neg, sums, prods, True)
 
 
-@pytest.mark.parametrize("window", [(-5, 5), (-3, 3), (-1, 2)])
+WINDOWS = [(-5, 5), (-3, 3), (-1, 2), (0, 0), (0, 3), (-4, 0)]
+
+
+@pytest.mark.parametrize("window", WINDOWS)
 def test_window_cells_match_tuple_tabulation(trop, window):
     """Every window cell is its members' mask, plus the inexact bit when the window
-    clips the result; an escape is the inexact bit alone."""
+    clips the result; an escape is the inexact bit alone.  Only a window holding a
+    nonzero integer has an escaping product (lo + lo or hi + hi)."""
     view, ref = _View.of_window(trop, *window), _ref_window_view(trop, *window)
     got = _tuple_view(view)
     assert (got.sum, got.prod) == (ref.sum, ref.prod)
     assert (view.elements, view.zero_i, view.one_i, view.neg) == \
         (ref.elements, ref.zero_i, ref.one_i, ref.neg)
     flat = [c for tab in (view.sum, view.prod) for row in tab for c in row]
-    assert view.inex in flat and any(c > view.inex for c in flat)
+    assert (view.inex in flat) == (window != (0, 0))
+    assert any(c > view.inex for c in flat)
 
 
 # -- the row-at-a-time associativity kernel against the per-triple loop ----------------

@@ -110,6 +110,13 @@ def test_kernel_and_closed(tmp_path, capsys):
                    "--max-n", "1", "--max-m", "2") == 0
 
 
+def test_closed_refuses_max_n_below_one(capsys):
+    assert run_cli("closed", "--structure", "builtin:H3", "--max-n", "0", "--max-m", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need max_n >= 1\n"
+
+
 def test_quotient_round_trips_into_verify(tmp_path, capsys):
     assert run_cli("quotient", "builtin:F2", "--poly", "1,1,1") == 0
     emitted = capsys.readouterr().out

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings
 
 from mvla import (Ideal, StructureError, all_ideals, builtin, characteristic,
                   classify_ideal, is_full, is_ideal, principal_ideal, quotient,
                   verify_axioms)
+from mvla.structures import strict_ring
+from test_axioms import _BUILTINS, WINDOWS
+from test_boxes import small_structures
 
 
 def test_characteristic_examples(K, Q2, H3, F2, F3, X2, trop):
@@ -13,6 +17,50 @@ def test_characteristic_examples(K, Q2, H3, F2, F3, X2, trop):
     assert characteristic(Q2) == 0  # iterated sum of ones stays {1}; cycle detected
     assert characteristic(X2) == 0
     assert characteristic(trop, window=(-5, 5)) == 2
+
+
+def _ref_characteristic(S):
+    """The n-fold sums of ones as frozensets of elements, until 0 shows or a set repeats."""
+    acc, seen, n = frozenset([S.one]), set(), 1
+    while S.zero not in acc:
+        seen.add(acc)
+        acc = frozenset().union(*(S.sum_set(a, S.one) for a in acc))
+        n += 1
+        if acc in seen:
+            return 0
+    return n
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS) + ["Z1", "Z6", "Z12"])
+def test_characteristic_matches_the_frozenset_loop_on_builtins(name):
+    S = builtin(*_BUILTINS[name]) if name in _BUILTINS else strict_ring(int(name[1:]))
+    assert characteristic(S) == _ref_characteristic(S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=small_structures())
+def test_characteristic_matches_the_frozenset_loop_on_random_structures(S):
+    assert characteristic(S) == _ref_characteristic(S)
+
+
+def _ref_window_characteristic(trop, lo, hi):
+    """The loop above on a window, from sum_contains: a sum a + 1 that also holds
+    hi + 1 is clipped, and a repeat after a clipped sum is inconclusive (None)."""
+    els = trop.window_elements(lo, hi)
+    acc, exact, seen, n = frozenset([trop.one]), True, set(), 1
+    while trop.zero not in acc:
+        seen.add(acc)
+        exact = exact and not any(trop.sum_contains(a, trop.one, hi + 1) for a in acc)
+        acc = frozenset(x for x in els for a in acc if trop.sum_contains(a, trop.one, x))
+        n += 1
+        if acc in seen:
+            return 0 if exact else None
+    return n
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_window_characteristic_matches_the_sum_contains_loop(trop, window):
+    assert characteristic(trop, window=window) == _ref_window_characteristic(trop, *window)
 
 
 def test_characteristic_needs_window_for_lazy(trop):

@@ -257,6 +257,14 @@ def test_linearly_closed_verdicts(H3, F3):
         is_linearly_closed(H3, 2, 2)
 
 
+def test_linearly_closed_refuses_shapes_without_rows(H3):
+    # max_n < 1 covers no matrix: a pass would certify nothing, and dimension would
+    # take it as its guard
+    for max_n, max_m in ((0, 1), (-1, 3)):
+        with pytest.raises(StructureError, match=r"need max_n >= 1"):
+            is_linearly_closed(H3, max_n, max_m)
+
+
 def _sticky_sum_table():
     """Sums that never reach 0 off the zero row: a + a = {a}.
 

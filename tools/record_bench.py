@@ -48,6 +48,11 @@ checkout's own files:
 - the size of the library: `repo/src_lines`, the line count of `src/mvla/*.py`
   (what `cat src/mvla/*.py | wc -l` prints), which is also its work units.
 
+Every child process runs without a bytecode cache: it writes none and reads
+only from a fresh, empty directory, so a checkout's leftover `__pycache__`
+cannot read as a faster start (each child compiles what it imports, the
+standard library included).
+
 Each row holds the machine, the Python version, a layer, a name, the median
 over the runs, its unit, the number of runs and the work units behind it.
 Work units are deterministic counts, so two recordings can tell a speedup
@@ -67,6 +72,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -220,17 +226,25 @@ def machine():
     return f"{cpu}; {os.cpu_count()} cores; {platform.system()} {platform.machine()}"
 
 
-def _env(root):
+def _env(root, cache):
+    """A child's environment: root's src first on the path, and a bytecode cache of
+    its own.  No child writes bytecode, and each reads it only under cache, a
+    fresh, empty directory: a checkout's leftover src/mvla/__pycache__ would
+    otherwise read as a faster start."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src") + (os.pathsep + env["PYTHONPATH"]
                                              if env.get("PYTHONPATH") else "")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env["PYTHONPYCACHEPREFIX"] = cache
     return env
 
 
 def _timed(cmd, root):
-    t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True, text=True)
-    return time.perf_counter() - t0, proc
+    with tempfile.TemporaryDirectory(prefix="record-bench-pycache-") as cache:
+        t0 = time.perf_counter()
+        proc = subprocess.run(cmd, cwd=root, env=_env(root, cache), capture_output=True,
+                              text=True)
+        return time.perf_counter() - t0, proc
 
 
 def _row(layer, name, values, unit, works):
