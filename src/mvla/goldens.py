@@ -68,23 +68,17 @@ def golden_det_properties():
     H3 = builtin("Hp", 3)
     lines = ["name=det-properties"]
 
-    contained = equal = 0
     for S, tag in ((Q2, "containment"), (H3, "equality")):
-        ok = 0
-        total = 0
+        ok = total = 0
         for combo in itertools.product(S.elements, repeat=4):
             A = Matrix(S, 2, 2, combo)
             dA = det(A)
             for lam in S.elements:
                 total += 1
                 left = det(mscale(lam, A))
-                lam2 = mprod(S, [lam, lam])
-                right = frozenset()
-                for l2 in lam2:
-                    right |= S.set_of(S.mul_masks(1 << S.index(l2), S.mask_of(dA)))
-                hold = left <= right if tag == "containment" else left == right
-                if hold:
-                    ok += 1
+                # lam^2 det A: the product of sets is the union over the members of lam^2
+                right = S.set_of(S.mul_masks(S.mask_of(mprod(S, [lam, lam])), S.mask_of(dA)))
+                ok += left <= right if tag == "containment" else left == right
         lines.append(f"scaling.{S.name}.{tag}={'pass' if ok == total else 'fail'}")
         lines.append(f"scaling.{S.name}.instances={total}")
 
@@ -92,11 +86,8 @@ def golden_det_properties():
                   for row in itertools.product(H3.elements, repeat=2))
     lines.append(f"zero-row.H3={'pass' if zero_ok else 'fail'}")
 
-    tri_ok = True
-    for a, b, d in itertools.product(H3.elements, repeat=3):
-        A = Matrix.from_rows(H3, [(a, b), (0, d)])
-        if det(A) != mprod(H3, [a, d]):
-            tri_ok = False
+    tri_ok = all(det(Matrix.from_rows(H3, [(a, b), (0, d)])) == mprod(H3, [a, d])
+                 for a, b, d in itertools.product(H3.elements, repeat=3))
     lines.append(f"triangular.H3={'pass' if tri_ok else 'fail'}")
     return "\n".join(lines) + "\n"
 

@@ -301,10 +301,10 @@ def solve_weak(sys):
 
 def _weak_mask(sys):
     """The weak solutions as a mask over the vectors in product order: the AND over
-    rows i of the vectors d with r_i.d meeting B_i."""
-    S, n, a, memos = sys.base, sys.A.cols, sys.A.indices, {}
-    return functools.reduce(int.__and__, (_value_masks(S, S._prod, a[i * n:(i + 1) * n], b, memos)
-                                          for i, b in enumerate(sys.masks)))
+    rows i of the vectors d with r_i.d meeting B_i, each row one _value_masks fold."""
+    S, n, a, memo = sys.base, sys.A.cols, sys.A.indices, {}
+    return functools.reduce(int.__and__, (_value_masks(S, S._prod, a[i:i + n], (b,), memo)[0]
+                                          for i, b in zip(range(0, len(a), n), sys.masks)))
 
 
 def _first_weak(sys, skip=0):
@@ -320,8 +320,7 @@ def _first_weak(sys, skip=0):
 
 def homogeneous(A):
     """The system Ax = 0, read as B = ({0}, ..., {0}) with weak semantics."""
-    S = A.base
-    return LinearSystem(A, (1 << S.zero_i,) * A.rows)
+    return LinearSystem(A, (1 << A.base.zero_i,) * A.rows)
 
 
 # The constructive kernels work on carrier indices over a multifield, where
@@ -337,8 +336,7 @@ def _single(mask):
 
 def _unit(S, j, m):
     """The vector of length m with 1 at position j and 0 elsewhere."""
-    zero, one = S.zero_i, S.one_i
-    return [one if i == j else zero for i in range(m)]
+    return [S.one_i if i == j else S.zero_i for i in range(m)]
 
 
 def _row_sum_mask(S, coeffs, d):
@@ -498,10 +496,10 @@ def find_nontrivial_kernel(A):
 
 def _zero_sets(F):
     """Z at m = 1, 2, ...: bit d of Z[r] is set iff d != 0 and 0 in r.d (product order)."""
-    k, memos = len(F), {}  # shared by every row of every length
+    k, memo = len(F), {}  # one memo for all rows: in product order each extends its prefix's lanes
     zvec = zero = F.zero_i
     for m in itertools.count(1):
-        yield [_value_masks(F, F._prod, row, 1 << zero, memos) & ~(1 << zvec)
+        yield [_value_masks(F, F._prod, row, (1 << zero,), memo)[0] & ~(1 << zvec)
                for row in itertools.product(range(k), repeat=m)]
         zvec = zvec * k + zero
 
@@ -509,17 +507,17 @@ def _zero_sets(F):
 def is_linearly_closed(F, max_n, max_m, require_superfield=True):
     """Certify nontrivial weak solutions of Ax = 0 for every A with n < m.
 
-    Covers every matrix of the shapes n <= max_n, n < m <= max_m, in order,
-    and reports the first counterexample; `checked` counts the matrices
-    covered up to it.  A has a nontrivial weak kernel iff the AND of Z
-    (_zero_sets, by _value_masks) over its rows is nonzero.  Two exact
-    reductions keep the first counterexample.  Row sets: a weak solution meets
-    each row on its own, so only sorted, distinct rows are scanned (a repeated
-    row gives a smaller shape, scanned earlier).  Prefix: if a.0 = {0} and
-    s + 0 = {s} in F's tables, then r.(d, 0) = r.d, so a zero-padded kernel of
-    the first n + 1 columns is one of A: n x (n + 1) covers every n x m.  The
-    search limit is charged with the table cells and row sets scanned; `notes`
-    counts the row sets decided.  require_superfield=False admits mutants.
+    Covers every matrix of the shapes n <= max_n, n < m <= max_m, in order, and
+    reports the first counterexample; `checked` counts the matrices covered up to it.
+    A has a nontrivial weak kernel iff the AND of Z (_zero_sets, by _value_masks) over
+    its rows is nonzero.  Two exact reductions keep the first counterexample.  Row
+    sets: a weak solution meets each row on its own, so only sorted, distinct rows are
+    scanned (a repeated row gives a smaller shape, scanned earlier).  Prefix: if
+    a.0 = {0} and s + 0 = {s} in F's tables, then r.(d, 0) = r.d, so a zero-padded
+    kernel of the first n + 1 columns is one of A: n x (n + 1) covers every n x m.
+    The limit is charged with the k^(2m) table cells (the fold's lanes of one row's
+    proper prefixes fit in them) and the row sets scanned, before either is built;
+    `notes` counts the row sets decided.  require_superfield=False admits mutants.
     """
     if max_n < 1:
         raise StructureError("need max_n >= 1")

@@ -37,9 +37,7 @@ class Matrix:
         for e in entries:
             if e not in base:
                 raise StructureError(f"entry {e!r} not in {base.name}")
-        self.base = base
-        self.rows = rows
-        self.cols = cols
+        self.base, self.rows, self.cols = base, rows, cols
         self.indices = tuple(map(base._idx.__getitem__, entries))
 
     @classmethod
@@ -61,8 +59,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, base, n):
-        zero, one = base.zero_i, base.one_i
-        return cls.from_indices(base, n, n, [one if i == j else zero
+        return cls.from_indices(base, n, n, [base.one_i if i == j else base.zero_i
                                              for i in range(n) for j in range(n)])
 
     @classmethod
@@ -114,8 +111,7 @@ class MatrixSet(Box):
         super().__init__(base, masks)
         if len(self.masks) != rows * cols:
             raise StructureError("entry set count does not match the shape")
-        self.rows = rows
-        self.cols = cols
+        self.rows, self.cols = rows, cols
 
     @classmethod
     def of(cls, m):
@@ -184,26 +180,50 @@ def _index_product(A, B):
             for i in range(A.rows) for col in cols)
 
 
-def _value_masks(S, tab, coeffs, target, memos):
-    """Bit d is set iff the left fold tab[c_0][d_0] + tab[c_1][d_1] + ... meets target:
-    S.sum_of's fold, as in _index_product, with vectors d numbered in product order as
-    all_matrices yields them.  memos[target] maps (partial sum, coefficients left) to
-    the mask over the entries left; calls with the same tab may share memos."""
-    k, add, memo = len(S), S.add_masks, memos.setdefault(target, {})
+_BITS = [int.from_bytes(bytes(255 * (v >> e & 1) for v in range(256)), "little") for e in range(8)]
+_ONES = (1 << 2048) // 255  # every byte is 1; byte v of _BITS[e] is 255 iff v has bit e
 
-    def rest(v, cs):
-        got = memo.get((v, cs))
-        if got is None:
-            sums = tab[cs[0]] if v is None else [add(v, t) for t in tab[cs[0]]]
-            if len(cs) == 1:
-                got = sum(1 << x for x, u in enumerate(sums) if u & target)
-            else:
-                width = k ** (len(cs) - 1)
-                got = sum(rest(u, cs[1:]) << x * width for x, u in enumerate(sums))
-            memo[v, cs] = got
-        return got
 
-    return rest(None, tuple(coeffs))
+def _lane_table(unit, values):
+    """The bytes.translate table of v -> unit | the OR of values[e] over the bits e of v."""
+    return functools.reduce(int.__or__, map(int.__and__, _BITS, map(_ONES.__mul__, values)),
+                            unit * _ONES).to_bytes(256, "little")
+
+
+def _value_masks(S, tab, coeffs, targets, memo):
+    """One mask per target t: bit d is set iff the left fold tab[c_0][d_0] + tab[c_1][d_1]
+    + ... meets t, as S.sum_of folds it, for the vectors d in product order.
+
+    The partial sums of the k^j prefixes of d are byte lanes in product order, in
+    ceil(k/8) planes of 8 carrier bits.  Adding tab[c][x] translates each plane by one
+    table per output plane, the OR of S.add_masks(1 << i, tab[c][x]) over the bits i
+    (a setwise sum is a union over members), and the k results interleave.  One more
+    translate, to b"0"/b"1", reads a target.  memo, one per tab, keeps the tables, and
+    the lanes of the last call's proper prefixes, which calls in product order extend."""
+    k, add, n, chain = len(S), S.add_masks, len(coeffs), memo.setdefault("chain", [])
+    shifts, j = range(0, k, 8), min(len(chain), n - 1)
+    while j and chain[j - 1][0] != coeffs[:j]:
+        j -= 1
+    planes = chain[j - 1][1] if j else [bytearray(t >> s & 255 for t in tab[coeffs[0]])
+                                        for s in shifts]
+    for j in range(max(j, 1), n):
+        chain[j - 1:], out = [(coeffs[:j], planes)], [bytearray(k * len(planes[0])) for _ in shifts]
+        for x, t in enumerate(tab[coeffs[j]]):
+            if t not in memo:  # (p, q, table): plane p of a partial sum into plane q
+                memo[t] = [(p, q, _lane_table(0, [add(1 << s + e, t) >> r & 255
+                                                  for e in range(min(8, k - s))]))
+                           for q, r in enumerate(shifts) for p, s in enumerate(shifts)]
+            for p, q, table in memo[t]:  # p > 0: OR onto what the planes before wrote
+                part = planes[p].translate(table)
+                out[q][x::k] = (int.from_bytes(out[q][x::k], "little") | int.from_bytes(
+                    part, "little")).to_bytes(len(part), "little") if p else part
+        planes = out
+    for t in targets:
+        if ("hit", t) not in memo:
+            memo["hit", t] = [_lane_table(48, [t >> s + e & 1 for e in range(min(8, k - s))])
+                              for s in shifts]
+    return [functools.reduce(int.__or__, [int(p.translate(h)[::-1], 2) for p, h
+                                          in zip(planes, memo["hit", t])]) for t in targets]
 
 
 def _vector(k, n, d):
@@ -227,15 +247,6 @@ def mmul(a, b):
 # -- determinant -------------------------------------------------------------------
 
 
-def _perm_sign(perm):
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
 def det(a):
     """Permutation-expansion determinant; over a box, the union over members.
 
@@ -250,7 +261,8 @@ def det(a):
     n = A.rows
     charge(A.size * math.factorial(n), "determinant terms")
     S = A.base
-    perms = [(perm, _perm_sign(perm) < 0) for perm in itertools.permutations(range(n))]
+    perms = [(perm, sum(x > y for x, y in itertools.combinations(perm, 2)) & 1)  # odd?
+             for perm in itertools.permutations(range(n))]
     out = 0
     for M in A.members():
         bits = [1 << i for i in M.indices]
@@ -290,8 +302,7 @@ class ElementaryOp:
 def elementary(op, a):
     """Apply one elementary row operation; add operations branch entrywise."""
     A = MatrixSet.of(a)
-    S = A.base
-    rows, cols = A.rows, A.cols
+    S, rows, cols = A.base, A.rows, A.cols
     if op.kind not in ("swap", "scale", "add"):
         raise StructureError(f"unknown elementary operation {op.kind!r}")
     if not 0 <= op.i < rows or (op.j is not None and not 0 <= op.j < rows):
@@ -338,9 +349,9 @@ def find_inverse(A):
 
     Rows of B are chosen one at a time, row i from R_i = {b: delta_il in b.A_col_l
     for all l}; a prefix is dropped as soon as some column j of it starts no member
-    of C_j = {c: delta_ij in A_row_i.c for all i}.  BlowupError counts the 2n*k^n
-    vectors of the R_i and C_j, before they are built, and then each row visited on
-    top of them.
+    of C_j = {c: delta_ij in A_row_i.c for all i}.  Each line of A is folded once, for
+    delta = 0 and 1, and R_i is built when the search first reaches row i.  BlowupError
+    counts the 2n*k^n vectors of the R_i and C_j before any fold, then each row visited.
     """
     if not A.is_square:
         raise StructureError("only square matrices can be inverted")
@@ -349,25 +360,25 @@ def find_inverse(A):
         raise StructureError(f"{S.name} is not a superfield")
 
     n, k, a, prod = A.rows, len(S), A.indices, S._prod
-    delta = (1 << S.zero_i, 1 << S.one_i)
-    # a superfield's product is commutative (axiom M4, checked above), so b.A_col_l
-    # folds the same table as A_row_i.c, and R and C share one memo
-    memos = {}
-
-    def meet(lines):  # per i: the vectors v with delta_il in the fold of line l and v
-        return [functools.reduce(int.__and__, (_value_masks(S, prod, line, delta[i == l], memos)
-                                               for l, line in enumerate(lines))) for i in range(n)]
-
+    delta, memo = (1 << S.zero_i, 1 << S.one_i), {}
     work = 2 * n * k ** n  # the vectors of the R_i and C_j
     charge(work, "inverse search tables")
-    R = meet([a[l::n] for l in range(n)])
-    C = meet([a[l * n:(l + 1) * n] for l in range(n)])
-    rows = [[_vector(k, n, r) for r in _bits(Ri)] for Ri in R]
+    # a superfield's product is commutative (axiom M4, checked above), so b.A_col_l
+    # folds the same table as A_row_i.c, and every line shares one memo
+    by_col = [_value_masks(S, prod, a[l::n], delta, memo) for l in range(n)]
+    by_row = [_value_masks(S, prod, a[l * n:(l + 1) * n], delta, memo) for l in range(n)]
+
+    def meet(lines, i):  # the vectors v with delta_il in the fold of line l and v, for all l
+        return functools.reduce(int.__and__, (masks[i == l] for l, masks in enumerate(lines)))
+
+    C, R = [meet(by_row, j) for j in range(n)], {}  # R[i]: the rows of R_i, in product order
 
     def pick(i, tops):  # rows i.. of B, given tops[j]: column j of rows 0..i-1, as a number
         nonlocal work
         span = k ** (n - 1 - i)  # the columns of B that share a prefix of i + 1 rows
-        for row in rows[i]:
+        if i not in R:
+            R[i] = [_vector(k, n, r) for r in _bits(meet(by_col, i))]
+        for row in R[i]:
             work += 1
             charge(work, "inverse search rows")
             here = [t * k + x for t, x in zip(tops, row)]

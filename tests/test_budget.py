@@ -223,8 +223,9 @@ def test_budget_one_stops_every_enumerating_function(H3, H5, H7):
     # The solver and the kernel search report their scan as inconclusive instead.  The
     # H3 system, seven random rows and the first again with a disjoint right side, walks
     # the scaling cap at the default budget (1.4 s).  No kernel input admitted at the
-    # default budget runs for 1 s: the scan reads its k^n <= 10^7 vectors off value
-    # masks (0.06 s for K at 22 x 23).
+    # default budget ran for 1 s on that host: the scan reads its k^n <= 10^7 vectors
+    # off value masks, one byte lane per vector (0.66 s for K at 22 x 23, 0.37 s for
+    # X4 at 6 x 7, 0.26 s for H5 at 9 x 10).
     rows = _nonzero_rows(H3, 7, 60)
     system = LinearSystem.of(Matrix.from_rows(H3, rows + rows[:1]),
                              [{0}, {1}, {1}, {1}, {1}, {2}, {0}, {1}])
@@ -236,6 +237,50 @@ def test_budget_one_stops_every_enumerating_function(H3, H5, H7):
             out = search(arg)
         assert time.monotonic() - t0 < 1, note
         assert (out.status, out.note) == ("inconclusive", note)
+
+
+def test_value_mask_searches_refuse_before_the_first_fold(monkeypatch, H3):
+    """Each search that reads value masks pays its charge, or tests its scan against
+    the limit, before _value_masks folds a single line: one unit below its edge it
+    refuses having folded nothing.  A scan at its edge, and a charged search at the
+    default budget, fold."""
+    import mvla.linsys as linsys
+    import mvla.matrices as matrices
+    folded = []
+    fold = matrices._value_masks
+
+    def counting(S, tab, coeffs, targets, memo):
+        folded.append(coeffs)
+        return fold(S, tab, coeffs, targets, memo)
+
+    monkeypatch.setattr(matrices, "_value_masks", counting)
+    monkeypatch.setattr(linsys, "_value_masks", counting)
+    # a zero row whose right side misses 0: the scaled route gives nothing, so the
+    # fallback scans the 3^3 vectors; no constructive kernel, so 3^5 vectors
+    impossible = LinearSystem.of(Matrix.from_rows(H3, [(0, 0, 0)]), [{1}])
+    wide = Matrix.from_rows(H3, [(1, 2, 2, 1, 2), (1, 1, 1, 1, 2), (0, 2, 0, 2, 0)])
+    scans = ((solve_weak, impossible, 3 ** 3, f"scan of {3 ** 3} vectors exceeds cap",
+              "no-solution"),
+             (find_nontrivial_kernel, wide, 3 ** 5, f"kernel scan of {3 ** 5} exceeds cap",
+              "solved"))
+    for search, arg, edge, note, status in scans:
+        folded.clear()
+        with search_budget(edge - 1):
+            out = search(arg)
+        assert (out.status, out.note, folded) == ("inconclusive", note, [])
+        with search_budget(edge):
+            assert search(arg).status == status
+        assert folded
+    # 2 n k^n vectors of the R_i and C_j; at 1x2, 9 row sets and the 3^4 table cells
+    refused = ((find_inverse, (Matrix.identity(H3, 2),), 2 * 2 * 3 ** 2, "inverse search tables"),
+               (is_linearly_closed, (H3, 1, 2), 9 + 3 ** 4, "closedness work"))
+    for search, args, edge, bound in refused:
+        folded.clear()
+        with search_budget(edge - 1), pytest.raises(BlowupError, match=bound):
+            search(*args)
+        assert folded == []
+        search(*args)
+        assert folded
 
 
 _CAP_KEYWORD = re.compile(r".*_cap|budget|bundle_bound|max_terms")

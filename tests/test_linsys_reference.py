@@ -7,7 +7,9 @@ negation and inverse asked of the structure element by element.  The library
 runs the same algorithms on carrier indices and masks; both must give the
 same scaled systems, candidates and outcomes, in the same order.  Where the
 library reads a search off per-row value masks (the kernel scan, the solve
-fallback, the inverse), the reference still tests every candidate in turn.
+fallback, the inverse), the reference still tests every candidate in turn, and
+the masks themselves are checked against the recursion that the byte-lane fold
+of _value_masks replaced (_recursive_value_masks).
 """
 
 import itertools
@@ -487,24 +489,49 @@ def test_inverse_matches_the_full_scan_on_dense_3x3(args):
         check_inverse(S, rows)
 
 
+def _recursive_value_masks(S, tab, coeffs, target, memos):
+    """The oracle for _value_masks, one target at a time: the left fold recursion that
+    the byte-lane fold replaced.  memos[target] maps (partial sum, coefficients left) to
+    the mask over the entries left; calls with the same tab may share memos."""
+    k, add, memo = len(S), S.add_masks, memos.setdefault(target, {})
+
+    def rest(v, cs):
+        got = memo.get((v, cs))
+        if got is None:
+            sums = tab[cs[0]] if v is None else [add(v, t) for t in tab[cs[0]]]
+            if len(cs) == 1:
+                got = sum(1 << x for x, u in enumerate(sums) if u & target)
+            else:
+                width = k ** (len(cs) - 1)
+                got = sum(rest(u, cs[1:]) << x * width for x, u in enumerate(sums))
+            memo[v, cs] = got
+        return got
+
+    return rest(None, tuple(coeffs))
+
+
 def check_value_masks(T, m):
-    """_value_masks against _index_product on every row and vector of length m, for
-    a row of A against a vector (tab = _prod) and a vector against a column of A
-    (tab transposed), with one memo table per tab shared by every row."""
+    """_value_masks against the recursion and _index_product on every row and vector of
+    length m, for a row of A against a vector (tab = _prod) and a vector against a
+    column of A (tab transposed), with one memo per tab shared by every row."""
     k = len(T)
     by_col = [list(col) for col in zip(*T._prod)]
     vectors = [Matrix.from_indices(T, m, 1, d) for d in itertools.product(range(k), repeat=m)]
     targets = [1 << e for e in range(k)] + [(1 << k) - 2]
-    left_memos, right_memos = {}, {}
+    memos = {"left": {}, "right": {}, "left oracle": {}, "right oracle": {}}
     for c in itertools.product(range(k), repeat=m):
-        for target in targets:
-            left = _value_masks(T, T._prod, c, target, left_memos)
-            right = _value_masks(T, by_col, c, target, right_memos)
-            row, col = Matrix.from_indices(T, 1, m, c), Matrix.from_indices(T, m, 1, c)
-            for d, vec in enumerate(vectors):
-                (dc,) = _index_product(row, vec)
-                (cd,) = _index_product(Matrix.from_indices(T, 1, m, vec.indices), col)
-                assert (left >> d & 1, right >> d & 1) == \
+        left = _value_masks(T, T._prod, c, targets, memos["left"])
+        right = _value_masks(T, by_col, c, targets, memos["right"])
+        assert (left, right) == tuple([_recursive_value_masks(T, tab, c, t, memos[side])
+                                       for t in targets]
+                                      for tab, side in ((T._prod, "left oracle"),
+                                                        (by_col, "right oracle"))), c
+        row, col = Matrix.from_indices(T, 1, m, c), Matrix.from_indices(T, m, 1, c)
+        for d, vec in enumerate(vectors):
+            (dc,) = _index_product(row, vec)
+            (cd,) = _index_product(Matrix.from_indices(T, 1, m, vec.indices), col)
+            for target, lm, rm in zip(targets, left, right):
+                assert (lm >> d & 1, rm >> d & 1) == \
                     (bool(dc & target), bool(cd & target)), (T._sum, T._prod, c, d, target)
 
 
@@ -522,6 +549,67 @@ def test_value_masks_match_index_products_on_table_mutants():
     mutants += random.Random(17).sample(list(single_entry_mutants(builtin("Q2"))), 24)
     for T in mutants:
         check_value_masks(T, 3)
+
+
+def check_against_recursion(S, tab, calls):
+    """_value_masks on (coeffs, targets) calls, in the order given and with one memo,
+    against the recursion.  After each call of length m > 1 the memo keeps the lanes of
+    its proper prefixes, of lengths 1 to m - 1, and no others."""
+    memo, oracle = {}, {}
+    for coeffs, targets in calls:
+        assert _value_masks(S, tab, coeffs, targets, memo) == \
+            [_recursive_value_masks(S, tab, coeffs, t, oracle) for t in targets], (coeffs, targets)
+        if len(coeffs) > 1:
+            assert [prefix for prefix, _ in memo["chain"]] == \
+                [coeffs[:j] for j in range(1, len(coeffs))]
+
+
+@pytest.mark.parametrize("args", [("Fp", 11), ("Xn", 4)])
+def test_value_masks_match_the_recursion_on_carriers_of_more_than_8(args):
+    # 11 and 9 elements: each partial sum spans two byte planes
+    S = builtin(*args)
+    k = len(S)
+    assert k > 8
+    rng = random.Random(f"planes:{S.name}")
+    targets = [1 << e for e in range(k)] + [(1 << k) - 2, 0b1100000001] + \
+        [rng.randrange(1, 1 << k) for _ in range(4)]
+    by_col = [list(col) for col in zip(*S._prod)]
+    for tab in (S._prod, by_col, S._sum):
+        check_against_recursion(S, tab, [(c, targets)
+                                         for c in itertools.product(range(k), repeat=2)])
+
+
+def test_one_memo_serves_every_target_and_length_in_any_order(H5):
+    # lengths 1 to 3 and single- and multi-bit targets, interleaved: a lane kept for
+    # one call's prefix must serve every later call that shares it
+    rng = random.Random(5)
+    calls = [(tuple(rng.randrange(5) for _ in range(rng.randint(1, 3))),
+              rng.sample(range(1, 32), rng.randint(1, 3))) for _ in range(300)]
+    check_against_recursion(H5, H5._prod, calls)
+    check_against_recursion(H5, H5._prod, sorted(calls, key=lambda call: -len(call[0])))
+
+
+@st.composite
+def drawn_tables(draw):
+    """A carrier of 2-10 elements with a drawn sum table (no axiom assumed, not even
+    that 0 is neutral) and a drawn term table, nonempty cells throughout."""
+    k = draw(st.integers(2, 10))
+    cells = st.integers(1, (1 << k) - 1)
+    sums = [[draw(cells) for _ in range(k)] for _ in range(k)]
+    S = Structure.from_masks("T", range(k), 0, 1, range(k), sums, [[1] * k] * k)
+    return S, [[draw(cells) for _ in range(k)] for _ in range(k)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=drawn_tables(), data=st.data())
+def test_value_masks_match_the_recursion_on_drawn_tables(case, data):
+    S, tab = case
+    k = len(S)
+    lengths = st.integers(1, 3 if k <= 6 else 2)
+    calls = data.draw(st.lists(st.tuples(
+        lengths.flatmap(lambda m: st.tuples(*[st.integers(0, k - 1)] * m)),
+        st.lists(st.integers(1, (1 << k) - 1), min_size=1, max_size=3)), min_size=1, max_size=12))
+    check_against_recursion(S, tab, calls)
 
 
 @st.composite

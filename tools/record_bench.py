@@ -45,13 +45,21 @@ checkout's own files:
   with a nonzero diagonal, 40 each over H3, H5, H7, Q2 and F5 (the shape of the
   `linsys` workload's inverse queries), timed around the batch in each of
   REPEATS fresh interpreters; its work units count the matrices inverted;
+- `find_nontrivial_kernel` over one seeded batch of 120 wide matrices on which
+  `constructive_kernel` returns None, 40 each over H5, H7 and F5, so that every
+  call reads its answer off the value masks of the exhaustive fallback; timed
+  around the batch in each of REPEATS fresh interpreters; its work units are
+  the fallbacks run and the kernels found;
 - the size of the library: `repo/src_lines`, the line count of `src/mvla/*.py`
   (what `cat src/mvla/*.py | wc -l` prints), which is also its work units.
 
-Every child process runs without a bytecode cache: it writes none and reads
-only from a fresh, empty directory, so a checkout's leftover `__pycache__`
-cannot read as a faster start (each child compiles what it imports, the
-standard library included).
+Every child process writes no bytecode and reads it only from one directory
+made for the recording, so a checkout's leftover `__pycache__` cannot read as a
+faster start.  Before the first row, one child fills that directory with the
+bytecode of the standard library modules that `mvla`, `perfbench` and pytest
+import, and of nothing else: each child then compiles the project's own
+modules (`mvla` and `perfbench`) afresh, but not the standard library, whose
+compile time would dilute a change to the project's start-up cost.
 
 Each row holds the machine, the Python version, a layer, a name, the median
 over the runs, its unit, the number of runs and the work units behind it.
@@ -111,6 +119,21 @@ for kind in KINDS:
         out[name + " " + kind] = (statistics.median(times) * 1e6,
                                   verify_axioms(builtin(*args), kind).checked)
 print(json.dumps(out))
+"""
+
+# Run once per recording, with the bytecode prefix of every later child: imports what
+# the children import and compiles into the prefix the standard library modules among
+# them (site-packages and the checkout are left out).
+WARM_CODE = """
+import os, py_compile, sys, sysconfig
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import mvla.cli, pytest, random, run, worker, workloads
+paths = sysconfig.get_paths()
+skip = tuple(p + os.sep for p in (paths["purelib"], paths["platlib"], ROOT))
+for module in list(sys.modules.values()):
+    path = getattr(module, "__file__", None) or ""
+    if path.endswith(".py") and path.startswith(paths["stdlib"]) and not path.startswith(skip):
+        py_compile.compile(path, doraise=True)
 """
 
 # The irreducibility scan of COEFFS over builtin(*ARGS), which its rows set first.
@@ -212,6 +235,26 @@ t0 = time.perf_counter()
 inverted = sum(find_inverse(A) is not None for A in batch)
 print(json.dumps([time.perf_counter() - t0, {"matrices": len(batch), "inverted": inverted}]))
 """),
+    # 3x4 only: on these bases the two-row construction of a 2x3 kernel never fails
+    ("linsys", "kernel fallback wide H5/H7/F5", """
+import json, random, time
+from mvla import Matrix, builtin, find_nontrivial_kernel, structure_is
+from mvla.linsys import constructive_kernel
+rng, batch = random.Random(1), []
+for args in (("Hp", 5), ("Hp", 7), ("Fp", 5)):
+    S, drawn = builtin(*args), 0
+    structure_is(S, "superfield")  # the cold check is not timed
+    while drawn < 40:
+        A = Matrix.from_indices(S, 3, 4, [rng.randrange(len(S)) for _ in range(12)])
+        if constructive_kernel(A) is None:
+            batch.append(A)
+            drawn += 1
+t0 = time.perf_counter()
+outs = [find_nontrivial_kernel(A) for A in batch]
+dt = time.perf_counter() - t0
+print(json.dumps([dt, {"fallbacks": sum(o.note != "constructive" for o in outs),
+                       "kernels": sum(o.status == "solved" for o in outs)}]))
+"""),
 )
 
 
@@ -227,10 +270,10 @@ def machine():
 
 
 def _env(root, cache):
-    """A child's environment: root's src first on the path, and a bytecode cache of
-    its own.  No child writes bytecode, and each reads it only under cache, a
-    fresh, empty directory: a checkout's leftover src/mvla/__pycache__ would
-    otherwise read as a faster start."""
+    """A child's environment: root's src first on the path, and the recording's
+    bytecode prefix.  No child writes bytecode, and each reads it only under cache,
+    which holds the standard library's alone: a checkout's leftover
+    src/mvla/__pycache__ would otherwise read as a faster start."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src") + (os.pathsep + env["PYTHONPATH"]
                                              if env.get("PYTHONPATH") else "")
@@ -239,12 +282,18 @@ def _env(root, cache):
     return env
 
 
-def _timed(cmd, root):
-    with tempfile.TemporaryDirectory(prefix="record-bench-pycache-") as cache:
-        t0 = time.perf_counter()
-        proc = subprocess.run(cmd, cwd=root, env=_env(root, cache), capture_output=True,
-                              text=True)
-        return time.perf_counter() - t0, proc
+def _timed(cmd, root, cache):
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, env=_env(root, cache), capture_output=True, text=True)
+    return time.perf_counter() - t0, proc
+
+
+def warm_stdlib(root, cache):
+    """Fill the empty directory cache with the standard library's bytecode (WARM_CODE)."""
+    _, proc = _timed([sys.executable, "-c", f"ROOT = {str(root)!r}" + WARM_CODE], root, cache)
+    if proc.returncode != 0:
+        raise RuntimeError(f"warming the bytecode prefix exited {proc.returncode}: "
+                           f"{proc.stderr[-300:]}")
 
 
 def _row(layer, name, values, unit, works):
@@ -253,11 +302,12 @@ def _row(layer, name, values, unit, works):
             "work_stable": all(w == works[0] for w in works)}
 
 
-def workload_rows(root, workload, seed, repeats, traced):
+def workload_rows(root, cache, workload, seed, repeats, traced):
     runs = []
     for _ in range(repeats):
         _, proc = _timed([sys.executable, str(root / "perfbench" / "run.py"), "--workload",
-                          workload, "--seed", str(seed), "--trace", str(int(traced))], root)
+                          workload, "--seed", str(seed), "--trace", str(int(traced))], root,
+                         cache)
         lines = proc.stdout.strip().splitlines()
         if not lines or not lines[-1].startswith("{"):
             raise RuntimeError(f"{workload} (trace {int(traced)}) printed no result; "
@@ -279,11 +329,11 @@ def workload_rows(root, workload, seed, repeats, traced):
     return rows
 
 
-def tier1_row(root, repeats):
+def tier1_row(root, cache, repeats):
     times, works = [], []
     for _ in range(repeats):
         dt, proc = _timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "--continue-on-collection-errors"], root)
+                           "--continue-on-collection-errors"], root, cache)
         tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
         times.append(dt)
         works.append({k: int(n) for n, k in re.findall(r"(\d+) (passed|failed|xfailed|error)",
@@ -291,13 +341,13 @@ def tier1_row(root, repeats):
     return _row("tests", "tier-1 wall time", times, "s", works)
 
 
-def verb_rows(root, repeats):
+def verb_rows(root, cache, repeats):
     rows = []
     for name, argv in VERBS:
         code = f"import sys; from mvla.cli import main; sys.exit(main({argv!r}))"
         times, works = [], []
         for _ in range(repeats):
-            dt, proc = _timed([sys.executable, "-c", code], root)
+            dt, proc = _timed([sys.executable, "-c", code], root, cache)
             times.append(dt)
             works.append({"exit": proc.returncode,
                           "stdout_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest()[:16],
@@ -306,12 +356,12 @@ def verb_rows(root, repeats):
     return rows
 
 
-def cold_rows(root, repeats):
+def cold_rows(root, cache, repeats):
     code = (f"KINDS, STRUCTURES, CALLS = {COLD_KINDS!r}, {COLD_STRUCTURES!r}, {COLD_CALLS}"
             + COLD_CODE)
     runs = []
     for _ in range(repeats):
-        _, proc = _timed([sys.executable, "-c", code], root)
+        _, proc = _timed([sys.executable, "-c", code], root, cache)
         if proc.returncode != 0:
             raise RuntimeError(f"cold checks exited {proc.returncode}: {proc.stderr[-300:]}")
         runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
@@ -319,12 +369,12 @@ def cold_rows(root, repeats):
                  [{"checked": r[key][1]} for r in runs]) for key in runs[0]]
 
 
-def timed_call_rows(root, repeats):
+def timed_call_rows(root, cache, repeats):
     rows = []
     for layer, name, code in TIMED_CALLS:
         runs = []
         for _ in range(repeats):
-            _, proc = _timed([sys.executable, "-c", code], root)
+            _, proc = _timed([sys.executable, "-c", code], root, cache)
             if proc.returncode != 0:
                 raise RuntimeError(f"{name} exited {proc.returncode}: {proc.stderr[-300:]}")
             runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
@@ -347,19 +397,22 @@ def main(argv=None):
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
                             capture_output=True, text=True).stdout.strip() or None
     rows = []
-    for workload in WORKLOADS:
-        for traced in (False, True):
-            print(f"workload {workload} trace={int(traced)}", file=sys.stderr, flush=True)
-            rows += workload_rows(root, workload, SEED, REPEATS, traced)
-    print("tier-1", file=sys.stderr, flush=True)
-    rows.append(tier1_row(root, TIER1_REPEATS))
-    print("cli verbs", file=sys.stderr, flush=True)
-    rows += verb_rows(root, REPEATS)
-    print("cold checks", file=sys.stderr, flush=True)
-    rows += cold_rows(root, REPEATS)
-    print("irreducibility scans, quotient search, axiom scans and inverse batch",
-          file=sys.stderr, flush=True)
-    rows += timed_call_rows(root, REPEATS)
+    with tempfile.TemporaryDirectory(prefix="record-bench-pycache-") as cache:
+        print("standard library bytecode", file=sys.stderr, flush=True)
+        warm_stdlib(root, cache)
+        for workload in WORKLOADS:
+            for traced in (False, True):
+                print(f"workload {workload} trace={int(traced)}", file=sys.stderr, flush=True)
+                rows += workload_rows(root, cache, workload, SEED, REPEATS, traced)
+        print("tier-1", file=sys.stderr, flush=True)
+        rows.append(tier1_row(root, cache, TIER1_REPEATS))
+        print("cli verbs", file=sys.stderr, flush=True)
+        rows += verb_rows(root, cache, REPEATS)
+        print("cold checks", file=sys.stderr, flush=True)
+        rows += cold_rows(root, cache, REPEATS)
+        print("irreducibility scans, quotient search, axiom scans, inverse and kernel batches",
+              file=sys.stderr, flush=True)
+        rows += timed_call_rows(root, cache, REPEATS)
     rows.append(src_lines_row(root))
     head = {"machine": machine(), "python": platform.python_version()}
     doc = {"pr": args.pr, "commit": commit, "seed": SEED, **head,
