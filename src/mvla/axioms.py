@@ -8,10 +8,12 @@ reported as "pass-on-window", never as a global pass.
 
 The fast kernels take exact tables only and decide whether a whole table, a
 larger commutative table (associativity, one byte lane at a time), or a packed
-row of a law over triples, passes.  A window's rows and each failing table or
-row of an exact table go through one per-instance path, _Collector.record_all,
-which records a generator of the instances, their cells rebuilt, until the
-collector is done.  A scan builds that generator only once its fast test fails.
+row of a law over triples, passes; on a whole table (exact, k <= 8) each law
+has one such test, which verify_axioms and structure_is share.  A window's rows
+and each failing table or row of an exact table go through one per-instance
+path, _Collector.record_all, which records a generator of the instances, their
+cells rebuilt, until the collector is done.  A scan builds that generator only
+once its fast test fails.
 """
 
 from __future__ import annotations
@@ -109,17 +111,10 @@ class _View:
 
     def __init__(self, elements, zero_i, one_i, neg, sum_tab, prod_tab, partial,
                  act_tab=None):
-        self.elements = elements
-        self.k = len(elements)
-        self.inex = 1 << self.k
-        self.zero_i = zero_i
-        self.one_i = one_i
-        self.neg = neg
-        self.sum = sum_tab
-        self.prod = prod_tab
-        self.act = act_tab
-        self.partial = partial
-        self._tables = {}
+        self.elements, self.k, self.inex = elements, len(elements), 1 << len(elements)
+        self.zero_i, self.one_i, self.neg = zero_i, one_i, neg
+        self.sum, self.prod, self.act, self.partial, self._tables = \
+            sum_tab, prod_tab, act_tab, partial, {}
 
     def table(self, tab):
         """The _Table of one of the view's k x k tables.  A whole table's is made on
@@ -217,10 +212,10 @@ def _judged(law, inex, sides):
 # k**3 cells (a, b, c) of a law over triples, packed the same way, a major: all its
 # instances pass or fail with one int test.
 #
-# For a whole table (exact, with cells of one byte) a side of a law is an OR of k
-# products: in_rows[x], the rows (a, b) of a tensor with 1 at the end of each row
-# whose cell a.b holds x, times the packed row or column of x, which it puts in
-# those rows.  A side over (b, c, a) is rotated to (a, b, c) by _rotated.
+# For a whole table (exact, with cells of one byte) a side of a law puts in each row
+# (a, b) of a tensor the OR of a line x (a table's row or column) over the members x
+# of the cell a.b (_spread): a join of lines, or an OR of k products of in_rows[x] by
+# the packed line x.  A side over (b, c, a) is rotated to (a, b, c) by _rotated.
 
 # Rows of a table packed together in _row_unions: more rows take fewer ORs, fewer
 # hold less at once (a block's unions are a block of bytes per distinct cell).
@@ -254,15 +249,23 @@ def _or(packed, indices):
     return functools.reduce(or_, map(packed.__getitem__, indices), 0)
 
 
-def _sum_products(tensors, values):
-    """The OR of tensors[x] * values[x] over x: each value put in its tensor's 1 cells."""
-    return functools.reduce(or_, map(mul, tensors, values))
+def _spread(t, lines, packed):
+    """The tensor, as bytes, whose row (a, b) is the OR of lines[x] (k bytes, packed[x]
+    as an int) over the members x of the cell a.b of the whole table t."""
+    if 255 in t.members:  # a cell of two members or none
+        return functools.reduce(or_, map(mul, t.in_rows, packed)).to_bytes(t.k ** 3, "big")
+    return b"".join(map(lines.__getitem__, t.members))
+
+
+@functools.cache
+def _strided(k):
+    """An itemgetter of the slices [a::k], a < k, and [0:0] (a tuple at k = 1)."""
+    return itemgetter(*(slice(a, None, k) for a in range(k)), slice(0, 0))
 
 
 def _rotated(tensor, k):
-    """A tensor of one-byte cells over (b, c, a), as over (a, b, c)."""
-    raw = tensor.to_bytes(k ** 3, "big")
-    return int.from_bytes(b"".join([raw[a::k] for a in range(k)]), "big")
+    """A tensor of one-byte cells (bytes) over (b, c, a), as an int over (a, b, c)."""
+    return int.from_bytes(b"".join(_strided(k)(tensor)), "big")
 
 
 def _passes(L, R, equal):
@@ -273,36 +276,50 @@ def _passes(L, R, equal):
 
 class _Table:
     """A k x k table of a view: whether every cell is exact, its packed width
-    w = ceil(k / 8), and, made when a scan first asks for them, its cells row by row
-    (flat) and its columns (cols).  A whole table, exact with cells of one byte
-    (k <= 8), also holds its cells as bytes, its rows and columns as bytes and as
-    packed ints, and its in_rows."""
+    w = ceil(k / 8), and derived forms that its scans share.  A whole table (exact,
+    k <= 8) makes at once the bytes forms that every whole-table test reads: its
+    cells, transposed, whether it is symmetric, and its rows as bytes and packed
+    ints (its columns too, on a symmetric table).  Any other form (_FORMS) is made
+    when a scan first asks for it."""
 
     def __init__(self, rows, k):
-        w = (k + 7) // 8
-        self.rows, self.k, self.w = rows, k, w
+        self.rows, self.k, self.w = rows, k, (k + 7) // 8
         self.exact = max(map(max, rows)) >> k == 0
-        self.whole = self.exact and w == 1
+        self.whole = self.exact and k <= 8
         if self.whole:
-            from_bytes = int.from_bytes
-            self.row_bytes = [bytes(row) for row in rows]
+            self.row_bytes = list(map(bytes, rows))
             self.cells = cells = b"".join(self.row_bytes)
-            self.col_bytes = [cells[b::k] for b in range(k)]
-            self.packed_rows = [from_bytes(row, "big") for row in self.row_bytes]
-            self.packed_cols = [from_bytes(c, "big") for c in self.col_bytes]
-            ends = bytearray(k ** 3)  # each cell at the end of a row of k bytes
-            ends[k - 1::k] = cells
-            held, ones = from_bytes(ends, "big"), from_bytes(b"\1".rjust(k, b"\0") * k * k, "big")
-            self.in_rows = [held >> x & ones for x in range(k)]
+            self.transposed = b"".join(_strided(k)(cells))
+            self.symmetric = cells == self.transposed
+            self.packed_rows = list(map(int.from_bytes, self.row_bytes, repeat("big")))
+            if self.symmetric:
+                self.col_bytes, self.packed_cols = self.row_bytes, self.packed_rows
 
-    def __getattr__(self, name):  # only an attribute not yet set reaches here
-        if name == "flat":
-            self.flat = _flat(self.rows)
-        elif name == "cols":
-            self.cols = list(zip(*self.rows))
-        else:
+    def __getattr__(self, name):  # only a form not yet made reaches here
+        if name not in _FORMS:
             raise AttributeError(name)
-        return getattr(self, name)
+        value = self.__dict__[name] = _FORMS[name](self)
+        return value
+
+
+def _in_rows(t):
+    """For each x, the tensor with 1 at the end of each row (a, b) whose cell holds x."""
+    k = t.k
+    ends = bytearray(k ** 3)  # each cell at the end of a row of k bytes
+    ends[k - 1::k] = t.cells
+    held, ones = int.from_bytes(ends, "big"), int.from_bytes(b"\1".rjust(k, b"\0") * k * k, "big")
+    return [held >> x & ones for x in range(k)]
+
+
+_FORMS = {
+    "flat": lambda t: _flat(t.rows),  # the cells row by row
+    "cols": lambda t: list(zip(*t.rows)),
+    "symmetric": lambda t: t.exact and all(map(eq, map(tuple, t.rows), zip(*t.rows))),
+    "in_rows": _in_rows,
+    "members": lambda t: t.cells.translate(_LOG2),  # 255 for two members or none
+    "col_bytes": lambda t: [t.transposed[i:i + t.k] for i in range(0, t.k ** 2, t.k)],
+    "packed_cols": lambda t: list(map(int.from_bytes, t.col_bytes, repeat("big"))),
+}
 
 
 def _cells(tab):
@@ -347,10 +364,11 @@ def _row_unions(tab, members, w):
 def _assoc_passes(t, equal):
     """(a.b).c within a.(b.c) (equal to it when equal is set) for every triple, on a
     whole table: each side is one tensor of k**3 cells."""
-    L = _sum_products(t.in_rows, t.packed_rows)
-    # a.(b.c) over (b, c, a) is (a.b).c there on a commutative table
-    R = L if _symmetric(t) else _sum_products(t.in_rows, t.packed_cols)
-    return _passes(L, _rotated(R, t.k), equal)
+    L = _spread(t, t.row_bytes, t.packed_rows)
+    if t.symmetric:  # a.(b.c) over (b, c, a) is (a.b).c, so both laws ask L = R there
+        return b"".join(_strided(t.k)(L)) == L  # (as in _assoc_lanes_pass)
+    R = _rotated(_spread(t, t.col_bytes, t.packed_cols), t.k)
+    return _passes(int.from_bytes(L, "big"), R, equal)
 
 
 def _assoc_rows(t, equal):
@@ -421,12 +439,11 @@ def _scan_assoc(view, col, tab, axiom, law):
     per-instance path, so witnesses, counts and the early exit are those of a
     per-triple scan.
     """
-    els, k, inex = view.elements, view.k, view.inex
-    t = view.table(tab)
-    equal = law is _equality
-    if _assoc_passes(t, equal) if t.whole else _symmetric(t) and _assoc_lanes_pass(t):
+    t, k, equal = view.table(tab), view.k, law is _equality
+    if _assoc_passes(t, equal) if t.whole else t.symmetric and _assoc_lanes_pass(t):
         col.checked += k ** 3
         return
+    els, inex = view.elements, view.inex
     for n, passed in enumerate(_assoc_rows(t, equal) if t.exact else repeat(False, k * k)):
         if passed:
             col.checked += k
@@ -448,8 +465,9 @@ def _scan_assoc(view, col, tab, axiom, law):
 # per-instance scan.
 
 
+@functools.cache
 def _units(k):
-    """[{0}, {1}, ..., {k - 1}] as masks."""
+    """[{0}, {1}, ..., {k - 1}] as masks (one list for each k, which no caller changes)."""
     return list(map((1).__lshift__, range(k)))
 
 
@@ -466,19 +484,13 @@ def _commuting_instances(view, tab, axiom):
             for i in range(k) for j in range(i + 1, k))
 
 
-def _symmetric(t):
-    """Every cell of the table is exact and equals its mirror cell."""
-    if t.whole:
-        return t.packed_rows == t.packed_cols
-    return t.exact and all(map(eq, map(tuple, t.rows), zip(*t.rows)))
-
-
 def _scan_nonempty(view, col, opname):
     tab = view.sum if opname == "sum" else view.prod
-    els, k, inex = view.elements, view.k, view.inex
-    if view.table(tab).exact and min(map(min, tab)):
+    t, k = view.table(tab), view.k
+    if min(t.cells) if t.whole else t.exact and min(map(min, tab)):
         col.checked += k * k
         return
+    els, inex = view.elements, view.inex
     col.record_all(("skip" if cell == inex else "pass" if cell else "fail",
                     "nonempty" if cell else f"nonempty-{opname}", (els[i], els[j]))
                    for i, row in enumerate(tab) for j, cell in enumerate(row))
@@ -487,25 +499,24 @@ def _scan_nonempty(view, col, opname):
 def _scan_multigroup(view, col, opname, unit_i, use_inversion):
     """M1-M4 over one operation; multimonoid mode drops M1/M2 for a weak unit law."""
     tab = view.sum if opname == "sum" else view.prod
-    els, k, inex = view.elements, view.k, view.inex
+    k, units = view.k, _units(view.k)
     suffix = "" if opname == "sum" else "-mult"
-    units = _units(k)
 
     # M2 (group mode): a . unit = {a}.  Monoid mode: a in unit . a.
-    if use_inversion and list(map(itemgetter(unit_i), tab)) == units:
-        col.checked += k
-    elif not use_inversion and list(map(and_, tab[unit_i], units)) == units:
+    if (list(map(itemgetter(unit_i), tab)) if use_inversion
+            else list(map(and_, tab[unit_i], units))) == units:
         col.checked += k
     elif col.record_all(_unit_instances(view, tab, unit_i, "M2" + suffix) if use_inversion
-                        else _judged(_membership, inex, zip(range(k), tab[unit_i],
-                                                            repeat("unit" + suffix), zip(els)))):
+                        else _judged(_membership, view.inex,
+                                     zip(range(k), tab[unit_i], repeat("unit" + suffix),
+                                         zip(view.elements)))):
         return
 
     if use_inversion and _scan_m1(view, col, tab, "M1" + suffix):
         return
 
     # M4 commutativity
-    if _symmetric(view.table(tab)):
+    if view.table(tab).symmetric:
         col.checked += k * (k - 1) // 2
     elif col.record_all(_commuting_instances(view, tab, "M4" + suffix)):
         return
@@ -514,12 +525,13 @@ def _scan_multigroup(view, col, opname, unit_i, use_inversion):
     _scan_assoc(view, col, tab, "M3" + suffix, _containment)
 
 
+@functools.cache
 def _transpose_steps(size, n):
     """The steps that transpose every block of size x size bits of an int of n
     blocks (bit c of row r of a block at r * size + c, the first block lowest):
     for j = size / 2, ..., 1, the j x j corners of each 2j x 2j square swap
     places, as (the shift between them, the mask of the bits (r, c) with bit j
-    clear in r and set in c)."""
+    clear in r and set in c).  Made once for each size and n."""
     width, steps, j = size // 8, [], size // 2
     while j:
         cols = ((1 << j) - 1 << j) * ((1 << size) - 1) // ((1 << 2 * j) - 1)
@@ -535,13 +547,15 @@ def _m1_passes(t, neg):
     Each row and each column of cells is a block of size x size bits, a cell a
     row of it.  Transposed, the row -a gives for each b the c with b in (-a).c,
     and the column -b gives for each a the c with a in c.(-b): the cells of row
-    a and of column b must lie within them.  The lines go _M1_BITS bits of
-    blocks at a time.
+    a and of column b must lie within them.  On a commutative table the rows'
+    half implies the columns' (c in a.b = b.a puts b in c.(-a) = (-a).c), so
+    only the rows are tested.  The lines go _M1_BITS bits of blocks at a time.
     """
     k = t.k
+    n = k if t.symmetric else 2 * k
     size = max(8, 1 << (k - 1).bit_length())
     width, pad = size // 8, bytes(size // 8 * (size - k))
-    bound = list(neg) + [k + n for n in neg]  # line i lies within transposed line bound[i]
+    bound = list(neg) + [k + x for x in neg]  # line i lies within transposed line bound[i]
 
     def packed(i):
         """Row i, or column i - k, as the rows of a block."""
@@ -549,9 +563,9 @@ def _m1_passes(t, neg):
         return b"".join(map(int.to_bytes, cells, repeat(width), repeat("little")))
 
     step = max(1, _M1_BITS // size ** 2)
-    steps = _transpose_steps(size, min(step, 2 * k))
-    for lo in range(0, 2 * k, step):
-        ids = range(lo, min(lo + step, 2 * k))
+    steps = _transpose_steps(size, min(step, n))
+    for lo in range(0, n, step):
+        ids = range(lo, min(lo + step, n))
         bounds = list(map(bound.__getitem__, ids))
         # the lines of the chunk and their bounds, each packed once
         lines = t.row_bytes + t.col_bytes if t.whole else {i: packed(i) for i in {*ids, *bounds}}
@@ -572,10 +586,9 @@ def _scan_m1(view, col, tab, axiom):
     so witnesses, counts and the early exit are those of a per-member scan.  A
     member of an inexact cell counts as a member.  True once the collector is done.
     """
-    els, k, neg, inex = view.elements, view.k, view.neg, view.inex
     t = view.table(tab)
-    if t.exact and _m1_passes(t, neg):
-        col.checked += k * k
+    if t.exact and _m1_passes(t, view.neg):
+        col.checked += view.k ** 2
         return False
     return col.record_all(_m1_instances(view, tab, axiom))
 
@@ -605,7 +618,7 @@ def _scan_monoid(view, col):
     tab = view.prod
     els, k, inex = view.elements, view.k, view.inex
     t = view.table(tab)
-    if t.exact and max(map(int.bit_count, t.flat)) <= 1:
+    if t.exact and max(map(int.bit_count, t.cells if t.whole else t.flat)) <= 1:
         col.checked += k * k
     elif col.record_all(  # a cell of two members or more fails
             ("skip" if cell == inex else "fail" if cell & (cell - 1) & ~inex else "pass",
@@ -616,7 +629,7 @@ def _scan_monoid(view, col):
         col.checked += k
     elif col.record_all(_unit_instances(view, tab, view.one_i, "unit-prod")):
         return
-    if _symmetric(t):
+    if t.symmetric:
         col.checked += k * (k - 1) // 2
     elif col.record_all(_commuting_instances(view, tab, "comm-prod")):
         return
@@ -624,11 +637,12 @@ def _scan_monoid(view, col):
 
 
 def _scan_absorb(view, col):
-    els, k, z, inex, prod = view.elements, view.k, view.zero_i, view.inex, view.prod
+    k, z, prod = view.k, view.zero_i, view.prod
     zeros = [1 << z] * k
     if list(prod[z]) == zeros and list(map(itemgetter(z), prod)) == zeros:
         col.checked += 2 * k
         return
+    els, inex = view.elements, view.inex
     col.record_all((_equality(cell, 1 << z, inex), "absorb", (els[i],))
                    for i in range(k) for cell in (prod[i][z], prod[z][i]))
 
@@ -652,7 +666,7 @@ def _line_sums(view, s, p, by_cols):
     """
     k = view.k
     if s.whole and p.whole:
-        members = b"".join(p.col_bytes if by_cols else p.row_bytes).translate(_LOG2)
+        members = p.transposed.translate(_LOG2) if by_cols else p.members
         if 255 not in members:
             firsts = b"".join([members[i:i + k] * k for i in range(0, k * k, k)])
             at = int.from_bytes(firsts, "big") * k + int.from_bytes(members * k, "big")
@@ -681,10 +695,10 @@ def _scan_weak_dist(view, col):
     # ca+cb and ac+bc; on a commutative product they are the same, and so are the
     # left sides
     right = _line_sums(view, s, p, True)
-    right2 = right if _symmetric(p) else _line_sums(view, s, p, False)
+    right2 = right if p.symmetric else _line_sums(view, s, p, False)
     if (s.whole and p.whole
-            and _passes(_sum_products(s.in_rows, p.packed_cols), _pack(right, w), False)
-            and (right2 is right or _passes(_sum_products(s.in_rows, p.packed_rows),
+            and _passes(_pack(_spread(s, p.col_bytes, p.packed_cols), w), _pack(right, w), False)
+            and (right2 is right or _passes(_pack(_spread(s, p.row_bytes, p.packed_rows), w),
                                             _pack(right2, w), False))):
         col.checked += 2 * k ** 3
         return
@@ -725,7 +739,7 @@ def _scan_hyper_dist(view, col):
     firsts = itertools.chain.from_iterable(map(repeat, p.flat, repeat(k)))
     right = list(map(plus.__getitem__, zip(firsts, _flat(map(mul, prods, repeat(k))))))
     if (s.whole and p.whole
-            and _rotated(_sum_products(s.in_rows, p.packed_cols), k) == _pack(right, w)):
+            and _rotated(_spread(s, p.col_bytes, p.packed_cols), k) == _pack(right, w)):
         col.checked += k ** 3
         return
     if exact:
@@ -743,23 +757,25 @@ def _scan_hyper_dist(view, col):
 
 
 def _scan_signs(view, col):
-    """-(ab) = (-a)b and -(ab) = a(-b), tested for the whole table at once.
-
-    On a whole table whose cells have one member each, the cells -(ab) are one
-    bytes.translate of the members' indices.
-    """
+    """-(ab) = (-a)b and -(ab) = a(-b), tested for the whole table at once.  On a
+    whole table of one-member cells, -(ab) row by row (column by column) is one
+    bytes.translate of its cells (transposed), the rows -a (columns -b) joined."""
     els, k, neg, inex, prod = view.elements, view.k, view.neg, view.inex, view.prod
     t = view.table(prod)
     neg_bits = [1 << n for n in neg]
-    members = t.cells.translate(_LOG2) if t.whole else b"\xff"
-    if 255 not in members:
-        neg_ab = list(members.translate(bytes(neg_bits).ljust(256, b"\0")))
+    if t.whole and 255 not in t.members:
+        to_neg = _LOG2.translate(bytes(neg_bits).ljust(256, b"\0"))  # {x} to {-x}
+        passed = (t.cells.translate(to_neg) == b"".join(map(t.row_bytes.__getitem__, neg))
+                  and t.transposed.translate(to_neg)
+                  == b"".join(map(t.col_bytes.__getitem__, neg)))
     else:
         neg_ab = list(_unions(repeat(neg_bits), t.flat, inex))
-    if (t.exact and neg_ab == _flat(map(prod.__getitem__, neg))
-            and neg_ab == _flat(zip(*map(t.cols.__getitem__, neg)))):
+        passed = (t.exact and neg_ab == _flat(map(prod.__getitem__, neg))
+                  and neg_ab == _flat(zip(*map(t.cols.__getitem__, neg))))
+    if passed:
         col.checked += 2 * k * k
         return
+    neg_ab = list(_unions(repeat(neg_bits), t.flat, inex))
     col.record_all((_equality(neg_ab[a * k + b], cell, inex), "signs", (els[a], els[b]))
                    for a in range(k) for b in range(k)
                    for cell in (prod[neg[a]][b], prod[a][neg[b]]))
@@ -771,16 +787,15 @@ def _scan_nontrivial(view, col):
 
 
 def _scan_no_zero_divisors(view, col):
-    els, k, z, inex = view.elements, view.k, view.zero_i, view.inex
+    k, z = view.k, view.zero_i
     # the pairs (a, b) with a and b nonzero, as selectors over the table's cells
-    nonzero = [1] * k
-    nonzero[z] = 0
-    pairs = nonzero * k
-    pairs[z * k:(z + 1) * k] = [0] * k
-    t = view.table(view.prod)
-    if t.exact and not any(compress(map(and_, t.flat, repeat(1 << z)), pairs)):
+    pairs = [1] * k * k
+    pairs[z::k] = pairs[z * k:(z + 1) * k] = [0] * k
+    cells = itertools.chain.from_iterable(view.prod)
+    if view.table(view.prod).exact and not any(compress(map(and_, cells, repeat(1 << z)), pairs)):
         col.checked += (k - 1) ** 2
         return
+    els, inex = view.elements, view.inex
     col.record_all(("fail" if cell >> z & 1 else "skip" if cell & inex else "pass",
                     "no-zero-div", (els[a], els[b]))
                    for a, row in enumerate(view.prod) if a != z
@@ -791,7 +806,7 @@ def _scan_inverses(view, col):
     """Every nonzero a has some b with 1 in a.b; a miss is only a skip on a window
     (a view with an inexact or escaped cell is always partial)."""
     els, z, one = view.elements, view.zero_i, 1 << view.one_i
-    found = [any(map(and_, row, repeat(one))) for row in view.prod]
+    found = list(map(and_, map(functools.reduce, repeat(or_), view.prod), repeat(one)))
     found[z] = True
     if all(found):
         col.checked += view.k - 1
@@ -856,31 +871,35 @@ def verify_axioms(S, kind, window=None, witness_limit=3, stop_on_first=False):
     else:
         raise StructureError(f"cannot verify {S!r}")
 
-    col = _Collector(limit=witness_limit, stop_on_first=stop_on_first)
+    col = _scan_kind(view, kind, _Collector(limit=witness_limit, stop_on_first=stop_on_first))
+    return _report(S.name, kind, view, col)
+
+
+def _scan_kind(view, kind, col):
+    """The kind's scans in order, until the collector is done; returns it."""
     for scan in _KIND_SCANS[kind]:
         scan(view, col)
         if col.done:
             break
-    return _report(S.name, kind, view, col)
+    return col
 
 
 def _report(subject, kind, view, col):
-    if col.witnesses:
-        verdict = FAIL
-    elif view.partial:
-        verdict = PASS_ON_WINDOW
-    else:
-        verdict = PASS
+    verdict = FAIL if col.witnesses else PASS_ON_WINDOW if view.partial else PASS
     return AxiomReport(subject=subject, kind=kind, verdict=verdict,
                        witnesses=tuple(col.witnesses),
                        checked=col.checked, skipped=col.skipped)
 
 
 def structure_is(S, kind):
-    """Cached boolean form of verify_axioms for finite structures."""
+    """Whether the finite structure S is of the kind, cached on S: verify_axioms'
+    scans, stopped at the first witness, with no report made."""
     cache = S._kind_cache
     if kind not in cache:
-        cache[kind] = verify_axioms(S, kind, stop_on_first=True).passed
+        if kind not in _KIND_SCANS:
+            raise StructureError(f"unknown structure kind {kind!r}")
+        cache[kind] = not _scan_kind(_View.of_structure(S), kind,
+                                     _Collector(stop_on_first=True)).witnesses
     return cache[kind]
 
 

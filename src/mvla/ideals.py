@@ -18,25 +18,24 @@ def characteristic(S, window=None):
     size): a repeat without hitting 0 proves characteristic zero.  A lazy
     structure is searched on a window, whose k cells a + 1 come from
     TropicalStructure.window_cells and are charged before they are read.
-    Finding 0 there is conclusive; a repeat after a cell that the window
-    clipped returns None (inconclusive).
+    Every window holds the one, the integer 0, and 0 + 0 holds inf, the zero,
+    so every window answers 2, before a clipped cell could matter.
     """
     if isinstance(S, TropicalStructure):
         if window is None:
             raise WindowRequired("characteristic of a lazy structure needs a window")
         els, zero_i, one_i, _, cell = S.window_cells(*window)
         charge(len(els), "window characteristic cells")
-        ones = [cell("sum", i, one_i) for i in range(len(els))]
+        ones = [cell("sum", i, one_i) & ~(1 << len(els)) for i in range(len(els))]  # exact
     else:
         els, zero_i, one_i = S.elements, S.zero_i, S.one_i
         ones = [row[one_i] for row in S._sum]
-    inex = 1 << len(els)  # set on a window's clipped cells only
     mask, seen, n = 1 << one_i, set(), 1
     while not mask >> zero_i & 1:
-        seen.add(mask & ~inex)
-        mask = _union(ones, mask & ~inex, mask & inex)
-        if mask & ~inex in seen:
-            return None if mask & inex else 0
+        seen.add(mask)
+        mask = _union(ones, mask)
+        if mask in seen:
+            return 0
         n += 1
     return n
 

@@ -301,10 +301,15 @@ def solve_weak(sys):
 
 def _weak_mask(sys):
     """The weak solutions as a mask over the vectors in product order: the AND over
-    rows i of the vectors d with r_i.d meeting B_i, each row one _value_masks fold."""
+    rows i of the vectors d with r_i.d meeting B_i, each row one _value_masks fold.
+    Once the AND reads 0 no later row is folded."""
     S, n, a, memo = sys.base, sys.A.cols, sys.A.indices, {}
-    return functools.reduce(int.__and__, (_value_masks(S, S._prod, a[i:i + n], (b,), memo)[0]
-                                          for i, b in zip(range(0, len(a), n), sys.masks)))
+    weak = -1  # every vector; a matrix has at least one row
+    for i, b in zip(range(0, len(a), n), sys.masks):
+        weak &= _value_masks(S, S._prod, a[i:i + n], (b,), memo)[0]
+        if not weak:
+            break
+    return weak
 
 
 def _first_weak(sys, skip=0):

@@ -10,6 +10,7 @@ iteration, witness selection and serialization.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import StructureError, WindowRequired, charge
 
@@ -84,19 +85,16 @@ class Structure:
         k = len(elements)
         _check_tables("an element", k, (("zero_i", zero_i), ("one_i", one_i)), neg,
                       (("sum", sum_tab, k), ("prod", prod_tab, k)))
-        self.name = name
-        self.elements = elements
-        self.zero = elements[zero_i]
-        self.one = elements[one_i]
-        self.zero_i = zero_i
-        self.one_i = one_i
-        self._idx = dict(zip(elements, range(k)))
-        self._neg = tuple(neg)
-        self._sum = sum_tab
-        self._prod = prod_tab
-        self._add_cache = _Setwise(self._sum)
-        self._mul_cache = _Setwise(self._prod)
-        self._kind_cache = {}
+        self.name, self.elements, self.zero_i, self.one_i = name, elements, zero_i, one_i
+        self.zero, self.one = elements[zero_i], elements[one_i]
+        self._idx, self._neg = dict(zip(elements, range(k))), tuple(neg)
+        self._sum, self._prod, self._kind_cache = sum_tab, prod_tab, {}
+
+    def __getattr__(self, name):  # an unset slot: the setwise caches are made on first use
+        if name not in ("_add_cache", "_mul_cache"):
+            raise AttributeError(name)
+        setattr(self, name, _Setwise(self._sum if name == "_add_cache" else self._prod))
+        return getattr(self, name)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -167,12 +165,7 @@ class Structure:
         return _fold(self.mul_masks, 1 << self.one_i, masks)
 
     def neg_mask(self, mask):
-        res = 0
-        neg = self._neg
-        for i in range(len(self.elements)):
-            if mask >> i & 1:
-                res |= 1 << neg[i]
-        return res
+        return sum({1 << n for i, n in enumerate(self._neg) if mask >> i & 1})
 
     # -- element-level API ---------------------------------------------------
 
@@ -203,18 +196,12 @@ class Structure:
 
     def inverse(self, a):
         """Least inverse of a in carrier order, or None."""
-        inv = self.inverses(a)
-        return inv[0] if inv else None
+        return next(iter(self.inverses(a)), None)
 
     @property
     def is_strict(self):
         """True when every sum and product result is a singleton."""
-        for tab in (self._sum, self._prod):
-            for row in tab:
-                for m in row:
-                    if m & (m - 1):
-                        return False
-        return True
+        return not any(m & (m - 1) for tab in (self._sum, self._prod) for row in tab for m in row)
 
     # -- derived structures ----------------------------------------------------
 
@@ -245,9 +232,9 @@ def _check_tables(noun, k, indices, neg, tables):
     for label, tab, rows in tables:
         if list(map(len, tab)) != [k] * rows:
             raise StructureError(f"{label} is not a {rows} x {k} table")
-        if rows and (min(map(min, tab)) <= 0 or max(map(max, tab)) >> k):
-            n, cell = next((n, c) for n, c in enumerate(itertools.chain.from_iterable(tab))
-                           if not 0 < c < 1 << k)
+        cells = list(itertools.chain.from_iterable(tab))
+        if cells and (min(cells) <= 0 or max(cells) >> k):
+            n, cell = next((n, c) for n, c in enumerate(cells) if not 0 < c < 1 << k)
             raise StructureError(f"{label}[{n // k}][{n % k}] = {cell!r} is not a nonempty "
                                  f"mask of the {k} {noun.split()[-1]}s")
 
@@ -343,8 +330,7 @@ class Box:
         if not all(0 < m < limit for m in masks):
             raise StructureError(f"a {self.kind} box position is not a nonempty subset "
                                  f"of {base.name}")
-        self.base = base
-        self.masks = masks
+        self.base, self.masks = base, masks
 
     def _like(self, masks):
         """A box of the same kind and shape holding the given masks."""
@@ -369,9 +355,8 @@ class Box:
 
     def scale(self, lam):
         """The left product lam * x at every position."""
-        lam_bit = 1 << self.base.index(lam)
-        mul = self.base.mul_masks
-        return self._like(mul(lam_bit, m) for m in self.masks)
+        return self._like(map(self.base.mul_masks, itertools.repeat(1 << self.base.index(lam)),
+                              self.masks))
 
     def intersect(self, other):
         """Positionwise intersection, or None when some position is empty."""
@@ -380,10 +365,7 @@ class Box:
 
     @property
     def size(self):
-        n = 1
-        for m in self.masks:
-            n *= m.bit_count()
-        return n
+        return math.prod(m.bit_count() for m in self.masks)
 
     def choices(self):
         """Every choice of one element per position, as index tuples in carrier order."""
@@ -434,10 +416,11 @@ def _is_prime(p):
 def _hp(p):
     if not _is_prime(p):
         raise StructureError(f"Hp needs a prime, got {p}")
-    full = (1 << p) - 1
-    s = [[1 << j if i == 0 else 1 << i if j == 0 else full if i == j else 1 << i | 1 << j
-          for j in range(p)] for i in range(p)]
-    pr = [[1 << i * j % p for j in range(p)] for i in range(p)]
+    units = [1 << j for j in range(p)]
+    s = [units] + [[u | b for u in units] for b in units[1:]]  # {i, j} off row 0
+    for i in range(1, p):  # i + 0 = {i}, and i + i holds every element
+        s[i][0], s[i][i] = units[i], (1 << p) - 1
+    pr = [[units[i * j % p] for j in range(p)] for i in range(p)]
     els = tuple(range(p))
     return Structure.from_masks(f"H{p}", els, 0, 1, els, s, pr)
 
@@ -567,22 +550,15 @@ def builtin(name, param=None):
 
     Names: K, Q2, Hp (prime param), Xn (n >= 0), Fp (prime param), Trop.
     """
-    if name == "K":
-        return _krasner()
-    if name == "Q2":
-        return _signs()
-    if name == "Hp":
-        if param is None:
-            raise StructureError("Hp needs a prime parameter")
-        return _hp(param)
-    if name == "Xn":
-        if param is None:
-            raise StructureError("Xn needs an integer parameter")
-        return _kaleidoscope(param)
-    if name == "Fp":
-        if param is None:
-            raise StructureError("Fp needs a prime parameter")
-        return _fp(param)
-    if name == "Trop":
-        return TropicalStructure()
-    raise StructureError(f"unknown builtin {name!r}")
+    if name in _PLAIN:
+        return _PLAIN[name]()
+    if name not in _WITH_PARAM:
+        raise StructureError(f"unknown builtin {name!r}")
+    make, noun = _WITH_PARAM[name]
+    if param is None:
+        raise StructureError(f"{name} needs {noun} parameter")
+    return make(param)
+
+
+_PLAIN = {"K": _krasner, "Q2": _signs, "Trop": TropicalStructure}
+_WITH_PARAM = {"Hp": (_hp, "a prime"), "Xn": (_kaleidoscope, "an integer"), "Fp": (_fp, "a prime")}

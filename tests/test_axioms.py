@@ -20,7 +20,7 @@ from mvla.axioms import (KINDS, _Collector, _View, _scan_absorb, _scan_action,
                          _scan_assoc, _scan_hyper_dist, _scan_inverses, _scan_m1,
                          _scan_monoid, _scan_multigroup, _scan_no_zero_divisors,
                          _scan_nonempty, _scan_signs, _scan_weak_dist)
-from mvla.structures import mprod, msum
+from mvla.structures import Structure, mprod, msum
 
 
 def test_builtins_pass_their_kinds(K, Q2, H3, H5, H7, X2, F2, F3):
@@ -628,7 +628,7 @@ def _lanes_agree(tab, step=None):
     both laws; returns it."""
     k = len(tab)
     t = axioms._Table(tab, k)
-    assert k > 8 and axioms._symmetric(t)
+    assert k > 8 and t.symmetric
     with unittest.mock.patch.object(axioms, "_LANE_BYTES", step * k * k if step
                                     else axioms._LANE_BYTES):
         got = axioms._assoc_lanes_pass(t)
@@ -1387,6 +1387,35 @@ def test_reports_match_reference_on_sampled_mutants(name):
                                        8)
     for T in mutants:
         _reports_match_reference(T)
+
+
+@st.composite
+def exact_structures(draw, sizes=st.integers(2, 8)):
+    """A structure on 2-8 elements (or sizes), whole tables all: the tables of one
+    of _exact_sources with up to two cells replaced by the whole carrier or another
+    nonempty mask."""
+    k = draw(sizes)
+    sum_tab, prod_tab, zero_i, one_i, neg = draw(st.sampled_from(_exact_sources(k)))
+    tabs = {"sum": [list(row) for row in sum_tab], "prod": [list(row) for row in prod_tab]}
+    whole = (1 << k) - 1
+    for _ in range(draw(st.integers(0, 2))):
+        op, i, j = draw(st.sampled_from(("sum", "prod"))), draw(st.integers(0, k - 1)), \
+            draw(st.integers(0, k - 1))
+        tabs[op][i][j] = draw(st.one_of(st.just(whole), st.integers(1, whole)))
+    return Structure.from_masks(f"T{k}", tuple(range(k)), zero_i, one_i, neg, tabs["sum"],
+                                tabs["prod"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=exact_structures())
+def test_reports_match_reference_on_random_whole_tables(S):
+    _reports_match_reference(S)
+
+
+@settings(max_examples=10, deadline=None)
+@given(S=exact_structures(st.just(8)))
+def test_reports_match_reference_on_random_whole_tables_of_eight_elements(S):
+    _reports_match_reference(S)
 
 
 def test_cold_check_runs_every_scan_on_each_fresh_structure(monkeypatch):

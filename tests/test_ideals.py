@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from mvla import (Ideal, StructureError, all_ideals, builtin, characteristic,
                   classify_ideal, is_full, is_ideal, principal_ideal, quotient,
                   verify_axioms)
-from mvla.structures import strict_ring
+from mvla.structures import INF, strict_ring
 from test_axioms import _BUILTINS, WINDOWS
 from test_boxes import small_structures
 
@@ -17,6 +17,18 @@ def test_characteristic_examples(K, Q2, H3, F2, F3, X2, trop):
     assert characteristic(Q2) == 0  # iterated sum of ones stays {1}; cycle detected
     assert characteristic(X2) == 0
     assert characteristic(trop, window=(-5, 5)) == 2
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_every_tropical_window_answers_two(trop, window):
+    """Why characteristic has no inconclusive answer on a window: every window
+    holds the one, the integer 0 (window_elements refuses any other), and 0 + 0
+    holds inf, the zero, so the 2-fold sum of ones meets 0 before a mask could
+    repeat or a clipped cell could matter."""
+    els, zero_i, one_i, _, cell = trop.window_cells(*window)
+    assert (els[one_i], els[zero_i]) == (0, INF)
+    assert cell("sum", one_i, one_i) >> zero_i & 1
+    assert characteristic(trop, window=window) == 2
 
 
 def _ref_characteristic(S):

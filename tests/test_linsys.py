@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -7,9 +8,10 @@ from mvla import linsys
 from mvla import (BlowupError, ElementaryOp, LinearSystem, Matrix, StructureError,
                   TypeIError, apply_elementary, find_nontrivial_kernel,
                   homogeneous, is_linearly_closed, is_solution, is_weak_solution,
-                  iter_scaled_systems, search_budget, solve_weak, verify_axioms)
+                  builtin, iter_scaled_systems, search_budget, solve_weak, verify_axioms)
 from mvla.linsys import (NO_SOLUTION, SOLVED, classify_candidate, constructive_kernel,
                          iter_back_substitution, row_value_sets)
+from mvla.matrices import _value_masks
 from mvla.structures import Structure
 from conftest import nullspace_vector_mod, solvable_mod
 
@@ -353,3 +355,20 @@ def test_scaled_solution_transport_is_an_experiment_not_an_invariant(H3):
             except (TypeIError, Exception):
                 continue
     assert kept > 0  # transport holds often enough to be useful
+
+
+@pytest.mark.parametrize("args", [("Hp", 3), ("Hp", 5), ("Hp", 7), ("Q2",), ("Fp", 5)])
+def test_weak_mask_equals_the_full_fold(args):
+    """_weak_mask stops folding rows once their AND reads 0; its mask is still the
+    AND of every row's fold.  Tall systems with one-element right sides often have
+    no weak solution, so some of these seeded ones stop early."""
+    S, rng, early = builtin(*args), random.Random(59), 0
+    for _ in range(60):
+        rows, cols = rng.choice(((2, 2), (3, 2), (3, 3), (4, 2)))
+        A = Matrix.from_indices(S, rows, cols, [rng.randrange(len(S)) for _ in range(rows * cols)])
+        B = [1 << rng.randrange(len(S)) for _ in range(rows)]
+        folds = [_value_masks(S, S._prod, A.indices[i * cols:(i + 1) * cols], (b,), {})[0]
+                 for i, b in enumerate(B)]
+        assert linsys._weak_mask(LinearSystem(A, tuple(B))) == functools.reduce(int.__and__, folds)
+        early += any(not functools.reduce(int.__and__, folds[:j]) for j in range(1, rows))
+    assert early

@@ -16,6 +16,10 @@ checkout's own files:
   `structure_is` on a fresh structure, for each of COLD_STRUCTURES under each of
   COLD_KINDS, COLD_CALLS calls in each of REPEATS fresh interpreters; the row is
   the median in microseconds, and its work units are `verify_axioms(...).checked`;
+  beside them `builtin()` alone for each of COLD_STRUCTURES (work units: the
+  carrier size), and `structure_is(S, "superfield")` alone on a fresh COLD_MUTANT,
+  built before the clock starts, which fails at its first M3-mult witness (work
+  units: the `checked` count and first witness of its stop-on-first report);
 - the irreducibility scans of 1+2X^2 over `builtin("Hp", 5)` and of 1+X+X^4 over
   `builtin("Fp", 2)` (the shape of the `extension` workload's slowest
   irreducibility queries), `polys._irreducible` timed around the call in each of
@@ -103,8 +107,10 @@ VERBS = (
 # The cold checks: (row name, builtin() arguments), and the kinds checked.
 COLD_STRUCTURES = (("H3", ("Hp", 3)), ("H5", ("Hp", 5)), ("H7", ("Hp", 7)), ("Q2", ("Q2",)),
                    ("F5", ("Fp", 5)))
-COLD_KINDS = ("superfield", "multifield")
+COLD_KINDS = ("superfield", "multifield", "superdomain")
 COLD_CALLS = 300
+# H5 with 2.2 = {1, 4} in place of {4}: every superfield law before M3-mult passes
+COLD_MUTANT = ("H5 2.2={1,4}", ("Hp", 5), ("prod", 2, 2, {1, 4}))
 COLD_CODE = """
 import json, statistics, sys, time
 from mvla import builtin, structure_is, verify_axioms
@@ -116,8 +122,25 @@ for kind in KINDS:
             t0 = time.perf_counter()
             structure_is(builtin(*args), kind)
             times.append(time.perf_counter() - t0)
-        out[name + " " + kind] = (statistics.median(times) * 1e6,
-                                  verify_axioms(builtin(*args), kind).checked)
+        out["cold check " + name + " " + kind] = (statistics.median(times) * 1e6,
+                                                  verify_axioms(builtin(*args), kind).checked)
+for name, args in STRUCTURES:
+    times = []
+    for _ in range(CALLS):
+        t0 = time.perf_counter()
+        S = builtin(*args)
+        times.append(time.perf_counter() - t0)
+    out["builtin " + name] = (statistics.median(times) * 1e6, len(S))
+name, args, entry = MUTANT
+times = []
+for _ in range(CALLS):
+    S = builtin(*args).with_entry(*entry)
+    t0 = time.perf_counter()
+    structure_is(S, "superfield")
+    times.append(time.perf_counter() - t0)
+rep = verify_axioms(S, "superfield", stop_on_first=True)
+out["cold check " + name + " superfield"] = (statistics.median(times) * 1e6,
+                                             [rep.checked, list(rep.witnesses[0][:1])])
 print(json.dumps(out))
 """
 
@@ -357,16 +380,18 @@ def verb_rows(root, cache, repeats):
 
 
 def cold_rows(root, cache, repeats):
-    code = (f"KINDS, STRUCTURES, CALLS = {COLD_KINDS!r}, {COLD_STRUCTURES!r}, {COLD_CALLS}"
-            + COLD_CODE)
+    code = (f"KINDS, STRUCTURES, CALLS, MUTANT = {COLD_KINDS!r}, {COLD_STRUCTURES!r}, "
+            f"{COLD_CALLS}, {COLD_MUTANT!r}" + COLD_CODE)
     runs = []
     for _ in range(repeats):
         _, proc = _timed([sys.executable, "-c", code], root, cache)
         if proc.returncode != 0:
             raise RuntimeError(f"cold checks exited {proc.returncode}: {proc.stderr[-300:]}")
         runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-    return [_row("axioms", f"cold check {key}", [r[key][0] for r in runs], "us",
-                 [{"checked": r[key][1]} for r in runs]) for key in runs[0]]
+    units = {"cold": "checked", "builtin": "elements"}
+    return [_row("axioms" if key.startswith("cold") else "structures", key,
+                 [r[key][0] for r in runs], "us",
+                 [{units[key.split()[0]]: r[key][1]} for r in runs]) for key in runs[0]]
 
 
 def timed_call_rows(root, cache, repeats):
