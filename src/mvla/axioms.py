@@ -7,19 +7,21 @@ evaluation would leave the window are skipped and counted, and a clean run is
 reported as "pass-on-window", never as a global pass.
 
 The fast kernels take exact tables only and decide whether a whole table, a
-larger commutative table (associativity, one byte lane at a time), or a packed
-row of a law over triples, passes; on a whole table (exact, k <= 8) each law
-has one such test, which verify_axioms and structure_is share.  A window's rows
-and each failing table or row of an exact table go through one per-instance
-path, _Collector.record_all, which records a generator of the instances, their
-cells rebuilt, until the collector is done.  A scan builds that generator only
-once its fast test fails.
+larger commutative table (associativity, by rotation on lanes of up to 64 cell
+bits held as array items), or a packed row of a law over triples, passes; on a
+whole table (exact, k <= 8) each law has one such test, which verify_axioms and
+structure_is share.  A window's rows and each failing table or row of an exact
+table go through one per-instance path, _Collector.record_all, which records a
+generator of the instances, their cells rebuilt, until the collector is done.  A
+scan builds that generator only once its fast test fails.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import and_, eq, itemgetter, mul, or_
@@ -95,6 +97,16 @@ class _Collector:
         return self.done
 
 
+class _Verdict(_Collector):
+    """structure_is' collector, done at the first record_all call without reading it:
+    on exact tables a scan hands over instances only once a test of them all failed
+    (the laws over triples reach tables beyond 8 elements only once commutative)."""
+
+    def record_all(self, instances):
+        self.done = True
+        return True
+
+
 class _View:
     """Index-level tables consumed by the axiom loops.
 
@@ -117,13 +129,11 @@ class _View:
             sum_tab, prod_tab, act_tab, partial, {}
 
     def table(self, tab):
-        """The _Table of one of the view's k x k tables.  A whole table's is made on
-        first use and kept for the view's other scans; any other is made for one scan."""
+        """The _Table of one of the view's k x k tables, made on first use and kept
+        for its other scans (holding tab, so that its id is not reused)."""
         t = self._tables.get(id(tab))
         if t is None:
-            t = _Table(tab, self.k)
-            if t.whole:  # the entry holds tab, so its id is not reused while it lives
-                self._tables[id(tab)] = t
+            t = self._tables[id(tab)] = _Table(tab, self.k)
         return t
 
     @classmethod
@@ -228,9 +238,19 @@ _LOG2 = bytes(m.bit_length() - 1 if m & (m - 1) == 0 < m else 255 for m in range
 # (8 kB) at a time, and at least one line at a time.
 _M1_BITS = 1 << 16
 
-# The rotation test of associativity holds at most this many bytes of a lane on
-# each side at a time, and at least one b at a time.
+# The rotation test of associativity holds each cell's bits 64 to a lane, as array
+# items of u = 1, 2, 4 or 8 bytes (_lanes): a lane's lines take k * u bytes per
+# distinct cell.  Of its rotation it holds at most this many bytes on each side at
+# a time (items of the first lane's size), and at least one b at a time.
 _LANE_BYTES = 1 << 16
+_ITEM_CODES = {array(code).itemsize: code for code in "BHILQ"}  # B, H, I, Q: 1, 2, 4, 8
+
+
+def _lanes(k):
+    """The array typecode of each lane of the rotation test for cells of k bits: 64
+    bits of each cell, the lowest first, in the smallest item that holds them."""
+    return [_ITEM_CODES[1 << ((min(64, k - shift) + 7) // 8 - 1).bit_length()]
+            for shift in range(0, k, 64)]
 
 
 def _flat(tab):
@@ -275,12 +295,12 @@ def _passes(L, R, equal):
 
 
 class _Table:
-    """A k x k table of a view: whether every cell is exact, its packed width
-    w = ceil(k / 8), and derived forms that its scans share.  A whole table (exact,
-    k <= 8) makes at once the bytes forms that every whole-table test reads: its
-    cells, transposed, whether it is symmetric, and its rows as bytes and packed
-    ints (its columns too, on a symmetric table).  Any other form (_FORMS) is made
-    when a scan first asks for it."""
+    """A k x k table of a view (or its s x k action): whether every cell is exact,
+    its packed width w = ceil(k / 8), and derived forms that its scans share.  A
+    whole table (exact, k <= 8) makes at once the bytes forms that every
+    whole-table test reads: its cells, transposed, whether it is symmetric, and its
+    rows as bytes and packed ints (its columns too, on a symmetric table).  Any
+    other form (_FORMS) is made when a scan first asks for it."""
 
     def __init__(self, rows, k):
         self.rows, self.k, self.w = rows, k, (k + 7) // 8
@@ -318,7 +338,11 @@ _FORMS = {
     "in_rows": _in_rows,
     "members": lambda t: t.cells.translate(_LOG2),  # 255 for two members or none
     "col_bytes": lambda t: [t.transposed[i:i + t.k] for i in range(0, t.k ** 2, t.k)],
-    "packed_cols": lambda t: list(map(int.from_bytes, t.col_bytes, repeat("big"))),
+    "packed_rows": lambda t: [_pack(row, t.w) for row in t.rows],  # of an exact table
+    "packed_cols": lambda t: [_pack(col, t.w) for col in t.cols],
+    "distinct": lambda t: _cells(t.rows),
+    # per row, an itemgetter of its cells' unions (of _row_unions) and a tuple's closing b""
+    "getters": lambda t: [itemgetter(*map(t.distinct[1].__getitem__, row), -1) for row in t.rows],
 }
 
 
@@ -331,15 +355,8 @@ def _cells(tab):
     return members, {cell: n for n, cell in enumerate(members)}
 
 
-def _getters(ids, tab):
-    """Per row of tab, an itemgetter of its cells' unions from a list of _row_unions
-    (the cells positioned as in ids), and of the list's closing b"", so that it
-    always returns a tuple."""
-    return [itemgetter(*map(ids.__getitem__, row), -1) for row in tab]
-
-
 def _gather(get, unions):
-    """The packed row of the unions that get (from _getters) picks."""
+    """The packed row of the unions that get (of a _Table's getters) picks."""
     return int.from_bytes(b"".join(get(unions)), "big")
 
 
@@ -348,15 +365,20 @@ def _row_unions(tab, members, w):
     _cells) of the OR of tab[a][y] over the members y of the cell, as w bytes;
     then b"".
 
-    The table's columns are packed over a block of rows, so one OR per member
-    serves the whole block; only one block's unions are held at a time.
+    Where every cell has one member y, its union is the cell tab[a][y] itself
+    (as in _spread).  Otherwise the table's columns are packed over a block of
+    rows, so one OR per member serves the whole block; only one block's unions
+    are held at a time.
     """
+    only = [mem[0] for mem in members.values() if len(mem) == 1]
+    if len(only) == len(members):
+        for row in tab:
+            yield [*map(int.to_bytes, map(row.__getitem__, only), repeat(w), repeat("big")), b""]
+        return
     for lo in range(0, len(tab), _BLOCK):
         block = tab[lo:lo + _BLOCK]
-        n = len(block)
-        cols = [_pack(c, w) for c in zip(*block)]
-        unions = [_or(cols, mem).to_bytes(n * w, "big") for mem in members.values()]
-        unions.append(b"")
+        n, cols = len(block), [_pack(c, w) for c in zip(*block)]
+        unions = [*(_or(cols, mem).to_bytes(n * w, "big") for mem in members.values()), b""]
         for o in range(0, n * w, w):
             yield [raw[o:o + w] for raw in unions]
 
@@ -376,18 +398,10 @@ def _assoc_rows(t, equal):
     c is the OR of the packed table rows x over x in a.b, and the right row gathers,
     over the cells b.c, the unions of a.y over y in the cell, which _row_unions
     builds for all distinct cells and one row a at a time."""
-    tab, w = t.rows, t.w
-    packed = [_pack(row, w) for row in tab]
-    members, ids = _cells(tab)
-    getters = _getters(ids, tab)
-    # _or, _gather and _passes are inlined here: every derived carrier's check runs
-    # this loop
-    reduce, from_bytes, join = functools.reduce, int.from_bytes, b"".join
-    for row, right in zip(tab, _row_unions(tab, members, w)):
-        for get, ab in zip(getters, row):
-            L = reduce(or_, map(packed.__getitem__, members[ab]), 0)
-            R = from_bytes(join(get(right)), "big")
-            yield L == R if equal else (L | R) == R
+    members = t.distinct[0]
+    for row, right in zip(t.rows, _row_unions(t.rows, members, t.w)):
+        for get, ab in zip(t.getters, row):
+            yield _passes(_or(t.packed_rows, members[ab]), _gather(get, right), equal)
 
 
 def _assoc_lanes_pass(t):
@@ -398,30 +412,38 @@ def _assoc_lanes_pass(t):
     L(a, b, c) <= L(b, c, a) <= L(c, a, b) <= L(a, b, c) makes every instance an
     equality, so both laws hold everywhere exactly when L equals its rotation.
 
-    L's row over c is built once per distinct cell a.b, one byte lane of the
-    cells at a time, and the lane is compared a chunk of b values at a time: of
-    the rows L(b, c, .) gathered in order (b, c), every k-th byte from a is
-    R(a, b, c) in order (b, c), and must equal the rows L(a, b, .) gathered in
-    order (a, b).
+    L's row over c is built once per distinct cell a.b, one lane of the cells at
+    a time: up to 64 bits of each cell in one array item of 1, 2, 4 or 8 bytes
+    (_lanes), so one lane up to k = 64 and ceil(k / 64) beyond.  A lane's lines
+    (k items per distinct cell) go once the next lane's are made: freed before,
+    they leave the chunks' temporaries to grow and trim the heap at every chunk
+    (1.7x the time on H3^5).  The lane is compared a chunk of b values at a
+    time: of the rows L(b, c, .) gathered in order (b, c), every k-th item from
+    a is R(a, b, c) in order (b, c), and must equal the rows L(a, b, .) gathered
+    in order (a, b).
     """
-    tab, k, w = t.rows, t.k, t.w
-    members, ids = _cells(tab)
+    tab, k = t.rows, t.k
+    members, ids = t.distinct
     id_rows = [list(map(ids.__getitem__, row)) for row in tab]
-    step = max(1, _LANE_BYTES // k ** 2)
+    codes, order = _lanes(k), sys.byteorder
+    step = max(1, _LANE_BYTES // (k * k * array(codes[0]).itemsize))
     # per chunk, the cell ids of the rows L(a, b, .) (the chunk's columns, which
     # are its rows transposed) and of the rows L(b, c, .)
     chunks = [(_flat(zip(*id_rows[lo:lo + step])), _flat(id_rows[lo:lo + step]))
               for lo in range(0, k, step)]
     del id_rows
-    raws = [_pack(row, w).to_bytes(k * w, "big") for row in tab]
-    reduce, join = functools.reduce, b"".join  # _or is inlined: it runs once a cell and lane
-    for lane in range(w):
-        row = [int.from_bytes(raw[lane::w], "big") for raw in raws].__getitem__
-        lines = [reduce(or_, map(row, mem), 0).to_bytes(k, "big") for mem in members.values()]
+    n = len(codes)  # raws: each row's cells as n items of 8 bytes (little-endian: lowest first)
+    raws = [array("Q", b"".join(map(int.to_bytes, row, repeat(8 * n), repeat(order))))
+            for row in tab]
+    reduce, join, rotate = functools.reduce, b"".join, _strided(k)  # _or is inlined
+    for lane, code in enumerate(codes):
+        at, size = lane if order == "little" else n - 1 - lane, array(code).itemsize
+        row = [int.from_bytes(array(code, raw[at::n]), order) for raw in raws].__getitem__
+        lines = [reduce(or_, map(row, mem), 0).to_bytes(k * size, order)
+                 for mem in members.values()]
         get = lines.__getitem__
         for left, right in chunks:
-            rotated = join(map(get, right))
-            if join([rotated[a::k] for a in range(k)]) != join(map(get, left)):
+            if join(rotate(array(code, join(map(get, right))))) != join(map(get, left)):
                 return False
     return True
 
@@ -433,36 +455,34 @@ def _scan_assoc(view, col, tab, axiom, law):
     x in each row (a, b) whose cell holds x, and a.(b.c), over (b, c, a), the
     packed column y in each row (b, c) whose cell holds y.  Any other exact
     commutative table is first tested at once by rotation (_assoc_lanes_pass).
-    An exact table that fails it or is not commutative goes one packed row (a, b)
-    at a time (_assoc_rows), and a row whose k instances all pass is counted at
-    once.  Every row of a window, and each failing row, goes through the
-    per-instance path, so witnesses, counts and the early exit are those of a
-    per-triple scan.
+    Any other table goes to the per-instance path as one generator of the rows
+    (a, b) in turn, so witnesses, counts and the early exit are those of a
+    per-triple scan; on an exact table a row whose k instances all pass
+    (_assoc_rows) is counted at once and yields none.
     """
-    t, k, equal = view.table(tab), view.k, law is _equality
+    t, k, els, inex, equal = view.table(tab), view.k, view.elements, view.inex, law is _equality
     if _assoc_passes(t, equal) if t.whole else t.symmetric and _assoc_lanes_pass(t):
         col.checked += k ** 3
         return
-    els, inex = view.elements, view.inex
-    for n, passed in enumerate(_assoc_rows(t, equal) if t.exact else repeat(False, k * k)):
-        if passed:
-            col.checked += k
-            continue
-        i, j = divmod(n, k)
-        if col.record_all(_judged(law, inex, zip(
+
+    def instances():
+        for n, passed in enumerate(_assoc_rows(t, equal) if t.exact else repeat(False, k * k)):
+            if passed:
+                col.checked += k
+                continue
+            i, j = divmod(n, k)
+            yield from _judged(law, inex, zip(
                 _unions(t.cols, repeat(tab[i][j]), inex), _unions(repeat(tab[i]), tab[j], inex),
-                repeat(axiom), [(els[i], els[j], c) for c in els]))):
-            return
+                repeat(axiom), [(els[i], els[j], c) for c in els]))
+
+    col.record_all(instances())
 
 
 # -- individual axiom scans -------------------------------------------------
 #
-# Each scan first tests all its instances at once on an exact table and counts
-# them when they all pass; a law over triples on a table too large to test whole
-# goes one packed row at a time, after the rotation test for associativity on a
-# commutative table.  A window's table, and a table or row that fails that test,
-# is handed to record_all as a generator of its instances, in the order of a
-# per-instance scan.
+# Each scan first tests all its instances at once on an exact table and counts them
+# when they all pass.  A window's table, and a table or row that fails that test, is
+# handed to record_all as a generator of its instances, in per-instance order.
 
 
 @functools.cache
@@ -703,9 +723,8 @@ def _scan_weak_dist(view, col):
         col.checked += 2 * k ** 3
         return
     if exact:
-        members, _ = _cells(view.sum)
-        packed_cols, packed_rows = [_pack(c, w) for c in p.cols], [_pack(r, w) for r in prods]
-        lefts = {ab: (_or(packed_cols, mem), _or(packed_rows, mem)) for ab, mem in members.items()}
+        lefts = {ab: (_or(p.packed_cols, mem), _or(p.packed_rows, mem))
+                 for ab, mem in s.distinct[0].items()}
     for n, ab in enumerate(s.flat):
         R, R2 = right[n * k:(n + 1) * k], right2[n * k:(n + 1) * k]
         if exact and (_passes(lefts[ab][0], _pack(R, w), False)
@@ -742,13 +761,10 @@ def _scan_hyper_dist(view, col):
             and _rotated(_spread(s, p.col_bytes, p.packed_cols), k) == _pack(right, w)):
         col.checked += k ** 3
         return
-    if exact:
-        members, ids = _cells(view.sum)
-        getters = _getters(ids, view.sum)
-    for a, unions in enumerate(_row_unions(prods, members, w) if exact else repeat(None, k)):
+    for a, unions in enumerate(_row_unions(prods, s.distinct[0], w) if exact else repeat(None, k)):
         for b in range(k):
             R = right[(a * k + b) * k:(a * k + b + 1) * k]
-            if exact and _gather(getters[b], unions) == _pack(R, w):
+            if exact and _gather(s.getters[b], unions) == _pack(R, w):
                 col.checked += k
             elif col.record_all(_judged(_equality, inex, zip(
                     _unions(repeat(prods[a]), view.sum[b], inex), R, repeat("hyper-dist"),
@@ -893,13 +909,13 @@ def _report(subject, kind, view, col):
 
 def structure_is(S, kind):
     """Whether the finite structure S is of the kind, cached on S: verify_axioms'
-    scans, stopped at the first witness, with no report made."""
+    scans, stopped at the first failing test (_Verdict), with no report made."""
     cache = S._kind_cache
     if kind not in cache:
         if kind not in _KIND_SCANS:
             raise StructureError(f"unknown structure kind {kind!r}")
         cache[kind] = not _scan_kind(_View.of_structure(S), kind,
-                                     _Collector(stop_on_first=True)).witnesses
+                                     _Verdict(stop_on_first=True)).done
     return cache[kind]
 
 
@@ -1029,29 +1045,25 @@ def _scan_action(view, F, col, full):
     equality when full is set; MV0 and MV1 always demand equality.  A vector
     carrier's tables are exact, and a scalar cell is a mask over the scalars, so
     no cell here has an inexact bit.  MV1 and MV3 test one packed row (lam, mu)
-    over v, MV2 one row (lam, v) over w, as _scan_assoc does.  The unions of
-    lam.y over the members y of a cell come from _row_unions on the action
-    table, over the distinct action cells for MV1 and the distinct sum cells for
-    MV2, one lam at a time.  The right side of MV2, lam.v + lam.w over w, is the
-    OR over x in lam.v of packed rows that gather the unions of x + y over y in
-    lam.w; one pass of _row_unions over the sum table builds them for every lam.
-    A row that fails goes through the per-instance path.
+    over v, MV2 one row (lam, v) over w.  The unions of lam.y over the members y
+    of a cell come from _row_unions on the action table, over the distinct
+    action cells for MV1 and the sum table's (its _Table form, shared with M3)
+    for MV2.  The right side of MV2, lam.v + lam.w over w, is the OR over x in
+    lam.v of packed rows that gather the unions of x + y over y in lam.w, read
+    off the sum table's rows by _row_unions (over a hyperfield, whose action
+    cells have one member each, the cells x + lam.w themselves).  A row that
+    fails goes through the per-instance path.
     """
-    els, act, k = view.elements, view.act, view.k
-    scal = F.elements
-    s = len(scal)
-    one, zero = F.one_i, F.zero_i
-    zero_vec = 1 << view.zero_i
+    els, act, k, scal, zero_vec = view.elements, view.act, view.k, F.elements, 1 << view.zero_i
+    s, one, zero = len(scal), F.one_i, F.zero_i
     if [*act[one]] == [1 << v for v in range(k)] and [*act[zero]] == [zero_vec] * k:
         col.checked += 2 * k  # MV0 holds in both columns
     elif col.record_all((_equality(cell, unit, 0), axiom, (els[v],)) for v in range(k)
                         for cell, unit, axiom in ((act[one][v], 1 << v, "MV0-one"),
                                                   (act[zero][v], zero_vec, "MV0-zero"))):
         return
-    width = (k + 7) // 8
-    acts, cols = [_pack(row, width) for row in act], list(zip(*act))
-    act_cells, act_ids = _cells(act)
-    act_getters = _getters(act_ids, act)
+    t, width = view.table(act), (k + 7) // 8  # s x k: no whole-table form is read
+    acts, cols, act_cells, act_getters = t.packed_rows, t.cols, t.distinct[0], t.getters
     # MV1: (lam mu) v = lam (mu v)
     for lam, unions in enumerate(_row_unions(act, act_cells, width)):
         for mu in range(s):
@@ -1062,11 +1074,9 @@ def _scan_action(view, F, col, full):
                     _unions(cols, repeat(m), 0), _unions(repeat(act[lam]), act[mu], 0),
                     repeat("MV1"), ((scal[lam], scal[mu], v) for v in els)))):
                 return
-    law = _equality if full else _containment
-    plus = _Setwise(view.sum)
+    law, plus = _equality if full else _containment, _Setwise(view.sum)
     # MV2: lam (v + w) within lam v + lam w
-    sum_cells, sum_ids = _cells(view.sum)
-    sum_getters = _getters(sum_ids, view.sum)
+    sum_cells, sum_getters = view.table(view.sum).distinct[0], view.table(view.sum).getters
     # lam_sums[lam][x]: the packed row over w of x + lam.w
     lam_sums = list(zip(*([_gather(get, u) for get in act_getters]
                           for u in _row_unions(view.sum, act_cells, width))))

@@ -3,8 +3,10 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import random
 import unittest.mock
+from array import array
 from pathlib import Path
 
 import pytest
@@ -622,18 +624,22 @@ def _members(mask):
     return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
-def _lanes_agree(tab, step=None):
+def _lanes_agree(tab, *steps):
     """_assoc_lanes_pass on an exact symmetric table of 9 or more elements, with
-    chunks of step b values when step is set, gives the packed rows' verdict under
-    both laws; returns it."""
+    chunks of all b values that _LANE_BYTES allows (step None, the default) and of
+    each other step of b values, gives the packed rows' verdict under both laws;
+    returns it."""
     k = len(tab)
     t = axioms._Table(tab, k)
     assert k > 8 and t.symmetric
-    with unittest.mock.patch.object(axioms, "_LANE_BYTES", step * k * k if step
-                                    else axioms._LANE_BYTES):
-        got = axioms._assoc_lanes_pass(t)
-    assert got == all(axioms._assoc_rows(t, False)) == all(axioms._assoc_rows(t, True))
-    return got
+    want = all(axioms._assoc_rows(t, False))
+    assert want == all(axioms._assoc_rows(t, True))
+    item = array(axioms._lanes(k)[0]).itemsize  # the chunks hold items of the first lane's
+    for step in steps or (None,):
+        with unittest.mock.patch.object(axioms, "_LANE_BYTES", step * k * k * item if step
+                                        else axioms._LANE_BYTES):
+            assert axioms._assoc_lanes_pass(axioms._Table(tab, k)) == want, step
+    return want
 
 
 def _product_table(tabs):
@@ -761,6 +767,54 @@ def test_rotation_test_sees_a_failure_in_the_low_byte_lane_alone(step):
            for a in range(16)]
     assert _lanes_agree(tab, step)
     assert not _lanes_agree(_widened(tab, 0, 1, 2), step)
+
+
+# The sizes where the rotation test's lane items change: 9 and 16 elements hold a
+# cell in 2 bytes, 17 and 32 in 4, 33 and 64 in 8, 65 in 8 and 1, 81 in 8 and 4.
+_ITEM_EDGES = {9: [("Hp", 3, "sum"), ("Xn", 1, "sum")], 16: [("K", None, "sum")] * 4,
+               17: [("Fp", 17, "sum")], 32: [("K", None, "sum")] * 5,
+               33: [("Fp", 11, "sum"), ("Hp", 3, "sum")], 64: [("K", None, "sum")] * 6,
+               65: [("Hp", 5, "sum"), ("Fp", 13, "prod")], 81: [("Hp", 3, "sum")] * 4}
+
+
+def _lane_items(k):
+    return [array(code).itemsize for code in axioms._lanes(k)]
+
+
+def test_lane_items_hold_the_cells_in_the_fewest_bytes():
+    assert {k: _lane_items(k) for k in _ITEM_EDGES} == {
+        9: [2], 16: [2], 17: [4], 32: [4], 33: [8], 64: [8], 65: [8, 1], 81: [8, 4]}
+    assert _lane_items(243) == [8, 8, 8, 8] and _lane_items(8) == [1]
+
+
+@pytest.mark.parametrize("k", sorted(_ITEM_EDGES))
+def test_rotation_test_at_every_lane_item_boundary(k):
+    """A relabelled componentwise product of built-in tables of k elements passes under
+    each chunk size; with its identity's cell e.e widened by an element x, it fails
+    at (e, e, e), where (e.e).e holds x and e.(e.e) does not."""
+    factors = [getattr(builtin(name, *([] if p is None else [p])), "_" + op)
+               for name, p, op in _ITEM_EDGES[k]]
+    perm = list(range(k))
+    random.Random(k).shuffle(perm)
+    tab = _relabelled(_product_table(factors), perm)
+    assert _lanes_agree(tab, None, 1, 3)
+    e = next(a for a in range(k) if tab[a] == [1 << b for b in range(k)])
+    assert not _lanes_agree(_widened(tab, e, e, k - 1 if e != k - 1 else 0), None, 1, 3)
+
+
+@pytest.mark.parametrize("k, lo, n, items", [(72, 0, 64, [8, 1]), (72, 64, 8, [8, 1]),
+                                             (81, 64, 16, [8, 4])])
+def test_rotation_test_sees_a_failure_in_one_lane_alone(k, lo, n, items):
+    """The k = 16 test above on k elements, its n xor-summed members lo to lo + n - 1
+    (lo the zero): widening lo + (lo + 1) breaks associativity only among them, which
+    every cell keeps in one lane: the low lane of 8-byte items (lo = 0) or the last
+    one."""
+    assert _lane_items(k) == items
+    whole = (1 << k) - 1
+    tab = [[1 << lo + (a - lo ^ b - lo) if lo <= min(a, b) and max(a, b) < lo + n else whole
+            for b in range(k)] for a in range(k)]
+    assert _lanes_agree(tab, None, 1, 3)
+    assert not _lanes_agree(_widened(tab, lo, lo + 1, lo + 2), None, 1, 3)
 
 
 @pytest.fixture(scope="module")
@@ -1299,6 +1353,35 @@ def test_action_scan_matches_tuple_loop_on_random_actions(drawn):
     _action_agrees(*drawn)
 
 
+@settings(max_examples=40, deadline=None)
+@given(drawn=action_views(st.sampled_from([3, 5, 9, 17])), data=st.data())
+def test_action_scan_matches_tuple_loop_on_one_member_actions(drawn, data):
+    """Every action cell one vector, as over a hyperfield: _row_unions reads the unions
+    of x + lam.w off the sum table's rows."""
+    view, F = drawn
+    for row in view.act:
+        row[:] = [1 << x for x in data.draw(st.lists(st.integers(0, view.k - 1),
+                                                     min_size=view.k, max_size=view.k))]
+    _action_agrees(view, F)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.sampled_from([2, 7, 9, 17]), rows=st.integers(1, 20),
+       one_member=st.booleans())
+def test_row_unions_match_the_ors_of_their_cells(data, k, rows, one_member):
+    """_row_unions against its definition, with every cell of one member (read off
+    the rows) or with cells of any members (ORs over blocks of rows)."""
+    tab = [data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=k, max_size=k))
+           for _ in range(rows)]
+    cells = data.draw(st.lists(st.integers(0, k - 1).map((1).__lshift__) if one_member
+                               else st.integers(1, (1 << k) - 1), min_size=1, unique=True))
+    members = {cell: _members(cell) for cell in cells}
+    w = (k + 7) // 8
+    want = [[functools.reduce(operator.or_, map(row.__getitem__, mem), 0).to_bytes(w, "big")
+             for mem in members.values()] + [b""] for row in tab]
+    assert list(axioms._row_unions(tab, members, w)) == want
+
+
 @settings(max_examples=30, deadline=None)
 @given(drawn=action_views(_BYTE_EDGES))
 def test_action_scan_matches_tuple_loop_at_byte_boundaries(drawn):
@@ -1416,6 +1499,40 @@ def test_reports_match_reference_on_random_whole_tables(S):
 @given(S=exact_structures(st.just(8)))
 def test_reports_match_reference_on_random_whole_tables_of_eight_elements(S):
     _reports_match_reference(S)
+
+
+# structure_is stops at its first record_all call, before the failing scan walks its
+# packed rows or evaluates an instance: it must still give the report's verdict.
+
+
+@settings(max_examples=25, deadline=None)
+@given(S=exact_structures(st.sampled_from([9, 11, 16])))
+def test_structure_is_matches_the_report_on_random_tables_beyond_whole(S):
+    for kind in KINDS:
+        assert structure_is(S, kind) == verify_axioms(S, kind).passed, kind
+
+
+@pytest.mark.parametrize("args", [("Xn", 4), ("Fp", 11)])
+def test_structure_is_matches_the_report_on_sampled_mutants_beyond_whole(args):
+    """Single-entry mutants of structures of 9 and 11 elements, whose tables go through
+    the rotation test and the packed rows rather than whole-table tests."""
+    failing = 0
+    for T in random.Random(32).sample(list(_single_entry_mutants(builtin(*args))), 10):
+        for kind in KINDS:
+            passed = verify_axioms(T, kind).passed
+            assert structure_is(T, kind) == passed, (kind, T.name)
+            failing += not passed
+    assert failing
+
+
+def test_structure_is_stops_before_a_failing_scan_walks_its_rows(monkeypatch):
+    """The H5 mutant with 2.2 = {1, 4} fails M3-mult: structure_is reads the verdict
+    off the failed whole-table test, with no packed row or instance evaluated."""
+    S = builtin("Hp", 5).with_entry("prod", 2, 2, {1, 4})
+    assert verify_axioms(S, "superfield", stop_on_first=True).witnesses[0][0] == "M3-mult"
+    monkeypatch.setattr(axioms, "_assoc_rows", _refused)
+    monkeypatch.setattr(axioms, "_judged", _refused)
+    assert not structure_is(S, "superfield")
 
 
 def test_cold_check_runs_every_scan_on_each_fresh_structure(monkeypatch):

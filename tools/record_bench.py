@@ -28,9 +28,13 @@ checkout's own files:
 - the quotient search `find_quotient_superfield(builtin("Hp", 5), 2)`, timed
   around the call in each of REPEATS fresh interpreters; its work units say
   whether it found a quotient;
-- M3 on the sum table of `fn_space(builtin("Hp", 3), 4)` (81 vectors), the
-  private `axioms._scan_assoc` timed around the call, and `verify_vspace` on
-  `fn_space(builtin("Hp", 3), 5)` (243 vectors), each in REPEATS fresh
+- M3 on the sum tables of `fn_space(builtin("Hp", 3), 4)` (81 vectors, two
+  lanes of the rotation test) and of `fn_space(builtin("K"), 5)` (32 vectors,
+  one lane), the private `axioms._scan_assoc` timed around the call; MV0-MV3 on
+  `fn_space(builtin("Hp", 3), 4)`, the private `axioms._scan_action` timed
+  around the call on the view that the vector multigroup scan (untimed) has
+  just checked, as in `verify_vspace`; and `verify_vspace` on
+  `fn_space(builtin("Hp", 3), 5)` (243 vectors); each in REPEATS fresh
   interpreters; the work units of each are the instances it counted as
   `checked`;
 - `dimension` on `fn_space(builtin("Hp", 3), 2)` and `fn_space(builtin("Fp", 3),
@@ -170,6 +174,19 @@ irreducible = _irreducible(f, slices).irreducible
 print(json.dumps([time.perf_counter() - t0, {"irreducible": irreducible, "slices": len(slices)}]))
 """
 
+# M3 on the sum table of fn_space(builtin(*ARGS), N), which its rows set first.
+M3_CODE = """
+import json, time
+from mvla import builtin, fn_space
+from mvla.axioms import _Collector, _View, _containment, _scan_assoc
+V = fn_space(builtin(*ARGS), N)
+view, col = _View(V.vectors, V.zero_i, None, V.neg, V.sum, None, False, V.act), _Collector()
+t0 = time.perf_counter()
+_scan_assoc(view, col, V.sum, "M3", _containment)
+print(json.dumps([time.perf_counter() - t0, {"checked": col.checked,
+                                             "witnesses": len(col.witnesses)}]))
+"""
+
 # The rows timed around one call in a fresh interpreter: (layer, row name, code).
 # Each code prints [seconds, work units].
 TIMED_CALLS = (
@@ -184,14 +201,17 @@ t0 = time.perf_counter()
 found = find_quotient_superfield(builtin("Hp", 5), 2) is not None
 print(json.dumps([time.perf_counter() - t0, {"found": found}]))
 """),
-    ("axioms", "M3 H3^4 sum", """
+    ("axioms", "M3 H3^4 sum", 'ARGS, N = ("Hp", 3), 4' + M3_CODE),
+    ("axioms", "M3 K^5 sum", 'ARGS, N = ("K",), 5' + M3_CODE),
+    ("axioms", "action H3^4", """
 import json, time
 from mvla import builtin, fn_space
-from mvla.axioms import _Collector, _View, _containment, _scan_assoc
+from mvla.axioms import _Collector, _View, _add_group, _scan_action
 V = fn_space(builtin("Hp", 3), 4)
 view, col = _View(V.vectors, V.zero_i, None, V.neg, V.sum, None, False, V.act), _Collector()
+_add_group(view, _Collector())
 t0 = time.perf_counter()
-_scan_assoc(view, col, V.sum, "M3", _containment)
+_scan_action(view, V.scalars, col, False)
 print(json.dumps([time.perf_counter() - t0, {"checked": col.checked,
                                              "witnesses": len(col.witnesses)}]))
 """),
