@@ -6,14 +6,15 @@ reports.  Lazy structures are checked on an explicit window: instances whose
 evaluation would leave the window are skipped and counted, and a clean run is
 reported as "pass-on-window", never as a global pass.
 
-The fast kernels take exact tables only and decide whether a whole table, a
-larger commutative table (associativity, by rotation on lanes of up to 64 cell
-bits held as array items), or a packed row of a law over triples, passes; on a
-whole table (exact, k <= 8) each law has one such test, which verify_axioms and
-structure_is share.  A window's rows and each failing table or row of an exact
-table go through one per-instance path, _Collector.record_all, which records a
-generator of the instances, their cells rebuilt, until the collector is done.  A
-scan builds that generator only once its fast test fails.
+Each kind is one flat ladder of laws (_KIND_SCANS), run in order until the
+collector is done.  A law is a (view, col) function that reads the view's
+_Table of each table it tests: it counts its instances when a test of them all
+passes, and otherwise hands a generator of them, their cells rebuilt, to the one
+per-instance path, _Collector.record_all.  The tests take exact tables only and
+decide whether a whole table (exact, k <= 8), a larger commutative table
+(associativity, by rotation on lanes of up to 64 cell bits held as array items),
+or a packed row of a law over triples, passes; verify_axioms and structure_is run
+the same laws.  A window's tables always go through the per-instance path.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class _Collector:
     """Accumulates instance verdicts and early-exits once enough witnesses exist."""
 
     def __init__(self, limit=3, stop_on_first=False):
+        if limit < 1:  # a failure kept as no witness would read as a pass
+            raise StructureError(f"witness limit must be at least 1, not {limit!r}")
         self.limit = limit
         self.stop = stop_on_first
         self.witnesses = []
@@ -99,8 +102,9 @@ class _Collector:
 
 class _Verdict(_Collector):
     """structure_is' collector, done at the first record_all call without reading it:
-    on exact tables a scan hands over instances only once a test of them all failed
-    (the laws over triples reach tables beyond 8 elements only once commutative)."""
+    on exact tables a law hands over instances only once a test of them all failed.
+    Associativity has no such test on a non-commutative table, but every ladder
+    tests a table's commutativity first, so it meets one only in a report."""
 
     def record_all(self, instances):
         self.done = True
@@ -115,26 +119,21 @@ class _View:
     result that escapes the window is inex alone.  So a union of cells is a
     plain OR, and it is exact when every cell is.  Finite structures and
     derived carriers are always total and exact.  A vector space's view also
-    holds act[lam][v], the action of scalar index lam on vector index v.
+    holds act[lam][v], the action of scalar index lam on vector index v.  The
+    laws read each table through tables["sum"], tables["prod"] or tables["act"],
+    its _Table, made once when the view is built.
     """
 
     __slots__ = ("elements", "k", "inex", "zero_i", "one_i", "neg", "sum", "prod", "act",
-                 "partial", "_tables")
+                 "partial", "tables")
 
     def __init__(self, elements, zero_i, one_i, neg, sum_tab, prod_tab, partial,
                  act_tab=None):
         self.elements, self.k, self.inex = elements, len(elements), 1 << len(elements)
         self.zero_i, self.one_i, self.neg = zero_i, one_i, neg
-        self.sum, self.prod, self.act, self.partial, self._tables = \
-            sum_tab, prod_tab, act_tab, partial, {}
-
-    def table(self, tab):
-        """The _Table of one of the view's k x k tables, made on first use and kept
-        for its other scans (holding tab, so that its id is not reused)."""
-        t = self._tables.get(id(tab))
-        if t is None:
-            t = self._tables[id(tab)] = _Table(tab, self.k)
-        return t
+        self.sum, self.prod, self.act, self.partial = sum_tab, prod_tab, act_tab, partial
+        self.tables = {op: _Table(tab, self.k) for op, tab in
+                       (("sum", sum_tab), ("prod", prod_tab), ("act", act_tab)) if tab is not None}
 
     @classmethod
     def of_structure(cls, S):
@@ -225,7 +224,8 @@ def _judged(law, inex, sides):
 # For a whole table (exact, with cells of one byte) a side of a law puts in each row
 # (a, b) of a tensor the OR of a line x (a table's row or column) over the members x
 # of the cell a.b (_spread): a join of lines, or an OR of k products of in_rows[x] by
-# the packed line x.  A side over (b, c, a) is rotated to (a, b, c) by _rotated.
+# the packed line x.  Associativity on a commutative table compares a side with its
+# rotation over (b, c, a); exact distributivity, weak distributivity's two tensors.
 
 # Rows of a table packed together in _row_unions: more rows take fewer ORs, fewer
 # hold less at once (a block's unions are a block of bytes per distinct cell).
@@ -281,11 +281,6 @@ def _spread(t, lines, packed):
 def _strided(k):
     """An itemgetter of the slices [a::k], a < k, and [0:0] (a tuple at k = 1)."""
     return itemgetter(*(slice(a, None, k) for a in range(k)), slice(0, 0))
-
-
-def _rotated(tensor, k):
-    """A tensor of one-byte cells (bytes) over (b, c, a), as an int over (a, b, c)."""
-    return int.from_bytes(b"".join(_strided(k)(tensor)), "big")
 
 
 def _passes(L, R, equal):
@@ -383,14 +378,12 @@ def _row_unions(tab, members, w):
             yield [raw[o:o + w] for raw in unions]
 
 
-def _assoc_passes(t, equal):
-    """(a.b).c within a.(b.c) (equal to it when equal is set) for every triple, on a
-    whole table: each side is one tensor of k**3 cells."""
+def _assoc_passes(t):
+    """(a.b).c equals a.(b.c) for every triple, on a whole commutative table: there
+    a.(b.c) over (b, c, a) is (a.b).c, so both laws ask that the tensor L of k**3
+    cells equal its rotation (as in _assoc_lanes_pass)."""
     L = _spread(t, t.row_bytes, t.packed_rows)
-    if t.symmetric:  # a.(b.c) over (b, c, a) is (a.b).c, so both laws ask L = R there
-        return b"".join(_strided(t.k)(L)) == L  # (as in _assoc_lanes_pass)
-    R = _rotated(_spread(t, t.col_bytes, t.packed_cols), t.k)
-    return _passes(int.from_bytes(L, "big"), R, equal)
+    return b"".join(_strided(t.k)(L)) == L
 
 
 def _assoc_rows(t, equal):
@@ -448,20 +441,19 @@ def _assoc_lanes_pass(t):
     return True
 
 
-def _scan_assoc(view, col, tab, axiom, law):
-    """law((a.b).c, a.(b.c)), unionwise, for every triple.
+def _scan_assoc(view, col, op, axiom, law):
+    """law((a.b).c, a.(b.c)), unionwise, for every triple of the table op.
 
-    A whole table is tested at once (_assoc_passes): (a.b).c puts the packed row
-    x in each row (a, b) whose cell holds x, and a.(b.c), over (b, c, a), the
-    packed column y in each row (b, c) whose cell holds y.  Any other exact
-    commutative table is first tested at once by rotation (_assoc_lanes_pass).
-    Any other table goes to the per-instance path as one generator of the rows
-    (a, b) in turn, so witnesses, counts and the early exit are those of a
-    per-triple scan; on an exact table a row whose k instances all pass
-    (_assoc_rows) is counted at once and yields none.
+    A commutative table is tested at once by rotation: whole (_assoc_passes), where
+    (a.b).c puts the packed row x in each row (a, b) whose cell holds x, or exact
+    (_assoc_lanes_pass).  Any other table goes to the per-instance path as one
+    generator of the rows (a, b) in turn, so witnesses, counts and the early exit
+    are those of a per-triple scan; on an exact table a row whose k instances all
+    pass (_assoc_rows) is counted at once and yields none.
     """
-    t, k, els, inex, equal = view.table(tab), view.k, view.elements, view.inex, law is _equality
-    if _assoc_passes(t, equal) if t.whole else t.symmetric and _assoc_lanes_pass(t):
+    t, k, els, inex, equal = view.tables[op], view.k, view.elements, view.inex, law is _equality
+    tab = t.rows
+    if t.symmetric and (_assoc_passes(t) if t.whole else _assoc_lanes_pass(t)):
         col.checked += k ** 3
         return
 
@@ -478,11 +470,12 @@ def _scan_assoc(view, col, tab, axiom, law):
     col.record_all(instances())
 
 
-# -- individual axiom scans -------------------------------------------------
+# -- the laws -------------------------------------------------------------------
 #
-# Each scan first tests all its instances at once on an exact table and counts them
+# Each law first tests all its instances at once on an exact table and counts them
 # when they all pass.  A window's table, and a table or row that fails that test, is
-# handed to record_all as a generator of its instances, in per-instance order.
+# handed to record_all as a generator of its instances, in per-instance order.  A
+# law of either operation takes op, "sum" or "prod", bound in the ladders.
 
 
 @functools.cache
@@ -491,58 +484,48 @@ def _units(k):
     return list(map((1).__lshift__, range(k)))
 
 
-def _unit_instances(view, tab, unit_i, axiom):
-    """The instances of a.unit = {a}, for each a in turn."""
-    els, inex = view.elements, view.inex
-    return ((_equality(tab[i][unit_i], 1 << i, inex), axiom, (els[i],)) for i in range(view.k))
-
-
-def _commuting_instances(view, tab, axiom):
-    """The instances of a.b = b.a, for each a < b in turn."""
-    els, inex, k = view.elements, view.inex, view.k
-    return ((_equality(tab[i][j], tab[j][i], inex), axiom, (els[i], els[j]))
-            for i in range(k) for j in range(i + 1, k))
-
-
-def _scan_nonempty(view, col, opname):
-    tab = view.sum if opname == "sum" else view.prod
-    t, k = view.table(tab), view.k
-    if min(t.cells) if t.whole else t.exact and min(map(min, tab)):
+def _scan_nonempty(view, col, op):
+    t, k = view.tables[op], view.k
+    if min(t.cells) if t.whole else t.exact and min(map(min, t.rows)):
         col.checked += k * k
         return
     els, inex = view.elements, view.inex
     col.record_all(("skip" if cell == inex else "pass" if cell else "fail",
-                    "nonempty" if cell else f"nonempty-{opname}", (els[i], els[j]))
-                   for i, row in enumerate(tab) for j, cell in enumerate(row))
+                    "nonempty" if cell else f"nonempty-{op}", (els[i], els[j]))
+                   for i, row in enumerate(t.rows) for j, cell in enumerate(row))
 
 
-def _scan_multigroup(view, col, opname, unit_i, use_inversion):
-    """M1-M4 over one operation; multimonoid mode drops M1/M2 for a weak unit law."""
-    tab = view.sum if opname == "sum" else view.prod
-    k, units = view.k, _units(view.k)
-    suffix = "" if opname == "sum" else "-mult"
-
-    # M2 (group mode): a . unit = {a}.  Monoid mode: a in unit . a.
-    if (list(map(itemgetter(unit_i), tab)) if use_inversion
-            else list(map(and_, tab[unit_i], units))) == units:
+def _scan_unit(view, col, op, axiom):
+    """a.u = {a} for each a in turn, u the operation's unit: M2 (u = 0) on the sum,
+    unit-prod (u = 1) on the product."""
+    tab, k = view.tables[op].rows, view.k
+    unit_i = view.zero_i if op == "sum" else view.one_i
+    if list(map(itemgetter(unit_i), tab)) == _units(k):
         col.checked += k
-    elif col.record_all(_unit_instances(view, tab, unit_i, "M2" + suffix) if use_inversion
-                        else _judged(_membership, view.inex,
-                                     zip(range(k), tab[unit_i], repeat("unit" + suffix),
-                                         zip(view.elements)))):
         return
+    els, inex = view.elements, view.inex
+    col.record_all((_equality(tab[i][unit_i], 1 << i, inex), axiom, (els[i],)) for i in range(k))
 
-    if use_inversion and _scan_m1(view, col, tab, "M1" + suffix):
+
+def _scan_unit_mult(view, col):
+    """The multimonoid's weak unit law: a in 1.a for each a in turn."""
+    k, ones, units = view.k, view.prod[view.one_i], _units(view.k)
+    if list(map(and_, ones, units)) == units:
+        col.checked += k
         return
+    col.record_all(_judged(_membership, view.inex,
+                           zip(range(k), ones, repeat("unit-mult"), zip(view.elements))))
 
-    # M4 commutativity
-    if view.table(tab).symmetric:
+
+def _scan_comm(view, col, op, axiom):
+    """a.b = b.a for each a < b in turn: M4, M4-mult or comm-prod."""
+    t, k = view.tables[op], view.k
+    if t.symmetric:
         col.checked += k * (k - 1) // 2
-    elif col.record_all(_commuting_instances(view, tab, "M4" + suffix)):
         return
-
-    # M3 weak associativity: (a.b).c subset of a.(b.c), unionwise
-    _scan_assoc(view, col, tab, "M3" + suffix, _containment)
+    els, inex, tab = view.elements, view.inex, t.rows
+    col.record_all((_equality(tab[i][j], tab[j][i], inex), axiom, (els[i], els[j]))
+                   for i in range(k) for j in range(i + 1, k))
 
 
 @functools.cache
@@ -598,24 +581,24 @@ def _m1_passes(t, neg):
     return True
 
 
-def _scan_m1(view, col, tab, axiom):
-    """M1, reversibility: for every c in a.b, a in c.(-b) and b in (-a).c.
+def _scan_m1(view, col):
+    """M1, reversibility of the sum: for every c in a+b, a in c+(-b) and b in (-a)+c.
 
     An exact table is tested at once (_m1_passes).  A window's table, or one that
     fails that test, goes through the per-instance path one cell (a, b) at a time,
     so witnesses, counts and the early exit are those of a per-member scan.  A
-    member of an inexact cell counts as a member.  True once the collector is done.
+    member of an inexact cell counts as a member.
     """
-    t = view.table(tab)
+    t = view.tables["sum"]
     if t.exact and _m1_passes(t, view.neg):
         col.checked += view.k ** 2
-        return False
-    return col.record_all(_m1_instances(view, tab, axiom))
+    else:
+        col.record_all(_m1_instances(view))
 
 
-def _m1_instances(view, tab, axiom):
+def _m1_instances(view):
     """The instances of M1, one cell (a, b) at a time, with the first c that fails."""
-    els, neg, inex = view.elements, view.neg, view.inex
+    els, neg, inex, tab, axiom = view.elements, view.neg, view.inex, view.sum, "M1"
     for i, row in enumerate(tab):
         for j, cell in enumerate(row):
             if cell == inex:
@@ -633,27 +616,17 @@ def _m1_instances(view, tab, axiom):
             yield verdict, axiom, instance
 
 
-def _scan_monoid(view, col):
-    """Strict commutative monoid laws for the product of a multiring."""
-    tab = view.prod
-    els, k, inex = view.elements, view.k, view.inex
-    t = view.table(tab)
+def _scan_single(view, col):
+    """A multiring's product is single-valued: every cell has one member."""
+    t, k = view.tables["prod"], view.k
     if t.exact and max(map(int.bit_count, t.cells if t.whole else t.flat)) <= 1:
         col.checked += k * k
-    elif col.record_all(  # a cell of two members or more fails
-            ("skip" if cell == inex else "fail" if cell & (cell - 1) & ~inex else "pass",
-             "prod-single", (els[i], els[j]))
-            for i, row in enumerate(tab) for j, cell in enumerate(row)):
         return
-    if list(map(itemgetter(view.one_i), tab)) == _units(k):
-        col.checked += k
-    elif col.record_all(_unit_instances(view, tab, view.one_i, "unit-prod")):
-        return
-    if t.symmetric:
-        col.checked += k * (k - 1) // 2
-    elif col.record_all(_commuting_instances(view, tab, "comm-prod")):
-        return
-    _scan_assoc(view, col, tab, "assoc-prod", _equality)
+    els, inex = view.elements, view.inex
+    col.record_all(  # a cell of two members or more fails
+        ("skip" if cell == inex else "fail" if cell & (cell - 1) & ~inex else "pass",
+         "prod-single", (els[i], els[j]))
+        for i, row in enumerate(t.rows) for j, cell in enumerate(row))
 
 
 def _scan_absorb(view, col):
@@ -667,31 +640,25 @@ def _scan_absorb(view, col):
                    for i in range(k) for cell in (prod[i][z], prod[z][i]))
 
 
-def _plus(view):
-    """The setwise sums of cells, seeded with the sums of two singletons, which are
-    the sum table's own cells."""
-    plus = _Setwise(view.sum)
-    plus.update(zip(itertools.product(_units(view.k), repeat=2), view.table(view.sum).flat))
-    return plus
-
-
-def _line_sums(view, s, p, by_cols):
+def _line_sums(s, p, by_cols):
     """The setwise sums of lines a and b of the product p over (a, b, c), for its
     columns (ca+cb) or its rows (ac+bc) as lines; s is the sum table.
 
     On whole tables where every cell of the product has one member, the sum of
     {x} and {y} is the sum table's cell x.y: the indices x * k + y of all the
     sums are one int, and its bytes, translated by the sum table's cells, are
-    the sums.
+    the sums.  Otherwise the setwise sums are seeded with those of two
+    singletons, the sum table's own cells.
     """
-    k = view.k
+    k = s.k
     if s.whole and p.whole:
         members = p.transposed.translate(_LOG2) if by_cols else p.members
         if 255 not in members:
             firsts = b"".join([members[i:i + k] * k for i in range(0, k * k, k)])
             at = int.from_bytes(firsts, "big") * k + int.from_bytes(members * k, "big")
             return at.to_bytes(k ** 3, "big").translate(s.cells.ljust(256, b"\0"))
-    plus, lines = _plus(view), p.cols if by_cols else p.rows
+    plus, lines = _Setwise(s.rows), p.cols if by_cols else p.rows
+    plus.update(zip(itertools.product(_units(k), repeat=2), s.flat))
     return list(map(plus.__getitem__, zip(_flat(map(mul, lines, repeat(k))),
                                           _flat(lines) * k)))
 
@@ -710,12 +677,12 @@ def _scan_weak_dist(view, col):
     leaves both sides unknown: 2k skips.
     """
     els, k, inex, prods = view.elements, view.k, view.inex, view.prod
-    s, p = view.table(view.sum), view.table(prods)
+    s, p = view.tables["sum"], view.tables["prod"]
     w, exact = p.w, s.exact and p.exact
     # ca+cb and ac+bc; on a commutative product they are the same, and so are the
     # left sides
-    right = _line_sums(view, s, p, True)
-    right2 = right if p.symmetric else _line_sums(view, s, p, False)
+    right = _line_sums(s, p, True)
+    right2 = right if p.symmetric else _line_sums(s, p, False)
     if (s.whole and p.whole
             and _passes(_pack(_spread(s, p.col_bytes, p.packed_cols), w), _pack(right, w), False)
             and (right2 is right or _passes(_pack(_spread(s, p.row_bytes, p.packed_rows), w),
@@ -744,23 +711,22 @@ def _scan_weak_dist(view, col):
 def _scan_hyper_dist(view, col):
     """Exact distributivity a(b+c) = ab+ac.
 
-    The right side is the setwise sums of ab and ac.  Whole tables are tested
-    at once: a(b+c), over (b, c, a), puts the product's packed column x in each
-    row (b, c) whose sum holds x.  Other exact tables go one packed row (a, b) at
-    a time: the left row gathers, over the sums b+c, the unions a.(b+c), which
-    _row_unions builds from the product for all distinct sum cells and one row a
-    at a time, and a passing row is counted at once.  Every row of a window, and
-    each failing row, goes through the per-instance path.
+    Both sides are weak distributivity's: c(a+b) and ca+cb over (a, b, c) are
+    a(b+c) and ab+ac over (b, c, a).  Whole tables are tested at once: the law
+    holds exactly when those two tensors are equal.  Other exact tables go one
+    packed row (a, b) at a time: the right side, rotated to (a, b, c), is
+    checked against the left row, which gathers, over the sums b+c, the unions
+    a.(b+c), which _row_unions builds from the product for all distinct sum
+    cells and one row a at a time; a passing row is counted at once.  Every row
+    of a window, and each failing row, goes through the per-instance path.
     """
     els, k, inex, prods = view.elements, view.k, view.inex, view.prod
-    s, p = view.table(view.sum), view.table(prods)
-    w, plus, exact = p.w, _plus(view), s.exact and p.exact
-    firsts = itertools.chain.from_iterable(map(repeat, p.flat, repeat(k)))
-    right = list(map(plus.__getitem__, zip(firsts, _flat(map(mul, prods, repeat(k))))))
-    if (s.whole and p.whole
-            and _rotated(_spread(s, p.col_bytes, p.packed_cols), k) == _pack(right, w)):
+    s, p = view.tables["sum"], view.tables["prod"]
+    sums = _line_sums(s, p, True)
+    if s.whole and p.whole and _spread(s, p.col_bytes, p.packed_cols) == bytes(sums):
         col.checked += k ** 3
         return
+    w, exact, right = p.w, s.exact and p.exact, _flat(_strided(k)(sums))  # ab+ac
     for a, unions in enumerate(_row_unions(prods, s.distinct[0], w) if exact else repeat(None, k)):
         for b in range(k):
             R = right[(a * k + b) * k:(a * k + b + 1) * k]
@@ -777,7 +743,7 @@ def _scan_signs(view, col):
     whole table of one-member cells, -(ab) row by row (column by column) is one
     bytes.translate of its cells (transposed), the rows -a (columns -b) joined."""
     els, k, neg, inex, prod = view.elements, view.k, view.neg, view.inex, view.prod
-    t = view.table(prod)
+    t = view.tables["prod"]
     neg_bits = [1 << n for n in neg]
     if t.whole and 255 not in t.members:
         to_neg = _LOG2.translate(bytes(neg_bits).ljust(256, b"\0"))  # {x} to {-x}
@@ -798,8 +764,10 @@ def _scan_signs(view, col):
 
 
 def _scan_nontrivial(view, col):
-    verdict = "fail" if view.zero_i == view.one_i else "pass"
-    col.record(verdict, "nontrivial", ())
+    if view.zero_i != view.one_i:
+        col.checked += 1
+    else:
+        col.record_all([("fail", "nontrivial", ())])
 
 
 def _scan_no_zero_divisors(view, col):
@@ -808,7 +776,7 @@ def _scan_no_zero_divisors(view, col):
     pairs = [1] * k * k
     pairs[z::k] = pairs[z * k:(z + 1) * k] = [0] * k
     cells = itertools.chain.from_iterable(view.prod)
-    if view.table(view.prod).exact and not any(compress(map(and_, cells, repeat(1 << z)), pairs)):
+    if view.tables["prod"].exact and not any(compress(map(and_, cells, repeat(1 << z)), pairs)):
         col.checked += (k - 1) ** 2
         return
     els, inex = view.elements, view.inex
@@ -831,37 +799,38 @@ def _scan_inverses(view, col):
                     (els[a],)) for a in range(view.k) if a != z)
 
 
-def _add_group(view, col):
-    _scan_nonempty(view, col, "sum")
-    if not col.done:
-        _scan_multigroup(view, col, "sum", view.zero_i, True)
-
-
-def _mult_multimonoid(view, col):
-    _scan_nonempty(view, col, "prod")
-    if not col.done:
-        _scan_multigroup(view, col, "prod", view.one_i, False)
-
+# The ladders: each kind's laws in order.  Each tests a table's commutativity before
+# its associativity, which has a test of all instances only on a commutative table.
+# the additive group: nonemptiness and M1-M4 of the sum
+_GROUP = (functools.partial(_scan_nonempty, op="sum"),
+          functools.partial(_scan_unit, op="sum", axiom="M2"), _scan_m1,
+          functools.partial(_scan_comm, op="sum", axiom="M4"),
+          functools.partial(_scan_assoc, op="sum", axiom="M3", law=_containment))
+# the multiplicative multimonoid: a weak unit law, M4 and M3 of the product
+_MULTIMONOID = (functools.partial(_scan_nonempty, op="prod"), _scan_unit_mult,
+                functools.partial(_scan_comm, op="prod", axiom="M4-mult"),
+                functools.partial(_scan_assoc, op="prod", axiom="M3-mult", law=_containment))
+# a multiring's product: a strict commutative monoid
+_MONOID = (_scan_single, functools.partial(_scan_unit, op="prod", axiom="unit-prod"),
+           functools.partial(_scan_comm, op="prod", axiom="comm-prod"),
+           functools.partial(_scan_assoc, op="prod", axiom="assoc-prod", law=_equality))
 
 _KIND_SCANS = {
-    "multigroup": (_add_group,),
-    "multimonoid": (_mult_multimonoid,),
-    "multiring": (_add_group, _scan_monoid, _scan_absorb, _scan_weak_dist),
-    "hyperring": (_add_group, _scan_monoid, _scan_absorb, _scan_weak_dist,
-                  _scan_hyper_dist),
-    "multifield": (_add_group, _scan_monoid, _scan_absorb, _scan_weak_dist,
-                   _scan_nontrivial, _scan_inverses),
-    "hyperfield": (_add_group, _scan_monoid, _scan_absorb, _scan_weak_dist,
-                   _scan_hyper_dist, _scan_nontrivial, _scan_inverses),
-    "superring": (_add_group, _mult_multimonoid, _scan_absorb, _scan_weak_dist,
-                  _scan_signs),
-    "superdomain": (_add_group, _mult_multimonoid, _scan_absorb, _scan_weak_dist,
-                    _scan_signs, _scan_nontrivial, _scan_no_zero_divisors),
-    "quasi-superfield": (_add_group, _mult_multimonoid, _scan_absorb, _scan_weak_dist,
-                         _scan_signs, _scan_nontrivial, _scan_inverses),
-    "superfield": (_add_group, _mult_multimonoid, _scan_absorb, _scan_weak_dist,
-                   _scan_signs, _scan_nontrivial, _scan_no_zero_divisors,
+    "multigroup": _GROUP,
+    "multimonoid": _MULTIMONOID,
+    "multiring": (*_GROUP, *_MONOID, _scan_absorb, _scan_weak_dist),
+    "hyperring": (*_GROUP, *_MONOID, _scan_absorb, _scan_weak_dist, _scan_hyper_dist),
+    "multifield": (*_GROUP, *_MONOID, _scan_absorb, _scan_weak_dist, _scan_nontrivial,
                    _scan_inverses),
+    "hyperfield": (*_GROUP, *_MONOID, _scan_absorb, _scan_weak_dist, _scan_hyper_dist,
+                   _scan_nontrivial, _scan_inverses),
+    "superring": (*_GROUP, *_MULTIMONOID, _scan_absorb, _scan_weak_dist, _scan_signs),
+    "superdomain": (*_GROUP, *_MULTIMONOID, _scan_absorb, _scan_weak_dist, _scan_signs,
+                    _scan_nontrivial, _scan_no_zero_divisors),
+    "quasi-superfield": (*_GROUP, *_MULTIMONOID, _scan_absorb, _scan_weak_dist, _scan_signs,
+                         _scan_nontrivial, _scan_inverses),
+    "superfield": (*_GROUP, *_MULTIMONOID, _scan_absorb, _scan_weak_dist, _scan_signs,
+                   _scan_nontrivial, _scan_no_zero_divisors, _scan_inverses),
 }
 
 
@@ -875,6 +844,7 @@ def verify_axioms(S, kind, window=None, witness_limit=3, stop_on_first=False):
     """
     if kind not in _KIND_SCANS:
         raise StructureError(f"unknown structure kind {kind!r}")
+    col = _Collector(limit=witness_limit, stop_on_first=stop_on_first)
     if isinstance(S, TropicalStructure):
         if window is None:
             raise WindowRequired("axiom check on a lazy structure needs window=(lo, hi)")
@@ -887,14 +857,13 @@ def verify_axioms(S, kind, window=None, witness_limit=3, stop_on_first=False):
     else:
         raise StructureError(f"cannot verify {S!r}")
 
-    col = _scan_kind(view, kind, _Collector(limit=witness_limit, stop_on_first=stop_on_first))
-    return _report(S.name, kind, view, col)
+    return _report(S.name, kind, view, _scan_kind(view, _KIND_SCANS[kind], col))
 
 
-def _scan_kind(view, kind, col):
-    """The kind's scans in order, until the collector is done; returns it."""
-    for scan in _KIND_SCANS[kind]:
-        scan(view, col)
+def _scan_kind(view, laws, col):
+    """The laws in order, until the collector is done; returns it."""
+    for law in laws:
+        law(view, col)
         if col.done:
             break
     return col
@@ -909,12 +878,12 @@ def _report(subject, kind, view, col):
 
 def structure_is(S, kind):
     """Whether the finite structure S is of the kind, cached on S: verify_axioms'
-    scans, stopped at the first failing test (_Verdict), with no report made."""
+    laws, stopped at the first failing test (_Verdict), with no report made."""
     cache = S._kind_cache
     if kind not in cache:
         if kind not in _KIND_SCANS:
             raise StructureError(f"unknown structure kind {kind!r}")
-        cache[kind] = not _scan_kind(_View.of_structure(S), kind,
+        cache[kind] = not _scan_kind(_View.of_structure(S), _KIND_SCANS[kind],
                                      _Verdict(stop_on_first=True)).done
     return cache[kind]
 
@@ -1029,13 +998,12 @@ def verify_multigroup(elements, sum_fn, neg_fn, unit, subject="multigroup",
     """Nonemptiness and M1-M4 for a set-valued operation on a finite carrier.
 
     sum_fn(a, b) must return an iterable of carrier members.  The carrier is
-    tabulated into an index-level view and scanned by the same multigroup
-    scan as a finite structure, so witnesses come in carrier order.
+    tabulated into an index-level view and checked by the same group laws as
+    a finite structure, so witnesses come in carrier order.
     """
-    view = _View.of_carrier(elements, sum_fn, neg_fn, unit)
     col = _Collector(limit=witness_limit)
-    _add_group(view, col)
-    return _report(subject, "multigroup", view, col)
+    view = _View.of_carrier(elements, sum_fn, neg_fn, unit)
+    return _report(subject, "multigroup", view, _scan_kind(view, _GROUP, col))
 
 
 def _scan_action(view, F, col, full):
@@ -1062,7 +1030,7 @@ def _scan_action(view, F, col, full):
                         for cell, unit, axiom in ((act[one][v], 1 << v, "MV0-one"),
                                                   (act[zero][v], zero_vec, "MV0-zero"))):
         return
-    t, width = view.table(act), (k + 7) // 8  # s x k: no whole-table form is read
+    t, width = view.tables["act"], (k + 7) // 8  # s x k: no whole-table form is read
     acts, cols, act_cells, act_getters = t.packed_rows, t.cols, t.distinct[0], t.getters
     # MV1: (lam mu) v = lam (mu v)
     for lam, unions in enumerate(_row_unions(act, act_cells, width)):
@@ -1076,7 +1044,7 @@ def _scan_action(view, F, col, full):
                 return
     law, plus = _equality if full else _containment, _Setwise(view.sum)
     # MV2: lam (v + w) within lam v + lam w
-    sum_cells, sum_getters = view.table(view.sum).distinct[0], view.table(view.sum).getters
+    sum_cells, sum_getters = view.tables["sum"].distinct[0], view.tables["sum"].getters
     # lam_sums[lam][x]: the packed row over w of x + lam.w
     lam_sums = list(zip(*([_gather(get, u) for get in act_getters]
                           for u in _row_unions(view.sum, act_cells, width))))

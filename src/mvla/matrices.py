@@ -50,6 +50,8 @@ class Matrix:
     @classmethod
     def from_rows(cls, base, rows):
         rows = [tuple(r) for r in rows]
+        if not rows or len(set(map(len, rows))) > 1:
+            raise StructureError("matrix rows must be nonempty and of one length")
         return cls(base, len(rows), len(rows[0]), tuple(itertools.chain(*rows)))
 
     @classmethod

@@ -14,8 +14,8 @@ import itertools
 import math
 from operator import or_
 
-from .axioms import (AxiomReport, FAIL, PASS, _Collector, _View, _add_group,
-                     _report, _scan_action, _union, is_full)
+from .axioms import (AxiomReport, FAIL, PASS, _GROUP, _Collector, _View, _report,
+                     _scan_action, _scan_kind, _union, is_full)
 from .errors import MvlaError, StructureError, charge
 from .structures import _Setwise, _bits, _check_tables
 
@@ -139,17 +139,15 @@ def extension_space(pair):
 def verify_vspace(V, full=False, witness_limit=3):
     """Exhaustive MV0-MV3 plus the vector multigroup; full demands equalities.
 
-    The scans read the space's own tables.  The multigroup scan's witnesses
-    come first, prefixed "group-", then MV0-MV3 run on the same view until the
-    witness limit is reached; checked counts the instances of both scans.
+    The scans read the space's own tables.  The group laws run first, and their
+    witnesses are renamed "group-..."; then MV0-MV3 run on the same collector until
+    the witness limit is reached; checked counts the instances of both.
     """
-    view = _View(V.vectors, V.zero_i, None, V.neg, V.sum, None, False, V.act)
-    group = _Collector(limit=witness_limit)
-    _add_group(view, group)
     col = _Collector(limit=witness_limit)
-    done = col.record_all(("fail", "group-" + ax, wit) for ax, wit in group.witnesses)
-    col.checked = group.checked  # the group's witnesses are among its own checked
-    if not done:
+    view = _View(V.vectors, V.zero_i, None, V.neg, V.sum, None, False, V.act)
+    _scan_kind(view, _GROUP, col)
+    col.witnesses = [("group-" + ax, wit) for ax, wit in col.witnesses]
+    if not col.done:
         _scan_action(view, V.scalars, col, full)
     return _report(V.name, "vector-space-full" if full else "vector-space", view, col)
 

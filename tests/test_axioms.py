@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import random
+import types
 import unittest.mock
 from array import array
 from pathlib import Path
@@ -17,11 +18,10 @@ from mvla import (MorphismSpec, Poly, StructureError, WindowRequired, builtin,
                   is_proto_full, matrix_space, mprod_sets, msum_sets, poly_space,
                   quotient_pair, recheck_witness, strict_ring, structure_is,
                   verify_axioms, verify_multigroup, verify_vspace)
-from mvla import axioms
+from mvla import axioms, vspaces
 from mvla.axioms import (KINDS, _Collector, _View, _scan_absorb, _scan_action,
-                         _scan_assoc, _scan_hyper_dist, _scan_inverses, _scan_m1,
-                         _scan_monoid, _scan_multigroup, _scan_no_zero_divisors,
-                         _scan_nonempty, _scan_signs, _scan_weak_dist)
+                         _scan_hyper_dist, _scan_inverses, _scan_kind, _scan_m1,
+                         _scan_no_zero_divisors, _scan_signs, _scan_weak_dist)
 from mvla.structures import Structure, mprod, msum
 
 
@@ -115,6 +115,24 @@ def test_morphism_check_stops_at_its_witness_limit(K, Q2):
     # the third is full-add at (1, 1); full-mul there is not examined
     rep = check_morphism(spec, full=True, witness_limit=3)
     assert (rep.witnesses[-1], rep.checked) == (("full-add", (1, 1)), 20)
+
+
+def test_entry_points_refuse_a_witness_limit_below_one(K, Q2):
+    """At 0 a collector counted a failure without keeping it, so the report read
+    pass: the M1-breaking H3 mutant, the K->Q2 inclusion and a broken multigroup
+    (verify_vspace's own test is in test_vspaces)."""
+    mutant = builtin("Hp", 3).with_entry("sum", 1, 1, [1])
+    assert verify_axioms(mutant, "superfield").witnesses[0][0] == "M1"
+    for limit in (0, -1):
+        with pytest.raises(StructureError, match="witness limit"):
+            verify_axioms(mutant, "superfield", witness_limit=limit)
+    spec = MorphismSpec.inclusion(K, Q2)
+    assert not check_morphism(spec).passed
+    with pytest.raises(StructureError, match="witness limit"):
+        check_morphism(spec, witness_limit=0)
+    assert not verify_multigroup([0, 1], lambda a, b: {a}, lambda a: a, 0).passed
+    with pytest.raises(StructureError, match="witness limit"):
+        verify_multigroup([0, 1], lambda a, b: {a}, lambda a: a, 0, witness_limit=0)
 
 
 def test_inclusion_h2_h3_morphism_but_not_full(H2, H3):
@@ -346,11 +364,19 @@ def _tuple_tab(tab, inex):
             for row in tab]
 
 
+def _ref_view(elements, zero_i, one_i, neg, sum_tab, prod_tab, partial, act_tab=None):
+    """A view of (mask, exact) cells as the references read it: its carrier and
+    tables, with no _Table made of them."""
+    return types.SimpleNamespace(elements=elements, k=len(elements), zero_i=zero_i,
+                                 one_i=one_i, neg=neg, sum=sum_tab, prod=prod_tab,
+                                 partial=partial, act=act_tab)
+
+
 def _tuple_view(view):
     """The view with (mask, exact) cells, as the references read it."""
-    return _View(view.elements, view.zero_i, view.one_i, view.neg,
-                 _tuple_tab(view.sum, view.inex), _tuple_tab(view.prod, view.inex),
-                 view.partial, _tuple_tab(view.act, view.inex))
+    return _ref_view(view.elements, view.zero_i, view.one_i, view.neg,
+                     _tuple_tab(view.sum, view.inex), _tuple_tab(view.prod, view.inex),
+                     view.partial, _tuple_tab(view.act, view.inex))
 
 
 _TUPLE_LAWS = {axioms._containment: _containment, axioms._equality: _equality}
@@ -375,7 +401,7 @@ def _ref_window_view(trop, lo, hi):
     sums = [[sum_cell(a, b) for b in els] for a in els]
     prods = [[prod_cell(a, b) for b in els] for a in els]
     neg = tuple(idx[trop.neg(e)] for e in els)
-    return _View(els, idx[trop.zero], idx[trop.one], neg, sums, prods, True)
+    return _ref_view(els, idx[trop.zero], idx[trop.one], neg, sums, prods, True)
 
 
 WINDOWS = [(-5, 5), (-3, 3), (-1, 2), (0, 0), (0, 3), (-4, 0)]
@@ -434,10 +460,20 @@ _LIMITED = ({"limit": 1}, {"limit": 3}, {"limit": 3, "stop_on_first": True})
 
 
 class _Quiet(_Collector):
-    """A collector for a scan that must count every instance at once."""
+    """A collector for laws that must count every instance at once."""
 
     def record_all(self, instances):
         raise AssertionError("a passing exact table reached the per-instance path")
+
+
+class _QuietRows(_Collector):
+    """A collector for associativity on a non-commutative exact table, which has no
+    whole-table test: every row that passes is counted, and none yields an instance."""
+
+    def record_all(self, instances):
+        for _ in instances:
+            raise AssertionError("a passing exact row reached the per-instance path")
+        return False
 
 
 def _refused(*_args):
@@ -450,60 +486,78 @@ def _exact(view):
                for row in tab for cell in row)
 
 
-def _scans_agree(view, scan, ref_scan, *args):
-    """scan on the view and ref_scan on its tuple form give the same witnesses,
-    checked and skipped under every witness setting; returns the reference's
-    unlimited run.
+def _scans_agree(view, laws, ref_scan, *ref_args, whole=True):
+    """The laws run on the view (by _scan_kind) and ref_scan on its tuple form give
+    the same witnesses, checked and skipped under every witness setting; returns
+    the reference's unlimited run.
 
-    ref_scan gets the tuple view's table where scan gets one of the view's
-    tables, and the tuple-cell law where scan gets an int-cell law.  A scan
-    without witnesses runs once: the limits cannot change it.  On exact tables
-    whose instances all pass, scan must count them without recording any, and
-    its whole-table and packed-row tests may not fail them: no instance reaches
+    ref_scan gets the tuple view's table where ref_args name one of the view's
+    tables, and the tuple-cell law where they name an int-cell law.  Laws
+    without witnesses run once: the limits cannot change them.  On exact tables
+    whose instances all pass, the laws must count them without recording any, and
+    their whole-table and packed-row tests may not fail them: no instance reaches
     the per-instance path (record_all), and the laws over triples test every table
     of at most 8 elements whole (no _cells; the action scan gathers its unions with
-    _cells at every size).
+    _cells at every size).  Associativity alone on a non-commutative table (whole
+    False) is tested by packed rows instead, which must pass every row.
     """
     tview = _tuple_view(view)
     swap = {id(view.sum): tview.sum, id(view.prod): tview.prod,
             **{id(law): ref_law for law, ref_law in _TUPLE_LAWS.items()}}
-    ref_args = [swap.get(id(a), a) for a in args]
+    ref_args = [swap.get(id(a), a) for a in ref_args]
     runs = []
     for kwargs in (_UNLIMITED,) + _LIMITED:
-        new, ref = _Collector(**kwargs), _Collector(**kwargs)
-        scan(view, new, *args)
+        new, ref = _scan_kind(view, laws, _Collector(**kwargs)), _Collector(**kwargs)
         ref_scan(tview, ref, *ref_args)
         assert (new.witnesses, new.checked, new.skipped) == \
-            (ref.witnesses, ref.checked, ref.skipped), (scan.__name__, args[1:], kwargs)
+            (ref.witnesses, ref.checked, ref.skipped), (ref_scan.__name__, ref_args[1:], kwargs)
         runs.append(ref)
         if not runs[0].witnesses:
             break
     if not runs[0].witnesses and not runs[0].skipped and _exact(view):
-        quiet = _Quiet(**_UNLIMITED)
-        if view.k <= 8 and view.act is None:
+        quiet = (_Quiet if whole else _QuietRows)(**_UNLIMITED)
+        if view.k <= 8 and view.act is None and whole:
             with unittest.mock.patch.object(axioms, "_cells", _refused):
-                scan(view, quiet, *args)
+                _scan_kind(view, laws, quiet)
         else:
-            scan(view, quiet, *args)
-        assert quiet.checked == runs[0].checked, (scan.__name__, args[1:])
+            _scan_kind(view, laws, quiet)
+        assert quiet.checked == runs[0].checked, (ref_scan.__name__, ref_args[1:])
     return runs[0]
 
 
-def _assoc_agrees(view, tab, axiom, law):
-    return _scans_agree(view, _scan_assoc, _ref_scan_assoc, tab, axiom, law)
+# The ladders' associativity laws by axiom: each names its table and its law.
+_ASSOC = {law.keywords["axiom"]: law
+          for law in (axioms._GROUP[-1], axioms._MULTIMONOID[-1], axioms._MONOID[-1])}
+
+
+def _assoc_agrees(view, axiom):
+    law = _ASSOC[axiom]
+    op = law.keywords["op"]
+    return _scans_agree(view, (law,), _ref_scan_assoc, getattr(view, op), axiom,
+                        law.keywords["law"], whole=view.tables[op].symmetric)
 
 
 def _all_assoc_agree(view):
-    _assoc_agrees(view, view.sum, "M3", axioms._containment)
-    _assoc_agrees(view, view.prod, "M3-mult", axioms._containment)
-    _assoc_agrees(view, view.prod, "assoc-prod", axioms._equality)
+    for axiom in ("M3", "M3-mult", "assoc-prod"):
+        _assoc_agrees(view, axiom)
+
+
+def _with_ref_assoc(scan_kind):
+    """scan_kind with the per-triple loop run for each associativity law."""
+    def ref_law(law):
+        op, axiom, cell_law = law.keywords["op"], law.keywords["axiom"], law.keywords["law"]
+        return lambda view, col: _ref_scan_assoc_on_ints(view, col, getattr(view, op), axiom,
+                                                         cell_law)
+    refs = {law: ref_law(law) for law in _ASSOC.values()}
+    return lambda view, laws, col: scan_kind(view, [refs.get(law, law) for law in laws], col)
 
 
 def _reports_agree(monkeypatch, run):
     """run() reports the same with the per-triple loop patched in."""
     new = run()
     with monkeypatch.context() as patched:
-        patched.setattr(axioms, "_scan_assoc", _ref_scan_assoc_on_ints)
+        for module in (axioms, vspaces):
+            patched.setattr(module, "_scan_kind", _with_ref_assoc(_scan_kind))
         ref = run()
     assert new == ref
     return new
@@ -529,7 +583,7 @@ def test_assoc_kernel_matches_per_triple_loop_on_builtins(monkeypatch, name):
 def test_assoc_kernel_matches_per_triple_loop_on_windows(monkeypatch, trop, window):
     view = _View.of_window(trop, *window)
     _all_assoc_agree(view)
-    assert _assoc_agrees(view, view.sum, "M3", axioms._containment).skipped > 0
+    assert _assoc_agrees(view, "M3").skipped > 0
     for kind in ("multifield", "superring"):
         for kwargs in ({"witness_limit": 1}, {"witness_limit": 3},
                        {"stop_on_first": True}):
@@ -555,7 +609,7 @@ def test_assoc_kernel_matches_per_triple_loop_on_derived_carriers(
         monkeypatch, carriers, name):
     V = carriers[name]
     view = _space_view(V)
-    assert _assoc_agrees(view, view.sum, "M3", axioms._containment).checked == view.k ** 3
+    assert _assoc_agrees(view, "M3").checked == view.k ** 3
     for full in (False, True):
         _reports_agree(monkeypatch, lambda: verify_vspace(V, full=full))
 
@@ -593,11 +647,25 @@ def partial_views(draw, sizes=st.integers(2, 5), odds=5):
 @settings(max_examples=150, deadline=None)
 @given(view=partial_views())
 def test_assoc_kernel_matches_per_triple_loop_on_random_partial_tables(view):
-    full = _assoc_agrees(view, view.sum, "M3", axioms._containment)
+    full = _assoc_agrees(view, "M3")
     assert full.skipped >= view.k  # the row (a, b) at the escaped cell
     assume(full.witnesses)
-    _assoc_agrees(view, view.prod, "M3-mult", axioms._containment)
-    _assoc_agrees(view, view.prod, "assoc-prod", axioms._equality)
+    _assoc_agrees(view, "M3-mult")
+    _assoc_agrees(view, "assoc-prod")
+
+
+def test_assoc_on_a_non_commutative_table_is_not_read_off_its_rotation():
+    """0.x = {1} and 1.x = {0, 1}: (a.b).c is the whole carrier at every triple, so it
+    equals its own rotation, yet (0.0).0 = {0, 1} is not within 0.(0.0) = {1}.  Only
+    a commutative table may pass associativity by the rotation test; a.b = {a} passes
+    it row by row."""
+    tab = [[2, 2], [3, 3]]
+    view = _View((0, 1), 0, 1, (0, 1), tab, tab, False)
+    assert _assoc_agrees(view, "M3").witnesses[0] == ("M3", (0, 0, 0))
+    assert _assoc_agrees(view, "assoc-prod").witnesses
+    left = [[1, 1], [2, 2]]
+    view = _View((0, 1), 0, 1, (0, 1), left, left, False)
+    assert _assoc_agrees(view, "M3").checked == _assoc_agrees(view, "assoc-prod").checked == 8
 
 
 # Carriers of 7 to 17 elements: exact packed cells of one, two and three bytes (8
@@ -720,12 +788,12 @@ def test_scan_assoc_counts_and_witnesses_match_the_packed_rows(tab):
     instances one by one)."""
     k = len(tab)
     view = _View(tuple(range(k)), 0, 1, tuple(range(k)), tab, tab, False)
-    for axiom, law in (("M3", axioms._containment), ("assoc-prod", axioms._equality)):
+    for axiom in ("M3", "assoc-prod"):  # on the sum and the product, both tab
         for kwargs in _LIMITED + ({"limit": 40},):
             new, rows = _Collector(**kwargs), _Collector(**kwargs)
-            _scan_assoc(view, new, tab, axiom, law)
+            _ASSOC[axiom](view, new)
             with unittest.mock.patch.object(axioms, "_assoc_lanes_pass", lambda t: False):
-                _scan_assoc(view, rows, tab, axiom, law)
+                _ASSOC[axiom](view, rows)
             assert (new.witnesses, new.checked, new.skipped) == \
                 (rows.witnesses, rows.checked, rows.skipped), (axiom, kwargs)
 
@@ -947,12 +1015,18 @@ def _ref_is_full(S):
     return True, None
 
 
+def _m1_agrees(view, tab):
+    """M1 (a law of the sum) on tab, as the sum table of a view of view's carrier."""
+    on = _View(view.elements, view.zero_i, view.one_i, view.neg, tab, None, view.partial)
+    return _scans_agree(on, (_scan_m1,), _ref_m1, on.sum, "M1")
+
+
 def _kernels_agree(view):
     """M1 on both tables, weak and exact distributivity: kernels and references agree."""
-    _scans_agree(view, _scan_m1, _ref_m1, view.sum, "M1")
-    _scans_agree(view, _scan_m1, _ref_m1, view.prod, "M1-mult")
-    _scans_agree(view, _scan_weak_dist, _ref_scan_weak_dist)
-    _scans_agree(view, _scan_hyper_dist, _ref_scan_hyper_dist)
+    _m1_agrees(view, view.sum)
+    _m1_agrees(view, view.prod)
+    _scans_agree(view, (_scan_weak_dist,), _ref_scan_weak_dist)
+    _scans_agree(view, (_scan_hyper_dist,), _ref_scan_hyper_dist)
 
 
 def _single_entry_mutants(S):
@@ -994,7 +1068,7 @@ def test_m1_and_dist_kernels_match_per_instance_loops_on_windows(trop, window):
 def test_m1_kernel_matches_per_member_loop_on_derived_carriers(carriers, name):
     V = carriers[name]
     view = _space_view(V)
-    assert _scans_agree(view, _scan_m1, _ref_m1, view.sum, "M1").checked == view.k ** 2
+    assert _m1_agrees(view, view.sum).checked == view.k ** 2
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -1005,18 +1079,47 @@ def test_m1_kernel_matches_per_member_loop_on_carriers_with_replaced_cells(K, n)
     V = fn_space(K, n)
     k, rng = len(V.vectors), random.Random(n)
     view = _space_view(V)
-    assert _scans_agree(view, _scan_m1, _ref_m1, view.sum, "M1").checked == k * k
+    assert _m1_agrees(view, view.sum).checked == k * k
     for cell in ((1 << k) - 1, 1, 1 << k - 1):
         tab = [list(row) for row in V.sum]
         tab[rng.randrange(k)][rng.randrange(k)] = cell
-        mutant = _View(V.vectors, V.zero_i, None, V.neg, tab, None, False)
-        assert _scans_agree(mutant, _scan_m1, _ref_m1, mutant.sum, "M1").witnesses
+        assert _m1_agrees(view, tab).witnesses
 
 
 @settings(max_examples=150, deadline=None)
 @given(view=partial_views())
 def test_m1_and_dist_kernels_match_per_instance_loops_on_random_partial_tables(view):
     _kernels_agree(view)
+
+
+def _hyper_dist_whole(view):
+    """Whether hyper-dist's whole-table test passes the view: any other path raises."""
+    col = _Quiet(**_UNLIMITED)
+    try:
+        with unittest.mock.patch.object(axioms, "_row_unions", _refused):
+            _scan_hyper_dist(view, col)
+    except AssertionError:
+        return False
+    assert col.checked == view.k ** 3
+    return True
+
+
+@pytest.mark.parametrize("name", ["K", "Q2", "H2", "H3", "H5", "H7", "X1", "F2", "F3", "F5"])
+def test_hyper_dist_whole_table_test_matches_the_reference_on_mutants(name):
+    """Every built-in of at most 8 elements that is a hyperfield, and its mutants with
+    one sum or product cell replaced: the whole-table test (weak distributivity's
+    tensors compared for equality) passes exactly where the per-triple loop finds
+    no witness."""
+    S = builtin(*_BUILTINS[name])
+    assert structure_is(S, "hyperfield")
+    verdicts = []
+    for n, T in enumerate([S, *_single_entry_mutants(S)]):
+        view = _View.of_structure(T)
+        ref = _Collector(**_UNLIMITED)
+        _ref_scan_hyper_dist(_tuple_view(view), ref)
+        verdicts.append(_hyper_dist_whole(view))
+        assert verdicts[-1] == (not ref.witnesses), n
+    assert verdicts[0] and False in verdicts
 
 
 def test_weak_dist_skips_both_sides_of_an_escaping_sum():
@@ -1257,22 +1360,41 @@ def _ref_scan_action(view, F, col, full):
                     return
 
 
-_PER_INSTANCE = ((_scan_monoid, _ref_scan_monoid), (_scan_absorb, _ref_scan_absorb),
-                 (_scan_signs, _ref_scan_signs),
-                 (_scan_no_zero_divisors, _ref_scan_no_zero_divisors),
-                 (_scan_inverses, _ref_scan_inverses))
+def _ref_add_group(view, col):
+    _ref_scan_nonempty(view, col, "sum")
+    if not col.done:
+        _ref_scan_multigroup(view, col, "sum", view.zero_i, True)
+
+
+def _ref_mult_multimonoid(view, col):
+    _ref_scan_nonempty(view, col, "prod")
+    if not col.done:
+        _ref_scan_multigroup(view, col, "prod", view.one_i, False)
+
+
+def _ref_scan_nontrivial(view, col):
+    col.record("fail" if view.zero_i == view.one_i else "pass", "nontrivial", ())
+
+
+# Each run of the ladders' laws with the reference that stands for it.
+_PER_INSTANCE = {axioms._GROUP: _ref_add_group, axioms._MULTIMONOID: _ref_mult_multimonoid,
+                 axioms._MONOID: _ref_scan_monoid, (_scan_absorb,): _ref_scan_absorb,
+                 (_scan_signs,): _ref_scan_signs,
+                 (_scan_no_zero_divisors,): _ref_scan_no_zero_divisors,
+                 (_scan_inverses,): _ref_scan_inverses,
+                 (axioms._scan_nontrivial,): _ref_scan_nontrivial}
 
 
 def _per_instance_agree(view):
-    """Nonemptiness, M2/M4 (with M1 and M3) in group and monoid mode on both tables,
-    and the ring scans: every scan and its tuple-cell loop agree."""
-    for opname, unit_i in (("sum", view.zero_i), ("prod", view.one_i)):
-        _scans_agree(view, _scan_nonempty, _ref_scan_nonempty, opname)
-        for use_inversion in (True, False):
-            _scans_agree(view, _scan_multigroup, _ref_scan_multigroup,
-                         opname, unit_i, use_inversion)
-    for scan, ref_scan in _PER_INSTANCE:
-        _scans_agree(view, scan, ref_scan)
+    """Nonemptiness, and the other group laws (M2, M1, M4, M3) and multimonoid laws
+    (unit-mult, M4-mult, M3-mult) on their own, then the ladders' tuples and the
+    ring laws: every run of laws and its tuple-cell loop agree."""
+    for laws, op, unit_i, group in ((axioms._GROUP, "sum", view.zero_i, True),
+                                    (axioms._MULTIMONOID, "prod", view.one_i, False)):
+        _scans_agree(view, laws[:1], _ref_scan_nonempty, op)
+        _scans_agree(view, laws[1:], _ref_scan_multigroup, op, unit_i, group)
+    for laws, ref_scan in _PER_INSTANCE.items():
+        _scans_agree(view, laws, ref_scan)
 
 
 @pytest.mark.parametrize("name", sorted(_BUILTINS) + ["Z6"])
@@ -1318,7 +1440,7 @@ def test_per_instance_scans_match_tuple_loops_on_random_partial_tables(view):
 
 def _action_agrees(view, F):
     for full in (False, True):
-        _scans_agree(view, lambda v, col: _scan_action(v, F, col, full),
+        _scans_agree(view, (lambda v, col: _scan_action(v, F, col, full),),
                      lambda v, col: _ref_scan_action(v, F, col, full))
 
 
@@ -1359,10 +1481,9 @@ def test_action_scan_matches_tuple_loop_on_one_member_actions(drawn, data):
     """Every action cell one vector, as over a hyperfield: _row_unions reads the unions
     of x + lam.w off the sum table's rows."""
     view, F = drawn
-    for row in view.act:
-        row[:] = [1 << x for x in data.draw(st.lists(st.integers(0, view.k - 1),
-                                                     min_size=view.k, max_size=view.k))]
-    _action_agrees(view, F)
+    act = [[1 << x for x in data.draw(st.lists(st.integers(0, view.k - 1), min_size=view.k,
+                                                max_size=view.k))] for _ in view.act]
+    _action_agrees(_View(view.elements, 0, None, view.neg, view.sum, None, False, act), F)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1391,37 +1512,26 @@ def test_action_scan_matches_tuple_loop_at_byte_boundaries(drawn):
 # -- whole reports against the per-instance references ------------------------------
 
 
-def _ref_add_group(view, col):
-    _ref_scan_nonempty(view, col, "sum")
-    if not col.done:
-        _ref_scan_multigroup(view, col, "sum", view.zero_i, True)
+_REF_SCANS = {**_PER_INSTANCE, (_scan_weak_dist,): _ref_scan_weak_dist,
+              (_scan_hyper_dist,): _ref_scan_hyper_dist}
 
 
-def _ref_mult_multimonoid(view, col):
-    _ref_scan_nonempty(view, col, "prod")
-    if not col.done:
-        _ref_scan_multigroup(view, col, "prod", view.one_i, False)
-
-
-def _ref_scan_nontrivial(view, col):
-    col.record("fail" if view.zero_i == view.one_i else "pass", "nontrivial", ())
-
-
-_REF_SCANS = {axioms._add_group: _ref_add_group,
-              axioms._mult_multimonoid: _ref_mult_multimonoid,
-              _scan_monoid: _ref_scan_monoid, _scan_absorb: _ref_scan_absorb,
-              _scan_weak_dist: _ref_scan_weak_dist, _scan_hyper_dist: _ref_scan_hyper_dist,
-              _scan_signs: _ref_scan_signs, axioms._scan_nontrivial: _ref_scan_nontrivial,
-              _scan_no_zero_divisors: _ref_scan_no_zero_divisors,
-              _scan_inverses: _ref_scan_inverses}
+def _ref_ladder(laws):
+    """The references that stand for the laws in order, one for each run of them."""
+    refs = []
+    while laws:
+        run = next(run for run in _REF_SCANS if laws[:len(run)] == run)
+        refs.append(_REF_SCANS[run])
+        laws = laws[len(run):]
+    return refs
 
 
 def _ref_verify(S, kind, witness_limit=3, stop_on_first=False):
-    """verify_axioms with the per-instance references run in the engine's scan order."""
+    """verify_axioms with the per-instance references run in the engine's law order."""
     view = _tuple_view(_View.of_structure(S))
     col = _Collector(limit=witness_limit, stop_on_first=stop_on_first)
-    for scan in axioms._KIND_SCANS[kind]:
-        _REF_SCANS[scan](view, col)
+    for scan in _ref_ladder(axioms._KIND_SCANS[kind]):
+        scan(view, col)
         if col.done:
             break
     return axioms._report(S.name, kind, view, col)
@@ -1537,20 +1647,21 @@ def test_structure_is_stops_before_a_failing_scan_walks_its_rows(monkeypatch):
 
 def test_cold_check_runs_every_scan_on_each_fresh_structure(monkeypatch):
     """structure_is pays the whole check on every fresh structure: nothing is kept
-    from one structure's check for the next."""
+    from one structure's check for the next.  Every law of the ladder runs."""
     calls = collections.Counter()
 
-    def counting(scan):
+    def counting(law):
         def run(view, col):
-            calls[scan] += 1
-            scan(view, col)
+            calls[law] += 1
+            law(view, col)
         return run
 
-    scans = axioms._KIND_SCANS["superfield"]
-    monkeypatch.setitem(axioms._KIND_SCANS, "superfield", tuple(map(counting, scans)))
+    laws = axioms._KIND_SCANS["superfield"]
+    assert len(set(laws)) == len(laws) == 15
+    monkeypatch.setitem(axioms._KIND_SCANS, "superfield", tuple(map(counting, laws)))
     for _ in range(2):
         assert structure_is(builtin("Hp", 5), "superfield")
-    assert calls == {scan: 2 for scan in scans}
+    assert calls == {law: 2 for law in laws}
 
 
 # -- every kernel on exact tables with one or two cells replaced -------------------------
@@ -1610,9 +1721,9 @@ def test_kernels_match_per_instance_loops_on_exact_tables_at_byte_boundaries(vie
 
 # -- one per-instance path -----------------------------------------------------------
 
-# (class, function) of the only places that may call a collector's record: the
-# per-instance path itself and the one-instance nontriviality scan
-_RECORD_SITES = {("_Collector", "record_all"), (None, "_scan_nontrivial")}
+# (class, function) of the only place that may call a collector's record: the
+# per-instance path itself
+_RECORD_SITES = {("_Collector", "record_all")}
 
 
 def _record_calls(tree):

@@ -33,6 +33,16 @@ def test_entries_are_carrier_indices_read_back_as_elements(Q2):
         Matrix.from_rows(Q2, [(1, 2)])
 
 
+def test_from_rows_refuses_ragged_and_empty_rows(H3):
+    # ragged rows were re-cut to the first row's length: 3 x 2 here
+    with pytest.raises(StructureError, match="one length"):
+        Matrix.from_rows(H3, [(0, 1), (1, 2, 0), (2,)])
+    with pytest.raises(StructureError, match="nonempty"):
+        Matrix.from_rows(H3, [])
+    with pytest.raises(StructureError):
+        Matrix.from_rows(H3, [()])
+
+
 def test_worked_sum_box(X2, x2_triple):
     A, B, _ = x2_triple
     box = madd(A, B)

@@ -385,6 +385,33 @@ def test_view_scan_matches_object_level_reference(H2, H3, H5, K, Q2, F3, h3_quot
             _agrees_with_reference(V, full)
 
 
+def test_report_with_a_failing_vector_sum_keeps_group_and_action_witnesses(H3):
+    """H3^2 with (0,1) + (1,1) the whole carrier fails M1, M4 and M3 once each
+    before the witness limit; MV0-MV3 then run on the same collector.  The reference
+    comparison above skips such a report, so its witnesses and counts are pinned."""
+    V = fn_space(H3, 2)
+    broken = _broken(V, sum_tab=_with_cell(V.sum, 1, 4, (1 << 9) - 1))
+    group = (("group-M1", ((0, 1), (1, 1), (0, 0))), ("group-M4", ((0, 1), (1, 1))),
+             ("group-M3", ((0, 2), (0, 2), (1, 1))))
+    mv2 = ("MV2", (2, (0, 1), (1, 1)))
+    pinned = {(False, 1): (group[:1], 104), (False, 3): (group, 392),
+              (False, 4): (group + (mv2,), 1211), (False, 6): (group + (mv2,), 1359),
+              (True, 1): (group[:1], 104), (True, 3): (group, 392),
+              (True, 4): (group + (mv2,), 1211),
+              (True, 6): (group + (mv2, ("MV2", (2, (0, 2), (2, 2))),
+                                   ("MV3", (1, 1, (1, 1)))), 1319)}
+    for (full, limit), (witnesses, checked) in pinned.items():
+        rep = verify_vspace(broken, full=full, witness_limit=limit)
+        assert (rep.verdict, rep.witnesses, rep.checked, rep.skipped) == \
+            ("fail", witnesses, checked, 0), (full, limit)
+
+
+def test_verify_vspace_refuses_a_witness_limit_below_one(K):
+    # at 0 a failure kept as no witness read as a pass
+    with pytest.raises(StructureError, match="witness limit"):
+        verify_vspace(fn_space(K, 3), full=True, witness_limit=0)
+
+
 def test_pinned_vspace_reports_count_both_scans():
     # every `vspace` report pinned for the CLI counts the reference MV0-MV3 scan and
     # the passing vector multigroup scan; the report lines are parsed, not copied

@@ -16,10 +16,12 @@ checkout's own files:
   `structure_is` on a fresh structure, for each of COLD_STRUCTURES under each of
   COLD_KINDS, COLD_CALLS calls in each of REPEATS fresh interpreters; the row is
   the median in microseconds, and its work units are `verify_axioms(...).checked`;
-  beside them `builtin()` alone for each of COLD_STRUCTURES (work units: the
-  carrier size), and `structure_is(S, "superfield")` alone on a fresh COLD_MUTANT,
-  built before the clock starts, which fails at its first M3-mult witness (work
-  units: the `checked` count and first witness of its stop-on-first report);
+  the same for `builtin("Hp", 5)` as a hyperfield (exact distributivity's
+  whole-table test); beside them `builtin()` alone for each of COLD_STRUCTURES
+  (work units: the carrier size), and `structure_is(S, "superfield")` alone on
+  a fresh COLD_MUTANT, built before the clock starts, which fails at its first
+  M3-mult witness (work units: the `checked` count and first witness of its
+  stop-on-first report);
 - the irreducibility scans of 1+2X^2 over `builtin("Hp", 5)` and of 1+X+X^4 over
   `builtin("Fp", 2)` (the shape of the `extension` workload's slowest
   irreducibility queries), `polys._irreducible` timed around the call in each of
@@ -112,6 +114,9 @@ VERBS = (
 COLD_STRUCTURES = (("H3", ("Hp", 3)), ("H5", ("Hp", 5)), ("H7", ("Hp", 7)), ("Q2", ("Q2",)),
                    ("F5", ("Fp", 5)))
 COLD_KINDS = ("superfield", "multifield", "superdomain")
+# (row name, builtin() arguments, kind) of each cold check
+COLD_CHECKS = (tuple((name, args, kind) for kind in COLD_KINDS for name, args in COLD_STRUCTURES)
+               + (("H5", ("Hp", 5), "hyperfield"),))
 COLD_CALLS = 300
 # H5 with 2.2 = {1, 4} in place of {4}: every superfield law before M3-mult passes
 COLD_MUTANT = ("H5 2.2={1,4}", ("Hp", 5), ("prod", 2, 2, {1, 4}))
@@ -119,15 +124,14 @@ COLD_CODE = """
 import json, statistics, sys, time
 from mvla import builtin, structure_is, verify_axioms
 out = {}
-for kind in KINDS:
-    for name, args in STRUCTURES:
-        times = []
-        for _ in range(CALLS):
-            t0 = time.perf_counter()
-            structure_is(builtin(*args), kind)
-            times.append(time.perf_counter() - t0)
-        out["cold check " + name + " " + kind] = (statistics.median(times) * 1e6,
-                                                  verify_axioms(builtin(*args), kind).checked)
+for name, args, kind in CHECKS:
+    times = []
+    for _ in range(CALLS):
+        t0 = time.perf_counter()
+        structure_is(builtin(*args), kind)
+        times.append(time.perf_counter() - t0)
+    out["cold check " + name + " " + kind] = (statistics.median(times) * 1e6,
+                                              verify_axioms(builtin(*args), kind).checked)
 for name, args in STRUCTURES:
     times = []
     for _ in range(CALLS):
@@ -182,7 +186,7 @@ from mvla.axioms import _Collector, _View, _containment, _scan_assoc
 V = fn_space(builtin(*ARGS), N)
 view, col = _View(V.vectors, V.zero_i, None, V.neg, V.sum, None, False, V.act), _Collector()
 t0 = time.perf_counter()
-_scan_assoc(view, col, V.sum, "M3", _containment)
+_scan_assoc(view, col, "sum", "M3", _containment)
 print(json.dumps([time.perf_counter() - t0, {"checked": col.checked,
                                              "witnesses": len(col.witnesses)}]))
 """
@@ -206,10 +210,10 @@ print(json.dumps([time.perf_counter() - t0, {"found": found}]))
     ("axioms", "action H3^4", """
 import json, time
 from mvla import builtin, fn_space
-from mvla.axioms import _Collector, _View, _add_group, _scan_action
+from mvla.axioms import _GROUP, _Collector, _View, _scan_action, _scan_kind
 V = fn_space(builtin("Hp", 3), 4)
 view, col = _View(V.vectors, V.zero_i, None, V.neg, V.sum, None, False, V.act), _Collector()
-_add_group(view, _Collector())
+_scan_kind(view, _GROUP, _Collector())
 t0 = time.perf_counter()
 _scan_action(view, V.scalars, col, False)
 print(json.dumps([time.perf_counter() - t0, {"checked": col.checked,
@@ -400,7 +404,7 @@ def verb_rows(root, cache, repeats):
 
 
 def cold_rows(root, cache, repeats):
-    code = (f"KINDS, STRUCTURES, CALLS, MUTANT = {COLD_KINDS!r}, {COLD_STRUCTURES!r}, "
+    code = (f"CHECKS, STRUCTURES, CALLS, MUTANT = {COLD_CHECKS!r}, {COLD_STRUCTURES!r}, "
             f"{COLD_CALLS}, {COLD_MUTANT!r}" + COLD_CODE)
     runs = []
     for _ in range(repeats):
