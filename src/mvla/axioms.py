@@ -10,11 +10,11 @@ Each kind is one flat ladder of laws (_KIND_SCANS), run in order until the
 collector is done.  A law is a (view, col) function that reads the view's
 _Table of each table it tests: it counts its instances when a test of them all
 passes, and otherwise hands a generator of them, their cells rebuilt, to the one
-per-instance path, _Collector.record_all.  The tests take exact tables only and
-decide whether a whole table (exact, k <= 8), a larger commutative table
-(associativity, by rotation on lanes of up to 64 cell bits held as array items),
-or a packed row of a law over triples, passes; verify_axioms and structure_is run
-the same laws.  A window's tables always go through the per-instance path.
+per-instance path, _Collector.record_all.  The tests take exact tables only: a
+whole table (exact, k <= 8) at once, associativity on a larger commutative table
+by rotation on lanes of up to 64 cell bits held as array items, distributivity a
+slab of rows (a, b) at a time; verify_axioms and structure_is run the same laws.
+A window's tables always go through the per-instance path.
 """
 
 from __future__ import annotations
@@ -102,9 +102,9 @@ class _Collector:
 
 class _Verdict(_Collector):
     """structure_is' collector, done at the first record_all call without reading it:
-    on exact tables a law hands over instances only once a test of them all failed.
-    Associativity has no such test on a non-commutative table, but every ladder
-    tests a table's commutativity first, so it meets one only in a report."""
+    on exact tables a law hands over instances only once a test of them (all, or a slab)
+    failed.  Associativity has no such test on a non-commutative table, but every
+    ladder tests a table's commutativity first, so it meets one only in a report."""
 
     def record_all(self, instances):
         self.done = True
@@ -217,15 +217,13 @@ def _judged(law, inex, sides):
 #
 # A row of exact cells packs into one int at w = ceil(k / 8) bytes a cell, the first
 # cell in the highest bytes.  An OR of packed rows is the packed row of the cellwise
-# ORs, so a row of k instances passes or fails with one int test.  A tensor is the
-# k**3 cells (a, b, c) of a law over triples, packed the same way, a major: all its
-# instances pass or fail with one int test.
+# ORs.  A tensor is the k**3 cells (a, b, c) of a law over triples, its rows (a, b)
+# packed the same way, a major: all its instances pass or fail with one int test.
 #
-# For a whole table (exact, with cells of one byte) a side of a law puts in each row
-# (a, b) of a tensor the OR of a line x (a table's row or column) over the members x
-# of the cell a.b (_spread): a join of lines, or an OR of k products of in_rows[x] by
-# the packed line x.  Associativity on a commutative table compares a side with its
-# rotation over (b, c, a); exact distributivity, weak distributivity's two tensors.
+# A side of a law puts in each row (a, b) of a tensor the OR of a line x (a table's
+# row or column) over the members x of the cell a.b (_spread).  Associativity on a
+# commutative table compares a side with its rotation over (b, c, a); weak and exact
+# distributivity compare their two tensors a slab of rows (a, b) at a time (_by_slabs).
 
 # Rows of a table packed together in _row_unions: more rows take fewer ORs, fewer
 # hold less at once (a block's unions are a block of bytes per distinct cell).
@@ -275,6 +273,28 @@ def _spread(t, lines, packed):
     if 255 in t.members:  # a cell of two members or none
         return functools.reduce(or_, map(mul, t.in_rows, packed)).to_bytes(t.k ** 3, "big")
     return b"".join(map(lines.__getitem__, t.members))
+
+
+def _lines(t, packed):
+    """The OR of packed[x] over the members x of each distinct cell of t, as bytes."""
+    return [_or(packed, mem).to_bytes(t.k * t.w, "big") for mem in t.distinct[0].values()]
+
+
+def _by_slabs(col, t, miss, row, per=1):
+    """The rows n = a * k + b of a law over triples on t until the collector is done: a
+    whole table at once, else a slab of at most one row a and _LANE_BYTES // 64 cells.
+    miss(lo, hi) sets a bit in each failing cell of the rows lo to hi packed (all fail
+    when miss is None): rows before the first failing row n count per * k instances
+    each, row(n), a generator of them, goes to record_all; the next slab follows it."""
+    k, miss = t.k, miss or (lambda lo, hi: 1 << 8 * t.k * t.w * (hi - lo) - 1)
+    lo, step = 0, k * k if t.whole else max(1, min(k, _LANE_BYTES // (64 * k)))
+    while lo < k * k:
+        hi = min(lo + step, k * k)
+        n = hi - 1 - (bits.bit_length() - 1) // (8 * k * t.w) if (bits := miss(lo, hi)) else hi
+        col.checked += per * k * (n - lo)
+        if n < hi and col.record_all(row(n)):
+            return
+        lo = n + (n < hi)
 
 
 @functools.cache
@@ -336,6 +356,7 @@ _FORMS = {
     "packed_rows": lambda t: [_pack(row, t.w) for row in t.rows],  # of an exact table
     "packed_cols": lambda t: [_pack(col, t.w) for col in t.cols],
     "distinct": lambda t: _cells(t.rows),
+    "ids": lambda t: list(map(t.distinct[1].__getitem__, t.flat)),  # each cell's distinct id
     # per row, an itemgetter of its cells' unions (of _row_unions) and a tuple's closing b""
     "getters": lambda t: [itemgetter(*map(t.distinct[1].__getitem__, row), -1) for row in t.rows],
 }
@@ -386,17 +407,6 @@ def _assoc_passes(t):
     return b"".join(_strided(t.k)(L)) == L
 
 
-def _assoc_rows(t, equal):
-    """Whether each row (a, b) of an exact table passes, in order.  The left row over
-    c is the OR of the packed table rows x over x in a.b, and the right row gathers,
-    over the cells b.c, the unions of a.y over y in the cell, which _row_unions
-    builds for all distinct cells and one row a at a time."""
-    members = t.distinct[0]
-    for row, right in zip(t.rows, _row_unions(t.rows, members, t.w)):
-        for get, ab in zip(t.getters, row):
-            yield _passes(_or(t.packed_rows, members[ab]), _gather(get, right), equal)
-
-
 def _assoc_lanes_pass(t):
     """(a.b).c equals a.(b.c) for every triple, on an exact commutative table.
 
@@ -415,16 +425,13 @@ def _assoc_lanes_pass(t):
     a is R(a, b, c) in order (b, c), and must equal the rows L(a, b, .) gathered
     in order (a, b).
     """
-    tab, k = t.rows, t.k
-    members, ids = t.distinct
-    id_rows = [list(map(ids.__getitem__, row)) for row in tab]
+    tab, k, ids = t.rows, t.k, t.ids
     codes, order = _lanes(k), sys.byteorder
     step = max(1, _LANE_BYTES // (k * k * array(codes[0]).itemsize))
     # per chunk, the cell ids of the rows L(a, b, .) (the chunk's columns, which
     # are its rows transposed) and of the rows L(b, c, .)
-    chunks = [(_flat(zip(*id_rows[lo:lo + step])), _flat(id_rows[lo:lo + step]))
-              for lo in range(0, k, step)]
-    del id_rows
+    chunks = [(_flat(zip(*(ids[r * k:r * k + k] for r in range(lo, min(lo + step, k))))),
+               ids[lo * k:(lo + step) * k]) for lo in range(0, k, step)]
     n = len(codes)  # raws: each row's cells as n items of 8 bytes (little-endian: lowest first)
     raws = [array("Q", b"".join(map(int.to_bytes, row, repeat(8 * n), repeat(order))))
             for row in tab]
@@ -433,7 +440,7 @@ def _assoc_lanes_pass(t):
         at, size = lane if order == "little" else n - 1 - lane, array(code).itemsize
         row = [int.from_bytes(array(code, raw[at::n]), order) for raw in raws].__getitem__
         lines = [reduce(or_, map(row, mem), 0).to_bytes(k * size, order)
-                 for mem in members.values()]
+                 for mem in t.distinct[0].values()]
         get = lines.__getitem__
         for left, right in chunks:
             if join(rotate(array(code, join(map(get, right))))) != join(map(get, left)):
@@ -444,38 +451,31 @@ def _assoc_lanes_pass(t):
 def _scan_assoc(view, col, op, axiom, law):
     """law((a.b).c, a.(b.c)), unionwise, for every triple of the table op.
 
-    A commutative table is tested at once by rotation: whole (_assoc_passes), where
-    (a.b).c puts the packed row x in each row (a, b) whose cell holds x, or exact
-    (_assoc_lanes_pass).  Any other table goes to the per-instance path as one
-    generator of the rows (a, b) in turn, so witnesses, counts and the early exit
-    are those of a per-triple scan; on an exact table a row whose k instances all
-    pass (_assoc_rows) is counted at once and yields none.
+    A commutative exact table is tested at once by rotation, whole (_assoc_passes) or
+    on lanes (_assoc_lanes_pass).  Any other table, and one that fails that test, goes
+    to the per-instance path as one generator of the rows (a, b) in turn, so
+    witnesses, counts and the early exit are those of a per-triple scan.
     """
-    t, k, els, inex, equal = view.tables[op], view.k, view.elements, view.inex, law is _equality
-    tab = t.rows
+    t, k, els, inex, tab = view.tables[op], view.k, view.elements, view.inex, getattr(view, op)
     if t.symmetric and (_assoc_passes(t) if t.whole else _assoc_lanes_pass(t)):
         col.checked += k ** 3
         return
 
-    def instances():
-        for n, passed in enumerate(_assoc_rows(t, equal) if t.exact else repeat(False, k * k)):
-            if passed:
-                col.checked += k
-                continue
-            i, j = divmod(n, k)
-            yield from _judged(law, inex, zip(
-                _unions(t.cols, repeat(tab[i][j]), inex), _unions(repeat(tab[i]), tab[j], inex),
-                repeat(axiom), [(els[i], els[j], c) for c in els]))
+    def row(n):
+        i, j = divmod(n, k)
+        yield from _judged(law, inex, zip(
+            _unions(t.cols, repeat(tab[i][j]), inex), _unions(repeat(tab[i]), tab[j], inex),
+            repeat(axiom), [(els[i], els[j], c) for c in els]))
 
-    col.record_all(instances())
+    col.record_all(itertools.chain.from_iterable(map(row, range(k * k))))
 
 
 # -- the laws -------------------------------------------------------------------
 #
-# Each law first tests all its instances at once on an exact table and counts them
-# when they all pass.  A window's table, and a table or row that fails that test, is
-# handed to record_all as a generator of its instances, in per-instance order.  A
-# law of either operation takes op, "sum" or "prod", bound in the ladders.
+# Each law tests all its instances at once on an exact table (distributivity a slab
+# at a time) and counts them when they all pass.  A window's table, and a table or a
+# slab's first row that fails, goes to record_all as a generator of its instances, in
+# per-instance order.  A law of either operation takes op, "sum" or "prod".
 
 
 @functools.cache
@@ -666,76 +666,75 @@ def _line_sums(s, p, by_cols):
 def _scan_weak_dist(view, col):
     """c(a+b) within ca+cb and (a+b)c within ac+bc, unionwise.
 
-    The right sides are the setwise sums of the product's columns a, b and of
-    its rows a, b.  Whole tables are tested at once: c(a+b) and (a+b)c put
-    the product's packed column and row x in each row (a, b) whose sum holds x.
-    Other exact tables go one packed row (a, b) at a time: the rows c.s and s.c
-    over c, for s = a+b, are ORs of the product's packed columns and rows over
-    the members of s, and a row whose 2k instances all pass is counted at once.
-    Every row of a window, and each failing row, goes through the per-instance
-    path, c(a+b) before (a+b)c for each c.  A sum a+b that escapes the window
-    leaves both sides unknown: 2k skips.
+    The right sides are the setwise sums of the product's columns a, b and of its
+    rows a, b; the left sides put its packed column and row x in each row (a, b)
+    whose sum holds x.  Every row of a window, and a slab's first failing row
+    (_by_slabs), goes through the per-instance path, c(a+b) before (a+b)c for each c.
     """
     els, k, inex, prods = view.elements, view.k, view.inex, view.prod
     s, p = view.tables["sum"], view.tables["prod"]
-    w, exact = p.w, s.exact and p.exact
-    # ca+cb and ac+bc; on a commutative product they are the same, and so are the
-    # left sides
-    right = _line_sums(s, p, True)
+    right = _line_sums(s, p, True)  # ca+cb, and ac+bc: the same on a commutative product
     right2 = right if p.symmetric else _line_sums(s, p, False)
-    if (s.whole and p.whole
-            and _passes(_pack(_spread(s, p.col_bytes, p.packed_cols), w), _pack(right, w), False)
-            and (right2 is right or _passes(_pack(_spread(s, p.row_bytes, p.packed_rows), w),
-                                            _pack(right2, w), False))):
+    if (s.whole and p.whole  # all at once, in the whole tables' byte forms
+            and _passes(_pack(_spread(s, p.col_bytes, p.packed_cols), 1), _pack(right, 1), False)
+            and (right2 is right or _passes(_pack(_spread(s, p.row_bytes, p.packed_rows), 1),
+                                            _pack(right2, 1), False))):
         col.checked += 2 * k ** 3
         return
-    if exact:
-        lefts = {ab: (_or(p.packed_cols, mem), _or(p.packed_rows, mem))
-                 for ab, mem in s.distinct[0].items()}
-    for n, ab in enumerate(s.flat):
-        R, R2 = right[n * k:(n + 1) * k], right2[n * k:(n + 1) * k]
-        if exact and (_passes(lefts[ab][0], _pack(R, w), False)
-                      and _passes(lefts[ab][1], _pack(R2, w), False)):
-            col.checked += 2 * k
-            continue
+    tests = [(_lines(s, p.packed_cols), right)] if s.exact and p.exact else []
+    if tests and right2 is not right:
+        tests.append((_lines(s, p.packed_rows), right2))
+
+    def miss(lo, hi):  # the bits of a left side outside its right side
+        return functools.reduce(or_, (
+            int.from_bytes(b"".join(map(lines.__getitem__, s.ids[lo:hi])), "big")
+            & ~_pack(R[lo * k:hi * k], p.w) for lines, R in tests))
+
+    def row(n):
         a, b = divmod(n, k)
+        ab, R, R2 = s.flat[n], right[n * k:(n + 1) * k], right2[n * k:(n + 1) * k]
         sides = zip(_unions(prods, repeat(ab), inex), R, repeat("weak-dist"),
                     [(c, els[a], els[b]) for c in els])
         sides2 = zip(_unions(p.cols, repeat(ab), inex), R2, repeat("weak-dist-right"),
                      [(els[a], els[b], c) for c in els])
-        if col.record_all(_judged(_containment, inex,
-                                  itertools.chain.from_iterable(zip(sides, sides2)))):
-            return
+        yield from _judged(_containment, inex, itertools.chain.from_iterable(zip(sides, sides2)))
+
+    _by_slabs(col, s, miss if tests else None, row, 2)
 
 
 def _scan_hyper_dist(view, col):
     """Exact distributivity a(b+c) = ab+ac.
 
     Both sides are weak distributivity's: c(a+b) and ca+cb over (a, b, c) are
-    a(b+c) and ab+ac over (b, c, a).  Whole tables are tested at once: the law
-    holds exactly when those two tensors are equal.  Other exact tables go one
-    packed row (a, b) at a time: the right side, rotated to (a, b, c), is
-    checked against the left row, which gathers, over the sums b+c, the unions
-    a.(b+c), which _row_unions builds from the product for all distinct sum
-    cells and one row a at a time; a passing row is counted at once.  Every row
-    of a window, and each failing row, goes through the per-instance path.
+    a(b+c) and ab+ac over (b, c, a), so a whole table passes exactly when those
+    tensors are equal.  Otherwise a(b+c) is the cell a of the line c(a+b) over c of
+    each b+c (_lines).  Every row of a window, and a slab's first failing row
+    (_by_slabs), goes through the per-instance path.
     """
     els, k, inex, prods = view.elements, view.k, view.inex, view.prod
     s, p = view.tables["sum"], view.tables["prod"]
-    sums = _line_sums(s, p, True)
-    if s.whole and p.whole and _spread(s, p.col_bytes, p.packed_cols) == bytes(sums):
+    right, miss = _line_sums(s, p, True), None  # ab+ac over (b, c, a)
+    if s.whole and p.whole and _spread(s, p.col_bytes, p.packed_cols) == bytes(right):
         col.checked += k ** 3
         return
-    w, exact, right = p.w, s.exact and p.exact, _flat(_strided(k)(sums))  # ab+ac
-    for a, unions in enumerate(_row_unions(prods, s.distinct[0], w) if exact else repeat(None, k)):
-        for b in range(k):
-            R = right[(a * k + b) * k:(a * k + b + 1) * k]
-            if exact and _gather(s.getters[b], unions) == _pack(R, w):
-                col.checked += k
-            elif col.record_all(_judged(_equality, inex, zip(
-                    _unions(repeat(prods[a]), view.sum[b], inex), R, repeat("hyper-dist"),
-                    [(els[a], els[b], c) for c in els]))):
-                return
+    right = _flat(_strided(k)(right))  # ab+ac over (a, b, c), rebound to free the first
+    if s.exact and p.exact:
+        w, ids, lines = p.w, s.ids, _lines(s, p.packed_cols)  # c(a+b) over c, for each a+b
+        cells = functools.lru_cache(1)(lambda a: [line[a * w:a * w + w] for line in lines])
+
+        def miss(lo, hi):  # a(b+c) over the rows (a, b), lo to hi: the cell a of each line
+            left = b"".join(b"".join(map(cells(a).__getitem__,
+                                         ids[max(lo - a * k, 0) * k:min(hi - a * k, k) * k]))
+                            for a in range(lo // k, (hi - 1) // k + 1))
+            return int.from_bytes(left, "big") ^ _pack(right[lo * k:hi * k], w)
+
+    def row(n):
+        a, b = divmod(n, k)
+        yield from _judged(_equality, inex, zip(
+            _unions(repeat(prods[a]), view.sum[b], inex), right[n * k:(n + 1) * k],
+            repeat("hyper-dist"), [(els[a], els[b], c) for c in els]))
+
+    _by_slabs(col, s, miss, row)
 
 
 def _scan_signs(view, col):

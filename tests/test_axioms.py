@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 import types
 import unittest.mock
 from array import array
@@ -422,7 +423,7 @@ def test_window_cells_match_tuple_tabulation(trop, window):
     assert any(c > view.inex for c in flat)
 
 
-# -- the row-at-a-time associativity kernel against the per-triple loop ----------------
+# -- the associativity kernel against the per-triple loop -----------------------------
 
 
 def _ref_scan_assoc(view, col, tab, axiom, law):
@@ -466,16 +467,6 @@ class _Quiet(_Collector):
         raise AssertionError("a passing exact table reached the per-instance path")
 
 
-class _QuietRows(_Collector):
-    """A collector for associativity on a non-commutative exact table, which has no
-    whole-table test: every row that passes is counted, and none yields an instance."""
-
-    def record_all(self, instances):
-        for _ in instances:
-            raise AssertionError("a passing exact row reached the per-instance path")
-        return False
-
-
 def _refused(*_args):
     raise AssertionError("a passing exact table of at most 8 elements gathered its cells")
 
@@ -486,7 +477,7 @@ def _exact(view):
                for row in tab for cell in row)
 
 
-def _scans_agree(view, laws, ref_scan, *ref_args, whole=True):
+def _scans_agree(view, laws, ref_scan, *ref_args):
     """The laws run on the view (by _scan_kind) and ref_scan on its tuple form give
     the same witnesses, checked and skipped under every witness setting; returns
     the reference's unlimited run.
@@ -495,11 +486,11 @@ def _scans_agree(view, laws, ref_scan, *ref_args, whole=True):
     tables, and the tuple-cell law where they name an int-cell law.  Laws
     without witnesses run once: the limits cannot change them.  On exact tables
     whose instances all pass, the laws must count them without recording any, and
-    their whole-table and packed-row tests may not fail them: no instance reaches
-    the per-instance path (record_all), and the laws over triples test every table
-    of at most 8 elements whole (no _cells; the action scan gathers its unions with
-    _cells at every size).  Associativity alone on a non-commutative table (whole
-    False) is tested by packed rows instead, which must pass every row.
+    their whole-table, rotation and slab tests may not fail them: no instance
+    reaches the per-instance path (record_all), and the laws over triples test
+    every table of at most 8 elements whole (no _cells; the action scan gathers its
+    unions with _cells at every size).  Associativity on a non-commutative table,
+    which has no such test, is left out of that check.
     """
     tview = _tuple_view(view)
     swap = {id(view.sum): tview.sum, id(view.prod): tview.prod,
@@ -514,9 +505,11 @@ def _scans_agree(view, laws, ref_scan, *ref_args, whole=True):
         runs.append(ref)
         if not runs[0].witnesses:
             break
-    if not runs[0].witnesses and not runs[0].skipped and _exact(view):
-        quiet = (_Quiet if whole else _QuietRows)(**_UNLIMITED)
-        if view.k <= 8 and view.act is None and whole:
+    tested = all(view.tables[law.keywords["op"]].symmetric for law in laws
+                 if law in _ASSOC.values())
+    if not runs[0].witnesses and not runs[0].skipped and _exact(view) and tested:
+        quiet = _Quiet(**_UNLIMITED)
+        if view.k <= 8 and view.act is None:
             with unittest.mock.patch.object(axioms, "_cells", _refused):
                 _scan_kind(view, laws, quiet)
         else:
@@ -534,7 +527,7 @@ def _assoc_agrees(view, axiom):
     law = _ASSOC[axiom]
     op = law.keywords["op"]
     return _scans_agree(view, (law,), _ref_scan_assoc, getattr(view, op), axiom,
-                        law.keywords["law"], whole=view.tables[op].symmetric)
+                        law.keywords["law"])
 
 
 def _all_assoc_agree(view):
@@ -658,7 +651,7 @@ def test_assoc_on_a_non_commutative_table_is_not_read_off_its_rotation():
     """0.x = {1} and 1.x = {0, 1}: (a.b).c is the whole carrier at every triple, so it
     equals its own rotation, yet (0.0).0 = {0, 1} is not within 0.(0.0) = {1}.  Only
     a commutative table may pass associativity by the rotation test; a.b = {a} passes
-    it row by row."""
+    it through the per-instance path."""
     tab = [[2, 2], [3, 3]]
     view = _View((0, 1), 0, 1, (0, 1), tab, tab, False)
     assert _assoc_agrees(view, "M3").witnesses[0] == ("M3", (0, 0, 0))
@@ -681,27 +674,49 @@ def test_assoc_kernel_matches_per_triple_loop_at_byte_boundaries(view):
     _all_assoc_agree(view)
 
 
-# -- the rotation test of associativity against the packed rows ------------------------
+# -- the rotation test of associativity against the per-triple loop --------------------
 #
 # On an exact commutative table of more than 8 elements _scan_assoc first tries
-# _assoc_lanes_pass, which decides both laws at once; the packed rows (_assoc_rows),
-# its fallback, are its reference.
+# _assoc_lanes_pass, which decides both laws at once; the per-triple loop
+# (_ref_scan_assoc) is its reference.
 
 
 def _members(mask):
     return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
+def _ref_assoc_witnesses(tab, law=axioms._containment, **kwargs):
+    """The witnesses of the per-triple loop on the table tab of the elements 0 to
+    k - 1, under the int-cell law and the collector settings kwargs.
+
+    Its unions are memoized per (cell, element, side): the tables here hold few
+    distinct cells, most of them the whole carrier, whose unions would otherwise
+    take k steps at each of the k**3 triples."""
+    k, unions, plain = len(tab), {}, _union_over
+
+    def union_over(ttab, member_mask, other, left_side):
+        key = member_mask, other, left_side
+        if key not in unions:
+            unions[key] = plain(ttab, member_mask, other, left_side)
+        return unions[key]
+
+    col = _Collector(**kwargs)
+    with unittest.mock.patch.dict(globals(), {"_union_over": union_over}):
+        _ref_scan_assoc_on_ints(_View(tuple(range(k)), 0, 1, tuple(range(k)), tab, tab, False),
+                                col, tab, "M3", law)
+    return col.witnesses
+
+
 def _lanes_agree(tab, *steps):
     """_assoc_lanes_pass on an exact symmetric table of 9 or more elements, with
     chunks of all b values that _LANE_BYTES allows (step None, the default) and of
-    each other step of b values, gives the packed rows' verdict under both laws;
-    returns it."""
+    each other step of b values, gives the per-triple loop's verdict under both
+    laws; returns it."""
     k = len(tab)
     t = axioms._Table(tab, k)
     assert k > 8 and t.symmetric
-    want = all(axioms._assoc_rows(t, False))
-    assert want == all(axioms._assoc_rows(t, True))
+    want = not _ref_assoc_witnesses(tab, limit=1)
+    assert want == (not _ref_assoc_witnesses(tab, axioms._equality, limit=1))
     item = array(axioms._lanes(k)[0]).itemsize  # the chunks hold items of the first lane's
     for step in steps or (None,):
         with unittest.mock.patch.object(axioms, "_LANE_BYTES", step * k * k * item if step
@@ -775,27 +790,29 @@ def commutative_tables(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(tab=commutative_tables(), step=st.sampled_from([None, 1, 2, 3]))
-def test_rotation_test_matches_packed_rows_on_random_tables(tab, step):
+def test_rotation_test_matches_per_triple_loop_on_random_tables(tab, step):
     _lanes_agree(tab, step)
 
 
 @settings(max_examples=30, deadline=None)
 @given(tab=commutative_tables())
-def test_scan_assoc_counts_and_witnesses_match_the_packed_rows(tab):
+def test_scan_assoc_counts_and_witnesses_match_the_per_instance_path(tab):
     """The rotation test changes no count or witness: _scan_assoc with it and with
-    every table sent to the packed rows agree, under both laws and each witness
+    every table sent to the per-instance path agree, under both laws and each witness
     limit (an unlimited collector would record a random table's many failing
     instances one by one)."""
     k = len(tab)
     view = _View(tuple(range(k)), 0, 1, tuple(range(k)), tab, tab, False)
     for axiom in ("M3", "assoc-prod"):  # on the sum and the product, both tab
-        for kwargs in _LIMITED + ({"limit": 40},):
+        for kwargs in ({"limit": 40},) + _LIMITED:
             new, rows = _Collector(**kwargs), _Collector(**kwargs)
             _ASSOC[axiom](view, new)
             with unittest.mock.patch.object(axioms, "_assoc_lanes_pass", lambda t: False):
                 _ASSOC[axiom](view, rows)
             assert (new.witnesses, new.checked, new.skipped) == \
                 (rows.witnesses, rows.checked, rows.skipped), (axiom, kwargs)
+            if not new.witnesses:  # the limits cannot change a pass
+                break
 
 
 @pytest.mark.parametrize("step", [None, 1, 2, 4])
@@ -821,8 +838,7 @@ def test_rotation_test_sees_a_failure_at_one_middle_element(K, H5, step):
         tab, near = _relabelled(base, perm), _widened(_relabelled(base, perm), p, p, perm[1])
         assert _lanes_agree(tab, step)
         assert not _lanes_agree(near, step)
-        failing = axioms._assoc_rows(axioms._Table(near, 10), False)
-        assert {n % 10 for n, ok in enumerate(failing) if not ok} == {p}
+        assert {b for _, (a, b, c) in _ref_assoc_witnesses(near, **_UNLIMITED)} == {p}
 
 
 @pytest.mark.parametrize("step", [None, 1, 3])
@@ -915,7 +931,7 @@ def test_rotation_test_on_the_f11_superfield(monkeypatch):
         _reports_agree(monkeypatch, lambda: verify_axioms(S, kind))
 
 
-# -- the row-at-a-time M1 and distributivity kernels against per-instance loops -------
+# -- the M1 and distributivity kernels against per-instance loops ----------------------
 
 
 def _ref_m1(view, col, tab, axiom):
@@ -1096,7 +1112,7 @@ def _hyper_dist_whole(view):
     """Whether hyper-dist's whole-table test passes the view: any other path raises."""
     col = _Quiet(**_UNLIMITED)
     try:
-        with unittest.mock.patch.object(axioms, "_row_unions", _refused):
+        with unittest.mock.patch.object(axioms, "_cells", _refused):
             _scan_hyper_dist(view, col)
     except AssertionError:
         return False
@@ -1611,8 +1627,8 @@ def test_reports_match_reference_on_random_whole_tables_of_eight_elements(S):
     _reports_match_reference(S)
 
 
-# structure_is stops at its first record_all call, before the failing scan walks its
-# packed rows or evaluates an instance: it must still give the report's verdict.
+# structure_is stops at its first record_all call, before the failing scan rebuilds a
+# cell or evaluates an instance: it must still give the report's verdict.
 
 
 @settings(max_examples=25, deadline=None)
@@ -1625,7 +1641,7 @@ def test_structure_is_matches_the_report_on_random_tables_beyond_whole(S):
 @pytest.mark.parametrize("args", [("Xn", 4), ("Fp", 11)])
 def test_structure_is_matches_the_report_on_sampled_mutants_beyond_whole(args):
     """Single-entry mutants of structures of 9 and 11 elements, whose tables go through
-    the rotation test and the packed rows rather than whole-table tests."""
+    the rotation test and the distributivity slabs rather than whole-table tests."""
     failing = 0
     for T in random.Random(32).sample(list(_single_entry_mutants(builtin(*args))), 10):
         for kind in KINDS:
@@ -1637,10 +1653,10 @@ def test_structure_is_matches_the_report_on_sampled_mutants_beyond_whole(args):
 
 def test_structure_is_stops_before_a_failing_scan_walks_its_rows(monkeypatch):
     """The H5 mutant with 2.2 = {1, 4} fails M3-mult: structure_is reads the verdict
-    off the failed whole-table test, with no packed row or instance evaluated."""
+    off the failed whole-table test, with no cell rebuilt or instance evaluated."""
     S = builtin("Hp", 5).with_entry("prod", 2, 2, {1, 4})
     assert verify_axioms(S, "superfield", stop_on_first=True).witnesses[0][0] == "M3-mult"
-    monkeypatch.setattr(axioms, "_assoc_rows", _refused)
+    monkeypatch.setattr(axioms, "_unions", _refused)
     monkeypatch.setattr(axioms, "_judged", _refused)
     assert not structure_is(S, "superfield")
 
@@ -1717,6 +1733,85 @@ def test_kernels_match_per_instance_loops_on_exact_tables(view):
 @given(view=exact_views(_BYTE_EDGES))
 def test_kernels_match_per_instance_loops_on_exact_tables_at_byte_boundaries(view):
     _all_kernels_agree(view)
+
+
+# -- distributivity slab by slab ---------------------------------------------------------
+#
+# On an exact table of more than 8 elements weak and exact distributivity test a slab
+# of rows (a, b) at a time, count the rows before its first failing row at once and
+# hand that row to record_all; the per-triple loops are their reference.
+
+
+def _slabs_agree(view, rows):
+    """Weak and exact distributivity on the exact view, in slabs of rows rows (a, b)
+    (None: the bound _LANE_BYTES sets), agree with the per-triple loops under every
+    witness setting, and count a passing table without recording an instance."""
+    bound = axioms._LANE_BYTES if rows is None else rows * 64 * view.k
+    sizes, by_slabs = set(), axioms._by_slabs
+
+    def spied(col, t, miss, row, per=1):
+        def sized(lo, hi):
+            sizes.add(hi - lo)
+            return miss(lo, hi)
+        return by_slabs(col, t, miss and sized, row, per)
+
+    with unittest.mock.patch.multiple(axioms, _LANE_BYTES=bound, _by_slabs=spied):
+        refs = [_scans_agree(view, (_scan_weak_dist,), _ref_scan_weak_dist),
+                _scans_agree(view, (_scan_hyper_dist,), _ref_scan_hyper_dist)]
+    assert max(sizes) == (rows or min(axioms._LANE_BYTES // (64 * view.k), view.k))
+    return refs
+
+
+@st.composite
+def late_views(draw, sizes=st.integers(9, 24)):
+    """An exact view on 9-24 elements (or sizes): the tables of one of _exact_sources
+    as they are, or with one cell in the last third of its rows replaced, so that
+    the slabs before the first failing row pass."""
+    k = draw(sizes)
+    sum_tab, prod_tab, zero_i, one_i, neg = draw(st.sampled_from(_exact_sources(k)))
+    tabs = {"sum": [list(row) for row in sum_tab], "prod": [list(row) for row in prod_tab]}
+    if draw(st.booleans()):
+        op, i, j = draw(st.sampled_from(("sum", "prod"))), draw(st.integers(2 * k // 3, k - 1)), \
+            draw(st.integers(0, k - 1))
+        tabs[op][i][j] = draw(st.integers(0, (1 << k) - 1))
+    return _View(tuple(range(k)), zero_i, one_i, neg, tabs["sum"], tabs["prod"], False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(view=st.one_of(exact_views(st.integers(9, 24)), late_views()),
+       rows=st.sampled_from([None, 1, 2, 3]))
+def test_distributivity_slabs_match_per_triple_loops_on_exact_tables(view, rows):
+    _slabs_agree(view, rows)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2, 3])
+def test_distributivity_slabs_match_per_triple_loops_on_mutants(rows):
+    """F11 and F5[X]/(2+X^2) (11 and 25 elements), as they are and with one sum or
+    product cell replaced, in slabs of 1, 2 and 3 rows and of the default bound."""
+    F5 = builtin("Fp", 5)
+    gf25 = quotient_pair(F5, Poly(F5, (2, 0, 1)))[0]
+    rng, failing = random.Random(rows), 0
+    for S, n in ((builtin("Fp", 11), 6), (gf25, 1)):
+        for T in [S, *rng.sample(list(_single_entry_mutants(S)), n)]:
+            refs = _slabs_agree(_View.of_structure(T), rows)
+            failing += any(ref.witnesses for ref in refs)
+    assert failing
+
+
+def test_hyperfield_check_of_f43_holds_a_slab_at_a_time():
+    """The tensors of F43's distributivity laws (43**3 cells of 6 bytes a side) are
+    held a slab at a time: the check peaks under 4 MiB, where one slab of all the
+    rows takes over 8 MiB."""
+    S = builtin("Fp", 43)
+    verify_axioms(S, "hyperfield")  # what is made once per process
+    tracemalloc.start()
+    try:
+        rep = verify_axioms(S, "hyperfield")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.checked > 43 ** 3
+    assert peak < 4 * 2 ** 20, peak
 
 
 # -- one per-instance path -----------------------------------------------------------

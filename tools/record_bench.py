@@ -39,6 +39,12 @@ checkout's own files:
   `fn_space(builtin("Hp", 3), 5)` (243 vectors); each in REPEATS fresh
   interpreters; the work units of each are the instances it counted as
   `checked`;
+- weak distributivity on the 9-element quotient F3[X]/(1+X^2), the private
+  `axioms._scan_weak_dist` timed over WEAK_CALLS views of it built before the
+  clock starts (the row is the time of one call), and `verify_axioms` on
+  `builtin("Fp", 43)` as a hyperfield (both distributivity laws slab by slab),
+  timed around the call; each in REPEATS fresh interpreters; the work units of
+  each are the instances it counted as `checked`;
 - `dimension` on `fn_space(builtin("Hp", 3), 2)` and `fn_space(builtin("Fp", 3),
   2)` under their `is_linearly_closed(F, 2, 3)` certificates (built before the
   clock starts), and `is_linearly_independent` on every triple of nonzero vectors
@@ -191,6 +197,9 @@ print(json.dumps([time.perf_counter() - t0, {"checked": col.checked,
                                              "witnesses": len(col.witnesses)}]))
 """
 
+# The views of F3[X]/(1+X^2) whose weak distributivity one weak-dist row times.
+WEAK_CALLS = 100
+
 # The rows timed around one call in a fresh interpreter: (layer, row name, code).
 # Each code prints [seconds, work units].
 TIMED_CALLS = (
@@ -218,6 +227,28 @@ t0 = time.perf_counter()
 _scan_action(view, V.scalars, col, False)
 print(json.dumps([time.perf_counter() - t0, {"checked": col.checked,
                                              "witnesses": len(col.witnesses)}]))
+"""),
+    ("axioms", "weak-dist F3[X]/(1+X^2)", """
+import json, time
+from mvla import Poly, builtin, quotient_pair
+from mvla.axioms import _Collector, _View, _scan_weak_dist
+F = builtin("Fp", 3)
+K = quotient_pair(F, Poly(F, (1, 0, 1)))[0]
+views, cols = [_View.of_structure(K) for _ in range(WEAK_CALLS)], []
+t0 = time.perf_counter()
+for view in views:
+    cols.append(_Collector())
+    _scan_weak_dist(view, cols[-1])
+dt = (time.perf_counter() - t0) / WEAK_CALLS
+print(json.dumps([dt, {"checked": cols[0].checked, "witnesses": len(cols[0].witnesses)}]))
+""".replace("WEAK_CALLS", str(WEAK_CALLS))),
+    ("axioms", "verify F43 hyperfield", """
+import json, time
+from mvla import builtin, verify_axioms
+S = builtin("Fp", 43)
+t0 = time.perf_counter()
+rep = verify_axioms(S, "hyperfield")
+print(json.dumps([time.perf_counter() - t0, {"checked": rep.checked, "verdict": rep.verdict}]))
 """),
     ("vspaces", "verify H3^5", """
 import json, time
