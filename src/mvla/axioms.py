@@ -28,7 +28,7 @@ from itertools import compress, repeat
 from operator import and_, eq, itemgetter, mul, or_
 
 from .errors import StructureError, WindowRequired, charge
-from .structures import Structure, TropicalStructure, _Setwise, _bits
+from .structures import Structure, TropicalStructure, _Setwise, _bits, _union
 
 PASS = "pass"
 FAIL = "fail"
@@ -111,7 +111,7 @@ class _Verdict(_Collector):
         return True
 
 
-class _View:
+class _View(dict):
     """Index-level tables consumed by the axiom loops.
 
     A cell is one int: the carrier mask of its members, plus the inexact bit
@@ -119,21 +119,27 @@ class _View:
     result that escapes the window is inex alone.  So a union of cells is a
     plain OR, and it is exact when every cell is.  Finite structures and
     derived carriers are always total and exact.  A vector space's view also
-    holds act[lam][v], the action of scalar index lam on vector index v.  The
-    laws read each table through tables["sum"], tables["prod"] or tables["act"],
-    its _Table, made once when the view is built.
+    holds act[lam][v], the action of scalar index lam on vector index v.  The view is
+    also the dict of its forms, each made on a law's first read (view["sum"], ...): the
+    _Table of "sum", "prod" or "act", and what both distributivity laws read (forms).
     """
 
     __slots__ = ("elements", "k", "inex", "zero_i", "one_i", "neg", "sum", "prod", "act",
-                 "partial", "tables")
+                 "partial")
+    forms = {"ca+cb": lambda t: _line_sums(t["sum"], t["prod"], True),
+             "c(a+b)": lambda t: _spread(t["sum"], t["prod"].col_bytes, t["prod"].packed_cols),
+             "c(a+b) lines": lambda t: _lines(t["sum"], t["prod"].packed_cols)}
 
     def __init__(self, elements, zero_i, one_i, neg, sum_tab, prod_tab, partial,
                  act_tab=None):
         self.elements, self.k, self.inex = elements, len(elements), 1 << len(elements)
         self.zero_i, self.one_i, self.neg = zero_i, one_i, neg
         self.sum, self.prod, self.act, self.partial = sum_tab, prod_tab, act_tab, partial
-        self.tables = {op: _Table(tab, self.k) for op, tab in
-                       (("sum", sum_tab), ("prod", prod_tab), ("act", act_tab)) if tab is not None}
+
+    def __missing__(self, key):
+        form = self[key] = self.forms[key](self) if key in self.forms else \
+            _Table(getattr(self, key), self.k)
+        return form
 
     @classmethod
     def of_structure(cls, S):
@@ -169,15 +175,6 @@ class _View:
                     for b in elements] for a in elements]
         neg = tuple(index(neg_fn(a), (a,)) for a in elements)
         return cls(elements, index(unit, ()), None, neg, sum_tab, None, False)
-
-
-def _union(cells, mask, start=0):
-    """start ORed with cells[i] over the members i of mask."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        start |= cells[low.bit_length() - 1]
-    return start
 
 
 def _containment(L, R, inex):
@@ -456,7 +453,7 @@ def _scan_assoc(view, col, op, axiom, law):
     to the per-instance path as one generator of the rows (a, b) in turn, so
     witnesses, counts and the early exit are those of a per-triple scan.
     """
-    t, k, els, inex, tab = view.tables[op], view.k, view.elements, view.inex, getattr(view, op)
+    t, k, els, inex, tab = view[op], view.k, view.elements, view.inex, getattr(view, op)
     if t.symmetric and (_assoc_passes(t) if t.whole else _assoc_lanes_pass(t)):
         col.checked += k ** 3
         return
@@ -485,7 +482,7 @@ def _units(k):
 
 
 def _scan_nonempty(view, col, op):
-    t, k = view.tables[op], view.k
+    t, k = view[op], view.k
     if min(t.cells) if t.whole else t.exact and min(map(min, t.rows)):
         col.checked += k * k
         return
@@ -498,7 +495,7 @@ def _scan_nonempty(view, col, op):
 def _scan_unit(view, col, op, axiom):
     """a.u = {a} for each a in turn, u the operation's unit: M2 (u = 0) on the sum,
     unit-prod (u = 1) on the product."""
-    tab, k = view.tables[op].rows, view.k
+    tab, k = view[op].rows, view.k
     unit_i = view.zero_i if op == "sum" else view.one_i
     if list(map(itemgetter(unit_i), tab)) == _units(k):
         col.checked += k
@@ -519,7 +516,7 @@ def _scan_unit_mult(view, col):
 
 def _scan_comm(view, col, op, axiom):
     """a.b = b.a for each a < b in turn: M4, M4-mult or comm-prod."""
-    t, k = view.tables[op], view.k
+    t, k = view[op], view.k
     if t.symmetric:
         col.checked += k * (k - 1) // 2
         return
@@ -589,7 +586,7 @@ def _scan_m1(view, col):
     so witnesses, counts and the early exit are those of a per-member scan.  A
     member of an inexact cell counts as a member.
     """
-    t = view.tables["sum"]
+    t = view["sum"]
     if t.exact and _m1_passes(t, view.neg):
         col.checked += view.k ** 2
     else:
@@ -618,7 +615,7 @@ def _m1_instances(view):
 
 def _scan_single(view, col):
     """A multiring's product is single-valued: every cell has one member."""
-    t, k = view.tables["prod"], view.k
+    t, k = view["prod"], view.k
     if t.exact and max(map(int.bit_count, t.cells if t.whole else t.flat)) <= 1:
         col.checked += k * k
         return
@@ -672,16 +669,16 @@ def _scan_weak_dist(view, col):
     (_by_slabs), goes through the per-instance path, c(a+b) before (a+b)c for each c.
     """
     els, k, inex, prods = view.elements, view.k, view.inex, view.prod
-    s, p = view.tables["sum"], view.tables["prod"]
-    right = _line_sums(s, p, True)  # ca+cb, and ac+bc: the same on a commutative product
+    s, p = view["sum"], view["prod"]
+    right = view["ca+cb"]  # and ac+bc: the same on a commutative product
     right2 = right if p.symmetric else _line_sums(s, p, False)
     if (s.whole and p.whole  # all at once, in the whole tables' byte forms
-            and _passes(_pack(_spread(s, p.col_bytes, p.packed_cols), 1), _pack(right, 1), False)
+            and _passes(_pack(view["c(a+b)"], 1), _pack(right, 1), False)
             and (right2 is right or _passes(_pack(_spread(s, p.row_bytes, p.packed_rows), 1),
                                             _pack(right2, 1), False))):
         col.checked += 2 * k ** 3
         return
-    tests = [(_lines(s, p.packed_cols), right)] if s.exact and p.exact else []
+    tests = [(view["c(a+b) lines"], right)] if s.exact and p.exact else []
     if tests and right2 is not right:
         tests.append((_lines(s, p.packed_rows), right2))
 
@@ -712,14 +709,14 @@ def _scan_hyper_dist(view, col):
     (_by_slabs), goes through the per-instance path.
     """
     els, k, inex, prods = view.elements, view.k, view.inex, view.prod
-    s, p = view.tables["sum"], view.tables["prod"]
-    right, miss = _line_sums(s, p, True), None  # ab+ac over (b, c, a)
-    if s.whole and p.whole and _spread(s, p.col_bytes, p.packed_cols) == bytes(right):
+    s, p = view["sum"], view["prod"]
+    right, miss = view["ca+cb"], None  # ab+ac over (b, c, a)
+    if s.whole and p.whole and view["c(a+b)"] == bytes(right):
         col.checked += k ** 3
         return
-    right = _flat(_strided(k)(right))  # ab+ac over (a, b, c), rebound to free the first
+    right = _flat(_strided(k)(right))  # ab+ac over (a, b, c)
     if s.exact and p.exact:
-        w, ids, lines = p.w, s.ids, _lines(s, p.packed_cols)  # c(a+b) over c, for each a+b
+        w, ids, lines = p.w, s.ids, view["c(a+b) lines"]  # over c, for each a+b
         cells = functools.lru_cache(1)(lambda a: [line[a * w:a * w + w] for line in lines])
 
         def miss(lo, hi):  # a(b+c) over the rows (a, b), lo to hi: the cell a of each line
@@ -742,7 +739,7 @@ def _scan_signs(view, col):
     whole table of one-member cells, -(ab) row by row (column by column) is one
     bytes.translate of its cells (transposed), the rows -a (columns -b) joined."""
     els, k, neg, inex, prod = view.elements, view.k, view.neg, view.inex, view.prod
-    t = view.tables["prod"]
+    t = view["prod"]
     neg_bits = [1 << n for n in neg]
     if t.whole and 255 not in t.members:
         to_neg = _LOG2.translate(bytes(neg_bits).ljust(256, b"\0"))  # {x} to {-x}
@@ -775,7 +772,7 @@ def _scan_no_zero_divisors(view, col):
     pairs = [1] * k * k
     pairs[z::k] = pairs[z * k:(z + 1) * k] = [0] * k
     cells = itertools.chain.from_iterable(view.prod)
-    if view.tables["prod"].exact and not any(compress(map(and_, cells, repeat(1 << z)), pairs)):
+    if view["prod"].exact and not any(compress(map(and_, cells, repeat(1 << z)), pairs)):
         col.checked += (k - 1) ** 2
         return
     els, inex = view.elements, view.inex
@@ -1029,7 +1026,7 @@ def _scan_action(view, F, col, full):
                         for cell, unit, axiom in ((act[one][v], 1 << v, "MV0-one"),
                                                   (act[zero][v], zero_vec, "MV0-zero"))):
         return
-    t, width = view.tables["act"], (k + 7) // 8  # s x k: no whole-table form is read
+    t, width = view["act"], (k + 7) // 8  # s x k: no whole-table form is read
     acts, cols, act_cells, act_getters = t.packed_rows, t.cols, t.distinct[0], t.getters
     # MV1: (lam mu) v = lam (mu v)
     for lam, unions in enumerate(_row_unions(act, act_cells, width)):
@@ -1043,7 +1040,7 @@ def _scan_action(view, F, col, full):
                 return
     law, plus = _equality if full else _containment, _Setwise(view.sum)
     # MV2: lam (v + w) within lam v + lam w
-    sum_cells, sum_getters = view.tables["sum"].distinct[0], view.tables["sum"].getters
+    sum_cells, sum_getters = view["sum"].distinct[0], view["sum"].getters
     # lam_sums[lam][x]: the packed row over w of x + lam.w
     lam_sums = list(zip(*([_gather(get, u) for get in act_getters]
                           for u in _row_unions(view.sum, act_cells, width))))

@@ -5,9 +5,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .axioms import _union
 from .errors import CongruenceError, StructureError, WindowRequired, charge
-from .structures import Structure, TropicalStructure, _bits
+from .structures import Structure, TropicalStructure, _bits, _union
 
 
 def characteristic(S, window=None):

@@ -1,10 +1,13 @@
 """Linear systems Ax within B over superfields.
 
-A solution is a vector d with Ad contained rowwise in B; a weak solution only
-needs a rowwise nonempty intersection.  Scaling transports solutions forward
-(original to scaled) but the converse is unknown, so every candidate found on
-a scaled system is re-verified against the original system before being
-reported.  Systems and vectors are worked on as carrier indices and masks.
+A solution is a vector d with Ad contained rowwise in B; a weak solution only needs a
+rowwise nonempty intersection.  Scaling transports solutions forward (original to
+scaled) but the converse is unknown, so every candidate found on a scaled system is
+re-verified against the original system before being reported.  Systems and vectors
+are worked on as carrier indices and masks.  The solve route and the constructive
+kernels read the structure's tables row by row (_setwise, _union), keeping nothing past
+one call; the _Setwise memos of add_masks and mul_masks serve the repeated-mask
+arithmetic of boxes, polynomials and spaces.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 
 from .axioms import structure_is, AxiomReport, FAIL, PASS
 from .errors import BlowupError, MvlaError, StructureError, _limit
-from .matrices import Matrix, _index_product, _value_masks, _vector, elementary
-from .structures import _bits
+from .matrices import Matrix, _dot, _index_product, _value_masks, _vector, elementary
+from .structures import _bits, _setwise, _union
 
 # The scaled route stops once the branches walked so far, or the nodes, pass the search
 # limit or these; solve_weak then falls back to its exhaustive scan.
@@ -41,8 +44,7 @@ class LinearSystem:
     @classmethod
     def of(cls, A, B):
         """The system Ax within B, for right-hand side sets B of elements."""
-        S = A.base
-        B = [frozenset(s) for s in B]
+        S, B = A.base, [frozenset(s) for s in B]
         if len(B) != A.rows:
             raise StructureError("right-hand side length does not match the rows")
         for s in B:
@@ -77,10 +79,10 @@ class SolveOutcome:
 
 
 def _row_masks(sys, d):
-    """The rowwise value masks of A*d."""
+    """The rowwise value masks of A*d, one at a time."""
     if d.cols != 1 or d.rows != sys.A.cols or d.base is not sys.base:
         raise StructureError("candidate vector shape or base mismatch")
-    return tuple(_index_product(sys.A, d))
+    return _index_product(sys.A, d)
 
 
 def row_value_sets(sys, d):
@@ -97,11 +99,13 @@ def is_weak_solution(sys, d):
 
 
 def classify_candidate(sys, d):
-    """SolutionVerdict for d, or None when it is not even a weak solution."""
-    vals = _row_masks(sys, d)
-    if not all(v & b for v, b in zip(vals, sys.masks)):
-        return None
-    strength = "solution" if all(not v & ~b for v, b in zip(vals, sys.masks)) else "weak"
+    """SolutionVerdict for d, or None (at the first row) when not even a weak solution."""
+    strength = "solution"
+    for v, b in zip(_row_masks(sys, d), sys.masks):
+        if not v & b:
+            return None
+        if v & ~b:
+            strength = "weak"
     return SolutionVerdict(d, strength)
 
 
@@ -150,57 +154,59 @@ def iter_scaled_systems(sys):
         yield sys
         return
 
-    m, n = sys.A.rows, sys.A.cols
-    zero, one = S.zero_i, S.one_i
-    prod, add, mul, neg = S._prod, S.add_masks, S.mul_masks, S._neg
+    m, n, zero, one = sys.A.rows, sys.A.cols, S.zero_i, S.one_i
+    prod, sums, neg, least = S._prod, S._sum, S._neg, {}  # least: each pivot's least inverse
     branch_cap = min(_limit.get(), _SCALE_BRANCHES)
-    paths, walked = 0, {}  # walked: (state, column) -> the state's leaf paths
+    paths, walked = 0, [{} for _ in range(n)]  # walked[c]: state -> the state's leaf paths
 
-    def steps(rows, B, r, c):
-        """The states after column c in product order: rows of indices, B masks and r the
-        next pivot row, which branch selections can shift by zeroing out entries."""
-        p = next((k for k in range(r, m) if rows[k][c] != zero), None)
-        if p is None:
-            yield rows, B, r
+    def steps(a, B, r, c):
+        """The states after column c in product order: the entries a, row-major, B masks and
+        r the next pivot row, which branch selections can shift by zeroing out entries."""
+        for p in range(r, m):
+            if a[p * n + c] != zero:
+                break
+        else:
+            yield a, B, r
             return
-        rows, B = list(rows), list(B)
-        rows[r], rows[p], B[r], B[p] = rows[p], rows[r], B[p], B[r]
-        lam = S.inverse_indices(rows[r][c])[0]  # a superfield has inverses
-        B[r] = mul(1 << lam, B[r])
-        B = tuple(b if k <= r or rows[k][c] == zero else add(b, mul(1 << neg[rows[k][c]], B[r]))
-                  for k, b in enumerate(B))
-        for pivot in itertools.product(*[(one,) if j == c else _bits(prod[lam][x])
-                                         for j, x in enumerate(rows[r])]):
+        rows, B = [a[i:i + n] for i in range(r * n, m * n, n)], list(B)
+        rows[0], rows[p - r], B[r], B[p] = rows[p - r], rows[0], B[p], B[r]
+        x, head = rows[0][c], a[:r * n]
+        inv = prod[least[x] if x in least else least.setdefault(x, S.inverse_indices(x)[0])]
+        B[r] = _union(inv, B[r])
+        mus = [None if row[c] == zero else prod[neg[row[c]]] for row in rows[1:]]  # -a_kc
+        B = (*B[:r + 1], *(b if mu is None else _setwise(sums, b, _union(mu, B[r]))
+                           for b, mu in zip(B[r + 1:], mus)))
+        for pivot in itertools.product(*[(one,) if j == c else _bits(inv[y])
+                                         for j, y in enumerate(rows[0])]):
             # one product over the entries of the rows below, in the order of a product
             # over the rows, so that no row's choices are held before the first is walked
-            below = [(x,) if row[c] == zero else (zero,) if j == c
-                     else _bits(add(1 << x, prod[neg[row[c]]][y]))
-                     for row in rows[r + 1:] for j, (x, y) in enumerate(zip(row, pivot))]
+            below = [(y,) if mu is None else (zero,) if j == c else _bits(_union(sums[y], mu[z]))
+                     for row, mu in zip(rows[1:], mus) for j, (y, z) in enumerate(zip(row, pivot))]
             for tail in itertools.product(*below):
-                yield (*rows[:r], pivot, *(tail[j:j + n] for j in range(0, len(tail), n))), \
-                    B, r + 1
+                yield head + pivot + tail, B, r + 1
 
-    def walk(rows, B, r, c):
-        """Yield the scaled systems below a state, each once; return its leaf paths.  In
-        a superfield each leaf is upper triangular and r counts its nonzero rows."""
+    def walk(a, B, r, c):
+        """Yield the scaled systems below a state, each once; return its leaf paths.  In a
+        superfield each leaf is upper triangular and r counts its nonzero rows.  A state with
+        zero rows from r on is a leaf (every later column passes it on), in the last memo."""
         nonlocal paths
         total = 0
-        for state in steps(rows, B, r, c):
-            got = walked.get((state, c))
-            if got is None and c + 1 < n:
-                got = walked[state, c] = yield from walk(*state, c + 1)
+        for state in steps(a, B, r, c):
+            leaf = c + 1 == n or (rest := state[0][state[2] * n:]).count(zero) == len(rest)
+            got = (seen := walked[n - 1 if leaf else c]).get(state)
+            if got is None and not leaf:
+                got = seen[state] = yield from walk(*state, c + 1)
             else:  # a leaf, or a state that an earlier branch reached: count its paths
                 paths += got or 1
                 if paths > branch_cap:
                     raise BlowupError(f"scaling exceeded {branch_cap} branches")
                 if got is None:
-                    got = walked[state, c] = 1
-                    yield LinearSystem(Matrix.from_indices(S, m, n, itertools.chain(*state[0])),
-                                       state[1])
+                    got = seen[state] = 1
+                    yield LinearSystem(Matrix.from_indices(S, m, n, state[0]), state[1])
             total += got
         return total
 
-    yield from walk(tuple(sys.A.indices[i * n:(i + 1) * n] for i in range(m)), sys.masks, 0, 0)
+    yield from walk(sys.A.indices, sys.masks, 0, 0)
 
 
 # -- back substitution ----------------------------------------------------------------
@@ -215,55 +221,50 @@ def iter_back_substitution(sys):
     nodes than the search limit (read when iteration starts) or 10**5 raise
     BlowupError.
     """
-    S = sys.base
-    A = sys.A
-    if not A.is_upper_triangular:
+    if not sys.A.is_upper_triangular:
         raise StructureError("back substitution needs a scaled system")
-    zero = S.zero_i
-    n = A.cols
-    a = A.indices
+    S, n, a = sys.base, sys.A.cols, sys.A.indices
+    zero, lines = S.zero_i, [a[i:i + n] for i in range(0, len(a), n)]
     # the leading-entry column per row; None for a row of zeros
-    pivots = [next((j for j in range(n) if a[i * n + j] != zero), None)
-              for i in range(A.rows)]
+    pivots = [next((j for j, x in enumerate(line) if x != zero), None) for line in lines]
     for i, p in enumerate(pivots):
         if p is None and not sys.masks[i] >> zero & 1:
             raise TypeIError(f"row {i} reads 0 within a set missing 0")
     rows = [i for i, p in enumerate(pivots) if p is not None]
     nodes, node_cap = 0, min(_limit.get(), _BACKSUB_NODES)
+    prod, sums, negs, scaled = S._prod, S._sum, [1 << v for v in S._neg], {}
 
-    def value_set(i, assigned):
-        p = pivots[i]
-        inverses = S.inverse_indices(a[i * n + p])
-        if not inverses:
-            raise StructureError(f"pivot {S.elements[a[i * n + p]]!r} has no inverse")
-        inv_bit = 1 << inverses[0]
-        terms = [S.mul_masks(inv_bit, sys.masks[i])]
-        for j in range(p + 1, n):
-            x = a[i * n + j]
-            if x == zero:
-                continue
-            t = S.prod_of((inv_bit, 1 << x, 1 << assigned[j]))
-            terms.append(S.neg_mask(t))
-        return _bits(S.sum_of(terms))
+    def value_set(i):
+        """lam.B_i - sum of (lam.a_ij).d_j past the pivot, lam its least inverse (read once)."""
+        if i not in scaled:
+            inverses = S.inverse_indices(lines[i][pivots[i]])
+            if not inverses:
+                raise StructureError(f"pivot {S.elements[lines[i][pivots[i]]]!r} has no inverse")
+            inv = prod[inverses[0]]
+            scaled[i] = _union(inv, sys.masks[i]), [(j, inv[x]) for j, x in enumerate(lines[i])
+                                                    if j > pivots[i] and x != zero]
+        out, cells = scaled[i]
+        for j, t in cells:
+            out = _setwise(sums, out, _union(negs, _setwise(prod, t, 1 << assigned[j])))
+        return _bits(out)
 
-    def rec(idx, assigned):
+    def rec(idx):
         nonlocal nodes
-        if idx < 0:
-            d = Matrix.from_indices(S, n, 1, assigned)
-            if is_weak_solution(sys, d):
-                yield d
+        if idx < 0:  # a weak solution of every row (is_weak_solution), row by row
+            if all(_dot(S, line, assigned) & b for line, b in zip(lines, sys.masks)):
+                yield Matrix.from_indices(S, n, 1, assigned)
             return
         i = rows[idx]
-        for x in value_set(i, assigned):
+        for x in value_set(i):
             nodes += 1
             if nodes > node_cap:
                 raise BlowupError(f"back substitution exceeded {node_cap} nodes")
             assigned[pivots[i]] = x
-            yield from rec(idx - 1, assigned)
+            yield from rec(idx - 1)
         assigned[pivots[i]] = zero
 
     assigned = [zero] * n  # free variables default to 0
-    yield from rec(len(rows) - 1, assigned)
+    yield from rec(len(rows) - 1)
 
 
 # -- the solver -----------------------------------------------------------------------
@@ -344,18 +345,13 @@ def _unit(S, j, m):
     return [S.one_i if i == j else S.zero_i for i in range(m)]
 
 
-def _row_sum_mask(S, coeffs, d):
-    return S.sum_of(S._prod[a][x] for a, x in zip(coeffs, d))
-
-
 def _case1(S, masks):
     """One-row method over set-valued coefficients: d with 0 in sum coeff_j d_j.
 
     A coefficient set holding 0 gives a unit vector; otherwise, with the least
     members a1, a2 of the first two sets, x1 = -a1^(-1)a2 and x2 = 1.
     """
-    m = len(masks)
-    zero = S.zero_i
+    m, zero = len(masks), S.zero_i
     for j, cs in enumerate(masks):
         if cs >> zero & 1:
             return _unit(S, j, m)
@@ -370,9 +366,7 @@ def _normalize_row(S, row):
 
 
 def _case2(S, rows, m):
-    a, b = rows
-    zero = S.zero_i
-    prod, neg = S._prod, S._neg
+    (a, b), zero, prod, neg = rows, S.zero_i, S._prod, S._neg
     for j in range(m):
         if a[j] == zero and b[j] == zero:
             return _unit(S, j, m)
@@ -382,13 +376,9 @@ def _case2(S, rows, m):
         r, p = zero_pos
         zero_row, other = rows[r], rows[1 - r]
         rest_cols = [j for j in range(m) if j != p]
-        sub = _case1(S, [1 << zero_row[j] for j in rest_cols])
-        d = [zero] * m
-        for j, v in zip(rest_cols, sub):
-            d[j] = v
-        pick = _bits(_row_sum_mask(S, [other[j] for j in rest_cols], sub))[0]
-        d[p] = neg[_single(prod[S.inverse_indices(other[p])[0]][pick])]
-        return d
+        sub = _case1(S, [1 << zero_row[j] for j in rest_cols])  # d off column p
+        pick = _bits(_dot(S, [other[j] for j in rest_cols], sub))[0]
+        return sub[:p] + [neg[_single(prod[S.inverse_indices(other[p])[0]][pick])]] + sub[p:]
 
     lam = next((l for l in range(len(S)) if l != zero and
                 all(_single(prod[l][a[j]]) == b[j] for j in range(m))), None)
@@ -398,14 +388,14 @@ def _case2(S, rows, m):
     an = _normalize_row(S, a)
     bn = _normalize_row(S, b)
     tail = _case1(S, [S._sum[bn[j]][neg[an[j]]] for j in range(1, m)])
-    meet = _row_sum_mask(S, an[1:], tail) & _row_sum_mask(S, bn[1:], tail)
+    meet = _dot(S, an[1:], tail) & _dot(S, bn[1:], tail)
     if not meet:
         return None
     return [neg[_bits(meet)[0]]] + tail
 
 
 def _case3(S, rows, m):
-    zero = S.zero_i
+    zero, sums, neg, negs = S.zero_i, S._sum, S._neg, [1 << v for v in S._neg]
     for j in range(m):
         if all(row[j] == zero for row in rows):
             return _unit(S, j, m)
@@ -417,15 +407,14 @@ def _case3(S, rows, m):
     sub = [[row[j] for j in cols] for row in rows]
     a, b, c = (_normalize_row(S, row) for row in sub)
 
-    sums, neg = S._sum, S._neg
     D = [sums[b[j]][neg[a[j]]] for j in range(1, 4)]  # rows b - a, positions 2..4
     E = [sums[c[j]][neg[a[j]]] for j in range(1, 4)]
     if any(s >> zero & 1 for s in D + E):
         return None  # pairwise independence assumption failed; use the fallback
 
-    add, mul = S.add_masks, S.mul_masks
+    add, mul = functools.partial(_setwise, sums), functools.partial(_setwise, S._prod)
     # columns 3 and 4 of the reduced system
-    G = [add(mul(D[0], E[j]), S.neg_mask(mul(E[0], D[j]))) for j in (1, 2)]
+    G = [add(mul(D[0], E[j]), _union(negs, mul(E[0], D[j]))) for j in (1, 2)]
     d3, d4 = _case1(S, G)
     b3, b4 = 1 << d3, 1 << d4
 
@@ -436,20 +425,15 @@ def _case3(S, rows, m):
     neg_z = neg[_bits(meet)[0]]
 
     sum_d = add(mul(D[1], b3), mul(D[2], b4))
-    cand = [x for x in _bits(S.neg_mask(sum_d)) if mul(E[0], 1 << x) >> neg_z & 1]
-    if not cand:
+    d2 = next((x for x in _bits(_union(negs, sum_d)) if mul(E[0], 1 << x) >> neg_z & 1), None)
+    if d2 is None:
         return None
-    d2 = cand[0]
 
-    meet2 = _row_sum_mask(S, a[1:], [d2, d3, d4]) & _row_sum_mask(S, b[1:], [d2, d3, d4])
+    meet2 = _dot(S, a[1:], [d2, d3, d4]) & _dot(S, b[1:], [d2, d3, d4])
     if not meet2:
         return None
-    w = _bits(meet2)[0]
-
-    d = [zero] * m
-    for pos, val in zip(cols, [neg[w], d2, d3, d4]):
-        d[pos] = val
-    return d
+    d = dict(zip(cols, [neg[_bits(meet2)[0]], d2, d3, d4]))
+    return [d.get(j, zero) for j in range(m)]
 
 
 def constructive_kernel(A):
@@ -458,8 +442,7 @@ def constructive_kernel(A):
     Requires the hyperfield toolkit (single-valued products with inverses);
     the result is verified here, and find_nontrivial_kernel falls back.
     """
-    S = A.base
-    n, m = A.rows, A.cols
+    S, n, m = A.base, A.rows, A.cols
     if m <= n or not structure_is(S, "multifield"):
         return None
     rows = [A.indices[i * m:(i + 1) * m] for i in range(n)]

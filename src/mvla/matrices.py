@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .axioms import structure_is
 from .errors import StructureError, charge
-from .structures import Box, _bits
+from .structures import Box, _bits, _setwise, _union
 
 
 class Matrix:
@@ -168,18 +168,20 @@ def _inner(A, B):
     return A.cols
 
 
-def _index_product(A, B):
-    """The entry masks of AB for matrices A and B, row-major, one at a time.
+def _dot(S, coeffs, d):
+    """The left fold of the setwise sum over the cells prod[c_j][d_j] (c nonempty)."""
+    sums, prod, out = S._sum, S._prod, None
+    for c, x in zip(coeffs, d):
+        out = prod[c][x] if out is None else _setwise(sums, out, prod[c][x])
+    return out
 
-    Each entry is the left fold of the setwise sum over the products of a row
-    of A with a column of B, as in mmul, read off the product table directly.
-    """
-    n = _inner(A, B)
-    S = A.base
-    prod, a, b = S._prod, A.indices, B.indices
-    cols = [b[j::B.cols] for j in range(B.cols)]
-    return (S.sum_of([prod[x][y] for x, y in zip(a[i * n:(i + 1) * n], col)])
-            for i in range(A.rows) for col in cols)
+
+def _index_product(A, B):
+    """The entry masks of AB for matrices A and B, row-major, one at a time: each the _dot
+    of a row of A with a column of B, as mmul folds it."""
+    n, a, b, c = _inner(A, B), A.indices, B.indices, B.cols
+    return itertools.starmap(functools.partial(_dot, A.base), itertools.product(
+        [a[i:i + n] for i in range(0, len(a), n)], [b[j::c] for j in range(c)]))
 
 
 _BITS = [int.from_bytes(bytes(255 * (v >> e & 1) for v in range(256)), "little") for e in range(8)]
@@ -198,11 +200,11 @@ def _value_masks(S, tab, coeffs, targets, memo):
 
     The partial sums of the k^j prefixes of d are byte lanes in product order, in
     ceil(k/8) planes of 8 carrier bits.  Adding tab[c][x] translates each plane by one
-    table per output plane, the OR of S.add_masks(1 << i, tab[c][x]) over the bits i
-    (a setwise sum is a union over members), and the k results interleave.  One more
+    table per output plane, the OR of the sums {i} + tab[c][x] (each a union of the sum
+    table's row i) over the bits i, and the k results interleave.  One more
     translate, to b"0"/b"1", reads a target.  memo, one per tab, keeps the tables, and
     the lanes of the last call's proper prefixes, which calls in product order extend."""
-    k, add, n, chain = len(S), S.add_masks, len(coeffs), memo.setdefault("chain", [])
+    k, sums, n, chain = len(S), S._sum, len(coeffs), memo.setdefault("chain", [])
     shifts, j = range(0, k, 8), min(len(chain), n - 1)
     while j and chain[j - 1][0] != coeffs[:j]:
         j -= 1
@@ -212,7 +214,7 @@ def _value_masks(S, tab, coeffs, targets, memo):
         chain[j - 1:], out = [(coeffs[:j], planes)], [bytearray(k * len(planes[0])) for _ in shifts]
         for x, t in enumerate(tab[coeffs[j]]):
             if t not in memo:  # (p, q, table): plane p of a partial sum into plane q
-                memo[t] = [(p, q, _lane_table(0, [add(1 << s + e, t) >> r & 255
+                memo[t] = [(p, q, _lane_table(0, [_union(sums[s + e], t) >> r & 255
                                                   for e in range(min(8, k - s))]))
                            for q, r in enumerate(shifts) for p, s in enumerate(shifts)]
             for p, q, table in memo[t]:  # p > 0: OR onto what the planes before wrote

@@ -9,12 +9,14 @@ iteration, witness selection and serialization.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 from .errors import StructureError, WindowRequired, charge
 
 INF = "inf"  # token for the tropical point at infinity
+_BYTE_BITS = [tuple(i for i in range(8) if m >> i & 1) for m in range(256)]  # of _bits
 
 
 class Structure:
@@ -243,13 +245,32 @@ def _check_tables(noun, k, indices, neg, tables):
 
 
 def _bits(mask):
-    """The carrier indices in a mask, in ascending order."""
+    """The carrier indices in a mask, in ascending order (below 256, read off a table)."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
     out = []
     while mask:
         low = mask & -mask
         mask ^= low
         out.append(low.bit_length() - 1)
     return tuple(out)
+
+
+def _union(cells, mask, start=0):
+    """start ORed with cells[i] over the members i of mask."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        start |= cells[low.bit_length() - 1]
+    return start
+
+
+def _setwise(tab, m1, m2):
+    """The setwise sum or product m1.m2 over tab, read off its rows with no memo."""
+    out, j = 0, m2.bit_length() - 1
+    for i in _bits(m1):
+        out |= tab[i][j] if m2 == 1 << j else _union(tab[i], m2)
+    return out
 
 
 class _Setwise(dict):
@@ -283,10 +304,8 @@ class _Setwise(dict):
 
 
 def _fold(combine, unit, masks):
-    acc = None
-    for m in masks:
-        acc = m if acc is None else combine(acc, m)
-    return unit if acc is None else acc
+    masks = iter(masks)
+    return functools.reduce(combine, masks, next(masks, unit))
 
 
 def _masks(S, sets):

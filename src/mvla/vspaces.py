@@ -15,9 +15,9 @@ import math
 from operator import or_
 
 from .axioms import (AxiomReport, FAIL, PASS, _GROUP, _Collector, _View, _report,
-                     _scan_action, _scan_kind, _union, is_full)
+                     _scan_action, _scan_kind, is_full)
 from .errors import MvlaError, StructureError, charge
-from .structures import _Setwise, _bits, _check_tables
+from .structures import _Setwise, _bits, _check_tables, _union
 
 # Policy bounds, not budgets: they define a verdict or choose a check.
 _BUNDLE_BOUND = 2  # scalar summands per generator in independence tests

@@ -505,7 +505,7 @@ def _scans_agree(view, laws, ref_scan, *ref_args):
         runs.append(ref)
         if not runs[0].witnesses:
             break
-    tested = all(view.tables[law.keywords["op"]].symmetric for law in laws
+    tested = all(view[law.keywords["op"]].symmetric for law in laws
                  if law in _ASSOC.values())
     if not runs[0].witnesses and not runs[0].skipped and _exact(view) and tested:
         quiet = _Quiet(**_UNLIMITED)

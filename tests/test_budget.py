@@ -222,7 +222,7 @@ def test_budget_one_stops_every_enumerating_function(H3, H5, H7):
         assert message.startswith(bound) and message.endswith("exceeds budget 1"), message
     # The solver and the kernel search report their scan as inconclusive instead.  The
     # H3 system, seven random rows and the first again with a disjoint right side, walks
-    # the scaling cap at the default budget (1.4 s).  No kernel input admitted at the
+    # the scaling cap at the default budget (0.55 s).  No kernel input admitted at the
     # default budget ran for 1 s on that host: the scan reads its k^n <= 10^7 vectors
     # off value masks, one byte lane per vector (0.66 s for K at 22 x 23, 0.37 s for
     # X4 at 6 x 7, 0.26 s for H5 at 9 x 10).

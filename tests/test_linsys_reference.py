@@ -12,16 +12,18 @@ the masks themselves are checked against the recursion that the byte-lane fold
 of _value_masks replaced (_recursive_value_masks).
 """
 
+import functools
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvla import (BlowupError, LinearSystem, Matrix, Structure, builtin, det,
+from mvla import (BlowupError, LinearSystem, Matrix, Poly, Structure, builtin, det,
                   find_inverse, find_nontrivial_kernel, is_inverse_pair, is_linearly_closed,
-                  iter_scaled_systems, search_budget, solve_weak, structure_is)
-from mvla.linsys import TypeIError, constructive_kernel, iter_back_substitution
+                  iter_scaled_systems, quotient_pair, search_budget, solve_weak, structure_is)
+from mvla.linsys import (TypeIError, classify_candidate, constructive_kernel,
+                         iter_back_substitution)
 from mvla.matrices import _index_product, _value_masks
 from test_closedness import single_entry_mutants
 
@@ -166,14 +168,15 @@ def ref_back_substitution(S, rows, B, node_cap=10 ** 5):
     yield from rec(len(live) - 1, {j: S.zero for j in range(n)})
 
 
-def ref_solve_weak(S, rows, B, scan_cap=10 ** 6):
-    """(status, vector entries, strength, note), as SolveOutcome reports them."""
+def ref_solve_weak(S, rows, B, budget=10 ** 7):
+    """(status, vector entries, strength, note), as SolveOutcome reports them under
+    search_budget(budget): the branch cap, the node cap and the scan cap are its."""
     n = len(rows[0])
     try:
-        for entries, sB in ref_scale_system(S, rows, B):
+        for entries, sB in ref_scale_system(S, rows, B, min(budget, 4096)):
             srows = [entries[i * n:(i + 1) * n] for i in range(len(rows))]
             try:
-                for d in ref_back_substitution(S, srows, sB):
+                for d in ref_back_substitution(S, srows, sB, min(budget, 10 ** 5)):
                     strength = ref_classify(S, rows, B, d)
                     if strength is not None:
                         return "solved", d, strength, ""
@@ -181,7 +184,7 @@ def ref_solve_weak(S, rows, B, scan_cap=10 ** 6):
                 continue
     except BlowupError:
         pass  # more branches than the cap: the scan below decides
-    if len(S) ** n > scan_cap:
+    if len(S) ** n > budget:
         return "inconclusive", None, None, f"scan of {len(S) ** n} vectors exceeds cap"
     for d in itertools.product(S.elements, repeat=n):
         strength = ref_classify(S, rows, B, d)
@@ -311,11 +314,14 @@ def ref_constructive_kernel(S, rows):
     return tuple(d) if d is not None and ref_kernel_ok(S, rows, d) else None
 
 
-def ref_find_kernel(S, rows):
-    """(status, vector entries, note), as find_nontrivial_kernel reports them."""
+def ref_find_kernel(S, rows, budget=10 ** 7):
+    """(status, vector entries, note), as find_nontrivial_kernel reports them under
+    search_budget(budget)."""
     got = ref_constructive_kernel(S, rows)
     if got is not None:
         return "solved", got, "constructive"
+    if len(S) ** len(rows[0]) > budget:
+        return "inconclusive", None, f"kernel scan of {len(S) ** len(rows[0])} exceeds cap"
     for d in itertools.product(S.elements, repeat=len(rows[0])):
         if ref_kernel_ok(S, rows, d):
             return "solved", d, "exhaustive"
@@ -353,37 +359,44 @@ def _drain(gen):
     return out, None
 
 
-def check_system(S, rows, B):
+def check_system(S, rows, B, budget=10 ** 7):
+    """The library against the reference under search_budget(budget): the scaled systems
+    in order and how the walk stopped, the candidates of each and how back substitution
+    stopped, and the outcome.  Returns the stops seen: ("scale", the walk's), ("backsub",
+    each back substitution's) and ("outcome", the status).  Past the branch cap the
+    candidates are compared only under a budget below the default, which few scaled
+    systems come before."""
     sys_ = LinearSystem.of(Matrix.from_rows(S, rows), B)
-    try:
-        want = list(ref_scale_system(S, rows, B))
-    except BlowupError:
-        with pytest.raises(BlowupError):
-            tuple(iter_scaled_systems(sys_))
-        want = []
-    else:
-        got = tuple(iter_scaled_systems(sys_))
-        assert [(s.A.entries, s.B) for s in got] == want, (rows, B)
-        n = len(rows[0])
-        for scaled, (entries, sB) in zip(got, want):
+    n = len(rows[0])
+    with search_budget(budget):
+        got, stop = _drain(iter_scaled_systems(sys_))
+        want = _drain(ref_scale_system(S, rows, B, min(budget, 4096)))
+        assert ([(s.A.entries, s.B) for s in got], stop) == want, (rows, B)
+        stops = {("scale", stop)}
+        for scaled, (entries, sB) in zip(got, want[0]) if stop is None or budget < 10 ** 7 else ():
             srows = [entries[i * n:(i + 1) * n] for i in range(len(rows))]
-            cands, stop = _drain(iter_back_substitution(scaled))
-            assert ([d.entries for d in cands], stop) == \
-                _drain(ref_back_substitution(S, srows, sB)), (rows, B, entries, sB)
-    out = solve_weak(sys_)
+            cands, cut = _drain(iter_back_substitution(scaled))
+            assert ([d.entries for d in cands], cut) == \
+                _drain(ref_back_substitution(S, srows, sB, min(budget, 10 ** 5))), \
+                (rows, B, entries, sB)
+            stops.add(("backsub", cut))
+        out = solve_weak(sys_)
     v = out.verdict
     assert (out.status, v and v.vector.entries, v and v.strength, out.note) == \
-        ref_solve_weak(S, rows, B), (rows, B)
+        ref_solve_weak(S, rows, B, budget), (rows, B)
+    return stops | {("outcome", out.status)}
 
 
-def check_kernel(S, rows):
-    """Both kernel routes, on a matrix with more columns than rows."""
+def check_kernel(S, rows, budget=10 ** 7):
+    """Both kernel routes, on a matrix with more columns than rows, under
+    search_budget(budget)."""
     A = Matrix.from_rows(S, rows)
-    got = constructive_kernel(A)
+    with search_budget(budget):
+        got = constructive_kernel(A)
+        out = find_nontrivial_kernel(A)
     assert (got and got.entries) == ref_constructive_kernel(S, rows), rows
-    out = find_nontrivial_kernel(A)
     assert (out.status, out.verdict and out.verdict.vector.entries, out.note) == \
-        ref_find_kernel(S, rows), rows
+        ref_find_kernel(S, rows, budget), rows
 
 
 BASES = {"K": ("K",), "Q2": ("Q2",), "H2": ("Hp", 2), "H3": ("Hp", 3), "F3": ("Fp", 3),
@@ -631,6 +644,64 @@ def test_solver_and_kernels_match_on_drawn_systems(case):
         check_kernel(S, A)
 
 
+# The superfields among the quotients of Q2, H3 and X1 by a quadratic: 9 elements each,
+# whose products have up to 3 (Q2, X1) or 6 (H3) members, so that the scaled walk and
+# back substitution branch on products as well as on sums.
+MULTI = ((("Q2",), (-1, 0, -1)), (("Q2",), (1, 0, 1)), (("Hp", 3), (1, 0, 2)),
+         (("Hp", 3), (2, 0, 1)), (("Xn", 1), (-1, 0, -1)), (("Xn", 1), (1, 0, 1)))
+SMALL_BUDGETS = (4, 16, 64)
+
+
+@functools.cache
+def multi_superfields():
+    return tuple(quotient_pair(builtin(*args), Poly(builtin(*args), coeffs))[0]
+                 for args, coeffs in MULTI)
+
+
+def _multi_system(S, rows, cols, pick, sample):
+    """A over S and right sides of 1 to 3 elements, from pick(seq) and sample(seq, k)."""
+    A = [[pick(S.elements) for _ in range(cols)] for _ in range(rows)]
+    return A, [frozenset(sample(S.elements, 1 + pick(range(3)))) for _ in range(rows)]
+
+
+def test_multi_superfields_have_products_of_several_members():
+    for S in multi_superfields():
+        assert structure_is(S, "superfield") and not structure_is(S, "multifield")
+        assert max(cell.bit_count() for row in S._prod for cell in row) > 1
+
+
+def test_solver_matches_token_reference_on_multivalued_products_at_small_budgets():
+    """Every stop of the route agrees with the reference, and each comes up: the branch
+    cap, the node cap, TypeIError skips, and the scan cap of the fallback."""
+    stops = set()
+    for budget in SMALL_BUDGETS:
+        for S in multi_superfields():
+            rng = random.Random(f"multi:{S.name}:{budget}")
+            for rows, cols in SHAPES + ((3, 4),):
+                for _ in range(3):
+                    A, B = _multi_system(S, rows, cols, rng.choice, rng.sample)
+                    stops |= check_system(S, A, B, budget)
+                    if cols > rows:
+                        check_kernel(S, A, budget)
+    assert {("scale", "BlowupError"), ("backsub", "BlowupError"), ("backsub", "TypeIError"),
+            ("outcome", "inconclusive"), ("outcome", "solved"),
+            ("outcome", "no-solution")} <= stops
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_solver_and_kernels_match_on_drawn_multivalued_superfields(data):
+    S = data.draw(st.sampled_from(multi_superfields()))
+    rows, cols = data.draw(st.sampled_from(SHAPES + ((3, 4),)))
+    A, B = _multi_system(S, rows, cols, lambda seq: data.draw(st.sampled_from(seq)),
+                         lambda seq, k: data.draw(st.lists(st.sampled_from(seq), min_size=k,
+                                                           max_size=k, unique=True)))
+    budget = data.draw(st.sampled_from(SMALL_BUDGETS))
+    check_system(S, A, B, budget)
+    if cols > rows:
+        check_kernel(S, A, budget)
+
+
 # -- token helpers stay off the hot paths ------------------------------------------------
 
 TOKEN_HELPERS = ("index", "mask_of", "set_of", "canon", "canon_of", "inverse", "inverses",
@@ -694,3 +765,43 @@ def test_hot_paths_make_no_token_conversions(bases, token_calls):
     for A in squares:
         det(A)
     assert {k: v for k, v in token_calls.items() if v} == {"set_of": len(squares)}
+
+
+def _made(S, name):
+    """Whether the slot name of S is set, read through the slot itself: an attribute read
+    would make a setwise memo (Structure.__getattr__)."""
+    try:
+        getattr(Structure, name).__get__(S)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_solve_route_reads_the_tables_without_setwise_memos():
+    """On a fresh structure whose kinds are cached, the solver, the kernels and the
+    classification read the structure's tables: no _Setwise memo is made."""
+    rng, notes = random.Random(35), set()
+    for S in [builtin(*args) for args in (("Hp", 3), ("Hp", 5), ("Hp", 7), ("Q2",), ("Fp", 5))
+              for _ in range(20)] + [quotient_pair(builtin("Hp", 3), Poly(builtin("Hp", 3),
+                                                                          (1, 0, 2)))[0]]:
+        for kind in ("superfield", "multifield"):
+            structure_is(S, kind)
+        assert not _made(S, "_add_cache") and not _made(S, "_mul_cache")
+        for rows, cols in ((2, 2), (2, 3), (3, 3), (3, 4)):
+            A = Matrix.from_indices(S, rows, cols, [rng.randrange(len(S))
+                                                    for _ in range(rows * cols)])
+            sys_ = LinearSystem(A, tuple(rng.choice([rng.randrange(1, 1 << len(S)),
+                                                     1 << rng.randrange(len(S))])
+                                         for _ in range(rows)))
+            outcomes = [solve_weak(sys_)]
+            if cols > rows:
+                outcomes.append(find_nontrivial_kernel(A))
+            classify_candidate(sys_, Matrix.from_indices(S, cols, 1, [S.one_i] * cols))
+            notes |= {o.note for o in outcomes}
+        assert not _made(S, "_add_cache") and not _made(S, "_mul_cache"), S.name
+    # every route ran: scaled and exhaustive solutions, proofs of none, both kernel routes
+    assert {"", "exhaustive fallback", "exhausted all candidate vectors", "constructive",
+            "exhaustive"} <= notes
+    S = builtin("Hp", 3)
+    S.add_masks(1, 2)  # the check sees a memo once one is made
+    assert _made(S, "_add_cache") and not _made(S, "_mul_cache")

@@ -14,7 +14,8 @@ from mvla import (ExtensionPair, Matrix, MvlaError, Poly, StructureError, builti
                   fn_space, is_full, is_linearly_closed, is_linearly_independent, is_subspace,
                   linear_combinations, matrix_space, poly_space, quotient_pair,
                   solution_subspace, span, verify_multigroup, verify_vspace)
-from mvla.axioms import _Collector, _union
+from mvla.axioms import _Collector
+from mvla.structures import _union
 from mvla.vspaces import VectorSpace, _bundles, _dependence, _subspace_witness
 from test_boxes import small_structures
 

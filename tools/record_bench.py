@@ -61,6 +61,14 @@ checkout's own files:
   with a nonzero diagonal, 40 each over H3, H5, H7, Q2 and F5 (the shape of the
   `linsys` workload's inverse queries), timed around the batch in each of
   REPEATS fresh interpreters; its work units count the matrices inverted;
+- `solve_weak` over one seeded batch of 800 systems in the shape of the `linsys`
+  workload's solves: 40 each over H3, H5, H7, Q2 and F5 and in each of the shapes
+  2x2, 2x3, 3x3 and 3x4, right sides of 1 or 2 elements, each system over a fresh
+  structure whose `structure_is(S, "superfield")` check runs before the clock
+  starts; timed around the batch in each of REPEATS fresh interpreters; its work
+  units are the solves, the scaled systems yielded and the candidates classified
+  (both counted in a second, untimed pass), and the solves that ran the exhaustive
+  fallback;
 - `find_nontrivial_kernel` over one seeded batch of 120 wide matrices on which
   `constructive_kernel` returns None, 40 each over H5, H7 and F5, so that every
   call reads its answer off the value masks of the exhaustive fallback; timed
@@ -312,6 +320,35 @@ for args in (("Hp", 3), ("Hp", 5), ("Hp", 7), ("Q2",), ("Fp", 5)):
 t0 = time.perf_counter()
 inverted = sum(find_inverse(A) is not None for A in batch)
 print(json.dumps([time.perf_counter() - t0, {"matrices": len(batch), "inverted": inverted}]))
+"""),
+    ("linsys", "solve batch H3/H5/H7/Q2/F5", """
+import json, random, time
+from mvla import LinearSystem, Matrix, builtin, linsys, solve_weak, structure_is
+rng, batch = random.Random(1), []
+for args in (("Hp", 3), ("Hp", 5), ("Hp", 7), ("Q2",), ("Fp", 5)):
+    for rows, cols in ((2, 2), (2, 3), (3, 3), (3, 4)):
+        for _ in range(40):
+            S = builtin(*args)
+            structure_is(S, "superfield")  # the cold check is not timed
+            A = Matrix.from_indices(S, rows, cols, [rng.randrange(len(S))
+                                                    for _ in range(rows * cols)])
+            batch.append(LinearSystem.of(A, [rng.sample(S.elements, rng.randrange(1, 3))
+                                             for _ in range(rows)]))
+t0 = time.perf_counter()
+outs = [solve_weak(s) for s in batch]
+dt, counts = time.perf_counter() - t0, {"scaled_systems": 0, "candidates_classified": 0}
+scale, classify = linsys.iter_scaled_systems, linsys.classify_candidate
+def counted_scale(sys):
+    for scaled in scale(sys):
+        counts["scaled_systems"] += 1
+        yield scaled
+def counted_classify(sys, d):
+    counts["candidates_classified"] += 1
+    return classify(sys, d)
+linsys.iter_scaled_systems, linsys.classify_candidate = counted_scale, counted_classify
+assert [solve_weak(s) for s in batch] == outs
+print(json.dumps([dt, {"solves": len(outs), **counts,
+                       "fallbacks": sum(o.note != "" for o in outs)}]))
 """),
     # 3x4 only: on these bases the two-row construction of a 2x3 kernel never fails
     ("linsys", "kernel fallback wide H5/H7/F5", """
