@@ -607,14 +607,14 @@ def _unit_scalings(S):
     return out
 
 
-def _slice(slices, u, cap, scalings):
-    """The slice of u at degree cap, built once per slice table and class of unit
-    multiples: the key is the least of u and its multiples c*u by scalings.  The
+def _slice(slices, u, cap, scalings, terms):
+    """The slice of u at degree cap of up to terms summands, built once per slice table
+    and class of unit multiples: the key is the least of u and its multiples c*u by scalings.  The
     table's search is charged with the k^(cap+1) polynomials of each slice it builds."""
     key = min([u.indices] + [tuple(map(m.__getitem__, u.indices)) for m in scalings])
     if key not in slices:
         charge((len(slices) + 1) * len(u.base) ** (cap + 1), "ideal slice polynomials")
-        slices[key] = _ideal_members_bounded(u, cap, cap, _TERMS)
+        slices[key] = _ideal_members_bounded(u, cap, cap, terms)
     return slices[key]
 
 
@@ -651,7 +651,11 @@ def is_irreducible(f):
 
 
 def _irreducible(f, slices):
-    """is_irreducible over a table of slices at deg f (see _slice) shared by a search."""
+    """is_irreducible over a table of slices at deg f (see _slice) shared by a search.
+
+    Over a field (a superfield whose sum and product cells are singletons, as the weak
+    laws hold with equality on them) each slice is built with one term, not _TERMS: each
+    box h*u is a polynomial, and h1*u + h2*u = (h1 + h2)*u with deg(h1 + h2) <= deg f."""
     S = f.base
     if not structure_is(S, "superfield"):
         raise StructureError(f"{S.name} is not a superfield")
@@ -661,15 +665,16 @@ def _irreducible(f, slices):
     note = f"bounded: <= {_TERMS} terms, deg h <= {cap}"
     bit = _members_bits([[1 << i for i in f.indices]], len(S))
     scalings = _unit_scalings(S)
+    terms = _TERMS if any(m & m - 1 for row in S._sum + S._prod for m in row) else 1
     # a u that is 0 up to f's valuation has a slice without f (see is_irreducible)
     low = (S.zero_i,) * (next(j for j, c in enumerate(f.indices) if c != S.zero_i) + 1)
     own = None
     for u in all_polys(S, cap):
         if u.is_zero or u.degree < 1 or u == f or u.indices[:len(low)] == low:
             continue
-        through_u = _slice(slices, u, cap, scalings)
+        through_u = _slice(slices, u, cap, scalings, terms)
         if through_u & bit:
-            own = own or _slice(slices, f, cap, scalings)
+            own = own or _slice(slices, f, cap, scalings, terms)
             if through_u != own:
                 return IrreducibilityVerdict(False, u, note)
     return IrreducibilityVerdict(True, None, note)

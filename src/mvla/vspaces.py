@@ -21,7 +21,6 @@ from .structures import _Setwise, _bits, _check_tables, _union
 
 # Policy bounds, not budgets: they define a verdict or choose a check.
 _BUNDLE_BOUND = 2  # scalar summands per generator in independence tests
-_DIMENSION_RECHECK = 200000  # dimension re-checks up to this many subsets
 
 
 class VectorSpace:
@@ -320,8 +319,8 @@ def dimension(V, closure_report):
     bounded by its max_n/max_m, so it does not make the bundle-bounded basis
     size unique: on H3^3, with H3 passing at 2 and 3, the basis kept has 2
     vectors while the 3 unit vectors pass the independence test.  So it
-    re-checks that no independent set exceeds the basis size, when there are at
-    most 200000 sets of that size, and refuses with the first one it finds.
+    re-checks every set of basis size + 1 vectors, charged to the search limit
+    before the scan, and refuses with the first independent one it finds.
     """
     if not isinstance(closure_report, AxiomReport) or \
             not closure_report.kind.startswith("linearly-closed") or \
@@ -330,13 +329,11 @@ def dimension(V, closure_report):
             "dimension needs a passing linearly-closed report for the scalar "
             "structure; run linsys.is_linearly_closed first")
     dim = len(find_basis(V, V.vectors))
-    size = dim + 1
-    if math.comb(len(V.vectors), size) <= _DIMENSION_RECHECK:
-        for vs in itertools.combinations(range(len(V.vectors)), size):
-            if _dependence(V, vs) is None:
-                vs = tuple(map(V.vectors.__getitem__, vs))
-                raise MvlaError(
-                    f"independent set {vs!r} exceeds the extracted basis size {dim}")
+    charge(math.comb(len(V.vectors), dim + 1), "dimension re-check subsets")
+    for vs in itertools.combinations(range(len(V.vectors)), dim + 1):
+        if _dependence(V, vs) is None:
+            vs = tuple(map(V.vectors.__getitem__, vs))
+            raise MvlaError(f"independent set {vs!r} exceeds the extracted basis size {dim}")
     return dim
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import mvla
 from mvla import (BlowupError, LinearSystem, Matrix, Poly, PolySet, all_ideals, builtin,
-                  characteristic, det, find_basis, find_inverse, find_irreducible,
+                  characteristic, det, dimension, find_basis, find_inverse, find_irreducible,
                   find_nontrivial_kernel, find_quotient_superfield, fn_space, is_almost_full,
                   is_effective_root, is_irreducible, is_linearly_closed,
                   is_linearly_independent, mmul, pdivmod, pmul_fold, quotient_pair,
@@ -187,6 +187,7 @@ def test_budget_one_stops_every_enumerating_function(H3, H5, H7):
     3.11), to its answer or to its BlowupError."""
     F5 = builtin("Fp", 5)
     _, gf25, _ = quotient_pair(F5, Poly(F5, (2, 0, 1)))
+    H5_cubed = (fn_space(H5, 3), is_linearly_closed(H5, 2, 3))
     searches = [
         (det, (_nonzero_matrix(H3, 9, 9),), "determinant terms"),  # 1.4 s
         (mmul, (_nonzero_matrix(H3, 200, 200), _nonzero_matrix(H3, 200, 200, 1)),
@@ -209,6 +210,8 @@ def test_budget_one_stops_every_enumerating_function(H3, H5, H7):
         (is_linearly_closed, (builtin("K"), 5, 6), "closedness work"),  # 3.1 s
         (is_linearly_independent, (fn_space(builtin("Hp", 43), 2), [(1, 0), (0, 1)]),
          "independence bundle tuples"),  # 1.4 s, after 1.5 s to build the space
+        # refused at the default budget, by an independent set, after 1.5 s
+        (dimension, H5_cubed, "independence bundle tuples"),
         (verify_axioms, (builtin("Trop"), "superfield", (-40, 40)),
          "window axiom instances"),  # 1.8 s
         (PolySet.members, (PolySet(H3, [7] * 12),), "poly box members"),  # 1.4 s

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from mvla import (NEG_INF, Poly, PolySet, Structure, StructureError, builtin,
                   divmod_holds, evaluate, is_effective_root, is_irreducible,
                   is_root, padd, padd_sets, pdeg_laws_check, pdivmod, pmul,
-                  pmul_fold)
-from mvla.polys import (_ideal_members_bounded, _irreducible, _maximal, _members_bits, _nonzero,
-                        _unit_scalings, all_polys, deg_sum_min_counterexamples)
+                  pmul_fold, quotient_pair)
+from mvla.polys import (_TERMS, _ideal_members_bounded, _irreducible, _maximal, _members_bits,
+                        _nonzero, _unit_scalings, all_polys, deg_sum_min_counterexamples)
 from mvla.structures import _bits
 from conftest import poly_divmod_mod, poly_eval_mod
 from test_closedness import single_entry_mutants
@@ -621,6 +621,51 @@ def test_unit_classes_keep_every_verdict(name, param):
             assert (got.irreducible, got.witness) == per_u_verdict(f, per_u), f
     # every nonzero c is admitted: 4 multiples in each class of the 120 u
     assert (len(classes), len(per_u)) == (30, 120)
+
+
+def _recording_terms(monkeypatch):
+    """The max_terms of every slice the scan builds, and the unpatched kernel."""
+    import mvla.polys as polys
+    kernel, terms = polys._ideal_members_bounded, []
+
+    def recording(u, deg_cap, h_deg, max_terms):
+        terms.append(max_terms)
+        return kernel(u, deg_cap, h_deg, max_terms)
+
+    monkeypatch.setattr(polys, "_ideal_members_bounded", recording)
+    return terms, kernel
+
+
+FIELDS = {"F2": ("Fp", 2), "F3": ("Fp", 3), "F5": ("Fp", 5),
+          "GF(4)": (("Fp", 2), (1, 1, 1)), "GF(9)": (("Fp", 3), (1, 0, 1))}
+
+
+@pytest.mark.parametrize("name,degree", [("F2", 2), ("F2", 3), ("F2", 4), ("F3", 2), ("F3", 3),
+                                         ("F5", 2), ("GF(4)", 2), ("GF(9)", 2)])
+def test_field_slices_of_one_term_match_the_kernel_of_three(monkeypatch, name, degree):
+    # over a field each box h*u is one polynomial and h1*u + h2*u = (h1 + h2)*u, so
+    # the scan builds its slices with one term, and each equals the slice of _TERMS
+    spec = FIELDS[name]
+    if name.startswith("GF"):
+        F = builtin(*spec[0])
+        S = quotient_pair(F, Poly(F, spec[1]))[0]
+    else:
+        S = builtin(*spec)
+    terms, kernel = _recording_terms(monkeypatch)
+    slices = {}  # one table, as a search shares it
+    for f in _nonconstant(S, degree):
+        if f.degree == degree:
+            _irreducible(f, slices)
+    assert slices and set(terms) == {1}
+    for key, got in slices.items():
+        assert got == kernel(Poly.from_indices(S, key), degree, degree, _TERMS), key
+
+
+@pytest.mark.parametrize("spec", [("K",), ("Hp", 2), ("Hp", 3), ("Hp", 5), ("Q2",), ("Xn", 1)])
+def test_multivalued_superfields_build_slices_of_every_term(monkeypatch, spec):
+    terms, _ = _recording_terms(monkeypatch)
+    _irreducible(Poly(builtin(*spec), (1, 0, 1)), {})
+    assert terms and set(terms) == {_TERMS}
 
 
 # every built-in superfield, F2 also at degree 4

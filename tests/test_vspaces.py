@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvla import (ExtensionPair, Matrix, MvlaError, Poly, StructureError, builtin,
+from mvla import (BlowupError, ExtensionPair, Matrix, MvlaError, Poly, StructureError, builtin,
                   certify_algebraic_extension, dimension, extension_space, find_basis,
                   fn_space, is_full, is_linearly_closed, is_linearly_independent, is_subspace,
                   linear_combinations, matrix_space, poly_space, quotient_pair,
-                  solution_subspace, span, verify_multigroup, verify_vspace)
+                  search_budget, solution_subspace, span, verify_multigroup, verify_vspace)
 from mvla.axioms import _Collector
 from mvla.structures import _union
 from mvla.vspaces import VectorSpace, _bundles, _dependence, _subspace_witness
@@ -703,6 +703,20 @@ def test_dimension_refuses_h3_cubed_under_a_bounded_closedness_report(H3, h3_clo
     with pytest.raises(MvlaError) as refused:
         dimension(V, h3_closure)
     assert str(refused.value) == f"independent set {units!r} exceeds the extracted basis size 2"
+
+
+def test_dimension_rechecks_h5_cubed_under_the_budget(H5):
+    # C(125, 3) = 317750 sets of 3 vectors: the re-check scans them all at the default
+    # budget and finds the unit vectors independent; below that it names its bound
+    V, closure = fn_space(H5, 3), is_linearly_closed(H5, 2, 3)
+    units = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert closure.passed and len(find_basis(V, V.vectors)) == 2
+    with pytest.raises(MvlaError) as refused:
+        dimension(V, closure)
+    assert str(refused.value) == f"independent set {units!r} exceeds the extracted basis size 2"
+    with search_budget(317749), pytest.raises(BlowupError) as blown:
+        dimension(V, closure)
+    assert str(blown.value) == "dimension re-check subsets: 317750 exceeds budget 317749"
 
 
 def test_dimensions(V9, F3, h3_closure, h3_quotient):

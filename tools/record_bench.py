@@ -22,11 +22,12 @@ checkout's own files:
   a fresh COLD_MUTANT, built before the clock starts, which fails at its first
   M3-mult witness (work units: the `checked` count and first witness of its
   stop-on-first report);
-- the irreducibility scans of 1+2X^2 over `builtin("Hp", 5)` and of 1+X+X^4 over
+- the irreducibility scans of 1+2X^2 over `builtin("Hp", 5)`, of 1+X+X^4 over
   `builtin("Fp", 2)` (the shape of the `extension` workload's slowest
-  irreducibility queries), `polys._irreducible` timed around the call in each of
-  REPEATS fresh interpreters; the work units of each are the verdict and the
-  number of ideal slices its table holds afterwards;
+  irreducibility queries) and of 1+X^2 over `builtin("Fp", 3)` (the shape of its
+  F3 quadratics), `polys._irreducible` timed around the call in each of REPEATS
+  fresh interpreters; the work units of each are the verdict and the number of
+  ideal slices its table holds afterwards;
 - the quotient search `find_quotient_superfield(builtin("Hp", 5), 2)`, timed
   around the call in each of REPEATS fresh interpreters; its work units say
   whether it found a quotient;
@@ -214,6 +215,7 @@ TIMED_CALLS = (
     ("polys", "irreducible H5 1+2X^2", 'ARGS, COEFFS = ("Hp", 5), (1, 0, 2)' + IRREDUCIBLE_CODE),
     ("polys", "irreducible F2 1+X+X^4",
      'ARGS, COEFFS = ("Fp", 2), (1, 1, 0, 0, 1)' + IRREDUCIBLE_CODE),
+    ("polys", "irreducible F3 1+X^2", 'ARGS, COEFFS = ("Fp", 3), (1, 0, 1)' + IRREDUCIBLE_CODE),
     ("extensions", "quotient search H5 deg 2", """
 import json, time
 from mvla import builtin
