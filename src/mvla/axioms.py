@@ -28,7 +28,7 @@ from itertools import compress, repeat
 from operator import and_, eq, itemgetter, mul, or_
 
 from .errors import StructureError, WindowRequired, charge
-from .structures import Structure, TropicalStructure, _Setwise, _bits, _union
+from .structures import Structure, TropicalStructure, _bits, _setwise, _union
 
 PASS = "pass"
 FAIL = "fail"
@@ -644,8 +644,8 @@ def _line_sums(s, p, by_cols):
     On whole tables where every cell of the product has one member, the sum of
     {x} and {y} is the sum table's cell x.y: the indices x * k + y of all the
     sums are one int, and its bytes, translated by the sum table's cells, are
-    the sums.  Otherwise the setwise sums are seeded with those of two
-    singletons, the sum table's own cells.
+    the sums.  Otherwise each distinct pair of cells is summed once, and a cell's
+    inexact bit is carried into its sums as it is.
     """
     k = s.k
     if s.whole and p.whole:
@@ -654,10 +654,13 @@ def _line_sums(s, p, by_cols):
             firsts = b"".join([members[i:i + k] * k for i in range(0, k * k, k)])
             at = int.from_bytes(firsts, "big") * k + int.from_bytes(members * k, "big")
             return at.to_bytes(k ** 3, "big").translate(s.cells.ljust(256, b"\0"))
-    plus, lines = _Setwise(s.rows), p.cols if by_cols else p.rows
-    plus.update(zip(itertools.product(_units(k), repeat=2), s.flat))
-    return list(map(plus.__getitem__, zip(_flat(map(mul, lines, repeat(k))),
-                                          _flat(lines) * k)))
+    inex, lines = 1 << k, p.cols if by_cols else p.rows
+
+    @functools.cache
+    def plus(m1, m2):
+        return (m1 | m2) & inex | _setwise(s.rows, m1 & ~inex, m2 & ~inex)
+
+    return list(map(plus, _flat(map(mul, lines, repeat(k))), _flat(lines) * k))
 
 
 def _scan_weak_dist(view, col):
@@ -1038,7 +1041,7 @@ def _scan_action(view, F, col, full):
                     _unions(cols, repeat(m), 0), _unions(repeat(act[lam]), act[mu], 0),
                     repeat("MV1"), ((scal[lam], scal[mu], v) for v in els)))):
                 return
-    law, plus = _equality if full else _containment, _Setwise(view.sum)
+    law, plus = _equality if full else _containment, functools.partial(_setwise, view.sum)
     # MV2: lam (v + w) within lam v + lam w
     sum_cells, sum_getters = view["sum"].distinct[0], view["sum"].getters
     # lam_sums[lam][x]: the packed row over w of x + lam.w
@@ -1051,13 +1054,13 @@ def _scan_action(view, F, col, full):
                 col.checked += k
             elif col.record_all(_judged(law, 0, zip(
                     _unions(repeat(row), view.sum[v], 0),
-                    map(plus.__getitem__, zip(repeat(row[v]), row)),
+                    map(plus, repeat(row[v]), row),
                     repeat("MV2"), ((scal[lam], els[v], w) for w in els)))):
                 return
     # MV3: (lam + mu) v within lam v + mu v
     for lam in range(s):
         for mu in range(s):
-            R, m = list(map(plus.__getitem__, zip(act[lam], act[mu]))), F._sum[lam][mu]
+            R, m = list(map(plus, act[lam], act[mu])), F._sum[lam][mu]
             if _passes(_or(acts, _bits(m)), _pack(R, width), full):
                 col.checked += k
             elif col.record_all(_judged(law, 0, zip(

@@ -6,8 +6,7 @@ scaled) but the converse is unknown, so every candidate found on a scaled system
 re-verified against the original system before being reported.  Systems and vectors
 are worked on as carrier indices and masks.  The solve route and the constructive
 kernels read the structure's tables row by row (_setwise, _union), keeping nothing past
-one call; the _Setwise memos of add_masks and mul_masks serve the repeated-mask
-arithmetic of boxes, polynomials and spaces.
+one call, as add_masks and mul_masks do everywhere else.
 """
 
 from __future__ import annotations

@@ -478,7 +478,7 @@ def _members_bits(boxes, k):
 
 def _lanewise(A, B, table, ones, full):
     """The setwise op of table on every lane at once: lane p of the result is the union
-    of table[i][j] over the bits i of lane p of A and j of lane p of B, as _Setwise gives
+    of table[i][j] over the bits i of lane p of A and j of lane p of B, as _setwise gives
     it.  A and B are ints of equal lanes; ones holds bit 0 of each lane and full fills
     one lane, so a lane indicator times full covers its lane, and times a mask of the
     table puts the mask in it (a mask fits its lane, so nothing carries)."""

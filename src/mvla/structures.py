@@ -28,8 +28,7 @@ class Structure:
 
     __slots__ = (
         "name", "elements", "zero", "one", "zero_i", "one_i",
-        "_idx", "_neg", "_sum", "_prod",
-        "_add_cache", "_mul_cache", "_kind_cache",
+        "_idx", "_neg", "_sum", "_prod", "_kind_cache",
     )
 
     def __init__(self, name, elements, zero, one, neg, sum_table, prod_table):
@@ -92,12 +91,6 @@ class Structure:
         self._idx, self._neg = dict(zip(elements, range(k))), tuple(neg)
         self._sum, self._prod, self._kind_cache = sum_tab, prod_tab, {}
 
-    def __getattr__(self, name):  # an unset slot: the setwise caches are made on first use
-        if name not in ("_add_cache", "_mul_cache"):
-            raise AttributeError(name)
-        setattr(self, name, _Setwise(self._sum if name == "_add_cache" else self._prod))
-        return getattr(self, name)
-
     # -- basic accessors ---------------------------------------------------
 
     def __len__(self):
@@ -152,11 +145,11 @@ class Structure:
 
     def add_masks(self, m1, m2):
         """Setwise sum of two subsets, as masks."""
-        return self._add_cache[m1, m2]
+        return _setwise(self._sum, m1, m2)
 
     def mul_masks(self, m1, m2):
         """Setwise product of two subsets, as masks."""
-        return self._mul_cache[m1, m2]
+        return _setwise(self._prod, m1, m2)
 
     def sum_of(self, masks):
         """Left fold of the setwise sum over masks; the empty fold gives {0}."""
@@ -266,41 +259,16 @@ def _union(cells, mask, start=0):
 
 
 def _setwise(tab, m1, m2):
-    """The setwise sum or product m1.m2 over tab, read off its rows with no memo."""
+    """The setwise sum or product m1.m2 over tab, read off its rows with no memo: the
+    library's one setwise operation.  It is empty (0) when m1 or m2 is."""
     out, j = 0, m2.bit_length() - 1
-    for i in _bits(m1):
-        out |= tab[i][j] if m2 == 1 << j else _union(tab[i], m2)
+    if m2 & (m2 - 1):
+        for i in _bits(m1):
+            out = _union(tab[i], m2, out)
+    elif m2:  # one member: a column of tab
+        for i in _bits(m1):
+            out |= tab[i][j]
     return out
-
-
-class _Setwise(dict):
-    """(m1, m2) -> union of table[i][j] over the bits i of m1, j of m2, on first use.
-
-    A bit of m1 or m2 above the carrier is carried into the result as it is:
-    the axiom engine's cells mark an inexact result with such a bit.
-    """
-
-    __slots__ = ("table",)
-
-    def __init__(self, table):  # empty, as dict.__new__ made it
-        self.table = table
-
-    def __missing__(self, key):
-        m1, m2 = key
-        carrier = (1 << len(self.table)) - 1
-        res = (m1 | m2) & ~carrier
-        m1 &= carrier
-        while m1:
-            low = m1 & -m1
-            m1 ^= low
-            row = self.table[low.bit_length() - 1]
-            m = m2 & carrier
-            while m:
-                low = m & -m
-                m ^= low
-                res |= row[low.bit_length() - 1]
-        self[key] = res
-        return res
 
 
 def _fold(combine, unit, masks):
@@ -445,10 +413,8 @@ def _hp(p):
 
 
 def _kaleidoscope(n):
-    if n < 0:
-        raise StructureError(f"Xn needs n >= 0, got {n}")
-    if n == 0:
-        raise StructureError("zero/one must belong to the carrier")
+    if n < 1:  # the carrier -n, ..., n must hold the unit 1
+        raise StructureError(f"Xn needs n >= 1, got {n}")
     # element a has index a + n
 
     def sum_cell(a, b):
@@ -567,15 +533,18 @@ class TropicalStructure:
 def builtin(name, param=None):
     """Return a built-in structure by name.
 
-    Names: K, Q2, Hp (prime param), Xn (n >= 0), Fp (prime param), Trop.
+    Names: K, Q2, Trop (no param), Hp (prime param), Xn (n >= 1), Fp (prime param).
+    A param is an int, not a bool.
     """
     if name in _PLAIN:
+        if param is not None:
+            raise StructureError(f"{name} takes no parameter, got {param!r}")
         return _PLAIN[name]()
     if name not in _WITH_PARAM:
         raise StructureError(f"unknown builtin {name!r}")
     make, noun = _WITH_PARAM[name]
-    if param is None:
-        raise StructureError(f"{name} needs {noun} parameter")
+    if not isinstance(param, int) or isinstance(param, bool):
+        raise StructureError(f"{name} needs {noun} parameter, got {param!r}")
     return make(param)
 
 

@@ -17,7 +17,7 @@ from operator import or_
 from .axioms import (AxiomReport, FAIL, PASS, _GROUP, _Collector, _View, _report,
                      _scan_action, _scan_kind, is_full)
 from .errors import MvlaError, StructureError, charge
-from .structures import _Setwise, _bits, _check_tables, _union
+from .structures import _bits, _check_tables, _setwise, _union
 
 # Policy bounds, not budgets: they define a verdict or choose a check.
 _BUNDLE_BOUND = 2  # scalar summands per generator in independence tests
@@ -47,7 +47,7 @@ class VectorSpace:
         self.sum = sum_tab
         self.act = act_tab
         self._idx = {v: i for i, v in enumerate(vectors)}
-        self._plus, self._terms = _Setwise(sum_tab), None
+        self._plus, self._terms = functools.cache(functools.partial(_setwise, sum_tab)), None
 
     def index(self, v):
         try:
@@ -160,7 +160,7 @@ def _closure(V, gens):
     T = functools.reduce(or_, (row[g] for row in V.act for g in gens), 0)
     cur, grown = 0, 1 << V.zero_i
     while grown != cur:
-        cur, grown = grown, grown | V._plus[grown, T]
+        cur, grown = grown, grown | V._plus(grown, T)
     return cur
 
 
@@ -264,7 +264,7 @@ def _dependence(V, vs):
         for i, term in sets:
             work += 1
             charge(work, "independence bundle tuples")
-            total, flag = term if prefix is None else plus[prefix, term], missed or misses[i]
+            total, flag = term if prefix is None else plus(prefix, term), missed or misses[i]
             if len(walk) < len(rows):
                 walk.append((enumerate(rows[len(walk)]), total, flag, i))
                 break

@@ -88,6 +88,31 @@ def test_builtin_validation():
         builtin("nope")
 
 
+@pytest.mark.parametrize("name, param, message", [
+    ("Xn", "2", "Xn needs an integer parameter, got '2'"),
+    ("Hp", "5", "Hp needs a prime parameter, got '5'"),
+    ("Fp", 3.0, "Fp needs a prime parameter, got 3.0"),
+    ("Xn", True, "Xn needs an integer parameter, got True"),
+    ("Hp", None, "Hp needs a prime parameter, got None"),
+    ("K", 3, "K takes no parameter, got 3"),
+    ("Q2", 2, "Q2 takes no parameter, got 2"),
+    ("Trop", 0, "Trop takes no parameter, got 0"),
+    ("Xn", 0, "Xn needs n >= 1, got 0"),
+    ("Xn", -1, "Xn needs n >= 1, got -1"),
+])
+def test_builtin_refuses_a_bad_parameter(name, param, message):
+    # each is a StructureError naming the parameter; none is a TypeError or a structure
+    with pytest.raises(StructureError) as info:
+        builtin(name, param)
+    assert str(info.value) == message
+
+
+def test_builtin_takes_an_int_parameter():
+    assert builtin("Xn", 1).elements == (-1, 0, 1)
+    assert builtin("Hp", 5).name == "H5" and builtin("Fp", 3).name == "F3"
+    assert builtin("K", None).name == "K"
+
+
 def test_strict_ring_is_classical(Z6):
     assert Z6.is_strict
     assert Z6.sum_set(4, 5) == {3}

@@ -15,7 +15,7 @@ from mvla import (BlowupError, ExtensionPair, Matrix, MvlaError, Poly, Structure
                   linear_combinations, matrix_space, poly_space, quotient_pair,
                   search_budget, solution_subspace, span, verify_multigroup, verify_vspace)
 from mvla.axioms import _Collector
-from mvla.structures import _union
+from mvla.structures import _setwise, _union
 from mvla.vspaces import VectorSpace, _bundles, _dependence, _subspace_witness
 from test_boxes import small_structures
 
@@ -577,13 +577,13 @@ def _product_order_dependence(V, vs):
     bundles = _bundles(F, 2)
     effective = [F.sum_of([1 << F.index(x) for x in bundle]) for bundle in bundles]
     terms = [[_union([row[v] for row in V.act], e) for e in effective] for v in vs]
-    zero_bit, zero_vec, plus = 1 << F.zero_i, 1 << V.zero_i, V._plus
+    zero_bit, zero_vec = 1 << F.zero_i, 1 << V.zero_i
     for combo in itertools.product(range(len(bundles)), repeat=len(vs)):
         if all(effective[i] & zero_bit for i in combo):
             continue  # cannot witness dependence either way
         total = terms[0][combo[0]]
         for row, i in zip(terms[1:], combo[1:]):
-            total = plus[total, row[i]]
+            total = _setwise(V.sum, total, row[i])  # not the space's cache
         if total & zero_vec:
             return tuple(bundles[i] for i in combo)
     return None

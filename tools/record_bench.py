@@ -70,6 +70,15 @@ checkout's own files:
   units are the solves, the scaled systems yielded and the candidates classified
   (both counted in a second, untimed pass), and the solves that ran the exhaustive
   fallback;
+- `det` over one seeded batch of 500 3x3 matrices, 250 each over H3 and Q2 with
+  entries drawn from the carrier, each over a fresh structure built before the
+  clock starts, timed around the batch in each of REPEATS fresh interpreters; its
+  work units are the determinant terms (n! per matrix) and the distinct
+  determinants;
+- `all_ideals` over 100 rounds of fresh `builtin("Hp", 5)`, `builtin("Hp", 7)`,
+  `builtin("K")` and `builtin("Q2")`, built before the clock starts, timed around
+  the calls in each of REPEATS fresh interpreters; its work units are the
+  candidate subsets (2^(k-1) per structure) and the ideals found;
 - `find_nontrivial_kernel` over one seeded batch of 120 wide matrices on which
   `constructive_kernel` returns None, 40 each over H5, H7 and F5, so that every
   call reads its answer off the value masks of the exhaustive fallback; timed
@@ -351,6 +360,29 @@ linsys.iter_scaled_systems, linsys.classify_candidate = counted_scale, counted_c
 assert [solve_weak(s) for s in batch] == outs
 print(json.dumps([dt, {"solves": len(outs), **counts,
                        "fallbacks": sum(o.note != "" for o in outs)}]))
+"""),
+    ("matrices", "det 3x3 batch H3/Q2", """
+import json, math, random, time
+from mvla import Matrix, builtin, det
+rng, batch = random.Random(1), []
+for args in (("Hp", 3), ("Q2",)):
+    for _ in range(250):
+        S = builtin(*args)
+        batch.append(Matrix.from_rows(S, [[rng.choice(S.elements) for _ in range(3)]
+                                          for _ in range(3)]))
+t0 = time.perf_counter()
+dets = [det(A) for A in batch]
+print(json.dumps([time.perf_counter() - t0, {"terms": len(batch) * math.factorial(3),
+                                             "distinct": len(set(dets))}]))
+"""),
+    ("ideals", "all_ideals H5/H7/K/Q2", """
+import json, time
+from mvla import all_ideals, builtin
+batch = [builtin(*args) for _ in range(100) for args in (("Hp", 5), ("Hp", 7), ("K",), ("Q2",))]
+t0 = time.perf_counter()
+found = [all_ideals(S) for S in batch]
+print(json.dumps([time.perf_counter() - t0, {"candidates": sum(2 ** (len(S) - 1) for S in batch),
+                                             "ideals": sum(map(len, found))}]))
 """),
     # 3x4 only: on these bases the two-row construction of a 2x3 kernel never fails
     ("linsys", "kernel fallback wide H5/H7/F5", """
