@@ -641,11 +641,12 @@ def _line_sums(s, p, by_cols):
     """The setwise sums of lines a and b of the product p over (a, b, c), for its
     columns (ca+cb) or its rows (ac+bc) as lines; s is the sum table.
 
-    On whole tables where every cell of the product has one member, the sum of
-    {x} and {y} is the sum table's cell x.y: the indices x * k + y of all the
-    sums are one int, and its bytes, translated by the sum table's cells, are
-    the sums.  Otherwise each distinct pair of cells is summed once, and a cell's
-    inexact bit is carried into its sums as it is.
+    Where every cell of the product has one member, the sum of {x} and {y} is the
+    sum table's cell x.y.  On whole tables the indices x * k + y of all the sums
+    are one int, and its bytes, translated by the sum table's cells, are the sums;
+    on larger ones (a field of more than eight elements) each sum is read from the
+    sum table's rows by the members' indices.  Otherwise each distinct pair of
+    cells is summed once, and a cell's inexact bit is carried into its sums as it is.
     """
     k = s.k
     if s.whole and p.whole:
@@ -655,6 +656,9 @@ def _line_sums(s, p, by_cols):
             at = int.from_bytes(firsts, "big") * k + int.from_bytes(members * k, "big")
             return at.to_bytes(k ** 3, "big").translate(s.cells.ljust(256, b"\0"))
     inex, lines = 1 << k, p.cols if by_cols else p.rows
+    if p.exact and all(m & (m - 1) == 0 < m for m in p.flat):
+        logs, sums = [[m.bit_length() - 1 for m in line] for line in lines], s.rows
+        return [sums[x][y] for a in logs for b in logs for x, y in zip(a, b)]
 
     @functools.cache
     def plus(m1, m2):

@@ -135,7 +135,8 @@ def find_quotient_superfield(F, degree):
     Representative arithmetic is not guaranteed to match coset arithmetic for
     every irreducible p (the construction may acquire zero divisors); this
     scan keeps going until the axiom check passes and reports the rejected
-    candidates alongside the construction.  All its scans share one slice table.
+    candidates alongside the construction.  All its scans share one slice table
+    (over a field they divide and build no slice).
 
     Returns (quotient, pair, gamma, p, rejected) or None.
     """

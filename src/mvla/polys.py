@@ -607,19 +607,53 @@ def _unit_scalings(S):
     return out
 
 
-def _slice(slices, u, cap, scalings, terms):
-    """The slice of u at degree cap of up to terms summands, built once per slice table
-    and class of unit multiples: the key is the least of u and its multiples c*u by scalings.  The
-    table's search is charged with the k^(cap+1) polynomials of each slice it builds."""
+def _slice(slices, u, cap, scalings):
+    """The slice of u at degree cap, built once per slice table and class of unit
+    multiples: the key is the least of u and its multiples c*u by scalings.  The table's
+    search is charged with the k^(cap+1) polynomials of each slice it builds."""
     key = min([u.indices] + [tuple(map(m.__getitem__, u.indices)) for m in scalings])
     if key not in slices:
         charge((len(slices) + 1) * len(u.base) ** (cap + 1), "ideal slice polynomials")
-        slices[key] = _ideal_members_bounded(u, cap, cap, terms)
+        slices[key] = _ideal_members_bounded(u, cap, cap, _TERMS)
     return slices[key]
 
 
+def _field_divisor(f, low):
+    """The first u in all_polys(S, deg f - 1) order that divides f over a field S (every
+    sum and product cell a singleton), or None: classical long division on the index
+    tables, which leaves a zero remainder exactly when f = g*u.  The zero polynomial,
+    the constants and every u that starts with low (0 up to f's valuation) are skipped,
+    and each u tried is charged as it is tried.  The order is by degree, and a divisor
+    u of degree above deg f / 2 has a cofactor g = f / u of degree below it, which comes
+    first; so the scan stops after degree deg f // 2."""
+    S = f.base
+    k, z = len(S), S.zero_i
+    mul = [[m.bit_length() - 1 for m in row] for row in S._prod]
+    sub = [[row[S._neg[b]].bit_length() - 1 for b in range(k)] for row in S._sum]  # a - b
+    inv = {a: row.index(S.one_i) for a, row in enumerate(mul) if a != z}
+    lead = _nonzero(S)
+    fi = f.indices
+    n = 0
+    for e in range(1, f.degree // 2 + 1):
+        rest = [z] * e
+        for ulow in itertools.product(range(k), repeat=e):
+            if ulow[:len(low)] == low:
+                continue
+            for top in lead:
+                n += 1
+                charge(n, "irreducibility divisor candidates")
+                t, r = inv[top], list(fi)
+                for i in range(len(fi) - 1 - e, -1, -1):  # the quotient's terms, top first
+                    row = mul[mul[r[i + e]][t]]
+                    for j, c in enumerate(ulow):
+                        r[i + j] = sub[r[i + j]][row[c]]
+                if r[:e] == rest:
+                    return Poly.from_indices(S, ulow + (top,))
+    return None
+
+
 class IrreducibilityVerdict:
-    """Outcome of the bounded irreducibility scan."""
+    """Outcome of the irreducibility scan."""
 
     __slots__ = ("irreducible", "witness", "note")
 
@@ -637,7 +671,7 @@ class IrreducibilityVerdict:
 
 
 def is_irreducible(f):
-    """Bounded divisor scan for irreducibility over a finite superfield.
+    """Divisor scan for irreducibility over a finite superfield.
 
     Nonconstant divisors u are tested: whenever f lies in the (bounded) ideal
     of u, the ideals of f and u must agree on every polynomial of degree
@@ -646,6 +680,14 @@ def is_irreducible(f):
     the lowest nonzero coefficient) above f's: as 0 absorbs (x*0 = {0}) and
     0 + 0 = {0}, each member of u's ideal is 0 below u's valuation, so it
     cannot hold f.  f's own slice is built when a u first holds f.
+
+    Over a field (every sum and product cell a singleton) the verdict is decided
+    exactly, by trial division: the slice of u is {g*u : deg g <= deg f - deg u}
+    with 0, so f lies in it exactly when u divides f, and it equals f's own slice
+    exactly when u is an associate c*f, of degree deg f.  So the witness is the
+    first u of degree below deg f in canonical order that divides f, and f is
+    irreducible when there is none; no slice is built.  The note still names the
+    slice bounds, which over a field decide nothing.
     """
     return _irreducible(f, {})
 
@@ -654,8 +696,8 @@ def _irreducible(f, slices):
     """is_irreducible over a table of slices at deg f (see _slice) shared by a search.
 
     Over a field (a superfield whose sum and product cells are singletons, as the weak
-    laws hold with equality on them) each slice is built with one term, not _TERMS: each
-    box h*u is a polynomial, and h1*u + h2*u = (h1 + h2)*u with deg(h1 + h2) <= deg f."""
+    laws hold with equality on them) it is the trial division of _field_divisor, which
+    reads no slice table."""
     S = f.base
     if not structure_is(S, "superfield"):
         raise StructureError(f"{S.name} is not a superfield")
@@ -663,18 +705,20 @@ def _irreducible(f, slices):
         raise StructureError("irreducibility needs deg f >= 1")
     cap = f.degree
     note = f"bounded: <= {_TERMS} terms, deg h <= {cap}"
-    bit = _members_bits([[1 << i for i in f.indices]], len(S))
-    scalings = _unit_scalings(S)
-    terms = _TERMS if any(m & m - 1 for row in S._sum + S._prod for m in row) else 1
     # a u that is 0 up to f's valuation has a slice without f (see is_irreducible)
     low = (S.zero_i,) * (next(j for j, c in enumerate(f.indices) if c != S.zero_i) + 1)
+    if not any(m & m - 1 for row in S._sum + S._prod for m in row):
+        u = _field_divisor(f, low)
+        return IrreducibilityVerdict(u is None, u, note)
+    bit = _members_bits([[1 << i for i in f.indices]], len(S))
+    scalings = _unit_scalings(S)
     own = None
     for u in all_polys(S, cap):
         if u.is_zero or u.degree < 1 or u == f or u.indices[:len(low)] == low:
             continue
-        through_u = _slice(slices, u, cap, scalings, terms)
+        through_u = _slice(slices, u, cap, scalings)
         if through_u & bit:
-            own = own or _slice(slices, f, cap, scalings, terms)
+            own = own or _slice(slices, f, cap, scalings)
             if through_u != own:
                 return IrreducibilityVerdict(False, u, note)
     return IrreducibilityVerdict(True, None, note)

@@ -58,15 +58,12 @@ def test_quotient_product_reuses_each_division_box(H3, monkeypatch):
 
 
 @pytest.mark.parametrize("name,param,degree,slices",
-                         [("Hp", 3, 2, 12), ("Fp", 3, 2, 12), ("Fp", 2, 3, 11)])
+                         [("Hp", 3, 2, 12), ("Fp", 3, 2, 0), ("Fp", 2, 3, 0)])
 def test_quotient_search_builds_each_slice_once(monkeypatch, name, param, degree, slices):
-    # one slice per class of unit multiples c*u of the nonconstant u of degree <= deg p
-    # (u and -u over H3 and F3; F2 has the unit 1 alone) that a scan reads, shared by
-    # every candidate's scan, which is also the scan of the quotient built from it:
-    # each candidate is scanned once.  A scan skips the u of valuation above its
-    # candidate's, so over F2 at degree 3 it reads 11 of the 14 classes: the
-    # candidates divisible by X stop at u = X, no other reads X^2 or X+X^2, and no u
-    # holds the chosen 1+X^2+X^3, so its own slice is never compared
+    # over H3, one slice per class of unit multiples c*u (u and -u) of the 24
+    # nonconstant u of degree <= 2 that a scan reads, shared by every candidate's scan,
+    # which is also the scan of the quotient built from it.  Over a field the scans
+    # divide and build no slice.  Either way each candidate is scanned once
     import mvla.extensions as ext
     import mvla.polys as polys
     built, scanned = [], []
@@ -85,10 +82,10 @@ def test_quotient_search_builds_each_slice_once(monkeypatch, name, param, degree
     F = builtin(name, param)
     assert find_quotient_superfield(F, degree) is not None
     assert len(built) == len(set(built)) == slices
-    assert len(scanned) == len(set(scanned))
+    assert scanned and len(scanned) == len(set(scanned))
     built.clear()
     assert find_irreducible(F, degree) is not None
-    assert len(built) == len(set(built))
+    assert len(built) == len(set(built)) <= slices
 
 
 def test_quotient_requires_irreducible(H3):

@@ -610,21 +610,54 @@ def per_u_verdict(f, slices):
                  if u != f and through(u) & bit and through(u) != own), (True, None))
 
 
+def _recording_charges(monkeypatch):
+    """Every (work, what) that polys charges, as the charges go."""
+    import mvla.polys as polys
+    charge, charged = polys.charge, []
+
+    def recording(work, what):
+        charged.append((work, what))
+        return charge(work, what)
+
+    monkeypatch.setattr(polys, "charge", recording)
+    return charged
+
+
+def divisor_candidates(f, witness):
+    """The u the field scan tries for f, in order, through its witness: nonconstant, of
+    degree at most deg f // 2, and nonzero at or below f's valuation."""
+    S = f.base
+    val = next(j for j, c in enumerate(f.indices) if c != S.zero_i)
+    tried = [u for u in _nonconstant(S, f.degree // 2)
+             if any(c != S.zero_i for c in u.indices[:val + 1])]
+    return tried[:tried.index(witness) + 1] if witness else tried
+
+
 @pytest.mark.parametrize("name,param", [("Hp", 5), ("Fp", 5)])
-def test_unit_classes_keep_every_verdict(name, param):
+def test_unit_classes_keep_every_verdict(monkeypatch, name, param):
     # one slice table per base and side, as a quotient search shares it
     S = builtin(name, param)
+    charged = _recording_charges(monkeypatch)
     classes, per_u = {}, {}
     for f in _nonconstant(S, 2):
         if f.degree == 2:
+            charged.clear()
             got = _irreducible(f, classes)
             assert (got.irreducible, got.witness) == per_u_verdict(f, per_u), f
-    # every nonzero c is admitted: 4 multiples in each class of the 120 u
-    assert (len(classes), len(per_u)) == (30, 120)
+            if name == "Fp":  # each candidate divisor is tried and charged once
+                n = len(divisor_candidates(f, got.witness))
+                assert charged == [(i, "irreducibility divisor candidates")
+                                   for i in range(1, n + 1)], f
+    if name == "Hp":
+        # every nonzero c is admitted: 4 multiples in each class of the 120 u
+        assert (len(classes), len(per_u)) == (30, 120)
+    else:
+        # the field scan divides and builds no slice; the reference built 120
+        assert (len(classes), len(per_u)) == (0, 120)
 
 
 def _recording_terms(monkeypatch):
-    """The max_terms of every slice the scan builds, and the unpatched kernel."""
+    """The max_terms of every slice the scan builds."""
     import mvla.polys as polys
     kernel, terms = polys._ideal_members_bounded, []
 
@@ -633,37 +666,62 @@ def _recording_terms(monkeypatch):
         return kernel(u, deg_cap, h_deg, max_terms)
 
     monkeypatch.setattr(polys, "_ideal_members_bounded", recording)
-    return terms, kernel
+    return terms
 
 
-FIELDS = {"F2": ("Fp", 2), "F3": ("Fp", 3), "F5": ("Fp", 5),
+FIELDS = {"F2": ("Fp", 2), "F3": ("Fp", 3), "F5": ("Fp", 5), "F7": ("Fp", 7),
           "GF(4)": (("Fp", 2), (1, 1, 1)), "GF(9)": (("Fp", 3), (1, 0, 1))}
 
 
-@pytest.mark.parametrize("name,degree", [("F2", 2), ("F2", 3), ("F2", 4), ("F3", 2), ("F3", 3),
-                                         ("F5", 2), ("GF(4)", 2), ("GF(9)", 2)])
-def test_field_slices_of_one_term_match_the_kernel_of_three(monkeypatch, name, degree):
-    # over a field each box h*u is one polynomial and h1*u + h2*u = (h1 + h2)*u, so
-    # the scan builds its slices with one term, and each equals the slice of _TERMS
+def least_divisors(S, degree):
+    """Each reducible f of the degree over the field S, mapped to its least nonconstant
+    divisor of lower degree in all_polys order: every product u*g of nonconstant u, g
+    with deg u + deg g = degree is multiplied out once, u in that order, so the first
+    product to reach f names its least u.  A polynomial that no product reaches is
+    irreducible."""
+    us = _nonconstant(S, degree - 1)
+    least = {}
+    for u in us:
+        for g in us:
+            if u.degree + g.degree == degree:
+                (h,) = pmul(u, g).members()  # one member: a field's cells are singletons
+                least.setdefault(h, u)
+    return least
+
+
+@pytest.mark.parametrize("name,degree", [("F2", 2), ("F2", 3), ("F2", 4), ("F2", 5), ("F3", 2),
+                                         ("F3", 3), ("F5", 2), ("F7", 2), ("GF(4)", 2),
+                                         ("GF(9)", 2)])
+def test_field_scan_matches_the_factor_oracle(monkeypatch, name, degree):
+    # over a field f lies in u's slice iff u divides f, and u's slice is f's own iff u
+    # is an associate of f: the scan divides, builds no slice, and its verdict, witness
+    # and note are those of the slice scan.  F2 at degrees 2 and 3 and F3 at degree 2
+    # are compared with the per-u scan over slices of _TERMS terms as well
     spec = FIELDS[name]
     if name.startswith("GF"):
         F = builtin(*spec[0])
         S = quotient_pair(F, Poly(F, spec[1]))[0]
     else:
         S = builtin(*spec)
-    terms, kernel = _recording_terms(monkeypatch)
-    slices = {}  # one table, as a search shares it
+    least = least_divisors(S, degree)
+    sliced = (name, degree) in {("F2", 2), ("F2", 3), ("F3", 2)}
+    terms = _recording_terms(monkeypatch)
+    slices, per_u = {}, {}  # one table, as a search shares it
     for f in _nonconstant(S, degree):
         if f.degree == degree:
-            _irreducible(f, slices)
-    assert slices and set(terms) == {1}
-    for key, got in slices.items():
-        assert got == kernel(Poly.from_indices(S, key), degree, degree, _TERMS), key
+            got = _irreducible(f, slices)
+            want = least.get(f)
+            assert (got.irreducible, got.witness) == (want is None, want), f
+            assert got.note == f"bounded: <= {_TERMS} terms, deg h <= {degree}"
+            if sliced:
+                assert (got.irreducible, got.witness) == per_u_verdict(f, per_u), f
+    assert not slices and not terms
+    assert bool(per_u) == sliced
 
 
 @pytest.mark.parametrize("spec", [("K",), ("Hp", 2), ("Hp", 3), ("Hp", 5), ("Q2",), ("Xn", 1)])
 def test_multivalued_superfields_build_slices_of_every_term(monkeypatch, spec):
-    terms, _ = _recording_terms(monkeypatch)
+    terms = _recording_terms(monkeypatch)
     _irreducible(Poly(builtin(*spec), (1, 0, 1)), {})
     assert terms and set(terms) == {_TERMS}
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvla import Structure, builtin
-from mvla.axioms import _View, _line_sums
+from mvla import Poly, Structure, builtin, quotient_pair
+from mvla.axioms import _Table, _View, _line_sums
 from mvla.structures import TropicalStructure, _setwise
 from mvla.vspaces import extension_space, fn_space, span
 
@@ -130,14 +131,36 @@ def test_line_sums_keep_a_window_cell_inexact_bit(lo, hi):
     assert any(m & view.inex for m in got)
 
 
+def _quotient(p, coeffs):
+    F = builtin("Fp", p)
+    return quotient_pair(F, Poly(F, coeffs))[0]
+
+
 @pytest.mark.parametrize("S", [builtin("K"), builtin("Q2"), builtin("Hp", 5),
-                               builtin("Hp", 11), builtin("Xn", 5)], ids=lambda S: S.name)
+                               builtin("Hp", 11), builtin("Xn", 5), _quotient(3, (1, 0, 1)),
+                               _quotient(5, (2, 0, 1))], ids=lambda S: S.name)
 def test_line_sums_match_the_memo_loop_on_exact_tables(S):
-    # K, Q2 and H5 take the whole tables' bytes path; H11 and X5, of more than eight
-    # elements, sum their cells
+    # K, Q2 and H5 take the whole tables' bytes path; H11, X5, GF(9) = F3[X]/(1+X^2) and
+    # F5[X]/(2+X^2), of more than eight elements and one member in each product cell,
+    # read the sum table's rows by the members' indices
     view = _View.of_structure(S)
     for by_cols in (True, False):
         assert list(_line_sums(view["sum"], view["prod"], by_cols)) == \
+            _reference_line_sums(view, by_cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((9, 11, 3)), st.booleans(), st.data())
+def test_line_sums_match_the_memo_loop_on_random_tables(k, singles, data):
+    # exact tables of any cells, beside the built-ins: the product's cells are single
+    # members (read by index) or any nonempty sets (each distinct pair summed once)
+    cell = st.integers(0, k - 1).map(lambda i: 1 << i) if singles else st.integers(1, (1 << k) - 1)
+    rows = [data.draw(st.lists(c, min_size=k * k, max_size=k * k)) for c in
+            (st.integers(1, (1 << k) - 1), cell)]
+    sums, prods = ([r[i:i + k] for i in range(0, k * k, k)] for r in rows)
+    view = SimpleNamespace(k=k, sum=sums, prod=prods)
+    for by_cols in (True, False):
+        assert list(_line_sums(_Table(sums, k), _Table(prods, k), by_cols)) == \
             _reference_line_sums(view, by_cols)
 
 

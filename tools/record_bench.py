@@ -26,8 +26,9 @@ checkout's own files:
   `builtin("Fp", 2)` (the shape of the `extension` workload's slowest
   irreducibility queries) and of 1+X^2 over `builtin("Fp", 3)` (the shape of its
   F3 quadratics), `polys._irreducible` timed around the call in each of REPEATS
-  fresh interpreters; the work units of each are the verdict and the number of
-  ideal slices its table holds afterwards;
+  fresh interpreters; the work units of each are the verdict and, over H5, the
+  number of ideal slices its table holds afterwards, over the fields F2 and F3
+  the number of candidate divisors it tries, counted in a second, untimed pass;
 - the quotient search `find_quotient_superfield(builtin("Hp", 5), 2)`, timed
   around the call in each of REPEATS fresh interpreters; its work units say
   whether it found a quotient;
@@ -202,6 +203,23 @@ irreducible = _irreducible(f, slices).irreducible
 print(json.dumps([time.perf_counter() - t0, {"irreducible": irreducible, "slices": len(slices)}]))
 """
 
+# The same scan over a field, which divides instead of building slices: the candidate
+# divisors it charges are counted in a second, untimed pass.
+FIELD_IRREDUCIBLE_CODE = """
+import json, time
+import mvla.polys as polys
+from mvla import Poly, builtin
+f = Poly(builtin(*ARGS), COEFFS)
+t0 = time.perf_counter()
+irreducible = polys._irreducible(f, {}).irreducible
+dt = time.perf_counter() - t0
+charge, tried = polys.charge, []
+polys.charge = lambda work, what: (tried.append(what), charge(work, what))[1]
+polys._irreducible(f, {})
+print(json.dumps([dt, {"irreducible": irreducible,
+                       "divisor candidates": tried.count("irreducibility divisor candidates")}]))
+"""
+
 # M3 on the sum table of fn_space(builtin(*ARGS), N), which its rows set first.
 M3_CODE = """
 import json, time
@@ -223,8 +241,9 @@ WEAK_CALLS = 100
 TIMED_CALLS = (
     ("polys", "irreducible H5 1+2X^2", 'ARGS, COEFFS = ("Hp", 5), (1, 0, 2)' + IRREDUCIBLE_CODE),
     ("polys", "irreducible F2 1+X+X^4",
-     'ARGS, COEFFS = ("Fp", 2), (1, 1, 0, 0, 1)' + IRREDUCIBLE_CODE),
-    ("polys", "irreducible F3 1+X^2", 'ARGS, COEFFS = ("Fp", 3), (1, 0, 1)' + IRREDUCIBLE_CODE),
+     'ARGS, COEFFS = ("Fp", 2), (1, 1, 0, 0, 1)' + FIELD_IRREDUCIBLE_CODE),
+    ("polys", "irreducible F3 1+X^2",
+     'ARGS, COEFFS = ("Fp", 3), (1, 0, 1)' + FIELD_IRREDUCIBLE_CODE),
     ("extensions", "quotient search H5 deg 2", """
 import json, time
 from mvla import builtin
