@@ -68,11 +68,10 @@ class AxiomReport:
 class _Collector:
     """Accumulates instance verdicts and early-exits once enough witnesses exist."""
 
-    def __init__(self, limit=3, stop_on_first=False):
+    def __init__(self, limit=3):
         if limit < 1:  # a failure kept as no witness would read as a pass
             raise StructureError(f"witness limit must be at least 1, not {limit!r}")
         self.limit = limit
-        self.stop = stop_on_first
         self.witnesses = []
         self.checked = 0
         self.skipped = 0
@@ -87,7 +86,7 @@ class _Collector:
             self.checked += 1
             if len(self.witnesses) < self.limit:
                 self.witnesses.append((axiom, instance))
-            if self.stop or len(self.witnesses) >= self.limit:
+            if len(self.witnesses) >= self.limit:
                 self.done = True
 
     def record_all(self, instances):
@@ -837,17 +836,18 @@ _KIND_SCANS = {
 }
 
 
-def verify_axioms(S, kind, window=None, witness_limit=3, stop_on_first=False):
+def verify_axioms(S, kind, window=None, witness_limit=3):
     """Exhaustively check the axioms of the given kind over S.
 
     Lazy structures require window=(lo, hi), and only they take one; the verdict
     is then at best "pass-on-window" and skipped instance counts are reported.
     A window of k elements is charged k**3 to the search limit before its tables
-    are built; a finite structure's check is not charged.
+    are built; a finite structure's check is not charged.  The scan stops once it holds
+    witness_limit witnesses, so witness_limit=1 asks whether S is of the kind.
     """
     if kind not in _KIND_SCANS:
         raise StructureError(f"unknown structure kind {kind!r}")
-    col = _Collector(limit=witness_limit, stop_on_first=stop_on_first)
+    col = _Collector(limit=witness_limit)
     if isinstance(S, TropicalStructure):
         if window is None:
             raise WindowRequired("axiom check on a lazy structure needs window=(lo, hi)")
@@ -886,8 +886,7 @@ def structure_is(S, kind):
     if kind not in cache:
         if kind not in _KIND_SCANS:
             raise StructureError(f"unknown structure kind {kind!r}")
-        cache[kind] = not _scan_kind(_View.of_structure(S), _KIND_SCANS[kind],
-                                     _Verdict(stop_on_first=True)).done
+        cache[kind] = not _scan_kind(_View.of_structure(S), _KIND_SCANS[kind], _Verdict()).done
     return cache[kind]
 
 

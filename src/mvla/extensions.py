@@ -15,8 +15,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .axioms import MorphismSpec, check_morphism, verify_axioms
+from .axioms import MorphismSpec, check_morphism, structure_is, verify_axioms
 from .errors import CongruenceError, ReducibleError, StructureError, charge
+from .matrices import _rank
 from .polys import (Poly, PolySet, _coeff_map, _divisions, _irreducible, _members_bits,
                     _nonzero, _values, all_polys, pmul)
 from .structures import Structure, _bits
@@ -43,9 +44,9 @@ def classify_extension(pair):
     emb = pair.embedding
     if not emb.is_injective:
         return "not-an-extension"
-    if check_morphism(emb, full=True).passed:
+    if check_morphism(emb, full=True, witness_limit=1).passed:
         return "full"
-    if check_morphism(emb).passed:
+    if check_morphism(emb, witness_limit=1).passed:
         return "extension"
     return "proto"
 
@@ -55,10 +56,8 @@ def classify_extension(pair):
 
 def _remainder_mask(Z, p, boxes):
     """The remainders of the members of box Z modulo p, the union of the boxes R of
-    _divisions, as a mask: bit n is the remainder r with n = sum r[i] * |F|^(m-1-i),
-    the n-th tuple in itertools.product order, as in the quotient's carrier."""
-    return _members_bits([R[::-1] for _, R in _divisions(Z, p, boxes) if R is not None],
-                         len(p.base))
+    _divisions, as a mask over the quotient's carrier (see _members_bits)."""
+    return _members_bits([R for _, R in _divisions(Z, p, boxes) if R is not None], len(p.base))
 
 
 def make_quotient_superfield(F, p):
@@ -76,12 +75,7 @@ def make_quotient_superfield(F, p):
 
 def quotient_pair(F, p):
     """(quotient, extension pair, generator): the constant embedding and X-bar."""
-    return _quotient(F, p, {})
-
-
-def _quotient(F, p, slices):
-    """quotient_pair, scanning p over a search's slice table."""
-    verdict = _irreducible(p, slices)
+    verdict = _irreducible(p, {})
     if not verdict:
         raise ReducibleError(f"{p!r} is reducible (witness {verdict.witness!r})",
                              witnesses=(("divisor", verdict.witness),))
@@ -90,15 +84,14 @@ def _quotient(F, p, slices):
     if not report.passed:
         raise CongruenceError(f"quotient by {p!r} fails the superfield axioms",
                               witnesses=report.witnesses)
-    m = p.degree
-    # (a, 0, ..., 0) is the zero vector with its leading coordinate raised to a
-    images = tuple(K.zero_i + (a - F.zero_i) * len(F) ** (m - 1) for a in range(len(F)))
-    if m >= 2:
-        gamma = (F.zero, F.one) + (F.zero,) * (m - 2)
-    else:
-        x = PolySet.singleton(Poly.x_power(F, 1))
-        gamma = K.elements[_bits(_remainder_mask(x, p, {}))[0]]
-    return K, ExtensionPair(F, K, MorphismSpec(F, K, images)), gamma
+    return (K, *_embedding(F, K, p))
+
+
+def _embedding(F, K, p):
+    """The extension pair of the constant embedding F -> K = F[X]/<p>, and X-bar."""
+    images = tuple(_rank(len(F), (a,) + (F.zero_i,) * (p.degree - 1)) for a in range(len(F)))
+    x = _remainder_mask(PolySet.singleton(Poly.x_power(F, 1)), p, {})
+    return ExtensionPair(F, K, MorphismSpec(F, K, images)), K.elements[_bits(x)[0]]
 
 
 def _quotient_tables(F, p):
@@ -113,8 +106,7 @@ def _quotient_tables(F, p):
         prod_tab.append([row[i] for row in prod_tab] +
                         [_remainder_mask(pmul(fx, fy), p, boxes) for fy in polys[i:]])
 
-    # (1, 0, ..., 0) is the zero vector with its leading coordinate raised
-    one_i = zero_i + (F.one_i - F.zero_i) * len(F) ** (m - 1)
+    one_i = _rank(len(F), (F.one_i,) + (F.zero_i,) * (m - 1))
     name = f"{F.name}({','.join(str(c) for c in p.coeffs)})"
     return Structure.from_masks(name, itertools.product(F.elements, repeat=m), zero_i, one_i,
                                 neg, sum_tab, prod_tab)
@@ -130,29 +122,28 @@ def find_irreducible(F, degree):
 
 
 def find_quotient_superfield(F, degree):
-    """First irreducible p of the given degree whose quotient verifies.
+    """First irreducible p of the given degree whose quotient is a superfield.
 
     Representative arithmetic is not guaranteed to match coset arithmetic for
     every irreducible p (the construction may acquire zero divisors); this
-    scan keeps going until the axiom check passes and reports the rejected
-    candidates alongside the construction.  All its scans share one slice table
-    (over a field they divide and build no slice).
+    scan keeps going until the quotient passes and reports the rejected
+    candidates alongside the construction.  It asks only whether each quotient
+    is a superfield (structure_is, stopped at its first failing test), so no
+    axiom report is made for a rejected candidate; quotient_pair raises one.
+    All its irreducibility scans share one slice table (over a field they divide
+    and build no slice).
 
     Returns (quotient, pair, gamma, p, rejected) or None.
     """
     rejected = []
     slices = {}
     for p in all_polys(F, degree):
-        if p.degree != degree:
+        if p.degree != degree or not _irreducible(p, slices):
             continue
-        try:
-            K, pair, gamma = _quotient(F, p, slices)
-        except ReducibleError:
-            continue
-        except CongruenceError:
-            rejected.append(p)
-            continue
-        return K, pair, gamma, p, tuple(rejected)
+        K = _quotient_tables(F, p)
+        if structure_is(K, "superfield"):
+            return (K, *_embedding(F, K, p), p, tuple(rejected))
+        rejected.append(p)
     return None
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .axioms import structure_is, AxiomReport, FAIL, PASS
 from .errors import BlowupError, MvlaError, StructureError, _limit
-from .matrices import Matrix, _dot, _index_product, _value_masks, _vector, elementary
+from .matrices import Matrix, _dot, _index_product, _rank, _value_masks, _vector, elementary
 from .structures import _bits, _setwise, _union
 
 # The scaled route stops once the branches walked so far, or the nodes, pass the search
@@ -534,7 +534,7 @@ def is_linearly_closed(F, max_n, max_m, require_superfield=True):
                 scanned, checked = scanned + math.comb(k ** m, n), checked + k ** (n * m)
                 continue
             rows = next(itertools.islice(itertools.combinations(range(k ** m), n), first, None))
-            rank = functools.reduce(lambda acc, r: acc * k ** m + r, rows, 0)
+            rank = _rank(k ** m, rows)
             A = Matrix.from_indices(F, n, m, _vector(k, n * m, rank))
             return AxiomReport(F.name, kind, FAIL, ((f"{n}x{m}", A.entries),),
                                checked + rank + 1, notes=f"scanned={scanned + first + 1}")

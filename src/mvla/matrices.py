@@ -235,6 +235,11 @@ def _vector(k, n, d):
     return tuple(d // k ** e % k for e in reversed(range(n)))
 
 
+def _rank(k, entries):
+    """The number of an index tuple in product order, first position highest: _vector's."""
+    return functools.reduce(lambda d, e: d * k + e, entries, 0)
+
+
 def mmul(a, b):
     """Matrix product; every result entry ranges over its sum of products.  It is
     charged with its entry products, rows x inner x cols."""

@@ -377,11 +377,12 @@ def _divisions(Z, g, boxes):
 
 
 def _morphism_ok(spec):
-    """check_morphism(spec).passed, memoised on the target, so it dies with it."""
+    """check_morphism(spec, witness_limit=1).passed, memoised on the target, so it dies
+    with it."""
     cache = spec.target._kind_cache
     key = ("morphism", spec)
     if key not in cache:
-        cache[key] = check_morphism(spec).passed
+        cache[key] = check_morphism(spec, witness_limit=1).passed
     return cache[key]
 
 
@@ -450,9 +451,8 @@ def _maximal(boxes):
     """The boxes of a set inside no other box of it.  A box is a bytes string of lanes,
     so int.from_bytes packs it, and p lies inside q iff p | q == q.  So p lies inside a
     kept box iff some p | q is a kept box (p | q = q' puts p inside q').  Boxes of one
-    total size never lie strictly inside one another, so a set of them (every set over
-    a field) is its own answer.  Otherwise each box meets only the strictly larger kept
-    boxes."""
+    total size never lie strictly inside one another, so a set of them is its own answer.
+    Otherwise each box meets only the strictly larger kept boxes."""
     packed = {int.from_bytes(b, "big"): b for b in boxes}
     if len(set(map(int.bit_count, packed))) <= 1:
         return boxes
@@ -464,12 +464,13 @@ def _maximal(boxes):
 
 
 def _members_bits(boxes, k):
-    """The members of a set of boxes as one bitset: index tuple p is bit sum(p[j] * k**j)."""
+    """The members of a set of boxes as one bitset: index tuple p is bit
+    matrices._rank(k, p), its number in product order."""
     got = 0
     for masks in boxes:
         bits = 1
         step = 1
-        for m in masks:
+        for m in reversed(masks):
             bits = sum(bits << i * step for i in _bits(m))
             step *= k
         got |= bits
@@ -623,7 +624,8 @@ def _field_divisor(f, low):
     sum and product cell a singleton), or None: classical long division on the index
     tables, which leaves a zero remainder exactly when f = g*u.  The zero polynomial,
     the constants and every u that starts with low (0 up to f's valuation) are skipped,
-    and each u tried is charged as it is tried.  The order is by degree, and a divisor
+    and each u tried is charged its (deg f + 1 - deg u) * deg u division steps, summed
+    over the u tried so far, before it is divided.  The order is by degree, and a divisor
     u of degree above deg f / 2 has a cofactor g = f / u of degree below it, which comes
     first; so the scan stops after degree deg f // 2."""
     S = f.base
@@ -633,15 +635,15 @@ def _field_divisor(f, low):
     inv = {a: row.index(S.one_i) for a, row in enumerate(mul) if a != z}
     lead = _nonzero(S)
     fi = f.indices
-    n = 0
+    steps = 0
     for e in range(1, f.degree // 2 + 1):
         rest = [z] * e
         for ulow in itertools.product(range(k), repeat=e):
             if ulow[:len(low)] == low:
                 continue
             for top in lead:
-                n += 1
-                charge(n, "irreducibility divisor candidates")
+                steps += (len(fi) - e) * e
+                charge(steps, "irreducibility division steps")
                 t, r = inv[top], list(fi)
                 for i in range(len(fi) - 1 - e, -1, -1):  # the quotient's terms, top first
                     row = mul[mul[r[i + e]][t]]
@@ -707,7 +709,7 @@ def _irreducible(f, slices):
     note = f"bounded: <= {_TERMS} terms, deg h <= {cap}"
     # a u that is 0 up to f's valuation has a slice without f (see is_irreducible)
     low = (S.zero_i,) * (next(j for j, c in enumerate(f.indices) if c != S.zero_i) + 1)
-    if not any(m & m - 1 for row in S._sum + S._prod for m in row):
+    if S.is_strict:
         u = _field_divisor(f, low)
         return IrreducibilityVerdict(u is None, u, note)
     bit = _members_bits([[1 << i for i in f.indices]], len(S))

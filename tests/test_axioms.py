@@ -457,7 +457,7 @@ def _ref_scan_assoc_on_ints(view, col, tab, axiom, law):
 
 
 _UNLIMITED = {"limit": 10 ** 9}
-_LIMITED = ({"limit": 1}, {"limit": 3}, {"limit": 3, "stop_on_first": True})
+_LIMITED = ({"limit": 1}, {"limit": 3})
 
 
 class _Quiet(_Collector):
@@ -578,8 +578,7 @@ def test_assoc_kernel_matches_per_triple_loop_on_windows(monkeypatch, trop, wind
     _all_assoc_agree(view)
     assert _assoc_agrees(view, "M3").skipped > 0
     for kind in ("multifield", "superring"):
-        for kwargs in ({"witness_limit": 1}, {"witness_limit": 3},
-                       {"stop_on_first": True}):
+        for kwargs in ({"witness_limit": 1}, {"witness_limit": 3}):
             rep = _reports_agree(monkeypatch, lambda: verify_axioms(
                 trop, kind, window=window, **kwargs))
             assert rep.verdict == "pass-on-window"
@@ -1542,10 +1541,10 @@ def _ref_ladder(laws):
     return refs
 
 
-def _ref_verify(S, kind, witness_limit=3, stop_on_first=False):
+def _ref_verify(S, kind, witness_limit=3):
     """verify_axioms with the per-instance references run in the engine's law order."""
     view = _tuple_view(_View.of_structure(S))
-    col = _Collector(limit=witness_limit, stop_on_first=stop_on_first)
+    col = _Collector(limit=witness_limit)
     for scan in _ref_ladder(axioms._KIND_SCANS[kind]):
         scan(view, col)
         if col.done:
@@ -1553,7 +1552,7 @@ def _ref_verify(S, kind, witness_limit=3, stop_on_first=False):
     return axioms._report(S.name, kind, view, col)
 
 
-_REPORT_SETTINGS = ({"witness_limit": 1}, {"witness_limit": 3}, {"stop_on_first": True})
+_REPORT_SETTINGS = ({"witness_limit": 1}, {"witness_limit": 3})
 _TRIPLE_AXIOMS = {"M3": 0, "M3-mult": 0, "assoc-prod": 0, "hyper-dist": 0,
                   "weak-dist-right": 0, "weak-dist": 1}  # the position of a in the witness
 
@@ -1655,10 +1654,15 @@ def test_structure_is_stops_before_a_failing_scan_walks_its_rows(monkeypatch):
     """The H5 mutant with 2.2 = {1, 4} fails M3-mult: structure_is reads the verdict
     off the failed whole-table test, with no cell rebuilt or instance evaluated."""
     S = builtin("Hp", 5).with_entry("prod", 2, 2, {1, 4})
-    assert verify_axioms(S, "superfield", stop_on_first=True).witnesses[0][0] == "M3-mult"
+    assert verify_axioms(S, "superfield", witness_limit=1).witnesses[0][0] == "M3-mult"
     monkeypatch.setattr(axioms, "_unions", _refused)
     monkeypatch.setattr(axioms, "_judged", _refused)
     assert not structure_is(S, "superfield")
+
+
+def test_witness_limit_one_is_the_only_early_stop():
+    with pytest.raises(TypeError):
+        verify_axioms(builtin("K"), "superfield", stop_on_first=True)
 
 
 def test_cold_check_runs_every_scan_on_each_fresh_structure(monkeypatch):

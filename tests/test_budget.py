@@ -69,16 +69,18 @@ def test_irreducible_charges_each_slice_it_builds(H3, H5):
 
 def test_irreducible_charges_each_divisor_it_tries_over_a_field(F2):
     # over a field the scan divides by the u of degree <= deg f // 2 that are nonzero at
-    # f's valuation: the irreducible 1+X+X^7 tries the 1 + 2 + 4 = 7 u of degree 1 to 3
-    # with constant term 1, so the edge is 7
+    # f's valuation, each charged its (deg f + 1 - e) * e division steps at degree e: the
+    # irreducible 1+X+X^7 tries the 1, 2 and 4 u of degree 1 to 3 with constant term 1,
+    # so the edge is 1 * 7 * 1 + 2 * 6 * 2 + 4 * 5 * 3 = 91
     f = Poly(F2, [1, 1, 0, 0, 0, 0, 0, 1])
-    with search_budget(7):
+    with search_budget(91):
         assert is_irreducible(f)
-    with search_budget(6), pytest.raises(
-            BlowupError, match="irreducibility divisor candidates: 7 exceeds budget 6"):
+    with search_budget(90), pytest.raises(
+            BlowupError, match="irreducibility division steps: 91 exceeds budget 90"):
         is_irreducible(f)
     readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
-    assert '"irreducibility divisor candidates", so 1+X+X^7 over F2 charges 7;' in readme
+    assert ('"irreducibility division steps", so 1+X+X^7 over F2 charges '
+            '1 * 7 * 1 + 2 * 6 * 2 + 4 * 5 * 3 = 91 ' in readme)
 
 
 def test_readme_states_the_slice_budget_of_the_quadratics(monkeypatch, H3, H5):
@@ -211,9 +213,9 @@ def test_budget_one_stops_every_enumerating_function(H3, H5, H7):
          "division search steps"),  # 1.8 s
         (pmul_fold, ([Poly(H3, (1, 1))] * 10,), "poly box members"),  # 1.7 s
         (is_irreducible, (Poly(H5, (1, 0, 0, 1)),), "ideal slice polynomials"),  # 3.9 s
-        # irreducible: every u of degree <= 17 with constant term 1 is tried
+        # irreducible: refused at the default budget among the u of degree 15, after 1.0 s
         (is_irreducible, (Poly(builtin("Fp", 2), [1, 0, 1] + [0] * 32 + [1]),),
-         "irreducibility divisor candidates"),  # 3.2 s
+         "irreducibility division steps"),
         # 0 is no root: every g of degree 10 over F3 is tried
         (is_effective_root, (Poly(builtin("Fp", 3), [1, 0, 1] + [0] * 8 + [1]), 0),
          "effective root candidates"),  # 1.5 s

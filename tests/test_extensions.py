@@ -4,13 +4,13 @@ from math import comb
 
 import pytest
 
-from mvla import (CongruenceError, ExtensionPair, Matrix, Poly, StructureError, builtin,
-                  certify_algebraic_extension, classify_extension, eval_closure,
+from mvla import (CongruenceError, ExtensionPair, Matrix, Poly, ReducibleError, StructureError,
+                  builtin, certify_algebraic_extension, classify_extension, eval_closure,
                   is_almost_full, make_quotient_superfield, minimal_polynomial,
-                  mprod_sets, msum_sets, quotient_pair, verify_axioms)
+                  mprod_sets, msum_sets, quotient_pair, serialize_structure, verify_axioms)
 from mvla.extensions import find_irreducible, find_quotient_superfield, generation_degree
 from mvla.linsys import homogeneous, row_value_sets
-from mvla.polys import pmul
+from mvla.polys import all_polys, pmul
 
 
 def test_classification_ladder(K, Q2, H2, H3):
@@ -86,6 +86,67 @@ def test_quotient_search_builds_each_slice_once(monkeypatch, name, param, degree
     built.clear()
     assert find_irreducible(F, degree) is not None
     assert len(built) == len(set(built)) <= slices
+
+
+_SEARCH_BASES = {"K": ("K",), "Q2": ("Q2",), "H2": ("Hp", 2), "H3": ("Hp", 3),
+                 "H5": ("Hp", 5), "X1": ("Xn", 1), "F2": ("Fp", 2), "F3": ("Fp", 3),
+                 "F5": ("Fp", 5)}
+
+
+def _reference_search(monkeypatch, F, degree):
+    """find_quotient_superfield as quotient_pair per candidate: a reducible p is skipped
+    and a p whose quotient fails the superfield axioms is rejected.  The scans share one
+    slice table, as the search's do (a verdict does not depend on the table)."""
+    import mvla.extensions as ext
+    scan, slices = ext._irreducible, {}
+    monkeypatch.setattr(ext, "_irreducible", lambda p, _: scan(p, slices))
+    rejected = []
+    for p in all_polys(F, degree):
+        if p.degree != degree:
+            continue
+        try:
+            K, pair, gamma = quotient_pair(F, p)
+        except ReducibleError:
+            continue
+        except CongruenceError:
+            rejected.append(p)
+            continue
+        return K, pair, gamma, p, tuple(rejected)
+    return None
+
+
+def _outcome(found):
+    """What a search answers, comparable across searches: the chosen p, the rejected
+    candidates, the serialized quotient, the embedding's images and gamma."""
+    if found is None:
+        return None
+    K, pair, gamma, p, rejected = found
+    return p, rejected, serialize_structure(K), pair.embedding.images, gamma
+
+
+@pytest.mark.parametrize("name,degree", [(name, 2) for name in _SEARCH_BASES]
+                         + [("F2", 3), ("F3", 3), ("H3", 3)])
+def test_quotient_search_matches_quotient_pair_per_candidate(monkeypatch, name, degree):
+    F = builtin(*_SEARCH_BASES[name])
+    got = _outcome(find_quotient_superfield(F, degree))
+    assert got == _outcome(_reference_search(monkeypatch, F, degree))
+
+
+@pytest.mark.parametrize("name,degree", [("H3", 2), ("Q2", 2), ("K", 3)])
+def test_quotient_search_makes_no_axiom_report(monkeypatch, name, degree):
+    # the search only asks whether each quotient is a superfield, so a rejected candidate
+    # (one over H3 and two over Q2 before the quotient found, every cubic over K) costs no
+    # report
+    import mvla.axioms as axioms
+
+    def refused(*_args):
+        raise AssertionError("the quotient search made an axiom report")
+
+    F = builtin(*_SEARCH_BASES[name])
+    want = _outcome(_reference_search(monkeypatch, F, degree))
+    monkeypatch.undo()
+    monkeypatch.setattr(axioms, "_report", refused)
+    assert _outcome(find_quotient_superfield(F, degree)) == want
 
 
 def test_quotient_requires_irreducible(H3):

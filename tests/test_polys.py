@@ -7,6 +7,7 @@ from mvla import (NEG_INF, Poly, PolySet, Structure, StructureError, builtin,
                   divmod_holds, evaluate, is_effective_root, is_irreducible,
                   is_root, padd, padd_sets, pdeg_laws_check, pdivmod, pmul,
                   pmul_fold, quotient_pair)
+from mvla.matrices import _rank, _vector
 from mvla.polys import (_TERMS, _ideal_members_bounded, _irreducible, _maximal, _members_bits,
                         _nonzero, _unit_scalings, all_polys, deg_sum_min_counterexamples)
 from mvla.structures import _bits
@@ -326,15 +327,20 @@ def test_poly_ops_commute(name, data):
 
 
 def decoded(bits, k, width):
-    """A slice bitset as index tuples: bit sum(p[j] * k**j) stands for p."""
-    out = set()
-    for x in _bits(bits):
-        p = []
-        for _ in range(width):
-            x, r = divmod(x, k)
-            p.append(r)
-        out.add(tuple(p))
-    return frozenset(out)
+    """A slice bitset as index tuples: bit d stands for vector number d in product order."""
+    return frozenset(_vector(k, width, x) for x in _bits(bits))
+
+
+def test_bitsets_number_index_tuples_as_vectors_do():
+    # one numbering: bit d of a box's bitset is vector number d in product order
+    k = 3
+    for n in (1, 2, 3):
+        for d in range(k ** n):
+            assert _rank(k, _vector(k, n, d)) == d
+            assert _members_bits([[1 << i for i in _vector(k, n, d)]], k) == 1 << d
+    box = [0b011, 0b101]  # {0, 1} x {0, 2}
+    assert _members_bits([box], k) == sum(1 << _rank(k, p) for p in [(0, 0), (0, 2), (1, 0),
+                                                                      (1, 2)])
 
 
 def kernel_slice(u, deg_cap, h_deg, max_terms=3):
@@ -644,10 +650,11 @@ def test_unit_classes_keep_every_verdict(monkeypatch, name, param):
             charged.clear()
             got = _irreducible(f, classes)
             assert (got.irreducible, got.witness) == per_u_verdict(f, per_u), f
-            if name == "Fp":  # each candidate divisor is tried and charged once
-                n = len(divisor_candidates(f, got.witness))
-                assert charged == [(i, "irreducibility divisor candidates")
-                                   for i in range(1, n + 1)], f
+            if name == "Fp":  # each candidate divisor u is tried and charged once, its
+                # (deg f + 1 - deg u) * deg u division steps on top of those before it
+                steps = itertools.accumulate((3 - u.degree) * u.degree
+                                             for u in divisor_candidates(f, got.witness))
+                assert charged == [(n, "irreducibility division steps") for n in steps], f
     if name == "Hp":
         # every nonzero c is admitted: 4 multiples in each class of the 120 u
         assert (len(classes), len(per_u)) == (30, 120)
@@ -738,9 +745,8 @@ def test_slice_members_vanish_below_the_valuation(name, degree):
         val = next(j for j, c in enumerate(u.indices) if c != z)
         if val:
             got = _ideal_members_bounded(u, degree, degree, 3)
-            members = [[b // k ** j % k for j in range(degree + 1)]
-                       for b in range(k ** (degree + 1)) if got >> b & 1]
-            assert members and all(p[:val] == [z] * val for p in members), u
+            members = [_vector(k, degree + 1, b) for b in range(k ** (degree + 1)) if got >> b & 1]
+            assert members and all(p[:val] == (z,) * val for p in members), u
 
 
 # the bases that no other test compares with the unfiltered per-u scan

@@ -21,17 +21,19 @@ checkout's own files:
   (work units: the carrier size), and `structure_is(S, "superfield")` alone on
   a fresh COLD_MUTANT, built before the clock starts, which fails at its first
   M3-mult witness (work units: the `checked` count and first witness of its
-  stop-on-first report);
+  report with witness limit 1);
 - the irreducibility scans of 1+2X^2 over `builtin("Hp", 5)`, of 1+X+X^4 over
   `builtin("Fp", 2)` (the shape of the `extension` workload's slowest
   irreducibility queries) and of 1+X^2 over `builtin("Fp", 3)` (the shape of its
   F3 quadratics), `polys._irreducible` timed around the call in each of REPEATS
   fresh interpreters; the work units of each are the verdict and, over H5, the
   number of ideal slices its table holds afterwards, over the fields F2 and F3
-  the number of candidate divisors it tries, counted in a second, untimed pass;
-- the quotient search `find_quotient_superfield(builtin("Hp", 5), 2)`, timed
-  around the call in each of REPEATS fresh interpreters; its work units say
-  whether it found a quotient;
+  the division steps it charges, counted in a second, untimed pass;
+- the quotient searches `find_quotient_superfield(builtin("Hp", 5), 2)` (80
+  rejected quadratics) and `find_quotient_superfield(builtin("Hp", 3), 3)` (36
+  rejected cubics), each timed around the call in each of REPEATS fresh
+  interpreters; the work units of each say whether it found a quotient and how
+  many candidates it rejected, counted in a second, untimed pass;
 - M3 on the sum tables of `fn_space(builtin("Hp", 3), 4)` (81 vectors, two
   lanes of the rotation test) and of `fn_space(builtin("K"), 5)` (32 vectors,
   one lane), the private `axioms._scan_assoc` timed around the call; MV0-MV3 on
@@ -171,7 +173,7 @@ for _ in range(CALLS):
     t0 = time.perf_counter()
     structure_is(S, "superfield")
     times.append(time.perf_counter() - t0)
-rep = verify_axioms(S, "superfield", stop_on_first=True)
+rep = verify_axioms(S, "superfield", witness_limit=1)
 out["cold check " + name + " superfield"] = (statistics.median(times) * 1e6,
                                              [rep.checked, list(rep.witnesses[0][:1])])
 print(json.dumps(out))
@@ -203,8 +205,8 @@ irreducible = _irreducible(f, slices).irreducible
 print(json.dumps([time.perf_counter() - t0, {"irreducible": irreducible, "slices": len(slices)}]))
 """
 
-# The same scan over a field, which divides instead of building slices: the candidate
-# divisors it charges are counted in a second, untimed pass.
+# The same scan over a field, which divides instead of building slices: the division
+# steps it charges are counted in a second, untimed pass.
 FIELD_IRREDUCIBLE_CODE = """
 import json, time
 import mvla.polys as polys
@@ -213,11 +215,27 @@ f = Poly(builtin(*ARGS), COEFFS)
 t0 = time.perf_counter()
 irreducible = polys._irreducible(f, {}).irreducible
 dt = time.perf_counter() - t0
-charge, tried = polys.charge, []
-polys.charge = lambda work, what: (tried.append(what), charge(work, what))[1]
+charge, steps = polys.charge, [0]
+polys.charge = lambda work, what: (steps.append(work), charge(work, what))[1]
 polys._irreducible(f, {})
-print(json.dumps([dt, {"irreducible": irreducible,
-                       "divisor candidates": tried.count("irreducibility divisor candidates")}]))
+print(json.dumps([dt, {"irreducible": irreducible, "division steps": steps[-1]}]))
+"""
+
+# The quotient search over builtin(*ARGS) at DEGREE, which its rows set first: the
+# quotients it builds, all rejected but the one found, are counted in a second, untimed
+# pass.
+QUOTIENT_SEARCH_CODE = """
+import json, time
+import mvla.extensions as ext
+from mvla import builtin
+F = builtin(*ARGS)
+t0 = time.perf_counter()
+found = ext.find_quotient_superfield(F, DEGREE) is not None
+dt = time.perf_counter() - t0
+tables, built = ext._quotient_tables, []
+ext._quotient_tables = lambda F, p: (built.append(p), tables(F, p))[1]
+ext.find_quotient_superfield(F, DEGREE)
+print(json.dumps([dt, {"found": found, "rejected": len(built) - found}]))
 """
 
 # M3 on the sum table of fn_space(builtin(*ARGS), N), which its rows set first.
@@ -244,14 +262,10 @@ TIMED_CALLS = (
      'ARGS, COEFFS = ("Fp", 2), (1, 1, 0, 0, 1)' + FIELD_IRREDUCIBLE_CODE),
     ("polys", "irreducible F3 1+X^2",
      'ARGS, COEFFS = ("Fp", 3), (1, 0, 1)' + FIELD_IRREDUCIBLE_CODE),
-    ("extensions", "quotient search H5 deg 2", """
-import json, time
-from mvla import builtin
-from mvla.extensions import find_quotient_superfield
-t0 = time.perf_counter()
-found = find_quotient_superfield(builtin("Hp", 5), 2) is not None
-print(json.dumps([time.perf_counter() - t0, {"found": found}]))
-"""),
+    ("extensions", "quotient search H5 deg 2",
+     'ARGS, DEGREE = ("Hp", 5), 2' + QUOTIENT_SEARCH_CODE),
+    ("extensions", "quotient search H3 deg 3",
+     'ARGS, DEGREE = ("Hp", 3), 3' + QUOTIENT_SEARCH_CODE),
     ("axioms", "M3 H3^4 sum", 'ARGS, N = ("Hp", 3), 4' + M3_CODE),
     ("axioms", "M3 K^5 sum", 'ARGS, N = ("K",), 5' + M3_CODE),
     ("axioms", "action H3^4", """
@@ -580,7 +594,7 @@ def main(argv=None):
         rows += verb_rows(root, cache, REPEATS)
         print("cold checks", file=sys.stderr, flush=True)
         rows += cold_rows(root, cache, REPEATS)
-        print("irreducibility scans, quotient search, axiom scans, inverse and kernel batches",
+        print("irreducibility scans, quotient searches, axiom scans, inverse and kernel batches",
               file=sys.stderr, flush=True)
         rows += timed_call_rows(root, cache, REPEATS)
     rows.append(src_lines_row(root))
