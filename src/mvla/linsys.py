@@ -1,12 +1,12 @@
 """Linear systems Ax within B over superfields.
 
 A solution is a vector d with Ad contained rowwise in B; a weak solution only needs a
-rowwise nonempty intersection.  Scaling transports solutions forward (original to
-scaled) but the converse is unknown, so every candidate found on a scaled system is
-re-verified against the original system before being reported.  Systems and vectors
-are worked on as carrier indices and masks.  The solve route and the constructive
-kernels read the structure's tables row by row (_setwise, _union), keeping nothing past
-one call, as add_masks and mul_masks do everywhere else.
+rowwise nonempty intersection.  Scaling transports solutions forward; the converse is
+unknown, so each candidate of a scaled system is re-verified on the original system.
+Systems and vectors are carrier indices and masks, and the solve route and the kernel
+constructions read the tables row by row (_setwise, _union), keeping nothing past one
+call.  Back substitution reads triangularity off its pivots.  The constructions run on
+single-valued products with inverses; only a verified vector pays for the multifield check.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .axioms import structure_is, AxiomReport, FAIL, PASS
 from .errors import BlowupError, MvlaError, StructureError, _limit
-from .matrices import Matrix, _dot, _index_product, _rank, _value_masks, _vector, elementary
+from .matrices import Matrix, _dot, _rank, _value_masks, _vector, elementary
 from .structures import _bits, _setwise, _union
 
 # The scaled route stops once the branches walked so far, or the nodes, pass the search
@@ -78,10 +78,11 @@ class SolveOutcome:
 
 
 def _row_masks(sys, d):
-    """The rowwise value masks of A*d, one at a time."""
-    if d.cols != 1 or d.rows != sys.A.cols or d.base is not sys.base:
+    """The rowwise value masks of A*d, one at a time: each row of A folded against d (_dot)."""
+    S, n, a = sys.base, sys.A.cols, sys.A.indices
+    if d.cols != 1 or d.rows != n or d.base is not S:
         raise StructureError("candidate vector shape or base mismatch")
-    return _index_product(sys.A, d)
+    return (_dot(S, a[i:i + n], d.indices) for i in range(0, len(a), n))
 
 
 def row_value_sets(sys, d):
@@ -160,7 +161,8 @@ def iter_scaled_systems(sys):
 
     def steps(a, B, r, c):
         """The states after column c in product order: the entries a, row-major, B masks and
-        r the next pivot row, which branch selections can shift by zeroing out entries."""
+        r the next pivot row, which branch selections can shift by zeroing out entries.  Rows
+        from r on are 0 left of c and stay so unread (x.0 = {0} and 0 + 0 = {0})."""
         for p in range(r, m):
             if a[p * n + c] != zero:
                 break
@@ -175,37 +177,40 @@ def iter_scaled_systems(sys):
         mus = [None if row[c] == zero else prod[neg[row[c]]] for row in rows[1:]]  # -a_kc
         B = (*B[:r + 1], *(b if mu is None else _setwise(sums, b, _union(mu, B[r]))
                            for b, mu in zip(B[r + 1:], mus)))
-        for pivot in itertools.product(*[(one,) if j == c else _bits(inv[y])
-                                         for j, y in enumerate(rows[0])]):
+        for pivot in itertools.product(*[(zero,) if j < c else (one,) if j == c else
+                                         _bits(inv[y]) for j, y in enumerate(rows[0])]):
             # one product over the entries of the rows below, in the order of a product
             # over the rows, so that no row's choices are held before the first is walked
-            below = [(y,) if mu is None else (zero,) if j == c else _bits(_union(sums[y], mu[z]))
+            below = [(y,) if mu is None else (zero,) if j <= c else _bits(_union(sums[y], mu[z]))
                      for row, mu in zip(rows[1:], mus) for j, (y, z) in enumerate(zip(row, pivot))]
             for tail in itertools.product(*below):
                 yield head + pivot + tail, B, r + 1
 
-    def walk(a, B, r, c):
-        """Yield the scaled systems below a state, each once; return its leaf paths.  In a
-        superfield each leaf is upper triangular and r counts its nonzero rows.  A state with
-        zero rows from r on is a leaf (every later column passes it on), in the last memo."""
-        nonlocal paths
-        total = 0
-        for state in steps(a, B, r, c):
-            leaf = c + 1 == n or (rest := state[0][state[2] * n:]).count(zero) == len(rest)
-            got = (seen := walked[n - 1 if leaf else c]).get(state)
-            if got is None and not leaf:
-                got = seen[state] = yield from walk(*state, c + 1)
-            else:  # a leaf, or a state that an earlier branch reached: count its paths
-                paths += got or 1
-                if paths > branch_cap:
-                    raise BlowupError(f"scaling exceeded {branch_cap} branches")
-                if got is None:
-                    got = seen[state] = 1
-                    yield LinearSystem(Matrix.from_indices(S, m, n, state[0]), state[1])
-            total += got
-        return total
-
-    yield from walk(sys.A.indices, sys.masks, 0, 0)
+    # The walk: a stack of [the steps of a state at column c (its depth less one), that
+    # state, its leaf paths so far].  In a superfield each leaf is upper triangular and r
+    # counts its nonzero rows; a state with zero rows from r on is a leaf (every later
+    # column passes it on), in the last memo.
+    stack = [[steps(sys.A.indices, sys.masks, 0, 0), None, 0]]
+    while stack:
+        c, frame = len(stack) - 1, stack[-1]
+        if (state := next(frame[0], None)) is None:  # all below frame[1] walked: memoize
+            stack.pop()
+            if stack:
+                walked[c - 1][frame[1]] = frame[2]
+                stack[-1][2] += frame[2]
+            continue
+        leaf = c + 1 == n or (rest := state[0][state[2] * n:]).count(zero) == len(rest)
+        got = (seen := walked[n - 1 if leaf else c]).get(state)
+        if got is None and not leaf:
+            stack.append([steps(*state, c + 1), state, 0])
+            continue
+        paths += got or 1  # a leaf, or a state that an earlier branch reached: its paths
+        if paths > branch_cap:
+            raise BlowupError(f"scaling exceeded {branch_cap} branches")
+        if got is None:
+            got = seen[state] = 1
+            yield LinearSystem(Matrix.from_indices(S, m, n, state[0]), state[1])
+        frame[2] += got
 
 
 # -- back substitution ----------------------------------------------------------------
@@ -218,52 +223,58 @@ def iter_back_substitution(sys):
     (type I) and raise TypeIError.  Columns without a pivot are free variables
     and default to 0.  Candidates come out in canonical choice order.  More
     nodes than the search limit (read when iteration starts) or 10**5 raise
-    BlowupError.
+    BlowupError.  Triangularity is read off the pivots: row i is zero below the
+    diagonal iff it is all zero or its first nonzero lies at a column >= i.
     """
-    if not sys.A.is_upper_triangular:
-        raise StructureError("back substitution needs a scaled system")
-    S, n, a = sys.base, sys.A.cols, sys.A.indices
+    S, n, a, masks = sys.base, sys.A.cols, sys.A.indices, sys.masks
     zero, lines = S.zero_i, [a[i:i + n] for i in range(0, len(a), n)]
     # the leading-entry column per row; None for a row of zeros
     pivots = [next((j for j, x in enumerate(line) if x != zero), None) for line in lines]
+    if any(p is not None and p < i for i, p in enumerate(pivots)):
+        raise StructureError("back substitution needs a scaled system")
     for i, p in enumerate(pivots):
-        if p is None and not sys.masks[i] >> zero & 1:
+        if p is None and not masks[i] >> zero & 1:
             raise TypeIError(f"row {i} reads 0 within a set missing 0")
     rows = [i for i, p in enumerate(pivots) if p is not None]
     nodes, node_cap = 0, min(_limit.get(), _BACKSUB_NODES)
-    prod, sums, negs, scaled = S._prod, S._sum, [1 << v for v in S._neg], {}
+    k, prod, sums, negs = len(S), S._prod, S._sum, [1 << v for v in S._neg]
+    least, scaled = {}, {}  # least: each pivot value's inverse_indices
 
     def value_set(i):
-        """lam.B_i - sum of (lam.a_ij).d_j past the pivot, lam its least inverse (read once)."""
+        """lam.B_i - sum of (lam.a_ij).d_j past the pivot, lam its least inverse: lam.B_i and
+        the cells lam.a_ij of a row, each pivot value's inverse and each term read once."""
         if i not in scaled:
-            inverses = S.inverse_indices(lines[i][pivots[i]])
-            if not inverses:
-                raise StructureError(f"pivot {S.elements[lines[i][pivots[i]]]!r} has no inverse")
+            x = lines[i][pivots[i]]
+            if not (inverses := least.get(x) or least.setdefault(x, S.inverse_indices(x))):
+                raise StructureError(f"pivot {S.elements[x]!r} has no inverse")
             inv = prod[inverses[0]]
-            scaled[i] = _union(inv, sys.masks[i]), [(j, inv[x]) for j, x in enumerate(lines[i])
-                                                    if j > pivots[i] and x != zero]
+            scaled[i] = _union(inv, masks[i]), [(j, inv[y], [None] * k) for j, y in
+                                                enumerate(lines[i]) if j > pivots[i] and y != zero]
         out, cells = scaled[i]
-        for j, t in cells:
-            out = _setwise(sums, out, _union(negs, _setwise(prod, t, 1 << assigned[j])))
+        for j, t, terms in cells:
+            term = terms[assigned[j]]
+            if term is None:
+                term = terms[assigned[j]] = _union(negs, _setwise(prod, t, 1 << assigned[j]))
+            out = _setwise(sums, out, term)
         return _bits(out)
 
-    def rec(idx):
-        nonlocal nodes
-        if idx < 0:  # a weak solution of every row (is_weak_solution), row by row
-            if all(_dot(S, line, assigned) & b for line, b in zip(lines, sys.masks)):
-                yield Matrix.from_indices(S, n, 1, assigned)
+    # depth first from the last live row up: choices[t] holds the values left for the
+    # pivot variable of row rows[-1 - t]; with every one assigned, test the leaf
+    assigned, choices = [zero] * n, []  # free variables default to 0
+    while True:
+        if len(choices) < len(rows):
+            choices.append(iter(value_set(rows[-1 - len(choices)])))
+        elif all(_dot(S, line, assigned) & b for line, b in zip(lines, masks)):
+            yield Matrix.from_indices(S, n, 1, assigned)  # a weak solution of every row
+        while choices and (x := next(choices[-1], None)) is None:
+            assigned[pivots[rows[-len(choices)]]] = zero
+            choices.pop()
+        if not choices:
             return
-        i = rows[idx]
-        for x in value_set(i):
-            nodes += 1
-            if nodes > node_cap:
-                raise BlowupError(f"back substitution exceeded {node_cap} nodes")
-            assigned[pivots[i]] = x
-            yield from rec(idx - 1)
-        assigned[pivots[i]] = zero
-
-    assigned = [zero] * n  # free variables default to 0
-    yield from rec(len(rows) - 1)
+        nodes += 1
+        if nodes > node_cap:
+            raise BlowupError(f"back substitution exceeded {node_cap} nodes")
+        assigned[pivots[rows[-len(choices)]]] = x
 
 
 # -- the solver -----------------------------------------------------------------------
@@ -333,12 +344,6 @@ def homogeneous(A):
 # (the least one comes first in inverse_indices).
 
 
-def _single(mask):
-    """The index of the unique member of a singleton mask."""
-    (v,) = _bits(mask)
-    return v
-
-
 def _unit(S, j, m):
     """The vector of length m with 1 at position j and 0 elsewhere."""
     return [S.one_i if i == j else S.zero_i for i in range(m)]
@@ -355,20 +360,17 @@ def _case1(S, masks):
         if cs >> zero & 1:
             return _unit(S, j, m)
     s2, s3 = (_bits(cs)[0] for cs in masks[:2])
-    d2 = S._neg[_single(S._prod[S.inverse_indices(s2)[0]][s3])]
+    d2 = S._neg[_bits(S._prod[S.inverse_indices(s2)[0]][s3])[0]]
     return [d2, S.one_i] + [zero] * (m - 2)
 
 
 def _normalize_row(S, row):
     inv = S._prod[S.inverse_indices(row[0])[0]]
-    return [_single(inv[a]) for a in row]
+    return [_bits(inv[a])[0] for a in row]
 
 
 def _case2(S, rows, m):
     (a, b), zero, prod, neg = rows, S.zero_i, S._prod, S._neg
-    for j in range(m):
-        if a[j] == zero and b[j] == zero:
-            return _unit(S, j, m)
     zero_pos = next(((r, j) for r, row in enumerate(rows) for j in range(m)
                      if row[j] == zero), None)
     if zero_pos is not None:
@@ -377,15 +379,12 @@ def _case2(S, rows, m):
         rest_cols = [j for j in range(m) if j != p]
         sub = _case1(S, [1 << zero_row[j] for j in rest_cols])  # d off column p
         pick = _bits(_dot(S, [other[j] for j in rest_cols], sub))[0]
-        return sub[:p] + [neg[_single(prod[S.inverse_indices(other[p])[0]][pick])]] + sub[p:]
+        return sub[:p] + [neg[_bits(prod[S.inverse_indices(other[p])[0]][pick])[0]]] + sub[p:]
 
-    lam = next((l for l in range(len(S)) if l != zero and
-                all(_single(prod[l][a[j]]) == b[j] for j in range(m))), None)
-    if lam is not None:
-        return _case1(S, [1 << x for x in a])
+    if any(l != zero and all(prod[l][x] == 1 << y for x, y in zip(a, b)) for l in range(len(S))):
+        return _case1(S, [1 << x for x in a])  # b = lam.a
 
-    an = _normalize_row(S, a)
-    bn = _normalize_row(S, b)
+    an, bn = _normalize_row(S, a), _normalize_row(S, b)
     tail = _case1(S, [S._sum[bn[j]][neg[an[j]]] for j in range(1, m)])
     meet = _dot(S, an[1:], tail) & _dot(S, bn[1:], tail)
     if not meet:
@@ -395,9 +394,6 @@ def _case2(S, rows, m):
 
 def _case3(S, rows, m):
     zero, sums, neg, negs = S.zero_i, S._sum, S._neg, [1 << v for v in S._neg]
-    for j in range(m):
-        if all(row[j] == zero for row in rows):
-            return _unit(S, j, m)
     # move a column with all rows nonzero to the front, keep only 4 columns
     front = next((j for j in range(m) if all(row[j] != zero for row in rows)), None)
     if front is None or m < 4:
@@ -436,27 +432,27 @@ def _case3(S, rows, m):
 
 
 def constructive_kernel(A):
-    """The row-count-specific kernel constructions; None when preconditions fail.
+    """The row-count-specific kernel constructions over a multifield; None otherwise.
 
-    Requires the hyperfield toolkit (single-valued products with inverses);
-    the result is verified here, and find_nontrivial_kernel falls back.
+    They run when S has the toolkit they read (single-valued products with inverses,
+    as every multifield has); only a vector verified here pays for the multifield
+    check.  On None, find_nontrivial_kernel falls back.
     """
-    S, n, m = A.base, A.rows, A.cols
-    if m <= n or not structure_is(S, "multifield"):
+    S, n, m, one = A.base, A.rows, A.cols, 1 << A.base.one_i
+    if m <= n or n > 3 or max(map(int.bit_count, itertools.chain.from_iterable(S._prod))) > 1 \
+            or not all(one in row for i, row in enumerate(S._prod) if i != S.zero_i):
         return None
     rows = [A.indices[i * m:(i + 1) * m] for i in range(n)]
-    if n == 1:
-        d = _case1(S, [1 << x for x in rows[0]])
-    elif n == 2:
-        d = _case2(S, rows, m)
-    elif n == 3:
-        d = _case3(S, rows, m)
+    zeros = [j for j in range(m) if all(row[j] == S.zero_i for row in rows)]
+    if zeros:  # a column of zeros: its unit vector
+        d = _unit(S, zeros[0], m)
     else:
-        return None
+        d = _case1(S, [1 << x for x in rows[0]]) if n == 1 else (_case2, _case3)[n - 2](S, rows, m)
     if d is None or all(x == S.zero_i for x in d):
         return None
     vec = Matrix.from_indices(S, m, 1, d)
-    return vec if is_weak_solution(homogeneous(A), vec) else None
+    return vec if is_weak_solution(homogeneous(A), vec) and structure_is(S, "multifield") \
+        else None
 
 
 def find_nontrivial_kernel(A):

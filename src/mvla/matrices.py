@@ -172,7 +172,11 @@ def _dot(S, coeffs, d):
     """The left fold of the setwise sum over the cells prod[c_j][d_j] (c nonempty)."""
     sums, prod, out = S._sum, S._prod, None
     for c, x in zip(coeffs, d):
-        out = prod[c][x] if out is None else _setwise(sums, out, prod[c][x])
+        t = prod[c][x]
+        if out is None or out & (out - 1) or t & (t - 1):
+            out = t if out is None else _setwise(sums, out, t)
+        else:  # one member each: one cell of the sum table
+            out = sums[out.bit_length() - 1][t.bit_length() - 1]
     return out
 
 

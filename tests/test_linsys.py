@@ -146,6 +146,27 @@ def test_type_one_detection(H3):
     assert got is not None and is_weak_solution(fine, got.vector)
 
 
+def test_back_substitution_refuses_every_matrix_that_is_not_triangular(H3):
+    # triangularity is read off the pivots: every matrix of each shape, rows past the
+    # last column included, with right sides missing 0, so that a refused matrix is
+    # refused before any row of zeros reads as type I
+    refused = 0
+    for rows, cols in itertools.product(range(1, 5), range(1, 4)):
+        masks = (1 << H3.one_i,) * rows
+        for entries in itertools.product(range(3), repeat=rows * cols):
+            A = Matrix.from_indices(H3, rows, cols, entries)
+            try:
+                next(iter_back_substitution(LinearSystem(A, masks)), None)
+            except TypeIError:
+                pass
+            except StructureError as exc:
+                assert "scaled system" in str(exc) and not A.is_upper_triangular, entries
+                refused += 1
+    # the matrices with a nonzero entry below the diagonal, counted per shape
+    assert refused == sum(3 ** (r * c) - 3 ** (r * c - sum(min(i, c) for i in range(r)))
+                          for r in range(1, 5) for c in range(1, 4))
+
+
 def test_back_substitute_classical_diagonal(F3):
     sys_ = LinearSystem.of(Matrix.from_rows(F3, [(2, 0), (0, 2)]), [{1}, {2}])
     got = classify_candidate(sys_, next(iter_back_substitution(sys_)))

@@ -12,6 +12,7 @@ the masks themselves are checked against the recursion that the byte-lane fold
 of _value_masks replaced (_recursive_value_masks).
 """
 
+import collections
 import functools
 import itertools
 import random
@@ -19,6 +20,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvla import linsys
 from mvla import (BlowupError, LinearSystem, Matrix, Poly, Structure, builtin, det,
                   find_inverse, find_nontrivial_kernel, is_inverse_pair, is_linearly_closed,
                   iter_scaled_systems, quotient_pair, search_budget, solve_weak, structure_is)
@@ -700,6 +702,103 @@ def test_solver_and_kernels_match_on_drawn_multivalued_superfields(data):
     check_system(S, A, B, budget)
     if cols > rows:
         check_kernel(S, A, budget)
+
+
+def toolkit_mutants(args):
+    """The single-entry mutants of builtin(*args) that keep one member in every product
+    cell and an inverse of every nonzero element but are not multifields: what the kernel
+    constructions read holds, and only the multifield check refuses them."""
+    return [T for T in single_entry_mutants(builtin(*args))
+            if all(len(T.prod_set(a, b)) == 1 for a in T.elements for b in T.elements)
+            and all(T.inverse(a) is not None for a in T.elements if a != T.zero)
+            and not structure_is(T, "multifield")]
+
+
+def test_kernels_match_token_reference_on_toolkit_mutants(monkeypatch):
+    """On such mutants the constructions run, and the multifield check is asked exactly
+    when a constructed vector verifies (the token constructions' own verdict): the
+    kernels still equal the reference's, which asks it first."""
+    asks = []
+    monkeypatch.setattr(linsys, "structure_is",
+                        lambda S, kind: asks.append(kind) or structure_is(S, kind))
+    for args in (("Hp", 3), ("Hp", 5), ("Q2",)):
+        rng, verified = random.Random(f"toolkit:{args}"), 0
+        for T in rng.sample(toolkit_mutants(args), 6):
+            for rows, cols in KERNEL_SHAPES[:-1]:
+                for _ in range(4):
+                    A = [[rng.choice(T.elements) for _ in range(cols)] for _ in range(rows)]
+                    d = {1: _case1, 2: _case2, 3: _case3}[rows](T, A if rows > 1 else A[0], cols)
+                    verified += d is not None and ref_kernel_ok(T, A, d)
+                    check_kernel(T, A)
+        # check_kernel calls constructive_kernel twice, once through find_nontrivial_kernel
+        assert verified and asks == ["multifield"] * 2 * verified, (args, verified, len(asks))
+        asks.clear()
+
+
+def ref_route_counts(S, rows, B):
+    """(scaled systems, candidates, fallback answers) that solve_weak reads, re-derived
+    from the reference: the scaled systems, and each one's candidates, up to the first
+    candidate that verifies on the original system; then 1 when the fallback's scan
+    answers (its vector is classified too), else 0."""
+    n, scaled, candidates = len(rows[0]), 0, 0
+    try:
+        for entries, sB in ref_scale_system(S, rows, B):
+            scaled += 1
+            srows = [entries[i * n:(i + 1) * n] for i in range(len(rows))]
+            try:
+                for d in ref_back_substitution(S, srows, sB):
+                    candidates += 1
+                    if ref_classify(S, rows, B, d) is not None:
+                        return scaled, candidates, 0
+            except (TypeIError, BlowupError):
+                continue
+    except BlowupError:
+        pass
+    return scaled, candidates, int(ref_solve_weak(S, rows, B)[0] == "solved")
+
+
+def test_solve_weak_reads_the_route_through_its_module_names(bases, monkeypatch):
+    """solve_weak calls the module-level iter_scaled_systems, iter_back_substitution and
+    classify_candidate, which the benchmark's counters wrap: counted there, the scaled
+    systems, back substitutions, candidates and classifications of a seeded batch are
+    the ones the reference reads up to each answer."""
+    counts = collections.Counter()
+
+    def counted(name):
+        original = getattr(linsys, name)
+
+        def walk(sys_):
+            counts[name] += 1
+            for item in original(sys_):
+                counts[name, "yields"] += 1
+                yield item
+
+        def classify(sys_, d):
+            counts[name] += 1
+            return original(sys_, d)
+
+        monkeypatch.setattr(linsys, name, classify if name == "classify_candidate" else walk)
+
+    for name in ("iter_scaled_systems", "iter_back_substitution", "classify_candidate"):
+        counted(name)
+    rng, totals = random.Random(40), collections.Counter()
+    for name in sorted(BASES):
+        S = bases[name]
+        for rows, cols in ((2, 2), (2, 3), (3, 3), (3, 4)):
+            for _ in range(10):
+                A = [[rng.choice(S.elements) for _ in range(cols)] for _ in range(rows)]
+                B = [frozenset(rng.sample(S.elements, rng.randint(1, 2))) for _ in range(rows)]
+                counts.clear()
+                linsys.solve_weak(LinearSystem.of(Matrix.from_rows(S, A), B))
+                scaled, candidates, fallback = ref_route_counts(S, A, B)
+                assert dict(counts) == {k: v for k, v in {
+                    "iter_scaled_systems": 1, ("iter_scaled_systems", "yields"): scaled,
+                    "iter_back_substitution": scaled,
+                    ("iter_back_substitution", "yields"): candidates,
+                    "classify_candidate": candidates + fallback}.items() if v}, (A, B)
+                totals.update(scaled=scaled, candidates=candidates, fallback=fallback,
+                              rereads=scaled > 1)
+    assert all(totals[k] for k in ("scaled", "candidates", "fallback", "rereads")), totals
 
 
 # -- token helpers stay off the hot paths ------------------------------------------------

@@ -1,6 +1,6 @@
 """Record a checkout's benchmark rows into one BENCH_<pr>.json file.
 
-    python3 tools/record_bench.py --pr N [--root DIR]
+    python3 tools/record_bench.py --pr N [--root DIR] [--parent DIR]
 
 `--root` is the source checkout to measure (default: the one holding this
 script), so the same recorder can measure an older checkout of the project.
@@ -104,6 +104,15 @@ Work units are deterministic counts, so two recordings can tell a speedup
 from noise: the queries a workload ran, a layer's counters from the traced
 run, the tests that passed, a verb's exit code and a digest of its output.
 `work_stable` says whether every run gave the same work units.
+
+`--parent DIR` names a second checkout, the parent of the change being
+recorded.  Each verb row and each timed-call row then runs its REPEATS fresh
+interpreters alternately on DIR and on `--root` (parent first), with the same
+code and bytecode prefix, and stores the parent's median and the work units of
+its first run beside the row (`parent_median`, `parent_work`; a median of None
+and the error's tail when the parent cannot run a row).  Drift of the host then
+reads on both sides alike, so such a row is a before/after pair, not two
+recordings taken at different times.
 """
 
 from __future__ import annotations
@@ -523,18 +532,40 @@ def tier1_row(root, cache, repeats):
     return _row("tests", "tier-1 wall time", times, "s", works)
 
 
-def verb_rows(root, cache, repeats):
+def _alternating(run, root, parent, repeats):
+    """run(checkout) -> (seconds, work units), repeats times on root, each after one run
+    on parent when there is one: root's results, and parent's (empty without one)."""
+    ours, theirs = [], []
+    for _ in range(repeats):
+        if parent is not None:
+            theirs.append(run(parent))
+        ours.append(run(root))
+    return ours, theirs
+
+
+def _paired(layer, name, unit, ours, theirs):
+    """The row of root's runs, with the parent's median and first work units beside it."""
+    row = _row(layer, name, [dt for dt, _ in ours], unit, [w for _, w in ours])
+    if theirs:
+        times = [dt for dt, _ in theirs if dt is not None]
+        row.update(parent_median=statistics.median(times) if times else None,
+                   parent_work=theirs[0][1])
+    return row
+
+
+def verb_rows(root, cache, repeats, parent=None):
     rows = []
     for name, argv in VERBS:
         code = f"import sys; from mvla.cli import main; sys.exit(main({argv!r}))"
-        times, works = [], []
-        for _ in range(repeats):
-            dt, proc = _timed([sys.executable, "-c", code], root, cache)
-            times.append(dt)
-            works.append({"exit": proc.returncode,
-                          "stdout_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest()[:16],
-                          "stdout_lines": len(proc.stdout.splitlines())})
-        rows.append(_row("verb", f"mvla {name}", times, "s", works))
+
+        def run(checkout):
+            dt, proc = _timed([sys.executable, "-c", code], checkout, cache)
+            return dt, {"exit": proc.returncode,
+                        "stdout_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest()[:16],
+                        "stdout_lines": len(proc.stdout.splitlines())}
+
+        rows.append(_paired("verb", f"mvla {name}", "s",
+                            *_alternating(run, root, parent, repeats)))
     return rows
 
 
@@ -553,16 +584,19 @@ def cold_rows(root, cache, repeats):
                  [{units[key.split()[0]]: r[key][1]} for r in runs]) for key in runs[0]]
 
 
-def timed_call_rows(root, cache, repeats):
+def timed_call_rows(root, cache, repeats, parent=None):
     rows = []
     for layer, name, code in TIMED_CALLS:
-        runs = []
-        for _ in range(repeats):
-            _, proc = _timed([sys.executable, "-c", code], root, cache)
-            if proc.returncode != 0:
-                raise RuntimeError(f"{name} exited {proc.returncode}: {proc.stderr[-300:]}")
-            runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-        rows.append(_row(layer, name, [dt for dt, _ in runs], "s", [w for _, w in runs]))
+
+        def run(checkout):
+            _, proc = _timed([sys.executable, "-c", code], checkout, cache)
+            if proc.returncode == 0:
+                return json.loads(proc.stdout.strip().splitlines()[-1])
+            if checkout == parent:  # a row the parent cannot run has no parent median
+                return None, {"error": proc.stderr.strip()[-300:]}
+            raise RuntimeError(f"{name} exited {proc.returncode}: {proc.stderr[-300:]}")
+
+        rows.append(_paired(layer, name, "s", *_alternating(run, root, parent, repeats)))
     return rows
 
 
@@ -576,10 +610,15 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    ap.add_argument("--parent", type=Path, default=None,
+                    help="a parent checkout: verb and timed-call rows alternate with it")
     args = ap.parse_args(argv)
     root = args.root.resolve()
-    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
-                            capture_output=True, text=True).stdout.strip() or None
+    parent = args.parent.resolve() if args.parent else None
+
+    def describe(checkout):
+        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
+                              capture_output=True, text=True).stdout.strip() or None
     rows = []
     with tempfile.TemporaryDirectory(prefix="record-bench-pycache-") as cache:
         print("standard library bytecode", file=sys.stderr, flush=True)
@@ -591,15 +630,16 @@ def main(argv=None):
         print("tier-1", file=sys.stderr, flush=True)
         rows.append(tier1_row(root, cache, TIER1_REPEATS))
         print("cli verbs", file=sys.stderr, flush=True)
-        rows += verb_rows(root, cache, REPEATS)
+        rows += verb_rows(root, cache, REPEATS, parent)
         print("cold checks", file=sys.stderr, flush=True)
         rows += cold_rows(root, cache, REPEATS)
         print("irreducibility scans, quotient searches, axiom scans, inverse and kernel batches",
               file=sys.stderr, flush=True)
-        rows += timed_call_rows(root, cache, REPEATS)
+        rows += timed_call_rows(root, cache, REPEATS, parent)
     rows.append(src_lines_row(root))
     head = {"machine": machine(), "python": platform.python_version()}
-    doc = {"pr": args.pr, "commit": commit, "seed": SEED, **head,
+    pair = {"parent_commit": describe(parent)} if parent else {}
+    doc = {"pr": args.pr, "commit": describe(root), **pair, "seed": SEED, **head,
            "rows": [{**head, **row} for row in rows]}
     out = root / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
