@@ -83,12 +83,6 @@ class Matrix:
     def is_square(self):
         return self.rows == self.cols
 
-    @property
-    def is_upper_triangular(self):
-        zero = self.base.zero_i
-        return all(self.indices[i * self.cols + j] == zero
-                   for i in range(self.rows) for j in range(min(i, self.cols)))
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

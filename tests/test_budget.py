@@ -37,7 +37,7 @@ def test_scopes_nest_and_restore_the_limit(H3):
 
 
 def test_the_limit_bounds_a_search_per_call(H3):
-    # no constructive kernel: the exhaustive scan covers 3**5 vectors
+    # 3**5 vectors, at most 4096: the kernel search scans them at once
     A = Matrix.from_rows(H3, [(1, 2, 2, 1, 2), (1, 1, 1, 1, 2), (0, 2, 0, 2, 0)])
     with search_budget(3 ** 5 - 1):
         out = find_nontrivial_kernel(A)
@@ -278,7 +278,7 @@ def test_value_mask_searches_refuse_before_the_first_fold(monkeypatch, H3):
     monkeypatch.setattr(matrices, "_value_masks", counting)
     monkeypatch.setattr(linsys, "_value_masks", counting)
     # a zero row whose right side misses 0: the scaled route gives nothing, so the
-    # fallback scans the 3^3 vectors; no constructive kernel, so 3^5 vectors
+    # fallback scans the 3^3 vectors; at most 4096, the kernel scans its 3^5 at once
     impossible = LinearSystem.of(Matrix.from_rows(H3, [(0, 0, 0)]), [{1}])
     wide = Matrix.from_rows(H3, [(1, 2, 2, 1, 2), (1, 1, 1, 1, 2), (0, 2, 0, 2, 0)])
     scans = ((solve_weak, impossible, 3 ** 3, f"scan of {3 ** 3} vectors exceeds cap",

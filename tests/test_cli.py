@@ -432,7 +432,10 @@ def test_axiom_verb_reports_are_pinned(tmp_path, monkeypatch, capsys, command):
 
 # System and matrix files for the linsys verbs.  diag.sys carries comments and
 # a blank line; none.sys has no weak solution, so a budget below its 9
-# candidate vectors leaves the solver inconclusive.
+# candidate vectors leaves the solver inconclusive.  fallback.sys is upper
+# triangular but not in echelon form (both live rows pivot at column 1); the
+# scaled route walks it and answers, and the file keeps the name it had when
+# such input was passed through unscaled and reached the fallback.
 _LINSYS_FILES = {
     "solved.sys": "2 3\n0 1 2\n0 2 0\nrhs {2}\nrhs {1}\n",
     "weak.sys": "3 3\n1 2 1\n2 2 2\n2 0 1\nrhs {2}\nrhs {0}\nrhs {1}\n",

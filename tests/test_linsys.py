@@ -9,15 +9,23 @@ from mvla import (BlowupError, ElementaryOp, LinearSystem, Matrix, StructureErro
                   TypeIError, apply_elementary, find_nontrivial_kernel,
                   homogeneous, is_linearly_closed, is_solution, is_weak_solution,
                   builtin, iter_scaled_systems, search_budget, solve_weak, verify_axioms)
-from mvla.linsys import (NO_SOLUTION, SOLVED, classify_candidate, constructive_kernel,
+from mvla.linsys import (INCONCLUSIVE, NO_SOLUTION, SOLVED, _first_weak, classify_candidate,
                          iter_back_substitution, row_value_sets)
 from mvla.matrices import _value_masks
 from mvla.structures import Structure
 from conftest import nullspace_vector_mod, solvable_mod
+from test_linsys_reference import multi_superfields
 
 
 def col(S, entries):
     return Matrix.column(S, entries)
+
+
+def in_echelon_form(A):
+    """Each row's first nonzero entry lies right of the row above's; rows of zeros last."""
+    zero, n, a = A.base.zero_i, A.cols, A.indices
+    leads = [next((j for j in range(n) if a[i * n + j] != zero), n) for i in range(A.rows)]
+    return all(q > p or q == n for p, q in zip(leads, leads[1:]))
 
 
 def test_zero_vector_solution_criterion(H3):
@@ -95,7 +103,20 @@ def test_scale_system_shapes(H3):
     assert tuple(iter_scaled_systems(tri)) == (tri,)
     full = LinearSystem.of(Matrix.from_rows(H3, [(2, 1), (1, 2)]), [{1}, {2}])
     outs = tuple(iter_scaled_systems(full))
-    assert outs and all(o.A.is_upper_triangular for o in outs)
+    assert outs and all(in_echelon_form(o.A) for o in outs)
+
+
+def test_upper_triangular_input_that_is_not_echelon_is_scaled():
+    # both rows pivot at column 1: passed through unscaled, back substitution would
+    # set x1 twice and never choose x2, and no candidate would verify
+    F5 = builtin("Fp", 5)
+    sys_ = LinearSystem.of(Matrix.from_rows(F5, [(0, 3, 0), (0, 4, 2)]), [{3, 4}, {0, 3}])
+    outs = tuple(iter_scaled_systems(sys_))
+    assert sys_ not in outs and outs and all(in_echelon_form(o.A) for o in outs)
+    out = solve_weak(sys_)
+    assert (out.status, out.verdict.vector.entries, out.note) == (SOLVED, (0, 1, 2), "")
+    with pytest.raises(StructureError, match="echelon form"):
+        next(iter_back_substitution(sys_))
 
 
 def test_solve_weak_answers_a_blowup_from_the_branches_within_the_cap(H7):
@@ -146,11 +167,11 @@ def test_type_one_detection(H3):
     assert got is not None and is_weak_solution(fine, got.vector)
 
 
-def test_back_substitution_refuses_every_matrix_that_is_not_triangular(H3):
-    # triangularity is read off the pivots: every matrix of each shape, rows past the
+def test_back_substitution_refuses_every_matrix_not_in_echelon_form(H3):
+    # echelon form is read off the pivots: every matrix of each shape, rows past the
     # last column included, with right sides missing 0, so that a refused matrix is
     # refused before any row of zeros reads as type I
-    refused = 0
+    refused = kept = 0
     for rows, cols in itertools.product(range(1, 5), range(1, 4)):
         masks = (1 << H3.one_i,) * rows
         for entries in itertools.product(range(3), repeat=rows * cols):
@@ -160,11 +181,12 @@ def test_back_substitution_refuses_every_matrix_that_is_not_triangular(H3):
             except TypeIError:
                 pass
             except StructureError as exc:
-                assert "scaled system" in str(exc) and not A.is_upper_triangular, entries
+                assert "echelon form" in str(exc) and not in_echelon_form(A), entries
                 refused += 1
-    # the matrices with a nonzero entry below the diagonal, counted per shape
-    assert refused == sum(3 ** (r * c) - 3 ** (r * c - sum(min(i, c) for i in range(r)))
-                          for r in range(1, 5) for c in range(1, 4))
+                continue
+            assert in_echelon_form(A), entries
+            kept += 1
+    assert refused and kept
 
 
 def test_back_substitute_classical_diagonal(F3):
@@ -239,13 +261,6 @@ def test_kernel_shapes_guard(H3):
         find_nontrivial_kernel(Matrix.identity(H3, 2))
 
 
-def test_constructive_kernel_declines_matrices_that_are_not_wide(F3, H3):
-    # its documented answer when a precondition fails is None, not an exception
-    for S in (F3, H3):
-        for rows in ([[1]], [[1], [2]], [[1, 2], [2, 1]], [[1, 1], [2, 0], [0, 1]]):
-            assert constructive_kernel(Matrix.from_rows(S, rows)) is None
-
-
 def test_kernel_exhaustive_agreement_h3(H3):
     # every 1x2 and 2x3 matrix has a kernel vector and the operation finds one
     for combo in itertools.product(H3.elements, repeat=2):
@@ -271,6 +286,69 @@ def test_kernel_constructive_matches_oracle_h5(H5):
         if oracle is not None:
             d = out.verdict.vector
             assert all(H5.zero in v for v in row_value_sets(homogeneous(A), d))
+
+
+def test_route_kernels_agree_with_the_scan_past_4096_vectors():
+    """Past 4096 vectors and within the search limit the scaled route answers first:
+    wherever _first_weak finds a nonzero weak vector, the route finds one too, and
+    each of its vectors is nonzero and passes is_weak_solution."""
+    rng, routed = random.Random(53), 0
+    for S in [builtin(*args) for args in (("K",), ("Q2",), ("Hp", 3), ("Hp", 5), ("Hp", 7),
+                                          ("Fp", 5), ("Xn", 1))] + list(multi_superfields()):
+        k = len(S)
+        cols = next(n for n in itertools.count(2) if k ** n > 4096)
+        for rows in range(1, cols):
+            for _ in range(3):
+                A = Matrix.from_indices(S, rows, cols, [rng.randrange(k) if rng.random() < 0.8
+                                                        else S.zero_i for _ in range(rows * cols)])
+                zero = 1 << sum(S.zero_i * k ** e for e in range(cols))
+                scan = _first_weak(homogeneous(A), zero)
+                out = find_nontrivial_kernel(A)
+                if out.note == "constructive":
+                    d = out.verdict.vector
+                    assert d.indices != (S.zero_i,) * cols and is_weak_solution(homogeneous(A), d)
+                    routed += 1
+                assert scan is None or out.note == "constructive", (S.name, A.entries)
+    assert routed
+
+
+def test_seeded_k_30x31_gets_a_route_kernel(K):
+    # 2^31 vectors, past the default limit: the scan could only answer inconclusive
+    rng = random.Random(31)
+    A = Matrix.from_indices(K, 30, 31, [rng.randrange(2) for _ in range(30 * 31)])
+    out = find_nontrivial_kernel(A)
+    assert (out.status, out.note) == (SOLVED, "constructive")
+    assert any(out.verdict.vector.indices) and is_weak_solution(homogeneous(A), out.verdict.vector)
+
+
+def test_route_kernel_caps_read_the_search_limit(H5, monkeypatch):
+    """The route's branch cap (iter_scaled_systems) and node cap (iter_back_substitution)
+    are the search limit when it is lower: under 2, a back substitution of three pivot
+    rows passes its node cap and the walk its branch cap, so the route ends with no
+    vector and the 5^9 scan is past the limit; under 3 the route answers."""
+    stops = []
+
+    def recording(walk):
+        def wrapper(*args):
+            try:
+                yield from walk(*args)
+            except BlowupError as exc:
+                stops.append(str(exc))
+                raise
+        return wrapper
+
+    for name in ("iter_scaled_systems", "iter_back_substitution"):
+        monkeypatch.setattr(linsys, name, recording(getattr(linsys, name)))
+    rng = random.Random(9)
+    A = Matrix.from_indices(H5, 3, 9, [rng.randrange(1, 5) for _ in range(27)])
+    with search_budget(2):
+        out = find_nontrivial_kernel(A)
+    assert (out.status, out.note) == (INCONCLUSIVE, f"kernel scan of {5 ** 9} exceeds cap")
+    assert set(stops) == {"back substitution exceeded 2 nodes", "scaling exceeded 2 branches"}
+    stops.clear()
+    with search_budget(3):
+        out = find_nontrivial_kernel(A)
+    assert (out.status, out.note, stops) == (SOLVED, "constructive", [])
 
 
 def test_linearly_closed_verdicts(H3, F3):

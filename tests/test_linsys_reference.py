@@ -1,11 +1,12 @@
 """The index-level solver against a token-level reference, and a count of token helpers.
 
 The reference below is the solver written on element tokens: the scaling
-rewrite, back substitution, the weak solver and the constructive kernels,
-with every set handled through mask_of/set_of/canon_of and every product,
-negation and inverse asked of the structure element by element.  The library
-runs the same algorithms on carrier indices and masks; both must give the
-same scaled systems, candidates and outcomes, in the same order.  Where the
+rewrite, back substitution, the weak solver and the kernel search (the scaled
+route of Ax = 0, then the scan), with every set handled through
+mask_of/set_of/canon_of and every product, negation and inverse asked of the
+structure element by element.  The library runs the same algorithms on carrier
+indices and masks; both must give the same scaled systems, candidates and
+outcomes, in the same order.  Where the
 library reads a search off per-row value masks (the kernel scan, the solve
 fallback, the inverse), the reference still tests every candidate in turn, and
 the masks themselves are checked against the recursion that the byte-lane fold
@@ -24,8 +25,7 @@ from mvla import linsys
 from mvla import (BlowupError, LinearSystem, Matrix, Poly, Structure, builtin, det,
                   find_inverse, find_nontrivial_kernel, is_inverse_pair, is_linearly_closed,
                   iter_scaled_systems, quotient_pair, search_budget, solve_weak, structure_is)
-from mvla.linsys import (TypeIError, classify_candidate, constructive_kernel,
-                         iter_back_substitution)
+from mvla.linsys import TypeIError, classify_candidate, iter_back_substitution
 from mvla.matrices import _index_product, _value_masks
 from test_closedness import single_entry_mutants
 
@@ -33,8 +33,15 @@ from test_closedness import single_entry_mutants
 # -- the token-level reference ------------------------------------------------------
 
 
-def ref_upper_triangular(S, rows):
-    return all(rows[i][j] == S.zero for i in range(len(rows)) for j in range(min(i, len(rows[0]))))
+def ref_leads(S, rows):
+    """The column of each row's first nonzero entry, len(row) for a row of zeros."""
+    return [next((j for j, e in enumerate(row) if e != S.zero), len(row)) for row in rows]
+
+
+def ref_echelon(S, rows):
+    """Each row's first nonzero entry lies right of the row above's; rows of zeros last."""
+    leads = ref_leads(S, rows)
+    return all(q > p or q == len(rows[0]) for p, q in zip(leads, leads[1:]))
 
 
 def ref_values(S, rows, d):
@@ -65,7 +72,7 @@ def ref_scale_system(S, rows, B, branch_cap=4096):
     than branch_cap of them are walked, and a system already yielded is dropped.
     """
     m, n = len(rows), len(rows[0])
-    if ref_upper_triangular(S, rows):
+    if ref_echelon(S, rows):
         yield tuple(itertools.chain(*rows)), tuple(B)
         return
     seen, leaves = set(), 0
@@ -102,7 +109,7 @@ def ref_scale_system(S, rows, B, branch_cap=4096):
             if leaves > branch_cap:
                 raise BlowupError("scaling branch cap exceeded")
             key = (rows, tuple(S.canon(s) for s in B))
-            if ref_upper_triangular(S, rows) and key not in seen:
+            if ref_echelon(S, rows) and key not in seen:
                 seen.add(key)
                 yield tuple(itertools.chain(*rows)), B
             return
@@ -129,8 +136,9 @@ def ref_scale_system(S, rows, B, branch_cap=4096):
     yield from walk(tuple(map(tuple, rows)), tuple(B), 0, 0)
 
 
-def ref_back_substitution(S, rows, B, node_cap=10 ** 5):
-    """Candidate vectors of a scaled system, as entry tuples in order."""
+def ref_back_substitution(S, rows, B, node_cap=10 ** 5, free=None):
+    """Candidate vectors of a scaled system, as entry tuples in order: the column free
+    is 1, the other columns without a pivot 0."""
     n = len(rows[0])
     pivots = [next((j for j, e in enumerate(row) if e != S.zero), None) for row in rows]
     for i, p in enumerate(pivots):
@@ -167,7 +175,7 @@ def ref_back_substitution(S, rows, B, node_cap=10 ** 5):
             yield from rec(idx - 1, assigned)
         assigned[pivots[i]] = S.zero
 
-    yield from rec(len(live) - 1, {j: S.zero for j in range(n)})
+    yield from rec(len(live) - 1, {j: S.one if j == free else S.zero for j in range(n)})
 
 
 def ref_solve_weak(S, rows, B, budget=10 ** 7):
@@ -195,135 +203,40 @@ def ref_solve_weak(S, rows, B, budget=10 ** 7):
     return "no-solution", None, None, "exhausted all candidate vectors"
 
 
-def _single(S, x):
-    (v,) = x
-    return v
-
-
-def _row_sum_mask(S, coeffs, d):
-    return S.sum_of(S.prod_mask(a, x) for a, x in zip(coeffs, d))
-
-
-def _case1(S, row, m):
-    for j, a in enumerate(row):
-        if a == S.zero:
-            return [S.one if i == j else S.zero for i in range(m)]
-    inv = S.inverse(row[0])
-    x1 = S.neg(_single(S, S.prod_set(inv, row[1])))
-    return [x1, S.one] + [S.zero] * (m - 2)
-
-
-def _case1_masks(S, masks):
-    m = len(masks)
-    zero = 1 << S.index(S.zero)
-    for j, cs in enumerate(masks):
-        if cs & zero:
-            return [S.one if i == j else S.zero for i in range(m)]
-    s2, s3 = (S.canon_of(cs)[0] for cs in masks[:2])
-    d2 = S.neg(_single(S, S.prod_set(S.inverse(s2), s3)))
-    return [d2, S.one] + [S.zero] * (m - 2)
-
-
-def _normalize_row(S, row):
-    inv = S.inverse(row[0])
-    return [_single(S, S.prod_set(inv, a)) for a in row]
-
-
-def _case2(S, rows, m):
-    a, b = rows
-    for j in range(m):
-        if a[j] == S.zero and b[j] == S.zero:
-            return [S.one if i == j else S.zero for i in range(m)]
-    zero_pos = next(((r, j) for r, row in enumerate(rows) for j in range(m)
-                     if row[j] == S.zero), None)
-    if zero_pos is not None:
-        r, p = zero_pos
-        zero_row, other = rows[r], rows[1 - r]
-        rest_cols = [j for j in range(m) if j != p]
-        sub = _case1(S, [zero_row[j] for j in rest_cols], m - 1)
-        d = [S.zero] * m
-        for j, v in zip(rest_cols, sub):
-            d[j] = v
-        pick = S.canon_of(_row_sum_mask(S, [other[j] for j in rest_cols], sub))[0]
-        d[p] = S.neg(_single(S, S.prod_set(S.inverse(other[p]), pick)))
-        return d
-    lam = next((l for l in S.elements if l != S.zero and
-                all(_single(S, S.prod_set(l, a[j])) == b[j] for j in range(m))), None)
-    if lam is not None:
-        return _case1(S, a, m)
-    an = _normalize_row(S, a)
-    bn = _normalize_row(S, b)
-    tail = _case1_masks(S, [S.sum_mask(bn[j], S.neg(an[j])) for j in range(1, m)])
-    meet = _row_sum_mask(S, an[1:], tail) & _row_sum_mask(S, bn[1:], tail)
-    if not meet:
-        return None
-    return [S.neg(S.canon_of(meet)[0])] + tail
-
-
-def _case3(S, rows, m):
-    for j in range(m):
-        if all(row[j] == S.zero for row in rows):
-            return [S.one if i == j else S.zero for i in range(m)]
-    front = next((j for j in range(m) if all(row[j] != S.zero for row in rows)), None)
-    if front is None or m < 4:
-        return None
-    cols = [front] + [j for j in range(m) if j != front][:3]
-    sub = [[row[j] for j in cols] for row in rows]
-    a, b, c = (_normalize_row(S, row) for row in sub)
-    D = [S.sum_mask(b[j], S.neg(a[j])) for j in range(1, 4)]
-    E = [S.sum_mask(c[j], S.neg(a[j])) for j in range(1, 4)]
-    zero = 1 << S.index(S.zero)
-    if any(s & zero for s in D + E):
-        return None
-    add, mul = S.add_masks, S.mul_masks
-    G = [add(mul(D[0], E[j]), S.neg_mask(mul(E[0], D[j]))) for j in (1, 2)]
-    d3, d4 = _case1_masks(S, G)
-    b3, b4 = 1 << S.index(d3), 1 << S.index(d4)
-    meet = (add(mul(D[0], mul(E[1], b3)), mul(D[0], mul(E[2], b4)))
-            & add(mul(E[0], mul(D[1], b3)), mul(E[0], mul(D[2], b4))))
-    if not meet:
-        return None
-    neg_z = S.index(S.neg(S.canon_of(meet)[0]))
-    sum_d = add(mul(D[1], b3), mul(D[2], b4))
-    cand = [x for x in S.canon_of(S.neg_mask(sum_d))
-            if mul(E[0], 1 << S.index(x)) >> neg_z & 1]
-    if not cand:
-        return None
-    d2 = cand[0]
-    meet2 = _row_sum_mask(S, a[1:], [d2, d3, d4]) & _row_sum_mask(S, b[1:], [d2, d3, d4])
-    if not meet2:
-        return None
-    w = S.canon_of(meet2)[0]
-    d = [S.zero] * m
-    for pos, val in zip(cols, [S.neg(w), d2, d3, d4]):
-        d[pos] = val
-    return d
-
-
 def ref_kernel_ok(S, rows, d):
     return any(e != S.zero for e in d) and \
         all(S.zero in v for v in ref_values(S, rows, d))
 
 
-def ref_constructive_kernel(S, rows):
-    """The constructive kernel vector as entries, or None."""
-    if not structure_is(S, "multifield"):
-        return None
-    case = {1: _case1, 2: _case2, 3: _case3}.get(len(rows))
-    if case is None:
-        return None
-    d = case(S, rows if len(rows) > 1 else rows[0], len(rows[0]))
-    return tuple(d) if d is not None and ref_kernel_ok(S, rows, d) else None
+def ref_route_kernel(S, rows, budget):
+    """The first candidate of the scaled route of Ax = 0, one free column set to 1 at a
+    time, that is a kernel vector of the original, or None, under search_budget(budget)."""
+    m, n = len(rows), len(rows[0])
+    try:
+        for entries, sB in ref_scale_system(S, rows, [frozenset({S.zero})] * m, min(budget, 4096)):
+            srows = [entries[i * n:(i + 1) * n] for i in range(m)]
+            for free in sorted(set(range(n)) - set(ref_leads(S, srows))):
+                try:
+                    for d in ref_back_substitution(S, srows, sB, min(budget, 10 ** 5), free):
+                        if ref_kernel_ok(S, rows, d):
+                            return d
+                except BlowupError:
+                    continue
+    except BlowupError:
+        pass
+    return None
 
 
 def ref_find_kernel(S, rows, budget=10 ** 7):
     """(status, vector entries, note), as find_nontrivial_kernel reports them under
-    search_budget(budget)."""
-    got = ref_constructive_kernel(S, rows)
-    if got is not None:
-        return "solved", got, "constructive"
-    if len(S) ** len(rows[0]) > budget:
-        return "inconclusive", None, f"kernel scan of {len(S) ** len(rows[0])} exceeds cap"
+    search_budget(budget): past 4096 vectors over a superfield the route comes first."""
+    total = len(S) ** len(rows[0])
+    if total > 4096 and structure_is(S, "superfield"):
+        got = ref_route_kernel(S, rows, budget)
+        if got is not None:
+            return "solved", got, "constructive"
+    if total > budget:
+        return "inconclusive", None, f"kernel scan of {total} exceeds cap"
     for d in itertools.product(S.elements, repeat=len(rows[0])):
         if ref_kernel_ok(S, rows, d):
             return "solved", d, "exhaustive"
@@ -390,13 +303,10 @@ def check_system(S, rows, B, budget=10 ** 7):
 
 
 def check_kernel(S, rows, budget=10 ** 7):
-    """Both kernel routes, on a matrix with more columns than rows, under
+    """The kernel search, on a matrix with more columns than rows, under
     search_budget(budget)."""
-    A = Matrix.from_rows(S, rows)
     with search_budget(budget):
-        got = constructive_kernel(A)
-        out = find_nontrivial_kernel(A)
-    assert (got and got.entries) == ref_constructive_kernel(S, rows), rows
+        out = find_nontrivial_kernel(Matrix.from_rows(S, rows))
     assert (out.status, out.verdict and out.verdict.vector.entries, out.note) == \
         ref_find_kernel(S, rows, budget), rows
 
@@ -425,10 +335,12 @@ def test_solver_matches_token_reference_on_builtins(bases, name):
 
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_kernels_match_token_reference_on_builtins(bases, name):
+    # the last shape is the narrowest 2-row one past 4096 vectors: the route answers
     S = bases[name]
     rng = random.Random(f"kernel:{name}")
-    for rows, cols in KERNEL_SHAPES:
-        for _ in range(25):
+    wide = next(n for n in itertools.count(2) if len(S) ** n > 4096)
+    for rows, cols in KERNEL_SHAPES + ((2, wide),):
+        for _ in range(25 if cols < wide else 5):
             check_kernel(S, [[rng.choice(S.elements) for _ in range(cols)] for _ in range(rows)])
 
 
@@ -704,35 +616,13 @@ def test_solver_and_kernels_match_on_drawn_multivalued_superfields(data):
         check_kernel(S, A, budget)
 
 
-def toolkit_mutants(args):
-    """The single-entry mutants of builtin(*args) that keep one member in every product
-    cell and an inverse of every nonzero element but are not multifields: what the kernel
-    constructions read holds, and only the multifield check refuses them."""
-    return [T for T in single_entry_mutants(builtin(*args))
-            if all(len(T.prod_set(a, b)) == 1 for a in T.elements for b in T.elements)
-            and all(T.inverse(a) is not None for a in T.elements if a != T.zero)
-            and not structure_is(T, "multifield")]
-
-
-def test_kernels_match_token_reference_on_toolkit_mutants(monkeypatch):
-    """On such mutants the constructions run, and the multifield check is asked exactly
-    when a constructed vector verifies (the token constructions' own verdict): the
-    kernels still equal the reference's, which asks it first."""
-    asks = []
-    monkeypatch.setattr(linsys, "structure_is",
-                        lambda S, kind: asks.append(kind) or structure_is(S, kind))
-    for args in (("Hp", 3), ("Hp", 5), ("Q2",)):
-        rng, verified = random.Random(f"toolkit:{args}"), 0
-        for T in rng.sample(toolkit_mutants(args), 6):
-            for rows, cols in KERNEL_SHAPES[:-1]:
-                for _ in range(4):
-                    A = [[rng.choice(T.elements) for _ in range(cols)] for _ in range(rows)]
-                    d = {1: _case1, 2: _case2, 3: _case3}[rows](T, A if rows > 1 else A[0], cols)
-                    verified += d is not None and ref_kernel_ok(T, A, d)
-                    check_kernel(T, A)
-        # check_kernel calls constructive_kernel twice, once through find_nontrivial_kernel
-        assert verified and asks == ["multifield"] * 2 * verified, (args, verified, len(asks))
-        asks.clear()
+def route_miss(T):
+    """A system over the quotient H3(1,0,2) that the scaled route cannot answer although
+    it has a weak solution.  The first pivot (1,2) has two inverses, and (1,2).(1,2)
+    holds 1 and five more elements; the walk scales by the least inverse and pins the
+    pivot to 1, and the only weak solution, ((2,0), (2,1)), solves no scaled system."""
+    return LinearSystem.of(Matrix.from_rows(T, [[(1, 2), (1, 0)], [(0, 1), (0, 0)]]),
+                           [{(0, 0)}, {(0, 2)}])
 
 
 def ref_route_counts(S, rows, B):
@@ -782,22 +672,27 @@ def test_solve_weak_reads_the_route_through_its_module_names(bases, monkeypatch)
     for name in ("iter_scaled_systems", "iter_back_substitution", "classify_candidate"):
         counted(name)
     rng, totals = random.Random(40), collections.Counter()
+    miss = route_miss(multi_superfields()[2])
+    cases = [(miss.base, [miss.A.row(i) for i in range(miss.A.rows)], miss.B)]
     for name in sorted(BASES):
         S = bases[name]
         for rows, cols in ((2, 2), (2, 3), (3, 3), (3, 4)):
             for _ in range(10):
-                A = [[rng.choice(S.elements) for _ in range(cols)] for _ in range(rows)]
-                B = [frozenset(rng.sample(S.elements, rng.randint(1, 2))) for _ in range(rows)]
-                counts.clear()
-                linsys.solve_weak(LinearSystem.of(Matrix.from_rows(S, A), B))
-                scaled, candidates, fallback = ref_route_counts(S, A, B)
-                assert dict(counts) == {k: v for k, v in {
-                    "iter_scaled_systems": 1, ("iter_scaled_systems", "yields"): scaled,
-                    "iter_back_substitution": scaled,
-                    ("iter_back_substitution", "yields"): candidates,
-                    "classify_candidate": candidates + fallback}.items() if v}, (A, B)
-                totals.update(scaled=scaled, candidates=candidates, fallback=fallback,
-                              rereads=scaled > 1)
+                cases.append((S, [[rng.choice(S.elements) for _ in range(cols)]
+                                  for _ in range(rows)],
+                              [frozenset(rng.sample(S.elements, rng.randint(1, 2)))
+                               for _ in range(rows)]))
+    for S, A, B in cases:
+        counts.clear()
+        linsys.solve_weak(LinearSystem.of(Matrix.from_rows(S, A), B))
+        scaled, candidates, fallback = ref_route_counts(S, A, B)
+        assert dict(counts) == {k: v for k, v in {
+            "iter_scaled_systems": 1, ("iter_scaled_systems", "yields"): scaled,
+            "iter_back_substitution": scaled,
+            ("iter_back_substitution", "yields"): candidates,
+            "classify_candidate": candidates + fallback}.items() if v}, (A, B)
+        totals.update(scaled=scaled, candidates=candidates, fallback=fallback,
+                      rereads=scaled > 1)
     assert all(totals[k] for k in ("scaled", "candidates", "fallback", "rereads")), totals
 
 
@@ -825,8 +720,9 @@ def token_calls(monkeypatch):
 
 def test_hot_paths_make_no_token_conversions(bases, token_calls):
     H3, H5, Q2 = bases["H3"], bases["H5"], bases["Q2"]
+    T = multi_superfields()[2]  # H3(1,0,2)
     rng = random.Random(11)
-    systems, matrices = [], []
+    systems, matrices = [route_miss(T)], []
     for S in (H3, H5, Q2):
         for rows, cols in ((2, 2), (2, 3), (3, 3)):
             for _ in range(10):
@@ -834,10 +730,12 @@ def test_hot_paths_make_no_token_conversions(bases, token_calls):
                                          for _ in range(rows)])
                 systems.append(LinearSystem.of(
                     A, [rng.sample(S.elements, rng.randint(1, 2)) for _ in range(rows)]))
-        for rows, cols in ((1, 3), (2, 3), (3, 4), (3, 5)):
+        # the last shape has more than 4096 vectors: the scaled route answers it
+        for rows, cols in ((1, 3), (2, 3), (3, 4), (3, 5), (2, 9 if len(S) == 3 else 6)):
             for _ in range(10):
                 matrices.append(Matrix.from_rows(S, [[rng.choice(S.elements) for _ in range(cols)]
                                                      for _ in range(rows)]))
+    for S in (H3, H5, Q2, T):
         for kind in ("superfield", "multifield"):
             structure_is(S, kind)
     squares = [Matrix.from_rows(H3, [[rng.choice(H3.elements) for _ in range(3)]
@@ -856,7 +754,8 @@ def test_hot_paths_make_no_token_conversions(bases, token_calls):
     kernels = [find_nontrivial_kernel(A) for A in matrices]
     assert is_linearly_closed(H3, 1, 3).passed
     assert {k: v for k, v in token_calls.items() if v} == {}
-    # every route ran: scaled and exhaustive solutions, proofs of none, both kernel routes
+    # every route ran: scaled and exhaustive solutions, proofs of none, the route's
+    # kernels and the scan's
     assert {o.note for o in outcomes} == {"", "exhaustive fallback",
                                           "exhausted all candidate vectors"}
     assert {o.note for o in kernels} == {"constructive", "exhaustive"}
@@ -868,15 +767,16 @@ def test_hot_paths_make_no_token_conversions(bases, token_calls):
 
 def test_solve_route_runs_every_route_on_fresh_structures():
     """On fresh structures whose kinds are cached, the solver, the kernels and the
-    classification run every route: scaled and exhaustive solutions, proofs of none and
-    both kernel routes."""
+    classification run every route: scaled and exhaustive solutions, proofs of none, the
+    route's kernels (a 2 x n matrix with k^n > 4096) and the scan's."""
     rng, notes = random.Random(35), set()
+    T = quotient_pair(builtin("Hp", 3), Poly(builtin("Hp", 3), (1, 0, 2)))[0]
     for S in [builtin(*args) for args in (("Hp", 3), ("Hp", 5), ("Hp", 7), ("Q2",), ("Fp", 5))
-              for _ in range(20)] + [quotient_pair(builtin("Hp", 3), Poly(builtin("Hp", 3),
-                                                                          (1, 0, 2)))[0]]:
+              for _ in range(20)] + [T]:
         for kind in ("superfield", "multifield"):
             structure_is(S, kind)
-        for rows, cols in ((2, 2), (2, 3), (3, 3), (3, 4)):
+        wide = next(n for n in itertools.count(2) if len(S) ** n > 4096)
+        for rows, cols in ((2, 2), (2, 3), (3, 3), (3, 4), (2, wide)):
             A = Matrix.from_indices(S, rows, cols, [rng.randrange(len(S))
                                                     for _ in range(rows * cols)])
             sys_ = LinearSystem(A, tuple(rng.choice([rng.randrange(1, 1 << len(S)),
@@ -887,5 +787,6 @@ def test_solve_route_runs_every_route_on_fresh_structures():
                 outcomes.append(find_nontrivial_kernel(A))
             classify_candidate(sys_, Matrix.from_indices(S, cols, 1, [S.one_i] * cols))
             notes |= {o.note for o in outcomes}
+    notes.add(solve_weak(route_miss(T)).note)
     assert {"", "exhaustive fallback", "exhausted all candidate vectors", "constructive",
             "exhaustive"} <= notes

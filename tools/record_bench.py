@@ -82,11 +82,16 @@ checkout's own files:
   `builtin("K")` and `builtin("Q2")`, built before the clock starts, timed around
   the calls in each of REPEATS fresh interpreters; its work units are the
   candidate subsets (2^(k-1) per structure) and the ideals found;
-- `find_nontrivial_kernel` over one seeded batch of 120 wide matrices on which
-  `constructive_kernel` returns None, 40 each over H5, H7 and F5, so that every
-  call reads its answer off the value masks of the exhaustive fallback; timed
+- `find_nontrivial_kernel` over one seeded batch of 120 3x4 matrices, 40 each
+  over H5, H7 and F5, drawn unfiltered (before the three-row constructions were
+  deleted, the batch kept only the matrices they missed), each with at most
+  4096 vectors, so that every call reads its answer off the value masks of the
+  exhaustive scan; timed around the batch in each of REPEATS fresh
+  interpreters; its work units are the scans run and the kernels found;
+- `find_nontrivial_kernel` over one seeded batch of 80 matrices past 4096
+  vectors, 40 H5 3x9 and 40 K 3x23, which the scaled route answers; timed
   around the batch in each of REPEATS fresh interpreters; its work units are
-  the fallbacks run and the kernels found;
+  the route answers, the scans run and the kernels found;
 - the size of the library: `repo/src_lines`, the line count of `src/mvla/*.py`
   (what `cat src/mvla/*.py | wc -l` prints), which is also its work units.
 
@@ -426,24 +431,36 @@ found = [all_ideals(S) for S in batch]
 print(json.dumps([time.perf_counter() - t0, {"candidates": sum(2 ** (len(S) - 1) for S in batch),
                                              "ideals": sum(map(len, found))}]))
 """),
-    # 3x4 only: on these bases the two-row construction of a 2x3 kernel never fails
     ("linsys", "kernel fallback wide H5/H7/F5", """
 import json, random, time
 from mvla import Matrix, builtin, find_nontrivial_kernel, structure_is
-from mvla.linsys import constructive_kernel
 rng, batch = random.Random(1), []
 for args in (("Hp", 5), ("Hp", 7), ("Fp", 5)):
-    S, drawn = builtin(*args), 0
+    S = builtin(*args)
     structure_is(S, "superfield")  # the cold check is not timed
-    while drawn < 40:
-        A = Matrix.from_indices(S, 3, 4, [rng.randrange(len(S)) for _ in range(12)])
-        if constructive_kernel(A) is None:
-            batch.append(A)
-            drawn += 1
+    batch += [Matrix.from_indices(S, 3, 4, [rng.randrange(len(S)) for _ in range(12)])
+              for _ in range(40)]
 t0 = time.perf_counter()
 outs = [find_nontrivial_kernel(A) for A in batch]
 dt = time.perf_counter() - t0
 print(json.dumps([dt, {"fallbacks": sum(o.note != "constructive" for o in outs),
+                       "kernels": sum(o.status == "solved" for o in outs)}]))
+"""),
+    ("linsys", "kernel route wide H5 3x9/K 3x23", """
+import json, random, time
+from mvla import Matrix, builtin, find_nontrivial_kernel, structure_is
+rng, batch = random.Random(1), []
+for args, rows, cols in ((("Hp", 5), 3, 9), (("K",), 3, 23)):
+    S = builtin(*args)
+    structure_is(S, "superfield")  # the cold check is not timed
+    batch += [Matrix.from_indices(S, rows, cols, [rng.randrange(len(S))
+                                                  for _ in range(rows * cols)])
+              for _ in range(40)]
+t0 = time.perf_counter()
+outs = [find_nontrivial_kernel(A) for A in batch]
+dt = time.perf_counter() - t0
+print(json.dumps([dt, {"route": sum(o.note == "constructive" for o in outs),
+                       "scans": sum(o.note == "exhaustive" for o in outs),
                        "kernels": sum(o.status == "solved" for o in outs)}]))
 """),
 )
