@@ -413,7 +413,7 @@ def _zero_sets(F):
         zvec = zvec * k + zero
 
 
-def is_linearly_closed(F, max_n, max_m, require_superfield=True):
+def is_linearly_closed(F, max_n, max_m):
     """Certify nontrivial weak solutions of Ax = 0 for every A with n < m.
 
     Covers every matrix of the shapes n <= max_n, n < m <= max_m, in order, and
@@ -426,14 +426,19 @@ def is_linearly_closed(F, max_n, max_m, require_superfield=True):
     kernel of the first n + 1 columns is one of A: n x (n + 1) covers every n x m.
     The limit is charged with the k^(2m) table cells (the fold's lanes of one row's
     proper prefixes fit in them) and the row sets scanned, before either is built;
-    `notes` counts the row sets decided.  require_superfield=False admits mutants.
+    `notes` counts the row sets decided.
     """
+    if not structure_is(F, "superfield"):
+        raise StructureError(f"{F.name} is not a superfield")
+    return _closedness(F, max_n, max_m)
+
+
+def _closedness(F, max_n, max_m):
+    """is_linearly_closed on any tables: the tests certify mutants with it."""
     if max_n < 1:
         raise StructureError("need max_n >= 1")
     if max_m <= max_n:
         raise StructureError("need max_m > max_n")
-    if require_superfield and not structure_is(F, "superfield"):
-        raise StructureError(f"{F.name} is not a superfield")
     k, zero = len(F), F.zero_i
     prefix = all(F._sum[s][zero] == 1 << s and F._prod[s][zero] == 1 << zero for s in range(k))
     kind = f"linearly-closed(n<={max_n},m<={max_m})"

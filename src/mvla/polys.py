@@ -424,15 +424,14 @@ def is_root(f, alpha, ambient=None, via=None):
     return ambient.zero in evaluate(f, alpha, ambient, via)
 
 
-def is_effective_root(f, alpha, bound=None):
+def is_effective_root(f, alpha):
     """A witness g with f in (X - alpha) * g, or None.
 
-    The search runs over g of degree exactly deg f - 1 (bound overrides),
-    in canonical coefficient order, and charges each candidate g.
+    The search runs over g of degree exactly deg f - 1, in canonical
+    coefficient order, and charges each candidate g.
     """
-    S = f.base
-    dg = (f.degree - 1) if bound is None else bound
-    if f.is_zero or f.degree < 1 or dg < 0:
+    S, dg = f.base, f.degree - 1
+    if dg < 0:  # f is zero or constant
         return None
     xma = Poly(S, (S.neg(alpha), S.one))
     cands = itertools.product(itertools.product(range(len(S)), repeat=dg), _nonzero(S))

@@ -15,7 +15,7 @@ import pytest
 
 from mvla import (BlowupError, Matrix, builtin, homogeneous, is_linearly_closed,
                   is_weak_solution, search_budget)
-from mvla.linsys import SOLVED, _zero_sets, find_nontrivial_kernel
+from mvla.linsys import SOLVED, _closedness, _zero_sets, find_nontrivial_kernel
 from mvla.matrices import all_matrices
 
 SHAPES = ((1, 3), (2, 3), (2, 4))
@@ -58,7 +58,7 @@ def assert_matches_full_scan(mutants, shapes):
     for T in mutants:
         prefix_off += not prefix_rule_holds(T)
         for shape in shapes:
-            rep = is_linearly_closed(T, *shape, require_superfield=False)
+            rep = _closedness(T, *shape)
             got = (rep.verdict, rep.witnesses, rep.checked)
             assert got == reference_closed(T, *shape), (T._sum, T._prod, shape)
     return prefix_off
@@ -96,7 +96,7 @@ def test_counterexample_past_the_prefix_shape_when_zero_is_not_absorbing():
     T = F2.with_entry("prod", 0, 1, {0, 1}).with_entry("prod", 1, 0, {1})
     assert not prefix_rule_holds(T)
     for shape in SHAPES:
-        rep = is_linearly_closed(T, *shape, require_superfield=False)
+        rep = _closedness(T, *shape)
         assert (rep.verdict, rep.witnesses, rep.checked) == ("fail", (("1x3", (1, 1, 1)),), 12)
         assert reference_closed(T, *shape) == ("fail", (("1x3", (1, 1, 1)),), 12)
         assert rep.notes == "scanned=12"

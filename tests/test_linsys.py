@@ -394,7 +394,7 @@ def test_mutated_table_closure_counterexample():
     assert not verify_axioms(S, "superfield").passed  # M1 rules it out
     with pytest.raises(StructureError):
         is_linearly_closed(S, 1, 2)
-    rep = is_linearly_closed(S, 1, 2, require_superfield=False)
+    rep = linsys._closedness(S, 1, 2)
     assert rep.verdict == "fail"
     shape, combo = rep.witnesses[0]
     assert shape == "1x2"

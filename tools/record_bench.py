@@ -3,126 +3,52 @@
     python3 tools/record_bench.py --pr N [--root DIR] [--parent DIR]
 
 `--root` is the source checkout to measure (default: the one holding this
-script), so the same recorder can measure an older checkout of the project.
-The file is written to `<root>/BENCH_<N>.json`. Everything runs from that
-checkout's own files:
+script); the file is written to `<root>/BENCH_<N>.json`.  Each row source is a
+probe, `run(checkout) -> {row name: (layer, unit, value, work units)}`, and one
+run of a probe may yield many rows.  Each probe runs in fresh interpreters from
+the checkout's own files:
 
-- the three `perfbench/run.py` workloads, untraced (end-to-end metrics) and
-  traced (per-layer metrics), REPEATS runs each at SEED;
-- the tier-1 test suite (`python -m pytest -q --continue-on-collection-errors`
-  with `src` on the path), timed as one wall time per run, TIER1_REPEATS runs;
-- the slow CLI verbs, each run REPEATS times in a fresh interpreter;
-- the cold structure check every library entry point pays: `builtin()` and
-  `structure_is` on a fresh structure, for each of COLD_STRUCTURES under each of
-  COLD_KINDS, COLD_CALLS calls in each of REPEATS fresh interpreters; the row is
-  the median in microseconds, and its work units are `verify_axioms(...).checked`;
-  the same for `builtin("Hp", 5)` as a hyperfield (exact distributivity's
-  whole-table test); beside them `builtin()` alone for each of COLD_STRUCTURES
-  (work units: the carrier size), and `structure_is(S, "superfield")` alone on
-  a fresh COLD_MUTANT, built before the clock starts, which fails at its first
-  M3-mult witness (work units: the `checked` count and first witness of its
-  report with witness limit 1);
-- the irreducibility scans of 1+2X^2 over `builtin("Hp", 5)`, of 1+X+X^4 over
-  `builtin("Fp", 2)` (the shape of the `extension` workload's slowest
-  irreducibility queries) and of 1+X^2 over `builtin("Fp", 3)` (the shape of its
-  F3 quadratics), `polys._irreducible` timed around the call in each of REPEATS
-  fresh interpreters; the work units of each are the verdict and, over H5, the
-  number of ideal slices its table holds afterwards, over the fields F2 and F3
-  the division steps it charges, counted in a second, untimed pass;
-- the quotient searches `find_quotient_superfield(builtin("Hp", 5), 2)` (80
-  rejected quadratics) and `find_quotient_superfield(builtin("Hp", 3), 3)` (36
-  rejected cubics), each timed around the call in each of REPEATS fresh
-  interpreters; the work units of each say whether it found a quotient and how
-  many candidates it rejected, counted in a second, untimed pass;
-- M3 on the sum tables of `fn_space(builtin("Hp", 3), 4)` (81 vectors, two
-  lanes of the rotation test) and of `fn_space(builtin("K"), 5)` (32 vectors,
-  one lane), the private `axioms._scan_assoc` timed around the call; MV0-MV3 on
-  `fn_space(builtin("Hp", 3), 4)`, the private `axioms._scan_action` timed
-  around the call on the view that the vector multigroup scan (untimed) has
-  just checked, as in `verify_vspace`; and `verify_vspace` on
-  `fn_space(builtin("Hp", 3), 5)` (243 vectors); each in REPEATS fresh
-  interpreters; the work units of each are the instances it counted as
-  `checked`;
-- weak distributivity on the 9-element quotient F3[X]/(1+X^2), the private
-  `axioms._scan_weak_dist` timed over WEAK_CALLS views of it built before the
-  clock starts (the row is the time of one call), and `verify_axioms` on
-  `builtin("Fp", 43)` as a hyperfield (both distributivity laws slab by slab),
-  timed around the call; each in REPEATS fresh interpreters; the work units of
-  each are the instances it counted as `checked`;
-- `dimension` on `fn_space(builtin("Hp", 3), 2)` and `fn_space(builtin("Fp", 3),
-  2)` under their `is_linearly_closed(F, 2, 3)` certificates (built before the
-  clock starts), and `is_linearly_independent` on every triple of nonzero vectors
-  of `fn_space(builtin("Hp", 5), 2)`, each timed around the calls in REPEATS
-  fresh interpreters; the work units are the dimensions and the subsets of size
-  dimension + 1 that `dimension` rechecks, and the number of dependent triples;
-- `span` on 60 plane spans in the shape of the `vspace` workload's: 20 each
-  over `fn_space(F, 2)` for F = H3, Q2 and F3, of 1 and 2 nonzero generators in
-  turn from one seeded draw, each on a fresh plane built before the clock
-  starts, timed around the spans in each of REPEATS fresh interpreters; the
-  work units are the spans, how many certificates passed, and the
-  subspace-predicate evaluations, counted in a second, untimed pass;
-- `find_inverse` over one seeded batch of 200 upper-triangular 3x3 matrices
-  with a nonzero diagonal, 40 each over H3, H5, H7, Q2 and F5 (the shape of the
-  `linsys` workload's inverse queries), timed around the batch in each of
-  REPEATS fresh interpreters; its work units count the matrices inverted;
-- `solve_weak` over one seeded batch of 800 systems in the shape of the `linsys`
-  workload's solves: 40 each over H3, H5, H7, Q2 and F5 and in each of the shapes
-  2x2, 2x3, 3x3 and 3x4, right sides of 1 or 2 elements, each system over a fresh
-  structure whose `structure_is(S, "superfield")` check runs before the clock
-  starts; timed around the batch in each of REPEATS fresh interpreters; its work
-  units are the solves, the scaled systems yielded and the candidates classified
-  (both counted in a second, untimed pass), and the solves that ran the exhaustive
-  fallback;
-- `det` over one seeded batch of 500 3x3 matrices, 250 each over H3 and Q2 with
-  entries drawn from the carrier, each over a fresh structure built before the
-  clock starts, timed around the batch in each of REPEATS fresh interpreters; its
-  work units are the determinant terms (n! per matrix) and the distinct
-  determinants;
-- `all_ideals` over 100 rounds of fresh `builtin("Hp", 5)`, `builtin("Hp", 7)`,
-  `builtin("K")` and `builtin("Q2")`, built before the clock starts, timed around
-  the calls in each of REPEATS fresh interpreters; its work units are the
-  candidate subsets (2^(k-1) per structure) and the ideals found;
-- `find_nontrivial_kernel` over one seeded batch of 120 3x4 matrices, 40 each
-  over H5, H7 and F5, drawn unfiltered (before the three-row constructions were
-  deleted, the batch kept only the matrices they missed), each with at most
-  4096 vectors, so that every call reads its answer off the value masks of the
-  exhaustive scan; timed around the batch in each of REPEATS fresh
-  interpreters; its work units are the scans run and the kernels found;
-- `find_nontrivial_kernel` over one seeded batch of 80 matrices past 4096
-  vectors, 40 H5 3x9 and 40 K 3x23, which the scaled route answers; timed
-  around the batch in each of REPEATS fresh interpreters; its work units are
-  the route answers, the scans run and the kernels found;
-- the size of the library: `repo/src_lines`, the line count of `src/mvla/*.py`
-  (what `cat src/mvla/*.py | wc -l` prints), which is also its work units.
+- the three `perfbench/run.py` workloads at SEED, untraced (the end-to-end rows,
+  WORKLOAD_PAIRS runs) and traced (the per-layer rows);
+- the tier-1 suite (`python -m pytest -q --continue-on-collection-errors`), one
+  wall time per run, TIER1_REPEATS runs; its work units are the counts of the
+  summary line;
+- the slow CLI verbs (VERBS); work units: the exit code and a digest of stdout;
+- the cold checks (COLD_CODE), in microseconds per call: `builtin()` with and
+  without `structure_is` on the fresh structure, and `structure_is` on a mutant
+  that fails at its first witness; work units: the checks' `checked` counts;
+- the timed calls (TIMED_CALLS), each a library call or batch timed around the
+  call, which prints its seconds and its work units (counted, where the call
+  does not return them, in a second, untimed pass);
+- `src_lines`, the line count of `src/mvla/*.py`, once.
 
-Every child process writes no bytecode and reads it only from one directory
-made for the recording, so a checkout's leftover `__pycache__` cannot read as a
-faster start.  Before the first row, one child fills that directory with the
-bytecode of the standard library modules that `mvla`, `perfbench` and pytest
-import, and of nothing else: each child then compiles the project's own
-modules (`mvla` and `perfbench`) afresh, but not the standard library, whose
-compile time would dilute a change to the project's start-up cost.
+The other probes run REPEATS times.  A row holds the median and quartiles (`q1`,
+`q3`) of its values, its unit, the number of runs, the work units of the first
+run and `work_stable`, whether every run gave the same work units.  Work units
+are deterministic counts, so two recordings can tell a speedup from noise.
 
-Each row holds the machine, the Python version, a layer, a name, the median
-over the runs, its unit, the number of runs and the work units behind it.
-Work units are deterministic counts, so two recordings can tell a speedup
-from noise: the queries a workload ran, a layer's counters from the traced
-run, the tests that passed, a verb's exit code and a digest of its output.
-`work_stable` says whether every run gave the same work units.
+`--parent DIR` names a second checkout, the parent of the change being recorded.
+Each probe then runs as often on it, in pairs whose first side switches from
+pair to pair (PAIR_ORDER), so drift of the host reads on both sides alike.  Each
+row adds the parent's median, quartiles and first work units (`parent_median`,
+`parent_q1`, `parent_q3`, `parent_work`), the number of pairs in which both sides
+gave a value (`pairs`), and how many of them root read lower (`root_lower`) or
+the same (`ties`).  A probe that fails on the parent gives `parent_median: null`
+and the error's tail as `parent_work`; a probe that fails on root stops the
+recording.  The file records the pair order and each checkout's identity: its
+`git describe`, or for a copy that is not a git checkout the sha256 of its
+`src/mvla/*.py`.
 
-`--parent DIR` names a second checkout, the parent of the change being
-recorded.  Each verb row and each timed-call row then runs its REPEATS fresh
-interpreters alternately on DIR and on `--root` (parent first), with the same
-code and bytecode prefix, and stores the parent's median and the work units of
-its first run beside the row (`parent_median`, `parent_work`; a median of None
-and the error's tail when the parent cannot run a row).  Drift of the host then
-reads on both sides alike, so such a row is a before/after pair, not two
-recordings taken at different times.
+No child writes bytecode, and each reads it only from one directory made for
+the recording, which one child first fills with the standard library's
+bytecode: each child compiles the project's own modules afresh, so a checkout's
+leftover `__pycache__` cannot read as a faster start.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -138,7 +64,10 @@ from pathlib import Path
 WORKLOADS = ("extension", "vspace", "linsys")
 REPEATS = 3
 TIER1_REPEATS = 1
+WORKLOAD_PAIRS = 10  # untraced workload runs: the fewest pairs a claimed gain rests on
 SEED = 1
+# With --parent, pair i runs the sides in the order PAIR_ORDER[i % 2].
+PAIR_ORDER = (("root", "parent"), ("parent", "root"))
 
 # The slow CLI verbs: (row name, argv after `mvla`).
 VERBS = (
@@ -431,7 +360,7 @@ found = [all_ideals(S) for S in batch]
 print(json.dumps([time.perf_counter() - t0, {"candidates": sum(2 ** (len(S) - 1) for S in batch),
                                              "ideals": sum(map(len, found))}]))
 """),
-    ("linsys", "kernel fallback wide H5/H7/F5", """
+    ("linsys", "kernel scan 3x4 H5/H7/F5", """
 import json, random, time
 from mvla import Matrix, builtin, find_nontrivial_kernel, structure_is
 rng, batch = random.Random(1), []
@@ -443,7 +372,7 @@ for args in (("Hp", 5), ("Hp", 7), ("Fp", 5)):
 t0 = time.perf_counter()
 outs = [find_nontrivial_kernel(A) for A in batch]
 dt = time.perf_counter() - t0
-print(json.dumps([dt, {"fallbacks": sum(o.note != "constructive" for o in outs),
+print(json.dumps([dt, {"scans": sum(o.note == "exhaustive" for o in outs),
                        "kernels": sum(o.status == "solved" for o in outs)}]))
 """),
     ("linsys", "kernel route wide H5 3x9/K 3x23", """
@@ -477,6 +406,19 @@ def machine():
     return f"{cpu}; {os.cpu_count()} cores; {platform.system()} {platform.machine()}"
 
 
+def identity(checkout):
+    """`git describe` of a git checkout; for a copy, the sha256 of its src/mvla/*.py."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
+                              text=True).stdout.strip()
+    if git("rev-parse", "--show-toplevel") == str(checkout):
+        return git("describe", "--always", "--dirty")
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src" / "mvla").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return "sha256:" + digest.hexdigest()
+
+
 def _env(root, cache):
     """A child's environment: root's src first on the path, and the recording's
     bytecode prefix.  No child writes bytecode, and each reads it only under cache,
@@ -496,6 +438,15 @@ def _timed(cmd, root, cache):
     return time.perf_counter() - t0, proc
 
 
+def _last_json(proc, what):
+    """What a child printed last, as JSON; RuntimeError with its stderr's tail if none."""
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        raise RuntimeError(f"{what} printed no result; exit {proc.returncode}: "
+                           f"{proc.stderr.strip()[-300:]}") from None
+
+
 def warm_stdlib(root, cache):
     """Fill the empty directory cache with the standard library's bytecode (WARM_CODE)."""
     _, proc = _timed([sys.executable, "-c", f"ROOT = {str(root)!r}" + WARM_CODE], root, cache)
@@ -504,123 +455,137 @@ def warm_stdlib(root, cache):
                            f"{proc.stderr[-300:]}")
 
 
-def _row(layer, name, values, unit, works):
-    return {"layer": layer, "name": name, "median": statistics.median(values), "unit": unit,
-            "repeats": len(values), "work": works[0],
-            "work_stable": all(w == works[0] for w in works)}
+# -- probes: run(checkout) -> {row name: (layer, unit, value, work units)} ----------------
 
 
-def workload_rows(root, cache, workload, seed, repeats, traced):
-    runs = []
-    for _ in range(repeats):
-        _, proc = _timed([sys.executable, str(root / "perfbench" / "run.py"), "--workload",
-                          workload, "--seed", str(seed), "--trace", str(int(traced))], root,
-                         cache)
-        lines = proc.stdout.strip().splitlines()
-        if not lines or not lines[-1].startswith("{"):
-            raise RuntimeError(f"{workload} (trace {int(traced)}) printed no result; "
-                               f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}")
-        runs.append(json.loads(lines[-1]))
-    names = runs[0]["metrics"]
-    rows = []
-    for name, spec in names.items():
-        values = [r["metrics"][name]["value"] for r in runs]
+def workload_probe(workload, traced, cache, checkout):
+    _, proc = _timed([sys.executable, str(checkout / "perfbench" / "run.py"), "--workload",
+                      workload, "--seed", str(SEED), "--trace", str(int(traced))], checkout, cache)
+    out = _last_json(proc, f"{workload} (trace {int(traced)})")
+    rows = {}
+    for name, metric in out["metrics"].items():
         if traced:
             layer = name.split(".", 1)[0]
-            counts = [{k: v["value"] for k, v in r["metrics"].items()
-                       if k.startswith(layer + ".") and v["unit"] == "count"} for r in runs]
+            work = {k: v["value"] for k, v in out["metrics"].items()
+                    if k.startswith(layer + ".") and v["unit"] == "count"}
         else:
-            layer = "end_to_end"
-            counts = [{"queries": r["attempted"], "failed": r["failed"],
-                       "correct": r["correct"]} for r in runs]
-        rows.append(_row(layer, f"{workload}.{name}", values, spec["unit"], counts))
+            layer, work = "end_to_end", {"queries": out["attempted"], "failed": out["failed"],
+                                         "correct": out["correct"]}
+        rows[f"{workload}.{name}"] = (layer, metric["unit"], metric["value"], work)
     return rows
 
 
-def tier1_row(root, cache, repeats):
-    times, works = [], []
-    for _ in range(repeats):
-        dt, proc = _timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "--continue-on-collection-errors"], root, cache)
-        tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-        times.append(dt)
-        works.append({k: int(n) for n, k in re.findall(r"(\d+) (passed|failed|xfailed|error)",
-                                                       tail)})
-    return _row("tests", "tier-1 wall time", times, "s", works)
+def summary_counts(summary):
+    """The counts of a pytest summary line, by outcome."""
+    return {k: int(n) for n, k in re.findall(
+        r"(\d+) (passed|failed|xfailed|xpassed|skipped|deselected|error)", summary)}
 
 
-def _alternating(run, root, parent, repeats):
-    """run(checkout) -> (seconds, work units), repeats times on root, each after one run
-    on parent when there is one: root's results, and parent's (empty without one)."""
-    ours, theirs = [], []
-    for _ in range(repeats):
-        if parent is not None:
-            theirs.append(run(parent))
-        ours.append(run(root))
-    return ours, theirs
+def tier1_probe(cache, checkout):
+    dt, proc = _timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                       "--continue-on-collection-errors"], checkout, cache)
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    return {"tier-1 wall time": ("tests", "s", dt, summary_counts(summary))}
 
 
-def _paired(layer, name, unit, ours, theirs):
-    """The row of root's runs, with the parent's median and first work units beside it."""
-    row = _row(layer, name, [dt for dt, _ in ours], unit, [w for _, w in ours])
-    if theirs:
-        times = [dt for dt, _ in theirs if dt is not None]
-        row.update(parent_median=statistics.median(times) if times else None,
-                   parent_work=theirs[0][1])
-    return row
+def verb_probe(name, argv, cache, checkout):
+    code = f"import sys; from mvla.cli import main; sys.exit(main({argv!r}))"
+    dt, proc = _timed([sys.executable, "-c", code], checkout, cache)
+    return {f"mvla {name}": ("verb", "s", dt, {
+        "exit": proc.returncode, "stdout_lines": len(proc.stdout.splitlines()),
+        "stdout_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest()[:16]})}
 
 
-def verb_rows(root, cache, repeats, parent=None):
-    rows = []
-    for name, argv in VERBS:
-        code = f"import sys; from mvla.cli import main; sys.exit(main({argv!r}))"
-
-        def run(checkout):
-            dt, proc = _timed([sys.executable, "-c", code], checkout, cache)
-            return dt, {"exit": proc.returncode,
-                        "stdout_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest()[:16],
-                        "stdout_lines": len(proc.stdout.splitlines())}
-
-        rows.append(_paired("verb", f"mvla {name}", "s",
-                            *_alternating(run, root, parent, repeats)))
-    return rows
-
-
-def cold_rows(root, cache, repeats):
+def cold_probe(cache, checkout):
     code = (f"CHECKS, STRUCTURES, CALLS, MUTANT = {COLD_CHECKS!r}, {COLD_STRUCTURES!r}, "
             f"{COLD_CALLS}, {COLD_MUTANT!r}" + COLD_CODE)
-    runs = []
-    for _ in range(repeats):
-        _, proc = _timed([sys.executable, "-c", code], root, cache)
-        if proc.returncode != 0:
-            raise RuntimeError(f"cold checks exited {proc.returncode}: {proc.stderr[-300:]}")
-        runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-    units = {"cold": "checked", "builtin": "elements"}
-    return [_row("axioms" if key.startswith("cold") else "structures", key,
-                 [r[key][0] for r in runs], "us",
-                 [{units[key.split()[0]]: r[key][1]} for r in runs]) for key in runs[0]]
+    _, proc = _timed([sys.executable, "-c", code], checkout, cache)
+    return {key: ("axioms", "us", us, {"checked": work}) if key.startswith("cold") else
+            ("structures", "us", us, {"elements": work})
+            for key, (us, work) in _last_json(proc, "cold checks").items()}
 
 
-def timed_call_rows(root, cache, repeats, parent=None):
-    rows = []
-    for layer, name, code in TIMED_CALLS:
-
-        def run(checkout):
-            _, proc = _timed([sys.executable, "-c", code], checkout, cache)
-            if proc.returncode == 0:
-                return json.loads(proc.stdout.strip().splitlines()[-1])
-            if checkout == parent:  # a row the parent cannot run has no parent median
-                return None, {"error": proc.stderr.strip()[-300:]}
-            raise RuntimeError(f"{name} exited {proc.returncode}: {proc.stderr[-300:]}")
-
-        rows.append(_paired(layer, name, "s", *_alternating(run, root, parent, repeats)))
-    return rows
+def timed_call_probe(layer, name, code, cache, checkout):
+    _, proc = _timed([sys.executable, "-c", code], checkout, cache)
+    dt, work = _last_json(proc, name)
+    return {name: (layer, "s", dt, work)}
 
 
-def src_lines_row(root):
+def src_lines_probe(checkout):
     lines = sum(path.read_bytes().count(b"\n")
-                for path in sorted((root / "src" / "mvla").glob("*.py")))
-    return _row("repo", "src_lines", [lines], "lines", [{"lines": lines}])
+                for path in sorted((checkout / "src" / "mvla").glob("*.py")))
+    return {"src_lines": ("repo", "lines", lines, {"lines": lines})}
+
+
+def probes(cache):
+    """Every probe as (label, runs, run), in recording order."""
+    return ([(f"workload {w} trace={int(t)}", REPEATS if t else WORKLOAD_PAIRS,
+              functools.partial(workload_probe, w, t, cache))
+             for w in WORKLOADS for t in (False, True)]
+            + [("tier-1", TIER1_REPEATS, functools.partial(tier1_probe, cache))]
+            + [(f"mvla {name}", REPEATS, functools.partial(verb_probe, name, argv, cache))
+               for name, argv in VERBS]
+            + [("cold checks", REPEATS, functools.partial(cold_probe, cache))]
+            + [(name, REPEATS, functools.partial(timed_call_probe, layer, name, code, cache))
+               for layer, name, code in TIMED_CALLS]
+            + [("src_lines", 1, src_lines_probe)])
+
+
+# -- the runner -------------------------------------------------------------------------
+
+
+def _quartiles(values):
+    """(q1, median, q3) of values."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, statistics.median(values), q3
+
+
+def _row(name, ours, theirs):
+    """The row name of root's runs ours, and, with a parent, of its runs theirs (an
+    error's text where a run failed), paired by index."""
+    layer, unit = ours[0][name][:2]
+    values, works = [run[name][2] for run in ours], [run[name][3] for run in ours]
+    q1, median, q3 = _quartiles(values)
+    row = {"layer": layer, "name": name, "median": median, "q1": q1, "q3": q3, "unit": unit,
+           "repeats": len(values), "work": works[0],
+           "work_stable": all(w == works[0] for w in works)}
+    if not theirs:
+        return row
+    got = [run.get(name) if isinstance(run, dict) else None for run in theirs]
+    pairs = [(v, g[2]) for v, g in zip(values, got) if g is not None]
+    if pairs:
+        p1, pmedian, p3 = _quartiles([p for _, p in pairs])
+        pwork = next(g for g in got if g is not None)[3]
+    else:
+        p1 = pmedian = p3 = None
+        pwork = {"error": next((run for run in theirs if isinstance(run, str)),
+                               "the parent gives no such row")}
+    return {**row, "parent_median": pmedian, "parent_q1": p1, "parent_q3": p3,
+            "parent_work": pwork, "pairs": len(pairs), "root_lower": sum(v < p for v, p in pairs),
+            "ties": sum(v == p for v, p in pairs)}
+
+
+def record(table, root, parent=None):
+    """Run each probe (label, runs, run) of table runs times on root and, with a parent,
+    as often on the parent, pair i in the order PAIR_ORDER[i % 2]; the rows of its runs.
+    A run that fails on the parent leaves its error's text in place of its rows."""
+    rows = []
+    for label, runs, run in table:
+        print(label, file=sys.stderr, flush=True)
+        ours, theirs = [], []
+        for i in range(runs):
+            for side in PAIR_ORDER[i % 2] if parent else ("root",):
+                if side == "root":
+                    ours.append(run(root))
+                    continue
+                try:
+                    theirs.append(run(parent))
+                except RuntimeError as exc:
+                    theirs.append(str(exc))
+        rows += [_row(name, ours, theirs) for name in ours[0]]
+    return rows
 
 
 def main(argv=None):
@@ -628,35 +593,17 @@ def main(argv=None):
     ap.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     ap.add_argument("--parent", type=Path, default=None,
-                    help="a parent checkout: verb and timed-call rows alternate with it")
+                    help="a parent checkout: every row alternates its runs with it")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     parent = args.parent.resolve() if args.parent else None
-
-    def describe(checkout):
-        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
-                              capture_output=True, text=True).stdout.strip() or None
-    rows = []
     with tempfile.TemporaryDirectory(prefix="record-bench-pycache-") as cache:
         print("standard library bytecode", file=sys.stderr, flush=True)
         warm_stdlib(root, cache)
-        for workload in WORKLOADS:
-            for traced in (False, True):
-                print(f"workload {workload} trace={int(traced)}", file=sys.stderr, flush=True)
-                rows += workload_rows(root, cache, workload, SEED, REPEATS, traced)
-        print("tier-1", file=sys.stderr, flush=True)
-        rows.append(tier1_row(root, cache, TIER1_REPEATS))
-        print("cli verbs", file=sys.stderr, flush=True)
-        rows += verb_rows(root, cache, REPEATS, parent)
-        print("cold checks", file=sys.stderr, flush=True)
-        rows += cold_rows(root, cache, REPEATS)
-        print("irreducibility scans, quotient searches, axiom scans, inverse and kernel batches",
-              file=sys.stderr, flush=True)
-        rows += timed_call_rows(root, cache, REPEATS, parent)
-    rows.append(src_lines_row(root))
+        rows = record(probes(cache), root, parent)
     head = {"machine": machine(), "python": platform.python_version()}
-    pair = {"parent_commit": describe(parent)} if parent else {}
-    doc = {"pr": args.pr, "commit": describe(root), **pair, "seed": SEED, **head,
+    pair = {"parent_commit": identity(parent), "pair_order": PAIR_ORDER} if parent else {}
+    doc = {"pr": args.pr, "commit": identity(root), **pair, "seed": SEED, **head,
            "rows": [{**head, **row} for row in rows]}
     out = root / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
