@@ -49,8 +49,12 @@ def load_structure(ref, lazy=False):
             return builtin(tag)
         kind = {"H": "Hp", "X": "Xn", "F": "Fp"}[tag[0]]
         return builtin(kind, int(tag[1:]))
-    with open(ref, encoding="utf-8") as fh:
-        return parse_structure(fh.read())
+    return parse_structure(_read(ref))
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 class Report:
@@ -121,8 +125,7 @@ def cmd_morphism(args):
 
 def cmd_det(args):
     S = load_structure(args.structure)
-    with open(args.matrix, encoding="utf-8") as fh:
-        M = parse_matrix(fh.read(), S)
+    M = parse_matrix(_read(args.matrix), S)
     value = det(M)
     r = Report("det")
     r.add("structure", S.name).add("matrix", format_matrix(M))
@@ -132,10 +135,7 @@ def cmd_det(args):
 
 def cmd_matmul(args):
     S = load_structure(args.structure)
-    with open(args.a, encoding="utf-8") as fh:
-        A = parse_matrix(fh.read(), S)
-    with open(args.b, encoding="utf-8") as fh:
-        B = parse_matrix(fh.read(), S)
+    A, B = parse_matrix(_read(args.a), S), parse_matrix(_read(args.b), S)
     box = mmul(A, B)
     r = Report("matmul")
     r.add("structure", S.name).add("shape", f"{box.rows}x{box.cols}")
@@ -185,35 +185,29 @@ def cmd_irreducible(args):
     return r.finish(f"bounded divisor scan: {verdict.note}", code)
 
 
-def cmd_solve(args):
-    S = load_structure(args.structure)
-    with open(args.system, encoding="utf-8") as fh:
-        sys_ = parse_system(fh.read(), S)
-    out = solve_weak(sys_)
-    r = Report("solve")
-    r.add("structure", S.name).add("status", out.status)
+def _outcome_report(command, S, out, summary):
+    """The report of a solve or kernel outcome; a kernel vector is always weak, so only
+    a solve names its strength."""
+    r = Report(command).add("structure", S.name).add("status", out.status)
     if out.verdict is not None:
         r.add("vector", format_matrix(out.verdict.vector))
-        r.add("strength", out.verdict.strength)
+        if command == "solve":
+            r.add("strength", out.verdict.strength)
     if out.note:
         r.add("note", out.note)
-    code = _STATUS_EXIT[out.status]
-    return r.finish(f"solver status: {out.status}", code)
+    return r.finish(f"{summary} status: {out.status}", _STATUS_EXIT[out.status])
+
+
+def cmd_solve(args):
+    S = load_structure(args.structure)
+    out = solve_weak(parse_system(_read(args.system), S))
+    return _outcome_report("solve", S, out, "solver")
 
 
 def cmd_kernel(args):
     S = load_structure(args.structure)
-    with open(args.matrix, encoding="utf-8") as fh:
-        A = parse_matrix(fh.read(), S)
-    out = find_nontrivial_kernel(A)
-    r = Report("kernel")
-    r.add("structure", S.name).add("status", out.status)
-    if out.verdict is not None:
-        r.add("vector", format_matrix(out.verdict.vector))
-    if out.note:
-        r.add("note", out.note)
-    code = _STATUS_EXIT[out.status]
-    return r.finish(f"kernel status: {out.status}", code)
+    out = find_nontrivial_kernel(parse_matrix(_read(args.matrix), S))
+    return _outcome_report("kernel", S, out, "kernel")
 
 
 def cmd_closed(args):
@@ -251,6 +245,8 @@ def cmd_extension(args):
 
 
 def cmd_vspace(args):
+    if args.m is not None and args.space != "matrix":
+        raise MvlaError("--m applies only to --space matrix")
     S = load_structure(args.structure)
     if args.space == "fn":
         V = fn_space(S, args.n)

@@ -187,7 +187,6 @@ def eval_closure(gamma, pair, family="all", g=None, bound=None):
 class AlgebraicityCertificate:
     element: object
     witness: Poly
-    checked: bool
 
 
 def minimal_polynomial(gamma, pair, bound):
@@ -201,7 +200,7 @@ def minimal_polynomial(gamma, pair, bound):
             for top in _nonzero(F):
                 f = Poly.from_indices(F, low + (top,))
                 if _values(f, x, K, h) >> K.zero_i & 1:
-                    return AlgebraicityCertificate(gamma, f, True)
+                    return AlgebraicityCertificate(gamma, f)
     return None
 
 

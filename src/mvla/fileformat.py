@@ -66,7 +66,7 @@ def parse_structure(text):
     """Parse one structure file; every diagnostic carries its line number."""
     name = None
     elements = None
-    zero = one = None
+    units = {}  # "zero" and "one": the element of each
     neg = {}
     sum_table = {}
     prod_table = {}
@@ -94,13 +94,11 @@ def parse_structure(text):
             if len(set(elements)) != len(elements):
                 raise ParseError("duplicate element token", no)
         elif head in ("zero", "one"):
+            if head in units:
+                raise ParseError(f"duplicate {head} line", no)
             if len(rest) != 1:
                 raise ParseError(f"{head} needs exactly one token", no)
-            val = token_to_element(rest[0])
-            if head == "zero":
-                zero = val
-            else:
-                one = val
+            units[head] = token_to_element(rest[0])
         elif head == "neg":
             if len(rest) != 3 or rest[1] != "->":
                 raise ParseError("neg syntax: neg <e> -> <e>", no)
@@ -136,7 +134,7 @@ def parse_structure(text):
         raise ParseError("missing structure line", 1)
     if elements is None:
         raise ParseError("missing elements line", 1)
-    if zero is None or one is None:
+    if len(units) < 2:
         raise ParseError("missing zero or one line", 1)
 
     if symmetric:
@@ -145,7 +143,7 @@ def parse_structure(text):
                 table.setdefault((b, a), res)
 
     try:
-        return Structure(name, elements, zero, one, neg, sum_table, prod_table)
+        return Structure(name, elements, units["zero"], units["one"], neg, sum_table, prod_table)
     except StructureError as exc:
         raise ParseError(str(exc), last_line) from exc
 
@@ -175,7 +173,7 @@ def _matrix_from_lines(lines, S):
     entries = []
     for no, toks in lines:
         if rows is None:
-            if len(toks) != 2 or not all(_INT.match(t) for t in toks):
+            if len(toks) != 2 or not all(_INT.match(t) and int(t) > 0 for t in toks):
                 raise ParseError("first line must be: <rows> <cols>", no)
             rows, cols = int(toks[0]), int(toks[1])
             continue

@@ -3,11 +3,11 @@
 A solution is a vector d with Ad contained rowwise in B; a weak solution only needs a
 rowwise nonempty intersection.  Scaling transports solutions forward; the converse is
 unknown, so each candidate of a scaled system is re-verified on the original system.
-Systems and vectors are carrier indices and masks, and the solve route reads the tables
-row by row (_setwise, _union), keeping nothing past one call.  Scaled systems are in
-echelon form (_echelon_pivots), and back substitution refuses any other input.  The
-kernel of a wide matrix comes from the same route, one free variable set to 1, or from
-the k^n scan: small k^n is scanned at once.
+Systems and vectors are carrier indices and masks, and the route reads the tables row
+by row (_setwise, _union), keeping nothing past one call.  Scaled systems are in echelon
+form (_echelon_pivots), and back substitution refuses any other input.  Solves and the
+kernels of wide matrices walk one route (_route), a kernel with one free variable set to
+1 at a time; small k^n kernels are scanned at once.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .errors import BlowupError, MvlaError, StructureError, _limit
 from .matrices import Matrix, _dot, _rank, _value_masks, _vector, elementary
 from .structures import _bits, _setwise, _union
 
-# The scaled route stops once the branches walked so far, or the nodes, pass the search
-# limit or these; solve_weak then falls back to its exhaustive scan.  Kernels of up to
-# _SCALE_BRANCHES vectors skip the route and are scanned at once.
+# The scaled route (_route) ends once its branches, and skips a back substitution once its
+# nodes, pass the search limit or these; solves and kernels then fall back to their scans.
+# Kernels of up to _SCALE_BRANCHES vectors skip the route and are scanned at once.
 _SCALE_BRANCHES = 4096
 _BACKSUB_NODES = 10 ** 5
 
@@ -295,26 +295,41 @@ def iter_back_substitution(sys, free=None):
 # -- the solver -----------------------------------------------------------------------
 
 
-def solve_weak(sys):
-    """Find a weak solution: scale, back-substitute, re-verify on the original.
+def _route(sys, kernel=False):
+    """The verdicts of the scaled route's candidates that verify on sys, in route order.
 
-    Scaled systems are read one at a time, as iter_scaled_systems walks them,
-    and their candidates are only trusted after re-checking against the
-    original system.  When they yield nothing, or the scaler passes its cap,
-    the first weak solution in product order (_first_weak) is classified, or
-    none exists; inconclusive when the k^n vectors would pass the search limit.
+    Each scaled system of iter_scaled_systems is back-substituted with its free
+    variables 0, or for a kernel, with each free column in turn 1 and the others 0
+    (a scaled system with more columns than rows has one, and it makes every candidate
+    nonzero).  Candidates are only trusted after classify_candidate re-checks them on
+    sys.  Past the branch cap the route ends; a type I system or the node cap skips to
+    the next system or free column.  The module-level names are called, so that
+    wrappers of them see the route.
     """
     try:
         for scaled in iter_scaled_systems(sys):
-            try:
-                for d in iter_back_substitution(scaled):
-                    verdict = classify_candidate(sys, d)
-                    if verdict is not None:
-                        return SolveOutcome(SOLVED, verdict)
-            except (TypeIError, BlowupError):
-                continue
+            pivots = _echelon_pivots(scaled.A) if kernel else None
+            for free in [j for j in range(sys.A.cols) if j not in pivots] if kernel else [None]:
+                try:
+                    for d in iter_back_substitution(scaled, free):
+                        if (verdict := classify_candidate(sys, d)) is not None:
+                            yield verdict
+                except (TypeIError, BlowupError):
+                    continue
     except BlowupError:
-        pass  # the scaler passed its cap: the scan below decides
+        return
+
+
+def solve_weak(sys):
+    """Find a weak solution: the first verdict of the scaled route (_route), re-verified
+    on the original system.
+
+    When the route yields nothing, or the scaler passes its cap, the first weak
+    solution in product order (_first_weak) is classified, or none exists;
+    inconclusive when the k^n vectors would pass the search limit.
+    """
+    if (verdict := next(_route(sys), None)) is not None:
+        return SolveOutcome(SOLVED, verdict)
 
     total = len(sys.base) ** sys.A.cols
     if total > _limit.get():
@@ -354,36 +369,13 @@ def homogeneous(A):
     return LinearSystem(A, (1 << A.base.zero_i,) * A.rows)
 
 
-def _route_kernel(A):
-    """The first candidate of the scaled route of Ax = 0 that verifies on that system,
-    or None: each scaled system in turn, and in it each free column in turn set to 1
-    with the other free variables 0.  A scaled system with more columns than rows has
-    a free column, and setting it to 1 makes every candidate nonzero.  The branch and
-    node caps of iter_scaled_systems and iter_back_substitution read the search limit;
-    past the first, the route ends, past the second, the free column is skipped."""
-    sys, n = homogeneous(A), A.cols
-    try:
-        for scaled in iter_scaled_systems(sys):
-            pivots = _echelon_pivots(scaled.A)
-            for free in (j for j in range(n) if j not in pivots):
-                try:
-                    for d in iter_back_substitution(scaled, free):
-                        if is_weak_solution(sys, d):
-                            return d
-                except BlowupError:
-                    continue
-    except BlowupError:
-        pass
-    return None
-
-
 def find_nontrivial_kernel(A):
     """A nonzero d with 0 in every row of Ad, for systems with cols > rows.
 
     Up to 4096 (_SCALE_BRANCHES) vectors k^n, _first_weak scans them at once: the
     first nonzero d in product order, or none (no-solution).  Both are proofs.  Past
-    that, over a superfield, the scaled route (_route_kernel) is tried first, and its
-    vector, re-verified on the original system, is a verified construction (note
+    that, over a superfield, the first vector of the scaled route of Ax = 0 in kernel
+    mode (_route), re-verified on that system, is a verified construction (note
     "constructive").  On a miss, or over any other structure, the scan decides; the
     outcome is inconclusive when the k^n vectors would pass the search limit.  Route
     and scan cost the same at about 2,000 to 6,500 vectors, and below that the scan
@@ -391,13 +383,13 @@ def find_nontrivial_kernel(A):
     """
     if A.cols <= A.rows:
         raise StructureError("kernel construction expects more columns than rows")
-    k, n, zero = len(A.base), A.cols, A.base.zero_i
+    k, n, zero, sys = len(A.base), A.cols, A.base.zero_i, homogeneous(A)
     if k ** n > _SCALE_BRANCHES and structure_is(A.base, "superfield") \
-            and (d := _route_kernel(A)) is not None:
-        return SolveOutcome(SOLVED, SolutionVerdict(d, "weak"), note="constructive")
+            and (verdict := next(_route(sys, kernel=True), None)) is not None:
+        return SolveOutcome(SOLVED, SolutionVerdict(verdict.vector, "weak"), note="constructive")
     if k ** n > _limit.get():
         return SolveOutcome(INCONCLUSIVE, note=f"kernel scan of {k ** n} exceeds cap")
-    d = _first_weak(homogeneous(A), 1 << sum(zero * k ** e for e in range(n)))
+    d = _first_weak(sys, 1 << sum(zero * k ** e for e in range(n)))
     if d is not None:
         return SolveOutcome(SOLVED, SolutionVerdict(d, "weak"), note="exhaustive")
     return SolveOutcome(NO_SOLUTION)

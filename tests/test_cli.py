@@ -180,7 +180,10 @@ def test_extension_and_vspace_verbs(capsys):
 def test_vspace_verb_rejects_nonpositive_shapes(capsys):
     for shape in (["--space", "matrix", "--n", "-1"], ["--space", "matrix", "--n", "0"],
                   ["--space", "matrix", "--n", "2", "--m", "0"],
-                  ["--space", "poly", "--n", "-1"], ["--space", "fn", "--n", "0"]):
+                  ["--space", "poly", "--n", "-1"], ["--space", "fn", "--n", "0"],
+                  # --m shapes only a matrix space
+                  ["--space", "fn", "--n", "2", "--m", "7"],
+                  ["--space", "poly", "--n", "2", "--m", "2"]):
         assert run_cli("vspace", "--structure", "builtin:K", *shape) == 2, shape
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), shape

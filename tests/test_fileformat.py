@@ -125,6 +125,25 @@ def test_parse_errors_carry_line_numbers():
         parse_structure(_k_file(sum=_k_file().split("\n")[5] + "\nsum 1 1 -> 7"))
 
 
+def test_duplicate_zero_or_one_lines_are_refused():
+    # refused like every other directive's duplicate, not read as the last line's element
+    with pytest.raises(ParseError, match="duplicate zero line") as err:
+        parse_structure(_k_file(zero="zero 0\nzero 1", one="one 1\none 0"))
+    assert err.value.line == 4
+    with pytest.raises(ParseError, match="duplicate one line") as err:
+        parse_structure(_k_file(one="one 1\none 1"))
+    assert err.value.line == 5
+
+
+def test_matrix_headers_must_be_positive(K):
+    for header in ("-1 2", "2 -1", "0 0", "0 2", "2 0", "+1 2"):
+        for parse, text in ((parse_matrix, f"# sizes\n{header}\n"),
+                            (parse_system, f"# sizes\n{header}\nrhs {{0}}\n")):
+            with pytest.raises(ParseError, match="first line must be") as err:
+                parse(text, K)
+            assert err.value.line == 2, (header, parse.__name__)
+
+
 def test_comments_and_blank_lines_are_ignored(K):
     text = serialize_structure(K)
     noisy = "# header\n\n" + text.replace("zero 0", "zero 0   # the origin")

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from mvla import (BlowupError, LinearSystem, Matrix, TypeIError, builtin,
                   find_nontrivial_kernel, iter_scaled_systems)
-from mvla.linsys import NO_SOLUTION, SOLVED, _route_kernel, iter_back_substitution
+from mvla.linsys import NO_SOLUTION, SOLVED, _route, homogeneous, iter_back_substitution
 from test_linsys_reference import multi_superfields, ref_echelon, ref_leads
 
 BUILTINS = (("K",), ("Q2",), ("Hp", 2), ("Hp", 3), ("Hp", 5), ("Fp", 3), ("Fp", 5), ("Xn", 1))
@@ -96,8 +96,8 @@ def check_kernel_vector(S, A):
     out = find_nontrivial_kernel(M)
     assert out.status in (SOLVED, NO_SOLUTION), (S.name, A)
     vectors = [out.verdict.vector.entries] if out.status == SOLVED else []
-    route = _route_kernel(M)
-    vectors += [route.entries] if route is not None else []
+    route = next(_route(homogeneous(M), kernel=True), None)
+    vectors += [route.vector.entries] if route is not None else []
     for d in vectors:
         assert any(x != S.zero for x in d) and is_weak(S, A, zeros, d), (S.name, A, d)
     if out.status == NO_SOLUTION:

@@ -647,19 +647,41 @@ def ref_route_counts(S, rows, B):
     return scaled, candidates, int(ref_solve_weak(S, rows, B)[0] == "solved")
 
 
-def test_solve_weak_reads_the_route_through_its_module_names(bases, monkeypatch):
-    """solve_weak calls the module-level iter_scaled_systems, iter_back_substitution and
-    classify_candidate, which the benchmark's counters wrap: counted there, the scaled
-    systems, back substitutions, candidates and classifications of a seeded batch are
-    the ones the reference reads up to each answer."""
+def ref_kernel_route_counts(S, rows):
+    """What the scaled route of Ax = 0 reads in kernel mode, from the reference: the
+    scaled systems, the back substitutions (one per free column walked) and their
+    candidates, up to the first candidate that is a kernel vector of the original."""
+    m, n, scaled, walks, candidates = len(rows), len(rows[0]), 0, 0, 0
+    try:
+        for entries, sB in ref_scale_system(S, rows, [frozenset({S.zero})] * m):
+            scaled += 1
+            srows = [entries[i * n:(i + 1) * n] for i in range(m)]
+            for free in sorted(set(range(n)) - set(ref_leads(S, srows))):
+                walks += 1
+                try:
+                    for d in ref_back_substitution(S, srows, sB, free=free):
+                        candidates += 1
+                        if ref_kernel_ok(S, rows, d):
+                            return scaled, walks, candidates
+                except BlowupError:
+                    continue
+    except BlowupError:
+        pass
+    return scaled, walks, candidates
+
+
+def count_route_names(monkeypatch):
+    """A counter of the calls to the module-level iter_scaled_systems,
+    iter_back_substitution and classify_candidate, and of the first two's yields,
+    which the benchmark's counters and the tracer wrap."""
     counts = collections.Counter()
 
     def counted(name):
         original = getattr(linsys, name)
 
-        def walk(sys_):
+        def walk(sys_, *rest):
             counts[name] += 1
-            for item in original(sys_):
+            for item in original(sys_, *rest):
                 counts[name, "yields"] += 1
                 yield item
 
@@ -671,6 +693,15 @@ def test_solve_weak_reads_the_route_through_its_module_names(bases, monkeypatch)
 
     for name in ("iter_scaled_systems", "iter_back_substitution", "classify_candidate"):
         counted(name)
+    return counts
+
+
+def test_solve_weak_reads_the_route_through_its_module_names(bases, monkeypatch):
+    """solve_weak calls the module-level iter_scaled_systems, iter_back_substitution and
+    classify_candidate, which the benchmark's counters wrap: counted there, the scaled
+    systems, back substitutions, candidates and classifications of a seeded batch are
+    the ones the reference reads up to each answer."""
+    counts = count_route_names(monkeypatch)
     rng, totals = random.Random(40), collections.Counter()
     miss = route_miss(multi_superfields()[2])
     cases = [(miss.base, [miss.A.row(i) for i in range(miss.A.rows)], miss.B)]
@@ -694,6 +725,32 @@ def test_solve_weak_reads_the_route_through_its_module_names(bases, monkeypatch)
         totals.update(scaled=scaled, candidates=candidates, fallback=fallback,
                       rereads=scaled > 1)
     assert all(totals[k] for k in ("scaled", "candidates", "fallback", "rereads")), totals
+
+
+def test_kernel_route_reads_the_route_through_its_module_names(bases, monkeypatch):
+    """Past 4096 vectors find_nontrivial_kernel walks the same module-level names in
+    kernel mode: on seeded H5 3x9 and K 3x23 matrices the scaled systems, the back
+    substitutions (one per free column), the candidates and their classifications are
+    the ones the reference reads up to its first kernel vector, and the outcome's
+    vector is that of ref_route_kernel."""
+    counts = count_route_names(monkeypatch)
+    rng, routed = random.Random(43), 0
+    for S, cols in ((bases["H5"], 9), (bases["K"], 23)):
+        for _ in range(6):
+            rows = [[rng.choice(S.elements) for _ in range(cols)] for _ in range(3)]
+            counts.clear()
+            out = linsys.find_nontrivial_kernel(Matrix.from_rows(S, rows))
+            scaled, walks, candidates = ref_kernel_route_counts(S, rows)
+            assert dict(counts) == {k: v for k, v in {
+                "iter_scaled_systems": 1, ("iter_scaled_systems", "yields"): scaled,
+                "iter_back_substitution": walks,
+                ("iter_back_substitution", "yields"): candidates,
+                "classify_candidate": candidates}.items() if v}, rows
+            want = ref_route_kernel(S, rows, 10 ** 7)
+            assert (out.verdict.vector.entries if out.note == "constructive" else None) \
+                == want, rows
+            routed += want is not None
+    assert routed
 
 
 # -- token helpers stay off the hot paths ------------------------------------------------
